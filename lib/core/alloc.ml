@@ -346,7 +346,7 @@ let alloc_huge (ctx : Ctx.t) ~data_words ~emb_cnt =
         Ctx.store ctx (Layout.page_aux lay ~gid) (if p = 0 then n else 0);
         (* The meta word's data_words field is narrower than a maximal run,
            so the head page records the true length in its second spare
-           slot; readers go through [huge_data_words]. *)
+           slot; readers go through [data_words]. *)
         Ctx.store ctx (Layout.page_aux2 lay ~gid) (if p = 0 then data_words else 0)
       done;
       let obj = Layout.segment_base lay head + lay.Layout.seg_hdr_words in
@@ -371,15 +371,17 @@ let huge_span (ctx : Ctx.t) ~head_seg =
   let gid = Layout.page_gid ctx.Ctx.lay ~seg:head_seg ~page:0 in
   Ctx.load ctx (Layout.page_aux ctx.Ctx.lay ~gid)
 
-let huge_data_words (ctx : Ctx.t) obj =
-  let head = Layout.segment_of_addr ctx.Ctx.lay obj in
-  let gid = Layout.page_gid ctx.Ctx.lay ~seg:head ~page:0 in
-  let true_dw = Ctx.load ctx (Layout.page_aux2 ctx.Ctx.lay ~gid) in
-  if true_dw > 0 then true_dw
-  else
-    (* Pre-[page_aux2] image (or a repaired one): the packed field is all
-       we have. *)
-    Obj_header.meta_data_words (Ctx.load ctx (Obj_header.meta_of_obj obj))
+let data_words (ctx : Ctx.t) obj ~meta =
+  let dw = Obj_header.meta_data_words meta in
+  if dw = Obj_header.max_meta_data_words && is_huge ctx obj then begin
+    let head = Layout.segment_of_addr ctx.Ctx.lay obj in
+    let gid = Layout.page_gid ctx.Ctx.lay ~seg:head ~page:0 in
+    let true_dw = Ctx.load ctx (Layout.page_aux2 ctx.Ctx.lay ~gid) in
+    (* 0 is a pre-[page_aux2] image (or a repaired one): the packed field
+       is all we have. *)
+    if true_dw > 0 then true_dw else dw
+  end
+  else dw
 
 let free_huge (ctx : Ctx.t) obj =
   let head = Layout.segment_of_addr ctx.Ctx.lay obj in

@@ -49,11 +49,12 @@ val is_huge : Ctx.t -> Cxlshm_shmem.Pptr.t -> bool
 val huge_span : Ctx.t -> head_seg:int -> int
 (** Number of segments occupied by the huge object headed at [head_seg]. *)
 
-val huge_data_words : Ctx.t -> Cxlshm_shmem.Pptr.t -> int
-(** True payload word count of a huge object, from the head page's
-    [page_aux2] slot — the packed meta word saturates at
-    {!Obj_header.max_meta_data_words} and must not be trusted for sizes
-    beyond it. Falls back to the meta word for pre-[page_aux2] images. *)
+val data_words : Ctx.t -> Cxlshm_shmem.Pptr.t -> meta:int -> int
+(** True payload word count of an object whose meta word the caller already
+    read as [meta]. That is the packed field, unless it saturated at
+    {!Obj_header.max_meta_data_words} on a huge object: then the head page's
+    [page_aux2] slot holds the true count (falling back to the field for
+    pre-[page_aux2] images). *)
 
 val obj_page : Ctx.t -> Cxlshm_shmem.Pptr.t -> int
 (** Global page id of the page containing an object. *)

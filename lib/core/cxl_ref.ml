@@ -24,80 +24,77 @@ let drop t =
   t.live <- false;
   Reclaim.release_rootref t.ctx t.rr
 
-let meta t = Ctx.load t.ctx (Obj_header.meta_of_obj (obj t))
-let emb_cnt t = Obj_header.meta_emb_cnt (meta t)
+(* One rootref read and one meta read name the block, its embedded-slot
+   count and its true length. Every accessor below checks bounds against
+   and addresses through the same resolution, so the block checked is the
+   block touched. *)
+type block = { o : Cxlshm_shmem.Pptr.t; emb : int; dw : int }
 
-let data_words t =
-  let dw = Obj_header.meta_data_words (meta t) in
-  (* A saturated field means a huge object wider than the meta word can
-     represent: the head page's aux2 slot holds the true count. *)
-  if dw = Obj_header.max_meta_data_words then
-    let o = obj t in
-    if Alloc.is_huge t.ctx o then Alloc.huge_data_words t.ctx o else dw
-  else dw
+let resolve t =
+  let o = obj t in
+  let meta = Ctx.load t.ctx (Obj_header.meta_of_obj o) in
+  { o; emb = Obj_header.meta_emb_cnt meta; dw = Alloc.data_words t.ctx o ~meta }
 
+let emb_cnt t = (resolve t).emb
+let data_words t = (resolve t).dw
 let data_addr t = Obj_header.data_of_obj (obj t)
 
-let check_word t i =
-  if i < emb_cnt t || i >= data_words t then
+let word_addr t i =
+  let b = resolve t in
+  if i < b.emb || i >= b.dw then
     invalid_arg
       (Printf.sprintf "Cxl_ref: word index %d outside plain data [%d, %d)" i
-         (emb_cnt t) (data_words t))
+         b.emb b.dw);
+  Obj_header.data_of_obj b.o + i
 
-let read_word t i =
-  check_word t i;
-  Ctx.load t.ctx (data_addr t + i)
-
-let write_word t i v =
-  check_word t i;
-  Ctx.store t.ctx (data_addr t + i) v
+let read_word t i = Ctx.load t.ctx (word_addr t i)
+let write_word t i v = Ctx.store t.ctx (word_addr t i) v
 
 let cas_word t i ~expected ~desired =
-  check_word t i;
-  Ctx.cas t.ctx (data_addr t + i) ~expected ~desired
+  Ctx.cas t.ctx (word_addr t i) ~expected ~desired
 
-let byte_base t = data_addr t + emb_cnt t
+(* The byte payload's base address and its room in words. *)
+let byte_area t =
+  let b = resolve t in
+  (Obj_header.data_of_obj b.o + b.emb, b.dw - b.emb)
 
 let write_bytes t b =
-  let room = data_words t - emb_cnt t in
+  let base, room = byte_area t in
   if Cxlshm_shmem.Mem.bytes_words (Bytes.length b) > room then
     invalid_arg "Cxl_ref.write_bytes: payload too large";
-  Cxlshm_shmem.Mem.write_bytes t.ctx.Ctx.mem ~st:t.ctx.Ctx.st (byte_base t) b
+  Cxlshm_shmem.Mem.write_bytes t.ctx.Ctx.mem ~st:t.ctx.Ctx.st base b
 
 let read_bytes t ~len =
-  let room = data_words t - emb_cnt t in
+  let base, room = byte_area t in
   if Cxlshm_shmem.Mem.bytes_words len > room then
     invalid_arg "Cxl_ref.read_bytes: length too large";
-  Cxlshm_shmem.Mem.read_bytes t.ctx.Ctx.mem ~st:t.ctx.Ctx.st (byte_base t) ~len
+  Cxlshm_shmem.Mem.read_bytes t.ctx.Ctx.mem ~st:t.ctx.Ctx.st base ~len
 
-let check_emb t i =
-  if i < 0 || i >= emb_cnt t then
-    invalid_arg (Printf.sprintf "Cxl_ref: embedded slot %d out of range" i)
+let emb_addr t i =
+  let b = resolve t in
+  if i < 0 || i >= b.emb then
+    invalid_arg (Printf.sprintf "Cxl_ref: embedded slot %d out of range" i);
+  Obj_header.emb_slot b.o i
 
-let get_emb t i =
-  check_emb t i;
-  Ctx.load t.ctx (Obj_header.emb_slot (obj t) i)
+let get_emb t i = Ctx.load t.ctx (emb_addr t i)
 
 let set_emb t i target =
-  check_emb t i;
+  let slot = emb_addr t i in
   check target;
-  let slot = Obj_header.emb_slot (obj t) i in
   if Ctx.load t.ctx slot <> 0 then
     invalid_arg "Cxl_ref.set_emb: slot is already linked (use change_emb)";
   Refc.attach t.ctx ~ref_addr:slot ~refed:(obj target)
 
 let clear_emb t i =
-  check_emb t i;
-  let slot = Obj_header.emb_slot (obj t) i in
+  let slot = emb_addr t i in
   let child = Ctx.load t.ctx slot in
   if child <> 0 then Reclaim.release_obj t.ctx ~ref_addr:slot ~obj:child
 
 let change_emb t i target =
-  check_emb t i;
+  let slot = emb_addr t i in
   check target;
-  let slot = Obj_header.emb_slot (obj t) i in
   let from_obj = Ctx.load t.ctx slot in
-  if from_obj = 0 then set_emb t i target
+  if from_obj = 0 then Refc.attach t.ctx ~ref_addr:slot ~refed:(obj target)
   else begin
     let n =
       Refc.change t.ctx ~ref_addr:slot ~from_obj ~to_obj:(obj target)

@@ -34,7 +34,13 @@ val is_live : t -> bool
     [get_addr]-style direct access (§3.1 step 5/6): offsets are in words
     relative to the object's data area. Embedded-reference slots occupy the
     first [emb_cnt] data words — the word accessors refuse to touch them;
-    use {!set_emb}/{!get_emb}/{!change_emb}. *)
+    use {!set_emb}/{!get_emb}/{!change_emb}.
+
+    Every accessor resolves the handle once — one RootRef read and one meta
+    read, plus the head page's true-length slot for a huge object whose
+    meta saturated — then checks bounds against, and addresses through,
+    that one resolution: {!read_word} costs exactly three shared
+    accesses. *)
 
 val data_addr : t -> Cxlshm_shmem.Pptr.t
 val data_words : t -> int

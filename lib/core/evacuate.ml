@@ -233,10 +233,7 @@ let evacuate_obj_locked (ctx : Ctx.t) ~obj =
       else begin
         let meta = Ctx.load ctx (Obj_header.meta_of_obj obj) in
         let emb = Obj_header.meta_emb_cnt meta in
-        let dw =
-          if Alloc.is_huge ctx obj then Alloc.huge_data_words ctx obj
-          else Obj_header.meta_data_words meta
-        in
+        let dw = Alloc.data_words ctx obj ~meta in
         match Alloc.alloc_obj ctx ~data_words:dw ~emb_cnt:emb with
         | exception Alloc.Out_of_shared_memory ->
             Reclaim.release_rootref ctx guard;

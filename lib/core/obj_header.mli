@@ -41,7 +41,7 @@ val max_meta_data_words : int
 (** Largest value the meta word's [data_words] field can hold. A huge
     object bigger than this saturates the field and records its true word
     count in the head page's [page_aux2] slot — readers must go through
-    {!Alloc.huge_data_words}, not trust a saturated field. *)
+    {!Alloc.data_words}, not trust a saturated field. *)
 
 (** {1 Addressing} *)
 

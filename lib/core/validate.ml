@@ -38,11 +38,11 @@ type acc = {
 
 let err acc fmt = Printf.ksprintf (fun s -> acc.errs <- s :: acc.errs) fmt
 
-(* Is [p] the base of a block we could legally reference? Pure metadata
-   peeks — never follows [p] — so it is safe to ask about arbitrary (even
-   hostile) words; the RPC validation walk relies on exactly that. *)
-let block_base_ok mem lay p =
-  let peek = Mem.unsafe_peek mem in
+(* Is [p] the base of a block we could legally reference? Only metadata
+   reads through [read] — never follows [p] — so it is safe to ask about
+   arbitrary (even hostile) words; the RPC validation walk relies on
+   exactly that. *)
+let block_base_ok ~read:peek lay p =
   let cfg = lay.Layout.cfg in
   let rr_kind = Config.kind_rootref cfg in
   let huge_kind = Config.kind_huge cfg in
@@ -60,10 +60,11 @@ let block_base_ok mem lay p =
           match Layout.page_gid_of_addr lay p with
           | exception Invalid_argument _ -> false
           | gid ->
+              let k = page_kind gid in
               let bw = peek (Layout.page_block_words lay ~gid) in
               let base = Layout.page_area lay ~gid in
-              page_kind gid <> Config.kind_unused
-              && page_kind gid <> rr_kind
+              k <> Config.kind_unused
+              && k <> rr_kind
               && bw > 0
               && (p - base) mod bw = 0
               && (p - base) / bw < peek (Layout.page_capacity lay ~gid))
@@ -101,7 +102,7 @@ let run mem lay =
   in
 
   (* Is [p] the base of a block we could legally reference? *)
-  let block_base_ok p = block_base_ok mem lay p in
+  let block_base_ok p = block_base_ok ~read:peek lay p in
 
   (* ---- collect reference holders ---- *)
   let expected : (int, int) Hashtbl.t = Hashtbl.create 256 in

@@ -34,11 +34,12 @@ val run : Cxlshm_shmem.Mem.t -> Layout.t -> t
 val is_clean : t -> bool
 val pp : Format.formatter -> t -> unit
 
-val block_base_ok : Cxlshm_shmem.Mem.t -> Layout.t -> int -> bool
-(** Is [p] the base of a block a reference could legally name? Pure
-    metadata peeks — range, segment/page bounds, initialised non-rootref
-    page kind, block alignment, huge-head special case — and never a
-    dereference of [p] itself, so it is safe to ask about arbitrary or
-    hostile words. The RPC receive-side validation walk
-    ({!Cxlshm_rpc.Cxl_rpc}) uses it to vet embedded pointers before
-    touching them. *)
+val block_base_ok : read:(int -> int) -> Layout.t -> int -> bool
+(** Is [p] the base of a block a reference could legally name? Only
+    metadata reads through [read] — range, segment/page bounds, initialised
+    non-rootref page kind, block alignment, huge-head special case — and
+    never a dereference of [p] itself, so it is safe to ask about arbitrary
+    or hostile words. {!run} reads with [Mem.unsafe_peek]; the RPC
+    receive-side validation walk ({!Cxlshm_rpc.Cxl_rpc}) reads through the
+    server's [Ctx.load], so its checks are charged to the server and reach
+    the explorer's scheduler like any other shared access. *)

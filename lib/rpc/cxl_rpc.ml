@@ -133,6 +133,7 @@ let alloc_arg c ~size_bytes ?(emb_cnt = 0) () =
 type pending = {
   pc : client;
   msg : Cxl_ref.t;
+  mv : Message.view;  (* over [msg], which keeps the block alive *)
   output : Cxl_ref.t;
   mutable finished : bool;
 }
@@ -179,16 +180,18 @@ let call_async c ~func ~args ~output_bytes =
             Cxl_ref.drop output;
             raise e)
   in
-  send_bounded c msg output;
   (* We keep our reference to the message: its status word is the
-     completion channel the client polls. *)
-  { pc = c; msg; output; finished = false }
+     completion channel the client polls, through a view made while the
+     message's lines are still cached. *)
+  let mv = Message.view_of_ref msg in
+  send_bounded c msg output;
+  { pc = c; msg; mv; output; finished = false }
 
 let check_unfinished p =
   if p.finished then invalid_arg "Cxl_rpc.finish: pending already finished"
 
 let is_done p =
-  let s = Message.status (Message.view_of_ref p.msg) in
+  let s = Message.status p.mv in
   if s = status_pending then false
   else begin
     (* Acquire side of the completion handshake: order the status read
@@ -201,7 +204,7 @@ let is_done p =
 
 let finish_now p =
   p.finished <- true;
-  let st = Message.status (Message.view_of_ref p.msg) in
+  let st = Message.status p.mv in
   (* Dropping the message releases its embedded references to the
      arguments and the output; the caller keeps its own handles. *)
   Cxl_ref.drop p.msg;
@@ -209,7 +212,8 @@ let finish_now p =
     Cxl_ref.drop p.output;
     raise
       (Call_rejected
-         "Cxl_rpc: server rejected the call (out-of-channel or wild pointer)")
+         "Cxl_rpc: server rejected the call (out-of-channel or wild pointer, \
+          or malformed message)")
   end;
   p.output
 
@@ -274,93 +278,108 @@ let peer_owned (s : server) addr =
   | exception Invalid_argument _ -> false
   | seg -> Segment.owner s.sctx seg = Some s.client_cid
 
+type verdict =
+  | Valid of Message.view list * Message.view  (** arguments, output *)
+  | Invalid of int list  (** the wild slots to neutralise *)
+
 (* The RPCool receive-side walk: every reference the message closure can
    reach must be the base of a live block inside the channel's sub-heap.
    Discipline: a node's embedded slots are read only after the node itself
-   passed {!Validate.block_base_ok} (pure metadata peeks), so a hostile
-   word is never dereferenced. Wild slots are collected so disposal can
-   neutralise them before any teardown walk would chase them. *)
+   passed {!Validate.block_base_ok} (metadata reads only), so a hostile
+   word is never dereferenced. Every read is charged to the server. Each
+   block's meta is read once, and the message, argument and output views
+   are built from the walk's own reads, so the handler sees exactly the
+   slots and meta that were validated. Wild slots are collected so
+   disposal can neutralise them before any teardown walk would chase
+   them. *)
 let validate_message (s : server) msg_obj =
   let ctx = s.sctx in
-  let mem = ctx.Ctx.mem and lay = ctx.Ctx.lay in
+  let lay = ctx.Ctx.lay in
+  let vet w =
+    if !mutation_skip_validate then `Ok
+    else if not (Validate.block_base_ok ~read:(Ctx.load ctx) lay w) then `Wild
+    else if in_channel lay s.chan w || peer_owned s w then `Ok
+    else `Foreign
+  in
   let ok = ref true in
   let wild = ref [] in
-  let seen = Hashtbl.create 8 in
-  let rec walk obj depth =
-    if depth > 64 || Hashtbl.mem seen obj then ()
-    else begin
-      Hashtbl.add seen obj ();
-      let emb =
-        Obj_header.meta_emb_cnt (Ctx.load ctx (Obj_header.meta_of_obj obj))
-      in
-      for i = 0 to emb - 1 do
+  let metas = Hashtbl.create 8 in
+  let view obj = Message.of_meta ctx obj ~meta:(Hashtbl.find metas obj) in
+  (* Read [obj]'s meta, vet and walk its embedded slots, and return the
+     slot words as read. *)
+  let rec node obj depth =
+    let meta = Ctx.load ctx (Obj_header.meta_of_obj obj) in
+    Hashtbl.add metas obj meta;
+    Array.init (Obj_header.meta_emb_cnt meta) (fun i ->
         let slot = Obj_header.emb_slot obj i in
         let w = Ctx.load ctx slot in
-        if w <> 0 then
-          if not (Validate.block_base_ok mem lay w) then begin
-            (* Not the base of any live block: following it would be a wild
-               dereference. Record the slot for neutralisation. *)
-            ok := false;
-            wild := slot :: !wild
-          end
-          else if in_channel lay s.chan w || peer_owned s w then
-            walk w (depth + 1)
-          else
-            (* A structurally valid block outside the sub-heap (and outside
-               any opted-in peer-owned segment): a smuggled pointer into
-               someone else's heap. Reject without recursing — its closure
-               is not ours to walk, and the slot itself is counted
-               (Message.build attached it), so the teardown detach at
-               disposal is safe. *)
-            ok := false
-      done
-    end
+        (if w <> 0 && not (Hashtbl.mem metas w) then
+           match vet w with
+           | `Ok -> if depth < 64 then ignore (node w (depth + 1))
+           | `Wild ->
+               (* Not the base of any live block: following it would be a
+                  wild dereference. Record the slot for neutralisation. *)
+               ok := false;
+               wild := slot :: !wild
+           | `Foreign ->
+               (* A structurally valid block outside the sub-heap (and
+                  outside any opted-in peer-owned segment): a smuggled
+                  pointer into someone else's heap. Reject without
+                  recursing — its closure is not ours to walk, and the slot
+                  itself is counted (Message.build attached it), so the
+                  teardown detach at disposal is safe. *)
+               ok := false);
+        w)
   in
-  if not (Validate.block_base_ok mem lay msg_obj && in_channel lay s.chan msg_obj)
-  then (false, [])
+  if vet msg_obj <> `Ok then (Message.view ctx msg_obj, Invalid [])
   else begin
-    walk msg_obj 0;
-    (!ok, !wild)
+    let slots = node msg_obj 0 in
+    let v = view msg_obj in
+    (* The argument count is the validated meta's, never the client's count
+       word: a message whose count word disagrees, or with a null slot, is
+       malformed. *)
+    if
+      !ok && Message.well_formed v
+      && Message.count_word v = Message.nargs v
+      && Array.for_all (fun w -> w <> 0) slots
+    then
+      let n = Message.nargs v in
+      (v, Valid (List.init n (fun i -> view slots.(i)), view slots.(n)))
+    else (v, Invalid !wild)
   end
 
 let serve_one s ~handler =
   match Transfer.receive (server_req s) with
   | Transfer.Received msg ->
-      let v = Message.view_of_ref msg in
-      let valid, wild =
-        if !mutation_skip_validate then (true, [])
-        else validate_message s (Cxl_ref.obj msg)
-      in
-      if not valid then begin
-        s.rejected <- s.rejected + 1;
-        (* Neutralise wild slots with raw stores — they name no block, so no
-           count is owed — or the drop's teardown walk would chase them. *)
-        List.iter (fun slot -> Ctx.store s.sctx slot 0) wild;
-        Ctx.fence s.sctx;
-        (* Error completion: raise the client's poll word to the rejected
-           state. Nothing in the closure was dereferenced. *)
-        Message.set_status v status_rejected;
-        Cxl_ref.drop msg;
-        true
-      end
-      else begin
-        (* Mutation self-check switch: the historical unfenced completion
-           publish. The simulator's memory is sequentially consistent, so
-           the mutation applies the reordering the missing release/acquire
-           pair permitted on hardware — the completion word becomes visible
-           before the handler's in-place output writes. *)
-        if !mutation_unfenced_status then Message.set_status v status_done;
-        let n = Message.nargs v in
-        let args = List.init n (Message.arg v) in
-        handler ~func:(Message.func v) ~args ~output:(Message.output v);
-        (* Release: publish the in-place results before raising the
-           completion word the client polls. *)
-        Ctx.fence s.sctx;
-        Ctx.crash_point s.sctx Fault.Rpc_before_status;
-        if not !mutation_unfenced_status then Message.set_status v status_done;
-        Cxl_ref.drop msg;
-        true
-      end
+      let v, verdict = validate_message s (Cxl_ref.obj msg) in
+      (match verdict with
+      | Invalid wild ->
+          s.rejected <- s.rejected + 1;
+          (* Neutralise wild slots with raw stores — they name no block, so
+             no count is owed — or the drop's teardown walk would chase
+             them. *)
+          List.iter (fun slot -> Ctx.store s.sctx slot 0) wild;
+          Ctx.fence s.sctx;
+          (* Error completion: raise the client's poll word to the rejected
+             state. Nothing in the closure was dereferenced. A block without
+             the message layout has no status word to raise. *)
+          if Message.well_formed v then Message.set_status v status_rejected
+      | Valid (args, output) ->
+          (* Mutation self-check switch: the historical unfenced completion
+             publish. The simulator's memory is sequentially consistent, so
+             the mutation applies the reordering the missing release/acquire
+             pair permitted on hardware — the completion word becomes
+             visible before the handler's in-place output writes. *)
+          if !mutation_unfenced_status then Message.set_status v status_done;
+          handler ~func:(Message.func v) ~args ~output;
+          (* Release: publish the in-place results before raising the
+             completion word the client polls. *)
+          Ctx.fence s.sctx;
+          Ctx.crash_point s.sctx Fault.Rpc_before_status;
+          if not !mutation_unfenced_status then
+            Message.set_status v status_done);
+      Cxl_ref.drop msg;
+      true
   | Transfer.Empty | Transfer.Drained -> false
 
 let serve_until s ~handler ~stop =

@@ -34,7 +34,9 @@ exception Peer_failed of string
 
 exception Call_rejected of string
 (** The server's validation walk refused the call: the message closure
-    reached an out-of-channel or wild pointer. *)
+    reached an out-of-channel or wild pointer, or the message lacked the
+    shape {!Message.build} gives it (e.g. its argument-count word no longer
+    agreed with its meta). *)
 
 type client
 type server
@@ -107,8 +109,10 @@ val serve_one : server -> handler:handler -> bool
 (** Handle one pending request; [false] when the ring is empty. Validates
     the message closure first (see module doc); rejected calls never reach
     [handler] — they are counted in {!rejected_calls} and completed with an
-    error status. Raises {!Peer_failed} while waiting for a connect from a
-    client that died first. *)
+    error status. The handler's views are built from the walk's own reads:
+    the argument count is the validated meta's, and each view carries the
+    meta word the walk read. Raises {!Peer_failed} while waiting for a
+    connect from a client that died first. *)
 
 val serve_until : server -> handler:handler -> stop:bool Atomic.t -> unit
 
@@ -146,9 +150,9 @@ val close_server : server -> unit
     stay [false] everywhere else. *)
 
 val mutation_skip_validate : bool ref
-(** Skip the receive-side validation walk — the [rpc-skip-validate]
-    explorer mutation; the planted out-of-channel pointer must then reach
-    the handler and trip the oracle. *)
+(** Make the receive-side validation walk accept every pointer unvetted —
+    the [rpc-skip-validate] explorer mutation; the planted out-of-channel
+    pointer must then reach the handler and trip the oracle. *)
 
 val mutation_unfenced_status : bool ref
 (** Publish the completion word {e before} the handler runs, the reordering

@@ -1,18 +1,19 @@
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
 
-type view = { ctx : Ctx.t; obj : int }
+(* [meta] is read once, when the view is made (see the mli). *)
+type view = { ctx : Ctx.t; obj : int; meta : int }
+
+let of_meta ctx obj ~meta = { ctx; obj; meta }
 
 let view ctx obj =
   if obj = 0 then invalid_arg "Message.view: null object";
-  { ctx; obj }
+  of_meta ctx obj ~meta:(Ctx.load ctx (Obj_header.meta_of_obj obj))
 
-let view_of_ref r = { ctx = Cxl_ref.ctx r; obj = Cxl_ref.obj r }
+let view_of_ref r = view (Cxl_ref.ctx r) (Cxl_ref.obj r)
 let obj v = v.obj
-
-let meta v = Ctx.load v.ctx (Obj_header.meta_of_obj v.obj)
-let data_words v = Obj_header.meta_data_words (meta v)
-let emb_cnt v = Obj_header.meta_emb_cnt (meta v)
+let data_words v = Obj_header.meta_data_words v.meta
+let emb_cnt v = Obj_header.meta_emb_cnt v.meta
 let data v = Obj_header.data_of_obj v.obj
 
 let read_word v i =
@@ -63,17 +64,16 @@ let build ctx ~func ~args ~output =
   Cxl_ref.write_word msg (nargs + 3) 0;
   msg
 
+let nargs v = emb_cnt v - 1
+
+let well_formed v =
+  let n = nargs v in
+  n >= 0 && data_words v = msg_data_words ~nargs:n
+
 let func v = read_word v (emb_cnt v)
-let nargs v = read_word v (emb_cnt v + 1)
+let count_word v = read_word v (emb_cnt v + 1)
 let status v = read_word v (emb_cnt v + 2)
 
 let set_status v s =
   write_word v (emb_cnt v + 2) s;
   Mem.flush v.ctx.Ctx.mem ~st:v.ctx.Ctx.st (data v + emb_cnt v + 2)
-
-let arg v i =
-  let n = nargs v in
-  if i < 0 || i >= n then invalid_arg "Message.arg";
-  view v.ctx (Ctx.load v.ctx (Obj_header.emb_slot v.obj i))
-
-let output v = view v.ctx (Ctx.load v.ctx (Obj_header.emb_slot v.obj (nargs v)))

@@ -137,6 +137,9 @@ let test_true_length_beyond_meta () =
   Alcotest.(check int) "last word addressable" 77
     (Cxl_ref.read_word r (dw - 1));
   Alcotest.(check int) "first word intact" 76 (Cxl_ref.read_word r 0);
+  (match Cxl_ref.read_word r dw with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "one past the true length must raise");
   Cxl_ref.drop r;
   Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena))
 

@@ -3,6 +3,8 @@
 
 open Cxlshm
 open Cxlshm_rpc
+module Mem = Cxlshm_shmem.Mem
+module Stats = Cxlshm_shmem.Stats
 
 let mid_cfg =
   { Config.small with Config.num_segments = 16; pages_per_segment = 8 }
@@ -296,6 +298,151 @@ let test_client_dies_mid_call () =
   ignore (Shm.scan_leaking arena);
   check_clean arena ~live:0
 
+let test_forged_nargs_rejected () =
+  (* The client rewrites its in-flight message's count word from 1 to 2.
+     Were the count word trusted, the output slot would be the func word
+     read as a pointer — here, a block in a third client's heap — and the
+     handler's output write would clobber it. The argument count must come
+     from the validated meta, and the disagreeing count word must reject
+     the call. *)
+  let arena = Shm.create ~cfg:mid_cfg () in
+  let c = Shm.join arena () in
+  let s = Shm.join arena () in
+  let third = Shm.join arena () in
+  let victim = Shm.cxl_malloc third ~size_bytes:8 () in
+  Cxl_ref.write_word victim 0 42;
+  let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:8 in
+  let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:8 in
+  let arg = Cxl_rpc.alloc_arg client ~size_bytes:8 () in
+  let func = Cxl_ref.obj victim in
+  let p = Cxl_rpc.call_async client ~func ~args:[ arg ] ~output_bytes:8 in
+  (* Find the message's count word in the sub-heap: it follows the func
+     word. *)
+  let mem = Shm.mem arena and lay = Shm.layout arena in
+  let count_words =
+    List.concat_map
+      (fun seg ->
+        let base = Layout.segment_base lay seg in
+        List.filter
+          (fun a -> Mem.unsafe_peek mem a = func && Mem.unsafe_peek mem (a + 1) = 1)
+          (List.init (lay.Layout.segment_words - 1) (fun k -> base + k))
+        |> List.map (fun a -> a + 1))
+      (Cxl_rpc.channel_segments client)
+  in
+  (match count_words with
+  | [ a ] -> Mem.unsafe_poke mem a 2
+  | l -> Alcotest.failf "expected one message count word, found %d" (List.length l));
+  let handled = ref false in
+  let served =
+    Cxl_rpc.serve_one server ~handler:(fun ~func:_ ~args:_ ~output ->
+        handled := true;
+        Message.write_word output 0 0xBAD)
+  in
+  Alcotest.(check bool) "request consumed" true served;
+  Alcotest.(check bool) "handler never ran" false !handled;
+  Alcotest.(check int) "rejection counted" 1 (Cxl_rpc.rejected_calls server);
+  (match Cxl_rpc.finish p with
+  | exception Cxl_rpc.Call_rejected _ -> ()
+  | _ -> Alcotest.fail "expected Call_rejected");
+  Alcotest.(check int) "victim untouched" 42 (Cxl_ref.read_word victim 0);
+  Cxl_ref.drop arg;
+  Cxl_ref.drop victim;
+  Cxl_rpc.close_server server;
+  Cxl_rpc.close_client client;
+  check_clean arena ~live:0
+
+(* ---- accessor traffic, counted on the deterministic backend ---- *)
+
+let counting_cfg =
+  { mid_cfg with Config.backend = Mem.Counting_fast; page_words = 1024 }
+
+(* Shared accesses (loads, stores and CAS, cache hits included) [f] costs
+   on [ctx]. *)
+let accesses (ctx : Ctx.t) f =
+  let before = Stats.total_accesses ctx.Ctx.st in
+  let r = f () in
+  (r, Stats.total_accesses ctx.Ctx.st - before)
+
+let raises name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+
+let test_cxl_ref_word_traffic () =
+  let arena = Shm.create ~cfg:counting_cfg () in
+  let c = Shm.join arena () in
+  let r = Shm.cxl_malloc c ~size_bytes:32 ~emb_cnt:1 () in
+  let dw = Cxl_ref.data_words r in
+  Cxl_ref.write_word r 1 7;
+  let v, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
+  Alcotest.(check int) "value" 7 v;
+  Alcotest.(check int) "rootref + meta + word" 3 n;
+  let (), n = accesses c (fun () -> Cxl_ref.write_word r (dw - 1) 8) in
+  Alcotest.(check int) "write: rootref + meta + word" 3 n;
+  raises "embedded slot" (fun () -> Cxl_ref.read_word r 0);
+  raises "data_words" (fun () -> Cxl_ref.read_word r dw);
+  raises "write past the end" (fun () -> Cxl_ref.write_word r dw 0);
+  raises "embedded slot past emb_cnt" (fun () -> Cxl_ref.get_emb r 1);
+  Cxl_ref.drop r;
+  check_clean arena ~live:0
+
+let test_message_view_traffic () =
+  let arena = Shm.create ~cfg:counting_cfg () in
+  let c = Shm.join arena () in
+  let r = Shm.cxl_malloc c ~size_bytes:32 () in
+  Cxl_ref.write_word r 2 9;
+  let v = Message.view_of_ref r in
+  let x, n = accesses c (fun () -> Message.read_word v 2) in
+  Alcotest.(check int) "value" 9 x;
+  Alcotest.(check int) "one access per word" 1 n;
+  let (), n = accesses c (fun () -> Message.write_word v 3 1) in
+  Alcotest.(check int) "one access per write" 1 n;
+  raises "negative index" (fun () -> Message.read_word v (-1));
+  raises "data_words" (fun () -> Message.read_word v (Message.data_words v));
+  Cxl_ref.drop r;
+  check_clean arena ~live:0
+
+let test_handler_streams_sequentially () =
+  (* With the argument's meta read once by the walk, streaming its words is
+     one sequential run: no per-line random miss. *)
+  let words = 128 in
+  let arena = Shm.create ~cfg:counting_cfg () in
+  let c = Shm.join arena () in
+  let s = Shm.join arena () in
+  let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:8 in
+  let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:8 in
+  let arg = Cxl_rpc.alloc_arg client ~size_bytes:(words * 8) () in
+  for j = 0 to words - 1 do
+    Cxl_ref.write_word arg j j
+  done;
+  let p = Cxl_rpc.call_async client ~func:1 ~args:[ arg ] ~output_bytes:8 in
+  let rand = ref (-1) in
+  let served =
+    Cxl_rpc.serve_one server ~handler:(fun ~func:_ ~args ~output ->
+        match args with
+        | [ a ] ->
+            let before = s.Ctx.st.Stats.rand_accesses in
+            let sum = ref 0 in
+            for j = 0 to words - 1 do
+              sum := !sum + Message.read_word a j
+            done;
+            rand := s.Ctx.st.Stats.rand_accesses - before;
+            Message.write_word output 0 !sum
+        | _ -> Alcotest.fail "one arg expected")
+  in
+  Alcotest.(check bool) "served" true served;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 random accesses (got %d)" !rand)
+    true
+    (!rand >= 0 && !rand <= 2);
+  let out = Cxl_rpc.finish p in
+  Alcotest.(check int) "sum" (words * (words - 1) / 2) (Cxl_ref.read_word out 0);
+  Cxl_ref.drop out;
+  Cxl_ref.drop arg;
+  Cxl_rpc.close_server server;
+  Cxl_rpc.close_client client;
+  check_clean arena ~live:0
+
 let suite =
   [
     Alcotest.test_case "serialize roundtrip" `Quick test_serialize_roundtrip;
@@ -313,4 +460,9 @@ let suite =
     Alcotest.test_case "full ring, dead server unblocks" `Quick
       test_send_to_dead_server_unblocks;
     Alcotest.test_case "client dies mid-call" `Quick test_client_dies_mid_call;
+    Alcotest.test_case "forged nargs rejected" `Quick test_forged_nargs_rejected;
+    Alcotest.test_case "cxl_ref word traffic" `Quick test_cxl_ref_word_traffic;
+    Alcotest.test_case "message view traffic" `Quick test_message_view_traffic;
+    Alcotest.test_case "handler streams sequentially" `Quick
+      test_handler_streams_sequentially;
   ]
