@@ -241,7 +241,7 @@ let free_rootref (ctx : Ctx.t) rr =
   let seg = Layout.segment_of_addr ctx.lay rr in
   if Segment.owner ctx seg = Some ctx.cid then
     Page.push_free ctx ~gid ~rootref:true rr
-  else Segment.push_client_free ctx ~seg rr
+  else Segment.push_client_free ctx ~seg ~rootref:true rr
 
 (* ------------------------------------------------------------------ *)
 (* Huge objects: contiguous segment runs with retry-and-rollback       *)
@@ -565,4 +565,4 @@ let free_obj_block (ctx : Ctx.t) obj =
       | Some cls when Shard.enabled ctx && not (Ctx.segment_excluded ctx seg)
         ->
           Shard.push ctx ~cls blk
-      | Some _ | None -> Segment.push_client_free ctx ~seg blk
+      | Some _ | None -> Segment.push_client_free ctx ~seg ~rootref:false blk

@@ -74,9 +74,12 @@ let release (ctx : Ctx.t) s =
   Ctx.store ctx (Layout.seg_occupied ctx.lay s) 0;
   Ctx.cache_note_release ctx s
 
+(* A POTENTIAL_LEAKING segment keeps its mark. Only the §5.3 full scan
+   reclaims its count-zero off-list blocks; an adopter would make it Active
+   and turn them into permanent leaks. *)
 let orphan (ctx : Ctx.t) ~cid s =
   match owner ctx s with
-  | Some o when o = cid -> set_state ctx s Orphaned
+  | Some o when o = cid && state ctx s <> Leaking -> set_state ctx s Orphaned
   | Some _ | None -> ()
 
 let mark_leaking (ctx : Ctx.t) s = set_state ctx s Leaking
@@ -108,18 +111,22 @@ let owned_by (ctx : Ctx.t) ~cid =
 (* Cross-client free stack. The head word packs a 16-bit tag with the block
    pointer; the tag increments on every pop-all, defeating ABA between a
    pusher's read of the head and its CAS. A free block's next pointer lives
-   in its first data word (the header words stay zero so the §5.3 full scan
-   still reads ref_cnt = 0). *)
+   where its page's own free chain keeps it ({!Page.next_slot_offset}): the
+   first data word of an object block (the header words stay zero so the
+   §5.3 full scan still reads ref_cnt = 0), the pointer word of a RootRef.
+   A RootRef is two words long, so the data-word offset would overwrite the
+   next RootRef's in_use word. *)
 let f_tag = Word.field ~shift:46 ~bits:16
 let f_ptr = Word.field ~shift:0 ~bits:46
 
-let next_slot block = block + Config.header_words
+let next_slot ~rootref block =
+  block + Page.next_slot_offset ~kind_rootref:rootref
 
-let push_client_free (ctx : Ctx.t) ~seg block =
+let push_client_free (ctx : Ctx.t) ~seg ~rootref block =
   let head = Layout.seg_client_free ctx.lay seg in
   let rec loop () =
     let cur = Ctx.load ctx head in
-    Ctx.store ctx (next_slot block) (Word.get f_ptr cur);
+    Ctx.store ctx (next_slot ~rootref block) (Word.get f_ptr cur);
     let desired = Word.set f_ptr cur block in
     if not (Ctx.cas ctx head ~expected:cur ~desired) then loop ()
   in
@@ -136,8 +143,12 @@ let pop_all_client_free (ctx : Ctx.t) ~seg =
       if Ctx.cas ctx head ~expected:cur ~desired:empty then Word.get f_ptr cur
       else swap ()
   in
+  let rootref p =
+    Page.kind ctx ~gid:(Layout.page_gid_of_addr ctx.lay p)
+    = Config.kind_rootref (Ctx.cfg ctx)
+  in
   let rec walk p acc =
     if p = 0 then List.rev acc
-    else walk (Ctx.load ctx (next_slot p)) (p :: acc)
+    else walk (Ctx.load ctx (next_slot ~rootref:(rootref p) p)) (p :: acc)
   in
   walk (swap ()) []

@@ -35,7 +35,9 @@ val release : Ctx.t -> int -> unit
     caller must guarantee no live blocks remain. *)
 
 val orphan : Ctx.t -> cid:int -> int -> unit
-(** Recovery: mark a dead client's segment adoptable. *)
+(** Recovery: mark a dead client's segment adoptable. A [Leaking] segment
+    stays [Leaking]: it is recycled only by the §5.3 scan, or kept by a
+    client that rejoins the same slot. *)
 
 val mark_leaking : Ctx.t -> int -> unit
 (** Idempotent POTENTIAL_LEAKING marking. Keeps [Huge_head] segments
@@ -53,5 +55,9 @@ val owned_by : Ctx.t -> cid:int -> int list
     Blocks freed by a non-owner are pushed here (mimalloc's thread-delayed
     free); the owner drains the stack in its slow path. *)
 
-val push_client_free : Ctx.t -> seg:int -> Cxlshm_shmem.Pptr.t -> unit
+val push_client_free :
+  Ctx.t -> seg:int -> rootref:bool -> Cxlshm_shmem.Pptr.t -> unit
+(** [rootref] says whether the block is a RootRef; it decides which word
+    holds the stack link. *)
+
 val pop_all_client_free : Ctx.t -> seg:int -> Cxlshm_shmem.Pptr.t list

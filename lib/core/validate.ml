@@ -207,7 +207,8 @@ let run mem lay =
       let rec walk p fuel =
         if p <> 0 && fuel > 0 then begin
           add_free p (Printf.sprintf "segment %d client_free" seg);
-          walk (peek (p + Config.header_words)) (fuel - 1)
+          let rr = page_kind (Layout.page_gid_of_addr lay p) = rr_kind in
+          walk (peek (p + Page.next_slot_offset ~kind_rootref:rr)) (fuel - 1)
         end
       in
       walk (Word.get f_ptr (peek (Layout.seg_client_free lay seg))) 10_000

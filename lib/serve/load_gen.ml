@@ -12,13 +12,9 @@ let create ~rate_mops ~seed =
     clock_ns = 0.0;
   }
 
-let rate_mops t = 1000.0 /. t.mean_gap_ns
-
 let next_arrival t =
   (* Poisson arrivals: exponential inter-arrival gaps. [1 - u] keeps the
      log argument away from 0 ([Random.State.float] can return 0). *)
   let u = Random.State.float t.rng 1.0 in
   t.clock_ns <- t.clock_ns -. (t.mean_gap_ns *. log (1.0 -. u));
   t.clock_ns
-
-let now_ns t = t.clock_ns

@@ -16,8 +16,3 @@ val create : rate_mops:float -> seed:int -> t
 val next_arrival : t -> float
 (** Absolute arrival time (modeled ns) of the next request; strictly
     increasing. Deterministic given the seed. *)
-
-val now_ns : t -> float
-(** Arrival time of the most recently drawn request. *)
-
-val rate_mops : t -> float

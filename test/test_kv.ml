@@ -9,7 +9,6 @@ module Ycsb = Cxlshm_kv.Ycsb
 module Tatp = Cxlshm_kv.Tatp
 module Smallbank = Cxlshm_kv.Smallbank
 module Kv_intf = Cxlshm_kv.Kv_intf
-module Serve = Cxlshm_serve.Serve
 module Load_gen = Cxlshm_serve.Load_gen
 
 let kv_cfg = { Config.small with Config.num_segments = 32; pages_per_segment = 8 }
@@ -318,7 +317,7 @@ let test_smallbank_runs () =
     List.iter apply (Smallbank.next sb)
   done
 
-(* ---- PR-8: generators, era-tied quiesce, handoff, serving harness ---- *)
+(* ---- generators, era-tied quiesce, handoff, open-loop arrivals ---- *)
 
 (* The O(1) Gray sampler against the exact distribution: brute-force the
    normalizer and compare empirical rank frequencies at a fixed seed. *)
@@ -820,38 +819,55 @@ let test_load_gen_schedule () =
     true
     (Float.abs (mean_gap -. 500.0) < 50.0)
 
-(* The serving harness end to end, twice: byte-identical reports, every
-   crash recovered in-run, during-churn buckets populated, arena clean. *)
-let test_serve_deterministic_churn () =
-  let cfg = Serve.default_cfg ~keys:4_000 ~ops:3_000 in
-  let cfg =
-    { cfg with Serve.writers = 2; readers = 2; monitor_every = 60;
-      hb_every = 30; final_check = true }
-  in
-  let r1 = Serve.run cfg in
-  let r2 = Serve.run cfg in
-  Alcotest.(check string) "identical reports" (Serve.report_to_json r1)
-    (Serve.report_to_json r2);
-  Alcotest.(check bool) "all recovered" true r1.Serve.all_recovered;
-  Alcotest.(check int) "every crash recovered" r1.Serve.crashes
-    r1.Serve.recoveries;
-  Alcotest.(check bool) "crashes happened" true (r1.Serve.crashes >= 2);
-  Alcotest.(check int) "one planned leave" 1 r1.Serve.leaves;
-  Alcotest.(check int) "one join" 1 r1.Serve.joins;
-  Alcotest.(check int) "validator clean" 0 r1.Serve.check_errors;
-  Alcotest.(check int) "nothing left parked" 0 r1.Serve.deferred_left;
-  Alcotest.(check bool) "during-churn buckets populated" true
-    (List.exists
-       (fun c -> c.Serve.during_churn && c.Serve.count > 0)
-       r1.Serve.classes);
-  let s = Serve.churn_to_string cfg.Serve.churn in
-  (match Serve.churn_of_string s with
-  | Ok c -> Alcotest.(check string) "schedule roundtrip" s
-              (Serve.churn_to_string c)
-  | Error e -> Alcotest.fail e);
-  match Serve.churn_of_string "bogus@5" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a bogus churn action"
+(* A successor in another client slot than the dead writer adopts its
+   parked records. Their RootRefs sit in the dead writer's pages, so the
+   successor frees them as a non-owner, through the segment's cross-client
+   free stack. A reader era pins the younger records, so the first reclaim
+   frees a RootRef whose neighbour is still live: the stack link must not
+   land on that neighbour's in_use word. *)
+let test_adopt_in_other_slot () =
+  let arena, a, store, h = fresh () in
+  let rctx = Shm.join arena () in
+  let hr = Cxl_kv.open_store rctx store in
+  for k = 0 to 11 do
+    Cxl_kv.put h ~key:k ~value:k
+  done;
+  for k = 0 to 11 do
+    if k = 6 then Hazard.enter rctx;
+    Cxl_kv.put_cow h ~key:k ~value:(100 + k)
+  done;
+  let svc = Shm.service_ctx arena in
+  Client.declare_failed svc ~cid:a.Ctx.cid;
+  ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
+  let b = Shm.join arena ~cid:(rctx.Ctx.cid + 1) () in
+  Alcotest.(check bool) "another slot" true (b.Ctx.cid <> a.Ctx.cid);
+  let hb = Cxl_kv.open_store b store in
+  for p = 0 to 3 do
+    Alcotest.(check bool) "takeover" true (Cxl_kv.takeover_partition hb p)
+  done;
+  Alcotest.(check int) "successor adopts all" 12 (Cxl_kv.adopt_recovered hb);
+  Cxl_kv.quiesce hb;
+  let pinned = Cxl_kv.deferred_count hb in
+  Alcotest.(check bool) "the era pins only the younger records" true
+    (pinned > 0 && pinned < 12);
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
+    (Validate.is_clean v);
+  Hazard.exit rctx;
+  Cxl_kv.quiesce hb;
+  Alcotest.(check int) "all reclaimed" 0 (Cxl_kv.deferred_count hb);
+  for k = 0 to 11 do
+    Alcotest.(check (option int)) "value survives" (Some (100 + k))
+      (Cxl_kv.get hr ~key:k)
+  done;
+  Cxl_kv.close hb;
+  Shm.leave b;
+  Cxl_kv.close hr;
+  Shm.leave rctx;
+  ignore (Shm.scan_leaking arena);
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
+    (Validate.is_clean v)
 
 let suite =
   [
@@ -886,6 +902,6 @@ let suite =
       test_partial_handoff_era_pinned;
     Alcotest.test_case "open-loop arrival schedule" `Quick
       test_load_gen_schedule;
-    Alcotest.test_case "serve: deterministic churn run" `Quick
-      test_serve_deterministic_churn;
+    Alcotest.test_case "adopt into another slot" `Quick
+      test_adopt_in_other_slot;
   ]

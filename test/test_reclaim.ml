@@ -79,6 +79,44 @@ let test_orphan_adoption () =
   Transfer.close qb;
   Cxl_ref.drop rb
 
+(* A client dies between a block's decrement-to-zero and its reclaim, in a
+   segment that still holds a block another client uses. Recovery must
+   leave the segment POTENTIAL_LEAKING, not adoptable: an adopter would make
+   it Active, and the off-list block would never be reclaimed. *)
+let test_recovery_keeps_leak_mark () =
+  let arena, a, b = setup () in
+  let keep = Shm.cxl_malloc a ~size_bytes:32 () in
+  let dead = Shm.cxl_malloc a ~size_bytes:32 () in
+  let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:4 in
+  assert (Transfer.send q keep = Transfer.Sent);
+  let qb = Option.get (Transfer.open_from b ~sender:a.Ctx.cid) in
+  let rb =
+    match Transfer.receive qb with
+    | Transfer.Received r -> r
+    | _ -> Alcotest.fail "recv"
+  in
+  a.Ctx.fault <- Fault.at Fault.Release_before_reclaim ~nth:1;
+  (try Cxl_ref.drop dead with Fault.Crashed _ -> ());
+  a.Ctx.fault <- Fault.none;
+  let svc = Shm.service_ctx arena in
+  Client.declare_failed svc ~cid:a.Ctx.cid;
+  ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
+  let seg = Layout.segment_of_addr (Shm.layout arena) (Cxl_ref.obj rb) in
+  (* an allocator with no free segment adopts whatever it can *)
+  let adopted = Segment.adopt b seg in
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
+    (Validate.is_clean v);
+  Alcotest.(check bool) "not adoptable" false adopted;
+  Alcotest.(check bool) "leak mark kept" true
+    (Segment.state svc seg = Segment.Leaking);
+  Transfer.close qb;
+  Cxl_ref.drop rb;
+  ignore (Shm.scan_leaking arena);
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
+    (Validate.is_clean v)
+
 let test_deferred_free_returns_blocks () =
   let arena, a, b = setup () in
   (* b frees a block living in a's segment: it lands on the cross-client
@@ -160,6 +198,8 @@ let suite =
     Alcotest.test_case "scan_all respects live owner" `Quick test_scan_all_respects_live_owner;
     Alcotest.test_case "leaked block via scan" `Quick test_leaked_block_recovered_via_scan;
     Alcotest.test_case "orphan adoption" `Quick test_orphan_adoption;
+    Alcotest.test_case "recovery keeps a leak mark" `Quick
+      test_recovery_keeps_leak_mark;
     Alcotest.test_case "deferred free returns blocks" `Quick test_deferred_free_returns_blocks;
     Alcotest.test_case "double rootref release raises" `Quick test_release_rootref_double_raise;
     Generators.to_alcotest prop_reclaim_clean;
