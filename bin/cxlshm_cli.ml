@@ -722,18 +722,18 @@ let monitor_demo replicas seconds interval kill_leader kill_writer seed =
     2
   end
   else if kill_writer then begin
-    (* Deterministic KV failover: writer killed mid-quiesce, registry
-       journaled by recovery, parked records adopted by a successor. *)
+    (* Deterministic KV failover: writer killed mid-quiesce, its limbo
+       rows orphaned by recovery and adopted by a successor. *)
     let k = Cxlshm_kv.Kv_soak.writer_kill_adopt ~seed () in
     Format.printf "writer-kill adoption: %a@." Cxlshm_kv.Kv_soak.pp_report k;
     if
       k.Cxlshm_kv.Kv_soak.ka_writer_crashed
-      && k.ka_journaled > 0 && k.ka_adopted = k.ka_journaled
+      && k.ka_orphaned > 0 && k.ka_adopted = k.ka_orphaned
       && k.ka_pinned_freed = 0 && k.ka_clean
     then begin
       Printf.printf
-        "monitor journaled the dead writer's parked records and the \
-         successor adopted them era-gated\n";
+        "monitor orphaned the dead writer's limbo rows and the successor \
+         adopted them era-gated\n";
       0
     end
     else 1
@@ -812,8 +812,8 @@ let monitor_cmd =
           replica killed mid-recovery, the follower deposing it, finishing \
           the recovery and draining a fully-degraded device. With \
           $(b,--kill-writer), runs the KV adoption drill: a writer killed \
-          mid-quiesce, its parked-record registry journaled by recovery \
-          and adopted era-gated by a successor.")
+          mid-quiesce, its limbo rows orphaned in place by recovery and \
+          adopted era-gated by a successor.")
     Term.(
       const monitor_demo
       $ Arg.(
@@ -834,7 +834,7 @@ let monitor_cmd =
           & info [ "kill-writer" ]
               ~doc:
                 "Deterministic KV writer-kill adoption scenario (crash \
-                 mid-quiesce, registry journaled, successor adopts).")
+                 mid-quiesce, limbo rows orphaned, successor adopts).")
       $ Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Failover workload seed."))
 
 (* ---- evacuate: drain live data off a degraded device ---- *)
@@ -959,12 +959,13 @@ let explore_model_of_name ~capacity ~values ~rounds name =
   | "evacuate" -> Check_scenarios.evacuate ?rounds ()
   | "kv-serve" -> Check_scenarios.kv_serve ()
   | "kv-serve-recover" -> Check_scenarios.kv_serve_recover ()
+  | "bcast-recover" -> Check_scenarios.bcast_recover ()
   | "rpc-isolate" -> Check_scenarios.rpc_isolate ()
   | n ->
       Printf.eprintf
         "unknown model %s (have: spsc, transfer, transfer-batch, refc, huge, \
          epoch-retire, sharded-alloc, lease, dual-monitor, evacuate, \
-         kv-serve, kv-serve-recover, rpc-isolate)\n"
+         kv-serve, kv-serve-recover, bcast-recover, rpc-isolate)\n"
         n;
       exit 2
 
@@ -972,15 +973,17 @@ let set_mutation = function
   | "none" -> ()
   | "spsc-pop" -> Cxlshm_spsc.Spsc_queue.mutation_unfenced_pop := true
   | "transfer-head" -> Cxlshm.Transfer.mutation_unfenced_advance := true
-  | "kv-quiesce" -> Cxlshm_kv.Cxl_kv.mutation_unconditional_quiesce := true
-  | "kv-crash-reap" -> Cxlshm.Recovery.mutation_crash_reap := true
+  | "kv-quiesce" -> Cxlshm.Limbo.mutation_unconditional_quiesce := true
+  | "kv-crash-reap" -> Cxlshm.Limbo.mutation_crash_reap := true
+  | "bcast-volatile-park" -> Cxlshm.Limbo.mutation_volatile_park := true
   | "rpc-skip-validate" -> Cxlshm_rpc.Cxl_rpc.mutation_skip_validate := true
   | "rpc-unfenced-status" ->
       Cxlshm_rpc.Cxl_rpc.mutation_unfenced_status := true
   | m ->
       Printf.eprintf
         "unknown mutation %s (have: none, spsc-pop, transfer-head, \
-         kv-quiesce, kv-crash-reap, rpc-skip-validate, rpc-unfenced-status)\n"
+         kv-quiesce, kv-crash-reap, bcast-volatile-park, rpc-skip-validate, \
+         rpc-unfenced-status)\n"
         m;
       exit 2
 
@@ -1074,7 +1077,8 @@ let explore_cmd =
          "Model-check the concurrent protocols: run the built-in models \
           (spsc, transfer, transfer-batch, refc, huge, epoch-retire, \
           sharded-alloc, lease, dual-monitor, evacuate, kv-serve, \
-          kv-serve-recover, rpc-isolate) under a controlled cooperative \
+          kv-serve-recover, bcast-recover, rpc-isolate) under a \
+          controlled cooperative \
           scheduler \
           with seeded-random, PCT, or bounded-preemption exhaustive \
           exploration and optional crash injection at any yield point. \
@@ -1085,7 +1089,7 @@ let explore_cmd =
       $ Arg.(
           value
           & opt string
-              "spsc,transfer,transfer-batch,refc,huge,epoch-retire,sharded-alloc,lease,dual-monitor,evacuate,kv-serve,kv-serve-recover,rpc-isolate"
+              "spsc,transfer,transfer-batch,refc,huge,epoch-retire,sharded-alloc,lease,dual-monitor,evacuate,kv-serve,kv-serve-recover,bcast-recover,rpc-isolate"
           & info [ "model" ] ~doc:"Comma-separated models to explore.")
       $ Arg.(
           value & opt string "random"
@@ -1125,7 +1129,8 @@ let explore_cmd =
               ~doc:
                 "Re-introduce a historical ordering bug before exploring: \
                  $(b,spsc-pop), $(b,transfer-head), $(b,kv-quiesce), \
-                 $(b,kv-crash-reap), $(b,rpc-skip-validate) or \
+                 $(b,kv-crash-reap), $(b,bcast-volatile-park), \
+                 $(b,rpc-skip-validate) or \
                  $(b,rpc-unfenced-status) (self-check).")
       $ Arg.(
           value

@@ -67,21 +67,33 @@ val kv_serve : unit -> Explore.model
     record visit is a schedule point). Oracle: the reader observes the old
     or the new value — never a freed record's bytes — and the pool is
     fsck-clean after recovering any crash, including a writer death inside
-    [put_cow]. The [mutation_unconditional_quiesce] flag re-introduces
-    era-blind reclamation, which this model must catch. *)
+    [put_cow]. The [Limbo.mutation_unconditional_quiesce] flag
+    re-introduces era-blind reclamation, which this model must catch. *)
 
 val kv_serve_recover : unit -> Explore.model
 (** Crash-then-recover variant of [kv_serve] (model name
     ["kv-serve-recover"]): the writer COW-updates and quiesces while a
     reader is pinned mid-bucket-walk, and a third client — playing the
     monitor — recovers any writer crash {e interleaved with} the reader's
-    steps, takes over the partition, adopts the journaled parked records
+    steps, takes over the partition, adopts the orphaned limbo rows
     ([Cxl_kv.adopt_recovered]) and allocates from the record's size class
     (over one shard domain, so an era-blind free is provably reused).
     Oracle: the pinned reader never observes the 0xDEAD decoy. The
-    [Recovery.mutation_crash_reap] flag re-introduces the historical
-    era-blind reap of the dead writer's parked list, which the
+    [Limbo.mutation_crash_reap] flag re-introduces the historical
+    era-blind reap of the dead writer's parked records, which the
     bounded-exhaustive crash search must catch. *)
+
+val bcast_recover : unit -> Explore.model
+(** A {!Cxlshm_structures.Broadcast_log} writer overwrites a one-slot log
+    twice while a subscriber is paused between its slot read and its
+    [try_attach] on the first entry, and a third client — playing the
+    monitor — recovers any writer crash and runs the leak scan (with its
+    limbo drain) interleaved with the subscriber, then plants 0xDEAD
+    decoys of the entries' size class in the dead writer's adopted
+    segments. Oracle: the subscriber never reads a decoy, and the pool is
+    fsck-clean after recovery. The [Limbo.mutation_volatile_park] flag
+    parks volatile-only, as the log's historical parked list did, which
+    this model must catch. Model name ["bcast-recover"]. *)
 
 val rpc_isolate : unit -> Explore.model
 (** An RPC client makes one well-formed in-channel call and one carrying a

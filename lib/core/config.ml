@@ -22,12 +22,8 @@ type t = {
          client's lease to now + lease_ttl; a lease observed expired makes
          the client Suspected, a second full TTL of silence condemns it. *)
   park_slots : int;
-      (* Per-client persistent parked-record registry capacity: each KV
-         writer records its deferred (retire-epoch-stamped) rootrefs here
-         so a crash-recovery pass can adopt them instead of reaping. *)
-  adopt_slots : int;
-      (* Arena-wide adoption-journal capacity: entries a recovery pass
-         parked on behalf of a dead writer, awaiting a successor. *)
+      (* Per-client share of the arena-wide limbo pool ([Limbo]): the pool
+         holds [max_clients * park_slots] era-stamped deferred frees. *)
 }
 
 let default =
@@ -48,7 +44,6 @@ let default =
     num_domains = 4;
     lease_ttl = 4;
     park_slots = 256;
-    adopt_slots = 512;
   }
 
 let small =
@@ -71,7 +66,6 @@ let small =
     num_domains = 0;
     lease_ttl = 4;
     park_slots = 16;
-    adopt_slots = 16;
   }
 
 let header_words = 2
@@ -103,8 +97,6 @@ let validate t =
     fail "lease_ttl must be in [1, 2^20]";
   if t.park_slots < 1 || t.park_slots > 1 lsl 16 then
     fail "park_slots must be in [1, 2^16]";
-  if t.adopt_slots < 1 || t.adopt_slots > 1 lsl 16 then
-    fail "adopt_slots must be in [1, 2^16]";
   let prob name p =
     if p < 0. || p > 1. then fail (name ^ " must be a probability in [0, 1]")
   in

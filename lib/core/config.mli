@@ -70,21 +70,15 @@ type t = {
           ones. Also bounds the monitor leader lease (same clock). Must be
           in [1, 2^20]. *)
   park_slots : int;
-      (** Capacity of each client's persistent parked-record registry
-          ([Layout.park_slot_rr]): a KV writer mirrors its volatile
-          deferred list — rootref plus retire-epoch stamp — into these
-          slots so that if it dies mid-quiesce the recovery service can
-          move the survivors into the adoption journal (era intact)
-          instead of reaping them under a pinned reader. Overflow degrades
-          gracefully to volatile-only parking (a warning is logged; those
-          records lose crash-adoption, not era safety while the owner
-          lives). Must be in [1, 2^16]. *)
-  adopt_slots : int;
-      (** Capacity of the arena-wide adoption journal
-          ([Layout.adopt_slot_rr]): entries recovery parked on behalf of a
-          dead writer — {rootref, original retire stamp, claim word} —
-          waiting for a successor's {!Cxl_kv.adopt_recovered}. Must be in
-          [1, 2^16]. *)
+      (** Each client's share of the arena-wide limbo pool ({!Limbo},
+          [Layout.limbo_*]): the pool holds [max_clients * park_slots]
+          deferred frees — a rootref plus its retire-epoch stamp — in
+          rows of [Layout.limbo_row_entries]. A writer may park beyond its
+          share while free rows remain, and keeps up to its share of rows
+          claimed across quiesce passes. A writer that finds the whole
+          pool exhausted gets {!Limbo.Exhausted} before it allocates or
+          unlinks anything; no record is ever parked volatile-only. Must
+          be in [1, 2^16]. *)
 }
 
 val default : t

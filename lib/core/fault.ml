@@ -34,9 +34,7 @@ type point =
   | Evac_after_repoint
   | Evac_before_release
   | Park_after_append
-  | Adopt_mid_journal
   | Adopt_after_claim
-  | Adopt_after_append
   | Rpc_before_status
 
 let point_name = function
@@ -73,9 +71,7 @@ let point_name = function
   | Evac_after_repoint -> "evac-after-repoint"
   | Evac_before_release -> "evac-before-release"
   | Park_after_append -> "park-after-append"
-  | Adopt_mid_journal -> "adopt-mid-journal"
   | Adopt_after_claim -> "adopt-after-claim"
-  | Adopt_after_append -> "adopt-after-append"
   | Rpc_before_status -> "rpc-before-status"
 
 let all_points =
@@ -113,9 +109,7 @@ let all_points =
     Evac_after_repoint;
     Evac_before_release;
     Park_after_append;
-    Adopt_mid_journal;
     Adopt_after_claim;
-    Adopt_after_append;
     Rpc_before_status;
   ]
 

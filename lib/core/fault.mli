@@ -64,17 +64,13 @@ type point =
   | Evac_before_release          (** evacuation: all holders re-pointed,
                                      guard rootref not yet released (source
                                      block still alive) *)
-  | Park_after_append            (** parked-record registry entry committed
-                                     (stamp fenced, rr published), volatile
-                                     deferred list not yet updated *)
-  | Adopt_mid_journal            (** recovery moved a registry entry into
-                                     the adoption journal, registry slot
-                                     not yet cleared *)
-  | Adopt_after_claim            (** successor won the adoption-journal
-                                     claim CAS, nothing re-registered yet *)
-  | Adopt_after_append           (** successor re-registered the adopted
-                                     entry in its own registry, journal
-                                     slot not yet cleared *)
+  | Park_after_append            (** limbo entry committed (stamp fenced,
+                                     rr published), the object not yet
+                                     unlinked and the volatile list not
+                                     yet updated *)
+  | Adopt_after_claim            (** successor won an orphaned limbo row's
+                                     claim CAS, its entries not yet taken
+                                     over *)
   | Rpc_before_status            (** RPC server wrote the in-place outputs
                                      and fenced, completion status not yet
                                      raised *)

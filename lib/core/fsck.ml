@@ -43,10 +43,7 @@ type report = {
   chains_rebuilt : int;  (** pages whose free chain had to be reconstructed *)
   stacks_cleared : int;  (** non-empty cross-client free stacks zeroed *)
   trace_rings_reset : int;  (** event rings zeroed (bad cursor / torn slot) *)
-  adopt_fixed : int;
-      (** adoption-journal / park-registry entries cleared (dangling
-          rootref, stale claim, duplicate, or registry residue of a freed
-          client slot) *)
+  limbo_fixed : int;  (** limbo rows re-owned and entries cleared *)
   validation : Validate.t;  (** final post-repair verdict *)
 }
 
@@ -55,11 +52,11 @@ let clean r = Validate.is_clean r.validation
 let pp ppf r =
   Format.fprintf ppf
     "seg-meta=%d quarantined=%d page-meta=%d torn=%d swept=%d(sweep-errs=%d) \
-     wild=%d freed=%d counts=%d chains=%d stacks=%d rings=%d adopt=%d | %a"
+     wild=%d freed=%d counts=%d chains=%d stacks=%d rings=%d limbo=%d | %a"
     r.seg_meta_fixed r.pages_quarantined r.page_meta_fixed
     r.torn_headers_cleared r.clients_swept r.sweep_errors r.wild_refs_cleared
     r.unreachable_freed r.counts_fixed r.chains_rebuilt r.stacks_cleared
-    r.trace_rings_reset r.adopt_fixed Validate.pp r.validation
+    r.trace_rings_reset r.limbo_fixed Validate.pp r.validation
 
 let check mem lay = Validate.run mem lay
 
@@ -78,7 +75,7 @@ type acc = {
   mutable chains : int;
   mutable stacks : int;
   mutable rings : int;
-  mutable adopt : int;
+  mutable limbo : int;
 }
 
 let repair (ctx : Ctx.t) =
@@ -90,7 +87,7 @@ let repair (ctx : Ctx.t) =
   let peek = Mem.unsafe_peek mem and poke = Mem.unsafe_poke mem in
   let a =
     { segf = 0; quar = 0; pmeta = 0; torn = 0; swept = 0; swerr = 0; wild = 0;
-      freed = 0; counts = 0; chains = 0; stacks = 0; rings = 0; adopt = 0 }
+      freed = 0; counts = 0; chains = 0; stacks = 0; rings = 0; limbo = 0 }
   in
   let ns = cfg.Config.num_segments and pps = cfg.Config.pages_per_segment in
   let rr_kind = Config.kind_rootref cfg in
@@ -316,69 +313,47 @@ let repair (ctx : Ctx.t) =
     end
   done;
 
-  (* ---- pass 2.7: adoption journal and park registries ----
-     The sweep above recovered every recorded client, which moved each
-     parked-record registry into the adoption journal; any registry
-     residue left now is damage, as is a journal entry whose rootref no
-     longer lives, a claim naming a freed client, or a duplicated rr.
-     Valid journal entries are preserved — their rootrefs keep the parked
-     records alive through the mark pass and a future successor can still
-     adopt them. *)
-  let rootref_ok rr =
-    rr > 0 && rr < lay.Layout.total_words
-    && (match Layout.page_gid_of_addr lay rr with
-       | exception Invalid_argument _ -> false
-       | gid ->
-           page_kind gid = rr_kind
-           && (rr - Layout.page_area lay ~gid) mod Config.rootref_words = 0)
-  in
-  for cid = 0 to cfg.Config.max_clients - 1 do
-    if Client.status ctx ~cid = Client.Slot_free then
-      for k = 0 to Layout.park_capacity lay - 1 do
-        if
-          peek (Layout.park_slot_rr lay cid k) <> 0
-          || peek (Layout.park_slot_stamp lay cid k) <> 0
-        then begin
-          poke (Layout.park_slot_rr lay cid k) 0;
-          poke (Layout.park_slot_stamp lay cid k) 0;
-          a.adopt <- a.adopt + 1
-        end
-      done
-  done;
-  let journaled : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  for i = 0 to Layout.adopt_capacity lay - 1 do
-    let rr_slot = Layout.adopt_slot_rr lay i in
-    let claim_slot = Layout.adopt_slot_claim lay i in
-    let clear_slot () =
-      poke rr_slot 0;
-      poke (Layout.adopt_slot_stamp lay i) 0;
-      poke claim_slot 0;
-      a.adopt <- a.adopt + 1
-    in
-    let rr = peek rr_slot in
-    if rr <> 0 then begin
-      if
-        not
-          (rootref_ok rr
-          && Rootref.peek_in_use mem rr
-          && Rootref.peek_obj mem rr <> 0)
-        || Hashtbl.mem journaled rr
-      then clear_slot ()
-      else Hashtbl.replace journaled rr ()
-    end
-    else if peek (Layout.adopt_slot_stamp lay i) <> 0 || peek claim_slot <> 0
-    then clear_slot ();
-    let claim = peek claim_slot in
+  (* ---- pass 2.7: limbo rows ----
+     The sweep orphaned every recovered client's rows; a row still owned
+     (by a free slot or no client) is orphaned now. Entries of free rows,
+     dead rootrefs and duplicates are cleared; valid entries stay for a
+     future successor. The orphan count becomes exact. *)
+  let parked : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let orphaned = ref 0 in
+  for r = 0 to Layout.limbo_rows lay - 1 do
+    let owner_w = Layout.limbo_owner lay r in
+    let owner = peek owner_w in
     if
-      claim <> 0
-      && (claim < 0
-         || claim > cfg.Config.max_clients
-         || Client.status ctx ~cid:(claim - 1) = Client.Slot_free)
+      owner <> 0 && owner <> Layout.limbo_orphaned
+      && (owner < 0 || owner > cfg.Config.max_clients
+         || Client.status ctx ~cid:(owner - 1) = Client.Slot_free)
     then begin
-      poke claim_slot 0;
-      a.adopt <- a.adopt + 1
-    end
+      poke owner_w Layout.limbo_orphaned;
+      a.limbo <- a.limbo + 1
+    end;
+    let live = ref 0 in
+    for k = 0 to Layout.limbo_row_entries - 1 do
+      let rr_w = Layout.limbo_rr lay r k in
+      let rr = peek rr_w in
+      if rr <> 0 then
+        if
+          owner = 0
+          || not
+               (Validate.live_rootref mem lay rr && Rootref.peek_obj mem rr <> 0)
+          || Hashtbl.mem parked rr
+        then begin
+          poke rr_w 0;
+          a.limbo <- a.limbo + 1
+        end
+        else begin
+          Hashtbl.replace parked rr ();
+          incr live
+        end
+    done;
+    if peek owner_w = Layout.limbo_orphaned then
+      if !live = 0 then poke owner_w 0 else incr orphaned
   done;
+  poke (Layout.hdr_limbo_orphans lay) !orphaned;
 
   (* ---- pass 3: mark from durable roots ---- *)
   let block_base_ok p =
@@ -604,6 +579,6 @@ let repair (ctx : Ctx.t) =
     chains_rebuilt = a.chains;
     stacks_cleared = a.stacks;
     trace_rings_reset = a.rings;
-    adopt_fixed = a.adopt;
+    limbo_fixed = a.limbo;
     validation = Validate.run mem lay;
   }

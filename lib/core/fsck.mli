@@ -21,6 +21,8 @@ type report = {
           ({!Config.kind_quarantined}) *)
   page_meta_fixed : int;  (** stale metadata of unused pages normalised *)
   torn_headers_cleared : int;
+      (** object headers with a count but an implausible meta word, and
+          RootRef state words with stray bits, cleared *)
   clients_swept : int;  (** recorded clients put through crash recovery *)
   sweep_errors : int;  (** recovery attempts that raised *)
   wild_refs_cleared : int;  (** references to invalid block bases dropped *)
@@ -31,10 +33,11 @@ type report = {
   trace_rings_reset : int;
       (** per-client event rings zeroed because the cursor or a published
           slot failed to decode (torn control-plane store) *)
-  adopt_fixed : int;
-      (** adoption-journal / park-registry entries cleared (dangling
-          rootref, stale claim, duplicate, or registry residue of a freed
-          client slot) *)
+  limbo_fixed : int;
+      (** limbo repairs ({!Limbo}): rows owned by a free client slot or by
+          no possible client turned orphaned, and entries cleared because
+          they sat in a free row, named no live rootref with a target, or
+          repeated a rootref parked elsewhere *)
   validation : Validate.t;  (** final post-repair verdict *)
 }
 

@@ -11,7 +11,7 @@ type t = {
   locks_base : int;
   roots_base : int;
   recovery_base : int;
-  adopt_base : int;
+  limbo_base : int;
   trace_base : int;
   trace_ring_words : int;
   segments_base : int;
@@ -38,12 +38,17 @@ let root_slot_words = 2
 let trace_hdr_words = 2
 let trace_slot_words = 5
 
-(* Adoption-journal slot: {rootref, retire stamp, claim}. A non-zero
-   rootref word is the commit point; claim = successor cid + 1 while an
-   adoption is in flight. *)
-let adopt_slot_words = 3
+(* Limbo row: an owner word (kept with the other rows' owner words) and
+   [limbo_row_entries] entries of {retire stamp, rootref}. *)
+let limbo_row_entries = 8
+let limbo_row_words = 2 * limbo_row_entries
+let limbo_orphaned = -1
 
 let align8 n = (n + 7) land lnot 7
+
+let limbo_rows_of cfg =
+  ((cfg.Config.max_clients * cfg.Config.park_slots) + limbo_row_entries - 1)
+  / limbo_row_entries
 
 let make cfg =
   Config.validate cfg;
@@ -53,13 +58,12 @@ let make cfg =
   let clientvec_base = align8 (segvec_base + (seg_meta_words * cfg.Config.num_segments)) in
   (* misc + era row + redo log + per-kind current-page table (classes +
      rootref) + current-segment cursor + retirement journal (count, base
-     era, K rootref slots) + parked-record registry ((stamp, rr) pairs) *)
+     era, K rootref slots) *)
   let client_state_words =
     align8
       (client_misc_words + cfg.Config.max_clients + redo_words
       + (num_classes + 1) + 1
-      + (2 + cfg.Config.epoch_batch)
-      + (2 * cfg.Config.park_slots))
+      + (2 + cfg.Config.epoch_batch))
   in
   let domvec_base =
     align8 (clientvec_base + (client_state_words * cfg.Config.max_clients))
@@ -74,11 +78,13 @@ let make cfg =
   in
   let roots_base = align8 (locks_base + lock_stripes) in
   let recovery_base = align8 (roots_base + (root_slots * root_slot_words)) in
-  let adopt_base =
+  let limbo_base =
     align8 (recovery_base + recovery_hdr_words + cfg.Config.worklist_words)
   in
   let trace_base =
-    align8 (adopt_base + (adopt_slot_words * cfg.Config.adopt_slots))
+    align8
+      (limbo_base + align8 (limbo_rows_of cfg)
+      + (limbo_row_words * limbo_rows_of cfg))
   in
   let trace_ring_words =
     align8 (trace_hdr_words + (trace_slot_words * cfg.Config.trace_slots))
@@ -105,7 +111,7 @@ let make cfg =
     locks_base;
     roots_base;
     recovery_base;
-    adopt_base;
+    limbo_base;
     trace_base;
     trace_ring_words;
     segments_base;
@@ -123,6 +129,7 @@ let hdr_evac_claim t = t.arena_hdr + 5
 let hdr_evac_from t = t.arena_hdr + 6
 let hdr_evac_to t = t.arena_hdr + 7
 let hdr_evac_guard t = t.arena_hdr + 8
+let hdr_limbo_orphans t = t.arena_hdr + 9
 
 (* Leader word: {monitor id + 1, deadline tick} packed so election, renewal
    and deposition are each a single CAS. 0 = no leader. *)
@@ -183,25 +190,6 @@ let retire_slot t i k =
     invalid_arg (Printf.sprintf "Layout.retire_slot: slot %d out of range" k);
   client_cur_segment t i + 3 + k
 
-(* Parked-record registry: [park_slots] pairs of (stamp, rr) after the
-   retirement journal. A non-zero rr word is the commit point (the stamp
-   is written and fenced first); rr = 0 marks the slot free, whatever the
-   stamp word holds. Recovery of a dead writer moves the occupied slots
-   into the arena-wide adoption journal, stamps intact. *)
-let park_capacity t = t.cfg.Config.park_slots
-
-let park_base t i = client_cur_segment t i + 3 + t.cfg.Config.epoch_batch
-
-let park_slot_stamp t i k =
-  if k < 0 || k >= park_capacity t then
-    invalid_arg (Printf.sprintf "Layout.park_slot_stamp: slot %d out of range" k);
-  park_base t i + (2 * k)
-
-let park_slot_rr t i k =
-  if k < 0 || k >= park_capacity t then
-    invalid_arg (Printf.sprintf "Layout.park_slot_rr: slot %d out of range" k);
-  park_base t i + (2 * k) + 1
-
 let domain_class_head t d c =
   if d < 0 || d >= t.cfg.Config.num_domains then
     invalid_arg (Printf.sprintf "Layout.domain_class_head: domain %d" d);
@@ -245,19 +233,21 @@ let recovery_wl_slot t i =
     invalid_arg "Layout.recovery_wl_slot: out of range";
   t.recovery_base + recovery_hdr_words + i
 
-(* Adoption journal: arena-wide slots of {rr, stamp, claim}. The rr word
-   is the commit point; recovery writes stamp (and zeroes claim) before
-   fencing and publishing rr. claim = cid + 1 marks an in-flight adoption
-   by that successor. *)
-let adopt_capacity t = t.cfg.Config.adopt_slots
+(* Limbo pool: the owner words of every row, then the rows' entries. *)
+let limbo_rows t = limbo_rows_of t.cfg
 
-let check_adopt t k =
-  if k < 0 || k >= adopt_capacity t then
-    invalid_arg (Printf.sprintf "Layout.adopt_slot: slot %d out of range" k)
+let limbo_owner t r =
+  if r < 0 || r >= limbo_rows t then
+    invalid_arg (Printf.sprintf "Layout.limbo_owner: row %d out of range" r);
+  t.limbo_base + r
 
-let adopt_slot_rr t k = check_adopt t k; t.adopt_base + (adopt_slot_words * k)
-let adopt_slot_stamp t k = adopt_slot_rr t k + 1
-let adopt_slot_claim t k = adopt_slot_rr t k + 2
+let limbo_stamp t r k =
+  if k < 0 || k >= limbo_row_entries then
+    invalid_arg (Printf.sprintf "Layout.limbo_stamp: entry %d out of range" k);
+  ignore (limbo_owner t r);
+  t.limbo_base + align8 (limbo_rows t) + (r * limbo_row_words) + (2 * k)
+
+let limbo_rr t r k = limbo_stamp t r k + 1
 
 let trace_ring t i =
   check_cid t i;

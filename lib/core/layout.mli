@@ -11,6 +11,7 @@
     ClientLocalVec         one ClientLocalState per client
     queue directory        well-known transfer-queue registry (§5.2)
     recovery area          persistent DFS worklist + resume cursor
+    limbo pool             era-gated deferred frees, in owned rows ({!Limbo})
     trace rings            per-client event rings (observability layer)
     segments               segment header (page metas) + page areas
     v}
@@ -29,7 +30,7 @@ type t = private {
   locks_base : int;
   roots_base : int;
   recovery_base : int;
-  adopt_base : int;
+  limbo_base : int;
   trace_base : int;
   trace_ring_words : int;
   segments_base : int;
@@ -88,6 +89,12 @@ val hdr_evac_guard : t -> Cxlshm_shmem.Pptr.t
     migration: the one holder of [hdr_evac_from] a successor must {e not}
     re-point (it belongs to the dead evacuator's slot and its recovery
     releases it against the old block). *)
+
+val hdr_limbo_orphans : t -> Cxlshm_shmem.Pptr.t
+(** Upper bound on the number of orphaned limbo rows. Recovery adds one
+    before it orphans a row, and an adopter subtracts one after its
+    claim CAS. A crash in either window only overcounts, so a zero lets
+    adoption and the leak-scan drain skip the pool scan. *)
 
 (** {1 SegmentAllocationVec}
 
@@ -171,22 +178,6 @@ val retire_count : t -> int -> Cxlshm_shmem.Pptr.t
 val retire_era : t -> int -> Cxlshm_shmem.Pptr.t
 val retire_slot : t -> int -> int -> Cxlshm_shmem.Pptr.t
 
-(** {1 Parked-record registry}
-
-    Per client, inside its ClientLocalState after the retirement journal:
-    [Config.park_slots] pairs of [(stamp, rr)]. A KV writer mirrors its
-    volatile deferred list here — the rootref parking a displaced record
-    plus the retire-epoch stamp that gates its reclamation. The rr word is
-    the commit point (stamp written and fenced first); rr = 0 marks the
-    slot free regardless of the stamp word. If the owner dies, recovery
-    ({!Recovery.recover_parked}) moves the occupied slots into the
-    adoption journal with stamps intact instead of reaping era-blind. *)
-
-val park_capacity : t -> int
-val park_slot_stamp : t -> int -> int -> Cxlshm_shmem.Pptr.t
-val park_slot_rr : t -> int -> int -> Cxlshm_shmem.Pptr.t
-(** [park_slot_stamp/rr lay cid k] — the two words of registry slot [k]. *)
-
 val domain_class_head : t -> int -> int -> Cxlshm_shmem.Pptr.t
 (** [domain_class_head lay d c] — head word of domain [d]'s sharded free
     stack for size class [c] (packed {tag, pptr} Treiber stack, same shape
@@ -230,24 +221,28 @@ val recovery_wl_top : t -> Cxlshm_shmem.Pptr.t
 val recovery_wl_slot : t -> int -> Cxlshm_shmem.Pptr.t
 val recovery_wl_capacity : t -> int
 
-(** {1 Adoption journal}
+(** {1 Limbo pool}
 
-    Arena-wide region of [Config.adopt_slots] slots of {!adopt_slot_words}
-    words each: [{rr, stamp, claim}]. Recovery of a dead KV writer parks
-    the writer's still-live deferred records here (original retire stamps
-    intact) for a successor to adopt ({!Cxl_kv.adopt_recovered}); the rr
-    word is the commit point (stamp written, claim zeroed, fence, then rr);
-    [claim = cid + 1] marks an adoption in flight by that successor, so a
-    crash between claiming and re-registering is resumable: the claimant's
-    own recovery either completes the move (its registry holds the rr) or
-    resets the claim. Like the PR-7 evacuation journal, every transition
-    is idempotent under re-execution. *)
+    Arena-wide region of {!limbo_rows} rows ({!Limbo}). Each row has an
+    owner word — all owner words sit together at the start of the region,
+    so a pool scan reads them sequentially — and {!limbo_row_words} words
+    of {!limbo_row_entries} entries [{stamp, rr}]: a rootref parking a
+    displaced object and the retire epoch that gates its release. The
+    owner word is [0] (free), [cid + 1] (owned; only the owner writes the
+    row's entries) or {!limbo_orphaned} (the owner died; a successor
+    adopts the row with one CAS, or the leak scan drains it). An entry's
+    rr word is its commit point: the stamp is written and fenced first,
+    and rr = 0 marks the entry free whatever the stamp word holds. The
+    pool holds at least [max_clients * Config.park_slots] entries. *)
 
-val adopt_slot_words : int
-val adopt_capacity : t -> int
-val adopt_slot_rr : t -> int -> Cxlshm_shmem.Pptr.t
-val adopt_slot_stamp : t -> int -> Cxlshm_shmem.Pptr.t
-val adopt_slot_claim : t -> int -> Cxlshm_shmem.Pptr.t
+val limbo_row_entries : int
+val limbo_row_words : int
+val limbo_orphaned : int
+val limbo_rows : t -> int
+val limbo_owner : t -> int -> Cxlshm_shmem.Pptr.t
+val limbo_stamp : t -> int -> int -> Cxlshm_shmem.Pptr.t
+val limbo_rr : t -> int -> int -> Cxlshm_shmem.Pptr.t
+(** [limbo_stamp/rr lay r k] — the two words of entry [k] of row [r]. *)
 
 (** {1 Trace rings}
 

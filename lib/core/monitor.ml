@@ -136,6 +136,7 @@ let run_in_domain t ~interval =
              ignore (recover_suspects t);
              if is_leader t then begin
                ignore (evacuate_degraded t);
+               ignore (Limbo.drain t.ctx);
                ignore
                  (Reclaim.scan_all t.ctx ~is_client_alive:(fun cid ->
                       Client.is_alive t.ctx ~cid))

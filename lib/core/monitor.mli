@@ -46,7 +46,8 @@ val evacuate_degraded : t -> Evacuate.report option
 val run_in_domain : t -> interval:float -> unit Domain.t * bool Atomic.t
 (** Spawn the replica loop in its own domain; set the returned flag to stop
     it. Each pass checks, contends/recovers, and — as leader — evacuates
-    degraded devices and runs the POTENTIAL_LEAKING scan. An exception in
+    degraded devices, drains unadopted limbo rows ({!Limbo.drain}) and
+    runs the POTENTIAL_LEAKING scan. An exception in
     one iteration (a device fault, a half-recovered client) is counted and
     remembered — see {!error_count}/{!last_error} — and the loop keeps
     running; it never dies silently. *)

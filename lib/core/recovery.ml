@@ -31,11 +31,6 @@ let pp_report ppf r =
     r.segments_orphaned r.segments_released r.leak_marked r.journal_replayed
     r.parked_journaled
 
-(* Test-only: re-introduces the historical era-blind reap of a crashed
-   writer's parked records (free on sight instead of journaling for
-   adoption) — the [kv-crash-reap] explorer mutation. *)
-let mutation_crash_reap = ref false
-
 (* ------------------------------------------------------------------ *)
 (* Persistent worklist                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -374,169 +369,10 @@ let recover_journal (ctx : Ctx.t) ~cid report =
         slots;
       Epoch.clear_journal ctx ~cid
 
-(* ------------------------------------------------------------------ *)
-(* Phase 2b: parked-record adoption                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A KV writer parks era-pinned records (unlinked but possibly still read
-   by a pinned walker) in its persistent registry. When the writer dies,
-   those records must NOT be released era-blind — a reader announced before
-   the unlink may still hold a raw pointer. Instead recovery moves every
-   occupied registry slot into the arena-wide adoption journal, retire
-   stamps intact, for a live successor to adopt ([Cxl_kv.adopt_recovered])
-   or for the monitor to drain once all announced eras have passed. *)
-
-let journal_holds (ctx : Ctx.t) rr =
-  let lay = ctx.Ctx.lay in
-  let rec go k =
-    k < Layout.adopt_capacity lay
-    && (Ctx.load ctx (Layout.adopt_slot_rr lay k) = rr || go (k + 1))
-  in
-  go 0
-
-(* Append {rr, stamp} to the adoption journal. The rr word is the commit
-   point: stamp and a zero claim are fenced first, so a crash mid-append
-   leaves a free (rr = 0) slot. Returns [false] when the journal is full. *)
-let journal_append (ctx : Ctx.t) ~stamp rr =
-  let lay = ctx.Ctx.lay in
-  let rec go k =
-    if k >= Layout.adopt_capacity lay then false
-    else if Ctx.load ctx (Layout.adopt_slot_rr lay k) = 0 then begin
-      Ctx.store ctx (Layout.adopt_slot_stamp lay k) stamp;
-      Ctx.store ctx (Layout.adopt_slot_claim lay k) 0;
-      Ctx.fence ctx;
-      Ctx.store ctx (Layout.adopt_slot_rr lay k) rr;
-      true
-    end
-    else go (k + 1)
-  in
-  go 0
-
-let adopt_pending (ctx : Ctx.t) =
-  let lay = ctx.Ctx.lay in
-  let n = ref 0 in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
-    if Ctx.load ctx (Layout.adopt_slot_rr lay k) <> 0 then incr n
-  done;
-  !n
-
-(* The rootrefs named by the adoption journal and by every client's parked
-   registry are live holders, whatever segment they sit in: the rootref
-   scan of a later-failing segment owner must not era-blind-release them. *)
-let adoption_holds (ctx : Ctx.t) =
-  let lay = ctx.Ctx.lay in
-  let cfg = Ctx.cfg ctx in
-  let tbl = Hashtbl.create 16 in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
-    let rr = Ctx.load ctx (Layout.adopt_slot_rr lay k) in
-    if rr <> 0 then Hashtbl.replace tbl rr ()
-  done;
-  for i = 0 to cfg.Config.max_clients - 1 do
-    for k = 0 to Layout.park_capacity lay - 1 do
-      let rr = Ctx.load ctx (Layout.park_slot_rr lay i k) in
-      if rr <> 0 then Hashtbl.replace tbl rr ()
-    done
-  done;
-  tbl
-
-let recover_parked (ctx : Ctx.t) ~cid report =
-  let lay = ctx.Ctx.lay in
-  (* Resolve adoptions [cid] had in flight as a successor. If its registry
-     already holds the journal entry's rr, the move committed — clear the
-     journal slot (the entry re-enters the journal from the registry scan
-     below, stamp intact). Otherwise the claim is void: release it so
-     another successor (or the drain) can take the entry. *)
-  let registry_has rr =
-    let rec go k =
-      k < Layout.park_capacity lay
-      && (Ctx.load ctx (Layout.park_slot_rr lay cid k) = rr || go (k + 1))
-    in
-    go 0
-  in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
-    if Ctx.load ctx (Layout.adopt_slot_claim lay k) = cid + 1 then begin
-      let rr = Ctx.load ctx (Layout.adopt_slot_rr lay k) in
-      if rr <> 0 && registry_has rr then begin
-        Ctx.store ctx (Layout.adopt_slot_rr lay k) 0;
-        Ctx.store ctx (Layout.adopt_slot_stamp lay k) 0
-      end;
-      Ctx.store ctx (Layout.adopt_slot_claim lay k) 0
-    end
-  done;
-  (* Move the dead client's registry into the journal, stamps intact. Each
-     move is journal-then-clear so a crash in between leaves the entry in
-     both places; [journal_holds] makes the redo idempotent. *)
-  for k = 0 to Layout.park_capacity lay - 1 do
-    let rr_addr = Layout.park_slot_rr lay cid k in
-    let rr = Ctx.load ctx rr_addr in
-    if rr <> 0 then
-      if !mutation_crash_reap then begin
-        (* Era-blind reap: free the parked record through the live eager
-           path, ignoring announced reader eras — the bug this subsystem
-           exists to prevent. *)
-        if Rootref.in_use ctx rr then begin
-          Ctx.store ctx rr_addr 0;
-          Reclaim.release_rootref ctx rr
-        end
-        else Ctx.store ctx rr_addr 0
-      end
-      else if Rootref.in_use ctx rr && Rootref.obj ctx rr <> 0 then begin
-        let stamp = Ctx.load ctx (Layout.park_slot_stamp lay cid k) in
-        let journaled =
-          journal_holds ctx rr
-          || journal_append ctx ~stamp rr
-          ||
-          (* Bounded journal: leave the entry registered to the dead
-             client — leaked until a later recovery finds room, never
-             freed under a pinned reader. *)
-          (Logs.warn (fun m ->
-               m "recovery: adoption journal full; rr@%d stays parked on \
-                  dead client %d" rr cid);
-           false)
-        in
-        Ctx.crash_point ctx Fault.Adopt_mid_journal;
-        if journaled then begin
-          Ctx.store ctx rr_addr 0;
-          report :=
-            { !report with parked_journaled = !report.parked_journaled + 1 }
-        end
-      end
-      else
-        (* Half-committed park (no object yet) or already-freed rootref:
-           the registry entry is stale bookkeeping. *)
-        Ctx.store ctx rr_addr 0
-  done
-
-(* Monitor-side fallback when no live successor adopts: release journal
-   entries whose retire stamp has passed every announced reader era. The
-   slot is cleared (and fenced) before the release — a crash in between
-   leaks the record, which is safe; the opposite order could double-free
-   on a re-drain. *)
-let drain_adopt_journal (ctx : Ctx.t) =
-  let lay = ctx.Ctx.lay in
-  let safe = Hazard.min_announced ctx in
-  let n = ref 0 in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
-    let rr = Ctx.load ctx (Layout.adopt_slot_rr lay k) in
-    if
-      rr <> 0
-      && Ctx.load ctx (Layout.adopt_slot_claim lay k) = 0
-      && Ctx.load ctx (Layout.adopt_slot_stamp lay k) < safe
-      && Rootref.in_use ctx rr
-    then begin
-      Ctx.store ctx (Layout.adopt_slot_rr lay k) 0;
-      Ctx.store ctx (Layout.adopt_slot_stamp lay k) 0;
-      Ctx.fence ctx;
-      Reclaim.release_rootref ctx rr;
-      incr n
-    end
-  done;
-  !n
-
 let scan_rootref_pages (ctx : Ctx.t) ~cid report =
   let cfg = Ctx.cfg ctx in
   let rr_kind = Config.kind_rootref cfg in
-  let holds = adoption_holds ctx in
+  let holds = Limbo.holders ctx in
   List.iter
     (fun seg ->
       for p = 0 to cfg.Config.pages_per_segment - 1 do
@@ -667,7 +503,10 @@ let run_phases (ctx : Ctx.t) ~cid =
       worklist_processed = !report.worklist_processed + n;
     };
   recover_journal ctx ~cid report;
-  recover_parked ctx ~cid report;
+  (* Parked records a pinned walker may still read: orphan the limbo rows
+     in place, stamps intact — never freed era-blind. *)
+  let n = Limbo.orphan_rows ctx ~cid in
+  report := { !report with parked_journaled = !report.parked_journaled + n };
   Transfer.recover_endpoints ctx ~failed_cid:cid;
   Named_roots.recover_endpoints ctx ~failed_cid:cid;
   let n = wl_process ctx ~as_cid:cid in

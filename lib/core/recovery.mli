@@ -12,12 +12,11 @@
       journal ({!Epoch}) — before any phase that issues new era-consuming
       transactions for [i], since an unfinished entry's commit is decided
       against [i]'s {e current} era;
-    + move [i]'s parked-record registry (era-pinned KV records unlinked by
-      the dead writer, {!Layout.park_slot_rr}) into the arena-wide
-      adoption journal, retire stamps intact — never freeing era-blind; a
-      live successor adopts the entries ([Cxl_kv.adopt_recovered]) or the
-      monitor drains them once every announced era has passed
-      ({!drain_adopt_journal});
+    + orphan [i]'s limbo rows in place ({!Limbo.orphan_rows}): the
+      era-pinned records it parked keep their retire stamps and are never
+      freed era-blind; a successor adopts the rows ({!Limbo.adopt}) or the
+      leak scan drains them once every announced era has passed
+      ({!Limbo.drain});
     + close [i]'s transfer-queue endpoints (§5.2);
     + scan [i]'s RootRef pages — the content in and only in those pages —
       releasing every reference the dead client possessed, with the §5.1
@@ -40,34 +39,17 @@ type report = {
   leak_marked : int;
   journal_replayed : int;  (** unfinished retirement-journal entries *)
   parked_journaled : int;
-      (** parked records moved to the adoption journal *)
+      (** records left in orphaned limbo rows, awaiting a successor's
+          adoption or the leak-scan drain *)
 }
 
 val pp_report : Format.formatter -> report -> unit
-
-val mutation_crash_reap : bool ref
-(** Test-only: re-introduce the historical era-blind reap — recovery frees
-    a crashed writer's parked records through the live eager path instead
-    of journaling them for adoption. The [kv-crash-reap] explorer mutation;
-    the bounded-exhaustive crash-then-recover search must observe the
-    resulting use-after-free. *)
 
 val segment_empty : Ctx.t -> int -> bool
 (** No live block, no in-use RootRef, no shard-parked stamp anywhere in the
     segment — it can be reset and released. Used by [handle_segments] and by
     the RPC channel-revocation path to return an emptied sub-heap segment to
     the arena. *)
-
-val adopt_pending : Ctx.t -> int
-(** Number of occupied adoption-journal slots (awaiting a successor or the
-    drain). *)
-
-val drain_adopt_journal : Ctx.t -> int
-(** Monitor fallback when no live successor adopts: release every
-    unclaimed journal entry whose retire stamp precedes all announced
-    reader eras ({!Hazard.min_announced}). Returns the number released.
-    Entries claimed by an in-flight adoption or still within an announced
-    era are left in place. *)
 
 val recover : Ctx.t -> failed_cid:int -> report
 (** Run full recovery of [failed_cid] using [ctx] (any live context — the

@@ -60,6 +60,7 @@ let set_fault_injection t on = Mem.set_fault_injection t.mem on
 let recover t ~failed_cid = Recovery.recover t.service ~failed_cid
 
 let scan_leaking t =
+  ignore (Limbo.drain t.service);
   Reclaim.scan_all t.service ~is_client_alive:(fun cid ->
       Client.is_alive t.service ~cid)
 

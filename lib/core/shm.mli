@@ -49,7 +49,9 @@ val set_fault_injection : arena -> bool -> unit
 
 val recover : arena -> failed_cid:int -> Recovery.report
 val scan_leaking : arena -> int
-(** Run the §5.3 asynchronous scan over recyclable segments. *)
+(** The leader's leak-scan step: drain orphaned limbo rows no announced era
+    pins ({!Limbo.drain}), then run the §5.3 asynchronous scan over
+    recyclable segments. Returns the segments recycled. *)
 
 val monitor : arena -> ?id:int -> unit -> Monitor.t
 (** A failure-monitor replica ([id] defaults to 0; give each replica of the

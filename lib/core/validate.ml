@@ -38,36 +38,62 @@ type acc = {
 
 let err acc fmt = Printf.ksprintf (fun s -> acc.errs <- s :: acc.errs) fmt
 
-(* Is [p] the base of a block we could legally reference? Only metadata
-   reads through [read] — never follows [p] — so it is safe to ask about
-   arbitrary (even hostile) words; the RPC validation walk relies on
-   exactly that. *)
-let block_base_ok ~read:peek lay p =
+(* The data words a block at [p] can hold, if [p] is the base of a block
+   we could legally reference. Only metadata reads through [read] — never
+   follows [p] — so it is safe to ask about arbitrary (even hostile) words;
+   the RPC validation walk relies on exactly that. *)
+let block_capacity ~read:peek lay p =
   let cfg = lay.Layout.cfg in
   let rr_kind = Config.kind_rootref cfg in
   let huge_kind = Config.kind_huge cfg in
   let page_kind gid = peek (Layout.page_kind lay ~gid) in
-  if p <= 0 || p >= lay.Layout.total_words then false
+  if p <= 0 || p >= lay.Layout.total_words then None
   else
     match Layout.segment_of_addr lay p with
-    | exception Invalid_argument _ -> false
+    | exception Invalid_argument _ -> None
     | seg -> (
         let st = peek (Layout.seg_state lay seg) in
+        let gid0 = Layout.page_gid lay ~seg ~page:0 in
         if st = 4 (* huge head *) || st = 5 (* huge cont *)
-           || page_kind (Layout.page_gid lay ~seg ~page:0) = huge_kind
-        then p = Layout.segment_base lay seg + lay.Layout.seg_hdr_words
+           || page_kind gid0 = huge_kind
+        then
+          if p <> Layout.segment_base lay seg + lay.Layout.seg_hdr_words then
+            None
+          else
+            (* The run's extent: [page_aux] of the head page holds its
+               length in segments. *)
+            let span = max 1 (peek (Layout.page_aux lay ~gid:gid0)) in
+            Some
+              (lay.Layout.segment_words - lay.Layout.seg_hdr_words
+              + ((span - 1) * lay.Layout.segment_words)
+              - Config.header_words)
         else
           match Layout.page_gid_of_addr lay p with
-          | exception Invalid_argument _ -> false
+          | exception Invalid_argument _ -> None
           | gid ->
               let k = page_kind gid in
               let bw = peek (Layout.page_block_words lay ~gid) in
               let base = Layout.page_area lay ~gid in
-              k <> Config.kind_unused
-              && k <> rr_kind
-              && bw > 0
-              && (p - base) mod bw = 0
-              && (p - base) / bw < peek (Layout.page_capacity lay ~gid))
+              if
+                k <> Config.kind_unused
+                && k <> rr_kind
+                && bw > 0
+                && (p - base) mod bw = 0
+                && (p - base) / bw < peek (Layout.page_capacity lay ~gid)
+              then Some (bw - Config.header_words)
+              else None)
+
+let block_base_ok ~read lay p = block_capacity ~read lay p <> None
+
+let live_rootref mem lay rr =
+  let peek = Mem.unsafe_peek mem in
+  rr > 0 && rr < lay.Layout.total_words
+  && (match Layout.page_gid_of_addr lay rr with
+     | exception Invalid_argument _ -> false
+     | gid ->
+         peek (Layout.page_kind lay ~gid) = Config.kind_rootref lay.Layout.cfg
+         && (rr - Layout.page_area lay ~gid) mod Config.rootref_words = 0)
+  && Rootref.peek_in_use mem rr
 
 let run mem lay =
   let cfg = lay.Layout.cfg in
@@ -248,64 +274,43 @@ let run mem lay =
     done
   end;
 
-  (* ---- parked-record registries and the adoption journal ---- *)
-  (* Both structures hold rootrefs (the rootref page scan above already
-     counted them as object holders); here we check the structures
-     themselves: an occupied entry must name a live rootref with a target,
-     a journal claim must name a possible client, and no rootref may be
-     journaled twice. *)
-  let rootref_ok rr =
-    rr > 0 && rr < lay.Layout.total_words
-    && (match Layout.page_gid_of_addr lay rr with
-       | exception Invalid_argument _ -> false
-       | gid ->
-           page_kind gid = rr_kind
-           && (rr - Layout.page_area lay ~gid) mod Config.rootref_words = 0)
-  in
-  for c = 0 to cfg.Config.max_clients - 1 do
-    for k = 0 to Layout.park_capacity lay - 1 do
-      let rr = peek (Layout.park_slot_rr lay c k) in
-      if rr <> 0 then
-        if not (rootref_ok rr && Rootref.peek_in_use mem rr) then begin
-          acc.wild <- acc.wild + 1;
-          err acc "park registry c%d[%d]: rr @%d is not a live rootref" c k rr
-        end
-        else if peek (Layout.client_flags lay c) = 0 then begin
-          acc.mism <- acc.mism + 1;
-          err acc
-            "park registry c%d[%d]: entry @%d outlived its freed client \
-             slot (recovery should have journaled it)"
-            c k rr
-        end
+  (* ---- limbo rows ---- *)
+  (* Entries are rootrefs, already counted as holders above. The rows: an
+     owner word names a free row, a live client or the orphaned state; a
+     free row holds no entry; an entry names a live rootref with a target,
+     parked once; the orphan count covers every orphaned row. *)
+  let mism fmt = acc.mism <- acc.mism + 1; err acc fmt in
+  let parked : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let orphaned = ref 0 in
+  for r = 0 to Layout.limbo_rows lay - 1 do
+    let owner = peek (Layout.limbo_owner lay r) in
+    if owner = Layout.limbo_orphaned then incr orphaned
+    else if owner < 0 || owner > cfg.Config.max_clients then
+      mism "limbo row %d: owner word %d names no client" r owner
+    else if owner > 0 && peek (Layout.client_flags lay (owner - 1)) = 0 then
+      mism "limbo row %d: owned by c%d whose slot is free" r (owner - 1);
+    for k = 0 to Layout.limbo_row_entries - 1 do
+      let rr = peek (Layout.limbo_rr lay r k) in
+      if rr = 0 then ()
+      else if owner = 0 then
+        mism "limbo row %d: free row holds entry %d (rr @%d)" r k rr
+      else if not (live_rootref mem lay rr) then begin
+        acc.wild <- acc.wild + 1;
+        err acc "limbo row %d[%d]: rr @%d is not a live rootref" r k rr
+      end
+      else if Rootref.peek_obj mem rr = 0 then
+        mism "limbo row %d[%d]: rr @%d parks no object" r k rr
+      else
+        match Hashtbl.find_opt parked rr with
+        | Some r' ->
+            acc.dfree <- acc.dfree + 1;
+            err acc "limbo row %d[%d]: rr @%d already parked in row %d" r k rr r'
+        | None -> Hashtbl.replace parked rr r
     done
   done;
-  let journaled : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  for i = 0 to Layout.adopt_capacity lay - 1 do
-    let rr = peek (Layout.adopt_slot_rr lay i) in
-    let claim = peek (Layout.adopt_slot_claim lay i) in
-    if claim < 0 || claim > cfg.Config.max_clients then begin
-      acc.mism <- acc.mism + 1;
-      err acc "adoption journal [%d]: claim %d names no possible client" i
-        claim
-    end;
-    if rr <> 0 then
-      if not (rootref_ok rr && Rootref.peek_in_use mem rr) then begin
-        acc.wild <- acc.wild + 1;
-        err acc "adoption journal [%d]: rr @%d is not a live rootref" i rr
-      end
-      else begin
-        (match Hashtbl.find_opt journaled rr with
-        | Some j ->
-            acc.dfree <- acc.dfree + 1;
-            err acc "adoption journal [%d]: rr @%d already journaled at [%d]"
-              i rr j
-        | None -> Hashtbl.replace journaled rr i);
-        if Rootref.peek_obj mem rr = 0 then begin
-          acc.mism <- acc.mism + 1;
-          err acc "adoption journal [%d]: rr @%d parks no object" i rr
-        end
-      end
-  done;
+  let hint = peek (Layout.hdr_limbo_orphans lay) in
+  if hint < !orphaned then
+    mism "limbo: orphan count %d below the %d orphaned rows" hint !orphaned;
 
   (* ---- classify every block ---- *)
   let scan_pending seg =

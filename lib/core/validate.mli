@@ -34,12 +34,15 @@ val run : Cxlshm_shmem.Mem.t -> Layout.t -> t
 val is_clean : t -> bool
 val pp : Format.formatter -> t -> unit
 
+val block_capacity : read:(int -> int) -> Layout.t -> int -> int option
+(** [Some n] when [p] is the base of a block a reference could legally
+    name, [n] being the data words it can hold (block size or a huge run's
+    extent, less the header). Only metadata reads through [read] — never a
+    dereference of [p] — so it is safe on hostile words: the RPC
+    receive-side walk ({!Cxlshm_rpc.Cxl_rpc}) reads through the server's
+    [Ctx.load] and bounds each block's meta by [n]. *)
+
 val block_base_ok : read:(int -> int) -> Layout.t -> int -> bool
-(** Is [p] the base of a block a reference could legally name? Only
-    metadata reads through [read] — range, segment/page bounds, initialised
-    non-rootref page kind, block alignment, huge-head special case — and
-    never a dereference of [p] itself, so it is safe to ask about arbitrary
-    or hostile words. {!run} reads with [Mem.unsafe_peek]; the RPC
-    receive-side validation walk ({!Cxlshm_rpc.Cxl_rpc}) reads through the
-    server's [Ctx.load], so its checks are charged to the server and reach
-    the explorer's scheduler like any other shared access. *)
+
+val live_rootref : Cxlshm_shmem.Mem.t -> Layout.t -> int -> bool
+(** Is [rr] an in-use block of a RootRef page? Raw reads only. *)

@@ -11,18 +11,10 @@ type handle = {
   ctx : Ctx.t;
   store : store;
   index_rr : int;  (** our RootRef keeping the index alive *)
-  mutable deferred : (int * int * Cxl_ref.t) list;
-      (** displaced records awaiting a quiescent era: retire-epoch stamp,
-          persistent-registry slot ([-1] = volatile-only overflow), and the
-          counted reference that keeps the block from being recycled under
-          a concurrent reader *)
-  mutable park_free : int list;
-      (** free slots of this client's persistent parked-record registry *)
+  limbo : Limbo.t;  (** displaced records awaiting a quiescent era *)
 }
 
 let name = "CXL-KV"
-
-let mutation_unconditional_quiesce = ref false
 
 let walk_hook : (unit -> unit) ref = ref (fun () -> ())
 
@@ -42,48 +34,6 @@ let hash key = (key * 0x2545F4914F6CDD1D) land max_int
 let bucket_of store key = hash key mod store.buckets
 let partition_of_key store key = key mod store.partitions
 
-(* ------------------------------------------------------------------ *)
-(* Persistent parked-record registry. Every parked record is mirrored
-   into the client's [Layout.park_slot_*] registry (stamp fenced first,
-   the rr word is the commit point) so a writer crash cannot orphan the
-   volatile deferred list: recovery moves the registry into the adoption
-   journal ({!Cxlshm.Recovery}), retire stamps intact, for a successor to
-   adopt. One writing handle per client — the registry is per-cid. *)
-
-let scan_park_free (ctx : Ctx.t) =
-  let lay = ctx.Ctx.lay in
-  let cid = ctx.Ctx.cid in
-  let free = ref [] in
-  for k = Layout.park_capacity lay - 1 downto 0 do
-    if Ctx.load ctx (Layout.park_slot_rr lay cid k) = 0 then free := k :: !free
-  done;
-  !free
-
-let park_register h ~stamp rr =
-  match h.park_free with
-  | [] ->
-      (* Bounded registry: the record stays parked volatile-only — correct
-         while this client lives, unrecoverable for adoption if it dies. *)
-      Logs.warn (fun m ->
-          m "%s: parked-record registry full (client %d); parking \
-             volatile-only" name h.ctx.Ctx.cid);
-      -1
-  | k :: rest ->
-      let lay = h.ctx.Ctx.lay in
-      let cid = h.ctx.Ctx.cid in
-      Ctx.store h.ctx (Layout.park_slot_stamp lay cid k) stamp;
-      Ctx.fence h.ctx;
-      Ctx.store h.ctx (Layout.park_slot_rr lay cid k) rr;
-      h.park_free <- rest;
-      Ctx.crash_point h.ctx Fault.Park_after_append;
-      k
-
-let park_clear h slot =
-  if slot >= 0 then begin
-    Ctx.store h.ctx (Layout.park_slot_rr h.ctx.Ctx.lay h.ctx.Ctx.cid slot) 0;
-    h.park_free <- slot :: h.park_free
-  end
-
 let create ctx ~buckets ~partitions ~value_words =
   if buckets < 1 || partitions < 1 || value_words < 1 then
     invalid_arg "Cxl_kv.create";
@@ -97,55 +47,21 @@ let create ctx ~buckets ~partitions ~value_words =
   for p = 0 to partitions - 1 do
     Ctx.store ctx (writer_word store p) 0
   done;
-  let handle =
-    {
-      ctx;
-      store;
-      index_rr = Cxl_ref.rootref r;
-      deferred = [];
-      park_free = scan_park_free ctx;
-    }
-  in
-  (store, handle)
+  (store, { ctx; store; index_rr = Cxl_ref.rootref r; limbo = Limbo.create ctx })
 
 let open_store ctx store =
   let rr = Alloc.alloc_rootref ctx in
   Refc.attach ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:store.index_obj;
-  { ctx; store; index_rr = rr; deferred = []; park_free = scan_park_free ctx }
+  { ctx; store; index_rr = rr; limbo = Limbo.create ctx }
 
-(* Hazard-era quiesce (§5.4): a parked record may only be recycled once
-   every announced reader era has moved past its retire stamp — otherwise
-   a reader paused on the record could observe the block reused for an
-   unrelated object. Dead readers do not pin: [Hazard.min_announced]
-   ignores announcements of condemned clients. *)
-let quiesce h =
-  let safe = Hazard.min_announced h.ctx in
-  let keep, free =
-    if !mutation_unconditional_quiesce then ([], h.deferred)
-    else List.partition (fun (stamp, _, _) -> stamp >= safe) h.deferred
-  in
-  List.iter
-    (fun (_, slot, pref) ->
-      (* Registry entry first, reference second: a crash in between leaves
-         an unregistered live rootref for the rootref scan — already past
-         its quiescent era, so the scan's release is safe. *)
-      park_clear h slot;
-      Cxl_ref.drop pref)
-    free;
-  h.deferred <- keep
-
-let deferred_count h = List.length h.deferred
+let quiesce h = Limbo.quiesce h.limbo
+let deferred_count h = Limbo.count h.limbo
 
 let close h =
   (* Quiesced use only: force-drops whatever is still parked, so no reader
      may be mid-walk. A departing writer with live readers hands its parked
      records to a successor first (see {!handoff_deferred}). *)
-  List.iter
-    (fun (_, slot, pref) ->
-      park_clear h slot;
-      Cxl_ref.drop pref)
-    h.deferred;
-  h.deferred <- [];
+  Limbo.close h.limbo;
   Reclaim.release_rootref h.ctx h.index_rr
 
 let claim_partition h p =
@@ -216,17 +132,16 @@ let find_with_prev h key =
   in
   walk slot0 (Ctx.load h.ctx slot0)
 
-(* Park a soon-to-be-unlinked record behind a fresh counted reference.
-   Must run BEFORE the unlink: the park reference is what guarantees the
-   unlink can never drop the record to count zero while a reader may still
-   hold it. The record keeps its own next-link until it is finally
-   reclaimed, so a reader paused on it still reaches the chain tail. *)
-let park_record h r =
+(* Park a record behind a fresh counted reference around its unlink: the
+   park reference is what guarantees the unlink can never drop the record
+   to count zero while a reader may still hold it. The record keeps its
+   own next-link until it is finally reclaimed, so a reader paused on it
+   still reaches the chain tail. The caller has reserved the limbo entry
+   before touching the store. *)
+let park_record h r ~unlink =
   let rr = Alloc.alloc_rootref h.ctx in
   Refc.attach h.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:r;
-  let stamp = Hazard.retire_epoch h.ctx in
-  let slot = park_register h ~stamp rr in
-  h.deferred <- (stamp, slot, Cxl_ref.of_rootref h.ctx rr) :: h.deferred
+  Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink
 
 (* Insert a freshly allocated record for [key], either replacing [old]
    in-chain (§5.4 change) or prepending at the bucket. *)
@@ -238,10 +153,12 @@ let insert_fresh h ~key ~value ~existing =
   write_value h fresh value;
   (match existing with
   | Some (prev_slot, old) ->
-      park_record h old;
-      let next = Ctx.load h.ctx (rec_next old) in
-      if next <> 0 then Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:next;
-      ignore (Refc.change h.ctx ~ref_addr:prev_slot ~from_obj:old ~to_obj:fresh)
+      park_record h old ~unlink:(fun () ->
+          let next = Ctx.load h.ctx (rec_next old) in
+          if next <> 0 then
+            Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:next;
+          ignore
+            (Refc.change h.ctx ~ref_addr:prev_slot ~from_obj:old ~to_obj:fresh))
   | None ->
       let slot = bucket_slot h.store (bucket_of h.store key) in
       let head = Ctx.load h.ctx slot in
@@ -262,6 +179,7 @@ let put h ~key ~value =
 
 let put_cow h ~key ~value =
   check_writer h key;
+  Limbo.reserve h.limbo 1;
   Hazard.with_protection h.ctx (fun () ->
       insert_fresh h ~key ~value ~existing:(find_with_prev h key))
 
@@ -279,6 +197,7 @@ let rmw h ~key ~delta =
 
 let delete h ~key =
   check_writer h key;
+  Limbo.reserve h.limbo 1;
   Hazard.with_protection h.ctx (fun () ->
       let slot0 = bucket_slot h.store (bucket_of h.store key) in
       let rec walk prev_slot r =
@@ -286,12 +205,14 @@ let delete h ~key =
         else begin
           !walk_hook ();
           if Ctx.load h.ctx (rec_key r) = key then begin
-            park_record h r;
-            let next = Ctx.load h.ctx (rec_next r) in
-            ignore
-              (if next = 0 then Refc.detach h.ctx ~ref_addr:prev_slot ~refed:r
-               else
-                 Refc.change h.ctx ~ref_addr:prev_slot ~from_obj:r ~to_obj:next);
+            park_record h r ~unlink:(fun () ->
+                let next = Ctx.load h.ctx (rec_next r) in
+                ignore
+                  (if next = 0 then
+                     Refc.detach h.ctx ~ref_addr:prev_slot ~refed:r
+                   else
+                     Refc.change h.ctx ~ref_addr:prev_slot ~from_obj:r
+                       ~to_obj:next));
             true
           end
           else walk (rec_next r) (Ctx.load h.ctx (rec_next r))
@@ -305,92 +226,23 @@ let delete h ~key =
    them under its own identity. Reader protection survives the handoff:
    the queue slot holds a counted reference for the flight, and the
    adopter re-stamps with a fresh (larger) retire epoch, so no reader
-   protected against the original retirement can be exposed. *)
+   protected against the original retirement can be exposed. A partial
+   send keeps the retained suffix parked here with its original stamps. *)
 
 let handoff_deferred h q =
-  match h.deferred with
-  | [] -> 0
-  | parked ->
-      let sent, _why =
-        Transfer.send_batch q (List.map (fun (_, _, pref) -> pref) parked)
-      in
-      (* Dense-prefix semantics: exactly the first [sent] entries moved.
-         Drop the local reference and registry slot for those — the
-         successor re-registers them under its own identity — and keep the
-         retained suffix with its ORIGINAL retire stamps and registry
-         slots. Re-stamping (or re-registering) the suffix here would
-         double-handle a partial send: the record would appear both
-         re-parked and in-flight, and a fresh stamp would not widen safety
-         while a stale slot clear could orphan the entry. *)
-      List.iteri
-        (fun i (_, slot, pref) ->
-          if i < sent then begin
-            park_clear h slot;
-            Cxl_ref.drop pref
-          end)
-        parked;
-      h.deferred <- List.filteri (fun i _ -> i >= sent) parked;
-      sent
+  Limbo.hand_off h.limbo (fun prefs -> fst (Transfer.send_batch q prefs))
 
 let adopt_deferred h q ~max =
+  Limbo.reserve h.limbo max;
   match Transfer.receive_batch q ~max with
   | Transfer.Batch_empty | Transfer.Batch_drained -> 0
   | Transfer.Received_batch refs ->
-      let stamp = Hazard.retire_epoch h.ctx in
-      List.iter
-        (fun pref ->
-          let slot = park_register h ~stamp (Cxl_ref.rootref pref) in
-          h.deferred <- (stamp, slot, pref) :: h.deferred)
-        refs;
+      List.iter (fun pref -> Limbo.park h.limbo pref ~unlink:ignore) refs;
       List.length refs
 
-(* Successor side of crash adoption: claim unclaimed adoption-journal
-   entries (recovery parked them there from the dead writer's registry,
-   original retire stamps intact) and re-park them under this handle. The
-   claim CAS, the registry re-append and the journal clear are separated
-   by labeled crash points; {!Cxlshm.Recovery} resolves a successor that
-   dies between any two (registry presence decides whether the move
-   committed). *)
-let adopt_recovered h =
-  let ctx = h.ctx in
-  let lay = ctx.Ctx.lay in
-  let cid = ctx.Ctx.cid in
-  let n = ref 0 in
-  for k = 0 to Layout.adopt_capacity lay - 1 do
-    let rr_addr = Layout.adopt_slot_rr lay k in
-    let claim_addr = Layout.adopt_slot_claim lay k in
-    let rr = Ctx.load ctx rr_addr in
-    if
-      rr <> 0
-      && Ctx.load ctx claim_addr = 0
-      && Ctx.cas ctx claim_addr ~expected:0 ~desired:(cid + 1)
-    then begin
-      Ctx.crash_point ctx Fault.Adopt_after_claim;
-      if Rootref.in_use ctx rr then begin
-        let stamp = Ctx.load ctx (Layout.adopt_slot_stamp lay k) in
-        let slot = park_register h ~stamp rr in
-        if slot < 0 then
-          (* No registry room: release the claim, leave the entry for
-             another successor or the monitor drain. *)
-          Ctx.store ctx claim_addr 0
-        else begin
-          Ctx.crash_point ctx Fault.Adopt_after_append;
-          h.deferred <- (stamp, slot, Cxl_ref.of_rootref ctx rr) :: h.deferred;
-          Ctx.store ctx rr_addr 0;
-          Ctx.store ctx (Layout.adopt_slot_stamp lay k) 0;
-          Ctx.store ctx claim_addr 0;
-          incr n
-        end
-      end
-      else begin
-        (* Stale entry (rootref already freed elsewhere): clear it. *)
-        Ctx.store ctx rr_addr 0;
-        Ctx.store ctx (Layout.adopt_slot_stamp lay k) 0;
-        Ctx.store ctx claim_addr 0
-      end
-    end
-  done;
-  !n
+(* Successor side of crash adoption: take over every orphaned limbo row,
+   original retire stamps intact. *)
+let adopt_recovered h = Limbo.adopt h.limbo
 
 let iter h f =
   Hazard.with_protection h.ctx (fun () ->

@@ -17,12 +17,12 @@
     still reaches the live chain tail. Concurrent readers may transiently
     miss entries deleted mid-walk — standard latch-free list semantics.
 
-    Parking is {e persistent}: every parked record is mirrored into the
-    client's registry ({!Cxlshm.Layout.park_slot_rr}), so a writer crash
-    cannot turn the deferred list into an era-blind reap — recovery moves
-    the registry into the arena adoption journal and a successor re-parks
-    the records via {!adopt_recovered}, retire stamps intact. The registry
-    is per-client: open at most one writing handle per [Ctx.t]. *)
+    Parking goes through the arena's one limbo ({!Cxlshm.Limbo}), so a
+    writer crash cannot turn the deferred list into an era-blind reap:
+    recovery orphans the dead writer's limbo rows in place and a successor
+    takes them over via {!adopt_recovered}, retire stamps intact. When
+    the whole limbo pool is full, {!put_cow} and {!delete} raise
+    {!Cxlshm.Limbo.Exhausted} before they change the store. *)
 
 type store = {
   index_obj : Cxlshm_shmem.Pptr.t;
@@ -75,7 +75,9 @@ val put_cow : handle -> key:int -> value:int -> unit
 (** Copy-on-write variant: every write allocates a fresh record and swaps
     it into the chain atomically (§5.4 change), so readers never observe a
     torn multi-word value; the replaced record is parked until {!quiesce}.
-    Costs an allocation (fence + flush) per write. *)
+    Costs an allocation (fence + flush) per write. Raises
+    {!Cxlshm.Limbo.Exhausted}, with the store unchanged, when no limbo
+    entry is left to park the replaced record in. *)
 
 val rmw : handle -> key:int -> delta:int -> int option
 (** Read-modify-write (YCSB-F): read the current first value word, write
@@ -84,6 +86,8 @@ val rmw : handle -> key:int -> delta:int -> int option
     like {!put}. *)
 
 val delete : handle -> key:int -> bool
+(** Unlink and park the key's record; raises {!Cxlshm.Limbo.Exhausted}
+    like {!put_cow}. *)
 
 val quiesce : handle -> unit
 (** Reclaim records parked by this handle's deletes and COW replacements —
@@ -109,15 +113,13 @@ val adopt_deferred : handle -> Cxlshm.Transfer.t -> max:int -> int
     protection survives the handoff). Returns how many were adopted. *)
 
 val adopt_recovered : handle -> int
-(** Crash-adoption successor side: claim every unclaimed entry of the
-    arena-wide adoption journal — parked records a {e crashed} writer left
-    behind, moved there by recovery with their original retire stamps —
-    and re-park them under this handle, stamps intact, so recycling stays
-    gated on {!Cxlshm.Hazard.min_announced} exactly as if the dead writer
-    had quiesced them itself. Idempotent and crash-resumable (claim CAS,
-    registry re-append and journal clear are separate labeled crash
-    points). Returns how many records were adopted. Typically called after
-    {!takeover_partition} of the dead writer's partitions. *)
+(** Crash-adoption successor side ({!Cxlshm.Limbo.adopt}): take over every
+    orphaned limbo row — parked records a {e crashed} writer left behind —
+    with one CAS per row, stamps intact, so recycling stays gated on
+    {!Cxlshm.Hazard.min_announced} exactly as if the dead writer had
+    quiesced them itself. Returns how many records were adopted.
+    Typically called after {!takeover_partition} of the dead writer's
+    partitions. *)
 
 val size_estimate : handle -> int
 (** Walks every bucket (reader-side full scan — legal in the
@@ -136,9 +138,3 @@ val walk_hook : (unit -> unit) ref
 (** {b Test-only.} Called once per record visited by any chain walk; the
     model checker points it at [Sched.yield] so traversals interleave with
     writer retirement. Must stay a no-op outside the explorer. *)
-
-val mutation_unconditional_quiesce : bool ref
-(** {b Test-only.} Re-introduces the historical bug where {!quiesce} freed
-    parked records unconditionally, ignoring announced reader eras — for
-    the [kv-serve] model's mutation self-check. Must stay [false]
-    otherwise. *)

@@ -6,7 +6,7 @@ type report = {
   ka_steps : int;
   ka_writer_cid : int;
   ka_writer_crashed : bool;
-  ka_journaled : int;
+  ka_orphaned : int;
   ka_adopted : int;
   ka_pinned : int;
   ka_pinned_freed : int;
@@ -15,21 +15,21 @@ type report = {
 
 let pp_report ppf k =
   Format.fprintf ppf
-    "seed=%-6d steps=%-5d writer=cid%d crashed=%b journaled=%d adopted=%d \
+    "seed=%-6d steps=%-5d writer=cid%d crashed=%b orphaned=%d adopted=%d \
      pinned=%d pinned-freed=%d %s"
-    k.ka_seed k.ka_steps k.ka_writer_cid k.ka_writer_crashed k.ka_journaled
+    k.ka_seed k.ka_steps k.ka_writer_cid k.ka_writer_crashed k.ka_orphaned
     k.ka_adopted k.ka_pinned k.ka_pinned_freed
     (if k.ka_clean then "clean" else "** DIRTY **")
 
 (* The KV control-plane soak: a writer COW-churns a small store under
    fault injection, a reader pins a hazard era mid-walk, and the writer is
    killed at the first free inside its reclamation pass — mid-quiesce,
-   with its persistent parked-record registry part-cleared. The monitor
-   condemns and recovers it (journaling the registry), a successor takes
-   over the partition and adopts the journaled records with their retire
-   stamps intact, and the verdict is: no era-pinned record was freed,
-   adoption moved every journaled record, and the arena is fsck-clean with
-   counts matching reachability. Deterministic in [seed]. *)
+   with its limbo rows part-cleared. The monitor condemns and recovers it
+   (orphaning the rows in place), a successor takes over the partition
+   and adopts the orphaned rows with their retire stamps intact, and the
+   verdict is: no era-pinned record was freed, adoption took every
+   orphaned record, and the arena is fsck-clean with counts matching
+   reachability. Deterministic in [seed]. *)
 let writer_kill_adopt ?(steps = 200) ~seed () =
   let cfg =
     {
@@ -68,7 +68,7 @@ let writer_kill_adopt ?(steps = 200) ~seed () =
   Cxl_kv.quiesce hw;
   (* Batch A parks before the reader pins (reclaimable), batch B after
      (era-pinned): the quiesce below starts freeing batch A and dies at
-     the first free, leaving the registry holding the rest. *)
+     the first free, leaving its limbo rows holding the rest. *)
   for k = 0 to (keys / 2) - 1 do
     Cxl_kv.put_cow hw ~key:k ~value:(3000 + k)
   done;
@@ -76,21 +76,18 @@ let writer_kill_adopt ?(steps = 200) ~seed () =
   for k = keys / 2 to keys - 1 do
     Cxl_kv.put_cow hw ~key:k ~value:(4000 + k)
   done;
-  (* Snapshot the writer's persistent registry: (obj, stamp) per slot. *)
+  (* Snapshot the writer's limbo rows: (obj, stamp) per entry. *)
   let mem = Shm.mem arena in
   let lay = Shm.layout arena in
   let peek = Mem.unsafe_peek mem in
-  let parked = ref [] in
-  for k = 0 to Layout.park_capacity lay - 1 do
-    let rr = peek (Layout.park_slot_rr lay w.Ctx.cid k) in
-    if rr <> 0 then
-      parked :=
-        (peek (Rootref.pptr_slot rr), peek (Layout.park_slot_stamp lay w.Ctx.cid k))
-        :: !parked
-  done;
+  let parked =
+    List.map
+      (fun (rr, stamp) -> (peek (Rootref.pptr_slot rr), stamp))
+      (Limbo.peek_entries mem lay ~owner:(w.Ctx.cid + 1))
+  in
   let svc = Shm.service_ctx arena in
   let safe = Hazard.min_announced svc in
-  let pinned = List.filter (fun (_, stamp) -> stamp >= safe) !parked in
+  let pinned = List.filter (fun (_, stamp) -> stamp >= safe) parked in
   (* Kill the writer at the first free inside its reclamation pass. *)
   w.Ctx.fault <- Fault.at Fault.Release_mid_reclaim ~nth:1;
   let writer_crashed =
@@ -100,9 +97,9 @@ let writer_kill_adopt ?(steps = 200) ~seed () =
   in
   w.Ctx.fault <- Fault.none;
   (* The monitor condemns the silent writer and recovers it: recovery
-     moves the registry into the arena adoption journal. *)
+     orphans its limbo rows in place. *)
   let mon = Monitor.create ~mem ~lay:(Shm.layout arena) () in
-  let journaled = ref 0 in
+  let orphaned = ref 0 in
   let recovered = ref false in
   let guard = ref 0 in
   let budget = 10 * (cfg.Config.lease_ttl + 2) in
@@ -114,13 +111,13 @@ let writer_kill_adopt ?(steps = 200) ~seed () =
       (fun (cid, rep) ->
         if cid = w.Ctx.cid then begin
           recovered := true;
-          journaled := rep.Recovery.parked_journaled
+          orphaned := rep.Recovery.parked_journaled
         end)
       (Monitor.recover_suspects mon);
     incr guard
   done;
-  (* Successor failover: steal the partition, adopt the journaled parked
-     records, stamps intact. *)
+  (* Successor failover: steal the partition, adopt the orphaned rows,
+     stamps intact. *)
   ignore (Cxl_kv.takeover_partition hs 0);
   let adopted = Cxl_kv.adopt_recovered hs in
   (* No era-pinned record may have been freed by the crash recovery. *)
@@ -143,7 +140,7 @@ let writer_kill_adopt ?(steps = 200) ~seed () =
     ka_steps = steps;
     ka_writer_cid = w.Ctx.cid;
     ka_writer_crashed = writer_crashed;
-    ka_journaled = !journaled;
+    ka_orphaned = !orphaned;
     ka_adopted = adopted;
     ka_pinned = List.length pinned;
     ka_pinned_freed = pinned_freed;

@@ -283,70 +283,83 @@ type verdict =
   | Invalid of int list  (** the wild slots to neutralise *)
 
 (* The RPCool receive-side walk: every reference the message closure can
-   reach must be the base of a live block inside the channel's sub-heap.
-   Discipline: a node's embedded slots are read only after the node itself
-   passed {!Validate.block_base_ok} (metadata reads only), so a hostile
-   word is never dereferenced. Every read is charged to the server. Each
-   block's meta is read once, and the message, argument and output views
-   are built from the walk's own reads, so the handler sees exactly the
-   slots and meta that were validated. Wild slots are collected so
-   disposal can neutralise them before any teardown walk would chase
-   them. *)
+   reach must be the base of a live block inside the channel's sub-heap,
+   and its meta must fit inside that block. Discipline: a node's embedded
+   slots are read only after the node itself passed
+   {!Validate.block_capacity} (metadata reads only) and its meta was
+   bounded by the block's capacity, so a hostile word is never
+   dereferenced and a forged meta never reaches past its block. Every read
+   is charged to the server. Each block's meta is read once, and the
+   message, argument and output views are built from the walk's own
+   reads, so the handler sees exactly the slots and meta that were
+   validated. Wild slots are collected so disposal can neutralise them
+   before any teardown walk would chase them. *)
 let validate_message (s : server) msg_obj =
   let ctx = s.sctx in
   let lay = ctx.Ctx.lay in
   let vet w =
-    if !mutation_skip_validate then `Ok
-    else if not (Validate.block_base_ok ~read:(Ctx.load ctx) lay w) then `Wild
-    else if in_channel lay s.chan w || peer_owned s w then `Ok
-    else `Foreign
+    if !mutation_skip_validate then `Ok max_int
+    else
+      match Validate.block_capacity ~read:(Ctx.load ctx) lay w with
+      | None -> `Wild
+      | Some cap ->
+          if in_channel lay s.chan w || peer_owned s w then `Ok cap
+          else `Foreign
   in
   let ok = ref true in
   let wild = ref [] in
   let metas = Hashtbl.create 8 in
   let view obj = Message.of_meta ctx obj ~meta:(Hashtbl.find metas obj) in
-  (* Read [obj]'s meta, vet and walk its embedded slots, and return the
-     slot words as read. *)
-  let rec node obj depth =
+  (* Read [obj]'s meta, bound it by the block's capacity, vet and walk its
+     embedded slots, and return the slot words as read (none when the meta
+     overreaches). *)
+  let rec node obj cap depth =
     let meta = Ctx.load ctx (Obj_header.meta_of_obj obj) in
     Hashtbl.add metas obj meta;
-    Array.init (Obj_header.meta_emb_cnt meta) (fun i ->
-        let slot = Obj_header.emb_slot obj i in
-        let w = Ctx.load ctx slot in
-        (if w <> 0 && not (Hashtbl.mem metas w) then
-           match vet w with
-           | `Ok -> if depth < 64 then ignore (node w (depth + 1))
-           | `Wild ->
-               (* Not the base of any live block: following it would be a
-                  wild dereference. Record the slot for neutralisation. *)
-               ok := false;
-               wild := slot :: !wild
-           | `Foreign ->
-               (* A structurally valid block outside the sub-heap (and
-                  outside any opted-in peer-owned segment): a smuggled
-                  pointer into someone else's heap. Reject without
-                  recursing — its closure is not ours to walk, and the slot
-                  itself is counted (Message.build attached it), so the
-                  teardown detach at disposal is safe. *)
-               ok := false);
-        w)
+    let dw = Obj_header.meta_data_words meta in
+    let emb = Obj_header.meta_emb_cnt meta in
+    if dw > cap || emb > dw then begin
+      ok := false;
+      [||]
+    end
+    else
+      Array.init emb (fun i ->
+          let slot = Obj_header.emb_slot obj i in
+          let w = Ctx.load ctx slot in
+          (if w <> 0 && not (Hashtbl.mem metas w) then
+             match vet w with
+             | `Ok cap -> if depth < 64 then ignore (node w cap (depth + 1))
+             | `Wild ->
+                 (* Not the base of any live block: following it would be a
+                    wild dereference. Record the slot for neutralisation. *)
+                 ok := false;
+                 wild := slot :: !wild
+             | `Foreign ->
+                 (* A structurally valid block outside the sub-heap (and
+                    outside any opted-in peer-owned segment): a smuggled
+                    pointer into someone else's heap. Reject without
+                    recursing — its closure is not ours to walk, and the
+                    slot itself is counted (Message.build attached it), so
+                    the teardown detach at disposal is safe. *)
+                 ok := false);
+          w)
   in
-  if vet msg_obj <> `Ok then (Message.view ctx msg_obj, Invalid [])
-  else begin
-    let slots = node msg_obj 0 in
-    let v = view msg_obj in
-    (* The argument count is the validated meta's, never the client's count
-       word: a message whose count word disagrees, or with a null slot, is
-       malformed. *)
-    if
-      !ok && Message.well_formed v
-      && Message.count_word v = Message.nargs v
-      && Array.for_all (fun w -> w <> 0) slots
-    then
-      let n = Message.nargs v in
-      (v, Valid (List.init n (fun i -> view slots.(i)), view slots.(n)))
-    else (v, Invalid !wild)
-  end
+  match vet msg_obj with
+  | `Wild | `Foreign -> (Message.view ctx msg_obj, Invalid [])
+  | `Ok cap ->
+      let slots = node msg_obj cap 0 in
+      let v = view msg_obj in
+      (* The argument count is the validated meta's, never the client's
+         count word: a message whose count word disagrees, or with a null
+         slot, is malformed. *)
+      if
+        !ok && Message.well_formed v
+        && Message.count_word v = Message.nargs v
+        && Array.for_all (fun w -> w <> 0) slots
+      then
+        let n = Message.nargs v in
+        (v, Valid (List.init n (fun i -> view slots.(i)), view slots.(n)))
+      else (v, Invalid !wild)
 
 let serve_one s ~handler =
   match Transfer.receive (server_req s) with

@@ -2,14 +2,12 @@ open Cxlshm
 
 (* Log object: emb slots [0..cap-1] hold the ring's counted references;
    plain data words after them: +0 capacity, +1 published (total appends).
-   Retired entries are parked with their hazard retire-epoch and freed only
-   once every announced reader epoch has moved past it. *)
-type writer = {
-  ctx : Ctx.t;
-  lref : Cxl_ref.t;
-  cap : int;
-  mutable parked : (int * int) list;  (** (retire epoch, obj) *)
-}
+   An overwritten entry is parked in the limbo behind a counted reference
+   with its hazard retire-epoch, and released only once every announced
+   reader epoch has moved past it. *)
+type writer = { ctx : Ctx.t; lref : Cxl_ref.t; cap : int; limbo : Limbo.t }
+
+let attach_hook : (unit -> unit) ref = ref (fun () -> ())
 
 type cursor = { cctx : Ctx.t; clref : Cxl_ref.t; ccap : int; mutable next : int }
 
@@ -30,43 +28,36 @@ let create ctx ~capacity =
   let lobj = Cxl_ref.obj lref in
   Ctx.store ctx (lword ctx lobj ~cap:capacity w_capacity) capacity;
   Ctx.store ctx (lword ctx lobj ~cap:capacity w_published) 0;
-  { ctx; lref; cap = capacity; parked = [] }
+  { ctx; lref; cap = capacity; limbo = Limbo.create ctx }
 
 let log_ref w = w.lref
-
-let quiesce w =
-  let safe = Hazard.min_announced w.ctx in
-  let keep, free = List.partition (fun (e, _) -> e >= safe) w.parked in
-  List.iter (fun (_, obj) -> Alloc.free_obj_block w.ctx obj) free;
-  w.parked <- keep
 
 let publish w payload =
   let lobj = Cxl_ref.obj w.lref in
   let seq = Ctx.load w.ctx (lword w.ctx lobj ~cap:w.cap w_published) in
   let slot = Obj_header.emb_slot lobj (seq mod w.cap) in
   let old = Ctx.load w.ctx slot in
-  (if old = 0 then Refc.attach w.ctx ~ref_addr:slot ~refed:(Cxl_ref.obj payload)
+  let to_obj = Cxl_ref.obj payload in
+  (if old = 0 then Refc.attach w.ctx ~ref_addr:slot ~refed:to_obj
    else begin
-     let n =
-       Refc.change w.ctx ~ref_addr:slot ~from_obj:old
-         ~to_obj:(Cxl_ref.obj payload)
-     in
-     if n = 0 then begin
-       (* no subscriber kept it alive: park until hazard-safe *)
-       Reclaim.teardown_children w.ctx ~as_cid:w.ctx.Ctx.cid ~obj:old;
-       w.parked <- (Hazard.retire_epoch w.ctx, old) :: w.parked
-     end
+     (* Park the overwritten entry behind a counted reference taken before
+        the slot change, so the change never drops it to count zero while
+        a subscriber paused between its slot read and [try_attach] may
+        still hold the address, and a writer crash leaves it in the limbo,
+        not in an era-blind reap. *)
+     Limbo.reserve w.limbo 1;
+     let rr = Alloc.alloc_rootref w.ctx in
+     Refc.attach w.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:old;
+     Limbo.park w.limbo (Cxl_ref.of_rootref w.ctx rr) ~unlink:(fun () ->
+         ignore (Refc.change w.ctx ~ref_addr:slot ~from_obj:old ~to_obj))
    end);
   Ctx.fence w.ctx;
   Ctx.store w.ctx (lword w.ctx lobj ~cap:w.cap w_published) (seq + 1);
-  quiesce w;
+  Limbo.quiesce w.limbo;
   seq
 
 let close_writer w =
-  (* parked entries are unreachable; free them (readers are gone or will
-     fail their try_attach against count-zero headers) *)
-  List.iter (fun (_, obj) -> Alloc.free_obj_block w.ctx obj) w.parked;
-  w.parked <- [];
+  Limbo.close w.limbo;
   Cxl_ref.drop w.lref
 
 let subscribe ctx shared =
@@ -99,6 +90,7 @@ let rec poll c =
       let obj = Ctx.load c.cctx slot in
       if obj = 0 then None
       else begin
+        !attach_hook ();
         let rr = Alloc.alloc_rootref c.cctx in
         if Refc.try_attach c.cctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj
         then Some (Cxl_ref.of_rootref c.cctx rr)

@@ -10,7 +10,9 @@
 
     The writer retires overwritten entries through the era transactions,
     so subscribers holding references to old entries keep them alive —
-    the log overwrites its *slots*, never the objects readers still see. *)
+    the log overwrites its *slots*, never the objects readers still see.
+    An overwritten entry waits in the {!Cxlshm.Limbo} until no announced
+    subscriber era can still attach it, across a writer crash too. *)
 
 type writer
 type cursor
@@ -21,9 +23,12 @@ val log_ref : writer -> Cxlshm.Cxl_ref.t
 
 val publish : writer -> Cxlshm.Cxl_ref.t -> int
 (** Append the handle's object; returns its sequence number. The publisher
-    keeps its own handle (drop separately). *)
+    keeps its own handle (drop separately). Raises
+    {!Cxlshm.Limbo.Exhausted}, with the log unchanged, when no limbo entry
+    is left to park the overwritten entry in. *)
 
 val close_writer : writer -> unit
+(** Drop the parked entries (quiesced use only) and the log reference. *)
 
 val subscribe : Cxlshm.Ctx.t -> Cxlshm.Cxl_ref.t -> cursor
 (** Start from the oldest retained entry. *)
@@ -33,3 +38,7 @@ val poll : cursor -> [ `Entry of int * Cxlshm.Cxl_ref.t | `Empty | `Lagged of in
     reports [n] skipped entries after the cursor fell off the ring. *)
 
 val close_cursor : cursor -> unit
+
+val attach_hook : (unit -> unit) ref
+(** {b Test-only.} Called by {!poll} between its slot read and its
+    [try_attach] (an explorer yield point); a no-op otherwise. *)

@@ -136,7 +136,7 @@ let test_finds_transfer_head_mutation () =
    the decoy allocation then plants a poisoned value where the reader
    resumes. Bounded exhaustive search must observe the use-after-free. *)
 let test_finds_kv_quiesce_mutation () =
-  with_flag Cxlshm_kv.Cxl_kv.mutation_unconditional_quiesce @@ fun () ->
+  with_flag Cxlshm.Limbo.mutation_unconditional_quiesce @@ fun () ->
   let m = Scenarios.kv_serve () in
   let r = Explore.exhaustive ~preemptions:2 ~crash:true ~max_steps:40_000 m in
   match r.Explore.failure with
@@ -157,17 +157,40 @@ let string_contains hay needle =
   go 0
 
 (* The era-blind crash reap, reintroduced: recovery of a dead writer frees
-   its parked records through the live eager path instead of journaling
-   them for adoption. The crash-then-recover model interleaves monitor
+   its parked records through the live eager path instead of orphaning
+   its limbo rows for adoption. The crash-then-recover model interleaves monitor
    recovery with a reader paused mid-bucket-walk; bounded exhaustive search
    must observe the 0xdead decoy through the paused reader, and the printed
    schedule must replay to the bit-identical failure. *)
 let test_finds_crash_reap_mutation () =
-  with_flag Cxlshm.Recovery.mutation_crash_reap @@ fun () ->
+  with_flag Cxlshm.Limbo.mutation_crash_reap @@ fun () ->
   let m = Scenarios.kv_serve_recover () in
   let r = Explore.exhaustive ~preemptions:1 ~crash:true ~max_steps:60_000 m in
   match r.Explore.failure with
   | None -> Alcotest.fail "era-blind crash reap survived exhaustive search"
+  | Some f ->
+      Alcotest.(check bool)
+        ("failure is the use-after-free: " ^ f.Explore.reason)
+        true
+        (string_contains f.Explore.reason "0xdead");
+      let rr = Explore.replay m ~max_steps:60_000 f.Explore.schedule in
+      (match rr.Explore.outcome with
+      | Explore.Fail reason ->
+          Alcotest.(check string) "replay reproduces the same reason"
+            f.Explore.reason reason
+      | Explore.Pass | Explore.Diverged ->
+          Alcotest.fail "replay did not reproduce the failure")
+
+(* Volatile-only parking, reintroduced (the broadcast log's historical
+   parked list): a log-writer crash hands the overwritten entry's park
+   reference to the rootref scan, the entry's segment empties and is
+   reused, and the subscriber paused before its attach reads the decoy. *)
+let test_finds_volatile_park_mutation () =
+  with_flag Cxlshm.Limbo.mutation_volatile_park @@ fun () ->
+  let m = Scenarios.bcast_recover () in
+  let r = Explore.exhaustive ~preemptions:1 ~crash:true ~max_steps:60_000 m in
+  match r.Explore.failure with
+  | None -> Alcotest.fail "volatile-park mutation survived exhaustive search"
   | Some f ->
       Alcotest.(check bool)
         ("failure is the use-after-free: " ^ f.Explore.reason)
@@ -275,6 +298,16 @@ let test_unmutated_models_pass () =
   | None -> ()
   | Some f ->
       Alcotest.failf "unmutated kv-serve-recover failed: %s" f.Explore.reason);
+  (* the broadcast-log crash model under a seeded sweep; the exhaustive
+     p<=2 runs in CI *)
+  let r6 =
+    Explore.random ~seed:6 ~schedules:200 ~crash:true ~max_steps:60_000
+      (Scenarios.bcast_recover ())
+  in
+  (match r6.Explore.failure with
+  | None -> ()
+  | Some f ->
+      Alcotest.failf "unmutated bcast-recover failed: %s" f.Explore.reason);
   (* the isolation model under a seeded sweep; the exhaustive p<=2 runs in CI *)
   let r5 =
     Explore.random ~seed:5 ~schedules:50 ~crash:true ~max_steps:60_000
@@ -303,6 +336,8 @@ let suite =
       test_finds_kv_quiesce_mutation;
     Alcotest.test_case "finds the era-blind crash reap" `Quick
       test_finds_crash_reap_mutation;
+    Alcotest.test_case "finds the volatile-park mutation" `Quick
+      test_finds_volatile_park_mutation;
     Alcotest.test_case "finds the rpc skip-validate mutation" `Quick
       test_finds_rpc_skip_validate_mutation;
     Alcotest.test_case "finds the rpc unfenced-status mutation" `Quick

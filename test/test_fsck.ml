@@ -219,44 +219,60 @@ let test_soak_matrix () =
     && json.[0] = '{'
     && contains json "\"failures\":0")
 
-(* Damaged adoption state: a dangling journal rootref, a stale claim and
-   registry residue of a freed client slot must fail verification, and one
-   repair pass must clear all three (pass 2.7). *)
-let test_adoption_journal_repaired () =
+(* Damaged limbo rows: a row still owned by a client slot that is free
+   (the client left without closing, and no recovery orphaned the row),
+   and a free row holding an entry. Validation must report both, and one
+   repair pass (2.7) must orphan the first with its entry intact and clear
+   the second. *)
+let test_limbo_rows_repaired () =
   let arena = Shm.create ~cfg:Config.small () in
   let mem, lay = mem_lay arena in
+  let peek = Mem.unsafe_peek mem in
   let a = Shm.join arena () in
-  (* a live durable root alongside the damage, to prove repair stays scoped *)
-  let keep = Shm.cxl_malloc a ~size_bytes:32 () in
-  Named_roots.publish a ~name:"keep" keep;
-  Cxl_ref.drop keep;
+  let t = Limbo.create a in
+  let x = Shm.cxl_malloc a ~size_bytes:16 () in
+  let rr = Cxl_ref.rootref x in
+  Limbo.park t x ~unlink:ignore;
+  let rows = List.init (Layout.limbo_rows lay) Fun.id in
+  let owner r = peek (Layout.limbo_owner lay r) in
+  let owned = List.find (fun r -> owner r = a.Ctx.cid + 1) rows in
+  let free = List.find (fun r -> owner r = 0) rows in
+  Alcotest.(check bool) "parked row clean" true (check_clean arena);
+  (* the owner leaves without closing its limbo handle *)
   Shm.leave a;
-  Alcotest.(check bool) "pre-damage clean" true (check_clean arena);
-  (* dangling journal entry: rr word that is no valid live rootref *)
-  Mem.unsafe_poke mem (Layout.adopt_slot_stamp lay 0) 7;
-  Mem.unsafe_poke mem (Layout.adopt_slot_rr lay 0) 12345;
-  (* stale claim on an empty slot, naming a freed client *)
-  Mem.unsafe_poke mem (Layout.adopt_slot_claim lay 1) 3;
-  (* registry residue on a client slot that is free *)
-  Mem.unsafe_poke mem (Layout.park_slot_stamp lay 2 0) 9;
-  Mem.unsafe_poke mem (Layout.park_slot_rr lay 2 0) 54321;
-  Alcotest.(check bool) "damage detected" false (check_clean arena);
+  Mem.unsafe_poke mem (Layout.limbo_stamp lay free 0) 9;
+  Mem.unsafe_poke mem (Layout.limbo_rr lay free 0) 54321;
+  let v = Fsck.check mem lay in
+  let reported needle =
+    let n = String.length needle in
+    List.exists
+      (fun e ->
+        let rec go i =
+          i + n <= String.length e && (String.sub e i n = needle || go (i + 1))
+        in
+        go 0)
+      v.Validate.errors
+  in
+  Alcotest.(check bool) "owned row of a free slot reported" true
+    (reported (Printf.sprintf "limbo row %d: owned by c%d" owned a.Ctx.cid));
+  Alcotest.(check bool) "entry in a free row reported" true
+    (reported (Printf.sprintf "limbo row %d: free row holds entry" free));
   let r = repair arena in
   Alcotest.(check bool) "repaired" true (Fsck.clean r);
-  Alcotest.(check bool) "adoption entries cleared" true (r.Fsck.adopt_fixed >= 3);
-  Alcotest.(check int) "journal slot zeroed" 0
-    (Mem.unsafe_peek mem (Layout.adopt_slot_rr lay 0));
-  Alcotest.(check int) "claim zeroed" 0
-    (Mem.unsafe_peek mem (Layout.adopt_slot_claim lay 1));
-  Alcotest.(check int) "registry residue zeroed" 0
-    (Mem.unsafe_peek mem (Layout.park_slot_rr lay 2 0));
+  Alcotest.(check bool) "both repairs counted" true (r.Fsck.limbo_fixed >= 2);
+  Alcotest.(check int) "row orphaned in place" Layout.limbo_orphaned
+    (peek (Layout.limbo_owner lay owned));
+  Alcotest.(check (list int)) "entry kept for a successor" [ rr ]
+    (List.map fst (Limbo.peek_entries mem lay ~owner:Layout.limbo_orphaned));
+  Alcotest.(check int) "free row's entry cleared" 0
+    (peek (Layout.limbo_rr lay free 0));
   let r2 = repair arena in
-  Alcotest.(check int) "idempotent" 0 r2.Fsck.adopt_fixed
+  Alcotest.(check int) "idempotent" 0 r2.Fsck.limbo_fixed
 
 let suite =
   [
     Alcotest.test_case "clean arena: nothing to fix" `Quick test_clean_arena_nothing_to_fix;
-    Alcotest.test_case "adoption journal repaired" `Quick test_adoption_journal_repaired;
+    Alcotest.test_case "limbo rows repaired" `Quick test_limbo_rows_repaired;
     Alcotest.test_case "torn header repaired" `Quick test_torn_header_repaired;
     Alcotest.test_case "wild ref cleared, orphan freed" `Quick test_wild_ref_cleared_unreachable_freed;
     Alcotest.test_case "broken geometry quarantined" `Quick test_broken_geometry_quarantined;

@@ -475,27 +475,30 @@ let test_handoff_adopt () =
   Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
     (Validate.is_clean v)
 
-(* ---- PR-9: crash-adoption of a dead writer's parked records ---- *)
+(* ---- crash adoption of a dead writer's limbo rows ---- *)
 
 module Mem = Cxlshm_shmem.Mem
 
-(* The writer's persistent parked-record registry, as (obj, stamp) pairs —
+(* The (obj, stamp) pairs in the limbo rows whose owner word is [owner] —
    the objects recovery must never free while a reader era pins them. *)
-let registry_snapshot arena cid =
-  let lay = Shm.layout arena in
+let limbo_snapshot arena ~owner =
   let peek = Mem.unsafe_peek (Shm.mem arena) in
-  let acc = ref [] in
-  for k = 0 to Layout.park_capacity lay - 1 do
-    let rr = peek (Layout.park_slot_rr lay cid k) in
-    if rr <> 0 then
-      acc :=
-        (peek (Rootref.pptr_slot rr), peek (Layout.park_slot_stamp lay cid k))
-        :: !acc
-  done;
-  !acc
+  List.map
+    (fun (rr, stamp) -> (peek (Rootref.pptr_slot rr), stamp))
+    (Limbo.peek_entries (Shm.mem arena) (Shm.layout arena) ~owner)
 
-(* Tentpole satellite (a): a writer dies with era-pinned parked records;
-   recovery journals them (stamps intact) and a live successor adopts —
+let registry_snapshot arena cid = limbo_snapshot arena ~owner:(cid + 1)
+
+let orphaned arena =
+  List.length (limbo_snapshot arena ~owner:Layout.limbo_orphaned)
+
+let check_clean arena =
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
+    (Validate.is_clean v)
+
+(* A writer dies with era-pinned parked records; recovery orphans its
+   rows in place (stamps intact) and a live successor adopts them —
    nothing is freed until the pinned reader moves on. *)
 let test_crash_adopt_successor () =
   let arena, a, store, h = fresh () in
@@ -510,13 +513,14 @@ let test_crash_adopt_successor () =
   done;
   Alcotest.(check int) "ten parked" 10 (Cxl_kv.deferred_count h);
   let parked = registry_snapshot arena a.Ctx.cid in
-  Alcotest.(check int) "ten registered" 10 (List.length parked);
+  Alcotest.(check int) "ten in the writer's rows" 10 (List.length parked);
   let peek = Mem.unsafe_peek (Shm.mem arena) in
   let svc = Shm.service_ctx arena in
   Client.declare_failed svc ~cid:a.Ctx.cid;
   let rep = Recovery.recover svc ~failed_cid:a.Ctx.cid in
-  Alcotest.(check int) "all ten journaled" 10 rep.Recovery.parked_journaled;
-  Alcotest.(check int) "journal pending" 10 (Recovery.adopt_pending svc);
+  Alcotest.(check int) "all ten left in orphaned rows" 10
+    rep.Recovery.parked_journaled;
+  Alcotest.(check int) "rows orphaned in place" 10 (orphaned arena);
   List.iter
     (fun (obj, _) ->
       Alcotest.(check bool) "parked record survives recovery" true
@@ -526,8 +530,11 @@ let test_crash_adopt_successor () =
   let hb = Cxl_kv.open_store b store in
   Alcotest.(check bool) "takeover" true (Cxl_kv.takeover_partition hb 0);
   Alcotest.(check int) "successor adopts all" 10 (Cxl_kv.adopt_recovered hb);
-  Alcotest.(check int) "journal drained" 0 (Recovery.adopt_pending svc);
+  Alcotest.(check int) "no orphaned row left" 0 (orphaned arena);
   Alcotest.(check int) "re-parked at successor" 10 (Cxl_kv.deferred_count hb);
+  Alcotest.(check bool) "original stamps kept" true
+    (List.sort compare (registry_snapshot arena b.Ctx.cid)
+    = List.sort compare parked);
   Cxl_kv.quiesce hb;
   Alcotest.(check int) "stamps intact: still era-pinned" 10
     (Cxl_kv.deferred_count hb);
@@ -548,13 +555,11 @@ let test_crash_adopt_successor () =
   Shm.leave rctx;
   Cxl_kv.close hb;
   ignore (Shm.scan_leaking arena);
-  let v = Shm.validate arena in
-  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
-    (Validate.is_clean v)
+  check_clean arena
 
-(* Tentpole satellite (b): no successor joins — the journal keeps the dead
-   writer's records monitor-parked, era-gated, until the drain releases
-   them once every announced era has passed. *)
+(* No successor joins: the dead writer's rows stay orphaned, era-gated,
+   until the leader's leak scan drains them once every announced era has
+   passed. *)
 let test_crash_no_successor_drain () =
   let arena, a, store, h = fresh () in
   for k = 0 to 5 do
@@ -571,11 +576,11 @@ let test_crash_no_successor_drain () =
   let svc = Shm.service_ctx arena in
   Client.declare_failed svc ~cid:a.Ctx.cid;
   let rep = Recovery.recover svc ~failed_cid:a.Ctx.cid in
-  Alcotest.(check int) "all journaled" 6 rep.Recovery.parked_journaled;
-  (* the era still pins: the drain must release nothing *)
-  Alcotest.(check int) "drain gated by the announced era" 0
-    (Recovery.drain_adopt_journal svc);
-  Alcotest.(check int) "still monitor-parked" 6 (Recovery.adopt_pending svc);
+  Alcotest.(check int) "all orphaned" 6 rep.Recovery.parked_journaled;
+  (* the era still pins: the leak scan must release nothing *)
+  ignore (Shm.scan_leaking arena);
+  Alcotest.(check int) "leak scan gated by the announced era" 6
+    (orphaned arena);
   List.iter
     (fun (obj, _) ->
       Alcotest.(check bool) "pinned record not freed" true (peek obj <> 0))
@@ -585,21 +590,25 @@ let test_crash_no_successor_drain () =
       (Cxl_kv.get hr ~key:k)
   done;
   Hazard.exit rctx;
-  Alcotest.(check int) "drained once the era passed" 6
-    (Recovery.drain_adopt_journal svc);
-  Alcotest.(check int) "journal empty" 0 (Recovery.adopt_pending svc);
+  ignore (Shm.scan_leaking arena);
+  Alcotest.(check int) "drained once the era passed" 0 (orphaned arena);
+  Alcotest.(check int) "no row left owned or orphaned" 0
+    (List.length
+       (List.filter
+          (fun r ->
+            Mem.unsafe_peek (Shm.mem arena)
+              (Layout.limbo_owner (Shm.layout arena) r)
+            <> 0)
+          (List.init (Layout.limbo_rows (Shm.layout arena)) Fun.id)));
   Cxl_kv.close hr;
   Shm.leave rctx;
   ignore (Shm.scan_leaking arena);
-  let v = Shm.validate arena in
-  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
-    (Validate.is_clean v)
+  check_clean arena
 
-(* Tentpole satellite (c): kill the protocol at every labeled adoption
-   crash point — the writer mid-park, the recovery service mid-journal and
-   mid-phases, a successor between claim / registry append / journal clear
-   — then resume; every parked record must end journaled exactly once,
-   adopted, and never freed while the reader era pins. *)
+(* Kill the protocol at every labeled limbo crash point — the writer
+   mid-park, the recovery service mid-phases, a successor right after its
+   row claim — then resume; every parked record must end adopted exactly
+   once and never freed while the reader era pins. *)
 let test_adoption_crash_windows () =
   let run_point point =
     let label suffix = Fault.point_name point ^ ": " ^ suffix in
@@ -615,8 +624,8 @@ let test_adoption_crash_windows () =
     let hr = Cxl_kv.open_store rctx store in
     Hazard.enter rctx;
     (* Park the displaced records; in the writer-side window the last COW
-       dies right after its registry append — registered, but neither
-       unlinked nor on the volatile deferred list. *)
+       dies right after its entry commits — parked, but neither unlinked
+       nor on the volatile list. *)
     let cows_committed =
       if point = Fault.Park_after_append then begin
         for k = 0 to nkeys - 2 do
@@ -638,40 +647,36 @@ let test_adoption_crash_windows () =
       end
     in
     let parked = registry_snapshot arena a.Ctx.cid in
-    Alcotest.(check int) (label "every park registered") nkeys
+    Alcotest.(check int) (label "every park committed") nkeys
       (List.length parked);
     let peek = Mem.unsafe_peek (Shm.mem arena) in
     let svc = Shm.service_ctx arena in
     Client.declare_failed svc ~cid:a.Ctx.cid;
-    (* Recovery-side windows: die mid-move (entry in registry AND journal)
-       or after the move; a re-run resumes under the lock and must not
-       journal anything twice. *)
-    (match point with
-    | Fault.Adopt_mid_journal | Fault.Recovery_mid_phases ->
-        svc.Ctx.fault <- Fault.at point ~nth:1;
-        (try
-           ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
-           Alcotest.fail (label "expected recovery crash")
-         with Fault.Crashed _ -> ());
-        svc.Ctx.fault <- Fault.none;
-        ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid)
-    | _ -> ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid));
-    Alcotest.(check int) (label "journal holds every parked record") nkeys
-      (Recovery.adopt_pending svc);
+    (* Recovery-side window: a re-run resumes under the lock and must not
+       orphan anything twice. *)
+    if point = Fault.Recovery_mid_phases then begin
+      svc.Ctx.fault <- Fault.at point ~nth:1;
+      (try
+         ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
+         Alcotest.fail (label "expected recovery crash")
+       with Fault.Crashed _ -> ());
+      svc.Ctx.fault <- Fault.none
+    end;
+    ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
+    Alcotest.(check int) (label "orphaned rows hold every parked record")
+      nkeys (orphaned arena);
     List.iter
       (fun (obj, _) ->
         Alcotest.(check bool) (label "pinned record survives recovery") true
           (peek obj <> 0))
       parked;
-    (* Successor-side windows: the first adopter dies between claim,
-       registry append and journal clear; recovering IT resolves the
-       half-done adoption (committed move re-journals from its registry, an
-       uncommitted claim is voided) and a second successor takes over. *)
+    (* Successor-side window: the first adopter dies right after its claim
+       CAS; recovering IT orphans the row again and a second successor
+       takes over. *)
     let b1 = Shm.join arena () in
     let hb1 = Cxl_kv.open_store b1 store in
     let hb =
-      if point = Fault.Adopt_after_claim || point = Fault.Adopt_after_append
-      then begin
+      if point = Fault.Adopt_after_claim then begin
         b1.Ctx.fault <- Fault.at point ~nth:1;
         (try
            ignore (Cxl_kv.adopt_recovered hb1);
@@ -680,9 +685,8 @@ let test_adoption_crash_windows () =
         b1.Ctx.fault <- Fault.none;
         Client.declare_failed svc ~cid:b1.Ctx.cid;
         ignore (Recovery.recover svc ~failed_cid:b1.Ctx.cid);
-        Alcotest.(check int) (label "journal intact after successor crash")
-          nkeys
-          (Recovery.adopt_pending svc);
+        Alcotest.(check int) (label "rows orphaned again after successor crash")
+          nkeys (orphaned arena);
         let b2 = Shm.join arena () in
         Cxl_kv.open_store b2 store
       end
@@ -692,7 +696,7 @@ let test_adoption_crash_windows () =
       (Cxl_kv.takeover_partition hb 0);
     Alcotest.(check int) (label "adopted all") nkeys
       (Cxl_kv.adopt_recovered hb);
-    Alcotest.(check int) (label "journal empty") 0 (Recovery.adopt_pending svc);
+    Alcotest.(check int) (label "no orphaned row left") 0 (orphaned arena);
     Cxl_kv.quiesce hb;
     Alcotest.(check int) (label "stamps intact: still era-pinned") nkeys
       (Cxl_kv.deferred_count hb);
@@ -723,12 +727,106 @@ let test_adoption_crash_windows () =
   in
   List.iter run_point
     [
-      Fault.Park_after_append;
-      Fault.Adopt_mid_journal;
-      Fault.Recovery_mid_phases;
-      Fault.Adopt_after_claim;
-      Fault.Adopt_after_append;
+      Fault.Park_after_append; Fault.Recovery_mid_phases; Fault.Adopt_after_claim;
     ]
+
+(* A writer parks more records than its [park_slots] share while a reader
+   is pinned: it claims rows beyond its share instead of parking
+   volatile-only. Killed and recovered, every record sits in an orphaned
+   row, and a successor in another slot adopts them all. *)
+let test_overflow_adopted () =
+  let arena, a, store, h = fresh () in
+  let n = (3 * kv_cfg.Config.park_slots) + 5 in
+  for k = 0 to n - 1 do
+    Cxl_kv.put h ~key:k ~value:k
+  done;
+  let rctx = Shm.join arena () in
+  let hr = Cxl_kv.open_store rctx store in
+  Hazard.enter rctx;
+  for k = 0 to n - 1 do
+    Cxl_kv.put_cow h ~key:k ~value:(100 + k)
+  done;
+  Alcotest.(check int) "all parked" n (Cxl_kv.deferred_count h);
+  let parked = registry_snapshot arena a.Ctx.cid in
+  Alcotest.(check int) "every park persistent, past the share" n
+    (List.length parked);
+  let peek = Mem.unsafe_peek (Shm.mem arena) in
+  let svc = Shm.service_ctx arena in
+  Client.declare_failed svc ~cid:a.Ctx.cid;
+  let rep = Recovery.recover svc ~failed_cid:a.Ctx.cid in
+  Alcotest.(check int) "all left in orphaned rows" n rep.Recovery.parked_journaled;
+  let b = Shm.join arena ~cid:(rctx.Ctx.cid + 1) () in
+  Alcotest.(check bool) "another slot" true (b.Ctx.cid <> a.Ctx.cid);
+  let hb = Cxl_kv.open_store b store in
+  for p = 0 to 3 do
+    Alcotest.(check bool) "takeover" true (Cxl_kv.takeover_partition hb p)
+  done;
+  Alcotest.(check int) "successor adopts every record" n
+    (Cxl_kv.adopt_recovered hb);
+  Cxl_kv.quiesce hb;
+  Alcotest.(check int) "all still era-pinned" n (Cxl_kv.deferred_count hb);
+  List.iter
+    (fun (obj, _) ->
+      Alcotest.(check bool) "no era-pinned record freed" true (peek obj <> 0))
+    parked;
+  for k = 0 to n - 1 do
+    Alcotest.(check (option int)) "reader value" (Some (100 + k))
+      (Cxl_kv.get hr ~key:k)
+  done;
+  Hazard.exit rctx;
+  Cxl_kv.quiesce hb;
+  Alcotest.(check int) "reclaimed once the era passed" 0
+    (Cxl_kv.deferred_count hb);
+  Cxl_kv.close hr;
+  Shm.leave rctx;
+  Cxl_kv.close hb;
+  Shm.leave b;
+  Alcotest.(check bool) "fsck clean" true (Fsck.clean (Shm.fsck arena))
+
+(* The whole limbo pool is full: the next park raises [Limbo.Exhausted]
+   before it allocates or unlinks anything, so the store is unchanged and
+   the arena validates clean. *)
+let test_pool_exhaustion () =
+  let cfg = { kv_cfg with Config.park_slots = 1 } in
+  let arena = Shm.create ~cfg () in
+  let a = Shm.join arena () in
+  let store, h = Cxl_kv.create a ~buckets:16 ~partitions:1 ~value_words:1 in
+  Alcotest.(check bool) "claim" true (Cxl_kv.claim_partition h 0);
+  let pool = Layout.limbo_rows (Shm.layout arena) * Layout.limbo_row_entries in
+  for k = 0 to pool do
+    Cxl_kv.put h ~key:k ~value:k
+  done;
+  let rctx = Shm.join arena () in
+  let hr = Cxl_kv.open_store rctx store in
+  Hazard.enter rctx;
+  for k = 0 to pool - 1 do
+    Cxl_kv.put_cow h ~key:k ~value:(100 + k)
+  done;
+  Alcotest.(check int) "pool full" pool (Cxl_kv.deferred_count h);
+  let free_before = Shm.free_segments arena in
+  let v0 = Shm.validate arena in
+  Alcotest.check_raises "put_cow raises" Limbo.Exhausted (fun () ->
+      Cxl_kv.put_cow h ~key:pool ~value:999);
+  Alcotest.check_raises "delete raises" Limbo.Exhausted (fun () ->
+      ignore (Cxl_kv.delete h ~key:pool));
+  Alcotest.(check (option int)) "value unchanged" (Some pool)
+    (Cxl_kv.get hr ~key:pool);
+  Alcotest.(check int) "nothing parked" pool (Cxl_kv.deferred_count h);
+  Alcotest.(check int) "nothing allocated" free_before (Shm.free_segments arena);
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
+    (Validate.is_clean v);
+  Alcotest.(check int) "same live objects" v0.Validate.live_objects
+    v.Validate.live_objects;
+  Hazard.exit rctx;
+  Cxl_kv.put_cow h ~key:pool ~value:999;
+  Alcotest.(check (option int)) "room again once the era passed" (Some 999)
+    (Cxl_kv.get hr ~key:pool);
+  Cxl_kv.close hr;
+  Shm.leave rctx;
+  Cxl_kv.close h;
+  ignore (Shm.scan_leaking arena);
+  check_clean arena
 
 (* Partial-handoff regression: a transfer ring too small for the parked
    list moves only a dense prefix; the retained suffix must keep its
@@ -904,4 +1002,7 @@ let suite =
       test_load_gen_schedule;
     Alcotest.test_case "adopt into another slot" `Quick
       test_adopt_in_other_slot;
+    Alcotest.test_case "limbo overflow adopted in another slot" `Quick
+      test_overflow_adopted;
+    Alcotest.test_case "limbo pool exhaustion" `Quick test_pool_exhaustion;
   ]

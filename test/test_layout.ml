@@ -15,7 +15,6 @@ let gen_cfg =
     let* epoch_batch = 0 -- 32 in
     let* num_domains = 0 -- 8 in
     let* park_slots = 1 -- 64 in
-    let* adopt_slots = 1 -- 64 in
     let num_domains = min num_domains max_clients in
     return
       {
@@ -35,7 +34,6 @@ let gen_cfg =
         num_domains;
         lease_ttl = 4;
         park_slots;
-        adopt_slots;
       })
 
 let arb_cfg = QCheck.make gen_cfg
@@ -54,8 +52,15 @@ let prop_regions_ordered =
       && l.Layout.recovery_base
          >= l.Layout.queuedir_base
             + (Layout.queue_slot_words * cfg.Config.queue_slots)
-      && l.Layout.trace_base
+      && l.Layout.limbo_base
          >= l.Layout.recovery_base + 16 + cfg.Config.worklist_words
+      && Layout.limbo_rows l * Layout.limbo_row_entries
+         >= cfg.Config.max_clients * cfg.Config.park_slots
+      && Layout.limbo_owner l (Layout.limbo_rows l - 1)
+         < Layout.limbo_stamp l 0 0
+      && l.Layout.trace_base
+         > Layout.limbo_rr l (Layout.limbo_rows l - 1)
+             (Layout.limbo_row_entries - 1)
       && l.Layout.trace_ring_words
          >= Layout.trace_hdr_words
             + (Layout.trace_slot_words * cfg.Config.trace_slots)

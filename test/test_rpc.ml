@@ -351,6 +351,55 @@ let test_forged_nargs_rejected () =
   Cxl_rpc.close_client client;
   check_clean arena ~live:0
 
+let test_forged_meta_rejected () =
+  (* The client widens its argument's meta [data_words] by one block
+     before sending, so the view's last word lands on the first data word
+     of the next block in the channel page. The walk must bound the meta
+     by the page's block size and reject the call before the handler can
+     write through the widened view. *)
+  let arena = Shm.create ~cfg:mid_cfg () in
+  let c = Shm.join arena () in
+  let s = Shm.join arena () in
+  let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:8 in
+  let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:8 in
+  let arg = Cxl_rpc.alloc_arg client ~size_bytes:8 () in
+  let neighbour = Cxl_rpc.alloc_arg client ~size_bytes:8 () in
+  Cxl_ref.write_word neighbour 0 77;
+  let mem = Shm.mem arena and lay = Shm.layout arena in
+  let a = Cxl_ref.obj arg in
+  let bw =
+    Mem.unsafe_peek mem
+      (Layout.page_block_words lay ~gid:(Layout.page_gid_of_addr lay a))
+  in
+  Alcotest.(check int) "neighbour is the next block" (a + bw)
+    (Cxl_ref.obj neighbour);
+  let meta = Mem.unsafe_peek mem (Obj_header.meta_of_obj a) in
+  Mem.unsafe_poke mem (Obj_header.meta_of_obj a)
+    (Obj_header.pack_meta ~kind:(Obj_header.meta_kind meta)
+       ~emb_cnt:(Obj_header.meta_emb_cnt meta) ~data_words:(bw + 1));
+  let p = Cxl_rpc.call_async client ~func:1 ~args:[ arg ] ~output_bytes:8 in
+  let handled = ref false in
+  let served =
+    Cxl_rpc.serve_one server ~handler:(fun ~func:_ ~args ~output:_ ->
+        handled := true;
+        List.iter
+          (fun v -> Message.write_word v (Message.data_words v - 1) 0xBAD)
+          args)
+  in
+  Alcotest.(check bool) "request consumed" true served;
+  Alcotest.(check bool) "handler never ran" false !handled;
+  Alcotest.(check int) "rejection counted" 1 (Cxl_rpc.rejected_calls server);
+  (match Cxl_rpc.finish p with
+  | exception Cxl_rpc.Call_rejected _ -> ()
+  | _ -> Alcotest.fail "expected Call_rejected");
+  Alcotest.(check int) "neighbour untouched" 77 (Cxl_ref.read_word neighbour 0);
+  Mem.unsafe_poke mem (Obj_header.meta_of_obj a) meta;
+  Cxl_ref.drop arg;
+  Cxl_ref.drop neighbour;
+  Cxl_rpc.close_server server;
+  Cxl_rpc.close_client client;
+  check_clean arena ~live:0
+
 (* ---- accessor traffic, counted on the deterministic backend ---- *)
 
 let counting_cfg =
@@ -461,6 +510,7 @@ let suite =
       test_send_to_dead_server_unblocks;
     Alcotest.test_case "client dies mid-call" `Quick test_client_dies_mid_call;
     Alcotest.test_case "forged nargs rejected" `Quick test_forged_nargs_rejected;
+    Alcotest.test_case "forged meta rejected" `Quick test_forged_meta_rejected;
     Alcotest.test_case "cxl_ref word traffic" `Quick test_cxl_ref_word_traffic;
     Alcotest.test_case "message view traffic" `Quick test_message_view_traffic;
     Alcotest.test_case "handler streams sequentially" `Quick
