@@ -1898,6 +1898,37 @@ let bench_fastpath () =
     let per c = float_of_int c /. float_of_int msgs in
     (per (bd_words d), per d.Bc.fences, ns /. float_of_int msgs)
   in
+  (* limbo: a single writer COW-updates [limbo_keys] keys round-robin and
+     quiesces every [limbo_quiesce_every] updates; each call's modeled ns
+     is priced on its own, so the worst call shows whether one reclamation
+     pass frees a backlog at once *)
+  let limbo_updates = 4_096 and limbo_keys = 1_024 in
+  let limbo_quiesce_every = 256 in
+  let measure_limbo () =
+    let arena = Shm.create ~cfg:(fp_cfg ~epoch:true true) () in
+    let w = Shm.join arena () in
+    let _, h =
+      Kv.Cxl_kv.create w ~buckets:limbo_keys ~partitions:1 ~value_words:1
+    in
+    assert (Kv.Cxl_kv.claim_partition h 0);
+    for key = 0 to limbo_keys - 1 do
+      Kv.Cxl_kv.put h ~key ~value:key
+    done;
+    let total = ref 0.0 and worst = ref 0.0 in
+    let call f =
+      let st0 = Stats.copy w.Ctx.st in
+      f ();
+      let ns = Stats.modeled_ns model (Stats.diff w.Ctx.st st0) in
+      total := !total +. ns;
+      worst := Float.max !worst ns
+    in
+    for i = 1 to limbo_updates do
+      call (fun () -> Kv.Cxl_kv.put_cow h ~key:(i mod limbo_keys) ~value:i);
+      if i mod limbo_quiesce_every = 0 then
+        call (fun () -> Kv.Cxl_kv.quiesce h)
+    done;
+    (!total /. float_of_int limbo_updates, !worst)
+  in
   let aw_off, af_off, ans_off = measure_alloc ~cache:false () in
   let aw_on, af_on, ans_on = measure_alloc ~cache:true () in
   let aw_ep, af_ep, ans_ep = measure_alloc ~epoch:true ~cache:true () in
@@ -1912,6 +1943,7 @@ let bench_fastpath () =
   let bw_ep, bf_ep, bns_ep =
     measure_transfer ~epoch:true ~cache:true ~batched:true ()
   in
+  let limbo_ns, limbo_max_ns = measure_limbo () in
   let red a b = 100.0 *. (a -. b) /. a in
   let t =
     Table.create ~title:"Fast path: shared-word traffic (counting backend)"
@@ -1940,6 +1972,10 @@ let bench_fastpath () =
     "epoch batching: alloc fences/op %.3f -> %.3f, transfer single \
      fences/op %.3f -> %.3f\n"
     af_on af_ep tf_on tf_ep;
+  Printf.printf
+    "limbo: %d COW updates on %d keys, quiesce every %d: %.2f modeled \
+     ns/update (quiesces included), largest single call %.2f ns\n"
+    limbo_updates limbo_keys limbo_quiesce_every limbo_ns limbo_max_ns;
   let oc = open_out "BENCH_fastpath.json" in
   Printf.fprintf oc
     "{\n\
@@ -1968,12 +2004,15 @@ let bench_fastpath () =
      %.3f, \"modeled_ns_per_op\": %.2f},\n\
     \    \"words_reduction_pct\": %.1f,\n\
     \    \"batched_words_reduction_pct\": %.1f\n\
-    \  }\n\
+    \  },\n\
+    \  \"limbo\": {\"updates\": %d, \"keys\": %d, \"quiesce_every\": %d, \
+     \"ns_per_update\": %.2f, \"max_call_ns\": %.2f}\n\
      }\n"
     rounds batch aw_off af_off ans_off aw_on af_on ans_on aw_ep af_ep ans_ep
     (red aw_off aw_on) tw_off tf_off tns_off tw_on tf_on tns_on tw_ep tf_ep
     tns_ep bw_on bf_on bns_on bw_ep bf_ep bns_ep (red tw_off tw_on)
-    (red tw_off bw_on);
+    (red tw_off bw_on) limbo_updates limbo_keys limbo_quiesce_every limbo_ns
+    limbo_max_ns;
   close_out oc;
   Printf.printf "wrote BENCH_fastpath.json\n"
 

@@ -13,6 +13,8 @@
 
 open Cxlshm
 open Cmdliner
+module Debug = Cxlshm_check.Debug
+module Soak = Cxlshm_check.Soak
 
 let geometry segments pages page_words clients backend =
   {
@@ -958,6 +960,7 @@ let explore_model_of_name ~capacity ~values ~rounds name =
   | "dual-monitor" -> Check_scenarios.dual_monitor ?passes:rounds ()
   | "evacuate" -> Check_scenarios.evacuate ?rounds ()
   | "kv-serve" -> Check_scenarios.kv_serve ()
+  | "kv-serve-park" -> Check_scenarios.kv_serve ~park_release:true ()
   | "kv-serve-recover" -> Check_scenarios.kv_serve_recover ()
   | "bcast-recover" -> Check_scenarios.bcast_recover ()
   | "rpc-isolate" -> Check_scenarios.rpc_isolate ()
@@ -965,7 +968,8 @@ let explore_model_of_name ~capacity ~values ~rounds name =
       Printf.eprintf
         "unknown model %s (have: spsc, transfer, transfer-batch, refc, huge, \
          epoch-retire, sharded-alloc, lease, dual-monitor, evacuate, \
-         kv-serve, kv-serve-recover, bcast-recover, rpc-isolate)\n"
+         kv-serve, kv-serve-park, kv-serve-recover, bcast-recover, \
+         rpc-isolate)\n"
         n;
       exit 2
 
@@ -1077,7 +1081,8 @@ let explore_cmd =
          "Model-check the concurrent protocols: run the built-in models \
           (spsc, transfer, transfer-batch, refc, huge, epoch-retire, \
           sharded-alloc, lease, dual-monitor, evacuate, kv-serve, \
-          kv-serve-recover, bcast-recover, rpc-isolate) under a \
+          kv-serve-park, kv-serve-recover, bcast-recover, rpc-isolate) \
+          under a \
           controlled cooperative \
           scheduler \
           with seeded-random, PCT, or bounded-preemption exhaustive \
@@ -1089,7 +1094,7 @@ let explore_cmd =
       $ Arg.(
           value
           & opt string
-              "spsc,transfer,transfer-batch,refc,huge,epoch-retire,sharded-alloc,lease,dual-monitor,evacuate,kv-serve,kv-serve-recover,bcast-recover,rpc-isolate"
+              "spsc,transfer,transfer-batch,refc,huge,epoch-retire,sharded-alloc,lease,dual-monitor,evacuate,kv-serve,kv-serve-park,kv-serve-recover,bcast-recover,rpc-isolate"
           & info [ "model" ] ~doc:"Comma-separated models to explore.")
       $ Arg.(
           value & opt string "random"

@@ -632,17 +632,27 @@ let evacuate ?(rounds = 2) () : Explore.model =
 
 (* ---- kv-serve: COW retirement racing a concurrent reader walk ---- *)
 
-let kv_serve () : Explore.model =
+(* With [~park_release:true] (model [kv-serve-park]) the set-up parks one
+   record short of a limbo row, so the writer's one in-run [put_cow] is the
+   park that runs the bounded release, and no explicit quiesce follows. *)
+let kv_serve ?(park_release = false) () : Explore.model =
   let module Kv = Cxlshm_kv.Cxl_kv in
+  let name = if park_release then "kv-serve-park" else "kv-serve" in
   let make () =
     let arena = Shm.create ~cfg:arena_cfg () in
     let w = Shm.join arena () in
     let r = Shm.join arena () in
     let store, hw = Kv.create w ~buckets:1 ~partitions:1 ~value_words:1 in
-    if not (Kv.claim_partition hw 0) then fail "kv-serve: claim failed";
+    if not (Kv.claim_partition hw 0) then fail "%s: claim failed" name;
     (* environment: two keys in the one bucket so the walk has depth *)
     Kv.put hw ~key:0 ~value:100;
     Kv.put hw ~key:1 ~value:101;
+    (* passed parks of key 0's tail record: the bounded release frees
+       these, and must still defer the in-run park the reader pins *)
+    if park_release then
+      for _ = 2 to Layout.limbo_row_entries do
+        Kv.put_cow hw ~key:0 ~value:100
+      done;
     let hr = Kv.open_store r store in
     (* every record visited during the run becomes a schedule point, so
        the reader can pause mid-chain across the writer's whole
@@ -655,7 +665,7 @@ let kv_serve () : Explore.model =
       Kv.put_cow hw ~key:1 ~value:201;
       (* reclamation pass: must defer the parked record while the
          reader's era announcement pins it *)
-      Kv.quiesce hw;
+      if not park_release then Kv.quiesce hw;
       (* decoy from the record's size class: if quiesce freed the parked
          record under the reader, this reuses its block and plants a
          poisoned key/value exactly where the reader is standing *)
@@ -669,8 +679,8 @@ let kv_serve () : Explore.model =
       Kv.walk_hook := (fun () -> ());
       (match !observed with
       | Some (Some v) when v <> 101 && v <> 201 ->
-          fail "kv-serve: reader observed 0x%x (read of a freed record)" v
-      | Some None -> fail "kv-serve: reader lost key 1 mid-walk"
+          fail "%s: reader observed 0x%x (read of a freed record)" name v
+      | Some None -> fail "%s: reader lost key 1 mid-walk" name
       | Some (Some _) | None -> ());
       if not (List.mem 0 crashed) then begin
         Kv.quiesce hw;
@@ -681,7 +691,7 @@ let kv_serve () : Explore.model =
     in
     { Explore.clients = [| writer; reader |]; check }
   in
-  { Explore.name = "kv-serve"; make; branch = arena_branch }
+  { Explore.name = name; make; branch = arena_branch }
 
 (* ---- kv-serve-recover: writer crash, adoption racing the pinned walk ---- *)
 
@@ -1051,7 +1061,8 @@ let rpc_isolate () : Explore.model =
 let all () =
   [ spsc (); transfer (); transfer ~batched:true (); refc (); huge ();
     epoch_retire (); sharded_alloc (); lease (); dual_monitor ();
-    evacuate (); kv_serve (); kv_serve_recover (); bcast_recover ();
+    evacuate (); kv_serve (); kv_serve ~park_release:true ();
+    kv_serve_recover (); bcast_recover ();
     rpc_isolate () ]
 
 let find name =

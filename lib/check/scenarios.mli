@@ -61,14 +61,19 @@ val evacuate : ?rounds:int -> unit -> Explore.model
     windows. Oracle: after recovery plus one clean convergence sweep, the
     degraded device holds zero live segments and the payload survived. *)
 
-val kv_serve : unit -> Explore.model
+val kv_serve : ?park_release:bool -> unit -> Explore.model
 (** A KV writer COW-updates a key, runs a reclamation pass, and reuses the
     record size class, while a reader walks the same bucket chain (every
     record visit is a schedule point). Oracle: the reader observes the old
     or the new value — never a freed record's bytes — and the pool is
     fsck-clean after recovering any crash, including a writer death inside
     [put_cow]. The [Limbo.mutation_unconditional_quiesce] flag
-    re-introduces era-blind reclamation, which this model must catch. *)
+    re-introduces era-blind reclamation, which this model must catch.
+
+    [~park_release:true] (model name ["kv-serve-park"]) makes the
+    reclamation pass the bounded release inside the writer's [put_cow]:
+    the set-up parks one record short of a limbo row, and the writer calls
+    no [quiesce] before reusing the size class. *)
 
 val kv_serve_recover : unit -> Explore.model
 (** Crash-then-recover variant of [kv_serve] (model name

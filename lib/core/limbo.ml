@@ -7,16 +7,20 @@ type t = {
   ctx : Ctx.t;
   mutable rows : row list;
   mutable free : (row * int) list;  (** uncommitted entries of owned rows *)
-  mutable parked : (int * row * int * Cxl_ref.t) list;
-      (** newest first: retire stamp, row, entry, park reference *)
+  parked : (int * row * int * Cxl_ref.t) Queue.t;
+      (** oldest first (an adopted row joins at the young end): retire
+          stamp, row, entry, park reference *)
+  mutable parks : int;  (** parks since the last row-filling park *)
 }
 
 let mutation_unconditional_quiesce = ref false
 let mutation_crash_reap = ref false
 let mutation_volatile_park = ref false
 
-let create ctx = { ctx; rows = []; free = []; parked = [] }
-let count t = List.length t.parked
+let create ctx =
+  { ctx; rows = []; free = []; parked = Queue.create (); parks = 0 }
+
+let count t = Queue.length t.parked
 let nrows (ctx : Ctx.t) = Layout.limbo_rows ctx.Ctx.lay
 let owner (ctx : Ctx.t) r = Layout.limbo_owner ctx.Ctx.lay r
 let rr_word (ctx : Ctx.t) r k = Layout.limbo_rr ctx.Ctx.lay r k
@@ -52,7 +56,7 @@ let add_row t r =
             s
         | s -> s
       in
-      t.parked <- (stamp, row, k, Cxl_ref.of_rootref t.ctx rr) :: t.parked
+      Queue.push (stamp, row, k, Cxl_ref.of_rootref t.ctx rr) t.parked
     end
   done;
   row.live
@@ -92,34 +96,45 @@ let release_spare_rows t =
     t.free <- List.filter (fun (row, _) -> not (List.memq row gone)) t.free
   end
 
-(* §5.4: release only what every announced reader era has passed. *)
-let quiesce t =
+(* §5.4: release up to [max] of the oldest entries every announced reader
+   era has passed; the entries kept stay in order. *)
+let release_passed t ~max =
   let safe = Hazard.min_announced t.ctx in
-  let keep, free =
-    if !mutation_unconditional_quiesce then ([], t.parked)
-    else List.partition (fun (stamp, _, _, _) -> stamp >= safe) t.parked
-  in
-  t.parked <- keep;
-  List.iter
-    (fun (_, row, k, pref) ->
+  let kept = Queue.create () in
+  let released = ref 0 in
+  while !released < max && not (Queue.is_empty t.parked) do
+    let ((stamp, row, k, pref) as e) = Queue.pop t.parked in
+    if stamp < safe || !mutation_unconditional_quiesce then begin
       (* Entry first, reference second: a crash in between leaves an
          unparked live rootref for the rootref scan, whose release is safe
          because the era has already passed. *)
       clear t row k;
-      Cxl_ref.drop pref)
-    free;
+      Cxl_ref.drop pref;
+      incr released
+    end
+    else Queue.push e kept
+  done;
+  (* the kept entries, then the ones the bound left unvisited *)
+  Queue.transfer t.parked kept;
+  Queue.transfer kept t.parked
+
+let quiesce t =
+  release_passed t ~max:max_int;
   release_spare_rows t
 
 let rec room l n = n <= 0 || match l with [] -> false | _ :: l -> room l (n - 1)
 
-(* Claim rows freely up to the client's share; beyond it, quiesce first
-   and claim only what the quiesce could not free. *)
+(* Entries one bounded release may free: two rows' worth. *)
+let batch = 2 * Layout.limbo_row_entries
+
+(* Claim rows freely up to the client's share; beyond it, release a
+   bounded batch first and claim only what that could not free. *)
 let reserve t n =
   while (not (room t.free n)) && List.length t.rows < share t.ctx && claim_row t do
     ()
   done;
   if not (room t.free n) then begin
-    quiesce t;
+    release_passed t ~max:batch;
     while not (room t.free n) do
       if not (claim_row t) then raise Exhausted
     done
@@ -144,24 +159,33 @@ let park t pref ~unlink =
          the object, whichever writer advanced the epoch meanwhile. *)
       let stamp = Hazard.retire_epoch t.ctx in
       if persist then Ctx.store t.ctx (stamp_word t.ctx row.idx k) stamp;
-      t.parked <- (stamp, row, k, pref) :: t.parked
+      Queue.push (stamp, row, k, pref) t.parked;
+      (* Releasing two rows per row parked keeps pace with parking while
+         bounding what any one call frees. *)
+      t.parks <- t.parks + 1;
+      if t.parks = Layout.limbo_row_entries then begin
+        t.parks <- 0;
+        release_passed t ~max:batch
+      end
 
 let hand_off t send =
-  match t.parked with
-  | [] -> 0
-  | parked ->
-      let sent = send (List.map (fun (_, _, _, pref) -> pref) parked) in
-      (* Exactly the first [sent] moved; the rest keep their entries and
-         original stamps. *)
-      List.iteri
-        (fun i (_, row, k, pref) ->
-          if i < sent then begin
-            clear t row k;
-            Cxl_ref.drop pref
-          end)
-        parked;
-      t.parked <- List.filteri (fun i _ -> i >= sent) parked;
-      sent
+  if Queue.is_empty t.parked then 0
+  else begin
+    let parked = List.of_seq (Queue.to_seq t.parked) in
+    let sent = send (List.map (fun (_, _, _, pref) -> pref) parked) in
+    (* Exactly the first [sent] moved; the rest keep their entries and
+       original stamps. *)
+    Queue.clear t.parked;
+    List.iteri
+      (fun i ((_, row, k, pref) as e) ->
+        if i < sent then begin
+          clear t row k;
+          Cxl_ref.drop pref
+        end
+        else Queue.push e t.parked)
+      parked;
+    sent
+  end
 
 let close t =
   ignore (hand_off t List.length);

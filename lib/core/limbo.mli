@@ -8,6 +8,12 @@
     [{stamp, rr}] that only the row's owner writes, so parking costs plain
     stores and one fence, with no CAS while the owner has room.
 
+    Reclamation is amortised over the parks: every
+    {!Layout.limbo_row_entries}-th park of a handle also releases up to
+    twice that many of its oldest passed entries, so a writer's limbo
+    stays short without any one call freeing a backlog. {!quiesce} frees
+    everything passed through the same path.
+
     Recovery flips a dead client's rows to orphaned in place
     ({!orphan_rows}); a successor in any slot adopts a whole row with one
     CAS, stamps intact ({!adopt}); the leak scan drains rows nobody adopts
@@ -25,9 +31,10 @@ val create : Ctx.t -> t
 
 val reserve : t -> int -> unit
 (** Make room for [n] more parks: claim free rows up to the client's
-    share ([Config.park_slots]), beyond it quiesce first and claim only
-    what that could not free. Raises {!Exhausted} when no free row is
-    left. *)
+    share ([Config.park_slots]); beyond it, first release up to
+    [2 * Layout.limbo_row_entries] of the oldest passed entries, as a
+    row-filling {!park} does, and claim only what that could not free.
+    Raises {!Exhausted} when no free row is left. *)
 
 val park : t -> Cxl_ref.t -> unlink:(unit -> unit) -> unit
 (** Park a counted reference on the object [unlink] makes unreachable: a
@@ -36,17 +43,23 @@ val park : t -> Cxl_ref.t -> unlink:(unit -> unit) -> unit
     The reference is held across the unlink, so the object never drops to
     count zero under a reader. A crash before the stamp leaves a pending
     entry that pins until its adopter re-stamps it. Pass [~unlink:ignore]
-    for an object already unreachable. *)
+    for an object already unreachable.
+
+    Every {!Layout.limbo_row_entries}-th park of the handle then reads
+    {!Hazard.min_announced} once and releases up to
+    [2 * Layout.limbo_row_entries] of the oldest entries all announced
+    eras have passed, exactly as {!quiesce} would. *)
 
 val quiesce : t -> unit
 (** Release every parked reference whose stamp all announced eras have
-    passed; rows beyond the client's share go back once empty. *)
+    passed, not only the bounded share {!park} releases; rows beyond the
+    client's share go back once empty. *)
 
 val count : t -> int
 (** References this handle has parked. *)
 
 val hand_off : t -> (Cxl_ref.t list -> int) -> int
-(** [hand_off t send] gives [send] the parked references, newest first;
+(** [hand_off t send] gives [send] the parked references, oldest first;
     [send] returns how many (a prefix) it now holds references to. Those
     leave the limbo, the rest keep their entries and stamps. Returns that
     count. *)
@@ -84,7 +97,8 @@ val peek_entries :
 (** {1 Test hooks} — each must stay [false] outside the explorer. *)
 
 val mutation_unconditional_quiesce : bool ref
-(** {!quiesce} ignores announced eras ([kv-quiesce]). *)
+(** {!quiesce} and the bounded release in {!park} ignore announced eras
+    ([kv-quiesce]). *)
 
 val mutation_crash_reap : bool ref
 (** {!orphan_rows} frees a dead client's parked records on sight

@@ -8,11 +8,12 @@
     a partition can be taken over with one CAS on the writer table —
     repartitioning without data movement, because the data never moves.
 
-    Record reclamation after delete/COW is deferred to {!quiesce} under the
-    hazard-era scheme (§5.4, {!Cxlshm.Hazard}): every traversal announces
-    an era, every displaced record is parked behind a counted reference
-    with a retire-epoch stamp, and {!quiesce} only recycles records whose
-    stamp every announced reader has moved past. A displaced record keeps
+    Record reclamation after delete/COW is deferred under the hazard-era
+    scheme (§5.4, {!Cxlshm.Hazard}): every traversal announces an era,
+    every displaced record is parked behind a counted reference with a
+    retire-epoch stamp, and only records whose stamp every announced
+    reader has moved past are recycled — a bounded batch by every
+    row-filling park, the rest by {!quiesce}. A displaced record keeps
     its next-link until it is actually reclaimed, so a reader paused on it
     still reaches the live chain tail. Concurrent readers may transiently
     miss entries deleted mid-walk — standard latch-free list semantics.
@@ -74,7 +75,9 @@ val put : handle -> key:int -> value:int -> unit
 val put_cow : handle -> key:int -> value:int -> unit
 (** Copy-on-write variant: every write allocates a fresh record and swaps
     it into the chain atomically (§5.4 change), so readers never observe a
-    torn multi-word value; the replaced record is parked until {!quiesce}.
+    torn multi-word value; the replaced record is parked until every
+    announced reader era has passed it, then released by a later park
+    ({!Cxlshm.Limbo.park}) or by {!quiesce}.
     Costs an allocation (fence + flush) per write. Raises
     {!Cxlshm.Limbo.Exhausted}, with the store unchanged, when no limbo
     entry is left to park the replaced record in. *)
@@ -93,7 +96,9 @@ val quiesce : handle -> unit
 (** Reclaim records parked by this handle's deletes and COW replacements —
     but only those whose retire stamp is below every announced reader era
     ({!Cxlshm.Hazard.min_announced}); the rest stay parked for a later
-    pass. A crashed reader stops pinning as soon as it is condemned. *)
+    pass. Parks already release such records a bounded batch at a time;
+    this frees all of them at once. A crashed reader stops pinning as soon
+    as it is condemned. *)
 
 val deferred_count : handle -> int
 (** Records currently parked awaiting a quiescent era. *)

@@ -68,7 +68,10 @@ let writer_kill_adopt ?(steps = 200) ~seed () =
   Cxl_kv.quiesce hw;
   (* Batch A parks before the reader pins (reclaimable), batch B after
      (era-pinned): the quiesce below starts freeing batch A and dies at
-     the first free, leaving its limbo rows holding the rest. *)
+     the first free, leaving its limbo rows holding the rest. The
+     successor's era holds batch A until that quiesce, so the bounded
+     release of a row-filling park cannot free it first. *)
+  Hazard.enter s;
   for k = 0 to (keys / 2) - 1 do
     Cxl_kv.put_cow hw ~key:k ~value:(3000 + k)
   done;
@@ -76,6 +79,7 @@ let writer_kill_adopt ?(steps = 200) ~seed () =
   for k = keys / 2 to keys - 1 do
     Cxl_kv.put_cow hw ~key:k ~value:(4000 + k)
   done;
+  Hazard.exit s;
   (* Snapshot the writer's limbo rows: (obj, stamp) per entry. *)
   let mem = Shm.mem arena in
   let lay = Shm.layout arena in

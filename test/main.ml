@@ -13,6 +13,7 @@ let () =
       ("allocators", Test_allocators.suite);
       ("rpc", Test_rpc.suite);
       ("kv", Test_kv.suite);
+      ("limbo", Test_limbo.suite);
       ("mapreduce", Test_mapreduce.suite);
       ("transfer", Test_transfer.suite);
       ("reclaim", Test_reclaim.suite);

@@ -134,22 +134,29 @@ let test_finds_transfer_head_mutation () =
 (* The historical era-blind quiesce, reintroduced: reclamation ignoring
    announced reader eras frees a record a paused traversal still stands on;
    the decoy allocation then plants a poisoned value where the reader
-   resumes. Bounded exhaustive search must observe the use-after-free. *)
+   resumes. Bounded exhaustive search must observe the use-after-free,
+   both through an explicit quiesce and through the bounded release a
+   row-filling park runs. *)
 let test_finds_kv_quiesce_mutation () =
   with_flag Cxlshm.Limbo.mutation_unconditional_quiesce @@ fun () ->
-  let m = Scenarios.kv_serve () in
-  let r = Explore.exhaustive ~preemptions:2 ~crash:true ~max_steps:40_000 m in
-  match r.Explore.failure with
-  | None ->
-      Alcotest.fail "era-blind quiesce mutation survived exhaustive search"
-  | Some f ->
-      let rr = Explore.replay m ~max_steps:40_000 f.Explore.schedule in
-      (match rr.Explore.outcome with
-      | Explore.Fail reason ->
-          Alcotest.(check string) "replay reproduces the same reason"
-            f.Explore.reason reason
-      | Explore.Pass | Explore.Diverged ->
-          Alcotest.fail "replay did not reproduce the failure")
+  List.iter
+    (fun m ->
+      let r =
+        Explore.exhaustive ~preemptions:2 ~crash:true ~max_steps:40_000 m
+      in
+      match r.Explore.failure with
+      | None ->
+          Alcotest.failf "era-blind quiesce mutation survived %s"
+            m.Explore.name
+      | Some f -> (
+          let rr = Explore.replay m ~max_steps:40_000 f.Explore.schedule in
+          match rr.Explore.outcome with
+          | Explore.Fail reason ->
+              Alcotest.(check string) "replay reproduces the same reason"
+                f.Explore.reason reason
+          | Explore.Pass | Explore.Diverged ->
+              Alcotest.fail "replay did not reproduce the failure"))
+    [ Scenarios.kv_serve (); Scenarios.kv_serve ~park_release:true () ]
 
 let string_contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -289,6 +296,14 @@ let test_unmutated_models_pass () =
   (match r3.Explore.failure with
   | None -> ()
   | Some f -> Alcotest.failf "unmutated kv-serve failed: %s" f.Explore.reason);
+  let r7 =
+    Explore.exhaustive ~preemptions:2 ~crash:true ~max_steps:40_000
+      (Scenarios.kv_serve ~park_release:true ())
+  in
+  (match r7.Explore.failure with
+  | None -> ()
+  | Some f ->
+      Alcotest.failf "unmutated kv-serve-park failed: %s" f.Explore.reason);
   (* the exact search that catches the era-blind crash reap *)
   let r4 =
     Explore.exhaustive ~preemptions:1 ~crash:true ~max_steps:60_000

@@ -7,6 +7,7 @@
 
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
+module Soak = Cxlshm_check.Soak
 
 let mem_lay arena = (Shm.mem arena, Shm.layout arena)
 

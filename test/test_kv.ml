@@ -857,6 +857,16 @@ let test_partial_handoff_era_pinned () =
   let after = registry_snapshot arena a.Ctx.cid in
   Alcotest.(check int) "registry matches the suffix" (10 - sent)
     (List.length after);
+  (* oldest first: the records sent are older than every one retained *)
+  let sent_stamps =
+    List.filter_map
+      (fun (obj, stamp) -> if List.mem_assoc obj after then None else Some stamp)
+      before
+  in
+  Alcotest.(check bool) "the oldest records were sent" true
+    (List.for_all
+       (fun (_, stamp) -> List.for_all (fun s -> s < stamp) sent_stamps)
+       after);
   List.iter
     (fun (obj, stamp) ->
       match List.assoc_opt obj before with
@@ -922,14 +932,18 @@ let test_load_gen_schedule () =
    successor frees them as a non-owner, through the segment's cross-client
    free stack. A reader era pins the younger records, so the first reclaim
    frees a RootRef whose neighbour is still live: the stack link must not
-   land on that neighbour's in_use word. *)
+   land on that neighbour's in_use word. A second reader pins every record
+   until the successor has adopted them, so the writer's own parks release
+   none of them first. *)
 let test_adopt_in_other_slot () =
   let arena, a, store, h = fresh () in
   let rctx = Shm.join arena () in
   let hr = Cxl_kv.open_store rctx store in
+  let early = Shm.join arena () in
   for k = 0 to 11 do
     Cxl_kv.put h ~key:k ~value:k
   done;
+  Hazard.enter early;
   for k = 0 to 11 do
     if k = 6 then Hazard.enter rctx;
     Cxl_kv.put_cow h ~key:k ~value:(100 + k)
@@ -937,13 +951,15 @@ let test_adopt_in_other_slot () =
   let svc = Shm.service_ctx arena in
   Client.declare_failed svc ~cid:a.Ctx.cid;
   ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
-  let b = Shm.join arena ~cid:(rctx.Ctx.cid + 1) () in
+  let b = Shm.join arena ~cid:(early.Ctx.cid + 1) () in
   Alcotest.(check bool) "another slot" true (b.Ctx.cid <> a.Ctx.cid);
   let hb = Cxl_kv.open_store b store in
   for p = 0 to 3 do
     Alcotest.(check bool) "takeover" true (Cxl_kv.takeover_partition hb p)
   done;
   Alcotest.(check int) "successor adopts all" 12 (Cxl_kv.adopt_recovered hb);
+  Hazard.exit early;
+  Shm.leave early;
   Cxl_kv.quiesce hb;
   let pinned = Cxl_kv.deferred_count hb in
   Alcotest.(check bool) "the era pins only the younger records" true

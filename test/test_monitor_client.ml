@@ -1,6 +1,7 @@
 (* Client lifecycle + lease-based failure monitor (§3.2). *)
 
 open Cxlshm
+module Soak = Cxlshm_check.Soak
 
 (* lease_ttl = 1 reproduces the historical cadence: one full pass of
    tolerance, suspected on the second, condemned on the third. *)

@@ -2,6 +2,7 @@
    round-trips, fault plans, RootRef packing, eras at the edges. *)
 
 open Cxlshm
+module Debug = Cxlshm_check.Debug
 
 let small_arena () =
   let arena = Shm.create ~cfg:Config.small () in
