@@ -979,6 +979,7 @@ let set_mutation = function
   | "transfer-head" -> Cxlshm.Transfer.mutation_unfenced_advance := true
   | "kv-quiesce" -> Cxlshm.Limbo.mutation_unconditional_quiesce := true
   | "kv-crash-reap" -> Cxlshm.Limbo.mutation_crash_reap := true
+  | "kv-swap-skip-redo" -> Cxlshm.Recovery.mutation_skip_swap_redo := true
   | "bcast-volatile-park" -> Cxlshm.Limbo.mutation_volatile_park := true
   | "rpc-skip-validate" -> Cxlshm_rpc.Cxl_rpc.mutation_skip_validate := true
   | "rpc-unfenced-status" ->
@@ -986,8 +987,8 @@ let set_mutation = function
   | m ->
       Printf.eprintf
         "unknown mutation %s (have: none, spsc-pop, transfer-head, \
-         kv-quiesce, kv-crash-reap, bcast-volatile-park, rpc-skip-validate, \
-         rpc-unfenced-status)\n"
+         kv-quiesce, kv-crash-reap, kv-swap-skip-redo, bcast-volatile-park, \
+         rpc-skip-validate, rpc-unfenced-status)\n"
         m;
       exit 2
 
@@ -1134,7 +1135,8 @@ let explore_cmd =
               ~doc:
                 "Re-introduce a historical ordering bug before exploring: \
                  $(b,spsc-pop), $(b,transfer-head), $(b,kv-quiesce), \
-                 $(b,kv-crash-reap), $(b,bcast-volatile-park), \
+                 $(b,kv-crash-reap), $(b,kv-swap-skip-redo), \
+                 $(b,bcast-volatile-park), \
                  $(b,rpc-skip-validate) or \
                  $(b,rpc-unfenced-status) (self-check).")
       $ Arg.(

@@ -550,8 +550,8 @@ let relocate_own (ctx : Ctx.t) =
                   Rootref.set_local_cnt ctx rr2 (Rootref.local_cnt ctx rr1);
                   let o = Rootref.obj ctx rr1 in
                   if o <> 0 then
-                    Refc.move ctx ~ref_addr:(Rootref.pptr_slot rr1) ~rr:rr2
-                      ~refed:o;
+                    Refc.swap ctx ~ref_addr:(Rootref.pptr_slot rr1) ~rr:rr2
+                      ~from_obj:o ~to_obj:0;
                   Alloc.free_rootref ctx rr1;
                   r.moved_rootrefs <- r.moved_rootrefs + 1;
                   r.remapped <- (rr1, rr2) :: r.remapped

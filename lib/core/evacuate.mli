@@ -79,7 +79,7 @@ val run : mem:Cxlshm_shmem.Mem.t -> lay:Layout.t -> report
 val relocate_own : Ctx.t -> report
 (** Client-side relocation: flush parked retirements, steer the allocator's
     cursors off degraded devices, move the client's own live objects, then
-    move its RootRef blocks (count-neutral {!Refc.move}, redo-covered) and
+    move its RootRef blocks (count-neutral {!Refc.swap}, redo-covered) and
     release emptied segments. Returns the RootRef remap list in
     [remapped] — existing [Cxl_ref] handles alias the old addresses and
     must be patched by the caller. *)

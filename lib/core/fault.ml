@@ -23,8 +23,8 @@ type point =
   | Free_huge_mid_release
   | Free_huge_after_reset
   | Recovery_mid_phases
-  | Move_after_link
-  | Move_after_clear
+  | Swap_after_link
+  | Swap_after_store
   | Retire_after_seal
   | Retire_mid_batch
   | Retire_after_batch
@@ -60,8 +60,8 @@ let point_name = function
   | Free_huge_mid_release -> "free-huge-mid-release"
   | Free_huge_after_reset -> "free-huge-after-reset"
   | Recovery_mid_phases -> "recovery-mid-phases"
-  | Move_after_link -> "move-after-link"
-  | Move_after_clear -> "move-after-clear"
+  | Swap_after_link -> "swap-after-link"
+  | Swap_after_store -> "swap-after-store"
   | Retire_after_seal -> "retire-after-seal"
   | Retire_mid_batch -> "retire-mid-batch"
   | Retire_after_batch -> "retire-after-batch"
@@ -98,8 +98,8 @@ let all_points =
     Free_huge_mid_release;
     Free_huge_after_reset;
     Recovery_mid_phases;
-    Move_after_link;
-    Move_after_clear;
+    Swap_after_link;
+    Swap_after_store;
     Retire_after_seal;
     Retire_mid_batch;
     Retire_after_batch;

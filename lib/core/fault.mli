@@ -40,10 +40,10 @@ type point =
   | Free_huge_after_reset        (** huge free: head pages wiped, head
                                      segment not yet released *)
   | Recovery_mid_phases          (** recovery service dies mid-recovery *)
-  | Move_after_link              (** count-neutral move: destination linked,
-                                     source slot not yet cleared *)
-  | Move_after_clear             (** count-neutral move: source cleared, era
-                                     not yet advanced *)
+  | Swap_after_link              (** count-neutral swap: RootRef relinked,
+                                     reference word not yet stored *)
+  | Swap_after_store             (** count-neutral swap: reference word
+                                     stored, era not yet advanced *)
   | Retire_after_seal            (** retirement batch sealed in the journal,
                                      no entry processed yet *)
   | Retire_mid_batch             (** some retirement entries processed, the

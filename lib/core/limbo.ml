@@ -233,8 +233,15 @@ let live_entries (ctx : Ctx.t) r = entries ~read:(Ctx.load ctx) ctx.Ctx.lay r
 let orphan_rows (ctx : Ctx.t) ~cid =
   let records = ref 0 in
   for r = 0 to nrows ctx - 1 do
-    if Ctx.load ctx (owner ctx r) = cid + 1 then
-      match live_entries ctx r with
+    if Ctx.load ctx (owner ctx r) = cid + 1 then begin
+      (* An entry whose rootref parks nothing pins nothing: a delete at
+         the chain end died before its swap. Drop it; the rootref scan
+         then frees the rootref as an incomplete allocation. *)
+      let empty, live =
+        List.partition (fun (_, rr) -> Rootref.obj ctx rr = 0) (live_entries ctx r)
+      in
+      List.iter (fun (k, _) -> Ctx.store ctx (rr_word ctx r k) 0) empty;
+      match live with
       | [] -> Ctx.store ctx (owner ctx r) 0
       | live when !mutation_crash_reap ->
           (* The historical era-blind reap: free on sight. *)
@@ -249,6 +256,7 @@ let orphan_rows (ctx : Ctx.t) ~cid =
           ignore (Ctx.fetch_add ctx (orphans ctx) 1);
           Ctx.store ctx (owner ctx r) Layout.limbo_orphaned;
           records := !records + List.length live
+    end
   done;
   !records
 

@@ -76,8 +76,10 @@ val adopt : t -> int
 (** {1 Arena side} *)
 
 val orphan_rows : Ctx.t -> cid:int -> int
-(** Recovery of dead client [cid]: free its empty rows, orphan the rest in
-    place. Idempotent. Returns the records left in orphaned rows. *)
+(** Recovery of dead client [cid]: drop entries whose rootref parks
+    nothing (the rootref scan frees those rootrefs), free its empty rows,
+    orphan the rest in place. Idempotent. Returns the records left in
+    orphaned rows. *)
 
 val holders : Ctx.t -> (Cxlshm_shmem.Pptr.t, unit) Hashtbl.t
 (** Every rootref a row names: live holders the rootref scan of a dead

@@ -102,6 +102,8 @@ let wl_process (ctx : Ctx.t) ~as_cid =
 (* Phase 1: resume the in-flight transaction                            *)
 (* ------------------------------------------------------------------ *)
 
+let mutation_skip_swap_redo = ref false
+
 (* Complete the second ModifyRefCnt of a §5.4 change on behalf of the dead
    client: CAS {i, era, cnt+1} unless Conditions 1/2 already prove it
    committed. Restart-safe: re-runs observe the commit and stop. *)
@@ -166,20 +168,21 @@ let resume_txn (ctx : Ctx.t) ~cid =
             true
           end
           else t1_committed
-      | Redo_log.Move ->
-          (* Count-neutral move: no CAS decides — the destination link is
-             the commit. Linked means the count moved to the RootRef, so
-             the idempotent source clear is redone; unlinked means the
-             move never happened and the source keeps the count (endpoint
-             recovery releases the queue slot). *)
-          let rr = r.Redo_log.refed2 in
+      | Redo_log.Swap ->
+          (* Count-neutral swap: no CAS decides — the RootRef link is the
+             commit. Linked means the counts already moved, so the
+             idempotent reference store is redone unless the word moved
+             on; unlinked means the swap never happened and both words
+             keep their counts. *)
+          let rr = r.Redo_log.refed2 and from_obj = r.Redo_log.refed in
           if
-            r.Redo_log.era = e_now
+            (not !mutation_skip_swap_redo)
+            && r.Redo_log.era = e_now
             && Rootref.in_use ctx rr
-            && Ctx.load ctx (Rootref.pptr_slot rr) = r.Redo_log.refed
+            && Ctx.load ctx (Rootref.pptr_slot rr) = from_obj
           then begin
-            if Ctx.load ctx r.Redo_log.ref_addr = r.Redo_log.refed then begin
-              Ctx.store ctx r.Redo_log.ref_addr 0;
+            if Ctx.load ctx r.Redo_log.ref_addr = from_obj then begin
+              Ctx.store ctx r.Redo_log.ref_addr r.Redo_log.saved_cnt;
               Ctx.flush ctx r.Redo_log.ref_addr
             end;
             Era.advance_for ctx ~cid;
@@ -251,7 +254,7 @@ let salvage_teardown (ctx : Ctx.t) ~cid =
           salvage ~as_slot:false r.Redo_log.refed;
           salvage ~as_slot:false r.Redo_log.refed2;
           salvage ~as_slot:true r.Redo_log.ref_addr
-      | Redo_log.Locked | Redo_log.Move -> ())
+      | Redo_log.Locked | Redo_log.Swap -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Phase 3: RootRef-page scan                                           *)

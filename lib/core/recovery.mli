@@ -59,3 +59,10 @@ val recover : Ctx.t -> failed_cid:int -> report
 
 val resume_interrupted : Ctx.t -> report option
 (** If a previous recovery crashed while holding the lock, finish it. *)
+
+(** {1 Test hooks} *)
+
+val mutation_skip_swap_redo : bool ref
+(** {b Test-only}; must stay [false] outside the explorer. Recovery
+    ignores [Swap] redo records, so a writer killed between a swap's two
+    stores leaves the reference word on the old object ([kv-swap-skip-redo]). *)

@@ -1,18 +1,18 @@
-type op = Attach | Detach | Change | Locked | Move
+type op = Attach | Detach | Change | Locked | Swap
 
 let op_to_int = function
   | Attach -> 1
   | Detach -> 2
   | Change -> 3
   | Locked -> 4
-  | Move -> 5
+  | Swap -> 5
 
 let op_of_int = function
   | 1 -> Attach
   | 2 -> Detach
   | 3 -> Change
   | 4 -> Locked
-  | 5 -> Move
+  | 5 -> Swap
   | n -> invalid_arg (Printf.sprintf "Redo_log.op_of_int: %d" n)
 
 type t = {

@@ -19,11 +19,13 @@ type op =
       (** §4.2 straw-man record: [era] holds the lock stripe, [saved_cnt]
           the {e absolute} new count, [refed2] 1 for attach / 0 for detach.
           Resumed by {!Locked_refc.recover}, ignored by {!Recovery}. *)
-  | Move
-      (** count-neutral reference move (epoch-batched transfer receive):
-          [ref_addr] is the source word, [refed] the object, [refed2] the
-          destination RootRef. No CAS — the record plus the destination
-          link decide redo. *)
+  | Swap
+      (** count-neutral swap ({!Refc.swap}): [ref_addr] is the reference
+          word, [refed] the object it held ([from_obj]), [refed2] the
+          RootRef that takes it over, and [saved_cnt] {e the object the
+          RootRef held} ([to_obj], null for a plain move), which
+          [ref_addr] receives. No CAS — the record plus the RootRef link
+          decide redo. *)
 
 type t = {
   op : op;

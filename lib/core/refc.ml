@@ -92,27 +92,27 @@ let detach_batched (ctx : Ctx.t) ~ref_addr ~refed =
   in
   loop ()
 
-(* Count-neutral reference move (epoch-batched transfer receive): the
-   object's count held by the queue slot is handed to the fresh RootRef
-   without touching the header — no CAS, no fence beyond the redo
-   record's. The record plus the destination link make the move
-   recoverable: linked means redo (clear the source), unlinked means
-   discard (endpoint recovery releases the slot). *)
-let move (ctx : Ctx.t) ~ref_addr ~rr ~refed =
+(* Count-neutral swap: the count [ref_addr] holds on [from_obj] moves to
+   RootRef [rr], and the count [rr] holds on [to_obj] (none when null)
+   moves to [ref_addr] — two plain stores under one redo record, no
+   header CAS. The record's fence also orders everything written before
+   it (a fresh record's payload) ahead of the publishing store. Linked
+   means redo (replay the reference store), unlinked means discard. *)
+let swap (ctx : Ctx.t) ~ref_addr ~rr ~from_obj ~to_obj =
   Redo_log.record ctx
     {
-      Redo_log.op = Redo_log.Move;
+      Redo_log.op = Redo_log.Swap;
       era = Era.self ctx;
       ref_addr;
-      refed;
+      refed = from_obj;
       refed2 = rr;
-      saved_cnt = 0;
+      saved_cnt = to_obj;
     };
   Ctx.crash_point ctx Fault.Txn_after_redo;
-  Ctx.store ctx (Rootref.pptr_slot rr) refed;
-  Ctx.crash_point ctx Fault.Move_after_link;
-  Ctx.store ctx ref_addr 0;
-  Ctx.crash_point ctx Fault.Move_after_clear;
+  Ctx.store ctx (Rootref.pptr_slot rr) from_obj;
+  Ctx.crash_point ctx Fault.Swap_after_link;
+  Ctx.store ctx ref_addr to_obj;
+  Ctx.crash_point ctx Fault.Swap_after_store;
   Era.advance ctx
 
 let try_attach (ctx : Ctx.t) ~ref_addr ~refed =

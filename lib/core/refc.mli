@@ -47,17 +47,23 @@ val detach_batched :
     Only sound while the entry's rootref is still [in_use] in the sealed
     journal. *)
 
-val move :
+val swap :
   Ctx.t ->
   ref_addr:Cxlshm_shmem.Pptr.t ->
   rr:Cxlshm_shmem.Pptr.t ->
-  refed:Cxlshm_shmem.Pptr.t ->
+  from_obj:Cxlshm_shmem.Pptr.t ->
+  to_obj:Cxlshm_shmem.Pptr.t ->
   unit
-(** Count-neutral reference move (epoch-batched transfer receive): link
-    RootRef [rr] to [refed] and clear [ref_addr], transferring the count
-    the source word held — no header CAS. Recoverable via a [Move] redo
-    record: destination linked means the source is cleared on resume,
-    unlinked means the move never happened. *)
+(** Count-neutral swap: one era transaction relinks RootRef [rr] to
+    [from_obj] and stores [to_obj] into [ref_addr], so the count
+    [ref_addr] held on [from_obj] now belongs to [rr] and the count [rr]
+    held on [to_obj] now belongs to [ref_addr] — no header CAS on either
+    object. With [~to_obj:0] it is a plain move (epoch-batched transfer
+    receive): [rr] must be unlinked and [ref_addr] ends cleared.
+    Recoverable via a [Swap] redo record: [rr] in use and already holding
+    [from_obj] at the record's era means committed, and the store to
+    [ref_addr] is replayed if it still holds [from_obj]; otherwise the
+    swap never happened. *)
 
 val change :
   Ctx.t ->

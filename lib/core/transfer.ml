@@ -280,12 +280,12 @@ let receive t =
     if !mutation_unfenced_advance then qstore t w_head (head + 1);
     let rr = Alloc.alloc_rootref t.ctx in
     if Ctx.epoch_enabled t.ctx then
-      (* Count-neutral receive: one Move era transaction relinks the
+      (* Count-neutral receive: one swap era transaction relinks the
          counted reference from the queue slot to the fresh RootRef — the
          attach/detach CAS pair (two header CASes, two redo records)
          collapses into two plain stores under a single redo record. The
          object's count never moves, so it never transits zero. *)
-      Refc.move t.ctx ~ref_addr:slot ~rr ~refed:obj
+      Refc.swap t.ctx ~ref_addr:slot ~rr ~from_obj:obj ~to_obj:0
     else begin
       (* Attach-then-detach keeps the object's count >= 1 throughout. *)
       Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj;
@@ -302,7 +302,7 @@ let receive t =
        the caller already consumed. Epoch mode defers the head-line
        write-back to the batch boundary: replaying an already-consumed
        message is count-safe there because the slot detach is a recoverable
-       Move, not a committed decrement. *)
+       swap, not a committed decrement. *)
     if not !mutation_unfenced_advance then begin
       Ctx.fence t.ctx;
       qstore t w_head (head + 1);
@@ -395,7 +395,7 @@ let receive_batch t ~max =
         let rr = Alloc.alloc_rootref t.ctx in
         if Ctx.epoch_enabled t.ctx then
           (* Count-neutral per-message relink — see [receive]. *)
-          Refc.move t.ctx ~ref_addr:slot ~rr ~refed:obj
+          Refc.swap t.ctx ~ref_addr:slot ~rr ~from_obj:obj ~to_obj:0
         else begin
           Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj;
           Ctx.crash_point t.ctx Fault.Recv_after_attach;

@@ -132,33 +132,28 @@ let find_with_prev h key =
   in
   walk slot0 (Ctx.load h.ctx slot0)
 
-(* Park a record behind a fresh counted reference around its unlink: the
-   park reference is what guarantees the unlink can never drop the record
-   to count zero while a reader may still hold it. The record keeps its
-   own next-link until it is finally reclaimed, so a reader paused on it
-   still reaches the chain tail. The caller has reserved the limbo entry
-   before touching the store. *)
-let park_record h r ~unlink =
-  let rr = Alloc.alloc_rootref h.ctx in
-  Refc.attach h.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:r;
-  Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink
-
 (* Insert a freshly allocated record for [key], either replacing [old]
-   in-chain (§5.4 change) or prepending at the bucket. *)
+   in-chain or prepending at the bucket. A replace is count-neutral: the
+   allocation's own RootRef becomes the park reference, and one swap hands
+   it the old record's count while the predecessor slot takes the fresh
+   record's. The limbo entry is right in every crash window — before the
+   swap its RootRef names the unpublished fresh record, after it the old
+   one. The old record keeps its next-link until it is finally reclaimed,
+   so a reader paused on it still reaches the chain tail. The caller has
+   reserved the limbo entry before touching the store. *)
 let insert_fresh h ~key ~value ~existing =
   let rr, fresh =
     Alloc.alloc_obj h.ctx ~data_words:(2 + h.store.value_words) ~emb_cnt:1
   in
   Ctx.store h.ctx (rec_key fresh) key;
   write_value h fresh value;
-  (match existing with
+  match existing with
   | Some (prev_slot, old) ->
-      park_record h old ~unlink:(fun () ->
+      Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink:(fun () ->
           let next = Ctx.load h.ctx (rec_next old) in
           if next <> 0 then
             Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:next;
-          ignore
-            (Refc.change h.ctx ~ref_addr:prev_slot ~from_obj:old ~to_obj:fresh))
+          Refc.swap h.ctx ~ref_addr:prev_slot ~rr ~from_obj:old ~to_obj:fresh)
   | None ->
       let slot = bucket_slot h.store (bucket_of h.store key) in
       let head = Ctx.load h.ctx slot in
@@ -166,9 +161,9 @@ let insert_fresh h ~key ~value ~existing =
       else begin
         Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:head;
         ignore (Refc.change h.ctx ~ref_addr:slot ~from_obj:head ~to_obj:fresh)
-      end);
-  (* The index keeps the record alive; drop our RootRef. *)
-  Reclaim.release_rootref h.ctx rr
+      end;
+      (* The index keeps the record alive; drop our RootRef. *)
+      Reclaim.release_rootref h.ctx rr
 
 let put h ~key ~value =
   check_writer h key;
@@ -205,14 +200,15 @@ let delete h ~key =
         else begin
           !walk_hook ();
           if Ctx.load h.ctx (rec_key r) = key then begin
-            park_record h r ~unlink:(fun () ->
-                let next = Ctx.load h.ctx (rec_next r) in
-                ignore
-                  (if next = 0 then
-                     Refc.detach h.ctx ~ref_addr:prev_slot ~refed:r
-                   else
-                     Refc.change h.ctx ~ref_addr:prev_slot ~from_obj:r
-                       ~to_obj:next));
+            (* The park reference takes a count on the successor first;
+               the swap then trades it for the predecessor's count on [r]. *)
+            let next = Ctx.load h.ctx (rec_next r) in
+            let rr = Alloc.alloc_rootref h.ctx in
+            if next <> 0 then
+              Refc.attach h.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:next;
+            Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink:(fun () ->
+                Refc.swap h.ctx ~ref_addr:prev_slot ~rr ~from_obj:r
+                  ~to_obj:next);
             true
           end
           else walk (rec_next r) (Ctx.load h.ctx (rec_next r))

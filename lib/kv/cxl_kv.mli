@@ -74,13 +74,19 @@ val put : handle -> key:int -> value:int -> unit
 
 val put_cow : handle -> key:int -> value:int -> unit
 (** Copy-on-write variant: every write allocates a fresh record and swaps
-    it into the chain atomically (§5.4 change), so readers never observe a
-    torn multi-word value; the replaced record is parked until every
+    it into the chain atomically, so readers never observe a torn
+    multi-word value. Replacing a record is count-neutral: the fresh
+    record's allocation RootRef is parked in the limbo and one
+    {!Cxlshm.Refc.swap} hands it the old record's count while the
+    predecessor slot takes the fresh record's — no header CAS on either
+    record, no second RootRef. The replaced record is parked until every
     announced reader era has passed it, then released by a later park
-    ({!Cxlshm.Limbo.park}) or by {!quiesce}.
-    Costs an allocation (fence + flush) per write. Raises
-    {!Cxlshm.Limbo.Exhausted}, with the store unchanged, when no limbo
-    entry is left to park the replaced record in. *)
+    ({!Cxlshm.Limbo.park}) or by {!quiesce}. Costs one allocation, one
+    limbo park and one redo-logged swap per write, plus an attach when
+    the old record has a successor (a new key is prepended with the
+    §5.4 change instead). Raises {!Cxlshm.Limbo.Exhausted}, with the
+    store unchanged, when no limbo entry is left to park the replaced
+    record in. *)
 
 val rmw : handle -> key:int -> delta:int -> int option
 (** Read-modify-write (YCSB-F): read the current first value word, write
@@ -89,8 +95,11 @@ val rmw : handle -> key:int -> delta:int -> int option
     like {!put}. *)
 
 val delete : handle -> key:int -> bool
-(** Unlink and park the key's record; raises {!Cxlshm.Limbo.Exhausted}
-    like {!put_cow}. *)
+(** Unlink and park the key's record, count-neutrally: a fresh park
+    RootRef takes a count on the record's successor (none at the chain
+    end), then one {!Cxlshm.Refc.swap} trades it for the predecessor
+    slot's count on the record. Raises {!Cxlshm.Limbo.Exhausted} like
+    {!put_cow}. *)
 
 val quiesce : handle -> unit
 (** Reclaim records parked by this handle's deletes and COW replacements —

@@ -188,6 +188,25 @@ let test_finds_crash_reap_mutation () =
       | Explore.Pass | Explore.Diverged ->
           Alcotest.fail "replay did not reproduce the failure")
 
+(* Swap redo ignored by recovery: a writer killed between the two stores
+   of put_cow's count-neutral swap leaves the predecessor slot on the old
+   record while the parked rootref names it as well; the exhaustive
+   crash-then-recover search must catch the miscount. *)
+let test_finds_swap_skip_redo_mutation () =
+  with_flag Cxlshm.Recovery.mutation_skip_swap_redo @@ fun () ->
+  let m = Scenarios.kv_serve_recover () in
+  let r = Explore.exhaustive ~preemptions:2 ~crash:true ~max_steps:60_000 m in
+  match r.Explore.failure with
+  | None -> Alcotest.fail "swap skip-redo mutation survived exhaustive search"
+  | Some f -> (
+      let rr = Explore.replay m ~max_steps:60_000 f.Explore.schedule in
+      match rr.Explore.outcome with
+      | Explore.Fail reason ->
+          Alcotest.(check string) "replay reproduces the same reason"
+            f.Explore.reason reason
+      | Explore.Pass | Explore.Diverged ->
+          Alcotest.fail "replay did not reproduce the failure")
+
 (* Volatile-only parking, reintroduced (the broadcast log's historical
    parked list): a log-writer crash hands the overwritten entry's park
    reference to the rootref scan, the entry's segment empties and is
@@ -351,6 +370,8 @@ let suite =
       test_finds_kv_quiesce_mutation;
     Alcotest.test_case "finds the era-blind crash reap" `Quick
       test_finds_crash_reap_mutation;
+    Alcotest.test_case "finds the swap skip-redo mutation" `Quick
+      test_finds_swap_skip_redo_mutation;
     Alcotest.test_case "finds the volatile-park mutation" `Quick
       test_finds_volatile_park_mutation;
     Alcotest.test_case "finds the rpc skip-validate mutation" `Quick

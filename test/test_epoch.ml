@@ -104,8 +104,8 @@ let test_retire_crash_windows () =
       (Fault.Retire_after_batch, 0);
     ]
 
-(* Crash inside the count-neutral [Refc.move] of an epoch-mode transfer
-   receive; the Move redo record must resume iff the relink landed. *)
+(* Crash inside the count-neutral [Refc.swap] of an epoch-mode transfer
+   receive; the Swap redo record must resume iff the relink landed. *)
 let test_move_crash_windows () =
   List.iter
     (fun (point, expect_resumed) ->
@@ -142,9 +142,9 @@ let test_move_crash_windows () =
       (Fault.Txn_after_redo, false);
       (* RootRef linked, source slot not yet cleared: resume finishes the
          idempotent clear. *)
-      (Fault.Move_after_link, true);
+      (Fault.Swap_after_link, true);
       (* Cleared but the era not advanced: resume consumes the era. *)
-      (Fault.Move_after_clear, true);
+      (Fault.Swap_after_store, true);
     ]
 
 (* Non-owner frees park on the freeing client's domain stack and the next

@@ -983,6 +983,90 @@ let test_adopt_in_other_slot () =
   Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
     (Validate.is_clean v)
 
+(* Kill the writer at every crash point a COW replace and a delete cross —
+   mid-chain and at the chain end — then recover it, let a successor adopt
+   its limbo rows and quiesce: the key reads its old or its new value and
+   nothing else, the other keys are untouched, the arena is clean, and
+   once the limbo drains and the store closes no block is left. *)
+let test_swap_crash_windows () =
+  let crossed = Hashtbl.create 8 in
+  let setup () =
+    let arena = Shm.create ~cfg:kv_cfg () in
+    let a = Shm.join arena () in
+    let store, h = Cxl_kv.create a ~buckets:1 ~partitions:1 ~value_words:1 in
+    Alcotest.(check bool) "claim" true (Cxl_kv.claim_partition h 0);
+    (* one bucket, chain 2 -> 1 -> 0: key 1 has a successor, key 0 none *)
+    for k = 0 to 2 do
+      Cxl_kv.put h ~key:k ~value:(10 + k)
+    done;
+    (* the successor holds the index before the writer dies *)
+    let b = Shm.join arena () in
+    (arena, a, h, b, Cxl_kv.open_store b store)
+  in
+  let run_op (name, key, op, after) =
+    let hits =
+      let _, a, h, _, _ = setup () in
+      let plan = Fault.nth_point ~n:max_int in
+      a.Ctx.fault <- plan;
+      op h key;
+      Fault.hits plan
+    in
+    for n = 1 to hits do
+      let arena, a, h, b, hb = setup () in
+      let label what = Printf.sprintf "%s key %d, crash %d: %s" name key n what in
+      a.Ctx.fault <- Fault.nth_point ~n;
+      (match op h key with
+      | () -> Alcotest.fail (label "expected a crash")
+      | exception Fault.Crashed point -> Hashtbl.replace crossed point ());
+      a.Ctx.fault <- Fault.none;
+      let svc = Shm.service_ctx arena in
+      Client.declare_failed svc ~cid:a.Ctx.cid;
+      ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
+      Alcotest.(check bool) (label "takeover") true
+        (Cxl_kv.takeover_partition hb 0);
+      ignore (Cxl_kv.adopt_recovered hb);
+      Cxl_kv.quiesce hb;
+      Alcotest.(check int) (label "limbo drained") 0 (Cxl_kv.deferred_count hb);
+      for k = 0 to 2 do
+        let got = Cxl_kv.get hb ~key:k in
+        if k = key then begin
+          if got <> Some (10 + k) && got <> after k then
+            Alcotest.failf "%s" (label "neither the old nor the new value")
+        end
+        else Alcotest.(check (option int)) (label "other key") (Some (10 + k)) got
+      done;
+      let v = Shm.validate arena in
+      Alcotest.(check bool)
+        (label ("validate: " ^ String.concat "; " v.Validate.errors))
+        true (Validate.is_clean v);
+      let f = Fsck.check (Shm.mem arena) (Shm.layout arena) in
+      Alcotest.(check bool)
+        (label ("fsck: " ^ String.concat "; " f.Validate.errors))
+        true (Validate.is_clean f);
+      Cxl_kv.close hb;
+      Shm.leave b;
+      ignore (Shm.scan_leaking arena);
+      Alcotest.(check int) (label "no block left") 0
+        (Shm.validate arena).Validate.live_objects
+    done
+  in
+  let cow h key = Cxl_kv.put_cow h ~key ~value:(100 + key) in
+  let del h key = ignore (Cxl_kv.delete h ~key) in
+  List.iter run_op
+    [
+      ("put_cow", 1, cow, fun k -> Some (100 + k));
+      ("put_cow", 0, cow, fun k -> Some (100 + k));
+      ("delete", 1, del, fun _ -> None);
+      ("delete", 0, del, fun _ -> None);
+    ];
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        ("crossed " ^ Fault.point_name p)
+        true
+        (Hashtbl.mem crossed (Fault.point_name p)))
+    Fault.[ Park_after_append; Txn_after_redo; Swap_after_link; Swap_after_store ]
+
 let suite =
   [
     Alcotest.test_case "put/get/delete" `Quick test_put_get_delete;
@@ -1021,4 +1105,5 @@ let suite =
     Alcotest.test_case "limbo overflow adopted in another slot" `Quick
       test_overflow_adopted;
     Alcotest.test_case "limbo pool exhaustion" `Quick test_pool_exhaustion;
+    Alcotest.test_case "swap crash windows" `Quick test_swap_crash_windows;
   ]
