@@ -14,6 +14,7 @@
      dune exec bench/main.exe -- --list                                    *)
 
 open Cxlshm
+module Locked_refc = Cxlshm_check.Locked_refc
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
 module Latency = Cxlshm_shmem.Latency
@@ -1337,6 +1338,7 @@ let bench_ablation_locking () =
     let child = Shm.cxl_malloc a ~size_bytes:8 () in
     let slot = Obj_header.emb_slot (Cxl_ref.obj parent) 0 in
     let obj = Cxl_ref.obj child in
+    let ta = Locked_refc.create a in
     Stats.reset a.Ctx.st;
     (match scheme with
     | `Era ->
@@ -1346,8 +1348,8 @@ let bench_ablation_locking () =
         done
     | `Locked ->
         for _ = 1 to ops do
-          Locked_refc.attach a ~ref_addr:slot ~refed:obj;
-          ignore (Locked_refc.detach a ~ref_addr:slot ~refed:obj)
+          Locked_refc.attach ta ~ref_addr:slot ~refed:obj;
+          ignore (Locked_refc.detach ta ~ref_addr:slot ~refed:obj)
         done);
     let ns = Stats.modeled_ns (Latency.of_tier Latency.Cxl) a.Ctx.st in
     float_of_int (2 * ops) /. (ns /. 1e3)
@@ -1362,11 +1364,13 @@ let bench_ablation_locking () =
     let child = Shm.cxl_malloc a ~size_bytes:8 () in
     let obj = Cxl_ref.obj child in
     let slot = Obj_header.emb_slot (Cxl_ref.obj parent) 0 in
+    let ta = Locked_refc.create a in
+    let tb = Locked_refc.share ta b in
     a.Ctx.fault <- Fault.at Fault.Txn_after_cas ~nth:1;
     (try
        match scheme with
        | `Era -> Refc.attach a ~ref_addr:slot ~refed:obj
-       | `Locked -> Locked_refc.attach a ~ref_addr:slot ~refed:obj
+       | `Locked -> Locked_refc.attach ta ~ref_addr:slot ~refed:obj
      with Fault.Crashed _ -> ());
     a.Ctx.fault <- Fault.none;
     let parent_b = Shm.cxl_malloc b ~size_bytes:8 ~emb_cnt:1 () in
@@ -1376,7 +1380,7 @@ let bench_ablation_locking () =
         Refc.attach b ~ref_addr:slot_b ~refed:obj;
         "no (proceeds immediately)"
     | `Locked ->
-        if Locked_refc.attach_bounded b ~ref_addr:slot_b ~refed:obj ~spins:50_000
+        if Locked_refc.attach_bounded tb ~ref_addr:slot_b ~refed:obj ~spins:50_000
         then "no"
         else "YES (spins until recovery)"
   in

@@ -8,25 +8,39 @@
     {b blocks every other client} hashing to that stripe until the recovery
     service notices the failure and releases the lock.
 
-    Implemented over the same object headers as {!Refc} so the two schemes
-    can be benchmarked against each other (the `ablation-locking`
+    The stripe table is one CXL object the straw-man allocates itself.
+    Each stripe carries its own log record next to its lock word: only the
+    stripe's holder writes it, so no per-client record is needed. The
+    counts live in the same object headers as {!Cxlshm.Refc}'s, so the two
+    schemes can be benchmarked against each other (the [ablation-locking]
     experiment) and the blocking behaviour demonstrated live. Do not mix
     the two schemes on the same object concurrently. *)
 
-exception Lock_abandoned of int
-(** Raised by [try_]-flavoured operations when the stripe is held by a
-    client that has been declared failed. *)
+open Cxlshm
+
+type t
+(** One client's handle on a stripe table. *)
+
+val create : Ctx.t -> t
+(** Allocate a stripe table, every stripe unlocked. *)
+
+val share : t -> Ctx.t -> t
+(** Another client's handle on the same table (its own counted
+    reference). *)
+
+val close : t -> unit
+(** Drop this handle's reference to the table. *)
 
 val attach :
-  Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> unit
+  t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> unit
 (** Lock, log the absolute new count, increment, link, unlock. Spins while
     the stripe is held — {e including by a dead client}. *)
 
 val detach :
-  Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
+  t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
 
 val attach_bounded :
-  Ctx.t ->
+  t ->
   ref_addr:Cxlshm_shmem.Pptr.t ->
   refed:Cxlshm_shmem.Pptr.t ->
   spins:int ->
@@ -35,12 +49,12 @@ val attach_bounded :
     benchmarks use it to measure how long a dead client's lock stalls the
     caller. Returns [false] on timeout. *)
 
-val holder : Ctx.t -> Cxlshm_shmem.Pptr.t -> int option
+val holder : t -> Cxlshm_shmem.Pptr.t -> int option
 (** Current holder of the stripe guarding [obj]. *)
 
-val recover : Ctx.t -> failed_cid:int -> int
+val recover : t -> failed_cid:int -> int
 (** The blocking design's recovery: for every stripe held by the dead
-    client, finish the logged operation (idempotent thanks to the absolute
-    count) and release the lock. Returns the number of stripes released.
-    Until this runs, spinners wait — exactly the indefinite blocking the
-    paper's §4.2 describes. *)
+    client, replay its logged operation if the record is valid
+    (idempotent thanks to the absolute count) and release the lock.
+    Returns the number of stripes released. Until this runs, spinners
+    wait — exactly the indefinite blocking the paper's §4.2 describes. *)

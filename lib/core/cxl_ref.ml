@@ -90,20 +90,18 @@ let clear_emb t i =
   let child = Ctx.load t.ctx slot in
   if child <> 0 then Reclaim.release_obj t.ctx ~ref_addr:slot ~obj:child
 
+(* The re-point pattern: a fresh RootRef takes a count on the target, one
+   swap trades it for the slot's count on the old object, and releasing
+   the RootRef drops that count (freeing the old object at zero). *)
 let change_emb t i target =
   let slot = emb_addr t i in
   check target;
+  let to_obj = obj target in
   let from_obj = Ctx.load t.ctx slot in
-  if from_obj = 0 then Refc.attach t.ctx ~ref_addr:slot ~refed:(obj target)
+  if from_obj = 0 then Refc.attach t.ctx ~ref_addr:slot ~refed:to_obj
   else begin
-    let n =
-      Refc.change t.ctx ~ref_addr:slot ~from_obj ~to_obj:(obj target)
-    in
-    if n = 0 then begin
-      (* The re-pointing dropped the old target's last reference. *)
-      Reclaim.mark_leaking_of t.ctx from_obj;
-      Ctx.crash_point t.ctx Fault.Release_before_reclaim;
-      Reclaim.teardown_children t.ctx ~as_cid:t.ctx.Ctx.cid ~obj:from_obj;
-      Alloc.free_obj_block t.ctx from_obj
-    end
+    let rr = Alloc.alloc_rootref t.ctx in
+    Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:to_obj;
+    Refc.swap t.ctx ~ref_addr:slot ~rr ~from_obj ~to_obj;
+    Reclaim.release_rootref t.ctx rr
   end

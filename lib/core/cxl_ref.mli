@@ -66,4 +66,6 @@ val clear_emb : t -> int -> unit
     last reference. No-op on an already-null slot. *)
 
 val change_emb : t -> int -> t -> unit
-(** §5.4 atomic re-pointing of slot [i] to the target handle's object. *)
+(** §5.4 atomic re-pointing of slot [i] to the target handle's object:
+    one {!Refc.swap} through a transient RootRef, whose release drops the
+    old target's count. *)

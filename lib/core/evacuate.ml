@@ -2,8 +2,8 @@
 
    The unit of work is one live CXLObj: allocate a replacement on a healthy
    device, copy the payload, re-point every reference word from the old
-   block to the new one (§5.4 ChangeRef), then let the old block's count
-   fall to zero. Every step is guarded so a crash at any point leaves both
+   block to the new one ([repoint]), then let the old block's count fall
+   to zero. Every step is guarded so a crash at any point leaves both
    blocks consistent and a later pass converges:
 
    - a *guard* RootRef is attached to the old object first, so its count
@@ -12,12 +12,12 @@
    - the replacement is reachable from its own fresh RootRef, so a crash
      before any holder moved just leaks a fully-initialised copy that
      recovery releases normally;
-   - each holder moves with one ChangeRef transaction (two ModifyRefCnt
-     commits + one idempotent ModifyRef), so a crash mid-holder resumes
-     from the redo log, and a crash between holders leaves counts split
-     between old and new — both positive, both reachable, both released
-     correctly by the dead evacuator's recovery (guard and replacement
-     RootRef are ordinary rootrefs of its slot). *)
+   - each holder moves with one swap through a transient RootRef, so a
+     crash mid-holder resumes from the redo log, and a crash between
+     holders leaves counts split between old and new — both positive,
+     both reachable, both released correctly by the dead evacuator's
+     recovery (guard, replacement and transient RootRefs are ordinary
+     rootrefs of its slot). *)
 
 module Pptr = Cxlshm_shmem.Pptr
 
@@ -139,6 +139,17 @@ let in_directories (ctx : Ctx.t) obj =
   List.mem obj (Transfer.directory_refs ctx.Ctx.mem ctx.Ctx.lay)
   || List.mem obj (Named_roots.directory_refs ctx.Ctx.mem ctx.Ctx.lay)
 
+(* Re-point one holder from [obj] to [nobj]: a transient RootRef takes a
+   count on [nobj], one swap trades it for the holder's count on [obj],
+   and releasing the RootRef drops that count — freeing [obj] if it was
+   the last. *)
+let repoint (ctx : Ctx.t) ~ref_addr ~obj ~nobj =
+  let rr = Alloc.alloc_rootref ctx in
+  Refc.attach ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:nobj;
+  Refc.swap ctx ~ref_addr ~rr ~from_obj:obj ~to_obj:nobj;
+  Reclaim.release_rootref ctx rr;
+  Ctx.crash_point ctx Fault.Evac_after_repoint
+
 (* ------------------------------------------------------------------ *)
 (* Sweep claim + migration journal                                     *)
 (* ------------------------------------------------------------------ *)
@@ -186,18 +197,10 @@ let resume_migration (ctx : Ctx.t) =
       let own_slot a = a >= obj_data && a < obj_data + emb in
       List.iter
         (fun ref_addr ->
-          if ref_addr <> guard_slot && not (own_slot ref_addr) then begin
-            let n = Refc.change ctx ~ref_addr ~from_obj:obj ~to_obj:nobj in
-            Ctx.crash_point ctx Fault.Evac_after_repoint;
-            if n = 0 then begin
-              (* The dead evacuator's guard is already gone (its recovery
-                 ran first) and we just moved the last holder: tear the
-                 old block down the way a sole-reference release would. *)
-              Reclaim.mark_leaking_of ctx obj;
-              Reclaim.teardown_children ctx ~as_cid:ctx.Ctx.cid ~obj;
-              Alloc.free_obj_block ctx obj
-            end
-          end)
+          (* Once the dead evacuator's guard is gone (its recovery ran
+             first), the last re-point frees the old block. *)
+          if ref_addr <> guard_slot && not (own_slot ref_addr) then
+            repoint ctx ~ref_addr ~obj ~nobj)
         (holders_of ctx ~obj)
     end;
     (* [from] first: a crash here leaves a cleared journal, and whatever
@@ -292,11 +295,8 @@ let evacuate_obj_locked (ctx : Ctx.t) ~obj =
               let own_slot a = a >= obj_data && a < obj_data + emb in
               List.iter
                 (fun ref_addr ->
-                  if ref_addr <> guard_slot && not (own_slot ref_addr) then begin
-                    ignore
-                      (Refc.change ctx ~ref_addr ~from_obj:obj ~to_obj:nobj);
-                    Ctx.crash_point ctx Fault.Evac_after_repoint
-                  end)
+                  if ref_addr <> guard_slot && not (own_slot ref_addr) then
+                    repoint ctx ~ref_addr ~obj ~nobj)
                 (holders_of ctx ~obj);
               (* Every holder moved: identity now lives at the copy, so the
                  journal retires before the old block is let go. *)

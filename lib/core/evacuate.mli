@@ -5,7 +5,7 @@
     under traffic: per live object, attach a {e guard} RootRef (the count can
     no longer race to zero), allocate a replacement through the placement
     ladder (which steers off degraded devices), copy the payload, re-point
-    every holder with §5.4 ChangeRef transactions, then release the guard —
+    every holder with one {!Refc.swap} each, then release the guard —
     the old block's count falls to zero and it is reclaimed normally.
 
     Crash-resumability: the guard and the replacement's bootstrap RootRef
@@ -23,7 +23,7 @@
     calls never interleave re-point phases; a claim whose holder died is
     broken by the next claimant after draining the journal.
 
-    The single-writer caveat: ChangeRef rewrites holder reference {e words},
+    The single-writer caveat: a re-point rewrites holder reference {e words},
     so the evacuator must not race the holder's own writes to those exact
     words. Live owners therefore relocate their own RootRefs
     ({!relocate_own}); the monitor-side sweep ({!run}) moves data blocks —

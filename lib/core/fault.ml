@@ -8,10 +8,6 @@ type point =
   | Txn_after_redo
   | Txn_after_cas
   | Txn_after_modify_ref
-  | Change_after_first_cas
-  | Change_after_first_era
-  | Change_after_second_cas
-  | Change_after_modify_ref
   | Release_before_reclaim
   | Release_mid_reclaim
   | Send_after_attach
@@ -45,10 +41,6 @@ let point_name = function
   | Txn_after_redo -> "txn-after-redo"
   | Txn_after_cas -> "txn-after-cas"
   | Txn_after_modify_ref -> "txn-after-modify-ref"
-  | Change_after_first_cas -> "change-after-first-cas"
-  | Change_after_first_era -> "change-after-first-era"
-  | Change_after_second_cas -> "change-after-second-cas"
-  | Change_after_modify_ref -> "change-after-modify-ref"
   | Release_before_reclaim -> "release-before-reclaim"
   | Release_mid_reclaim -> "release-mid-reclaim"
   | Send_after_attach -> "send-after-attach"
@@ -83,10 +75,6 @@ let all_points =
     Txn_after_redo;
     Txn_after_cas;
     Txn_after_modify_ref;
-    Change_after_first_cas;
-    Change_after_first_era;
-    Change_after_second_cas;
-    Change_after_modify_ref;
     Release_before_reclaim;
     Release_mid_reclaim;
     Send_after_attach;

@@ -22,10 +22,6 @@ type point =
   | Txn_after_redo               (** redo record written, CAS not attempted *)
   | Txn_after_cas                (** ModifyRefCnt committed, ModifyRef pending *)
   | Txn_after_modify_ref         (** ModifyRef done, era not yet advanced *)
-  | Change_after_first_cas       (** §5.4 step 2 done, era bump pending *)
-  | Change_after_first_era       (** §5.4 step 3 done *)
-  | Change_after_second_cas      (** §5.4 step 4 done *)
-  | Change_after_modify_ref      (** §5.4 step 5 done *)
   | Release_before_reclaim       (** count hit zero, block not yet reclaimed *)
   | Release_mid_reclaim          (** block partially pushed to a free list *)
   | Send_after_attach            (** queue slot holds the ref, tail not moved *)

@@ -8,7 +8,6 @@ type t = {
   client_state_words : int;
   domvec_base : int;
   queuedir_base : int;
-  locks_base : int;
   roots_base : int;
   recovery_base : int;
   limbo_base : int;
@@ -28,7 +27,6 @@ let client_misc_words = 8
 let queue_slot_words = 8
 let page_meta_words = 8
 let recovery_hdr_words = 16
-let lock_stripes = 64
 let root_slots = 64
 let root_slot_words = 2
 
@@ -73,10 +71,9 @@ let make cfg =
   let queuedir_base =
     align8 (domvec_base + (cfg.Config.num_domains * num_classes))
   in
-  let locks_base =
+  let roots_base =
     align8 (queuedir_base + (queue_slot_words * cfg.Config.queue_slots))
   in
-  let roots_base = align8 (locks_base + lock_stripes) in
   let recovery_base = align8 (roots_base + (root_slots * root_slot_words)) in
   let limbo_base =
     align8 (recovery_base + recovery_hdr_words + cfg.Config.worklist_words)
@@ -108,7 +105,6 @@ let make cfg =
     client_state_words;
     domvec_base;
     queuedir_base;
-    locks_base;
     roots_base;
     recovery_base;
     limbo_base;
@@ -213,10 +209,6 @@ let queue_slot_seg t q k =
   if k < 0 || k >= queue_max_channel_segs then
     invalid_arg "Layout.queue_slot_seg: out of range";
   queue_slot t q + 5 + k
-
-let lock_stripe t i =
-  if i < 0 || i >= lock_stripes then invalid_arg "Layout.lock_stripe";
-  t.locks_base + i
 
 let root_slot t i =
   if i < 0 || i >= root_slots then invalid_arg "Layout.root_slot";

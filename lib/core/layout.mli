@@ -27,7 +27,6 @@ type t = private {
   client_state_words : int;
   domvec_base : int;
   queuedir_base : int;
-  locks_base : int;
   roots_base : int;
   recovery_base : int;
   limbo_base : int;
@@ -198,13 +197,6 @@ val queue_slot_nsegs : t -> int -> Cxlshm_shmem.Pptr.t
 val queue_slot_seg : t -> int -> int -> Cxlshm_shmem.Pptr.t
 (** [queue_slot_seg lay q k] — registry word [k] (directory slot word
     +5+k), holding segment index + 1, or 0 when unused. *)
-
-(** {1 Lock stripes (straw-man §4.2 comparison)} *)
-
-val lock_stripes : int
-val lock_stripe : t -> int -> Cxlshm_shmem.Pptr.t
-(** Spinlock word [i] of the striped lock table used only by
-    {!Locked_refc}, the paper's blocking straw-man. *)
 
 (** {1 Named persistent roots (§6.4.1)} *)
 

@@ -104,36 +104,12 @@ let wl_process (ctx : Ctx.t) ~as_cid =
 
 let mutation_skip_swap_redo = ref false
 
-(* Complete the second ModifyRefCnt of a §5.4 change on behalf of the dead
-   client: CAS {i, era, cnt+1} unless Conditions 1/2 already prove it
-   committed. Restart-safe: re-runs observe the commit and stop. *)
-let complete_increment (ctx : Ctx.t) ~cid obj ~era =
-  let hdr = Obj_header.header_of_obj obj in
-  let rec loop () =
-    if not (Refc.committed ctx ~cid ~obj ~era) then begin
-      let saved = Ctx.load ctx hdr in
-      let u = Obj_header.unpack saved in
-      (match u.Obj_header.lcid with
-      | Some c when c <> cid ->
-          Era.observe_for ctx ~cid ~saw_cid:c ~saw_era:u.Obj_header.lera
-      | Some _ | None -> ());
-      let newh =
-        Obj_header.make ~lcid:cid ~lera:era ~ref_cnt:(u.Obj_header.ref_cnt + 1)
-      in
-      if not (Ctx.cas ctx hdr ~expected:saved ~desired:newh) then loop ()
-    end
-  in
-  loop ()
-
 let resume_txn (ctx : Ctx.t) ~cid =
   match Redo_log.read ctx ~cid with
   | None -> false
   | Some r -> (
       let e_now = Era.self_of ctx ~cid in
       match r.Redo_log.op with
-      | Redo_log.Locked ->
-          (* straw-man records are resumed by Locked_refc.recover *)
-          false
       | Redo_log.Attach | Redo_log.Detach ->
           if
             r.Redo_log.era = e_now
@@ -150,24 +126,6 @@ let resume_txn (ctx : Ctx.t) ~cid =
             true
           end
           else false
-      | Redo_log.Change ->
-          let e = r.Redo_log.era in
-          let t1_committed =
-            e_now = e && Refc.committed ctx ~cid ~obj:r.Redo_log.refed ~era:e
-          in
-          if t1_committed then Era.advance_for ctx ~cid;
-          let e_now = Era.self_of ctx ~cid in
-          if e_now = e + 1 then begin
-            (* First decrement committed; finish the increment of B, the
-               ModifyRef, and the trailing era bump. *)
-            complete_increment ctx ~cid r.Redo_log.refed2 ~era:(e + 1);
-            Ctx.store ctx r.Redo_log.ref_addr r.Redo_log.refed2;
-            Ctx.flush ctx r.Redo_log.ref_addr;
-            if r.Redo_log.saved_cnt - 1 = 0 then on_zero ctx r.Redo_log.refed;
-            Era.advance_for ctx ~cid;
-            true
-          end
-          else t1_committed
       | Redo_log.Swap ->
           (* Count-neutral swap: no CAS decides — the RootRef link is the
              commit. Linked means the counts already moved, so the
@@ -250,11 +208,10 @@ let salvage_teardown (ctx : Ctx.t) ~cid =
               if hit then on_zero ctx b
       in
       (match r.Redo_log.op with
-      | Redo_log.Attach | Redo_log.Detach | Redo_log.Change ->
+      | Redo_log.Attach | Redo_log.Detach ->
           salvage ~as_slot:false r.Redo_log.refed;
-          salvage ~as_slot:false r.Redo_log.refed2;
           salvage ~as_slot:true r.Redo_log.ref_addr
-      | Redo_log.Locked | Redo_log.Swap -> ())
+      | Redo_log.Swap -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Phase 3: RootRef-page scan                                           *)

@@ -1,18 +1,11 @@
-type op = Attach | Detach | Change | Locked | Swap
+type op = Attach | Detach | Swap
 
-let op_to_int = function
-  | Attach -> 1
-  | Detach -> 2
-  | Change -> 3
-  | Locked -> 4
-  | Swap -> 5
+let op_to_int = function Attach -> 1 | Detach -> 2 | Swap -> 3
 
 let op_of_int = function
   | 1 -> Attach
   | 2 -> Detach
-  | 3 -> Change
-  | 4 -> Locked
-  | 5 -> Swap
+  | 3 -> Swap
   | n -> invalid_arg (Printf.sprintf "Redo_log.op_of_int: %d" n)
 
 type t = {

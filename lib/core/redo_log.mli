@@ -14,11 +14,6 @@
 type op =
   | Attach  (** increment + link (Fig 4 (c)) *)
   | Detach  (** decrement + unlink (§5.3) *)
-  | Change  (** §5.4 two-phase pointer change *)
-  | Locked
-      (** §4.2 straw-man record: [era] holds the lock stripe, [saved_cnt]
-          the {e absolute} new count, [refed2] 1 for attach / 0 for detach.
-          Resumed by {!Locked_refc.recover}, ignored by {!Recovery}. *)
   | Swap
       (** count-neutral swap ({!Refc.swap}): [ref_addr] is the reference
           word, [refed] the object it held ([from_obj]), [refed2] the
@@ -29,11 +24,13 @@ type op =
 
 type t = {
   op : op;
-  era : int;  (** era of the (first) ModifyRefCnt *)
+  era : int;  (** era of the transaction *)
   ref_addr : Cxlshm_shmem.Pptr.t;  (** the reference word ModifyRef targets *)
-  refed : Cxlshm_shmem.Pptr.t;  (** object A *)
-  refed2 : Cxlshm_shmem.Pptr.t;  (** object B (change only, else null) *)
-  saved_cnt : int;  (** A's ref_cnt read before the CAS *)
+  refed : Cxlshm_shmem.Pptr.t;  (** the object whose count moves *)
+  refed2 : Cxlshm_shmem.Pptr.t;  (** the swap's RootRef ([Swap] only, else null) *)
+  saved_cnt : int;
+      (** [refed]'s ref_cnt read before the CAS; for [Swap], the object
+          [ref_addr] receives *)
 }
 
 val record : Ctx.t -> t -> unit

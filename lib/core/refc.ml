@@ -8,7 +8,7 @@ let ref_cnt (ctx : Ctx.t) obj =
 (* The ModifyRefCnt CAS loop of Fig 4 (c) lines 2-10, run under identity
    [as_cid]. Records the redo entry before each CAS attempt and observes the
    header's (lcid, lera) into the era matrix. Returns the new count. *)
-let modify_refcnt (ctx : Ctx.t) ~as_cid ~op ~ref_addr ~refed ~refed2 ~delta =
+let modify_refcnt (ctx : Ctx.t) ~as_cid ~op ~ref_addr ~refed ~delta =
   let hdr = Obj_header.header_of_obj refed in
   let rec loop () =
     let saved = Ctx.load ctx hdr in
@@ -24,7 +24,7 @@ let modify_refcnt (ctx : Ctx.t) ~as_cid ~op ~ref_addr ~refed ~refed2 ~delta =
       violate "attach to object @%d with ref_cnt 0 (wild pointer?)" refed;
     let cur_era = Era.self_of ctx ~cid:as_cid in
     Redo_log.record_for ctx ~cid:as_cid
-      { Redo_log.op; era = cur_era; ref_addr; refed; refed2; saved_cnt = cnt };
+      { Redo_log.op; era = cur_era; ref_addr; refed; refed2 = 0; saved_cnt = cnt };
     Ctx.crash_point ctx Fault.Txn_after_redo;
     let newh = Obj_header.make ~lcid:as_cid ~lera:cur_era ~ref_cnt:(cnt + delta) in
     if Ctx.cas ctx hdr ~expected:saved ~desired:newh then cnt + delta
@@ -36,8 +36,7 @@ let attach_as (ctx : Ctx.t) ~as_cid ~ref_addr ~refed =
   Trace.with_span ctx Cxlshm_shmem.Histogram.Refc_attach ~addr:refed
   @@ fun () ->
   let _ =
-    modify_refcnt ctx ~as_cid ~op:Redo_log.Attach ~ref_addr ~refed ~refed2:0
-      ~delta:1
+    modify_refcnt ctx ~as_cid ~op:Redo_log.Attach ~ref_addr ~refed ~delta:1
   in
   Ctx.crash_point ctx Fault.Txn_after_cas;
   Ctx.store ctx ref_addr refed;
@@ -48,8 +47,7 @@ let detach_as (ctx : Ctx.t) ~as_cid ~ref_addr ~refed =
   Trace.with_span ctx Cxlshm_shmem.Histogram.Refc_detach ~addr:refed
   @@ fun () ->
   let n =
-    modify_refcnt ctx ~as_cid ~op:Redo_log.Detach ~ref_addr ~refed ~refed2:0
-      ~delta:(-1)
+    modify_refcnt ctx ~as_cid ~op:Redo_log.Detach ~ref_addr ~refed ~delta:(-1)
   in
   Ctx.crash_point ctx Fault.Txn_after_cas;
   Ctx.store ctx ref_addr 0;
@@ -92,12 +90,13 @@ let detach_batched (ctx : Ctx.t) ~ref_addr ~refed =
   in
   loop ()
 
-(* Count-neutral swap: the count [ref_addr] holds on [from_obj] moves to
-   RootRef [rr], and the count [rr] holds on [to_obj] (none when null)
-   moves to [ref_addr] — two plain stores under one redo record, no
-   header CAS. The record's fence also orders everything written before
-   it (a fresh record's payload) ahead of the publishing store. Linked
-   means redo (replay the reference store), unlinked means discard. *)
+(* Count-neutral swap, the one re-point transaction: the count [ref_addr]
+   holds on [from_obj] (none when null) moves to RootRef [rr], and the
+   count [rr] holds on [to_obj] (none when null) moves to [ref_addr] —
+   two plain stores under one redo record, no header CAS. The record's
+   fence also orders everything written before it (a fresh record's
+   payload) ahead of the publishing store. Linked means redo (replay the
+   reference store), unlinked means discard. *)
 let swap (ctx : Ctx.t) ~ref_addr ~rr ~from_obj ~to_obj =
   Redo_log.record ctx
     {
@@ -153,49 +152,6 @@ let try_attach (ctx : Ctx.t) ~ref_addr ~refed =
   in
   loop ()
 let detach (ctx : Ctx.t) ~ref_addr ~refed = detach_as ctx ~as_cid:ctx.cid ~ref_addr ~refed
-
-(* Second-phase CAS of the §5.4 change: the redo record must stay intact
-   (recovery uses the era distance from the recorded era to identify the
-   phase), so this loop does not re-record. *)
-let increment_no_record (ctx : Ctx.t) ~as_cid obj =
-  let hdr = Obj_header.header_of_obj obj in
-  let rec loop () =
-    let saved = Ctx.load ctx hdr in
-    let u = Obj_header.unpack saved in
-    (match u.Obj_header.lcid with
-    | Some c when c <> as_cid ->
-        Era.observe_for ctx ~cid:as_cid ~saw_cid:c ~saw_era:u.Obj_header.lera
-    | Some _ | None -> ());
-    if u.Obj_header.ref_cnt = 0 then
-      violate "change: attach to dead object @%d" obj;
-    let cur_era = Era.self_of ctx ~cid:as_cid in
-    let newh =
-      Obj_header.make ~lcid:as_cid ~lera:cur_era
-        ~ref_cnt:(u.Obj_header.ref_cnt + 1)
-    in
-    if not (Ctx.cas ctx hdr ~expected:saved ~desired:newh) then loop ()
-  in
-  loop ()
-
-let change (ctx : Ctx.t) ~ref_addr ~from_obj ~to_obj =
-  (* Steps 1-2: record both objects, decrement A (commit point of T1). *)
-  let n_a =
-    modify_refcnt ctx ~as_cid:ctx.cid ~op:Redo_log.Change ~ref_addr
-      ~refed:from_obj ~refed2:to_obj ~delta:(-1)
-  in
-  Ctx.crash_point ctx Fault.Change_after_first_cas;
-  (* Step 3: first era bump separates the two non-idempotent CAS. *)
-  Era.advance ctx;
-  Ctx.crash_point ctx Fault.Change_after_first_era;
-  (* Step 4: increment B (commit point of T2). *)
-  increment_no_record ctx ~as_cid:ctx.cid to_obj;
-  Ctx.crash_point ctx Fault.Change_after_second_cas;
-  (* Step 5: the idempotent ModifyRef. *)
-  Ctx.store ctx ref_addr to_obj;
-  Ctx.crash_point ctx Fault.Change_after_modify_ref;
-  (* Step 6: second era bump. *)
-  Era.advance ctx;
-  n_a
 
 let committed (ctx : Ctx.t) ~cid ~obj ~era =
   (* Condition 1 strictly before Condition 2 (§4.3, fenced). *)

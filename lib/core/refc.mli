@@ -59,21 +59,17 @@ val swap :
     [ref_addr] held on [from_obj] now belongs to [rr] and the count [rr]
     held on [to_obj] now belongs to [ref_addr] — no header CAS on either
     object. With [~to_obj:0] it is a plain move (epoch-batched transfer
-    receive): [rr] must be unlinked and [ref_addr] ends cleared.
+    receive): [rr] must be unlinked and [ref_addr] ends cleared. With
+    [~from_obj:0] it publishes into an empty word and [rr] ends unlinked.
+
+    Every re-point of a reference word from A to B is this one pattern:
+    take a RootRef holding B (the caller's allocation RootRef, or
+    {!Alloc.alloc_rootref} plus {!attach}), swap, then release or park the
+    RootRef, which now holds A.
     Recoverable via a [Swap] redo record: [rr] in use and already holding
     [from_obj] at the record's era means committed, and the store to
     [ref_addr] is replayed if it still holds [from_obj]; otherwise the
     swap never happened. *)
-
-val change :
-  Ctx.t ->
-  ref_addr:Cxlshm_shmem.Pptr.t ->
-  from_obj:Cxlshm_shmem.Pptr.t ->
-  to_obj:Cxlshm_shmem.Pptr.t ->
-  int
-(** §5.4 atomic re-pointing of an embedded reference: two ModifyRefCnt
-    sub-transactions (era bumped twice) and one ModifyRef. Returns
-    [from_obj]'s new count. *)
 
 val attach_as :
   Ctx.t -> as_cid:int -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> unit

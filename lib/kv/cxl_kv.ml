@@ -133,10 +133,10 @@ let find_with_prev h key =
   walk slot0 (Ctx.load h.ctx slot0)
 
 (* Insert a freshly allocated record for [key], either replacing [old]
-   in-chain or prepending at the bucket. A replace is count-neutral: the
-   allocation's own RootRef becomes the park reference, and one swap hands
-   it the old record's count while the predecessor slot takes the fresh
-   record's. The limbo entry is right in every crash window — before the
+   in-chain or prepending at the bucket. Both publish with one swap on the
+   allocation's own RootRef. A replace is count-neutral: that RootRef
+   becomes the park reference, and the swap hands it the old record's
+   count while the predecessor slot takes the fresh record's. The limbo entry is right in every crash window — before the
    swap its RootRef names the unpublished fresh record, after it the old
    one. The old record keeps its next-link until it is finally reclaimed,
    so a reader paused on it still reaches the chain tail. The caller has
@@ -155,14 +155,15 @@ let insert_fresh h ~key ~value ~existing =
             Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:next;
           Refc.swap h.ctx ~ref_addr:prev_slot ~rr ~from_obj:old ~to_obj:fresh)
   | None ->
+      (* A prepend swaps on the same RootRef: the still-private record
+         takes a count on the head first, the swap publishes it and hands
+         the RootRef the bucket's count on the head, and the release drops
+         that spare count. *)
       let slot = bucket_slot h.store (bucket_of h.store key) in
       let head = Ctx.load h.ctx slot in
-      if head = 0 then Refc.attach h.ctx ~ref_addr:slot ~refed:fresh
-      else begin
+      if head <> 0 then
         Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:head;
-        ignore (Refc.change h.ctx ~ref_addr:slot ~from_obj:head ~to_obj:fresh)
-      end;
-      (* The index keeps the record alive; drop our RootRef. *)
+      Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:head ~to_obj:fresh;
       Reclaim.release_rootref h.ctx rr
 
 let put h ~key ~value =

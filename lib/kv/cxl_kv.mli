@@ -83,8 +83,10 @@ val put_cow : handle -> key:int -> value:int -> unit
     announced reader era has passed it, then released by a later park
     ({!Cxlshm.Limbo.park}) or by {!quiesce}. Costs one allocation, one
     limbo park and one redo-logged swap per write, plus an attach when
-    the old record has a successor (a new key is prepended with the
-    §5.4 change instead). Raises {!Cxlshm.Limbo.Exhausted}, with the
+    the old record has a successor. A new key is prepended through the
+    same swap: the fresh record first takes a count on the bucket head,
+    and releasing the RootRef afterwards drops the head's spare count.
+    Raises {!Cxlshm.Limbo.Exhausted}, with the
     store unchanged, when no limbo entry is left to park the replaced
     record in. *)
 

@@ -40,16 +40,16 @@ let publish w payload =
   let to_obj = Cxl_ref.obj payload in
   (if old = 0 then Refc.attach w.ctx ~ref_addr:slot ~refed:to_obj
    else begin
-     (* Park the overwritten entry behind a counted reference taken before
-        the slot change, so the change never drops it to count zero while
-        a subscriber paused between its slot read and [try_attach] may
-        still hold the address, and a writer crash leaves it in the limbo,
-        not in an era-blind reap. *)
+     (* The park RootRef takes a count on the payload, and one swap trades
+        it for the slot's count on the overwritten entry. The entry never
+        drops to count zero while a subscriber paused between its slot
+        read and [try_attach] may still hold the address, and a writer
+        crash leaves it in the limbo, not in an era-blind reap. *)
      Limbo.reserve w.limbo 1;
      let rr = Alloc.alloc_rootref w.ctx in
-     Refc.attach w.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:old;
+     Refc.attach w.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:to_obj;
      Limbo.park w.limbo (Cxl_ref.of_rootref w.ctx rr) ~unlink:(fun () ->
-         ignore (Refc.change w.ctx ~ref_addr:slot ~from_obj:old ~to_obj))
+         Refc.swap w.ctx ~ref_addr:slot ~rr ~from_obj:old ~to_obj)
    end);
   Ctx.fence w.ctx;
   Ctx.store w.ctx (lword w.ctx lobj ~cap:w.cap w_published) (seq + 1);

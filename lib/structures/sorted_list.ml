@@ -1,14 +1,12 @@
 open Cxlshm
 
 (* Node layout: emb slot 0 = next; data +1 = key, +2.. = value words.
-   The sentinel head is a node with key = min_int. *)
-type t = {
-  ctx : Ctx.t;
-  head : Cxl_ref.t;
-  value_words : int;
-  mutable deferred : int list;
-}
+   The sentinel head is a node with key = min_int. A node the writer
+   unlinks is parked in the limbo until every announced reader era has
+   passed it. *)
+type t = { ctx : Ctx.t; head : Cxl_ref.t; value_words : int; limbo : Limbo.t }
 
+let walk_hook : (unit -> unit) ref = ref (fun () -> ())
 let node_next obj = Obj_header.emb_slot obj 0
 let node_key (ctx : Ctx.t) obj = Ctx.load ctx (Obj_header.data_of_obj obj + 1)
 let node_val_addr obj i = Obj_header.data_of_obj obj + 2 + i
@@ -20,26 +18,34 @@ let create ctx ~value_words =
   if value_words < 1 then invalid_arg "Sorted_list.create";
   let head = Shm.cxl_malloc_words ctx ~data_words:(2 + value_words) ~emb_cnt:1 () in
   Ctx.store ctx (Obj_header.data_of_obj (Cxl_ref.obj head) + 1) min_int;
-  { ctx; head; value_words; deferred = [] }
+  { ctx; head; value_words; limbo = Limbo.create ctx }
 
 let handle_ref t = t.head
 
 let attach ctx r =
-  { ctx; head = r; value_words = value_words_of ctx (Cxl_ref.obj r); deferred = [] }
+  {
+    ctx;
+    head = r;
+    value_words = value_words_of ctx (Cxl_ref.obj r);
+    limbo = Limbo.create ctx;
+  }
 
-let quiesce t =
-  List.iter (fun n -> Alloc.free_obj_block t.ctx n) t.deferred;
-  t.deferred <- []
+let quiesce t = Limbo.quiesce t.limbo
 
 let close t =
-  quiesce t;
+  Limbo.close t.limbo;
   Cxl_ref.drop t.head
 
-(* Find the rightmost node with key < [key]; returns (pred, succ). *)
+(* Find the rightmost node with key < [key]; returns (pred, succ). The
+   caller holds hazard protection. *)
 let locate t ~key =
   let rec go pred =
     let succ = Ctx.load t.ctx (node_next pred) in
-    if succ = 0 || node_key t.ctx succ >= key then (pred, succ) else go succ
+    if succ = 0 then (pred, succ)
+    else begin
+      !walk_hook ();
+      if node_key t.ctx succ >= key then (pred, succ) else go succ
+    end
   in
   go (Cxl_ref.obj t.head)
 
@@ -56,82 +62,93 @@ let alloc_node t ~key ~value =
   write_value t node value;
   (rr, node)
 
-(* Splice [node] between [pred] and [succ]: link node.next -> succ first,
-   then atomically re-point pred.next from succ to node (§5.4), so readers
-   always see a complete list. *)
-let splice t ~pred ~succ ~node ~rr =
+(* Splice a new node between [pred] and [succ] with one swap on its
+   allocation RootRef: the still-private node takes a count on [succ]
+   first, the swap publishes it and hands the RootRef [pred]'s count on
+   [succ], and the release drops that spare count. Readers always see a
+   complete list. *)
+let splice t ~pred ~succ ~key ~value =
+  let rr, node = alloc_node t ~key ~value in
   if succ <> 0 then Refc.attach t.ctx ~ref_addr:(node_next node) ~refed:succ;
-  (if succ = 0 then Refc.attach t.ctx ~ref_addr:(node_next pred) ~refed:node
-   else ignore (Refc.change t.ctx ~ref_addr:(node_next pred) ~from_obj:succ ~to_obj:node));
+  Refc.swap t.ctx ~ref_addr:(node_next pred) ~rr ~from_obj:succ ~to_obj:node;
   Reclaim.release_rootref t.ctx rr
 
 let insert t ~key ~value =
-  let pred, succ = locate t ~key in
-  if succ <> 0 && node_key t.ctx succ = key then false
-  else begin
-    let rr, node = alloc_node t ~key ~value in
-    splice t ~pred ~succ ~node ~rr;
-    true
-  end
-
-let retire t node =
-  Reclaim.teardown_children t.ctx ~as_cid:t.ctx.Ctx.cid ~obj:node;
-  t.deferred <- node :: t.deferred
+  Hazard.with_protection t.ctx (fun () ->
+      let pred, succ = locate t ~key in
+      if succ <> 0 && node_key t.ctx succ = key then false
+      else begin
+        splice t ~pred ~succ ~key ~value;
+        true
+      end)
 
 let replace t ~key ~value =
-  let pred, succ = locate t ~key in
-  if succ <> 0 && node_key t.ctx succ = key then begin
-    (* out-of-place replace: readers never see a torn value *)
-    let rr, node = alloc_node t ~key ~value in
-    let after = Ctx.load t.ctx (node_next succ) in
-    if after <> 0 then Refc.attach t.ctx ~ref_addr:(node_next node) ~refed:after;
-    let n = Refc.change t.ctx ~ref_addr:(node_next pred) ~from_obj:succ ~to_obj:node in
-    if n = 0 then retire t succ;
-    Reclaim.release_rootref t.ctx rr
-  end
-  else begin
-    let rr, node = alloc_node t ~key ~value in
-    splice t ~pred ~succ ~node ~rr
-  end
+  Limbo.reserve t.limbo 1;
+  Hazard.with_protection t.ctx (fun () ->
+      let pred, succ = locate t ~key in
+      if succ <> 0 && node_key t.ctx succ = key then begin
+        (* Out-of-place replace, so readers never see a torn value: the
+           new node's allocation RootRef is parked and the swap hands it
+           the old node's count. The old node keeps its next link until it
+           is released, so a reader paused on it still reaches the tail. *)
+        let rr, node = alloc_node t ~key ~value in
+        let after = Ctx.load t.ctx (node_next succ) in
+        if after <> 0 then
+          Refc.attach t.ctx ~ref_addr:(node_next node) ~refed:after;
+        Limbo.park t.limbo (Cxl_ref.of_rootref t.ctx rr) ~unlink:(fun () ->
+            Refc.swap t.ctx ~ref_addr:(node_next pred) ~rr ~from_obj:succ
+              ~to_obj:node)
+      end
+      else splice t ~pred ~succ ~key ~value)
 
 let delete t ~key =
-  let pred, succ = locate t ~key in
-  if succ = 0 || node_key t.ctx succ <> key then false
-  else begin
-    let after = Ctx.load t.ctx (node_next succ) in
-    let n =
-      if after = 0 then Refc.detach t.ctx ~ref_addr:(node_next pred) ~refed:succ
-      else Refc.change t.ctx ~ref_addr:(node_next pred) ~from_obj:succ ~to_obj:after
-    in
-    if n = 0 then retire t succ;
-    true
-  end
+  Limbo.reserve t.limbo 1;
+  Hazard.with_protection t.ctx (fun () ->
+      let pred, succ = locate t ~key in
+      if succ = 0 || node_key t.ctx succ <> key then false
+      else begin
+        (* The park RootRef takes a count on the successor first (none at
+           the tail); the swap then trades it for [pred]'s count on the
+           node. *)
+        let after = Ctx.load t.ctx (node_next succ) in
+        let rr = Alloc.alloc_rootref t.ctx in
+        if after <> 0 then
+          Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:after;
+        Limbo.park t.limbo (Cxl_ref.of_rootref t.ctx rr) ~unlink:(fun () ->
+            Refc.swap t.ctx ~ref_addr:(node_next pred) ~rr ~from_obj:succ
+              ~to_obj:after);
+        true
+      end)
 
 let find t ~key =
-  let _, succ = locate t ~key in
-  if succ <> 0 && node_key t.ctx succ = key then
-    Some (Ctx.load t.ctx (node_val_addr succ 0))
-  else None
+  Hazard.with_protection t.ctx (fun () ->
+      let _, succ = locate t ~key in
+      if succ <> 0 && node_key t.ctx succ = key then
+        Some (Ctx.load t.ctx (node_val_addr succ 0))
+      else None)
 
 let min_binding t =
-  let first = Ctx.load t.ctx (node_next (Cxl_ref.obj t.head)) in
-  if first = 0 then None
-  else Some (node_key t.ctx first, Ctx.load t.ctx (node_val_addr first 0))
+  Hazard.with_protection t.ctx (fun () ->
+      let first = Ctx.load t.ctx (node_next (Cxl_ref.obj t.head)) in
+      if first = 0 then None
+      else Some (node_key t.ctx first, Ctx.load t.ctx (node_val_addr first 0)))
 
 let iter t f =
   let rec go node =
     if node <> 0 then begin
+      !walk_hook ();
       f ~key:(node_key t.ctx node) ~value:(Ctx.load t.ctx (node_val_addr node 0));
       go (Ctx.load t.ctx (node_next node))
     end
   in
-  go (Ctx.load t.ctx (node_next (Cxl_ref.obj t.head)))
+  Hazard.with_protection t.ctx (fun () ->
+      go (Ctx.load t.ctx (node_next (Cxl_ref.obj t.head))))
 
 let range t ~lo ~hi =
-  let pred, _ = locate t ~key:lo in
   let rec go node acc =
     if node = 0 then List.rev acc
-    else
+    else begin
+      !walk_hook ();
       let k = node_key t.ctx node in
       if k >= hi then List.rev acc
       else
@@ -139,8 +156,11 @@ let range t ~lo ~hi =
           (Ctx.load t.ctx (node_next node))
           (if k >= lo then (k, Ctx.load t.ctx (node_val_addr node 0)) :: acc
            else acc)
+    end
   in
-  go (Ctx.load t.ctx (node_next pred)) []
+  Hazard.with_protection t.ctx (fun () ->
+      let pred, _ = locate t ~key:lo in
+      go (Ctx.load t.ctx (node_next pred)) [])
 
 let length t =
   let n = ref 0 in

@@ -207,6 +207,26 @@ let test_finds_swap_skip_redo_mutation () =
       | Explore.Pass | Explore.Diverged ->
           Alcotest.fail "replay did not reproduce the failure")
 
+(* The same mutation on the broadcast model: a log writer killed between
+   the two stores of publish's swap leaves the slot on the overwritten
+   entry while the parked rootref names it as well, so the drain releases
+   a count the ring still uses. Shows the model exercises that swap. *)
+let test_finds_bcast_swap_skip_redo_mutation () =
+  with_flag Cxlshm.Recovery.mutation_skip_swap_redo @@ fun () ->
+  let m = Scenarios.bcast_recover () in
+  let r = Explore.exhaustive ~preemptions:1 ~crash:true ~max_steps:60_000 m in
+  match r.Explore.failure with
+  | None ->
+      Alcotest.fail "swap skip-redo mutation survived the broadcast search"
+  | Some f -> (
+      let rr = Explore.replay m ~max_steps:60_000 f.Explore.schedule in
+      match rr.Explore.outcome with
+      | Explore.Fail reason ->
+          Alcotest.(check string) "replay reproduces the same reason"
+            f.Explore.reason reason
+      | Explore.Pass | Explore.Diverged ->
+          Alcotest.fail "replay did not reproduce the failure")
+
 (* Volatile-only parking, reintroduced (the broadcast log's historical
    parked list): a log-writer crash hands the overwritten entry's park
    reference to the rootref scan, the entry's segment empties and is
@@ -372,6 +392,8 @@ let suite =
       test_finds_crash_reap_mutation;
     Alcotest.test_case "finds the swap skip-redo mutation" `Quick
       test_finds_swap_skip_redo_mutation;
+    Alcotest.test_case "finds the swap skip-redo mutation on bcast" `Quick
+      test_finds_bcast_swap_skip_redo_mutation;
     Alcotest.test_case "finds the volatile-park mutation" `Quick
       test_finds_volatile_park_mutation;
     Alcotest.test_case "finds the rpc skip-validate mutation" `Quick

@@ -24,7 +24,7 @@ let test_era_advances_per_txn () =
   Cxl_ref.drop r1;
   Cxl_ref.drop r2
 
-let test_change_advances_twice () =
+let test_change_emb_eras () =
   let _, a, _ = setup () in
   let p = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
   let x = Shm.cxl_malloc a ~size_bytes:8 () in
@@ -32,7 +32,8 @@ let test_change_advances_twice () =
   Cxl_ref.set_emb p 0 x;
   let e0 = Era.self a in
   Cxl_ref.change_emb p 0 y;
-  Alcotest.(check int) "change = two eras" (e0 + 2) (Era.self a);
+  (* the transient RootRef's attach, the swap, the release's detach *)
+  Alcotest.(check int) "change_emb = three eras" (e0 + 3) (Era.self a);
   List.iter Cxl_ref.drop [ p; x; y ]
 
 let test_observation_propagates () =
@@ -159,7 +160,7 @@ let suite =
   [
     Alcotest.test_case "initial era" `Quick test_initial_era;
     Alcotest.test_case "era advances per txn" `Quick test_era_advances_per_txn;
-    Alcotest.test_case "change advances twice" `Quick test_change_advances_twice;
+    Alcotest.test_case "change_emb takes three eras" `Quick test_change_emb_eras;
     Alcotest.test_case "observation propagates" `Quick test_observation_propagates;
     Alcotest.test_case "condition 1" `Quick test_committed_condition1;
     Alcotest.test_case "condition 2" `Quick test_committed_condition2;

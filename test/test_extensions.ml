@@ -3,6 +3,7 @@
    CXL 3.0 / eADR flush ablation. *)
 
 open Cxlshm
+module Locked_refc = Cxlshm_check.Locked_refc
 
 let setup () =
   let arena = Shm.create ~cfg:Config.small () in
@@ -15,10 +16,11 @@ let test_locked_basic () =
   let parent = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
   let child = Shm.cxl_malloc a ~size_bytes:8 () in
   let slot = Obj_header.emb_slot (Cxl_ref.obj parent) 0 in
-  Locked_refc.attach a ~ref_addr:slot ~refed:(Cxl_ref.obj child);
+  let ta = Locked_refc.create a in
+  Locked_refc.attach ta ~ref_addr:slot ~refed:(Cxl_ref.obj child);
   Alcotest.(check int) "count 2" 2 (Refc.ref_cnt a (Cxl_ref.obj child));
   Alcotest.(check int) "linked" (Cxl_ref.obj child) (Ctx.load a slot);
-  let n = Locked_refc.detach a ~ref_addr:slot ~refed:(Cxl_ref.obj child) in
+  let n = Locked_refc.detach ta ~ref_addr:slot ~refed:(Cxl_ref.obj child) in
   Alcotest.(check int) "back to 1" 1 n;
   Alcotest.(check int) "unlinked" 0 (Ctx.load a slot)
 
@@ -30,25 +32,27 @@ let test_locked_blocks_on_crash () =
   let child = Shm.cxl_malloc a ~size_bytes:8 () in
   let obj = Cxl_ref.obj child in
   let slot = Obj_header.emb_slot (Cxl_ref.obj parent) 0 in
+  let ta = Locked_refc.create a in
+  let tb = Locked_refc.share ta b in
   (* a crashes inside the critical section *)
   a.Ctx.fault <- Fault.at Fault.Txn_after_cas ~nth:1;
-  (try Locked_refc.attach a ~ref_addr:slot ~refed:obj with Fault.Crashed _ -> ());
+  (try Locked_refc.attach ta ~ref_addr:slot ~refed:obj with Fault.Crashed _ -> ());
   a.Ctx.fault <- Fault.none;
   Alcotest.(check (option int)) "lock abandoned by a" (Some a.Ctx.cid)
-    (Locked_refc.holder b obj);
+    (Locked_refc.holder tb obj);
   (* b cannot make progress on the same stripe *)
   let parent_b = Shm.cxl_malloc b ~size_bytes:8 ~emb_cnt:1 () in
   let slot_b = Obj_header.emb_slot (Cxl_ref.obj parent_b) 0 in
   Alcotest.(check bool) "b is blocked" false
-    (Locked_refc.attach_bounded b ~ref_addr:slot_b ~refed:obj ~spins:10_000);
+    (Locked_refc.attach_bounded tb ~ref_addr:slot_b ~refed:obj ~spins:10_000);
   (* the blocking design's recovery releases the lock and replays the log *)
-  let released = Locked_refc.recover b ~failed_cid:a.Ctx.cid in
+  let released = Locked_refc.recover tb ~failed_cid:a.Ctx.cid in
   Alcotest.(check int) "one stripe released" 1 released;
   Alcotest.(check int) "a's logged increment was replayed" 2 (Refc.ref_cnt b obj);
   Alcotest.(check int) "a's link was replayed" obj (Ctx.load b slot);
   (* now b proceeds *)
   Alcotest.(check bool) "b unblocked after recovery" true
-    (Locked_refc.attach_bounded b ~ref_addr:slot_b ~refed:obj ~spins:10_000);
+    (Locked_refc.attach_bounded tb ~ref_addr:slot_b ~refed:obj ~spins:10_000);
   Alcotest.(check int) "count now 3" 3 (Refc.ref_cnt b obj)
 
 let test_locked_replay_is_idempotent () =
@@ -59,12 +63,14 @@ let test_locked_replay_is_idempotent () =
   let child = Shm.cxl_malloc a ~size_bytes:8 () in
   let obj = Cxl_ref.obj child in
   let slot = Obj_header.emb_slot (Cxl_ref.obj parent) 0 in
+  let ta = Locked_refc.create a in
+  let tb = Locked_refc.share ta b in
   a.Ctx.fault <- Fault.at Fault.Txn_after_modify_ref ~nth:1;
-  (try Locked_refc.attach a ~ref_addr:slot ~refed:obj with Fault.Crashed _ -> ());
+  (try Locked_refc.attach ta ~ref_addr:slot ~refed:obj with Fault.Crashed _ -> ());
   a.Ctx.fault <- Fault.none;
   (* both effects already applied; count is 2 *)
   Alcotest.(check int) "already 2" 2 (Refc.ref_cnt b obj);
-  ignore (Locked_refc.recover b ~failed_cid:a.Ctx.cid);
+  ignore (Locked_refc.recover tb ~failed_cid:a.Ctx.cid);
   Alcotest.(check int) "replay left 2" 2 (Refc.ref_cnt b obj);
   Alcotest.(check int) "link intact" obj (Ctx.load b slot)
 

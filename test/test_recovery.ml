@@ -2,6 +2,9 @@
    through Conditions 1 & 2, queue-endpoint cleanup, restartability. *)
 
 open Cxlshm
+module Cxl_kv = Cxlshm_kv.Cxl_kv
+module Sl = Cxlshm_structures.Sorted_list
+module Bl = Cxlshm_structures.Broadcast_log
 
 let setup () =
   let arena = Shm.create ~cfg:Config.small () in
@@ -97,27 +100,181 @@ let test_resume_not_committed () =
   ignore (Shm.scan_leaking arena);
   check_clean arena "uncommitted attach"
 
-let test_resume_change_mid () =
-  let arena, a, _b = setup () in
-  let parent = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
-  let x = Shm.cxl_malloc a ~size_bytes:8 () in
-  let y = Shm.cxl_malloc a ~size_bytes:8 () in
-  Cxl_ref.set_emb parent 0 x;
-  let x_obj = Cxl_ref.obj x and y_obj = Cxl_ref.obj y in
-  (* Crash between the two CAS of the §5.4 change. *)
-  a.Ctx.fault <- Fault.at Fault.Change_after_first_era ~nth:1;
-  (try
-     Cxl_ref.change_emb parent 0 y;
-     Alcotest.fail "expected crash"
-   with Fault.Crashed _ -> ());
-  a.Ctx.fault <- Fault.none;
-  Alcotest.(check int) "x already decremented" 1 (Refc.ref_cnt a x_obj);
-  Alcotest.(check int) "y not yet incremented" 1 (Refc.ref_cnt a y_obj);
-  Client.declare_failed (Shm.service_ctx arena) ~cid:a.Ctx.cid;
-  let r = Shm.recover arena ~failed_cid:a.Ctx.cid in
-  Alcotest.(check bool) "change resumed" true r.Recovery.resumed_txn;
-  ignore (Shm.scan_leaking arena);
-  check_clean arena "mid-change crash"
+type repoint_case = {
+  arena : Shm.arena;
+  victim : Ctx.t;
+  op : unit -> unit;
+  after : string -> unit;  (** post-recovery checks, given a label prefix *)
+  release : unit -> unit;  (** the survivor lets go of everything *)
+}
+
+(* Kill the client at every crash-point hit of each re-point — a linked
+   [change_emb], a KV prepend into a non-empty bucket, a sorted-list
+   replace or delete mid-list and at the tail, a broadcast publish over a
+   full ring — then run monitor recovery and adopt or drain the dead
+   client's limbo: the slot holds the old or the new target, and Validate
+   and Fsck are clean. A survivor holds the structure; once it lets go
+   no block is left. *)
+let test_repoint_crash_windows () =
+  let crossed = Hashtbl.create 8 in
+  let check_clean_fsck arena label =
+    check_clean arena label;
+    let f = Fsck.check (Shm.mem arena) (Shm.layout arena) in
+    Alcotest.(check bool)
+      (label ^ " fsck: " ^ String.concat "; " f.Validate.errors)
+      true (Validate.is_clean f)
+  in
+  let one_of label got olds news =
+    if got <> olds && got <> news then
+      Alcotest.failf "%s: neither the old nor the new target" label
+  in
+  (* survivor's own counted reference to [r]'s object *)
+  let hold b r =
+    let rr = Alloc.alloc_rootref b in
+    Refc.attach b ~ref_addr:(Rootref.pptr_slot rr) ~refed:(Cxl_ref.obj r);
+    Cxl_ref.of_rootref b rr
+  in
+  let change_emb () =
+    let arena, a, b = setup () in
+    let parent = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+    let x = Shm.cxl_malloc a ~size_bytes:8 () in
+    let y = Shm.cxl_malloc a ~size_bytes:8 () in
+    Cxl_ref.set_emb parent 0 x;
+    let pb = hold b parent in
+    let x_obj = Cxl_ref.obj x and y_obj = Cxl_ref.obj y in
+    {
+      arena;
+      victim = a;
+      op = (fun () -> Cxl_ref.change_emb parent 0 y);
+      after = (fun label -> one_of label (Cxl_ref.get_emb pb 0) x_obj y_obj);
+      release = (fun () -> Cxl_ref.drop pb);
+    }
+  in
+  let kv_prepend () =
+    let arena = Shm.create ~cfg:Config.small () in
+    let a = Shm.join arena () in
+    let store, h = Cxl_kv.create a ~buckets:1 ~partitions:1 ~value_words:1 in
+    Alcotest.(check bool) "claim" true (Cxl_kv.claim_partition h 0);
+    for k = 0 to 2 do
+      Cxl_kv.put h ~key:k ~value:(10 + k)
+    done;
+    let b = Shm.join arena () in
+    let hb = Cxl_kv.open_store b store in
+    {
+      arena;
+      victim = a;
+      op = (fun () -> Cxl_kv.put h ~key:3 ~value:13);
+      after =
+        (fun label ->
+          Alcotest.(check bool) (label ^ " takeover") true
+            (Cxl_kv.takeover_partition hb 0);
+          ignore (Cxl_kv.adopt_recovered hb);
+          Cxl_kv.quiesce hb;
+          one_of label (Cxl_kv.get hb ~key:3) None (Some 13);
+          for k = 0 to 2 do
+            Alcotest.(check (option int)) (label ^ " other key") (Some (10 + k))
+              (Cxl_kv.get hb ~key:k)
+          done);
+      release =
+        (fun () ->
+          Cxl_kv.close hb;
+          Shm.leave b);
+    }
+  in
+  let sorted_list op key expect () =
+    let arena, a, b = setup () in
+    let l = Sl.create a ~value_words:1 in
+    List.iter (fun k -> ignore (Sl.insert l ~key:k ~value:k)) [ 1; 2; 3 ];
+    let lb = Sl.attach b (hold b (Sl.handle_ref l)) in
+    {
+      arena;
+      victim = a;
+      op = (fun () -> op l key);
+      after =
+        (fun label ->
+          ignore (Shm.scan_leaking arena);
+          one_of label (Sl.find lb ~key) (Some key) expect;
+          List.iter
+            (fun k ->
+              if k <> key then
+                Alcotest.(check (option int)) (label ^ " other key") (Some k)
+                  (Sl.find lb ~key:k))
+            [ 1; 2; 3 ]);
+      release = (fun () -> Sl.close lb);
+    }
+  in
+  let replace l key = Sl.replace l ~key ~value:(100 + key) in
+  let delete l key = ignore (Sl.delete l ~key) in
+  let broadcast () =
+    let arena, a, b = setup () in
+    let w = Bl.create a ~capacity:2 in
+    let payload v =
+      let r = Shm.cxl_malloc a ~size_bytes:8 () in
+      Cxl_ref.write_word r 0 v;
+      r
+    in
+    let p1 = payload 1 and p2 = payload 2 and p3 = payload 3 in
+    ignore (Bl.publish w p1);
+    ignore (Bl.publish w p2);
+    let c = Bl.subscribe b (Bl.log_ref w) in
+    let slot0 = Obj_header.emb_slot (Cxl_ref.obj (Bl.log_ref w)) 0 in
+    let p1_obj = Cxl_ref.obj p1 and p3_obj = Cxl_ref.obj p3 in
+    {
+      arena;
+      victim = a;
+      op = (fun () -> ignore (Bl.publish w p3));
+      after =
+        (fun label ->
+          ignore (Shm.scan_leaking arena);
+          one_of label (Ctx.load b slot0) p1_obj p3_obj);
+      release = (fun () -> Bl.close_cursor c);
+    }
+  in
+  let sweep (name, make) =
+    let hits =
+      let c = make () in
+      let plan = Fault.nth_point ~n:max_int in
+      c.victim.Ctx.fault <- plan;
+      c.op ();
+      Fault.hits plan
+    in
+    for n = 1 to hits do
+      let c = make () in
+      let label = Printf.sprintf "%s, crash %d" name n in
+      c.victim.Ctx.fault <- Fault.nth_point ~n;
+      (match c.op () with
+      | () -> Alcotest.failf "%s: expected a crash" label
+      | exception Fault.Crashed point -> Hashtbl.replace crossed point ());
+      c.victim.Ctx.fault <- Fault.none;
+      let m = Monitor.create ~mem:(Shm.mem c.arena) ~lay:(Shm.layout c.arena) () in
+      Client.declare_failed (Monitor.ctx m) ~cid:c.victim.Ctx.cid;
+      Alcotest.(check (list int)) (label ^ " recovered") [ c.victim.Ctx.cid ]
+        (List.map fst (Monitor.recover_suspects m));
+      c.after label;
+      check_clean_fsck c.arena label;
+      c.release ();
+      ignore (Shm.scan_leaking c.arena);
+      Alcotest.(check int) (label ^ " no block left") 0
+        (Shm.validate c.arena).Validate.live_objects
+    done
+  in
+  List.iter sweep
+    [
+      ("change_emb", change_emb);
+      ("kv prepend", kv_prepend);
+      ("sorted_list replace mid", sorted_list replace 2 (Some 102));
+      ("sorted_list replace tail", sorted_list replace 3 (Some 103));
+      ("sorted_list delete mid", sorted_list delete 2 None);
+      ("sorted_list delete tail", sorted_list delete 3 None);
+      ("broadcast publish", broadcast);
+    ];
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        ("crossed " ^ Fault.point_name p)
+        true
+        (Hashtbl.mem crossed (Fault.point_name p)))
+    Fault.[ Txn_after_redo; Swap_after_link; Swap_after_store ]
 
 let test_alloc_crash_windows () =
   List.iter
@@ -319,7 +476,7 @@ let suite =
     Alcotest.test_case "reap preserves shared" `Quick test_reap_preserves_shared;
     Alcotest.test_case "resume attach after CAS" `Quick test_resume_attach_after_cas;
     Alcotest.test_case "uncommitted not redone" `Quick test_resume_not_committed;
-    Alcotest.test_case "resume change mid-way" `Quick test_resume_change_mid;
+    Alcotest.test_case "re-point crash windows" `Quick test_repoint_crash_windows;
     Alcotest.test_case "alloc crash windows" `Quick test_alloc_crash_windows;
     Alcotest.test_case "sender crash mid-send" `Quick test_sender_crash_mid_send;
     Alcotest.test_case "receiver crash windows" `Quick test_receiver_crash_windows;

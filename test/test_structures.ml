@@ -85,8 +85,8 @@ let test_sl_writer_crash () =
   let arena, a, _ = setup () in
   let l = Sl.create a ~value_words:1 in
   List.iter (fun k -> ignore (Sl.insert l ~key:k ~value:k)) [ 1; 2; 3 ];
-  (* crash mid-splice: after the commit CAS, before ModifyRef *)
-  a.Ctx.fault <- Fault.at Fault.Txn_after_cas ~nth:1;
+  (* crash mid-splice: RootRef relinked, predecessor's next not stored *)
+  a.Ctx.fault <- Fault.at Fault.Swap_after_link ~nth:1;
   (try ignore (Sl.insert l ~key:99 ~value:99) with Fault.Crashed _ -> ());
   a.Ctx.fault <- Fault.none;
   let svc = Shm.service_ctx arena in
@@ -98,6 +98,43 @@ let test_sl_writer_crash () =
     (Validate.is_clean v);
   Alcotest.(check int) "everything reaped with the writer" 0
     v.Validate.live_objects
+
+(* A reader paused on a node across the writer's delete and quiesce still
+   reads that node: its announced era pins the parked node, and the node
+   keeps its next link, so the walk goes on to the tail. *)
+let test_sl_paused_reader () =
+  let arena, a, b = setup () in
+  let l = Sl.create a ~value_words:1 in
+  List.iter (fun k -> ignore (Sl.insert l ~key:k ~value:k)) [ 1; 2; 3 ];
+  let rr = Alloc.alloc_rootref b in
+  Refc.attach b ~ref_addr:(Rootref.pptr_slot rr)
+    ~refed:(Cxl_ref.obj (Sl.handle_ref l));
+  let lb = Sl.attach b (Cxl_ref.of_rootref b rr) in
+  let visits = ref 0 in
+  Sl.walk_hook :=
+    (fun () ->
+      incr visits;
+      if !visits = 2 then begin
+        (* b is about to read node 2's key *)
+        Sl.walk_hook := ignore;
+        Alcotest.(check bool) "deleted" true (Sl.delete l ~key:2);
+        Sl.quiesce l
+      end);
+  let seen = ref [] in
+  Fun.protect
+    ~finally:(fun () -> Sl.walk_hook := ignore)
+    (fun () -> Sl.iter lb (fun ~key ~value:_ -> seen := key :: !seen));
+  Alcotest.(check (list int)) "the paused walk read the unlinked node"
+    [ 1; 2; 3 ] (List.rev !seen);
+  Alcotest.(check (option int)) "a new walk misses it" None (Sl.find lb ~key:2);
+  Sl.quiesce l;
+  Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena));
+  Sl.close lb;
+  Sl.close l;
+  ignore (Shm.scan_leaking arena);
+  let v = Shm.validate arena in
+  Alcotest.(check int) "all reclaimed" 0 v.Validate.live_objects;
+  Alcotest.(check bool) "clean after close" true (Validate.is_clean v)
 
 (* model-based property *)
 let prop_sl_matches_map =
@@ -231,6 +268,7 @@ let suite =
     Alcotest.test_case "sorted list range" `Quick test_sl_range;
     Alcotest.test_case "sorted list shared reader" `Quick test_sl_shared_reader;
     Alcotest.test_case "sorted list writer crash" `Quick test_sl_writer_crash;
+    Alcotest.test_case "sorted list paused reader" `Quick test_sl_paused_reader;
     Generators.to_alcotest prop_sl_matches_map;
     Alcotest.test_case "broadcast fan-out" `Quick test_bl_fanout;
     Alcotest.test_case "broadcast lag" `Quick test_bl_lag;

@@ -56,7 +56,7 @@ let test_redo_roundtrip () =
   let _, a = small_arena () in
   let r =
     {
-      Redo_log.op = Redo_log.Change;
+      Redo_log.op = Redo_log.Swap;
       era = 17;
       ref_addr = 1234;
       refed = 5678;
