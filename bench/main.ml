@@ -1393,43 +1393,6 @@ let bench_ablation_locking () =
     "   (paper §4.2: the lock-based design has comparable speed but blocks\n\
     \    other clients indefinitely when the holder dies)"
 
-(* §6.1 ablation: CXL 2.0 (explicit CLWB of the RootRef line) vs a CXL 3.0
-   / eADR platform where hardware flushes caches on failure. *)
-let bench_ablation_eadr () =
-  let t =
-    Table.create ~title:"Ablation (§6.1): CXL 2.0 flush vs CXL 3.0/eADR"
-      ~columns:[ "Mode"; "Threadtest MOPS"; "Flush %" ]
-  in
-  let model = Latency.of_tier Latency.Cxl in
-  List.iter
-    (fun (label, eadr) ->
-      let arena =
-        Shm.create ~cfg:{ (cxl_shm_cfg 1) with Config.eadr } ()
-      in
-      let ctx = Shm.join arena () in
-      Workloads.threadtest
-        ~alloc:(fun size -> Shm.cxl_malloc ctx ~size_bytes:size ())
-        ~free:Cxl_ref.drop
-        ~write:(fun r -> Cxl_ref.write_word r 0 1)
-        ~rounds:(tt_rounds ()) ~batch:tt_batch;
-      let ns = Stats.modeled_ns model ctx.Ctx.st in
-      let access, fence, flush, backoff =
-        Stats.breakdown_ns model ctx.Ctx.st
-      in
-      let total = access +. fence +. flush +. backoff in
-      Table.add_row t
-        [
-          label;
-          Table.cell_f
-            (float_of_int (workload_ops `Threadtest) /. (ns /. 1e3));
-          Table.cell_f (100.0 *. flush /. total);
-        ])
-    [ ("CXL 2.0 (clwb)", false); ("CXL 3.0 / eADR", true) ];
-  Table.print t;
-  print_endline
-    "   (paper §6.1: the flush accounts for 27-50% of the fast path and\n\
-    \    'may not be required in a CXL 3.0 based implementation')"
-
 (* §6.4.1: writer failover / repartitioning is one CAS on the writer
    table — no data moves. Contrast with a shared-nothing design where the
    new owner must copy the partition's records. *)
@@ -2041,7 +2004,6 @@ let experiments =
     ("fig10d", bench_fig10d);
     ("fault", bench_fault);
     ("ablation-locking", bench_ablation_locking);
-    ("ablation-eadr", bench_ablation_eadr);
     ("repartition", bench_repartition);
     ("structures", bench_structures);
     ("ycsb-presets", bench_ycsb_presets);

@@ -15,10 +15,10 @@ let pp_clients ppf (mem, lay) =
   for cid = 0 to m - 1 do
     let flags = peek (Layout.client_flags lay cid) in
     if flags <> 0 then
-      Format.fprintf ppf "  cid %-3d %-7s era=%-6d heartbeat=%-6d hazard=%d@."
+      Format.fprintf ppf "  cid %-3d %-7s era=%-6d lease=%-6d hazard=%d@."
         cid (flags_name flags)
         (peek (Layout.era_cell lay cid cid))
-        (peek (Layout.client_heartbeat lay cid))
+        (peek (Layout.client_lease_deadline lay cid))
         (peek (Layout.client_hazard lay cid))
   done
 

@@ -409,10 +409,9 @@ let free_huge (ctx : Ctx.t) obj =
 (* The RootRef-line flush and the link/advance fence are elided in epoch
    mode: allocation-crash recovery is state-based (the §5.1 free-pointer
    guard, the in_use-at-free-head check) and the retirement batch boundary
-   is the path's single ordering + durability point — the same trade the
-   [eadr] knob makes, argued in docs/ALGORITHM.md §9. *)
-let rr_flush_elided (ctx : Ctx.t) =
-  (Ctx.cfg ctx).Config.eadr || Ctx.epoch_enabled ctx
+   is the path's single ordering + durability point, argued in
+   docs/ALGORITHM.md §9. *)
+let rr_flush_elided (ctx : Ctx.t) = Ctx.epoch_enabled ctx
 
 let link_and_carve (ctx : Ctx.t) rr ~idx ~kind ~block_words ~data_words ~emb_cnt =
   let cfg = Ctx.cfg ctx in

@@ -33,13 +33,10 @@ let init_slot (ctx : Ctx.t) =
   Ctx.store ctx (Layout.client_cur_segment lay cid) 0;
   Ctx.store ctx (Layout.retire_count lay cid) 0;
   Ctx.store ctx (Layout.retire_era lay cid) 0;
-  Ctx.store ctx (Layout.client_heartbeat lay cid) 0;
   (* A previous occupant that died mid-traversal leaves its hazard
      announcement behind; a fresh incarnation starts not-reading, else the
      stale (small) era would pin reclamation forever. *)
   Ctx.store ctx (Layout.client_hazard lay cid) 0;
-  Ctx.store ctx (Layout.client_machine lay cid) 0;
-  Ctx.store ctx (Layout.client_process lay cid) (Unix.getpid ());
   (* Lease grant last: the deadline only starts mattering once the slot is
      live. The grant era is monotone across incarnations (never reset), so
      stale suspicion decisions and already-claimed death dumps from a
@@ -80,8 +77,6 @@ let is_alive ctx ~cid =
   | Slot_free | Failed -> false
 
 let heartbeat (ctx : Ctx.t) =
-  let h = Layout.client_heartbeat ctx.lay ctx.cid in
-  Ctx.store ctx h (Ctx.load ctx h + 1);
   Ctx.refresh_degraded_hint ctx;
   Lease.renew ctx ~cid:ctx.cid;
   (* Cancel a false-positive suspicion. If the CAS fails because the slot
@@ -89,9 +84,6 @@ let heartbeat (ctx : Ctx.t) =
      harmless (recovery ends in Slot_free and clears it) and the caller
      discovers the condemnation via [status]/its next operation. *)
   ignore (Lease.self_heal ctx ~cid:ctx.cid)
-
-let heartbeat_value (ctx : Ctx.t) ~cid =
-  Ctx.load ctx (Layout.client_heartbeat ctx.lay cid)
 
 let set_status (ctx : Ctx.t) ~cid s =
   Ctx.store ctx (Layout.client_flags ctx.lay cid) (status_to_int s)

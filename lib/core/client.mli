@@ -2,8 +2,9 @@
 
     Clients claim a ClientLocalState slot with a CAS on its flags word, so
     joining and leaving never block other clients (POSIX shm/mmap in the
-    real system). A heartbeat counter lets the monitor detect silent
-    failures; tests can also declare failures explicitly. *)
+    real system). A heartbeat renews the client's lease ({!Lease}), which
+    lets any peer detect silent failures; tests can also declare failures
+    explicitly. *)
 
 type status =
   | Slot_free
@@ -36,12 +37,9 @@ val is_alive : Ctx.t -> cid:int -> bool
     treating the client as live until it is condemned. *)
 
 val heartbeat : Ctx.t -> unit
-(** Bump the progress counter, renew the caller's lease
-    ({!Lease.renew}) and cancel a pending [Suspected]
+(** Renew the caller's lease ({!Lease.renew}) and cancel a pending [Suspected]
     ({!Lease.self_heal}). A client already condemned to [Failed] is
     fenced; its heartbeat no longer rescues it. *)
-
-val heartbeat_value : Ctx.t -> cid:int -> int
 
 val declare_failed : Ctx.t -> cid:int -> unit
 (** Transition a (presumed dead) client to [Failed]; the recovery service

@@ -7,7 +7,6 @@ type t = {
   worklist_words : int;
   tier : Cxlshm_shmem.Latency.tier;
   backend : Cxlshm_shmem.Mem.backend_spec;
-  eadr : bool;
   trace : bool;
   trace_slots : int;
   cache : bool;
@@ -36,7 +35,6 @@ let default =
     worklist_words = 1024;
     tier = Cxlshm_shmem.Latency.Cxl;
     backend = Cxlshm_shmem.Mem.Flat;
-    eadr = false;
     trace = false;
     trace_slots = 256;
     cache = true;
@@ -56,7 +54,6 @@ let small =
     worklist_words = 128;
     tier = Cxlshm_shmem.Latency.Cxl;
     backend = Cxlshm_shmem.Mem.Flat;
-    eadr = false;
     trace = false;
     trace_slots = 128;
     cache = true;

@@ -21,11 +21,6 @@ type t = {
           [stripe_words = 0] means "one segment per stripe" — {!Shm.create}
           resolves it to the layout's segment size so stripes are
           segment-granular. *)
-  eadr : bool;
-      (** CXL 3.0 / eADR-style platform: caches are flushed by hardware on
-          failure, so the fast path's RootRef CLWB is unnecessary (§6.1:
-          "this flush may not be required in a CXL 3.0 based
-          implementation"). Ablation knob for the bench harness. *)
   trace : bool;
       (** Enable the observability layer: per-op spans feed latency
           histograms and write events into the client's shared-memory

@@ -156,9 +156,11 @@ let repoint (ctx : Ctx.t) ~ref_addr ~obj ~nobj =
 
 (* One evacuation sweep at a time: the claim word serialises the monitor
    leader against clients relocating their own data (and against a second
-   monitor replica in the unclosable lease-fencing window). A claim whose
-   holder is no longer a live client is broken — the breaker inherits, and
-   must resume, the in-flight migration journal. *)
+   monitor replica in the unclosable lease-fencing window). A claim is
+   broken only once its holder's slot is free, i.e. after recovery has
+   resolved the holder's in-flight re-point swap — the breaker inherits,
+   and must resume, the migration journal. A [Failed] or [Suspected]
+   holder still counts as busy. *)
 let rec try_claim (ctx : Ctx.t) =
   let addr = Layout.hdr_evac_claim ctx.Ctx.lay in
   let cur = Ctx.load ctx addr in
@@ -166,7 +168,7 @@ let rec try_claim (ctx : Ctx.t) =
   else if cur = 0 then
     if Ctx.cas ctx addr ~expected:0 ~desired:(ctx.Ctx.cid + 1) then `Acquired
     else try_claim ctx
-  else if Client.is_alive ctx ~cid:(cur - 1) then `Busy
+  else if Client.status ctx ~cid:(cur - 1) <> Client.Slot_free then `Busy
   else if Ctx.cas ctx addr ~expected:cur ~desired:(ctx.Ctx.cid + 1) then
     `Acquired
   else try_claim ctx

@@ -21,7 +21,9 @@
     Sweeps are serialised by a claim word ({!Layout.hdr_evac_claim}):
     monitor-side sweeps, client relocations and direct {!evacuate_obj}
     calls never interleave re-point phases; a claim whose holder died is
-    broken by the next claimant after draining the journal.
+    broken by the next claimant once recovery has freed the holder's slot
+    (a [Failed] or [Suspected] holder is still busy), and the breaker
+    drains the journal.
 
     The single-writer caveat: a re-point rewrites holder reference {e words},
     so the evacuator must not race the holder's own writes to those exact
@@ -38,7 +40,9 @@ type outcome =
   | Pinned of string  (** held by a queue/root directory; not movable here *)
   | Dead  (** count reached zero before the guard attached *)
   | No_space  (** nothing healthy claimable for the replacement *)
-  | Busy  (** another live evacuator holds the sweep claim; retry later *)
+  | Busy
+      (** another evacuator, live or not yet recovered, holds the sweep
+          claim; retry later *)
 
 type report = {
   mutable moved : int;

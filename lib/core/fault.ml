@@ -11,8 +11,6 @@ type point =
   | Release_before_reclaim
   | Release_mid_reclaim
   | Send_after_attach
-  | Recv_after_attach
-  | Recv_after_detach
   | Recv_after_advance
   | Slowpath_after_page_claim
   | Slowpath_after_segment_claim
@@ -44,8 +42,6 @@ let point_name = function
   | Release_before_reclaim -> "release-before-reclaim"
   | Release_mid_reclaim -> "release-mid-reclaim"
   | Send_after_attach -> "send-after-attach"
-  | Recv_after_attach -> "recv-after-attach"
-  | Recv_after_detach -> "recv-after-detach"
   | Recv_after_advance -> "recv-after-advance"
   | Slowpath_after_page_claim -> "slowpath-after-page-claim"
   | Slowpath_after_segment_claim -> "slowpath-after-segment-claim"
@@ -78,8 +74,6 @@ let all_points =
     Release_before_reclaim;
     Release_mid_reclaim;
     Send_after_attach;
-    Recv_after_attach;
-    Recv_after_detach;
     Recv_after_advance;
     Slowpath_after_page_claim;
     Slowpath_after_segment_claim;

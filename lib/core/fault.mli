@@ -25,8 +25,6 @@ type point =
   | Release_before_reclaim       (** count hit zero, block not yet reclaimed *)
   | Release_mid_reclaim          (** block partially pushed to a free list *)
   | Send_after_attach            (** queue slot holds the ref, tail not moved *)
-  | Recv_after_attach            (** local RootRef linked, slot not released *)
-  | Recv_after_detach            (** slot released, head not advanced *)
   | Recv_after_advance           (** head advanced and flushed, result not
                                      yet returned to the caller *)
   | Slowpath_after_page_claim    (** page kind set, free chain incomplete *)

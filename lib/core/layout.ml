@@ -23,7 +23,7 @@ let magic = 0x43584c53484d (* "CXLSHM" *)
 let arena_hdr_words = 16
 let seg_meta_words = 4
 let redo_words = 8
-let client_misc_words = 8
+let client_misc_words = 5
 let queue_slot_words = 8
 let page_meta_words = 8
 let recovery_hdr_words = 16
@@ -154,13 +154,10 @@ let client_state t i =
   t.clientvec_base + (i * t.client_state_words)
 
 let client_flags t i = client_state t i
-let client_machine t i = client_state t i + 1
-let client_process t i = client_state t i + 2
-let client_heartbeat t i = client_state t i + 3
-let client_hazard t i = client_state t i + 4
-let client_lease_deadline t i = client_state t i + 5
-let client_lease_era t i = client_state t i + 6
-let client_dump_claim t i = client_state t i + 7
+let client_hazard t i = client_state t i + 1
+let client_lease_deadline t i = client_state t i + 2
+let client_lease_era t i = client_state t i + 3
+let client_dump_claim t i = client_state t i + 4
 
 let era_cell t i j =
   check_cid t j;

@@ -110,15 +110,12 @@ val seg_client_free : t -> int -> Cxlshm_shmem.Pptr.t
 
 (** {1 ClientLocalState}
 
-    Per client: misc words (registration flag, machine/process ids,
-    heartbeat), the client's row of the M×M era matrix, the redo-log record,
+    Per client: misc words (registration flag, hazard era, lease deadline
+    and grant era, death-dump claim), the client's row of the M×M era matrix, the redo-log record,
     the per-size-class current-page table and the current-segment cursor. *)
 
 val client_state : t -> int -> Cxlshm_shmem.Pptr.t
 val client_flags : t -> int -> Cxlshm_shmem.Pptr.t
-val client_machine : t -> int -> Cxlshm_shmem.Pptr.t
-val client_process : t -> int -> Cxlshm_shmem.Pptr.t
-val client_heartbeat : t -> int -> Cxlshm_shmem.Pptr.t
 
 val client_hazard : t -> int -> Cxlshm_shmem.Pptr.t
 (** The client's announced hazard epoch (0 = not reading), used by

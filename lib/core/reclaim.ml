@@ -7,10 +7,11 @@ let emb_count (ctx : Ctx.t) obj =
 
 let rec teardown_children (ctx : Ctx.t) ~as_cid ~obj =
   let n = emb_count ctx obj in
+  let detach = Refc.detach_as ctx ~as_cid in
   for i = 0 to n - 1 do
     let slot = Obj_header.emb_slot obj i in
     let child = Ctx.load ctx slot in
-    if child <> 0 then release_held ctx ~as_cid ~ref_addr:slot ~obj:child
+    if child <> 0 then release_held ctx ~as_cid ~detach ~ref_addr:slot ~obj:child
   done
 
 (* Release a reference we know is held (count >= 1). When we hold the sole
@@ -23,12 +24,13 @@ let rec teardown_children (ctx : Ctx.t) ~as_cid ~obj =
    Active segment no recovery path revisits (the redo log cannot cover the
    tail of this window — freeing zeroes the header, which breaks the
    Condition 1 commit check). The rare race-to-zero path below does the
-   same. *)
-and release_held (ctx : Ctx.t) ~as_cid ~ref_addr ~obj =
+   same. [detach] performs the top-level decrement only; children always
+   go through the redo-logged {!Refc.detach_as}. *)
+and release_held (ctx : Ctx.t) ~as_cid ~detach ~ref_addr ~obj =
   if Refc.ref_cnt ctx obj = 1 then begin
     teardown_children ctx ~as_cid ~obj;
     mark_leaking_of ctx obj;
-    let n = Refc.detach_as ctx ~as_cid ~ref_addr ~refed:obj in
+    let n = detach ~ref_addr ~refed:obj in
     Ctx.crash_point ctx Fault.Release_before_reclaim;
     if n = 0 then Alloc.free_obj_block ctx obj
     else
@@ -36,7 +38,7 @@ and release_held (ctx : Ctx.t) ~as_cid ~ref_addr ~obj =
       raise (Refc.Refcount_violation "release: count rose from 1")
   end
   else begin
-    let n = Refc.detach_as ctx ~as_cid ~ref_addr ~refed:obj in
+    let n = detach ~ref_addr ~refed:obj in
     if n = 0 then begin
       (* Concurrent holders raced us to zero: cover the crash window by
          leak-marking before the non-idempotent teardown + reclaim. *)
@@ -48,7 +50,8 @@ and release_held (ctx : Ctx.t) ~as_cid ~ref_addr ~obj =
   end
 
 let release_obj (ctx : Ctx.t) ~ref_addr ~obj =
-  release_held ctx ~as_cid:ctx.cid ~ref_addr ~obj
+  release_held ctx ~as_cid:ctx.cid ~detach:(Refc.detach_as ctx ~as_cid:ctx.cid)
+    ~ref_addr ~obj
 
 (* Retire one journaled rootref: [release_held] with the top-level detach
    swapped for the redo-free {!Refc.detach_batched} — the sealed journal
@@ -57,25 +60,9 @@ let release_obj (ctx : Ctx.t) ~ref_addr ~obj =
    [Recovery.recover_journal] keys on. *)
 let retire_one (ctx : Ctx.t) rr =
   let obj = Rootref.obj ctx rr in
-  let ref_addr = Rootref.pptr_slot rr in
-  (if obj <> 0 then
-     if Refc.ref_cnt ctx obj = 1 then begin
-       teardown_children ctx ~as_cid:ctx.cid ~obj;
-       mark_leaking_of ctx obj;
-       let n = Refc.detach_batched ctx ~ref_addr ~refed:obj in
-       Ctx.crash_point ctx Fault.Release_before_reclaim;
-       if n = 0 then Alloc.free_obj_block ctx obj
-       else raise (Refc.Refcount_violation "retire: count rose from 1")
-     end
-     else begin
-       let n = Refc.detach_batched ctx ~ref_addr ~refed:obj in
-       if n = 0 then begin
-         mark_leaking_of ctx obj;
-         Ctx.crash_point ctx Fault.Release_before_reclaim;
-         teardown_children ctx ~as_cid:ctx.cid ~obj;
-         Alloc.free_obj_block ctx obj
-       end
-     end);
+  if obj <> 0 then
+    release_held ctx ~as_cid:ctx.cid ~detach:(Refc.detach_batched ctx)
+      ~ref_addr:(Rootref.pptr_slot rr) ~obj;
   Alloc.free_rootref ctx rr
 
 let flush_retired (ctx : Ctx.t) =

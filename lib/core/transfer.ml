@@ -187,42 +187,16 @@ let open_from (ctx : Ctx.t) ~sender =
 
 type send_result = Sent | Full | Closed
 
-let send t payload =
-  assert (t.endpoint = Sender);
-  Trace.with_span t.ctx Histogram.Transfer_send ~addr:(Cxl_ref.obj t.qref)
-  @@ fun () ->
-  let flags = qload t w_flags in
-  if flags land flag_receiver_closed <> 0 then Closed
-  else begin
-    let tail = qload t w_tail in
-    let head = qload t w_head in
-    if tail - head >= t.capacity then Full
-    else begin
-      let qobj = Cxl_ref.obj t.qref in
-      let slot = Obj_header.emb_slot qobj (tail mod t.capacity) in
-      Refc.attach t.ctx ~ref_addr:slot ~refed:(Cxl_ref.obj payload);
-      Ctx.crash_point t.ctx Fault.Send_after_attach;
-      Ctx.fence t.ctx;
-      (* Ownership transfers to the receiver here (§5.2). Under epoch
-         batching the tail-line write-back rides the next batch boundary
-         ({!Ctx.flush_deferred}) — the tail value itself is already
-         recoverable from the attached slots, the flush only bounds how
-         much a post-crash receiver re-sees. *)
-      qstore t w_tail (tail + 1);
-      let tail_line = qword t.ctx qobj ~cap:t.capacity w_tail in
-      if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx tail_line
-      else Ctx.flush t.ctx tail_line;
-      Sent
-    end
-  end
-
-(* Batched send: attach up to [room] payloads to consecutive tail slots,
+(* Send (§5.2): attach up to [room] payloads to consecutive tail slots,
    then publish the whole prefix with ONE fence and ONE tail store. The
    single tail advance is the only commit point, so the receiver either
    sees none of the batch or a dense prefix of it — per-message
    exactly-once semantics are untouched. A crash between an attach and the
-   tail store leaves the extra slot references owned by the queue object,
-   exactly like a crashed single [send]. *)
+   tail store leaves the slot references owned by the queue object. The
+   tail-line write-back rides the next batch boundary under epoch batching
+   ({!Ctx.flush_deferred}): the tail value is recoverable from the attached
+   slots, so the flush only bounds how much a post-crash receiver
+   re-sees. *)
 let send_batch t payloads =
   assert (t.endpoint = Sender);
   Trace.with_span t.ctx Histogram.Transfer_send ~addr:(Cxl_ref.obj t.qref)
@@ -249,70 +223,12 @@ let send_batch t payloads =
       Ctx.fence t.ctx;
       (* Ownership of all [!n] messages transfers here. *)
       qstore t w_tail (tail + !n);
-      let tail_line = qword t.ctx qobj ~cap:t.capacity w_tail in
-      if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx tail_line
-      else Ctx.flush t.ctx tail_line;
+      Ctx.flush_deferred t.ctx (qword t.ctx qobj ~cap:t.capacity w_tail);
       (!n, if !n = List.length payloads then Sent else Full)
     end
   end
 
-type recv_result = Received of Cxl_ref.t | Empty | Drained
-
-let receive t =
-  assert (t.endpoint = Receiver);
-  Trace.with_span t.ctx Histogram.Transfer_recv ~addr:(Cxl_ref.obj t.qref)
-  @@ fun () ->
-  let head = qload t w_head in
-  let tail = qload t w_tail in
-  if head = tail then
-    if qload t w_flags land flag_sender_closed <> 0 then Drained else Empty
-  else begin
-    let qobj = Cxl_ref.obj t.qref in
-    let slot = Obj_header.emb_slot qobj (head mod t.capacity) in
-    let obj = Ctx.load t.ctx slot in
-    assert (obj <> 0);
-    (* Mutation self-check switch: re-introduces the pre-fix unfenced head
-       advance. As with [Spsc_queue.mutation_unfenced_pop], the simulator's
-       atomics are sequentially consistent, so the mutation applies the
-       reordering the missing fence permitted on hardware — the head store
-       becomes visible before the slot detach, handing the slot back to the
-       sender while it still holds the old counted reference. *)
-    if !mutation_unfenced_advance then qstore t w_head (head + 1);
-    let rr = Alloc.alloc_rootref t.ctx in
-    if Ctx.epoch_enabled t.ctx then
-      (* Count-neutral receive: one swap era transaction relinks the
-         counted reference from the queue slot to the fresh RootRef — the
-         attach/detach CAS pair (two header CASes, two redo records)
-         collapses into two plain stores under a single redo record. The
-         object's count never moves, so it never transits zero. *)
-      Refc.swap t.ctx ~ref_addr:slot ~rr ~from_obj:obj ~to_obj:0
-    else begin
-      (* Attach-then-detach keeps the object's count >= 1 throughout. *)
-      Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj;
-      Ctx.crash_point t.ctx Fault.Recv_after_attach;
-      let n = Refc.detach t.ctx ~ref_addr:slot ~refed:obj in
-      assert (n >= 1);
-      Ctx.crash_point t.ctx Fault.Recv_after_detach
-    end;
-    (* The slot clear must be visible before the head store publishes the
-       slot back to the sender — and the head must be persistent before we
-       hand the result out, mirroring [send]'s fence + tail flush. Without
-       the fence a sender sees the advanced head while the slot still holds
-       the old reference; without the flush a crash here replays a message
-       the caller already consumed. Epoch mode defers the head-line
-       write-back to the batch boundary: replaying an already-consumed
-       message is count-safe there because the slot detach is a recoverable
-       swap, not a committed decrement. *)
-    if not !mutation_unfenced_advance then begin
-      Ctx.fence t.ctx;
-      qstore t w_head (head + 1);
-      let head_line = qword t.ctx qobj ~cap:t.capacity w_head in
-      if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx head_line
-      else Ctx.flush t.ctx head_line
-    end;
-    Ctx.crash_point t.ctx Fault.Recv_after_advance;
-    Received (Cxl_ref.of_rootref t.ctx rr)
-  end
+let send t payload = snd (send_batch t [ payload ])
 
 (* Final teardown of a directory slot once both endpoints are closed: the
    [as_cid] identity performs the resumable detach of the directory's
@@ -365,14 +281,15 @@ let close t =
   then try_cleanup t.ctx ~as_cid:t.ctx.Ctx.cid t.dir_idx;
   Cxl_ref.drop t.qref
 
+type recv_result = Received of Cxl_ref.t | Empty | Drained
 type recv_batch = Received_batch of Cxl_ref.t list | Batch_empty | Batch_drained
 
-(* Batched receive: consume up to [max] messages, handing their slots back
-   to the sender with ONE fence and ONE head store. Each message still runs
-   the full attach-then-detach era transaction (count never drops below 1),
-   and a crash mid-batch is indistinguishable from a crash mid-[receive]:
-   messages whose slot was detached are owned by this client's fresh
-   RootRefs (reaped with the client), the rest stay owned by the queue. *)
+(* Receive (§5.2): consume up to [max] messages. Each slot's counted
+   reference is relinked to a fresh RootRef by one count-neutral swap era
+   transaction — two plain stores under one redo record, no header CAS, and
+   the object's count never transits zero. A crash mid-batch leaves the
+   relinked messages owned by this client's RootRefs (reaped with the
+   client) and the rest owned by the queue. *)
 let receive_batch t ~max =
   assert (t.endpoint = Receiver);
   Trace.with_span t.ctx Histogram.Transfer_recv ~addr:(Cxl_ref.obj t.qref)
@@ -387,36 +304,46 @@ let receive_batch t ~max =
     if n <= 0 then Batch_empty
     else begin
       let qobj = Cxl_ref.obj t.qref in
+      (* Mutation self-check switch: re-introduces the pre-fix unfenced head
+         advance. As with [Spsc_queue.mutation_unfenced_pop], the
+         simulator's atomics are sequentially consistent, so the mutation
+         applies the reordering the missing fence permitted on hardware —
+         the head store becomes visible before the slot relinks, handing the
+         slots back to the sender while they still hold the old counted
+         references. *)
+      if !mutation_unfenced_advance then qstore t w_head (head + n);
       let out = ref [] in
       for i = 0 to n - 1 do
         let slot = Obj_header.emb_slot qobj ((head + i) mod t.capacity) in
         let obj = Ctx.load t.ctx slot in
         assert (obj <> 0);
         let rr = Alloc.alloc_rootref t.ctx in
-        if Ctx.epoch_enabled t.ctx then
-          (* Count-neutral per-message relink — see [receive]. *)
-          Refc.swap t.ctx ~ref_addr:slot ~rr ~from_obj:obj ~to_obj:0
-        else begin
-          Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj;
-          Ctx.crash_point t.ctx Fault.Recv_after_attach;
-          let c = Refc.detach t.ctx ~ref_addr:slot ~refed:obj in
-          assert (c >= 1);
-          Ctx.crash_point t.ctx Fault.Recv_after_detach
-        end;
+        Refc.swap t.ctx ~ref_addr:slot ~rr ~from_obj:obj ~to_obj:0;
         out := Cxl_ref.of_rootref t.ctx rr :: !out
       done;
-      (* All slot detaches must be visible before the one head store that
-         returns the slots to the sender; the head must be persistent
-         before the results are handed out (mirrors [receive]). *)
-      Ctx.fence t.ctx;
-      qstore t w_head (head + n);
-      let head_line = qword t.ctx qobj ~cap:t.capacity w_head in
-      if Ctx.epoch_enabled t.ctx then Ctx.flush_deferred t.ctx head_line
-      else Ctx.flush t.ctx head_line;
+      (* The slot clears must be visible before the one head store that
+         returns the slots to the sender, or the sender sees the advanced
+         head while a slot still holds the old reference; and the head must
+         be persistent before the results are handed out, or a crash
+         replays messages the caller already consumed. Under epoch batching
+         the head-line write-back rides the batch boundary: that replay is
+         count-safe because each relink is a recoverable swap, not a
+         committed decrement. *)
+      if not !mutation_unfenced_advance then begin
+        Ctx.fence t.ctx;
+        qstore t w_head (head + n);
+        Ctx.flush_deferred t.ctx (qword t.ctx qobj ~cap:t.capacity w_head)
+      end;
       Ctx.crash_point t.ctx Fault.Recv_after_advance;
       Received_batch (List.rev !out)
     end
   end
+
+let receive t =
+  match receive_batch t ~max:1 with
+  | Received_batch rs -> Received (List.hd rs)
+  | Batch_empty -> Empty
+  | Batch_drained -> Drained
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)

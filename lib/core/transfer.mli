@@ -8,8 +8,8 @@
     - sending attaches the object to the tail slot with the standard era
       transaction, then publishes it by advancing the tail — ownership
       transfers atomically at that store;
-    - receiving attaches the head slot's object to a fresh RootRef, detaches
-      the slot, then advances the head;
+    - receiving relinks the head slot's counted reference to a fresh RootRef
+      with one count-neutral {!Refc.swap}, then advances the head;
     - every queue is registered in the well-known directory, so the recovery
       service can find them; un-consumed references are owned by the queue
       object itself and die with it, so a crash on either side leaks
@@ -51,8 +51,9 @@ val open_from : Ctx.t -> sender:int -> t option
 type send_result = Sent | Full | Closed
 
 val send : t -> Cxl_ref.t -> send_result
-(** Share the handle's object with the peer. The sender keeps its own
-    reference (drop it separately if no longer needed). *)
+(** Share the handle's object with the peer: {!send_batch} of one. The
+    sender keeps its own reference (drop it separately if no longer
+    needed). *)
 
 val send_batch : t -> Cxl_ref.t list -> int * send_result
 (** Publish a prefix of the payloads (limited by ring room) under a
@@ -64,14 +65,18 @@ val send_batch : t -> Cxl_ref.t list -> int * send_result
 type recv_result = Received of Cxl_ref.t | Empty | Drained
 
 val receive : t -> recv_result
-(** [Drained] = the sender closed (or died) and the ring is empty. *)
+(** {!receive_batch} of one. [Drained] = the sender closed (or died) and
+    the ring is empty. *)
 
 type recv_batch = Received_batch of Cxl_ref.t list | Batch_empty | Batch_drained
 
 val receive_batch : t -> max:int -> recv_batch
 (** Consume up to [max] messages, releasing all their slots with a single
-    fence and head advance. Each message still runs the attach-then-detach
-    era transaction, so per-message crash atomicity matches {!receive}. *)
+    fence and head advance. Each message moves from its slot to a fresh
+    RootRef by one {!Refc.swap} era transaction (no header CAS; the
+    object's count never moves), so every message is crash-atomic on its
+    own: a crash leaves it owned by the queue or by the receiver's
+    RootRef. *)
 
 val close : t -> unit
 (** Close this endpoint and drop its queue reference. When both endpoints
@@ -117,6 +122,7 @@ val clear_wild_directory_refs :
 
 val mutation_unfenced_advance : bool ref
 (** {b Test-only.} Re-introduces the historical unfenced head advance in
-    {!receive} for the model checker's mutation self-check, expressed as the
-    reordering the missing fence permitted (head published before the slot
-    detach). Must stay [false] outside the explorer's mutation tests. *)
+    {!receive_batch} for the model checker's mutation self-check, expressed
+    as the reordering the missing fence permitted (head published before the
+    slot relinks). Must stay [false] outside the explorer's mutation
+    tests. *)

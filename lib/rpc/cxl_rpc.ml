@@ -412,7 +412,7 @@ let serve_until s ~handler ~stop =
    caller-retained output) simply stays claimed until those references
    die. *)
 let release_sub_heap (ctx : Ctx.t) segs =
-  if Ctx.epoch_enabled ctx then Reclaim.flush_retired ctx;
+  Reclaim.flush_retired ctx;
   List.iter
     (fun seg ->
       if

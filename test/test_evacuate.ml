@@ -207,6 +207,50 @@ let crash_resume point () =
   Ctx.clear_degraded svc;
   check_clean arena "crash resume"
 
+(* ---- an evacuator killed inside a re-point swap keeps its claim until
+   recovery has resolved that swap: a peer that resumed the journal first
+   would re-point the half-swapped holder a second time ---- *)
+
+let test_claim_held_until_recovery () =
+  let arena = Shm.create ~cfg:(striped_cfg ()) () in
+  let svc = Shm.service_ctx arena in
+  let a = Shm.join arena () in
+  let b = Shm.join arena () in
+  let child = Shm.cxl_malloc a ~size_bytes:16 () in
+  Cxl_ref.write_word child 0 0xBEEF;
+  let parent = Shm.cxl_malloc b ~size_bytes:8 ~emb_cnt:1 () in
+  Cxl_ref.set_emb parent 0 child;
+  let obj0 = Cxl_ref.obj child in
+  Ctx.mark_degraded svc (dev_of arena a obj0);
+  let w = Shm.join arena () in
+  w.Ctx.fault <- Fault.at Fault.Swap_after_link ~nth:1;
+  (match Evacuate.evacuate_obj w ~obj:obj0 with
+  | exception Fault.Crashed _ -> ()
+  | _ -> Alcotest.fail "evacuator did not crash");
+  Client.declare_failed svc ~cid:w.Ctx.cid;
+  let before = Evacuate.relocate_own a in
+  Alcotest.(check int) "busy before recovery" 1 before.Evacuate.busy;
+  ignore (Shm.recover arena ~failed_cid:w.Ctx.cid);
+  let after = Evacuate.relocate_own a in
+  Alcotest.(check int) "not busy after recovery" 0 after.Evacuate.busy;
+  Alcotest.(check (list string)) "no errors" [] after.Evacuate.errors;
+  let child =
+    match List.assoc_opt (Cxl_ref.rootref child) after.Evacuate.remapped with
+    | Some rr2 -> Cxl_ref.of_rootref a rr2
+    | None -> child
+  in
+  Alcotest.(check bool) "holders agree on a single copy" true
+    (Cxl_ref.get_emb parent 0 = Cxl_ref.obj child);
+  Alcotest.(check int) "payload survived" 0xBEEF (Cxl_ref.read_word child 0);
+  Alcotest.(check bool) "validate clean" true
+    (Validate.is_clean (Shm.validate arena));
+  Alcotest.(check bool) "fsck check clean" true
+    (Validate.is_clean (Fsck.check (Shm.mem arena) (Shm.layout arena)));
+  Cxl_ref.drop parent;
+  Cxl_ref.drop child;
+  Ctx.clear_degraded svc;
+  check_clean arena "claim held until recovery, after drop"
+
 (* ---- the evacuate model under the schedule explorer ---- *)
 
 let test_sched_evacuate () =
@@ -239,6 +283,8 @@ let suite =
       (crash_resume Fault.Evac_after_repoint);
     Alcotest.test_case "crash before release" `Quick
       (crash_resume Fault.Evac_before_release);
+    Alcotest.test_case "claim held until the evacuator is recovered" `Quick
+      test_claim_held_until_recovery;
     Alcotest.test_case "evacuate model under the explorer" `Quick
       test_sched_evacuate;
   ]

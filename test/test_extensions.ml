@@ -1,6 +1,5 @@
 (* Extension features: the §4.2 lock-based straw-man (and why it loses),
-   §6.4.1 persistent named roots, §5.4 hazard-era reclamation, and the
-   CXL 3.0 / eADR flush ablation. *)
+   §6.4.1 persistent named roots and §5.4 hazard-era reclamation. *)
 
 open Cxlshm
 module Locked_refc = Cxlshm_check.Locked_refc
@@ -196,24 +195,6 @@ let test_hazard_with_protection () =
          42));
   Alcotest.(check int) "cleared outside" 0 (Hazard.announced a ~cid:a.Ctx.cid)
 
-(* ---- eADR ablation ---- *)
-
-let test_eadr_removes_flush () =
-  let run eadr =
-    let arena = Shm.create ~cfg:{ Config.small with Config.eadr } () in
-    let a = Shm.join arena () in
-    for _ = 1 to 100 do
-      let r = Shm.cxl_malloc a ~size_bytes:32 () in
-      Cxl_ref.drop r
-    done;
-    a.Ctx.st.Cxlshm_shmem.Stats.flushes
-  in
-  let with_flush = run false and without = run true in
-  Alcotest.(check bool)
-    (Printf.sprintf "eADR eliminates alloc flushes (%d -> %d)" with_flush without)
-    true
-    (without < with_flush)
-
 let suite =
   [
     Alcotest.test_case "locked: basic" `Quick test_locked_basic;
@@ -226,5 +207,4 @@ let suite =
     Alcotest.test_case "hazard protects reader" `Quick test_hazard_protects_reader;
     Alcotest.test_case "hazard ignores dead reader" `Quick test_hazard_dead_reader_ignored;
     Alcotest.test_case "hazard with_protection" `Quick test_hazard_with_protection;
-    Alcotest.test_case "eADR removes flush" `Quick test_eadr_removes_flush;
   ]

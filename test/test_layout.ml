@@ -26,7 +26,6 @@ let gen_cfg =
         worklist_words;
         tier = Cxlshm_shmem.Latency.Cxl;
         backend = Cxlshm_shmem.Mem.Flat;
-        eadr = false;
         trace = false;
         trace_slots;
         cache = true;

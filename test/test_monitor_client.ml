@@ -321,13 +321,22 @@ let test_monitor_survives_device_faults () =
   Alcotest.(check bool) "clean after the storm" true
     (Validate.is_clean (Shm.validate arena))
 
+(* Each heartbeat after the lease clock moves pushes the deadline forward
+   to exactly [now + ttl]. *)
 let test_heartbeat_monotone () =
   let arena = Shm.create ~cfg:Config.small () in
   let a = Shm.join arena () in
-  let h0 = Client.heartbeat_value a ~cid:a.Ctx.cid in
-  Client.heartbeat a;
-  Client.heartbeat a;
-  Alcotest.(check int) "two beats" (h0 + 2) (Client.heartbeat_value a ~cid:a.Ctx.cid)
+  let cid = a.Ctx.cid in
+  let d0 = Lease.deadline a ~cid in
+  for beat = 1 to 2 do
+    ignore (Lease.tick a);
+    Client.heartbeat a;
+    Alcotest.(check int)
+      (Printf.sprintf "beat %d: deadline = now + ttl" beat)
+      (Lease.now a + Lease.ttl a)
+      (Lease.deadline a ~cid)
+  done;
+  Alcotest.(check int) "two ticks later" (d0 + 2) (Lease.deadline a ~cid)
 
 let test_unregister_clears_lease () =
   (* A recycled slot must not be instantly re-suspected off the previous

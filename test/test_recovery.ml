@@ -327,32 +327,65 @@ let test_sender_crash_mid_send () =
   Alcotest.(check int) "no stranded objects" 0 v.Validate.live_objects;
   check_clean arena "sender crash mid-send"
 
-let test_receiver_crash_windows () =
-  List.iter
-    (fun point ->
-      let arena, a, b = setup () in
-      let ra = Shm.cxl_malloc a ~size_bytes:16 () in
-      let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:4 in
-      Alcotest.(check bool) "sent" true (Transfer.send q ra = Transfer.Sent);
-      Cxl_ref.drop ra;
-      let qb = Option.get (Transfer.open_from b ~sender:a.Ctx.cid) in
-      b.Ctx.fault <- Fault.at point ~nth:1;
-      (try
-         ignore (Transfer.receive qb);
-         Alcotest.fail "expected crash"
-       with Fault.Crashed _ -> ());
+(* Kill the receiver at every crash-point hit of a single [receive], then
+   of a two-message [receive_batch]: after recovery and the sender's close
+   every message is reclaimed — each one was owned either by the queue or
+   by one of the dead receiver's RootRefs, never both and never neither. *)
+let test_receive_crash_windows () =
+  let crossed = Hashtbl.create 8 in
+  let make () =
+    let arena, a, b = setup () in
+    let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:4 in
+    for v = 1 to 2 do
+      let r = Shm.cxl_malloc a ~size_bytes:16 () in
+      Cxl_ref.write_word r 0 v;
+      Alcotest.(check bool) "sent" true (Transfer.send q r = Transfer.Sent);
+      Cxl_ref.drop r
+    done;
+    (arena, b, q, Option.get (Transfer.open_from b ~sender:a.Ctx.cid))
+  in
+  let sweep (name, op) =
+    let hits =
+      let _, b, _, qb = make () in
+      let plan = Fault.nth_point ~n:max_int in
+      b.Ctx.fault <- plan;
+      op qb;
+      Fault.hits plan
+    in
+    for n = 1 to hits do
+      let arena, b, q, qb = make () in
+      let label = Printf.sprintf "%s, crash %d" name n in
+      b.Ctx.fault <- Fault.nth_point ~n;
+      (match op qb with
+      | () -> Alcotest.failf "%s: expected a crash" label
+      | exception Fault.Crashed point -> Hashtbl.replace crossed point ());
       b.Ctx.fault <- Fault.none;
       Client.declare_failed (Shm.service_ctx arena) ~cid:b.Ctx.cid;
       ignore (Shm.recover arena ~failed_cid:b.Ctx.cid);
-      (* Sender closes; everything reclaimable. *)
       Transfer.close q;
       ignore (Shm.scan_leaking arena);
       let v = Shm.validate arena in
-      Alcotest.(check int)
-        ("no stranded objects at " ^ Fault.point_name point)
-        0 v.Validate.live_objects;
-      check_clean arena ("receiver crash at " ^ Fault.point_name point))
-    [ Fault.Recv_after_attach; Fault.Recv_after_detach ]
+      Alcotest.(check int) (label ^ " no stranded objects") 0
+        v.Validate.live_objects;
+      check_clean arena label;
+      let f = Fsck.check (Shm.mem arena) (Shm.layout arena) in
+      Alcotest.(check bool)
+        (label ^ " fsck: " ^ String.concat "; " f.Validate.errors)
+        true (Validate.is_clean f)
+    done
+  in
+  List.iter sweep
+    [
+      ("receive", fun qb -> ignore (Transfer.receive qb));
+      ("receive_batch", fun qb -> ignore (Transfer.receive_batch qb ~max:2));
+    ];
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        ("crossed " ^ Fault.point_name p)
+        true
+        (Hashtbl.mem crossed (Fault.point_name p)))
+    Fault.[ Txn_after_redo; Swap_after_link; Swap_after_store; Recv_after_advance ]
 
 let test_recovery_is_idempotent () =
   let arena, a, _b = setup () in
@@ -479,7 +512,7 @@ let suite =
     Alcotest.test_case "re-point crash windows" `Quick test_repoint_crash_windows;
     Alcotest.test_case "alloc crash windows" `Quick test_alloc_crash_windows;
     Alcotest.test_case "sender crash mid-send" `Quick test_sender_crash_mid_send;
-    Alcotest.test_case "receiver crash windows" `Quick test_receiver_crash_windows;
+    Alcotest.test_case "receive crash windows" `Quick test_receive_crash_windows;
     Alcotest.test_case "recovery idempotent" `Quick test_recovery_is_idempotent;
     Alcotest.test_case "recovery restartable" `Quick test_recovery_restartable;
     Alcotest.test_case "crash at mid-phases, resume" `Quick test_crash_at_mid_phases_then_resume;
