@@ -1270,11 +1270,12 @@ let bench_fig10d () =
 let bench_fault () =
   let t =
     Table.create ~title:"§6.2.2: crash-injection validation"
-      ~columns:[ "Runs"; "Crashes"; "Leaks"; "Double frees"; "Wild ptrs" ]
+      ~columns:
+        [ "Runs"; "Crashes"; "Leaks"; "Double frees"; "Wild ptrs"; "Mismatches" ]
   in
   let runs = quick 400 80 in
   let crashes = ref 0 in
-  let leaks = ref 0 and dfree = ref 0 and wild = ref 0 in
+  let leaks = ref 0 and dfree = ref 0 and wild = ref 0 and mism = ref 0 in
   for seed = 1 to runs do
     let arena = Shm.create ~cfg:Config.small () in
     let a = Shm.join arena () in
@@ -1304,7 +1305,8 @@ let bench_fault () =
     let v = Shm.validate arena in
     leaks := !leaks + v.Validate.leaks;
     dfree := !dfree + v.Validate.double_frees;
-    wild := !wild + v.Validate.wild_pointers
+    wild := !wild + v.Validate.wild_pointers;
+    mism := !mism + v.Validate.count_mismatches
   done;
   Table.add_row t
     [
@@ -1313,9 +1315,14 @@ let bench_fault () =
       Table.cell_i !leaks;
       Table.cell_i !dfree;
       Table.cell_i !wild;
+      Table.cell_i !mism;
     ];
   Table.print t;
-  print_endline "   (paper: >100k fault-injected executions, zero violations)"
+  print_endline "   (paper: >100k fault-injected executions, zero violations)";
+  if !leaks + !dfree + !wild + !mism > 0 then begin
+    prerr_endline "fault: the oracle found violations";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)

@@ -311,8 +311,6 @@ let rpc_run kill_server kill_client backend =
   let v = Shm.validate arena in
   Format.printf "validation: %a@." Validate.pp v;
   check "validation" (Validate.is_clean v);
-  let f = Fsck.check (Shm.mem arena) (Shm.layout arena) in
-  check "fsck" (Validate.is_clean f);
   match !failed with
   | [] -> 0
   | fs ->
@@ -558,7 +556,7 @@ let dump_cmd =
 
 let fsck image repair out =
   let arena = Shm.load_raw image in
-  let v = Fsck.check (Shm.mem arena) (Shm.layout arena) in
+  let v = Shm.validate arena in
   if Validate.is_clean v then begin
     Printf.printf "%s: clean\n" image;
     0

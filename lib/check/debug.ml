@@ -79,12 +79,12 @@ let pp_segments ppf (mem, lay) =
   done
 
 let pp_queues ppf (mem, lay) =
-  let refs = Transfer.directory_refs mem lay in
+  let refs = Transfer.directory_refs ~read:(Mem.unsafe_peek mem) lay in
   Format.fprintf ppf "queue directory: %d active slot(s)@." (List.length refs);
   List.iter (fun q -> Format.fprintf ppf "  queue object @%d@." q) refs
 
 let pp_roots ppf (mem, lay) =
-  let refs = Named_roots.directory_refs mem lay in
+  let refs = Named_roots.directory_refs ~read:(Mem.unsafe_peek mem) lay in
   Format.fprintf ppf "named roots: %d entr(ies)@." (List.length refs);
   List.iter (fun p -> Format.fprintf ppf "  root object @%d@." p) refs
 

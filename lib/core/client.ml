@@ -94,17 +94,6 @@ let mark_recovered ctx ~cid =
   Lease.release ctx ~cid;
   set_status ctx ~cid Slot_free
 
-let segment_empty (ctx : Ctx.t) seg =
-  let cfg = Ctx.cfg ctx in
-  let rec go p =
-    if p >= cfg.Config.pages_per_segment then true
-    else
-      let gid = Layout.page_gid ctx.lay ~seg ~page:p in
-      (Page.kind ctx ~gid = Config.kind_unused || Page.used ctx ~gid = 0)
-      && go (p + 1)
-  in
-  go 0
-
 let unregister (ctx : Ctx.t) =
   (* Retirements parked in the volatile buffer must land before the slot
      is surrendered — nothing replays them for a cleanly-departed client. *)
@@ -117,12 +106,9 @@ let unregister (ctx : Ctx.t) =
          reaches 0 once every carved block is back on a free list, and any
          release still in flight (ours completed before leave; a peer's
          keeps its block off-list) holds [used] above 0. *)
-      | (Segment.Active | Segment.Leaking) when segment_empty ctx seg ->
-          let cfg = Ctx.cfg ctx in
-          for p = 0 to cfg.Config.pages_per_segment - 1 do
-            Page.reset ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:p)
-          done;
-          Segment.release ctx seg
+      | (Segment.Active | Segment.Leaking) when Reclaim.segment_unused ctx seg
+        ->
+          Reclaim.recycle_plain_segment ctx seg
       | Segment.Active | Segment.Leaking -> Segment.orphan ctx ~cid:ctx.cid seg
       | Segment.Huge_head | Segment.Huge_cont ->
           (* Live huge object: leave owned; remote holders keep it alive and

@@ -4,93 +4,28 @@ let pp_report ppf r =
   Format.fprintf ppf "roots=%d marked=%d collected=%d" r.roots r.marked
     r.collected
 
-(* Enumerate every initialised data block of the arena with its header
-   address, plus huge objects. *)
-let iter_blocks (ctx : Ctx.t) f =
-  let cfg = Ctx.cfg ctx in
-  let lay = ctx.Ctx.lay in
-  let rr_kind = Config.kind_rootref cfg in
-  let huge_kind = Config.kind_huge cfg in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    match Segment.state ctx seg with
-    | Segment.Huge_cont -> ()
-    | Segment.Huge_head ->
-        f (Layout.segment_base lay seg + lay.Layout.seg_hdr_words)
-    | Segment.Free | Segment.Active | Segment.Orphaned | Segment.Leaking ->
-        let gid0 = Layout.page_gid lay ~seg ~page:0 in
-        if Page.kind ctx ~gid:gid0 = huge_kind then
-          f (Layout.segment_base lay seg + lay.Layout.seg_hdr_words)
-        else
-          for p = 0 to cfg.Config.pages_per_segment - 1 do
-            let gid = Layout.page_gid lay ~seg ~page:p in
-            let k = Page.kind ctx ~gid in
-            if k <> Config.kind_unused && k <> rr_kind && k <> huge_kind then
-              List.iter f (Page.blocks ctx ~gid)
-          done
-  done
-
-let root_objects (ctx : Ctx.t) =
-  let cfg = Ctx.cfg ctx in
-  let lay = ctx.Ctx.lay in
-  let acc = ref [] in
-  let rr_kind = Config.kind_rootref cfg in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    match Segment.state ctx seg with
-    | Segment.Huge_head | Segment.Huge_cont -> ()
-    | Segment.Free | Segment.Active | Segment.Orphaned | Segment.Leaking ->
-        for p = 0 to cfg.Config.pages_per_segment - 1 do
-          let gid = Layout.page_gid lay ~seg ~page:p in
-          if Page.kind ctx ~gid = rr_kind then
-            List.iter
-              (fun rr ->
-                if Rootref.in_use ctx rr then begin
-                  let obj = Rootref.obj ctx rr in
-                  if obj <> 0 then acc := obj :: !acc
-                end)
-              (Page.blocks ctx ~gid)
-        done
-  done;
-  let mem = ctx.Ctx.mem in
-  !acc
-  @ Transfer.directory_refs mem lay
-  @ Named_roots.directory_refs mem lay
-
 let collect (ctx : Ctx.t) =
-  let marked : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let rec mark obj =
-    if obj <> 0 && not (Hashtbl.mem marked obj) then begin
-      Hashtbl.replace marked obj ();
-      let emb =
-        Obj_header.meta_emb_cnt (Ctx.load ctx (Obj_header.meta_of_obj obj))
-      in
-      for i = 0 to emb - 1 do
-        mark (Ctx.load ctx (Obj_header.emb_slot obj i))
-      done
-    end
-  in
-  let roots = root_objects ctx in
-  List.iter mark roots;
+  let read = Ctx.load ctx and lay = ctx.Ctx.lay in
+  let m = Heap.mark ~read lay ~wild:(fun _ _ -> ()) in
   (* Sweep: a positive count outside the marked set can never reach zero —
      cycle garbage. Zero its embedded slots without detaching (its peers
      are dying with it) and reclaim the block. *)
   let doomed = ref [] in
-  iter_blocks ctx (fun b ->
+  Heap.iter_objects ~read lay (fun b ->
       if
-        Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj b)) > 0
-        && not (Hashtbl.mem marked b)
+        Obj_header.ref_cnt_of (read (Obj_header.header_of_obj b)) > 0
+        && not (Hashtbl.mem m.Heap.holders b)
       then doomed := b :: !doomed);
   List.iter
     (fun b ->
-      let emb =
-        Obj_header.meta_emb_cnt (Ctx.load ctx (Obj_header.meta_of_obj b))
-      in
+      let emb = Obj_header.meta_emb_cnt (read (Obj_header.meta_of_obj b)) in
       for i = 0 to emb - 1 do
         Ctx.store ctx (Obj_header.emb_slot b i) 0
       done)
     !doomed;
   List.iter (fun b -> Alloc.free_obj_block ctx b) !doomed;
   {
-    roots = List.length roots;
-    marked = Hashtbl.length marked;
+    roots = m.Heap.roots;
+    marked = Hashtbl.length m.Heap.holders;
     collected = List.length !doomed;
   }

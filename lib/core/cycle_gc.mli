@@ -7,18 +7,20 @@
     {e stop-the-world} mark-and-sweep over the shared pool that reclaims
     reference-counted garbage cycles.
 
-    Roots are everything the validator recognises as a reference holder:
-    in-use RootRefs, queue-directory entries (ring contents are embedded
-    references of the queue object and get traced), and named persistent
-    roots. Any block with a positive count that is unreachable from those
-    roots is cycle garbage: its count can never reach zero.
+    The mark is {!Heap.mark}, the same one {!Fsck.repair} uses: from the
+    durable roots — in-use RootRefs, queue-directory entries (ring contents
+    are embedded references of the queue object and get traced), and named
+    persistent roots — through embedded references, skipping any word that
+    is not a block base. This module adds only the sweep: any block with a
+    positive count outside the marked set is cycle garbage, its count can
+    never reach zero.
 
     Unlike CXL-SHM's recovery this {b is} blocking and heap-proportional —
     exactly the §4.1 trade-off — so it is meant to run rarely, at
     quiescent points (no in-flight operations), as a leak backstop. *)
 
 type report = {
-  roots : int;
+  roots : int;  (** root references the mark started from *)
   marked : int;  (** live blocks reached from the roots *)
   collected : int;  (** unreachable count>0 blocks reclaimed (cycle garbage) *)
 }

@@ -20,6 +20,7 @@
      rootrefs of its slot). *)
 
 module Pptr = Cxlshm_shmem.Pptr
+module Word = Cxlshm_shmem.Word
 
 type outcome =
   | Moved of Pptr.t
@@ -68,76 +69,29 @@ let huge_run_degraded (ctx : Ctx.t) ~head_seg =
   let rec go k = k < n && (seg_on_degraded ctx (head_seg + k) || go (k + 1)) in
   go 0
 
-let huge_head_obj (ctx : Ctx.t) seg =
-  Layout.segment_base ctx.Ctx.lay seg + ctx.Ctx.lay.Layout.seg_hdr_words
-
-let is_huge_head (ctx : Ctx.t) seg =
-  match Segment.state ctx seg with
-  | Segment.Huge_head -> true
-  | Segment.Huge_cont | Segment.Free -> false
-  | Segment.Active | Segment.Orphaned | Segment.Leaking ->
-      (* A leaking huge head keeps its page kind (cf. Alloc.is_huge). *)
-      Page.kind ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg ~page:0)
-      = Config.kind_huge (Ctx.cfg ctx)
-
-let is_huge_cont (ctx : Ctx.t) seg = Segment.state ctx seg = Segment.Huge_cont
-
-(* Iterate [f block] over every block base of the segment's class pages
-   (RootRef and huge pages excluded). *)
-let iter_class_blocks (ctx : Ctx.t) seg f =
-  let cfg = Ctx.cfg ctx in
-  let rr_kind = Config.kind_rootref cfg in
-  let huge_kind = Config.kind_huge cfg in
-  if not (is_huge_head ctx seg || is_huge_cont ctx seg) then
-    for p = 0 to cfg.Config.pages_per_segment - 1 do
-      let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
-      let k = Page.kind ctx ~gid in
-      if k <> Config.kind_unused && k <> rr_kind && k <> huge_kind then
-        List.iter f (Page.blocks ctx ~gid)
-    done
-
-let iter_rootrefs (ctx : Ctx.t) seg f =
-  let cfg = Ctx.cfg ctx in
-  let rr_kind = Config.kind_rootref cfg in
-  if not (is_huge_head ctx seg || is_huge_cont ctx seg) then
-    for p = 0 to cfg.Config.pages_per_segment - 1 do
-      let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
-      if Page.kind ctx ~gid = rr_kind then List.iter f (Page.blocks ctx ~gid)
-    done
+let classify (ctx : Ctx.t) seg =
+  Heap.classify ~read:(Ctx.load ctx) ctx.Ctx.lay seg
 
 let live_obj (ctx : Ctx.t) obj =
   Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj obj)) > 0
 
-(* Every reference word in the arena currently pointing at [obj]:
-   in-use RootRef pptr slots and embedded slots of live objects. Mirrors
-   the fsck enumeration (Validate.run) with attributed loads. *)
+(* Every reference word in the arena currently pointing at [obj]: in-use
+   RootRef pptr slots and embedded slots of live objects — the holders
+   Validate counts, with attributed loads. *)
 let holders_of (ctx : Ctx.t) ~obj =
-  let cfg = Ctx.cfg ctx in
+  let read = Ctx.load ctx and lay = ctx.Ctx.lay in
   let acc = ref [] in
-  let emb_slots_of o =
-    let emb = Obj_header.meta_emb_cnt (Ctx.load ctx (Obj_header.meta_of_obj o)) in
-    for i = 0 to emb - 1 do
-      if Ctx.load ctx (Obj_header.emb_slot o i) = obj then
-        acc := Obj_header.emb_slot o i :: !acc
-    done
+  let note holder p =
+    if p = obj then
+      match holder with
+      | Heap.Rootref rr -> acc := Rootref.pptr_slot rr :: !acc
+      | Heap.Embedded (o, i) -> acc := Obj_header.emb_slot o i :: !acc
+      | Heap.Queue_directory | Heap.Named_root -> ()
   in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    if is_huge_head ctx seg then begin
-      let h = huge_head_obj ctx seg in
-      if live_obj ctx h then emb_slots_of h
-    end
-    else begin
-      iter_rootrefs ctx seg (fun rr ->
-          if Rootref.in_use ctx rr && Rootref.obj ctx rr = obj then
-            acc := Rootref.pptr_slot rr :: !acc);
-      iter_class_blocks ctx seg (fun b -> if live_obj ctx b then emb_slots_of b)
-    end
-  done;
+  Heap.iter_roots ~read lay note;
+  Heap.iter_objects ~read lay (fun o ->
+      if live_obj ctx o then Heap.iter_embedded ~read o note);
   !acc
-
-let in_directories (ctx : Ctx.t) obj =
-  List.mem obj (Transfer.directory_refs ctx.Ctx.mem ctx.Ctx.lay)
-  || List.mem obj (Named_roots.directory_refs ctx.Ctx.mem ctx.Ctx.lay)
 
 (* Re-point one holder from [obj] to [nobj]: a transient RootRef takes a
    count on [nobj], one swap trades it for the holder's count on [obj],
@@ -156,26 +110,41 @@ let repoint (ctx : Ctx.t) ~ref_addr ~obj ~nobj =
 
 (* One evacuation sweep at a time: the claim word serialises the monitor
    leader against clients relocating their own data (and against a second
-   monitor replica in the unclosable lease-fencing window). A claim is
-   broken only once its holder's slot is free, i.e. after recovery has
-   resolved the holder's in-flight re-point swap — the breaker inherits,
-   and must resume, the migration journal. A [Failed] or [Suspected]
-   holder still counts as busy. *)
+   monitor replica in the unclosable lease-fencing window). It names the
+   holder's slot and the lease grant era of the incarnation that took it.
+   A claim is broken only once that incarnation is gone: its slot is free,
+   or the slot's era moved on — either way recovery has resolved the
+   holder's in-flight re-point swap, and the breaker inherits, and must
+   resume, the migration journal. A [Failed] or [Suspected] holder still
+   counts as busy. *)
+let f_claim_cid = Word.field ~shift:0 ~bits:16
+let f_claim_era = Word.field ~shift:16 ~bits:46
+
+let claim_word (ctx : Ctx.t) =
+  Word.set f_claim_era
+    (Word.set f_claim_cid 0 (ctx.Ctx.cid + 1))
+    (Lease.era ctx ~cid:ctx.Ctx.cid)
+
 let rec try_claim (ctx : Ctx.t) =
   let addr = Layout.hdr_evac_claim ctx.Ctx.lay in
   let cur = Ctx.load ctx addr in
-  if cur = ctx.Ctx.cid + 1 then `Held
+  let mine = claim_word ctx in
+  if cur = mine then `Held
   else if cur = 0 then
-    if Ctx.cas ctx addr ~expected:0 ~desired:(ctx.Ctx.cid + 1) then `Acquired
+    if Ctx.cas ctx addr ~expected:0 ~desired:mine then `Acquired
     else try_claim ctx
-  else if Client.status ctx ~cid:(cur - 1) <> Client.Slot_free then `Busy
-  else if Ctx.cas ctx addr ~expected:cur ~desired:(ctx.Ctx.cid + 1) then
-    `Acquired
-  else try_claim ctx
+  else
+    let holder = Word.get f_claim_cid cur - 1 in
+    if
+      Client.status ctx ~cid:holder <> Client.Slot_free
+      && Word.get f_claim_era cur >= Lease.era ctx ~cid:holder
+    then `Busy
+    else if Ctx.cas ctx addr ~expected:cur ~desired:mine then `Acquired
+    else try_claim ctx
 
 let release_claim (ctx : Ctx.t) =
   let addr = Layout.hdr_evac_claim ctx.Ctx.lay in
-  if Ctx.load ctx addr = ctx.Ctx.cid + 1 then Ctx.store ctx addr 0
+  if Ctx.load ctx addr = claim_word ctx then Ctx.store ctx addr 0
 
 (* A dead evacuator can leave the re-point phase half done: some holders
    already reference the copy, the rest still reference the old block.
@@ -228,7 +197,8 @@ let evacuate_obj_locked (ctx : Ctx.t) ~obj =
       Alloc.free_rootref ctx guard;
       Dead
   | () ->
-      if in_directories ctx obj then begin
+      if List.mem obj (Heap.directory_refs ~read:(Ctx.load ctx) ctx.Ctx.lay)
+      then begin
         (* Directory words are owned by their subsystems (queue slots carry
            in-flight transfer protocol state); leave those objects where
            they are. *)
@@ -341,21 +311,25 @@ let evacuate_obj (ctx : Ctx.t) ~obj =
 (* ------------------------------------------------------------------ *)
 
 let live_blocks_on (ctx : Ctx.t) seg =
+  let read = Ctx.load ctx and lay = ctx.Ctx.lay in
   let n = ref 0 in
-  if is_huge_head ctx seg then begin
-    if live_obj ctx (huge_head_obj ctx seg) then incr n
-  end
-  else if is_huge_cont ctx seg then begin
-    (* Alive iff its head is: find the head by walking back. *)
-    let rec head s = if is_huge_head ctx s then s else head (s - 1) in
-    let h = head seg in
-    if Alloc.huge_span ctx ~head_seg:h > seg - h && live_obj ctx (huge_head_obj ctx h)
-    then incr n
-  end
-  else begin
-    iter_class_blocks ctx seg (fun b -> if live_obj ctx b then incr n);
-    iter_rootrefs ctx seg (fun rr -> if Rootref.in_use ctx rr then incr n)
-  end;
+  (match classify ctx seg with
+  | Heap.Huge_head -> if live_obj ctx (Heap.huge_obj lay seg) then incr n
+  | Heap.Huge_cont ->
+      (* Alive iff its head is: find the head by walking back. *)
+      let rec head s =
+        if classify ctx s = Heap.Huge_head then s else head (s - 1)
+      in
+      let h = head seg in
+      if
+        Alloc.huge_span ctx ~head_seg:h > seg - h
+        && live_obj ctx (Heap.huge_obj lay h)
+      then incr n
+  | Heap.Free | Heap.Class_pages ->
+      Heap.iter_class_blocks ~read lay seg (fun b ->
+          if live_obj ctx b then incr n);
+      Heap.iter_rootrefs ~read lay seg (fun rr ->
+          if Rootref.in_use ctx rr then incr n));
   !n
 
 let live_segments_on (ctx : Ctx.t) ~dev =
@@ -382,26 +356,23 @@ let record r = function
 let drain_data (ctx : Ctx.t) r ~owned_only =
   let cfg = Ctx.cfg ctx in
   let mine seg = Segment.owner ctx seg = Some ctx.Ctx.cid in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    if (not owned_only) || mine seg then begin
-      if is_huge_head ctx seg then begin
-        if huge_run_degraded ctx ~head_seg:seg then begin
-          let h = huge_head_obj ctx seg in
-          if live_obj ctx h then begin
-            record r (evacuate_obj ctx ~obj:h);
-            Client.heartbeat ctx
-          end
-        end
-      end
-      else if seg_on_degraded ctx seg && Segment.state ctx seg <> Segment.Free
-      then
-        iter_class_blocks ctx seg (fun b ->
-            if live_obj ctx b then begin
-              record r (evacuate_obj ctx ~obj:b);
-              (* Long sweeps must not let the evacuator's own lease lapse. *)
-              Client.heartbeat ctx
-            end)
+  let move obj =
+    if live_obj ctx obj then begin
+      record r (evacuate_obj ctx ~obj);
+      (* Long sweeps must not let the evacuator's own lease lapse. *)
+      Client.heartbeat ctx
     end
+  in
+  for seg = 0 to cfg.Config.num_segments - 1 do
+    if (not owned_only) || mine seg then
+      match classify ctx seg with
+      | Heap.Huge_head ->
+          if huge_run_degraded ctx ~head_seg:seg then
+            move (Heap.huge_obj ctx.Ctx.lay seg)
+      | Heap.Class_pages ->
+          if seg_on_degraded ctx seg then
+            Heap.iter_class_blocks ~read:(Ctx.load ctx) ctx.Ctx.lay seg move
+      | Heap.Free | Heap.Huge_cont -> ()
   done
 
 (* ------------------------------------------------------------------ *)
@@ -439,12 +410,11 @@ let run ~mem ~lay =
         (* In-use rootrefs of live owners are their owner's to relocate
            (Cxl_ref handles alias them by address); dead owners' rootrefs
            belong to recovery. Count what is left behind. *)
+        Heap.iter_segments ~read:(Ctx.load ctx) lay (fun seg cls ->
+            if Heap.is_plain cls && seg_on_degraded ctx seg then
+              Heap.iter_rootrefs ~read:(Ctx.load ctx) lay seg (fun rr ->
+                  if Rootref.in_use ctx rr then r.pinned <- r.pinned + 1));
         let cfg = Ctx.cfg ctx in
-        for seg = 0 to cfg.Config.num_segments - 1 do
-          if seg_on_degraded ctx seg then
-            iter_rootrefs ctx seg (fun rr ->
-                if Rootref.in_use ctx rr then r.pinned <- r.pinned + 1)
-        done;
         (* Recycle what is now empty: unowned Orphaned/Leaking segments go
            through the §5.3 full scan; an owned segment is its owner's to
            release. *)
@@ -463,10 +433,7 @@ let run ~mem ~lay =
                 (* The evacuator never allocates on a degraded device; an
                    owned-by-us empty segment here means the ladder had
                    nothing healthy. Give it straight back. *)
-                for p = 0 to cfg.Config.pages_per_segment - 1 do
-                  Page.reset ctx ~gid:(Layout.page_gid lay ~seg ~page:p)
-                done;
-                Segment.release ctx seg;
+                Reclaim.recycle_plain_segment ctx seg;
                 r.recycled_segments <- r.recycled_segments + 1
             | Some o ->
                 (* Orphaned/Leaking leftovers of a departed owner go through
@@ -500,17 +467,6 @@ let reset_degraded_cursors (ctx : Ctx.t) =
   let cur = Ctx.load_cur_segment ctx in
   if cur <> 0 && seg_on_degraded ctx (cur - 1) then Ctx.store_cur_segment ctx 0
 
-let segment_empty (ctx : Ctx.t) seg =
-  let cfg = Ctx.cfg ctx in
-  let rec go p =
-    if p >= cfg.Config.pages_per_segment then true
-    else
-      let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
-      (Page.kind ctx ~gid = Config.kind_unused || Page.used ctx ~gid = 0)
-      && go (p + 1)
-  in
-  go 0
-
 let relocate_own (ctx : Ctx.t) =
   let r = empty_report () in
   Ctx.refresh_degraded_hint ctx;
@@ -537,8 +493,8 @@ let relocate_own (ctx : Ctx.t) =
        block. Callers patch their CXLRef handles from [remapped]. *)
     List.iter
       (fun seg ->
-        if seg_on_degraded ctx seg then
-          iter_rootrefs ctx seg (fun rr1 ->
+        if seg_on_degraded ctx seg && Heap.is_plain (classify ctx seg) then
+          Heap.iter_rootrefs ~read:(Ctx.load ctx) ctx.Ctx.lay seg (fun rr1 ->
               if Rootref.in_use ctx rr1 then begin
                 let rr2 = Alloc.alloc_rootref ctx in
                 if seg_on_degraded ctx (Layout.segment_of_addr ctx.Ctx.lay rr2)
@@ -565,12 +521,9 @@ let relocate_own (ctx : Ctx.t) =
       (fun seg ->
         if seg_on_degraded ctx seg then
           match Segment.state ctx seg with
-          | Segment.Active | Segment.Leaking when segment_empty ctx seg ->
-              let cfg = Ctx.cfg ctx in
-              for p = 0 to cfg.Config.pages_per_segment - 1 do
-                Page.reset ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg ~page:p)
-              done;
-              Segment.release ctx seg;
+          | Segment.Active | Segment.Leaking
+            when Reclaim.segment_unused ctx seg ->
+              Reclaim.recycle_plain_segment ctx seg;
               r.recycled_segments <- r.recycled_segments + 1
           | _ -> ())
       (Segment.owned_by ctx ~cid:ctx.Ctx.cid);

@@ -20,10 +20,12 @@
 
     Sweeps are serialised by a claim word ({!Layout.hdr_evac_claim}):
     monitor-side sweeps, client relocations and direct {!evacuate_obj}
-    calls never interleave re-point phases; a claim whose holder died is
-    broken by the next claimant once recovery has freed the holder's slot
-    (a [Failed] or [Suspected] holder is still busy), and the breaker
-    drains the journal.
+    calls never interleave re-point phases. The word names the holder's
+    slot and its lease grant era ({!Layout.client_lease_era}); a claim
+    whose holder died is broken by the next claimant once recovery has
+    freed the holder's slot, or once the slot's era has moved past the
+    claim's (the slot was recovered and registered again) — a [Failed] or
+    [Suspected] holder is still busy — and the breaker drains the journal.
 
     The single-writer caveat: a re-point rewrites holder reference {e words},
     so the evacuator must not race the holder's own writes to those exact
@@ -31,7 +33,10 @@
     ({!relocate_own}); the monitor-side sweep ({!run}) moves data blocks —
     whose embedded slots are quiescent unless the application is actively
     rewriting that specific object's graph — and leaves in-use RootRefs of
-    live owners in place (reported as pinned). *)
+    live owners in place (reported as pinned).
+
+    The arena is enumerated through {!Heap} (segment classifier, block and
+    RootRef iterators, root set) with attributed loads. *)
 
 module Pptr = Cxlshm_shmem.Pptr
 

@@ -11,13 +11,16 @@
      1. page geometry: a page whose kind/block_words/capacity disagree is
         quarantined — metadata zeroed, kind set to [Config.kind_quarantined]
         so allocation, validation and reclaim all skip the frame; torn
-        object headers (ref_cnt > 0 but implausible meta) are cleared
+        object headers (ref_cnt > 0 but implausible meta) are cleared; a
+        huge head's span word is re-anchored to its run and its true
+        length held to [Heap.huge_length_ok]
      2. a crash-recovery sweep of every recorded client, exactly as
         [Shm.load] does — half-done transactions resolve here
      3. mark from the durable roots (RootRefs, queue directory, named
-        roots): wild references are cleared at their holder, unreachable
-        ref_cnt > 0 objects are freed, and every reachable object's count
-        is rewritten to its actual number of holders
+        roots) with [Heap.mark]: wild references are cleared at their
+        holder, unreachable ref_cnt > 0 objects are freed, and every
+        reachable object's count is rewritten to its actual number of
+        holders
      4. free-structure rebuild: per-page free chains are reconstructed from
         block liveness, cross-client free stacks and redo logs are zeroed,
         orphaned huge-continuation segments are released
@@ -58,8 +61,6 @@ let pp ppf r =
     r.unreachable_freed r.counts_fixed r.chains_rebuilt r.stacks_cleared
     r.trace_rings_reset r.limbo_fixed Validate.pp r.validation
 
-let check mem lay = Validate.run mem lay
-
 (* ------------------------------------------------------------------ *)
 
 type acc = {
@@ -89,19 +90,24 @@ let repair (ctx : Ctx.t) =
     { segf = 0; quar = 0; pmeta = 0; torn = 0; swept = 0; swerr = 0; wild = 0;
       freed = 0; counts = 0; chains = 0; stacks = 0; rings = 0; limbo = 0 }
   in
-  let ns = cfg.Config.num_segments and pps = cfg.Config.pages_per_segment in
+  let ns = cfg.Config.num_segments in
   let rr_kind = Config.kind_rootref cfg in
   let huge_kind = Config.kind_huge cfg in
   let q_kind = Config.kind_quarantined cfg in
-  let seg_state s = peek (Layout.seg_state lay s) in
-  let page_kind gid = peek (Layout.page_kind lay ~gid) in
-  let huge_head s = seg_state s = 4 || page_kind (Layout.page_gid lay ~seg:s ~page:0) = huge_kind in
-  let huge_seg s = huge_head s || seg_state s = 5 in
-  let huge_obj s = Layout.segment_base lay s + lay.Layout.seg_hdr_words in
+  let classify s = Heap.classify ~read:peek lay s in
+  (* The head plus its consecutive continuations: what the segment states
+     describe, whatever the (possibly stuck) span word says. *)
+  let run_span head =
+    let rec go k =
+      if head + k < ns && classify (head + k) = Heap.Huge_cont then go (k + 1)
+      else k
+    in
+    go 1
+  in
 
   (* ---- pass 0: segment metadata sanity ---- *)
   for s = 0 to ns - 1 do
-    let st = seg_state s in
+    let st = peek (Layout.seg_state lay s) in
     if st < 0 || st > 5 then begin
       (* unknown state: pessimistically POTENTIAL_LEAKING so the scan of
          pass 5 walks the segment's blocks *)
@@ -144,113 +150,92 @@ let repair (ctx : Ctx.t) =
     Obj_header.pack_meta ~kind ~emb_cnt:0
       ~data_words:(bw - Config.header_words)
   in
-  for s = 0 to ns - 1 do
-    if not (huge_seg s) then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        let k = page_kind gid in
-        let bw = peek (Layout.page_block_words lay ~gid) in
-        let cap = peek (Layout.page_capacity lay ~gid) in
-        if k = Config.kind_unused || k = q_kind then begin
-          if bw <> 0 || cap <> 0 || peek (Layout.page_free lay ~gid) <> 0
-          then begin
-            (* torn Page.init/reset: kind is published last, so a non-zero
-               remainder under an unused kind is half-written garbage *)
-            zero_page_meta gid;
-            a.pmeta <- a.pmeta + 1
-          end
-        end
-        else begin
-          let expect_bw =
-            if k = rr_kind then Some Config.rootref_words
-            else
-              match Config.class_of_kind cfg k with
-              | Some c -> Some (Config.class_block_words cfg c)
-              | None -> None (* huge kind outside a huge segment, or junk *)
+  Heap.iter_segments ~read:peek lay (fun s -> function
+    | Heap.Huge_cont -> ()
+    | Heap.Free | Heap.Class_pages ->
+        Heap.iter_pages ~read:peek lay s (fun gid k ->
+            let bw = peek (Layout.page_block_words lay ~gid) in
+            let cap = peek (Layout.page_capacity lay ~gid) in
+            if k = Config.kind_unused || k = q_kind then begin
+              if bw <> 0 || cap <> 0 || peek (Layout.page_free lay ~gid) <> 0
+              then begin
+                (* torn Page.init/reset: kind is published last, so a
+                   non-zero remainder under an unused kind is half-written
+                   garbage *)
+                zero_page_meta gid;
+                a.pmeta <- a.pmeta + 1
+              end
+            end
+            else begin
+              let expect_bw =
+                if k = rr_kind then Some Config.rootref_words
+                else
+                  match Config.class_of_kind cfg k with
+                  | Some c -> Some (Config.class_block_words cfg c)
+                  | None -> None (* huge kind outside a huge head, or junk *)
+              in
+              match expect_bw with
+              | None -> quarantine gid
+              | Some ebw ->
+                  if bw <> ebw || cap <> cfg.Config.page_words / ebw then
+                    quarantine gid
+                  else if k <> rr_kind then
+                    List.iter
+                      (fun b ->
+                        if
+                          Obj_header.ref_cnt_of (peek b) > 0
+                          && not (plausible_meta ~kind:k ~bw (peek (b + 1)))
+                        then begin
+                          poke b 0;
+                          poke (b + 1) (empty_meta ~kind:k ~bw);
+                          a.torn <- a.torn + 1
+                        end)
+                      (Heap.page_blocks ~read:peek lay gid)
+                  else
+                    (* RootRef state words only carry {in_use, local_cnt};
+                       stray bits mean a torn store landed *)
+                    List.iter
+                      (fun b ->
+                        if
+                          Rootref.peek_in_use mem b
+                          && not (Rootref.well_formed (peek b))
+                        then begin
+                          poke b 0;
+                          poke (b + 1) 0;
+                          a.torn <- a.torn + 1
+                        end)
+                      (Heap.page_blocks ~read:peek lay gid)
+            end)
+    | Heap.Huge_head ->
+        let obj = Heap.huge_obj lay s in
+        if
+          Obj_header.ref_cnt_of (peek obj) > 0
+          && Obj_header.meta_kind (peek (Obj_header.meta_of_obj obj))
+             <> huge_kind
+        then begin
+          poke obj 0;
+          (* left at count 0: the mark pass frees the whole run *)
+          a.torn <- a.torn + 1
+        end;
+        (* Re-anchor the span word to the run the segment states describe
+           — a run half-released by a crashed [free_huge] shrinks here —
+           then hold the true length (page_aux2) to {!Heap.huge_length_ok},
+           the check Validate applies. *)
+        let gid0 = Layout.page_gid lay ~seg:s ~page:0 in
+        let span = run_span s in
+        if peek (Layout.page_aux lay ~gid:gid0) <> span then begin
+          poke (Layout.page_aux lay ~gid:gid0) span;
+          a.pmeta <- a.pmeta + 1
+        end;
+        if not (Heap.huge_length_ok ~read:peek lay s) then begin
+          let max_dw = Heap.huge_capacity lay ~span in
+          let meta_dw =
+            Obj_header.meta_data_words (peek (Obj_header.meta_of_obj obj))
           in
-          match expect_bw with
-          | None -> quarantine gid
-          | Some ebw ->
-              if bw <> ebw || cap <> cfg.Config.page_words / ebw then
-                quarantine gid
-              else if k <> rr_kind then begin
-                let base = Layout.page_area lay ~gid in
-                for i = 0 to cap - 1 do
-                  let b = base + (i * bw) in
-                  if Obj_header.ref_cnt_of (peek b) > 0
-                     && not (plausible_meta ~kind:k ~bw (peek (b + 1)))
-                  then begin
-                    poke b 0;
-                    poke (b + 1) (empty_meta ~kind:k ~bw);
-                    a.torn <- a.torn + 1
-                  end
-                done
-              end
-              else begin
-                (* RootRef state words only carry {in_use, local_cnt};
-                   stray bits mean a torn store landed *)
-                let base = Layout.page_area lay ~gid in
-                for i = 0 to cap - 1 do
-                  let b = base + (i * bw) in
-                  if
-                    Rootref.peek_in_use mem b
-                    && not (Rootref.well_formed (peek b))
-                  then begin
-                    poke b 0;
-                    poke (b + 1) 0;
-                    a.torn <- a.torn + 1
-                  end
-                done
-              end
-        end
-      done
-    else if huge_head s then begin
-      let obj = huge_obj s in
-      if Obj_header.ref_cnt_of (peek obj) > 0
-         && Obj_header.meta_kind (peek (Obj_header.meta_of_obj obj))
-            <> huge_kind
-      then begin
-        poke obj 0;
-        (* left at count 0: the mark pass frees the whole run *)
-        a.torn <- a.torn + 1
-      end;
-      (* Cross-check the head page's span and true-length words against the
-         run the segment states actually describe. [span] counts the head
-         plus its consecutive Huge_cont segments — a run half-released by a
-         crashed [free_huge] shrinks here, so the span word is re-anchored
-         to what is still claimable — and the true length (page_aux2) must
-         fit span × segment_words and agree with the packed meta field
-         whenever that field is wide enough to hold it. *)
-      let gid0 = Layout.page_gid lay ~seg:s ~page:0 in
-      let rec count k =
-        if s + k < ns && seg_state (s + k) = 5 then count (k + 1) else k
-      in
-      let span = count 1 in
-      if peek (Layout.page_aux lay ~gid:gid0) <> span then begin
-        poke (Layout.page_aux lay ~gid:gid0) span;
-        a.pmeta <- a.pmeta + 1
-      end;
-      let max_dw =
-        lay.Layout.segment_words - lay.Layout.seg_hdr_words
-        + ((span - 1) * lay.Layout.segment_words)
-        - Config.header_words
-      in
-      let meta_dw =
-        Obj_header.meta_data_words (peek (Obj_header.meta_of_obj obj))
-      in
-      let truth = peek (Layout.page_aux2 lay ~gid:gid0) in
-      let truth_ok =
-        truth >= 1 && truth <= max_dw
-        && (truth = meta_dw
-           || (meta_dw = Obj_header.max_meta_data_words && truth >= meta_dw))
-      in
-      if not truth_ok then begin
-        poke (Layout.page_aux2 lay ~gid:gid0)
-          (if meta_dw >= 1 && meta_dw <= max_dw then meta_dw else max_dw);
-        a.pmeta <- a.pmeta + 1
-      end
-    end
-  done;
+          poke (Layout.page_aux2 lay ~gid:gid0)
+            (if meta_dw >= 1 && meta_dw <= max_dw then meta_dw else max_dw);
+          a.pmeta <- a.pmeta + 1
+        end);
 
   (* ---- pass 1.5: trace-ring integrity ----
      Checked before the recovery sweep because the sweep itself may append
@@ -339,7 +324,8 @@ let repair (ctx : Ctx.t) =
         if
           owner = 0
           || not
-               (Validate.live_rootref mem lay rr && Rootref.peek_obj mem rr <> 0)
+               (Heap.live_rootref ~read:peek lay rr
+                && Rootref.peek_obj mem rr <> 0)
           || Hashtbl.mem parked rr
         then begin
           poke rr_w 0;
@@ -356,79 +342,27 @@ let repair (ctx : Ctx.t) =
   poke (Layout.hdr_limbo_orphans lay) !orphaned;
 
   (* ---- pass 3: mark from durable roots ---- *)
-  let block_base_ok p =
-    if p <= 0 || p >= lay.Layout.total_words then false
-    else
-      match Layout.segment_of_addr lay p with
-      | exception Invalid_argument _ -> false
-      | seg ->
-          if huge_seg seg then p = huge_obj seg
-          else (
-            match Layout.page_gid_of_addr lay p with
-            | exception Invalid_argument _ -> false
-            | gid ->
-                let bw = peek (Layout.page_block_words lay ~gid) in
-                let base = Layout.page_area lay ~gid in
-                let k = page_kind gid in
-                k <> Config.kind_unused && k <> rr_kind && k <> q_kind
-                && bw > 0
-                && (p - base) mod bw = 0
-                && (p - base) / bw < peek (Layout.page_capacity lay ~gid))
-  in
-  let expected : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let work = Queue.create () in
-  let add_ref obj =
-    let seen = try Hashtbl.find expected obj with Not_found -> 0 in
-    Hashtbl.replace expected obj (seen + 1);
-    if seen = 0 then Queue.push obj work
-  in
-  (* RootRefs pointing at valid blocks are holders; wild ones are cleared.
+  (* Wild directory entries are dropped by their subsystems first; the
+     shared mark then clears every other wild reference at its holder.
      (A dead client's RootRefs were already dropped by the recovery sweep;
      what is left is either a ghost we keep as a holder — harmless — or
      damage we clear here.) *)
-  for s = 0 to ns - 1 do
-    if not (huge_seg s) then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        if page_kind gid = rr_kind then begin
-          let bw = peek (Layout.page_block_words lay ~gid) in
-          let cap = peek (Layout.page_capacity lay ~gid) in
-          let base = Layout.page_area lay ~gid in
-          for i = 0 to cap - 1 do
-            let rr = base + (i * bw) in
-            if Rootref.peek_in_use mem rr then begin
-              let obj = Rootref.peek_obj mem rr in
-              if obj <> 0 then
-                if block_base_ok obj then add_ref obj
-                else begin
-                  poke rr 0;
-                  poke (rr + 1) 0;
-                  a.wild <- a.wild + 1
-                end
-            end
-          done
-        end
-      done
-  done;
-  a.wild <-
-    a.wild + Transfer.clear_wild_directory_refs mem lay ~valid:block_base_ok;
-  a.wild <-
-    a.wild + Named_roots.clear_wild_directory_refs mem lay ~valid:block_base_ok;
-  List.iter add_ref (Transfer.directory_refs mem lay);
-  List.iter add_ref (Named_roots.directory_refs mem lay);
-  while not (Queue.is_empty work) do
-    let obj = Queue.pop work in
-    let meta = peek (Obj_header.meta_of_obj obj) in
-    for i = 0 to Obj_header.meta_emb_cnt meta - 1 do
-      let child = peek (Obj_header.emb_slot obj i) in
-      if child <> 0 then
-        if block_base_ok child then add_ref child
-        else begin
-          poke (Obj_header.emb_slot obj i) 0;
-          a.wild <- a.wild + 1
-        end
-    done
-  done;
+  let valid = Heap.block_base_ok ~read:peek lay in
+  a.wild <- a.wild + Transfer.clear_wild_directory_refs mem lay ~valid;
+  a.wild <- a.wild + Named_roots.clear_wild_directory_refs mem lay ~valid;
+  let expected =
+    (Heap.mark ~read:peek lay ~wild:(fun holder _ ->
+         match holder with
+         | Heap.Rootref rr ->
+             poke rr 0;
+             poke (rr + 1) 0;
+             a.wild <- a.wild + 1
+         | Heap.Embedded (obj, i) ->
+             poke (Obj_header.emb_slot obj i) 0;
+             a.wild <- a.wild + 1
+         | Heap.Queue_directory | Heap.Named_root -> (* cleared above *) ()))
+      .Heap.holders
+  in
   (* Sweep: unreachable counted objects are freed, reachable ones get their
      count rewritten to the number of holders actually found. lcid/lera are
      reset to "never touched" — every transaction was resolved in pass 2. *)
@@ -444,52 +378,42 @@ let repair (ctx : Ctx.t) =
     end
   in
   let release_huge_run head =
-    (* trust segment states, not the (possibly stuck) aux span word *)
-    let rec span k = if head + k < ns && seg_state (head + k) = 5 then span (k + 1) else k in
-    let n = span 1 in
-    for p = 0 to pps - 1 do
-      let gid = Layout.page_gid lay ~seg:head ~page:p in
-      poke (Layout.page_kind lay ~gid) Config.kind_unused;
-      zero_page_meta gid
-    done;
+    let n = run_span head in
+    Heap.iter_pages ~read:peek lay head (fun gid _ ->
+        poke (Layout.page_kind lay ~gid) Config.kind_unused;
+        zero_page_meta gid);
     for k = n - 1 downto 0 do
       poke (Layout.seg_state lay (head + k)) 0;
       poke (Layout.seg_occupied lay (head + k)) 0
     done
   in
-  for s = 0 to ns - 1 do
-    if huge_head s then begin
-      let obj = huge_obj s in
-      if Hashtbl.mem expected obj then fix_count obj
-      else begin
-        if Obj_header.ref_cnt_of (peek obj) > 0 then a.freed <- a.freed + 1;
-        release_huge_run s
-      end
-    end
-    else if not (huge_seg s) then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        (match Config.class_of_kind cfg (page_kind gid) with
-        | None -> ()
-        | Some _ ->
-            let bw = peek (Layout.page_block_words lay ~gid) in
-            let cap = peek (Layout.page_capacity lay ~gid) in
-            let base = Layout.page_area lay ~gid in
-            for i = 0 to cap - 1 do
-              let b = base + (i * bw) in
-              if Hashtbl.mem expected b then fix_count b
-              else if Obj_header.ref_cnt_of (peek b) > 0 then begin
-                poke b 0;
-                poke (b + 1) (empty_meta ~kind:(page_kind gid) ~bw);
-                a.freed <- a.freed + 1
-              end
-            done)
-      done
-  done;
+  Heap.iter_segments ~read:peek lay (fun s -> function
+    | Heap.Huge_head ->
+        let obj = Heap.huge_obj lay s in
+        if Hashtbl.mem expected obj then fix_count obj
+        else begin
+          if Obj_header.ref_cnt_of (peek obj) > 0 then a.freed <- a.freed + 1;
+          release_huge_run s
+        end
+    | Heap.Huge_cont -> ()
+    | Heap.Free | Heap.Class_pages ->
+        Heap.iter_pages ~read:peek lay s (fun gid k ->
+            if Config.class_of_kind cfg k <> None then
+              let bw = peek (Layout.page_block_words lay ~gid) in
+              List.iter
+                (fun b ->
+                  if Hashtbl.mem expected b then fix_count b
+                  else if Obj_header.ref_cnt_of (peek b) > 0 then begin
+                    poke b 0;
+                    poke (b + 1) (empty_meta ~kind:k ~bw);
+                    a.freed <- a.freed + 1
+                  end)
+                (Heap.page_blocks ~read:peek lay gid)));
   (* a released huge run may leave cont segments whose head was damaged
      away; release them too (ascending order heals chains) *)
   for s = 0 to ns - 1 do
-    if seg_state s = 5 && (s = 0 || not (huge_seg (s - 1))) then begin
+    if classify s = Heap.Huge_cont && (s = 0 || Heap.is_plain (classify (s - 1)))
+    then begin
       poke (Layout.seg_state lay s) 0;
       poke (Layout.seg_occupied lay s) 0;
       a.segf <- a.segf + 1
@@ -515,46 +439,42 @@ let repair (ctx : Ctx.t) =
       end
     done
   done;
-  for s = 0 to ns - 1 do
-    if not (huge_seg s) then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg:s ~page:p in
-        let k = page_kind gid in
-        let is_rr = k = rr_kind in
-        if is_rr || Config.class_of_kind cfg k <> None then begin
-          let bw = peek (Layout.page_block_words lay ~gid) in
-          let cap = peek (Layout.page_capacity lay ~gid) in
-          let base = Layout.page_area lay ~gid in
-          let off = Page.next_slot_offset ~kind_rootref:is_rr in
-          let live b =
-            if is_rr then Rootref.peek_in_use mem b
-            else Obj_header.ref_cnt_of (peek b) > 0
-          in
-          let old_head = peek (Layout.page_free lay ~gid) in
-          let old_used = peek (Layout.page_used lay ~gid) in
-          let head = ref 0 and nfree = ref 0 in
-          for i = cap - 1 downto 0 do
-            let b = base + (i * bw) in
-            if not (live b) then begin
-              poke b 0;
-              if not is_rr then begin
-                poke (b + 1) 0;
-                (* A stale shard stamp on a dead block would pin the
-                   segment against the §5.3 scan forever. *)
-                poke (Shard.stamp_slot b) 0
-              end;
-              poke (b + off) !head;
-              head := b;
-              incr nfree
-            end
-          done;
-          poke (Layout.page_free lay ~gid) !head;
-          poke (Layout.page_used lay ~gid) (cap - !nfree);
-          if old_head <> !head || old_used <> cap - !nfree then
-            a.chains <- a.chains + 1
-        end
-      done
-  done;
+  Heap.iter_segments ~read:peek lay (fun s -> function
+    | Heap.Huge_head | Heap.Huge_cont -> ()
+    | Heap.Free | Heap.Class_pages ->
+        Heap.iter_pages ~read:peek lay s (fun gid k ->
+            let is_rr = k = rr_kind in
+            if is_rr || Config.class_of_kind cfg k <> None then begin
+              let blocks = Heap.page_blocks ~read:peek lay gid in
+              let cap = List.length blocks in
+              let off = Page.next_slot_offset ~kind_rootref:is_rr in
+              let live b =
+                if is_rr then Rootref.peek_in_use mem b
+                else Obj_header.ref_cnt_of (peek b) > 0
+              in
+              let old_head = peek (Layout.page_free lay ~gid) in
+              let old_used = peek (Layout.page_used lay ~gid) in
+              let head = ref 0 and nfree = ref 0 in
+              List.iter
+                (fun b ->
+                  if not (live b) then begin
+                    poke b 0;
+                    if not is_rr then begin
+                      poke (b + 1) 0;
+                      (* A stale shard stamp on a dead block would pin the
+                         segment against the §5.3 scan forever. *)
+                      poke (Shard.stamp_slot b) 0
+                    end;
+                    poke (b + off) !head;
+                    head := b;
+                    incr nfree
+                  end)
+                (List.rev blocks);
+              poke (Layout.page_free lay ~gid) !head;
+              poke (Layout.page_used lay ~gid) (cap - !nfree);
+              if old_head <> !head || old_used <> cap - !nfree then
+                a.chains <- a.chains + 1
+            end));
   for cid = 0 to cfg.Config.max_clients - 1 do
     Redo_log.clear_for ctx ~cid;
     (* Retirement journals refer to rootrefs the rebuild above may have

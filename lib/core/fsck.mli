@@ -8,7 +8,14 @@
     idempotent passes — metadata sanity, page quarantine, a crash-recovery
     sweep of every recorded client, mark/repair of the reference graph
     from the durable roots, free-structure rebuild, leak scan — and ends
-    with a fresh {!Validate.run} as the verdict.
+    with a fresh {!Validate.run} as the verdict. Read-only verification is
+    {!Validate.run} itself.
+
+    The passes walk the arena through {!Heap}: its segment classifier and
+    block iterators, its huge true-length check (the one {!Validate}
+    applies), and its mark from the durable roots (the one {!Cycle_gc}
+    sweeps over), with a wild-reference callback that clears the word at
+    its holder.
 
     Must run offline: no live clients, fault injection disarmed ({!repair}
     disarms it itself). Repair is lossy where the damage is lossy — it
@@ -45,11 +52,6 @@ val clean : report -> bool
 (** Did the post-repair validation come back clean? *)
 
 val pp : Format.formatter -> report -> unit
-
-val check : Cxlshm_shmem.Mem.t -> Layout.t -> Validate.t
-(** Read-only verification (alias of {!Validate.run}): use before
-    {!repair} to decide whether repair is needed, and to show that a
-    damaged arena indeed fails. *)
 
 val repair : Ctx.t -> report
 (** Full verify-and-repair pipeline on a quiesced arena. [ctx] should be a

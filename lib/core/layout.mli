@@ -69,10 +69,11 @@ val leader_unpack : int -> (int * int) option
 (** [(monitor id, deadline tick)], or [None] for the no-leader word 0. *)
 
 val hdr_evac_claim : t -> Cxlshm_shmem.Pptr.t
-(** Evacuation claim word ([evacuator cid + 1], 0 = free): serialises
-    evacuation sweeps across the monitor leader and clients relocating
-    their own data. A claim whose holder is no longer alive is broken by
-    the next claimant after resuming the migration journal. *)
+(** Evacuation claim word (the evacuator's [cid + 1] and its lease grant
+    era, packed; 0 = free): serialises evacuation sweeps across the
+    monitor leader and clients relocating their own data. A claim whose
+    holder incarnation is gone (slot free, or its era superseded) is
+    broken by the next claimant after resuming the migration journal. *)
 
 val hdr_evac_from : t -> Cxlshm_shmem.Pptr.t
 val hdr_evac_to : t -> Cxlshm_shmem.Pptr.t

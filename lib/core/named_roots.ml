@@ -110,12 +110,12 @@ let recover_endpoints (ctx : Ctx.t) ~failed_cid =
       | _ -> ()
   done
 
-let directory_refs mem lay =
+let directory_refs ~read lay =
   let rec go i acc =
     if i >= Layout.root_slots then List.rev acc
     else
-      let w = Mem.unsafe_peek mem (Layout.root_slot lay i) in
-      let p = Mem.unsafe_peek mem (Layout.root_slot lay i + 1) in
+      let w = read (Layout.root_slot lay i) in
+      let p = read (Layout.root_slot lay i + 1) in
       go (i + 1) (if phase_of w <> 0 && p <> 0 then p :: acc else acc)
   in
   go 0 []

@@ -36,8 +36,9 @@ val recover_endpoints : Ctx.t -> failed_cid:int -> unit
 (** Roll back / complete half-done publish/unpublish operations of a dead
     client. Completed entries are left alone — that is the point. *)
 
-val directory_refs : Cxlshm_shmem.Mem.t -> Layout.t -> Cxlshm_shmem.Pptr.t list
-(** Validator helper: object pointers currently held by the directory. *)
+val directory_refs : read:(int -> int) -> Layout.t -> Cxlshm_shmem.Pptr.t list
+(** Root-set helper ({!Heap.iter_roots}): object pointers currently held by
+    the directory, read through [read]. *)
 
 val clear_wild_directory_refs :
   Cxlshm_shmem.Mem.t -> Layout.t -> valid:(Cxlshm_shmem.Pptr.t -> bool) -> int

@@ -109,6 +109,26 @@ let page_all_zero (ctx : Ctx.t) ~gid =
         && not (Shard.pins ctx b))
       (Page.blocks ctx ~gid)
 
+let segment_all_zero (ctx : Ctx.t) seg =
+  let pps = (Ctx.cfg ctx).Config.pages_per_segment in
+  let rec go p =
+    p >= pps
+    || (page_all_zero ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:p)
+       && go (p + 1))
+  in
+  go 0
+
+let segment_unused (ctx : Ctx.t) seg =
+  let pps = (Ctx.cfg ctx).Config.pages_per_segment in
+  let rec go p =
+    p >= pps
+    ||
+    let gid = Layout.page_gid ctx.lay ~seg ~page:p in
+    (Page.kind ctx ~gid = Config.kind_unused || Page.used ctx ~gid = 0)
+    && go (p + 1)
+  in
+  go 0
+
 let recycle_plain_segment (ctx : Ctx.t) seg =
   let pps = (Ctx.cfg ctx).Config.pages_per_segment in
   for p = 0 to pps - 1 do
@@ -118,7 +138,6 @@ let recycle_plain_segment (ctx : Ctx.t) seg =
 
 let scan_segment (ctx : Ctx.t) seg =
   let cfg = Ctx.cfg ctx in
-  let pps = cfg.Config.pages_per_segment in
   let gid0 = Layout.page_gid ctx.lay ~seg ~page:0 in
   if Page.kind ctx ~gid:gid0 = Config.kind_huge cfg then begin
     (* Huge object: a single computable header decides the whole span. *)
@@ -142,26 +161,16 @@ let scan_segment (ctx : Ctx.t) seg =
           && Segment.owner ctx s = owner0
         then Segment.release ctx s
       done;
-      for p = 0 to pps - 1 do
-        Page.reset ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:p)
-      done;
-      Segment.release ctx seg;
-      true
-    end
-    else false
-  end
-  else begin
-    let all_zero = ref true in
-    for p = 0 to pps - 1 do
-      if not (page_all_zero ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:p))
-      then all_zero := false
-    done;
-    if !all_zero then begin
       recycle_plain_segment ctx seg;
       true
     end
     else false
   end
+  else if segment_all_zero ctx seg then begin
+    recycle_plain_segment ctx seg;
+    true
+  end
+  else false
 
 let scan_all (ctx : Ctx.t) ~is_client_alive =
   Trace.with_span ctx Cxlshm_shmem.Histogram.Recovery_scan @@ fun () ->

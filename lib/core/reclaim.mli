@@ -44,6 +44,21 @@ val teardown_children : Ctx.t -> as_cid:int -> obj:Cxlshm_shmem.Pptr.t -> unit
 val mark_leaking_of : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
 (** Mark the segment containing [obj] POTENTIAL_LEAKING (idempotent). *)
 
+val segment_all_zero : Ctx.t -> int -> bool
+(** No live block, no in-use RootRef and no shard-parked stamp anywhere in
+    the segment (block positions are computable, §5.3): it can be reset
+    and released. Stops at the first page that fails. Used by
+    {!scan_segment}, recovery and the RPC channel-revocation path. *)
+
+val segment_unused : Ctx.t -> int -> bool
+(** Every page is unused or has [used = 0]: every carved block is back on
+    a free list, so the owner can release the segment (a departing client,
+    an evacuator handing back a drained segment). *)
+
+val recycle_plain_segment : Ctx.t -> int -> unit
+(** Reset every page of a non-huge segment, then release it. The caller
+    has established that nothing in it is live. *)
+
 val scan_segment : Ctx.t -> int -> bool
 (** §5.3 asynchronous segment-local full scan: if every block of the
     segment has reference count zero (computed positions — pages are carved

@@ -330,14 +330,10 @@ let recover_journal (ctx : Ctx.t) ~cid report =
       Epoch.clear_journal ctx ~cid
 
 let scan_rootref_pages (ctx : Ctx.t) ~cid report =
-  let cfg = Ctx.cfg ctx in
-  let rr_kind = Config.kind_rootref cfg in
   let holds = Limbo.holders ctx in
   List.iter
     (fun seg ->
-      for p = 0 to cfg.Config.pages_per_segment - 1 do
-        let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
-        if Page.kind ctx ~gid = rr_kind then begin
+      Heap.iter_rootref_pages ~read:(Ctx.load ctx) ctx.Ctx.lay seg (fun gid ->
           (* An in_use block at the head of the free chain is a RootRef
              allocation that died before advancing the free pointer. *)
           let head = Page.free_head ctx ~gid in
@@ -354,84 +350,42 @@ let scan_rootref_pages (ctx : Ctx.t) ~cid report =
                     worklist_processed = !report.worklist_processed + n;
                   }
               end)
-            (Page.blocks ctx ~gid)
-        end
-      done)
+            (Page.blocks ctx ~gid)))
     (Segment.owned_by ctx ~cid)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 5: segments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let segment_empty (ctx : Ctx.t) seg =
-  let cfg = Ctx.cfg ctx in
-  let rec go p =
-    if p >= cfg.Config.pages_per_segment then true
-    else
-      let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
-      let k = Page.kind ctx ~gid in
-      (k = Config.kind_unused
-      ||
-      if k = Config.kind_rootref cfg then
-        List.for_all (fun rr -> not (Rootref.in_use ctx rr)) (Page.blocks ctx ~gid)
-      else
-        (* A dead block parked on a domain shard stack pins the segment
-           (same rule as [Reclaim.page_all_zero]): releasing would reset
-           the page under a stealable stack entry. *)
-        List.for_all
-          (fun b ->
-            Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj b)) = 0
-            && not (Shard.pins ctx b))
-          (Page.blocks ctx ~gid))
-      && go (p + 1)
-  in
-  go 0
-
 let handle_segments (ctx : Ctx.t) ~cid report =
-  let cfg = Ctx.cfg ctx in
-  let handle_huge_head seg =
-    let obj =
-      Layout.segment_base ctx.Ctx.lay seg + ctx.Ctx.lay.Layout.seg_hdr_words
-    in
-    if Refc.ref_cnt ctx obj = 0 then begin
-      Segment.mark_leaking ctx seg;
-      if Reclaim.scan_segment ctx seg then
-        report :=
-          { !report with segments_released = !report.segments_released + 1 }
-    end
-    else begin
-      Segment.orphan ctx ~cid seg;
-      report :=
-        { !report with segments_orphaned = !report.segments_orphaned + 1 }
-    end
-  in
-  let huge_head seg =
-    Page.kind ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg ~page:0)
-    = Config.kind_huge cfg
-  in
   List.iter
     (fun seg ->
-      match Segment.state ctx seg with
-      | Segment.Huge_head -> handle_huge_head seg
-      | Segment.Huge_cont ->
+      match Heap.classify ~read:(Ctx.load ctx) ctx.Ctx.lay seg with
+      | Heap.Huge_head ->
+          (* Leak-marked too when the owner died inside [free_huge] (the
+             release path leak-marks before freeing): the tail-first run
+             release finishes here — the plain-segment path below would
+             release the head alone and strand the continuations. *)
+          if Refc.ref_cnt ctx (Heap.huge_obj ctx.Ctx.lay seg) = 0 then begin
+            Segment.mark_leaking ctx seg;
+            if Reclaim.scan_segment ctx seg then
+              report :=
+                { !report with segments_released = !report.segments_released + 1 }
+          end
+          else begin
+            Segment.orphan ctx ~cid seg;
+            report :=
+              { !report with segments_orphaned = !report.segments_orphaned + 1 }
+          end
+      | Heap.Huge_cont ->
           (* Handled alongside its head; ownership follows the head. *)
           ()
-      | (Segment.Active | Segment.Leaking | Segment.Orphaned)
-        when huge_head seg ->
-          (* A leak-marked huge head: the owner died inside [free_huge]
-             (the release path leak-marks before freeing). Finish the
-             tail-first run release — the plain-segment path below would
-             release the head alone and strand the continuations. *)
-          handle_huge_head seg
-      | Segment.Active | Segment.Leaking | Segment.Orphaned ->
+      | Heap.Class_pages ->
           if
-            segment_empty ctx seg
+            Reclaim.segment_all_zero ctx seg
             && not (Transfer.seg_held_by_live_peer ctx ~seg ~dead_cid:cid)
           then begin
-            for p = 0 to cfg.Config.pages_per_segment - 1 do
-              Page.reset ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg ~page:p)
-            done;
-            Segment.release ctx seg;
+            Reclaim.recycle_plain_segment ctx seg;
             report :=
               { !report with segments_released = !report.segments_released + 1 }
           end
@@ -442,7 +396,7 @@ let handle_segments (ctx : Ctx.t) ~cid report =
             report :=
               { !report with segments_orphaned = !report.segments_orphaned + 1 }
           end
-      | Segment.Free -> ())
+      | Heap.Free -> ())
     (Segment.owned_by ctx ~cid)
 
 (* ------------------------------------------------------------------ *)

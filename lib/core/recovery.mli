@@ -45,12 +45,6 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-val segment_empty : Ctx.t -> int -> bool
-(** No live block, no in-use RootRef, no shard-parked stamp anywhere in the
-    segment — it can be reset and released. Used by [handle_segments] and by
-    the RPC channel-revocation path to return an emptied sub-heap segment to
-    the arena. *)
-
 val recover : Ctx.t -> failed_cid:int -> report
 (** Run full recovery of [failed_cid] using [ctx] (any live context — the
     service borrows its stats attribution only; all persistent effects run

@@ -15,6 +15,10 @@
 val words : int
 
 val in_use : Ctx.t -> Cxlshm_shmem.Pptr.t -> bool
+
+val in_use_of_word : int -> bool
+(** The [in_use] bit of a state word read by the caller. *)
+
 val local_cnt : Ctx.t -> Cxlshm_shmem.Pptr.t -> int
 val set_state : Ctx.t -> Cxlshm_shmem.Pptr.t -> in_use:bool -> cnt:int -> unit
 val set_local_cnt : Ctx.t -> Cxlshm_shmem.Pptr.t -> int -> unit

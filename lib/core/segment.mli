@@ -16,6 +16,9 @@ type state =
 
 val state_name : state -> string
 
+val state_to_int : state -> int
+(** The segment state word's encoding. *)
+
 val owner : Ctx.t -> int -> int option
 (** Occupying client id of segment [s], if any. *)
 

@@ -402,15 +402,15 @@ let recover_endpoints (ctx : Ctx.t) ~failed_cid =
     end
   done
 
-let directory_refs mem lay =
+let directory_refs ~read lay =
   let nslots = lay.Layout.cfg.Config.queue_slots in
   let rec go q acc =
     if q >= nslots then List.rev acc
     else
-      let st = Mem.unsafe_peek mem (slot_state lay q) in
+      let st = read (slot_state lay q) in
       if phase_of st = phase_free then go (q + 1) acc
       else
-        let qptr = Mem.unsafe_peek mem (slot_qptr lay q) in
+        let qptr = read (slot_qptr lay q) in
         go (q + 1) (if qptr = 0 then acc else qptr :: acc)
   in
   go 0 []

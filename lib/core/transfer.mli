@@ -110,9 +110,9 @@ val recover_endpoints : Ctx.t -> failed_cid:int -> unit
     slots, mark its endpoints closed, and finish both-ends-dead cleanups —
     all with resumable era transactions under the dead client's identity. *)
 
-val directory_refs : Cxlshm_shmem.Mem.t -> Layout.t -> Cxlshm_shmem.Pptr.t list
-(** Validator helper: the queue-object pointers currently held (counted) by
-    directory slots. *)
+val directory_refs : read:(int -> int) -> Layout.t -> Cxlshm_shmem.Pptr.t list
+(** Root-set helper ({!Heap.iter_roots}): the queue-object pointers
+    currently held (counted) by directory slots, read through [read]. *)
 
 val clear_wild_directory_refs :
   Cxlshm_shmem.Mem.t -> Layout.t -> valid:(Cxlshm_shmem.Pptr.t -> bool) -> int

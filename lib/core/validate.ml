@@ -38,63 +38,6 @@ type acc = {
 
 let err acc fmt = Printf.ksprintf (fun s -> acc.errs <- s :: acc.errs) fmt
 
-(* The data words a block at [p] can hold, if [p] is the base of a block
-   we could legally reference. Only metadata reads through [read] — never
-   follows [p] — so it is safe to ask about arbitrary (even hostile) words;
-   the RPC validation walk relies on exactly that. *)
-let block_capacity ~read:peek lay p =
-  let cfg = lay.Layout.cfg in
-  let rr_kind = Config.kind_rootref cfg in
-  let huge_kind = Config.kind_huge cfg in
-  let page_kind gid = peek (Layout.page_kind lay ~gid) in
-  if p <= 0 || p >= lay.Layout.total_words then None
-  else
-    match Layout.segment_of_addr lay p with
-    | exception Invalid_argument _ -> None
-    | seg -> (
-        let st = peek (Layout.seg_state lay seg) in
-        let gid0 = Layout.page_gid lay ~seg ~page:0 in
-        if st = 4 (* huge head *) || st = 5 (* huge cont *)
-           || page_kind gid0 = huge_kind
-        then
-          if p <> Layout.segment_base lay seg + lay.Layout.seg_hdr_words then
-            None
-          else
-            (* The run's extent: [page_aux] of the head page holds its
-               length in segments. *)
-            let span = max 1 (peek (Layout.page_aux lay ~gid:gid0)) in
-            Some
-              (lay.Layout.segment_words - lay.Layout.seg_hdr_words
-              + ((span - 1) * lay.Layout.segment_words)
-              - Config.header_words)
-        else
-          match Layout.page_gid_of_addr lay p with
-          | exception Invalid_argument _ -> None
-          | gid ->
-              let k = page_kind gid in
-              let bw = peek (Layout.page_block_words lay ~gid) in
-              let base = Layout.page_area lay ~gid in
-              if
-                k <> Config.kind_unused
-                && k <> rr_kind
-                && bw > 0
-                && (p - base) mod bw = 0
-                && (p - base) / bw < peek (Layout.page_capacity lay ~gid)
-              then Some (bw - Config.header_words)
-              else None)
-
-let block_base_ok ~read lay p = block_capacity ~read lay p <> None
-
-let live_rootref mem lay rr =
-  let peek = Mem.unsafe_peek mem in
-  rr > 0 && rr < lay.Layout.total_words
-  && (match Layout.page_gid_of_addr lay rr with
-     | exception Invalid_argument _ -> false
-     | gid ->
-         peek (Layout.page_kind lay ~gid) = Config.kind_rootref lay.Layout.cfg
-         && (rr - Layout.page_area lay ~gid) mod Config.rootref_words = 0)
-  && Rootref.peek_in_use mem rr
-
 let run mem lay =
   let cfg = lay.Layout.cfg in
   let peek = Mem.unsafe_peek mem in
@@ -104,18 +47,7 @@ let run mem lay =
   in
   let rr_kind = Config.kind_rootref cfg in
   let huge_kind = Config.kind_huge cfg in
-  let pps = cfg.Config.pages_per_segment in
-
-  (* ---- enumerate initialised pages and their blocks ---- *)
   let page_kind gid = peek (Layout.page_kind lay ~gid) in
-  let page_blocks gid =
-    let bw = peek (Layout.page_block_words lay ~gid) in
-    let cap = peek (Layout.page_capacity lay ~gid) in
-    let base = Layout.page_area lay ~gid in
-    if bw = 0 then []
-    else List.init cap (fun i -> base + (i * bw))
-  in
-  let seg_state s = peek (Layout.seg_state lay s) in
   let seg_owner s =
     let v = peek (Layout.seg_occupied lay s) in
     if v = 0 then None else Some (v - 1)
@@ -126,15 +58,16 @@ let run mem lay =
     let f = peek (Layout.client_flags lay c) in
     f = 1 || f = 3
   in
-
-  (* Is [p] the base of a block we could legally reference? *)
-  let block_base_ok p = block_base_ok ~read:peek lay p in
+  let live_obj b = Obj_header.ref_cnt_of (peek b) > 0 in
 
   (* ---- collect reference holders ---- *)
+  (* Every in-use RootRef, directory entry and embedded slot of a live
+     object (reachable or not: a cycle's members hold each other). *)
   let expected : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let holders : (int, string list) Hashtbl.t = Hashtbl.create 256 in
-  let add_ref ~from obj =
-    if not (block_base_ok obj) then begin
+  let add_ref holder obj =
+    let from = Heap.holder_name holder in
+    if not (Heap.block_base_ok ~read:peek lay obj) then begin
       acc.wild <- acc.wild + 1;
       err acc "wild pointer @%d held by %s" obj from
     end
@@ -145,56 +78,9 @@ let run mem lay =
         (from :: (try Hashtbl.find holders obj with Not_found -> []))
     end
   in
-
-  (* RootRefs *)
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    for p = 0 to pps - 1 do
-      let gid = Layout.page_gid lay ~seg ~page:p in
-      if page_kind gid = rr_kind then
-        List.iter
-          (fun rr ->
-            if Rootref.peek_in_use mem rr then begin
-              let obj = Rootref.peek_obj mem rr in
-              if obj <> 0 then
-                add_ref ~from:(Printf.sprintf "rootref@%d" rr) obj
-            end)
-          (page_blocks gid)
-    done
-  done;
-  (* Queue directory *)
-  List.iter
-    (fun qptr -> add_ref ~from:"queue-directory" qptr)
-    (Transfer.directory_refs mem lay);
-  (* Named persistent roots *)
-  List.iter
-    (fun p -> add_ref ~from:"named-root" p)
-    (Named_roots.directory_refs mem lay);
-  (* Embedded references of live blocks (incl. huge objects). *)
-  let scan_live_obj obj =
-    let meta = peek (Obj_header.meta_of_obj obj) in
-    let emb = Obj_header.meta_emb_cnt meta in
-    for i = 0 to emb - 1 do
-      let child = peek (Obj_header.emb_slot obj i) in
-      if child <> 0 then
-        add_ref ~from:(Printf.sprintf "emb@%d[%d]" obj i) child
-    done
-  in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    let st = seg_state seg in
-    if st = 4 || page_kind (Layout.page_gid lay ~seg ~page:0) = huge_kind then begin
-      let obj = Layout.segment_base lay seg + lay.Layout.seg_hdr_words in
-      if Obj_header.ref_cnt_of (peek obj) > 0 then scan_live_obj obj
-    end
-    else if st <> 5 then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg ~page:p in
-        let k = page_kind gid in
-        if k <> Config.kind_unused && k <> rr_kind && k <> huge_kind then
-          List.iter
-            (fun b -> if Obj_header.ref_cnt_of (peek b) > 0 then scan_live_obj b)
-            (page_blocks gid)
-      done
-  done;
+  Heap.iter_roots ~read:peek lay add_ref;
+  Heap.iter_objects ~read:peek lay (fun obj ->
+      if live_obj obj then Heap.iter_embedded ~read:peek obj add_ref);
 
   (* ---- free structures ---- *)
   let free_set : (int, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -205,41 +91,37 @@ let run mem lay =
     end
     else Hashtbl.replace free_set b ()
   in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    let st = seg_state seg in
-    if st <> 4 && st <> 5 then begin
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg ~page:p in
-        let k = page_kind gid in
-        if k <> Config.kind_unused && k <> huge_kind then begin
-          let off = Page.next_slot_offset ~kind_rootref:(k = rr_kind) in
-          let cap = peek (Layout.page_capacity lay ~gid) in
-          let rec walk p fuel =
-            if p <> 0 then
-              if fuel = 0 then begin
-                acc.dfree <- acc.dfree + 1;
-                err acc "free chain of page %d longer than capacity (cycle?)" gid
-              end
-              else begin
-                add_free p (Printf.sprintf "page %d free chain" gid);
-                walk (peek (p + off)) (fuel - 1)
-              end
-          in
-          walk (peek (Layout.page_free lay ~gid)) (cap + 1)
-        end
-      done;
-      (* cross-client stack *)
-      let f_ptr = Word.field ~shift:0 ~bits:46 in
-      let rec walk p fuel =
-        if p <> 0 && fuel > 0 then begin
-          add_free p (Printf.sprintf "segment %d client_free" seg);
-          let rr = page_kind (Layout.page_gid_of_addr lay p) = rr_kind in
-          walk (peek (p + Page.next_slot_offset ~kind_rootref:rr)) (fuel - 1)
-        end
-      in
-      walk (Word.get f_ptr (peek (Layout.seg_client_free lay seg))) 10_000
-    end
-  done;
+  Heap.iter_segments ~read:peek lay (fun seg -> function
+    | Heap.Huge_head | Heap.Huge_cont -> ()
+    | Heap.Free | Heap.Class_pages ->
+        Heap.iter_pages ~read:peek lay seg (fun gid k ->
+            if k <> Config.kind_unused && k <> huge_kind then begin
+              let off = Page.next_slot_offset ~kind_rootref:(k = rr_kind) in
+              let cap = peek (Layout.page_capacity lay ~gid) in
+              let rec walk p fuel =
+                if p <> 0 then
+                  if fuel = 0 then begin
+                    acc.dfree <- acc.dfree + 1;
+                    err acc "free chain of page %d longer than capacity (cycle?)"
+                      gid
+                  end
+                  else begin
+                    add_free p (Printf.sprintf "page %d free chain" gid);
+                    walk (peek (p + off)) (fuel - 1)
+                  end
+              in
+              walk (peek (Layout.page_free lay ~gid)) (cap + 1)
+            end);
+        (* cross-client stack *)
+        let f_ptr = Word.field ~shift:0 ~bits:46 in
+        let rec walk p fuel =
+          if p <> 0 && fuel > 0 then begin
+            add_free p (Printf.sprintf "segment %d client_free" seg);
+            let rr = page_kind (Layout.page_gid_of_addr lay p) = rr_kind in
+            walk (peek (p + Page.next_slot_offset ~kind_rootref:rr)) (fuel - 1)
+          end
+        in
+        walk (Word.get f_ptr (peek (Layout.seg_client_free lay seg))) 10_000);
 
   (* ---- domain shard stacks ---- *)
   (* Parked entries are free blocks too. On-stack implies stamped (the
@@ -294,7 +176,7 @@ let run mem lay =
       if rr = 0 then ()
       else if owner = 0 then
         mism "limbo row %d: free row holds entry %d (rr @%d)" r k rr
-      else if not (live_rootref mem lay rr) then begin
+      else if not (Heap.live_rootref ~read:peek lay rr) then begin
         acc.wild <- acc.wild + 1;
         err acc "limbo row %d[%d]: rr @%d is not a live rootref" r k rr
       end
@@ -314,96 +196,67 @@ let run mem lay =
 
   (* ---- classify every block ---- *)
   let scan_pending seg =
-    let st = seg_state seg in
-    st = 2 || st = 3
+    let st = peek (Layout.seg_state lay seg) in
+    st = Segment.state_to_int Segment.Orphaned
+    || st = Segment.state_to_int Segment.Leaking
     || (match seg_owner seg with Some c -> not (client_alive c) | None -> false)
   in
-  for seg = 0 to cfg.Config.num_segments - 1 do
-    let st = seg_state seg in
-    if st = 4 || page_kind (Layout.page_gid lay ~seg ~page:0) = huge_kind then begin
-      let obj = Layout.segment_base lay seg + lay.Layout.seg_hdr_words in
-      let cnt = Obj_header.ref_cnt_of (peek obj) in
-      if cnt > 0 then begin
-        acc.live <- acc.live + 1;
-        let exp = try Hashtbl.find expected obj with Not_found -> 0 in
-        if cnt <> exp then begin
-          acc.mism <- acc.mism + 1;
-          err acc "huge object @%d: count %d but %d holders" obj cnt exp
-        end;
-        (* The head page's true-length word must agree with the packed
-           meta field — which saturates at [Obj_header.max_meta_data_words]
-           — and fit inside the claimed run. 0 is a legal pre-aux2 image. *)
-        let gid0 = Layout.page_gid lay ~seg ~page:0 in
-        let span = max 1 (peek (Layout.page_aux lay ~gid:gid0)) in
-        let truth = peek (Layout.page_aux2 lay ~gid:gid0) in
-        let meta_dw =
-          Obj_header.meta_data_words (peek (Obj_header.meta_of_obj obj))
-        in
-        let max_dw =
-          lay.Layout.segment_words - lay.Layout.seg_hdr_words
-          + ((span - 1) * lay.Layout.segment_words)
-          - Config.header_words
-        in
-        let truth_ok =
-          truth = 0
-          || (truth >= 1 && truth <= max_dw
-             && (truth = meta_dw
-                || (meta_dw = Obj_header.max_meta_data_words
-                   && truth >= meta_dw)))
-        in
-        if not truth_ok then begin
-          acc.mism <- acc.mism + 1;
-          err acc "huge object @%d: true length %d disagrees with meta %d"
-            obj truth meta_dw
-        end
-      end
-      else if scan_pending seg then acc.pending <- acc.pending + 1
-      else begin
-        acc.leak <- acc.leak + 1;
-        err acc "huge object @%d: count 0, not pending any scan" obj
-      end
+  let check_count obj cnt what =
+    let exp = try Hashtbl.find expected obj with Not_found -> 0 in
+    if cnt <> exp then begin
+      acc.mism <- acc.mism + 1;
+      err acc "%s @%d: count %d but %d holders (%s)" what obj cnt exp
+        (String.concat ", " (try Hashtbl.find holders obj with Not_found -> []))
     end
-    else if st <> 5 then
-      for p = 0 to pps - 1 do
-        let gid = Layout.page_gid lay ~seg ~page:p in
-        let k = page_kind gid in
-        if k <> Config.kind_unused && k <> huge_kind then
-          List.iter
-            (fun b ->
-              let is_rr = k = rr_kind in
-              let live =
-                if is_rr then Rootref.peek_in_use mem b
-                else Obj_header.ref_cnt_of (peek b) > 0
-              in
-              let in_free = Hashtbl.mem free_set b in
-              if live && in_free then begin
-                acc.dfree <- acc.dfree + 1;
-                err acc "block @%d is both live and free" b
-              end
-              else if live then begin
-                if is_rr then acc.live_rr <- acc.live_rr + 1
-                else acc.live <- acc.live + 1;
-                if not is_rr then begin
-                  let cnt = Obj_header.ref_cnt_of (peek b) in
-                  let exp = try Hashtbl.find expected b with Not_found -> 0 in
-                  if cnt <> exp then begin
-                    acc.mism <- acc.mism + 1;
-                    err acc "object @%d: count %d but %d holders (%s)" b cnt exp
-                      (String.concat ", "
-                         (try Hashtbl.find holders b with Not_found -> []))
+  in
+  Heap.iter_segments ~read:peek lay (fun seg -> function
+    | Heap.Huge_cont -> ()
+    | Heap.Huge_head ->
+        let obj = Heap.huge_obj lay seg in
+        let cnt = Obj_header.ref_cnt_of (peek obj) in
+        if cnt > 0 then begin
+          acc.live <- acc.live + 1;
+          check_count obj cnt "huge object";
+          if not (Heap.huge_length_ok ~read:peek lay seg) then begin
+            acc.mism <- acc.mism + 1;
+            err acc "huge object @%d: true length %d disagrees with meta %d" obj
+              (peek (Layout.page_aux2 lay ~gid:(Layout.page_gid lay ~seg ~page:0)))
+              (Obj_header.meta_data_words (peek (Obj_header.meta_of_obj obj)))
+          end
+        end
+        else if scan_pending seg then acc.pending <- acc.pending + 1
+        else begin
+          acc.leak <- acc.leak + 1;
+          err acc "huge object @%d: count 0, not pending any scan" obj
+        end
+    | Heap.Free | Heap.Class_pages ->
+        Heap.iter_pages ~read:peek lay seg (fun gid k ->
+            if k <> Config.kind_unused && k <> huge_kind then
+              List.iter
+                (fun b ->
+                  let is_rr = k = rr_kind in
+                  let live =
+                    if is_rr then Rootref.peek_in_use mem b else live_obj b
+                  in
+                  let in_free = Hashtbl.mem free_set b in
+                  if live && in_free then begin
+                    acc.dfree <- acc.dfree + 1;
+                    err acc "block @%d is both live and free" b
                   end
-                end
-              end
-              else if in_free then acc.free <- acc.free + 1
-              else if scan_pending seg then acc.pending <- acc.pending + 1
-              else begin
-                acc.leak <- acc.leak + 1;
-                err acc "block @%d: count 0, off-list, segment %d not pending"
-                  b seg
-              end)
-            (page_blocks gid)
-      done
-  done;
+                  else if live then
+                    if is_rr then acc.live_rr <- acc.live_rr + 1
+                    else begin
+                      acc.live <- acc.live + 1;
+                      check_count b (Obj_header.ref_cnt_of (peek b)) "object"
+                    end
+                  else if in_free then acc.free <- acc.free + 1
+                  else if scan_pending seg then acc.pending <- acc.pending + 1
+                  else begin
+                    acc.leak <- acc.leak + 1;
+                    err acc "block @%d: count 0, off-list, segment %d not pending"
+                      b seg
+                  end)
+                (Heap.page_blocks ~read:peek lay gid)));
 
   {
     live_objects = acc.live;

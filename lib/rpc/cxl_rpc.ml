@@ -286,7 +286,7 @@ type verdict =
    reach must be the base of a live block inside the channel's sub-heap,
    and its meta must fit inside that block. Discipline: a node's embedded
    slots are read only after the node itself passed
-   {!Validate.block_capacity} (metadata reads only) and its meta was
+   {!Heap.block_capacity} (metadata reads only) and its meta was
    bounded by the block's capacity, so a hostile word is never
    dereferenced and a forged meta never reaches past its block. Every read
    is charged to the server. Each block's meta is read once, and the
@@ -300,7 +300,7 @@ let validate_message (s : server) msg_obj =
   let vet w =
     if !mutation_skip_validate then `Ok max_int
     else
-      match Validate.block_capacity ~read:(Ctx.load ctx) lay w with
+      match Heap.block_capacity ~read:(Ctx.load ctx) lay w with
       | None -> `Wild
       | Some cap ->
           if in_channel lay s.chan w || peer_owned s w then `Ok cap
@@ -407,7 +407,7 @@ let serve_until s ~handler ~stop =
 (* Return emptied sub-heap segments to the arena. Era-safe: batched
    retirements are flushed first so dead channel blocks actually reach
    count zero, and only provably empty segments (no live block, no in-use
-   RootRef, no shard stamp — {!Recovery.segment_empty}) are reset. A
+   RootRef, no shard stamp — {!Reclaim.segment_all_zero}) are reset. A
    segment something still references (an undrained in-flight message, a
    caller-retained output) simply stays claimed until those references
    die. *)
@@ -417,14 +417,8 @@ let release_sub_heap (ctx : Ctx.t) segs =
     (fun seg ->
       if
         Segment.owner ctx seg = Some ctx.Ctx.cid
-        && Recovery.segment_empty ctx seg
-      then begin
-        let pps = (Ctx.cfg ctx).Config.pages_per_segment in
-        for p = 0 to pps - 1 do
-          Page.reset ctx ~gid:(Layout.page_gid ctx.Ctx.lay ~seg ~page:p)
-        done;
-        Segment.release ctx seg
-      end)
+        && Reclaim.segment_all_zero ctx seg
+      then Reclaim.recycle_plain_segment ctx seg)
     segs
 
 let close_client c =

@@ -11,7 +11,7 @@ module Soak = Cxlshm_check.Soak
 
 let mem_lay arena = (Shm.mem arena, Shm.layout arena)
 
-let check_clean arena = Validate.is_clean (Fsck.check (Shm.mem arena) (Shm.layout arena))
+let check_clean arena = Validate.is_clean (Shm.validate arena)
 
 let repair arena = Shm.fsck arena
 
@@ -243,7 +243,7 @@ let test_limbo_rows_repaired () =
   Shm.leave a;
   Mem.unsafe_poke mem (Layout.limbo_stamp lay free 0) 9;
   Mem.unsafe_poke mem (Layout.limbo_rr lay free 0) 54321;
-  let v = Fsck.check mem lay in
+  let v = Validate.run mem lay in
   let reported needle =
     let n = String.length needle in
     List.exists

@@ -1,6 +1,7 @@
 (* Cycle collection (§4.1 future work) and pool persistence (save/load). *)
 
 open Cxlshm
+module Mem = Cxlshm_shmem.Mem
 
 let setup () =
   let arena = Shm.create ~cfg:Config.small () in
@@ -96,6 +97,112 @@ let prop_gc_never_touches_reachable =
       Alloc.collect_deferred a;
       ok_counts && ok_data && Validate.is_clean (Shm.validate arena))
 
+(* Cycle_gc and Fsck sweep over the same mark (Heap.mark). Random graphs —
+   chains, 2-4 cycles, cross links, a queued message, a named root and one
+   huge object — lose a random subset of their handles; after a collection
+   the arena validates, everything reachable from a kept handle reads back,
+   and the repairer finds nothing unreachable, no count to fix and no wild
+   reference. The clients leave first (their handles stay behind as
+   holders), so the repair sweeps no client. *)
+let prop_gc_and_fsck_agree =
+  QCheck.Test.make ~name:"gc and fsck agree on the mark" ~count:20
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let arena, a = setup () in
+      let b = Shm.join arena () in
+      let rng = Random.State.make [| seed |] in
+      let mem = Shm.mem arena in
+      let payload : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      let handles = ref [] in
+      (* two embedded slots, then one payload word *)
+      let node () =
+        let r = Shm.cxl_malloc a ~size_bytes:24 ~emb_cnt:2 () in
+        let v = Random.State.bits rng in
+        Cxl_ref.write_word r 2 v;
+        Hashtbl.replace payload (Cxl_ref.obj r) v;
+        handles := r :: !handles;
+        r
+      in
+      let link r i target = Cxl_ref.set_emb r i target in
+      let chain n =
+        let ns = List.init n (fun _ -> node ()) in
+        List.iteri (fun i r -> if i > 0 then link (List.nth ns (i - 1)) 0 r) ns;
+        ns
+      in
+      let cycle n =
+        let ns = chain n in
+        link (List.nth ns (n - 1)) 0 (List.hd ns);
+        ns
+      in
+      let chains = List.init 3 (fun _ -> chain (1 + Random.State.int rng 4)) in
+      (* cycles 0-2 are anchored below; 3-5 only by cross links *)
+      let cycles = List.init 6 (fun _ -> cycle (2 + Random.State.int rng 3)) in
+      (* cross links from chain heads into cycles, through slot 1 *)
+      List.iter
+        (fun ch ->
+          if Random.State.bool rng then
+            link (List.hd ch) 1
+              (List.hd (List.nth cycles (Random.State.int rng 6))))
+        chains;
+      (* one huge object, held by a chain node or by its handle alone *)
+      let huge =
+        Shm.cxl_malloc_words a
+          ~data_words:(Config.max_class_data_words Config.small + 100)
+          ~emb_cnt:1 ()
+      in
+      let hv = Random.State.bits rng in
+      Cxl_ref.write_word huge 1 hv;
+      Hashtbl.replace payload (Cxl_ref.obj huge) hv;
+      link huge 0 (List.hd (List.nth cycles 0));
+      handles := huge :: !handles;
+      (* a queued message and a named root, each holding a cycle; one of
+         them may hold the huge object too *)
+      let msg = node () in
+      link msg 0 (List.hd (List.nth cycles 1));
+      let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:4 in
+      assert (Transfer.send q msg = Transfer.Sent);
+      let rooted = node () in
+      link rooted 0 (List.hd (List.nth cycles 2));
+      (match Random.State.int rng 3 with
+      | 0 -> link msg 1 huge
+      | 1 -> link rooted 1 huge
+      | _ -> ());
+      Named_roots.publish a ~name:"agree" rooted;
+      let kept, dropped =
+        List.partition (fun _ -> Random.State.bool rng) !handles
+      in
+      List.iter Cxl_ref.drop dropped;
+      ignore (Cycle_gc.collect (Shm.service_ctx arena));
+      let clean = Validate.is_clean (Shm.validate arena) in
+      (* everything reachable from a kept handle reads back *)
+      let seen = Hashtbl.create 64 in
+      let rec intact o =
+        Hashtbl.mem seen o
+        || begin
+             Hashtbl.replace seen o ();
+             let emb =
+               Obj_header.meta_emb_cnt
+                 (Mem.unsafe_peek mem (Obj_header.meta_of_obj o))
+             in
+             Mem.unsafe_peek mem (Obj_header.data_of_obj o + emb)
+             = Hashtbl.find payload o
+             && List.for_all
+                  (fun i ->
+                    let c = Mem.unsafe_peek mem (Obj_header.emb_slot o i) in
+                    c = 0 || intact c)
+                  (List.init emb Fun.id)
+           end
+      in
+      let data_ok = List.for_all (fun r -> intact (Cxl_ref.obj r)) kept in
+      Shm.leave a;
+      Shm.leave b;
+      let rep = Shm.fsck arena in
+      clean && data_ok
+      && rep.Fsck.unreachable_freed = 0
+      && rep.Fsck.counts_fixed = 0
+      && rep.Fsck.wild_refs_cleared = 0
+      && Fsck.clean rep)
+
 (* ---- persistence ---- *)
 
 let tmp = Filename.temp_file "cxlshm" ".pool"
@@ -155,6 +262,7 @@ let suite =
     Alcotest.test_case "gc collects cycle" `Quick test_gc_collects_cycle;
     Alcotest.test_case "gc roots: queues + named" `Quick test_gc_traces_through_queues_and_roots;
     Generators.to_alcotest prop_gc_never_touches_reachable;
+    Generators.to_alcotest prop_gc_and_fsck_agree;
     Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
     Alcotest.test_case "load reaps stale clients" `Quick test_load_reaps_stale_clients;
     Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;

@@ -143,7 +143,7 @@ let test_true_length_beyond_meta () =
   Cxl_ref.drop r;
   Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena))
 
-(* Validate (and so Fsck.check) cross-checks the true-length slot against
+(* Validate cross-checks the true-length slot against
    the packed meta word and the claimed run. *)
 let test_crosscheck_true_length () =
   let arena, a, _ = setup () in
@@ -157,10 +157,10 @@ let test_crosscheck_true_length () =
   Alcotest.(check int) "slot records the request" words truth;
   Mem.unsafe_poke mem aux2 3;
   Alcotest.(check bool) "fsck flags the lie" false
-    (Validate.is_clean (Fsck.check mem lay));
+    (Validate.is_clean (Validate.run mem lay));
   Mem.unsafe_poke mem aux2 truth;
   Alcotest.(check bool) "clean once restored" true
-    (Validate.is_clean (Fsck.check mem lay));
+    (Validate.is_clean (Validate.run mem lay));
   Cxl_ref.drop r
 
 (* The offline repairer re-derives a sane length from the packed meta
@@ -206,9 +206,7 @@ let crash_free_huge point () =
   Alcotest.(check int) "segments all returned" before
     (Shm.free_segments arena);
   Alcotest.(check bool) "validate clean" true
-    (Validate.is_clean (Shm.validate arena));
-  Alcotest.(check bool) "fsck clean" true
-    (Validate.is_clean (Fsck.check (Shm.mem arena) (Shm.layout arena)))
+    (Validate.is_clean (Shm.validate arena))
 
 (* Same half-freed run, but no targeted recovery: the offline repairer
    alone must finish releasing it. *)
@@ -323,8 +321,7 @@ let prop_roundtrip backend name =
         prog;
       List.iter Cxl_ref.drop !held;
       Shm.free_segments arena = before
-      && Validate.is_clean (Shm.validate arena)
-      && Validate.is_clean (Fsck.check (Shm.mem arena) (Shm.layout arena)))
+      && Validate.is_clean (Shm.validate arena))
 
 let prop_roundtrip_flat = prop_roundtrip Mem.Flat "huge roundtrips (flat)"
 

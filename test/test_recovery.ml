@@ -117,13 +117,6 @@ type repoint_case = {
    no block is left. *)
 let test_repoint_crash_windows () =
   let crossed = Hashtbl.create 8 in
-  let check_clean_fsck arena label =
-    check_clean arena label;
-    let f = Fsck.check (Shm.mem arena) (Shm.layout arena) in
-    Alcotest.(check bool)
-      (label ^ " fsck: " ^ String.concat "; " f.Validate.errors)
-      true (Validate.is_clean f)
-  in
   let one_of label got olds news =
     if got <> olds && got <> news then
       Alcotest.failf "%s: neither the old nor the new target" label
@@ -251,7 +244,7 @@ let test_repoint_crash_windows () =
       Alcotest.(check (list int)) (label ^ " recovered") [ c.victim.Ctx.cid ]
         (List.map fst (Monitor.recover_suspects m));
       c.after label;
-      check_clean_fsck c.arena label;
+      check_clean c.arena label;
       c.release ();
       ignore (Shm.scan_leaking c.arena);
       Alcotest.(check int) (label ^ " no block left") 0
@@ -367,11 +360,7 @@ let test_receive_crash_windows () =
       let v = Shm.validate arena in
       Alcotest.(check int) (label ^ " no stranded objects") 0
         v.Validate.live_objects;
-      check_clean arena label;
-      let f = Fsck.check (Shm.mem arena) (Shm.layout arena) in
-      Alcotest.(check bool)
-        (label ^ " fsck: " ^ String.concat "; " f.Validate.errors)
-        true (Validate.is_clean f)
+      check_clean arena label
     done
   in
   List.iter sweep

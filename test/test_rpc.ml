@@ -187,6 +187,42 @@ let test_wild_pointer_rejected () =
   Cxl_rpc.close_client client;
   check_clean arena ~live:0
 
+let test_huge_continuation_rejected () =
+  (* An argument's embedded word names the first word of a huge run's
+     continuation segment, in a segment the client owns and the server
+     trusts. That word is payload, not a block base: the walk must reject
+     the call rather than size it as a block. *)
+  let arena = Shm.create ~cfg:mid_cfg () in
+  let c = Shm.join arena () in
+  let s = Shm.join arena () in
+  let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:8 in
+  Cxl_rpc.allow_peer_segments server;
+  let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:8 in
+  let lay = Shm.layout arena in
+  let huge =
+    Shm.cxl_malloc_words c ~data_words:(lay.Layout.segment_words + 100) ()
+  in
+  let cont = Layout.segment_of_addr lay (Cxl_ref.obj huge) + 1 in
+  let arg = Cxl_rpc.alloc_arg client ~size_bytes:16 ~emb_cnt:1 () in
+  Ctx.store c
+    (Obj_header.emb_slot (Cxl_ref.obj arg) 0)
+    (Layout.segment_base lay cont + lay.Layout.seg_hdr_words);
+  let p = Cxl_rpc.call_async client ~func:2 ~args:[ arg ] ~output_bytes:8 in
+  let served =
+    Cxl_rpc.serve_one server ~handler:(fun ~func:_ ~args:_ ~output:_ ->
+        Alcotest.fail "handler must not run on a continuation word")
+  in
+  Alcotest.(check bool) "request consumed" true served;
+  Alcotest.(check int) "rejection counted" 1 (Cxl_rpc.rejected_calls server);
+  (match Cxl_rpc.finish p with
+  | exception Cxl_rpc.Call_rejected _ -> ()
+  | _ -> Alcotest.fail "expected Call_rejected");
+  Cxl_ref.drop arg;
+  Cxl_ref.drop huge;
+  Cxl_rpc.close_server server;
+  Cxl_rpc.close_client client;
+  check_clean arena ~live:0
+
 let test_double_finish_rejected () =
   let arena = Shm.create ~cfg:mid_cfg () in
   let c = Shm.join arena () in
@@ -503,6 +539,8 @@ let suite =
       test_out_of_channel_rejected;
     Alcotest.test_case "wild pointer rejected" `Quick
       test_wild_pointer_rejected;
+    Alcotest.test_case "huge continuation word rejected" `Quick
+      test_huge_continuation_rejected;
     Alcotest.test_case "double finish rejected" `Quick
       test_double_finish_rejected;
     Alcotest.test_case "server dies mid-call" `Quick test_server_dies_mid_call;

@@ -78,6 +78,26 @@ let test_detects_leak () =
   let v = Shm.validate arena in
   Alcotest.(check bool) "leak found" true (v.Validate.leaks > 0)
 
+(* A huge run's continuation segment starts with payload, not a block: a
+   reference to its first word is wild, however plausible the segment
+   header looks. *)
+let test_detects_pointer_into_huge_continuation () =
+  let arena, a = setup () in
+  let lay = Shm.layout arena in
+  let r =
+    Shm.cxl_malloc_words a ~data_words:(lay.Layout.segment_words + 100) ()
+  in
+  let head = Layout.segment_of_addr lay (Cxl_ref.obj r) in
+  Alcotest.(check bool) "a two-segment run" true
+    (Heap.classify ~read:(Mem.unsafe_peek (Shm.mem arena)) lay (head + 1)
+    = Heap.Huge_cont);
+  let rr = Alloc.alloc_rootref a in
+  Mem.unsafe_poke (Shm.mem arena) (Rootref.pptr_slot rr)
+    (Layout.segment_base lay (head + 1) + lay.Layout.seg_hdr_words);
+  let v = Shm.validate arena in
+  Alcotest.(check int) "wild pointer found" 1 v.Validate.wild_pointers;
+  Alcotest.(check bool) "not clean" false (Validate.is_clean v)
+
 let test_clean_arena_is_clean () =
   let arena, a = setup () in
   let rs = List.init 10 (fun i -> Shm.cxl_malloc a ~size_bytes:(8 * (i + 1)) ()) in
@@ -97,5 +117,7 @@ let suite =
     Alcotest.test_case "detects count too low" `Quick test_detects_count_too_low;
     Alcotest.test_case "detects double free" `Quick test_detects_double_free;
     Alcotest.test_case "detects leak" `Quick test_detects_leak;
+    Alcotest.test_case "detects pointer into a huge continuation" `Quick
+      test_detects_pointer_into_huge_continuation;
     Alcotest.test_case "clean arena is clean" `Quick test_clean_arena_is_clean;
   ]
