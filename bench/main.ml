@@ -1825,6 +1825,59 @@ let bench_fastpath () =
     let per c = float_of_int c /. float_of_int rounds in
     (per (bd_words d), per d.Bc.fences, ns /. float_of_int rounds)
   in
+  (* alloc slow path on a fragmented heap: the client owns [frag_segments]
+     segments of 64 B blocks, all full but one freed block on one of the
+     two highest pages. Each round allocates (the current page is full, so
+     the slow path must find the page with the free block) and then drops
+     the oldest object on the other of the two pages. *)
+  let frag_segments = 8 in
+  let measure_fragmented () =
+    let arena = Shm.create ~cfg:(fp_cfg true) () in
+    let a = Shm.join arena () in
+    let mem = Shm.mem arena in
+    let page r = Layout.page_gid_of_addr (Shm.layout arena) (Cxl_ref.obj r) in
+    let live = ref [] in
+    let rec fill () =
+      let r = Shm.cxl_malloc a ~size_bytes:64 () in
+      live := r :: !live;
+      let owned = List.length (Segment.owned_by a ~cid:a.Ctx.cid) in
+      if owned < frag_segments || Page.free_head a ~gid:(page r) <> 0 then
+        fill ()
+    in
+    fill ();
+    (* The live objects of the two highest pages, oldest first. *)
+    let top = List.sort_uniq compare (List.map page !live) |> List.rev in
+    let h1 = List.nth top 1 and h2 = List.hd top in
+    let oldest_first h =
+      List.filter (fun r -> page r = h) !live
+      |> List.rev |> List.to_seq |> Queue.of_seq
+    in
+    let q1 = oldest_first h1 and q2 = oldest_first h2 in
+    Cxl_ref.drop (Queue.pop q1);
+    (* The free block alternates between the two pages; the warm-up checks
+       that, so the timed rounds need not read where a block landed. *)
+    let on_h1 = ref true in
+    let round ~check =
+      let r = Shm.cxl_malloc a ~size_bytes:64 () in
+      let mine, other = if !on_h1 then (q1, q2) else (q2, q1) in
+      if check then assert (page r = if !on_h1 then h1 else h2);
+      on_h1 := not !on_h1;
+      Queue.push r mine;
+      Cxl_ref.drop (Queue.pop other)
+    in
+    for _ = 1 to 64 do
+      round ~check:true
+    done;
+    let b0 = Option.get (Mem.op_breakdown mem) in
+    let st0 = Stats.copy a.Ctx.st in
+    for _ = 1 to rounds do
+      round ~check:false
+    done;
+    let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
+    let ns = Stats.modeled_ns model (Stats.diff a.Ctx.st st0) in
+    let per c = float_of_int c /. float_of_int rounds in
+    (per (bd_words d), per d.Bc.fences, ns /. float_of_int rounds)
+  in
   (* transfer fast path: sender publishes, receiver consumes, in lockstep *)
   let measure_transfer ?epoch ~cache ~batched () =
     let arena = Shm.create ~cfg:(fp_cfg ?epoch cache) () in
@@ -1906,6 +1959,7 @@ let bench_fastpath () =
   let aw_off, af_off, ans_off = measure_alloc ~cache:false () in
   let aw_on, af_on, ans_on = measure_alloc ~cache:true () in
   let aw_ep, af_ep, ans_ep = measure_alloc ~epoch:true ~cache:true () in
+  let fw_on, ff_on, fns_on = measure_fragmented () in
   let tw_off, tf_off, tns_off =
     measure_transfer ~cache:false ~batched:false ()
   in
@@ -1931,6 +1985,11 @@ let bench_fastpath () =
       ("alloc+free, cache off", aw_off, af_off, ans_off);
       ("alloc+free, cache on", aw_on, af_on, ans_on);
       ("alloc+free, epoch on", aw_ep, af_ep, ans_ep);
+      ( Printf.sprintf "alloc+free, %d fragmented segments, cache on"
+          frag_segments,
+        fw_on,
+        ff_on,
+        fns_on );
       ("transfer single, cache off", tw_off, tf_off, tns_off);
       ("transfer single, cache on", tw_on, tf_on, tns_on);
       ("transfer single, epoch on", tw_ep, tf_ep, tns_ep);
@@ -1963,6 +2022,8 @@ let bench_fastpath () =
      \"modeled_ns_per_op\": %.2f},\n\
     \    \"epoch_on\": {\"words_per_op\": %.3f, \"fences_per_op\": %.3f, \
      \"modeled_ns_per_op\": %.2f},\n\
+    \    \"fragmented_cache_on\": {\"segments\": %d, \"words_per_op\": %.3f, \
+     \"fences_per_op\": %.3f, \"modeled_ns_per_op\": %.2f},\n\
     \    \"words_reduction_pct\": %.1f\n\
     \  },\n\
     \  \"transfer\": {\n\
@@ -1983,8 +2044,9 @@ let bench_fastpath () =
      \"ns_per_update\": %.2f, \"max_call_ns\": %.2f}\n\
      }\n"
     rounds batch aw_off af_off ans_off aw_on af_on ans_on aw_ep af_ep ans_ep
-    (red aw_off aw_on) tw_off tf_off tns_off tw_on tf_on tns_on tw_ep tf_ep
-    tns_ep bw_on bf_on bns_on bw_ep bf_ep bns_ep (red tw_off tw_on)
+    frag_segments fw_on ff_on fns_on (red aw_off aw_on) tw_off tf_off tns_off
+    tw_on tf_on tns_on tw_ep tf_ep tns_ep bw_on bf_on bns_on bw_ep bf_ep
+    bns_ep (red tw_off tw_on)
     (red tw_off bw_on) limbo_updates limbo_keys limbo_quiesce_every limbo_ns
     limbo_max_ns;
   close_out oc;

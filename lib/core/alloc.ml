@@ -70,18 +70,68 @@ let claim_any_segment (ctx : Ctx.t) =
       Some s
   | None -> None
 
-let find_unused_page ctx seg =
-  let pps = (Ctx.cfg ctx).Config.pages_per_segment in
-  let rec go p =
-    if p >= pps then None
-    else
-      let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
-      if Page.kind ctx ~gid = Config.kind_unused then Some gid else go (p + 1)
-  in
-  go 0
+(* A client keeps allocating from segments it owns even after one of them
+   was marked POTENTIAL_LEAKING (the marking only gates recycling, §5.3). *)
+let usable_state = function
+  | Segment.Active | Segment.Leaking -> true
+  | Segment.Free | Segment.Orphaned | Segment.Huge_head | Segment.Huge_cont ->
+      false
 
-let init_page_for ctx ~kind ~block_words gid =
+(* Page-set index of a page kind (see {!Ctx.page_set_find}): the
+   kind-table index for size classes and RootRefs, one past it for unused
+   pages, none for huge and quarantined pages. *)
+let set_index (ctx : Ctx.t) kind =
+  let cfg = Ctx.cfg ctx in
+  let nc = ctx.lay.Layout.num_classes in
+  if kind = Config.kind_unused then Some (nc + 1)
+  else if kind = Config.kind_rootref cfg then Some nc
+  else Config.class_of_kind cfg kind
+
+(* The one whole-ownership page walk: refill every page set from shared
+   truth, reading each owned segment's state once. *)
+let refill_page_sets (ctx : Ctx.t) =
+  let pps = (Ctx.cfg ctx).Config.pages_per_segment in
+  let entries = ref [] in
+  List.iter
+    (fun seg ->
+      if usable_state (Segment.state ctx seg) then
+        for p = 0 to pps - 1 do
+          let gid = Layout.page_gid ctx.lay ~seg ~page:p in
+          let kind = Page.kind ctx ~gid in
+          match set_index ctx kind with
+          | Some k
+            when kind = Config.kind_unused || Page.free_head ctx ~gid <> 0 ->
+              entries := (k, gid) :: !entries
+          | Some _ | None -> ()
+        done)
+    (Segment.owned_by ctx ~cid:ctx.cid);
+  Ctx.page_sets_refill ctx !entries
+
+(* The lowest page of set [idx] that can serve [kind] now: still that kind,
+   with a free block (unused pages have none), in a usable segment. A page
+   only [seg_ok] rejects stays queued for a later, laxer pass. *)
+let find_page (ctx : Ctx.t) ~idx ~kind ~seg_ok =
+  Ctx.page_set_find ctx ~idx (fun gid ->
+      let seg = fst (Layout.page_of_gid ctx.lay gid) in
+      if
+        Page.kind ctx ~gid <> kind
+        || (kind <> Config.kind_unused && Page.free_head ctx ~gid = 0)
+      then `Stale
+      else if not (seg_ok seg) then `Skip
+      else if usable_state (Segment.state ctx seg) then `Use
+      else `Stale)
+
+(* An owner free; a page it takes from full to non-full rejoins its page
+   set. The kind is read only then, and only while the sets are warm. *)
+let push_owned (ctx : Ctx.t) ~gid ~rootref blk =
+  if Page.push_free ctx ~gid ~rootref blk && Ctx.page_sets_warm ctx then
+    Option.iter
+      (fun idx -> Ctx.page_set_add ctx ~idx gid)
+      (set_index ctx (Page.kind ctx ~gid))
+
+let init_page_for ctx ~idx ~kind ~block_words gid =
   Page.init ctx ~gid ~kind ~block_words;
+  Ctx.page_set_add ctx ~idx gid;
   Ctx.crash_point ctx Fault.Slowpath_after_page_claim
 
 let collect_deferred (ctx : Ctx.t) =
@@ -97,19 +147,16 @@ let collect_deferred (ctx : Ctx.t) =
         | _, gid ->
             let cfg = Ctx.cfg ctx in
             let rootref = Page.kind ctx ~gid = Config.kind_rootref cfg in
-            Page.push_free ctx ~gid ~rootref b)
+            push_owned ctx ~gid ~rootref b)
       blocks
   in
   List.iter drain (Segment.owned_by ctx ~cid:ctx.cid)
 
-(* A client keeps allocating from segments it owns even after one of them
-   was marked POTENTIAL_LEAKING (the marking only gates recycling, §5.3). *)
-let usable_state = function
-  | Segment.Active | Segment.Leaking -> true
-  | Segment.Free | Segment.Orphaned | Segment.Huge_head | Segment.Huge_cont ->
-      false
-
 (* Find (or make) a page of [kind] with free blocks and make it current.
+   mimalloc-style: the page sets hand out the lowest owned page that
+   qualifies, which is the page an ascending scan of the owned segments
+   would pick, without the scan; cold sets (after attach, adopt or
+   [Ctx.cache_drop], and always with the tier off) are refilled first.
    When any device is degraded, placement runs [strict] first: only pages
    on healthy devices qualify. The segment-claim ladder alone cannot steer
    a client that already owns a page with free blocks on a degraded device
@@ -131,76 +178,58 @@ let rec ensure_page_at (ctx : Ctx.t) ~strict ~idx ~kind ~block_words ~fuel =
          && seg_ok (fst (Layout.page_of_gid ctx.lay gid)) ->
       gid
   | _ -> (
-      (* Scan owned segments for a usable page of this kind. *)
-      let owned = Segment.owned_by ctx ~cid:ctx.cid in
-      let usable gid = Page.kind ctx ~gid = kind && Page.free_head ctx ~gid <> 0 in
-      let pps = (Ctx.cfg ctx).Config.pages_per_segment in
-      let scan_usable () =
-        List.find_map
-          (fun seg ->
-            let rec go p =
-              if p >= pps then None
-              else
-                let gid = Layout.page_gid ctx.lay ~seg ~page:p in
-                if
-                  usable_state (Segment.state ctx seg)
-                  && seg_ok seg && usable gid
-                then Some gid
-                else go (p + 1)
-            in
-            go 0)
-          owned
+      let find () =
+        if not (Ctx.page_sets_warm ctx) then refill_page_sets ctx;
+        find_page ctx ~idx ~kind ~seg_ok
       in
-      match scan_usable () with
+      let found =
+        match find () with
+        | Some _ as g -> g
+        | None ->
+            (* Drain deferred frees, which may refill a page. *)
+            collect_deferred ctx;
+            find ()
+      in
+      match found with
       | Some gid ->
           set_current_page ctx idx gid;
           gid
       | None -> (
-          (* Drain deferred frees, which may refill a page. *)
-          collect_deferred ctx;
-          match scan_usable () with
+          (* Fresh page in an owned segment, else claim a segment. The
+             sets are current: [find] just refilled them if cold. *)
+          let fresh =
+            find_page ctx ~idx:(ctx.lay.Layout.num_classes + 1)
+              ~kind:Config.kind_unused ~seg_ok
+          in
+          match fresh with
           | Some gid ->
+              init_page_for ctx ~idx ~kind ~block_words gid;
               set_current_page ctx idx gid;
               gid
+          | None when Ctx.pin_active ctx ->
+              (* A pinned allocation never claims new segments: the
+                 channel sub-heap is a fixed set, and exhausting it is
+                 the caller's out-of-memory, not a license to grow. *)
+              if strict then
+                ensure_page_at ctx ~strict:false ~idx ~kind ~block_words
+                  ~fuel:(fuel - 1)
+              else raise Out_of_shared_memory
           | None -> (
-              (* Fresh page in an owned segment, else claim a segment. *)
-              let fresh =
-                List.find_map
-                  (fun seg ->
-                    if usable_state (Segment.state ctx seg) && seg_ok seg then
-                      find_unused_page ctx seg
-                    else None)
-                  owned
-              in
-              match fresh with
-              | Some gid ->
-                  init_page_for ctx ~kind ~block_words gid;
-                  set_current_page ctx idx gid;
-                  gid
-              | None when Ctx.pin_active ctx ->
-                  (* A pinned allocation never claims new segments: the
-                     channel sub-heap is a fixed set, and exhausting it is
-                     the caller's out-of-memory, not a license to grow. *)
+              match claim_any_segment ctx with
+              | Some s when seg_ok s ->
+                  ensure_page_at ctx ~strict ~idx ~kind ~block_words
+                    ~fuel:(fuel - 1)
+              | Some _ ->
+                  (* The ladder spilled onto a degraded device: nothing
+                     healthy is claimable, so degraded pages are the last
+                     resort after all. *)
+                  ensure_page_at ctx ~strict:false ~idx ~kind ~block_words
+                    ~fuel:(fuel - 1)
+              | None ->
                   if strict then
                     ensure_page_at ctx ~strict:false ~idx ~kind ~block_words
                       ~fuel:(fuel - 1)
-                  else raise Out_of_shared_memory
-              | None -> (
-                  match claim_any_segment ctx with
-                  | Some s when seg_ok s ->
-                      ensure_page_at ctx ~strict ~idx ~kind ~block_words
-                        ~fuel:(fuel - 1)
-                  | Some _ ->
-                      (* The ladder spilled onto a degraded device: nothing
-                         healthy is claimable, so degraded pages are the
-                         last resort after all. *)
-                      ensure_page_at ctx ~strict:false ~idx ~kind ~block_words
-                        ~fuel:(fuel - 1)
-                  | None ->
-                      if strict then
-                        ensure_page_at ctx ~strict:false ~idx ~kind
-                          ~block_words ~fuel:(fuel - 1)
-                      else raise Out_of_shared_memory))))
+                  else raise Out_of_shared_memory)))
 
 let ensure_page (ctx : Ctx.t) ~idx ~kind ~block_words ~fuel =
   ensure_page_at ctx
@@ -240,7 +269,7 @@ let free_rootref (ctx : Ctx.t) rr =
   let _, gid = Page.block_of_addr ctx rr in
   let seg = Layout.segment_of_addr ctx.lay rr in
   if Segment.owner ctx seg = Some ctx.cid then
-    Page.push_free ctx ~gid ~rootref:true rr
+    push_owned ctx ~gid ~rootref:true rr
   else Segment.push_client_free ctx ~seg ~rootref:true rr
 
 (* ------------------------------------------------------------------ *)
@@ -553,7 +582,7 @@ let free_obj_block (ctx : Ctx.t) obj =
          pointer. *)
       ()
     else if Segment.owner ctx seg = Some ctx.cid then
-      Page.push_free ctx ~gid ~rootref:false blk
+      push_owned ctx ~gid ~rootref:false blk
     else
       (* Non-owner free: park class blocks on the domain shard for any
          allocator to steal; other kinds keep the per-segment stack the

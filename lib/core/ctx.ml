@@ -10,7 +10,11 @@ module Stats = Cxlshm_shmem.Stats
    the write-through store, so shared memory always holds the truth and a
    crash loses nothing. The cache starts empty (a fresh attach) and is
    filled lazily; [cache_drop] returns it to that state, which is how
-   recovery proves the tier is reconstructible. *)
+   recovery proves the tier is reconstructible. The allocator's page sets
+   (see ctx.mli) live here too: derived from owned pages' metadata, they
+   go cold with the rest of the tier. *)
+module Int_set = Set.Make (Int)
+
 type cache = {
   enabled : bool;
   heads : int array;  (* class-head mirror, -1 = unknown *)
@@ -20,6 +24,8 @@ type cache = {
   pm : int array;  (* page-meta mirror: [gid * pm_slots + slot] *)
   pmv : bool array;  (* per-word validity for [pm] *)
   seg_dev : int array;  (* segment -> device, -1 = unknown (immutable) *)
+  psets : Int_set.t array;  (* page sets, by kind-table index *)
+  mutable psets_warm : bool;
 }
 
 (* Epoch-batched retirement state (volatile, per client).
@@ -95,6 +101,8 @@ let make ?cache ?epoch ~mem ~lay ~cid () =
         pm = Array.make (npages * pm_slots) 0;
         pmv = Array.make (npages * pm_slots) false;
         seg_dev = Array.make nseg (-1);
+        psets = Array.make (lay.Layout.num_classes + 2) Int_set.empty;
+        psets_warm = false;
       };
     epoch =
       {
@@ -252,7 +260,8 @@ let cache_drop t =
   c.cur_seg <- -1;
   c.owned_valid <- false;
   Array.fill c.pmv 0 (Array.length c.pmv) false;
-  Array.fill c.seg_dev 0 (Array.length c.seg_dev) (-1)
+  Array.fill c.seg_dev 0 (Array.length c.seg_dev) (-1);
+  c.psets_warm <- false
 
 (* Class heads and the segment cursor: written only by this client while it
    is alive (recovery rewrites them only for dead clients, whose contexts
@@ -308,6 +317,41 @@ let cache_invalidate_pages t seg =
   let pps = t.lay.Layout.cfg.Config.pages_per_segment in
   Array.fill c.pmv (seg * pps * pm_slots) (pps * pm_slots) false
 
+(* Page sets: only this client's allocator and owner frees touch them. *)
+
+let page_sets_warm t = t.cache.psets_warm
+
+let page_sets_refill t entries =
+  let c = t.cache in
+  Array.fill c.psets 0 (Array.length c.psets) Int_set.empty;
+  List.iter (fun (k, gid) -> c.psets.(k) <- Int_set.add gid c.psets.(k)) entries;
+  c.psets_warm <- c.enabled
+
+let page_sets_drop t = t.cache.psets_warm <- false
+
+let page_set_add t ~idx gid =
+  let c = t.cache in
+  if c.psets_warm then c.psets.(idx) <- Int_set.add gid c.psets.(idx)
+
+let page_set_find t ~idx verdict =
+  let c = t.cache in
+  let rec go s =
+    match s () with
+    | Seq.Nil -> None
+    | Seq.Cons (gid, rest) -> (
+        match verdict gid with
+        | `Use -> Some gid
+        | `Skip -> go rest
+        | `Stale ->
+            c.psets.(idx) <- Int_set.remove gid c.psets.(idx);
+            go rest)
+  in
+  go (Int_set.to_seq c.psets.(idx))
+
+let seg_gids t seg =
+  let pps = t.lay.Layout.cfg.Config.pages_per_segment in
+  (seg * pps, (seg + 1) * pps)
+
 let cache_note_claim t seg =
   let c = t.cache in
   if c.enabled then begin
@@ -315,14 +359,27 @@ let cache_note_claim t seg =
        dead; the entries were already dropped at release, but clearing here
        keeps claim self-sufficient. *)
     cache_invalidate_pages t seg;
-    if c.owned_valid then c.owned.(seg) <- true
+    if c.owned_valid then c.owned.(seg) <- true;
+    (* A claimed segment's pages are all unused (release resets them);
+       [Segment.adopt] marks the sets cold instead. *)
+    let lo, hi = seg_gids t seg in
+    for gid = lo to hi - 1 do
+      page_set_add t ~idx:(Array.length c.psets - 1) gid
+    done
   end
 
 let cache_note_release t seg =
   let c = t.cache in
   if c.enabled then begin
     cache_invalidate_pages t seg;
-    if c.owned_valid then c.owned.(seg) <- false
+    if c.owned_valid then c.owned.(seg) <- false;
+    if c.psets_warm then begin
+      let lo, hi = seg_gids t seg in
+      Array.iteri
+        (fun k s ->
+          c.psets.(k) <- Int_set.filter (fun g -> g < lo || g >= hi) s)
+        c.psets
+    end
   end
 
 (* Page metadata: mirrorable only while this client owns the segment — a

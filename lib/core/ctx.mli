@@ -9,9 +9,10 @@ type cache
 (** Client-local volatile cache tier: a DRAM-side mirror of shared words
     whose sole mutator is this client (class heads, segment cursor, owned
     segments' page metadata, the ownership set) or that are immutable
-    (segment→device mapping). Write-through — shared memory always holds
-    the truth — and reconstructible: dropped on attach/recovery and
-    refilled lazily from shared state. *)
+    (segment→device mapping), plus the allocator's page sets derived from
+    them. Write-through — shared memory always holds the truth — and
+    reconstructible: dropped on attach/recovery and refilled lazily from
+    shared state. *)
 
 type epoch = {
   e_enabled : bool;
@@ -195,10 +196,12 @@ val cache_install_owned : t -> int list -> unit
 (** Install the result of a shared ownership scan. *)
 
 val cache_note_claim : t -> int -> unit
-(** This client just claimed/adopted the segment. *)
+(** This client just claimed/adopted the segment (its pages join the
+    unused-page set while the sets are warm). *)
 
 val cache_note_release : t -> int -> unit
-(** This client just released the segment (drops its page mirrors). *)
+(** This client just released the segment (drops its page mirrors and its
+    page-set entries). *)
 
 val cache_owns : t -> int -> bool
 (** The mirror knows this client owns the segment (false when the set is
@@ -215,3 +218,31 @@ val store_pm : t -> gid:int -> slot:int -> Cxlshm_shmem.Pptr.t -> int -> unit
 
 val segment_device : t -> int -> int
 (** Device serving a segment (immutable layout fact, cached). *)
+
+(** {2 Page sets}
+
+    mimalloc's page queues. Set [k] for [k <= num_classes] holds owned
+    pages of kind-table index [k] (size class [k], RootRef pages at
+    [num_classes]) that may have free blocks; set [num_classes + 1] holds
+    owned pages that may still be unused. Warm sets miss no qualifying
+    page but may hold stale entries, which {!page_set_find} drops. The
+    sets start cold and go cold on {!cache_drop} and {!page_sets_drop};
+    with the tier off they never warm, so every use follows a refill. *)
+
+val page_sets_warm : t -> bool
+
+val page_sets_refill : t -> (int * int) list -> unit
+(** Replace every set's contents with the [(index, gid)] entries of a
+    rebuild walk; the sets are warm afterwards if the tier is on. *)
+
+val page_sets_drop : t -> unit
+(** Mark the sets cold (e.g. after adopting a segment whose pages are
+    unknown). *)
+
+val page_set_add : t -> idx:int -> int -> unit
+(** Add a page to set [idx]; a no-op while the sets are cold. *)
+
+val page_set_find :
+  t -> idx:int -> (int -> [ `Use | `Skip | `Stale ]) -> int option
+(** The lowest gid of set [idx] the verdict accepts. Entries judged
+    [`Stale] on the way are removed; [`Skip]ped ones stay. *)

@@ -84,9 +84,11 @@ let pop_free (ctx : Ctx.t) ~gid ~rootref =
 
 let push_free (ctx : Ctx.t) ~gid ~rootref block =
   let off = next_slot_offset ~kind_rootref:rootref in
-  Ctx.store ctx (block + off) (free_head ctx ~gid);
+  let head = free_head ctx ~gid in
+  Ctx.store ctx (block + off) head;
   set_free_head ctx ~gid block;
-  decr_used ctx ~gid
+  decr_used ctx ~gid;
+  head = 0
 
 let blocks (ctx : Ctx.t) ~gid =
   let bw = block_words ctx ~gid in

@@ -39,8 +39,9 @@ val pop_free : Ctx.t -> gid:int -> rootref:bool -> Cxlshm_shmem.Pptr.t option
     linking interleaves; [Alloc] re-implements the interleaved §5.1 order
     itself. *)
 
-val push_free : Ctx.t -> gid:int -> rootref:bool -> Cxlshm_shmem.Pptr.t -> unit
-(** Owner-side push of a freed block. *)
+val push_free : Ctx.t -> gid:int -> rootref:bool -> Cxlshm_shmem.Pptr.t -> bool
+(** Owner-side push of a freed block. True when the page was full, i.e.
+    the push made it usable again. *)
 
 val blocks : Ctx.t -> gid:int -> Cxlshm_shmem.Pptr.t list
 (** Addresses of every block slot in the page (by capacity), for scans. *)

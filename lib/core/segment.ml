@@ -60,6 +60,9 @@ let adopt (ctx : Ctx.t) s =
            bump_version ctx s;
            set_state ctx s Active;
            Ctx.cache_note_claim ctx s;
+           (* The orphan's pages arrive in every state: rebuild the page
+              sets rather than sort them in one by one. *)
+           Ctx.page_sets_drop ctx;
            true
          end
 

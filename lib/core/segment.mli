@@ -31,7 +31,7 @@ val claim : Ctx.t -> int -> bool
     segment is [Active] and its version is bumped. *)
 
 val adopt : Ctx.t -> int -> bool
-(** CAS an [Orphaned] segment to this client. *)
+(** CAS an [Orphaned] segment to this client; marks its page sets cold. *)
 
 val release : Ctx.t -> int -> unit
 (** Give the segment back to the arena ([Free], unowned, version++). The

@@ -88,20 +88,54 @@ let test_transfer_crash_recover () =
   let v = Shm.validate arena in
   Alcotest.(check bool) "clean after crash+recover" true (Validate.is_clean v)
 
+(* Points the drill's workload (malloc, set_emb, clear_emb, drop) never
+   passes. The list is exact — the drill checks that none of them fires and
+   that every other point does — so it can only shrink, as points move to
+   workloads that reach them. *)
+let not_reached_by_drill =
+  Fault.
+    [
+      Send_after_attach;
+      Recv_after_advance;
+      Free_huge_mid_release;
+      Free_huge_after_reset;
+      Recovery_mid_phases;
+      Swap_after_link;
+      Swap_after_store;
+      Retire_after_seal;
+      Retire_mid_batch;
+      Retire_after_batch;
+      Lead_after_acquire;
+      Lead_after_depose;
+      Evac_after_copy;
+      Evac_after_repoint;
+      Evac_before_release;
+      Park_after_append;
+      Adopt_after_claim;
+      Rpc_before_status;
+    ]
+
 let test_fault_drill_all_points () =
   List.iter
     (fun point ->
       let arena = Shm.create ~cfg:striped_cfg () in
       let a = Shm.join arena () in
       a.Ctx.fault <- Fault.at point ~nth:1;
-      (try
-         let p = Shm.cxl_malloc a ~size_bytes:16 ~emb_cnt:1 () in
-         let c = Shm.cxl_malloc a ~size_bytes:16 () in
-         Cxl_ref.set_emb p 0 c;
-         Cxl_ref.clear_emb p 0;
-         Cxl_ref.drop c;
-         Cxl_ref.drop p
-       with Fault.Crashed _ -> ());
+      let crashed =
+        try
+          let p = Shm.cxl_malloc a ~size_bytes:16 ~emb_cnt:1 () in
+          let c = Shm.cxl_malloc a ~size_bytes:16 () in
+          Cxl_ref.set_emb p 0 c;
+          Cxl_ref.clear_emb p 0;
+          Cxl_ref.drop c;
+          Cxl_ref.drop p;
+          false
+        with Fault.Crashed _ -> true
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "drill crash at %s fired" (Fault.point_name point))
+        (not (List.mem point not_reached_by_drill))
+        crashed;
       let svc = Shm.service_ctx arena in
       Client.declare_failed svc ~cid:a.Ctx.cid;
       ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);

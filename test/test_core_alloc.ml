@@ -177,6 +177,249 @@ let test_word_access_guards () =
    with Invalid_argument _ -> ());
   Cxl_ref.drop r
 
+(* Placement equivalence of the allocator's page sets: before every
+   allocation the test predicts, from a raw snapshot of shared memory, the
+   page an ascending scan of the owned segments would serve — the current
+   page while it has a free block, else the lowest owned usable page, else
+   the same after draining the cross-client stacks, else the lowest unused
+   page, else a page of the segment the claim ladder took — and checks the
+   RootRef and the object land there. The workload mixes owner drops,
+   cross-client drops, a peer leaving and crashing (so its segments are
+   orphaned and adopted) and cache drops. *)
+
+type snapshot = {
+  s_kind : int array;  (* per page *)
+  s_free : bool array;  (* per page: free head <> 0 *)
+  s_pending : bool array;  (* per page: a cross-client free waits on the stack *)
+  s_usable : bool array;  (* per segment: Active or Leaking *)
+  s_owner : int array;  (* per segment: owner cid, -1 = none *)
+  s_head : int array;  (* per kind-table index: current page, -1 = none *)
+  s_pps : int;
+}
+
+let snapshot arena ~cid =
+  let mem = Shm.mem arena and lay = Shm.layout arena in
+  let cfg = Shm.config arena in
+  let peek = Cxlshm_shmem.Mem.unsafe_peek mem in
+  let npages = Layout.num_pages_total lay in
+  let kind = Array.init npages (fun gid -> peek (Layout.page_kind lay ~gid)) in
+  let pending = Array.make npages false in
+  for seg = 0 to cfg.Config.num_segments - 1 do
+    let rec walk b =
+      if b <> 0 then begin
+        let gid = Layout.page_gid_of_addr lay b in
+        if peek (Layout.page_block_words lay ~gid) <> 0 then
+          pending.(gid) <- true;
+        let kind_rootref = kind.(gid) = Config.kind_rootref cfg in
+        walk (peek (b + Page.next_slot_offset ~kind_rootref))
+      end
+    in
+    (* The stack head's low 46 bits are the pointer, above them a tag. *)
+    walk (peek (Layout.seg_client_free lay seg) land ((1 lsl 46) - 1))
+  done;
+  {
+    s_kind = kind;
+    s_free = Array.init npages (fun gid -> peek (Layout.page_free lay ~gid) <> 0);
+    s_pending = pending;
+    s_usable =
+      Array.init cfg.Config.num_segments (fun s ->
+          (* Active or Leaking *)
+          let st = peek (Layout.seg_state lay s) in
+          st = 1 || st = 3);
+    s_owner =
+      Array.init cfg.Config.num_segments (fun s ->
+          peek (Layout.seg_occupied lay s) - 1);
+    s_head =
+      Array.init
+        (lay.Layout.num_classes + 1)
+        (fun k -> peek (Layout.class_head lay cid k) - 1);
+    s_pps = cfg.Config.pages_per_segment;
+  }
+
+(* Mirror of [Alloc.ensure_page] over a snapshot, for the RootRef step then
+   the object step of one [alloc_obj]. [claimed] are the segments the call
+   newly owned, handed to the model's claim steps in order. *)
+let predict snap ~cid ~claimed steps =
+  let pps = snap.s_pps in
+  let kind = Array.copy snap.s_kind and free = Array.copy snap.s_free in
+  let usable = Array.copy snap.s_usable in
+  let owned = Array.map (fun o -> o = cid) snap.s_owner in
+  let drained = Array.make (Array.length owned) false in
+  let claimed = ref claimed in
+  let ok k g =
+    kind.(g) = k && (free.(g) || (drained.(g / pps) && snap.s_pending.(g)))
+  in
+  let lowest p =
+    let rec go g =
+      if g >= Array.length kind then None
+      else if owned.(g / pps) && usable.(g / pps) && p g then Some g
+      else go (g + 1)
+    in
+    go 0
+  in
+  let rec step idx k =
+    let cur = snap.s_head.(idx) in
+    if cur >= 0 && ok k cur then Some cur
+    else
+      match lowest (ok k) with
+      | Some _ as g -> g
+      | None -> (
+          Array.iteri (fun s o -> if o then drained.(s) <- true) owned;
+          match lowest (ok k) with
+          | Some _ as g -> g
+          | None -> (
+              match lowest (fun g -> kind.(g) = Config.kind_unused) with
+              | Some g ->
+                  kind.(g) <- k;
+                  free.(g) <- true;
+                  Some g
+              | None -> (
+                  match !claimed with
+                  | s :: rest ->
+                      claimed := rest;
+                      owned.(s) <- true;
+                      usable.(s) <- true;
+                      step idx k
+                  | [] -> None)))
+  in
+  List.map (fun (idx, k) -> step idx k) steps
+
+(* One seeded round on a fresh arena; returns (checked, adopted). *)
+let placement_round ~seed =
+  let arena = small_arena () in
+  let cfg = Shm.config arena and lay = Shm.layout arena in
+  let nc = lay.Layout.num_classes in
+  let rng = Random.State.make [| seed |] in
+  let a = Shm.join arena () in
+  (* Each incarnation of B takes the next slot, so a dead B's orphans wait
+     for adoption instead of going back to a rejoin of the same slot. *)
+  let next_b = ref 0 and donor = ref false in
+  let join_b () =
+    next_b := (!next_b mod (cfg.Config.max_clients - 1)) + 1;
+    donor := not !donor;
+    Shm.join arena ~cid:!next_b ()
+  in
+  let b = ref (join_b ()) in
+  let mine = ref [] (* A's plain objects *)
+  and holders = ref [] (* A's objects holding one of B's *)
+  and b_held = ref [] (* B's references *) in
+  let checked = ref 0 and adopted = ref 0 in
+  let take l =
+    match !l with
+    | [] -> None
+    | xs ->
+        let i = Random.State.int rng (List.length xs) in
+        let x = List.nth xs i in
+        l := List.filteri (fun j _ -> j <> i) xs;
+        Some x
+  in
+  let alloc_a ~emb_cnt =
+    let size_bytes = List.nth [ 8; 24; 56; 120 ] (Random.State.int rng 4) in
+    let data_words = max 1 (Alloc.data_words_for cfg ~size_bytes ~emb_cnt) in
+    let cls = Option.get (Config.class_of_data_words cfg data_words) in
+    let snap = snapshot arena ~cid:a.Ctx.cid in
+    match Shm.cxl_malloc a ~size_bytes ~emb_cnt () with
+    | exception Alloc.Out_of_shared_memory -> None
+    | r ->
+        let after = (snapshot arena ~cid:a.Ctx.cid).s_owner in
+        let claimed =
+          List.filter
+            (fun s -> after.(s) = a.Ctx.cid && snap.s_owner.(s) <> a.Ctx.cid)
+            (List.init cfg.Config.num_segments Fun.id)
+        in
+        List.iter (fun s -> if snap.s_owner.(s) >= 0 then incr adopted) claimed;
+        (* Two claims in one call leave their order unknown. *)
+        if List.length claimed <= 1 then begin
+          let page x = Layout.page_gid_of_addr lay x in
+          let want =
+            predict snap ~cid:a.Ctx.cid ~claimed
+              [
+                (nc, Config.kind_rootref cfg); (cls, Config.kind_of_class cls);
+              ]
+          in
+          let got =
+            [ Some (page (Cxl_ref.rootref r)); Some (page (Cxl_ref.obj r)) ]
+          in
+          if got <> want then
+            Alcotest.(check (list (option int)))
+              (Printf.sprintf "allocation %d lands on the reference pages"
+                 !checked)
+              want got;
+          incr checked
+        end;
+        Some r
+  in
+  for i = 1 to 1_000 do
+    match Random.State.int rng 100 with
+    | n when n < 45 ->
+        (* A's share ramps up, so the peers' orphans pile up first and A
+           runs out of free segments later. *)
+        if List.length !mine < i / 6 then
+          Option.iter (fun r -> mine := r :: !mine) (alloc_a ~emb_cnt:0)
+    | n when n < 62 -> Option.iter Cxl_ref.drop (take mine)
+    | n when n < 75 && not !donor -> (
+        (* B becomes the last holder of one of A's objects. *)
+        match take mine with
+        | None -> ()
+        | Some r -> (
+            match Shm.cxl_malloc !b ~size_bytes:8 ~emb_cnt:1 () with
+            | exception Alloc.Out_of_shared_memory -> mine := r :: !mine
+            | h ->
+                Cxl_ref.set_emb h 0 r;
+                Cxl_ref.drop r;
+                b_held := h :: !b_held))
+    | n when n < 75 -> (
+        (* A holds one of B's objects; B may keep its own handle. Only a
+           donor B allocates these, so its segments see no final release,
+           stay Active and are orphaned (not leak-marked) when it goes. *)
+        match Shm.cxl_malloc !b ~size_bytes:24 () with
+        | exception Alloc.Out_of_shared_memory -> ()
+        | x -> (
+            match alloc_a ~emb_cnt:1 with
+            | None -> Cxl_ref.drop x
+            | Some h ->
+                Cxl_ref.set_emb h 0 x;
+                if Random.State.bool rng then b_held := x :: !b_held
+                else Cxl_ref.drop x;
+                holders := h :: !holders))
+    | n when n < 84 ->
+        (* Cross-client drop: B lets go of one of its references. *)
+        Option.iter Cxl_ref.drop (take b_held)
+    | n when n < 86 -> Option.iter Cxl_ref.drop (take holders)
+    | n when n < 91 -> Ctx.cache_drop a
+    | n when n < 92 -> ignore (Shm.scan_leaking arena)
+    | n when n < 96 ->
+        List.iter Cxl_ref.drop !b_held;
+        b_held := [];
+        Shm.leave !b;
+        b := join_b ()
+    | _ ->
+        (* B crashes holding references; recovery releases them. *)
+        Client.declare_failed (Shm.service_ctx arena) ~cid:!b.Ctx.cid;
+        ignore (Shm.recover arena ~failed_cid:!b.Ctx.cid);
+        b_held := [];
+        b := join_b ()
+  done;
+  List.iter Cxl_ref.drop (!mine @ !holders @ !b_held);
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat "; " v.Validate.errors) true
+    (Validate.is_clean v);
+  (!checked, !adopted)
+
+let test_placement_equivalence () =
+  let checked, adopted =
+    List.fold_left
+      (fun (c, a) seed ->
+        let c', a' = placement_round ~seed in
+        (c + c', a + a'))
+      (0, 0) (List.init 8 Fun.id)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "rounds adopted orphans (%d) and checked %d allocations"
+       adopted checked)
+    true
+    (adopted >= 4 && checked >= 2_000)
+
 let suite =
   [
     Alcotest.test_case "alloc basic" `Quick test_alloc_basic;
@@ -190,4 +433,6 @@ let suite =
     Alcotest.test_case "embedded refs basic" `Quick test_emb_refs_basic;
     Alcotest.test_case "change emb (§5.4)" `Quick test_change_emb;
     Alcotest.test_case "word access guards" `Quick test_word_access_guards;
+    Alcotest.test_case "page sets place like a full scan" `Quick
+      test_placement_equivalence;
   ]
