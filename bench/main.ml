@@ -1956,6 +1956,46 @@ let bench_fastpath () =
     done;
     (!total /. float_of_int limbo_updates, !worst)
   in
+  (* rejoin: client B owns [rejoin_owned] of [rejoin_segments] segments,
+     interleaved with A's, and A holds one object in each of them. B
+     crashes, the monitor recovers it (its segments are orphaned in place),
+     and a successor joins B's slot. The row prices the successor's first
+     RootRef allocation, which reads the ownership set from the segment
+     table on a cold context. *)
+  let rejoin_segments = 256 and rejoin_owned = 64 in
+  let measure_rejoin () =
+    let cfg =
+      {
+        (fp_cfg ~epoch:true true) with
+        Config.num_segments = rejoin_segments;
+        pages_per_segment = 4;
+      }
+    in
+    let arena = Shm.create ~cfg () in
+    let a = Shm.join arena () and b = Shm.join arena () in
+    let owned () = List.length (Segment.owned_by b ~cid:b.Ctx.cid) in
+    let alloc ctx = Shm.cxl_malloc ctx ~size_bytes:1024 () in
+    while owned () < rejoin_owned do
+      for _ = 1 to 3 do
+        ignore (alloc a)
+      done;
+      let before = owned () in
+      let x = alloc b in
+      if owned () > before then
+        Cxl_ref.set_emb (Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 ()) 0 x
+    done;
+    let svc = Shm.service_ctx arena in
+    Client.declare_failed svc ~cid:b.Ctx.cid;
+    ignore (Shm.recover arena ~failed_cid:b.Ctx.cid);
+    let s = Shm.join arena ~cid:b.Ctx.cid () in
+    let mem = Shm.mem arena in
+    let b0 = Option.get (Mem.op_breakdown mem) in
+    let st0 = Stats.copy s.Ctx.st in
+    ignore (Alloc.alloc_rootref s);
+    let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
+    let st = Stats.diff s.Ctx.st st0 in
+    (bd_words d, st.Stats.rand_accesses, Stats.modeled_ns model st)
+  in
   let aw_off, af_off, ans_off = measure_alloc ~cache:false () in
   let aw_on, af_on, ans_on = measure_alloc ~cache:true () in
   let aw_ep, af_ep, ans_ep = measure_alloc ~epoch:true ~cache:true () in
@@ -1972,6 +2012,7 @@ let bench_fastpath () =
     measure_transfer ~epoch:true ~cache:true ~batched:true ()
   in
   let limbo_ns, limbo_max_ns = measure_limbo () in
+  let rj_words, rj_rand, rj_ns = measure_rejoin () in
   let red a b = 100.0 *. (a -. b) /. a in
   let t =
     Table.create ~title:"Fast path: shared-word traffic (counting backend)"
@@ -2009,6 +2050,10 @@ let bench_fastpath () =
     "limbo: %d COW updates on %d keys, quiesce every %d: %.2f modeled \
      ns/update (quiesces included), largest single call %.2f ns\n"
     limbo_updates limbo_keys limbo_quiesce_every limbo_ns limbo_max_ns;
+  Printf.printf
+    "rejoin: a successor to a crashed client owning %d of %d segments \
+     allocates its first RootRef in %d words (%d random), %.2f modeled ns\n"
+    rejoin_owned rejoin_segments rj_words rj_rand rj_ns;
   let oc = open_out "BENCH_fastpath.json" in
   Printf.fprintf oc
     "{\n\
@@ -2041,14 +2086,16 @@ let bench_fastpath () =
     \    \"batched_words_reduction_pct\": %.1f\n\
     \  },\n\
     \  \"limbo\": {\"updates\": %d, \"keys\": %d, \"quiesce_every\": %d, \
-     \"ns_per_update\": %.2f, \"max_call_ns\": %.2f}\n\
+     \"ns_per_update\": %.2f, \"max_call_ns\": %.2f},\n\
+    \  \"rejoin\": {\"segments\": %d, \"owned\": %d, \"words\": %d, \
+     \"rand_words\": %d, \"modeled_ns\": %.2f}\n\
      }\n"
     rounds batch aw_off af_off ans_off aw_on af_on ans_on aw_ep af_ep ans_ep
     frag_segments fw_on ff_on fns_on (red aw_off aw_on) tw_off tf_off tns_off
     tw_on tf_on tns_on tw_ep tf_ep tns_ep bw_on bf_on bns_on bw_ep bf_ep
     bns_ep (red tw_off tw_on)
     (red tw_off bw_on) limbo_updates limbo_keys limbo_quiesce_every limbo_ns
-    limbo_max_ns;
+    limbo_max_ns rejoin_segments rejoin_owned rj_words rj_rand rj_ns;
   close_out oc;
   Printf.printf "wrote BENCH_fastpath.json\n"
 

@@ -93,20 +93,19 @@ let find_free (ctx : Ctx.t) =
   go 0
 
 let owned_by (ctx : Ctx.t) ~cid =
-  (* The O(num_segments) shared scan is the price the cache tier removes:
-     a client's own ownership set is served from the mirror once populated
-     (claims/releases keep it current; [seg_occupied] for this client
-     changes only under this client's CAS while it is alive). Queries about
-     *other* clients always scan shared memory. *)
+  (* A client's own set comes from the cache mirror once populated (its
+     [seg_occupied] words change only under its own CAS while it lives).
+     Other clients and a cold context scan the dense table upward: one
+     stream of lines, where a downward walk pays a random read per line. *)
   if cid = ctx.Ctx.cid && Ctx.cache_owned_known ctx then
     Ctx.cache_owned_list ctx
   else begin
     let n = (Ctx.cfg ctx).Config.num_segments in
     let rec go s acc =
-      if s < 0 then acc
-      else go (s - 1) (if owner ctx s = Some cid then s :: acc else acc)
+      if s >= n then List.rev acc
+      else go (s + 1) (if owner ctx s = Some cid then s :: acc else acc)
     in
-    let segs = go (n - 1) [] in
+    let segs = go 0 [] in
     if cid = ctx.Ctx.cid then Ctx.cache_install_owned ctx segs;
     segs
   end

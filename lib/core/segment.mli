@@ -51,7 +51,8 @@ val find_free : Ctx.t -> int option
 (** Index of some currently free segment (no claim performed). *)
 
 val owned_by : Ctx.t -> cid:int -> int list
-(** All segments currently occupied by [cid]. *)
+(** All segments currently occupied by [cid], ascending. Off the cache
+    mirror it is one upward stream over the segment table; keep it so. *)
 
 (** {1 Cross-client free stack}
 

@@ -88,20 +88,17 @@ let test_transfer_crash_recover () =
   let v = Shm.validate arena in
   Alcotest.(check bool) "clean after crash+recover" true (Validate.is_clean v)
 
-(* Points the drill's workload (malloc, set_emb, clear_emb, drop) never
-   passes. The list is exact — the drill checks that none of them fires and
-   that every other point does — so it can only shrink, as points move to
-   workloads that reach them. *)
+(* Points the drill's workload (malloc, set_emb, change_emb, clear_emb,
+   drop, and a huge object spanning two segments) never passes. The list
+   is exact — the drill checks that none of them fires and that every
+   other point does — so it can only shrink, as points move to workloads
+   that reach them. *)
 let not_reached_by_drill =
   Fault.
     [
       Send_after_attach;
       Recv_after_advance;
-      Free_huge_mid_release;
-      Free_huge_after_reset;
       Recovery_mid_phases;
-      Swap_after_link;
-      Swap_after_store;
       Retire_after_seal;
       Retire_mid_batch;
       Retire_after_batch;
@@ -116,6 +113,7 @@ let not_reached_by_drill =
     ]
 
 let test_fault_drill_all_points () =
+  let seg_words = (Layout.make striped_cfg).Layout.segment_words in
   List.iter
     (fun point ->
       let arena = Shm.create ~cfg:striped_cfg () in
@@ -125,10 +123,19 @@ let test_fault_drill_all_points () =
         try
           let p = Shm.cxl_malloc a ~size_bytes:16 ~emb_cnt:1 () in
           let c = Shm.cxl_malloc a ~size_bytes:16 () in
+          let d = Shm.cxl_malloc a ~size_bytes:16 () in
           Cxl_ref.set_emb p 0 c;
+          Cxl_ref.change_emb p 0 d;
           Cxl_ref.clear_emb p 0;
           Cxl_ref.drop c;
+          Cxl_ref.drop d;
           Cxl_ref.drop p;
+          let owned () = List.length (Segment.owned_by a ~cid:a.Ctx.cid) in
+          let before = owned () in
+          let huge = Shm.cxl_malloc_words a ~data_words:(3 * seg_words / 2) () in
+          if owned () - before < 2 then
+            Alcotest.fail "the drill's huge object spans one segment";
+          Cxl_ref.drop huge;
           false
         with Fault.Crashed _ -> true
       in

@@ -1,6 +1,7 @@
 (* Allocation fast/slow path, size classes, huge objects, reclamation. *)
 
 open Cxlshm
+module Stats = Cxlshm_shmem.Stats
 
 let small_arena () = Shm.create ~cfg:Config.small ()
 
@@ -420,6 +421,38 @@ let test_placement_equivalence () =
     true
     (adopted >= 4 && checked >= 2_000)
 
+(* A replacement client's first allocation reads its ownership set from
+   the dense segment table on a cold context. Walking it upward is one
+   stream of lines; walking it downward paid a random CXL read per line
+   (about N/2 on an N-segment table). *)
+let test_cold_owned_by_streams () =
+  let cfg = { Config.small with num_segments = 256 } in
+  let arena = Shm.create ~cfg () in
+  let a = Shm.join arena () and b = Shm.join arena () in
+  let rng = Random.State.make [| 22 |] in
+  for s = 0 to cfg.num_segments - 1 do
+    if Random.State.int rng 4 = 0 then ignore (Segment.claim b s)
+  done;
+  let direct =
+    List.filter
+      (fun s -> Segment.owner a s = Some b.Ctx.cid)
+      (List.init cfg.num_segments Fun.id)
+  in
+  List.iter
+    (fun (who, ctx) ->
+      Ctx.cache_drop ctx;
+      Stats.reset ctx.Ctx.st;
+      let got = Segment.owned_by ctx ~cid:b.Ctx.cid in
+      Alcotest.(check (list int)) (who ^ ": ascending owner filter") direct got;
+      let rand = ctx.Ctx.st.Stats.rand_accesses in
+      if rand > 2 then
+        Alcotest.failf "%s: cold scan of %d segments took %d random reads" who
+          cfg.num_segments rand)
+    [ ("peer", a); ("owner", b) ];
+  Alcotest.(check bool)
+    "scattered" true
+    (List.length direct >= 32 && List.length direct <= 96)
+
 let suite =
   [
     Alcotest.test_case "alloc basic" `Quick test_alloc_basic;
@@ -435,4 +468,6 @@ let suite =
     Alcotest.test_case "word access guards" `Quick test_word_access_guards;
     Alcotest.test_case "page sets place like a full scan" `Quick
       test_placement_equivalence;
+    Alcotest.test_case "cold ownership scan streams" `Quick
+      test_cold_owned_by_streams;
   ]
