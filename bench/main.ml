@@ -1956,6 +1956,34 @@ let bench_fastpath () =
     done;
     (!total /. float_of_int limbo_updates, !worst)
   in
+  (* retire: a single epoch-on client drops [rounds] parents that each
+     hold the only reference to an embedded child (built beforehand), so
+     every retirement is a detach, a child teardown and two frees; each
+     drop is priced on its own, so the largest shows whether one release
+     retires a whole batch *)
+  let measure_retire () =
+    let arena = Shm.create ~cfg:(fp_cfg ~epoch:true true) () in
+    let a = Shm.join arena () in
+    let parents =
+      List.init rounds (fun _ ->
+          let p = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+          let c = Shm.cxl_malloc a ~size_bytes:8 () in
+          Cxl_ref.set_emb p 0 c;
+          Cxl_ref.drop c;
+          p)
+    in
+    Reclaim.flush_retired a;
+    let total = ref 0.0 and worst = ref 0.0 in
+    List.iter
+      (fun p ->
+        let st0 = Stats.copy a.Ctx.st in
+        Cxl_ref.drop p;
+        let ns = Stats.modeled_ns model (Stats.diff a.Ctx.st st0) in
+        total := !total +. ns;
+        worst := Float.max !worst ns)
+      parents;
+    (!total /. float_of_int rounds, !worst)
+  in
   (* rejoin: client B owns [rejoin_owned] of [rejoin_segments] segments,
      interleaved with A's, and A holds one object in each of them. B
      crashes, the monitor recovers it (its segments are orphaned in place),
@@ -2013,6 +2041,7 @@ let bench_fastpath () =
   in
   let limbo_ns, limbo_max_ns = measure_limbo () in
   let rj_words, rj_rand, rj_ns = measure_rejoin () in
+  let retire_ns, retire_max_ns = measure_retire () in
   let red a b = 100.0 *. (a -. b) /. a in
   let t =
     Table.create ~title:"Fast path: shared-word traffic (counting backend)"
@@ -2054,6 +2083,10 @@ let bench_fastpath () =
     "rejoin: a successor to a crashed client owning %d of %d segments \
      allocates its first RootRef in %d words (%d random), %.2f modeled ns\n"
     rejoin_owned rejoin_segments rj_words rj_rand rj_ns;
+  Printf.printf
+    "retire: %d drops of a parent holding one embedded child: %.2f modeled \
+     ns/drop, largest single drop %.2f ns\n"
+    rounds retire_ns retire_max_ns;
   let oc = open_out "BENCH_fastpath.json" in
   Printf.fprintf oc
     "{\n\
@@ -2088,14 +2121,17 @@ let bench_fastpath () =
     \  \"limbo\": {\"updates\": %d, \"keys\": %d, \"quiesce_every\": %d, \
      \"ns_per_update\": %.2f, \"max_call_ns\": %.2f},\n\
     \  \"rejoin\": {\"segments\": %d, \"owned\": %d, \"words\": %d, \
-     \"rand_words\": %d, \"modeled_ns\": %.2f}\n\
+     \"rand_words\": %d, \"modeled_ns\": %.2f},\n\
+    \  \"retire\": {\"drops\": %d, \"ns_per_drop\": %.2f, \
+     \"max_drop_ns\": %.2f}\n\
      }\n"
     rounds batch aw_off af_off ans_off aw_on af_on ans_on aw_ep af_ep ans_ep
     frag_segments fw_on ff_on fns_on (red aw_off aw_on) tw_off tf_off tns_off
     tw_on tf_on tns_on tw_ep tf_ep tns_ep bw_on bf_on bns_on bw_ep bf_ep
     bns_ep (red tw_off tw_on)
     (red tw_off bw_on) limbo_updates limbo_keys limbo_quiesce_every limbo_ns
-    limbo_max_ns rejoin_segments rejoin_owned rj_words rj_rand rj_ns;
+    limbo_max_ns rejoin_segments rejoin_owned rj_words rj_rand rj_ns rounds
+    retire_ns retire_max_ns;
   close_out oc;
   Printf.printf "wrote BENCH_fastpath.json\n"
 

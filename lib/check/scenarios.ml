@@ -299,10 +299,13 @@ let huge ?(rounds = 1) () : Explore.model =
 let epoch_retire ?(rounds = 2) () : Explore.model =
   let make () =
     (* Batch of 2: every round parks exactly two retirements (child drop +
-       parent drop), so each round seals and replays one journal batch —
-       the explorer branches at [Retire_after_seal] / [Retire_mid_batch] /
-       [Retire_after_batch] and a crash leaves a sealed journal for
-       [Recovery.recover_journal] to finish against the current era. *)
+       parent drop), so the parent drop seals a batch and the next round's
+       two drops retire it one entry each, interleaved with that round's
+       allocations and embedded-slot transactions. Every round branches
+       at [Retire_after_seal]; from the second round on the explorer also
+       branches at [Retire_mid_batch] / [Retire_after_batch], and a crash
+       leaves a sealed journal for [Recovery.recover_journal] to finish
+       against the current era. *)
     let cfg = { arena_cfg with Config.epoch_batch = 2 } in
     let arena = Shm.create ~cfg () in
     let a = Shm.join arena () in

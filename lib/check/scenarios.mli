@@ -31,9 +31,11 @@ val huge : ?rounds:int -> unit -> Explore.model
 
 val epoch_retire : ?rounds:int -> unit -> Explore.model
 (** The [refc] workload with [Config.epoch_batch = 2]: zero-count rootrefs
-    park in the volatile buffer and every round seals, journals, and
-    replays one retirement batch, branching at the three [Retire_*] crash
-    points. Model name ["epoch-retire"]. *)
+    park in the volatile buffer, every round seals one retirement batch,
+    and the next round's drops retire it one entry each between that
+    round's transactions, so from two rounds (the default) on the run
+    branches at the three [Retire_*] crash points. Model name
+    ["epoch-retire"]. *)
 
 val sharded_alloc : ?values:int -> unit -> Explore.model
 (** Three clients over [Config.num_domains = 2]: cross-client frees park

@@ -11,8 +11,9 @@ type t = {
   trace_slots : int;
   cache : bool;
   epoch_batch : int;
-      (* K > 0 batches up to K rootref retirements per client behind one
-         fence + one journal flush; 0 keeps the eager per-release path. *)
+      (* K > 0 seals K rootref retirements per client behind one fence
+         and retires them one per later release (two journal flushes per
+         batch); 0 keeps the eager per-release path. *)
   num_domains : int;
       (* > 0 shards the hot size-class free heads across that many domains;
          0 keeps the single per-owner free structure. *)

@@ -39,12 +39,14 @@ type t = {
           service contexts run with it off regardless. Ablation knob. *)
   epoch_batch : int;
       (** K > 0 enables epoch-batched retirement: a client's rootref
-          releases accumulate in a volatile buffer and up to K of them are
-          retired together behind a single fence + journal flush (sealed
-          into a persistent per-client retirement journal the recovery
-          service replays). 0 keeps the eager per-release path — unit tests
-          and explorer models rely on it being schedule-identical to
-          earlier releases. Must be in [0, 64] (journal capacity). *)
+          releases accumulate in a volatile buffer; a full buffer of K is
+          sealed into a persistent per-client retirement journal (the
+          recovery service replays it) behind one fence and one journal
+          flush, and the next K releases retire one sealed entry each, the
+          last clearing the journal with a second flush. 0 keeps the
+          eager per-release path — unit tests and explorer models rely on
+          it being schedule-identical to earlier releases. Must be in
+          [0, 64] (journal capacity). *)
   num_domains : int;
       (** > 0 shards the hot size-class free heads into that many
           per-domain Treiber stacks ([Layout.domain_class_head]): non-owner

@@ -31,14 +31,23 @@ type cache = {
 (* Epoch-batched retirement state (volatile, per client).
 
    [ebuf] accumulates rootrefs whose local count dropped to zero; they stay
-   linked and in_use in shared memory until the batch flush seals them into
-   the persistent retirement journal and tears them down under one fence.
-   [dirty] is the companion write-back queue: hot-path stores whose flush
-   can ride the next batch boundary instead of paying a per-op clwb. *)
+   linked and in_use in shared memory until a full buffer is sealed into
+   the persistent retirement journal under one fence. [sealed] mirrors the
+   journal's slots and [snext] is the next entry to retire: later releases
+   retire one sealed entry each. [spent] holds the last finished batch's
+   rootrefs; the first [flen] are still allocated, and one goes back to
+   its page per release. [dirty] is the companion write-back
+   queue: hot-path stores whose flush can ride the next batch boundary
+   instead of paying a per-op clwb. *)
 type epoch = {
   e_enabled : bool;
   ebuf : int array;
   mutable elen : int;
+  sealed : int array;
+  mutable slen : int; (* entries in the sealed batch; 0 = none in flight *)
+  mutable snext : int;
+  spent : int array;
+  mutable flen : int; (* rootrefs in [spent] not yet freed *)
   dirty : int array; (* line-deduped addresses awaiting write-back *)
   mutable dlen : int;
 }
@@ -109,6 +118,11 @@ let make ?cache ?epoch ~mem ~lay ~cid () =
         e_enabled;
         ebuf = Array.make (max 1 batch) 0;
         elen = 0;
+        sealed = Array.make (max 1 batch) 0;
+        slen = 0;
+        snext = 0;
+        spent = Array.make (max 1 batch) 0;
+        flen = 0;
         dirty = Array.make dirty_capacity 0;
         dlen = 0;
       };
@@ -213,8 +227,8 @@ let epoch_capacity t = t.lay.Layout.cfg.Config.epoch_batch
 (* Queue a write-back to ride the next retirement-batch boundary. Safe only
    for stores whose durability deadline is the era advance that could free
    the line's contents — exactly the fast-path rootref/index lines. The
-   batch flush drains the queue; overflow degrades to an immediate flush of
-   the overflowing line so the queue stays bounded. *)
+   retirement batch's finish drains the queue; overflow degrades to an
+   immediate flush of the overflowing line so the queue stays bounded. *)
 let flush_deferred t p =
   let e = t.epoch in
   if not e.e_enabled then flush t p

@@ -18,16 +18,27 @@ type epoch = {
   e_enabled : bool;
   ebuf : int array;  (** rootrefs awaiting batched retirement *)
   mutable elen : int;
+  sealed : int array;  (** volatile copy of the sealed journal's slots *)
+  mutable slen : int;  (** entries in the sealed batch; 0 = none *)
+  mutable snext : int;  (** next sealed entry to retire *)
+  spent : int array;  (** the last finished batch's rootrefs *)
+  mutable flen : int;  (** rootrefs in [spent] not yet freed *)
   dirty : int array;  (** line-deduped addresses awaiting write-back *)
   mutable dlen : int;
 }
 (** Epoch-batched retirement state (volatile). [ebuf] holds rootrefs whose
     local count hit zero; they stay linked and [in_use] in shared memory
-    until {!Reclaim.flush_retired} seals them into the persistent journal
-    and tears them down under one fence. [dirty] queues hot-path
-    write-backs to ride the same batch boundary. Lost on crash by design:
-    an unflushed buffer just means those rootrefs are still allocated, and
-    the dead client's rootref scan releases them. *)
+    until a full buffer is sealed into the persistent journal (see
+    {!Epoch}). The sealed batch is then retired one entry per later
+    release, [sealed.(snext)] first, so no single release tears down a
+    whole batch. A retired entry's rootref stays allocated, its pointer
+    null, until the batch's finish has cleared the journal; [spent] then
+    frees them one per release. [dirty] queues hot-path write-backs to
+    ride the batch's finish. Lost on crash by design: unsealed entries and
+    unfreed [spent] rootrefs are still allocated rootrefs for the dead
+    client's rootref scan, and the sealed entries whose pointer is still
+    set are exactly the unfinished work [Recovery] replays from the
+    journal. *)
 
 type t = {
   mem : Cxlshm_shmem.Mem.t;

@@ -160,13 +160,15 @@ val client_cur_segment : t -> int -> Cxlshm_shmem.Pptr.t
     Per client, inside its ClientLocalState: [count; base_era; K slots]
     where K = [Config.epoch_batch]. A non-zero [count] is the sealed-batch
     commit point — the owner wrote [count] rootrefs into the slots, fenced,
-    then stored the count. Entries are processed strictly in slot order and
-    each entry's rootref is freed ([in_use] cleared) only when it is fully
-    retired, so after a crash the journal tail of still-[in_use] entries is
-    exactly the unfinished work: at most the first such entry can have a
+    then stored the count. Entries are processed strictly in slot order;
+    a retired entry's rootref has a null pointer and stays allocated until
+    the count is cleared, so every slot names its own rootref and, after a
+    crash, the entries whose pointer is still set are exactly the
+    unfinished work: at most the first such entry can have a
     committed-but-unfinished count decrement (at the dead client's current
     era), the rest never started. [base_era] is diagnostic only — child
-    detaches inside an entry consume a variable number of eras, so recovery
+    detaches inside an entry, and the client's own transactions between
+    two paced entries, consume a variable number of eras, so recovery
     resolves each entry against live state, not a precomputed era. Zero
     count means no batch is in flight (the volatile buffer, if any, is
     discarded by a crash by design). *)

@@ -55,15 +55,15 @@ let release_obj (ctx : Ctx.t) ~ref_addr ~obj =
 
 (* Retire one journaled rootref: [release_held] with the top-level detach
    swapped for the redo-free {!Refc.detach_batched} — the sealed journal
-   entry is the recovery record for that window. Freeing the rootref is
-   last: clearing [in_use] is the per-entry completion marker
-   [Recovery.recover_journal] keys on. *)
+   entry is the recovery record for that window. The detach nulls the
+   rootref's pointer, the per-entry completion marker
+   [Recovery.recover_journal] keys on; the rootref itself stays allocated
+   until {!Epoch} frees it after the batch's journal is cleared. *)
 let retire_one (ctx : Ctx.t) rr =
   let obj = Rootref.obj ctx rr in
   if obj <> 0 then
     release_held ctx ~as_cid:ctx.cid ~detach:(Refc.detach_batched ctx)
-      ~ref_addr:(Rootref.pptr_slot rr) ~obj;
-  Alloc.free_rootref ctx rr
+      ~ref_addr:(Rootref.pptr_slot rr) ~obj
 
 let flush_retired (ctx : Ctx.t) =
   Epoch.flush_retired ctx ~retire_one:(retire_one ctx)
@@ -77,10 +77,12 @@ let release_rootref (ctx : Ctx.t) rr =
   if cnt - 1 = 0 then
     if Ctx.epoch_enabled ctx then begin
       (* Park for batched retirement: the rootref stays linked and in_use,
-         so a crash before the flush just leaves an allocated rootref for
-         the dead-client scan. *)
+         so a crash before the seal just leaves an allocated rootref for
+         the dead-client scan. Then pay this release's share of the
+         sealed batch: at most one entry retired, plus the seal when the
+         buffer is full. *)
       Epoch.enqueue ctx rr;
-      if Epoch.is_full ctx then flush_retired ctx
+      Epoch.step ctx ~retire_one:(retire_one ctx)
     end
     else begin
       let obj = Rootref.obj ctx rr in

@@ -23,19 +23,22 @@ val release_rootref : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
     (era transaction), release the object if that was the last reference,
     and return the RootRef block to its page. With epoch batching on
     ({!Ctx.epoch_enabled}), the zero-count rootref parks in the volatile
-    retirement buffer instead; a full buffer triggers {!flush_retired}. *)
+    retirement buffer instead, and the release pays one step of paced
+    retirement ({!Epoch.step}): one sealed entry retired, or the seal of
+    a full buffer. *)
 
 val retire_one : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
-(** Fully retire one journaled rootref (redo-free top-level detach, then
-    free the rootref — the per-entry completion marker). Exposed for
-    {!flush_retired} replay from the recovery service. *)
+(** Retire one journaled rootref: the redo-free top-level detach, which
+    nulls the rootref's pointer (the per-entry completion marker), and the
+    object's release. The rootref itself stays allocated: {!Epoch} frees
+    it once the batch's journal is cleared. *)
 
 val flush_retired : Ctx.t -> unit
-(** Seal and process the parked retirements ({!Epoch.flush_retired} with
-    {!retire_one}): one fence + one journal flush per batch of up to
-    [Config.epoch_batch] retirements. Call at era boundaries and before
-    detach/unregister. No-op (bar draining deferred write-backs) when the
-    buffer is empty. *)
+(** Retire every parked and sealed rootref now ({!Epoch.flush_retired}
+    with {!retire_one}): the sealed batch's remainder first, then the
+    buffer, sealed behind one fence and two journal flushes. Call at era
+    boundaries and before detach/unregister. No-op (bar draining deferred
+    write-backs) when nothing is parked. *)
 
 val teardown_children : Ctx.t -> as_cid:int -> obj:Cxlshm_shmem.Pptr.t -> unit
 (** Detach every non-null embedded reference of [obj] (recursively releasing

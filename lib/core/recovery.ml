@@ -265,14 +265,16 @@ let release_one_rootref (ctx : Ctx.t) ~cid rr report =
 (* ------------------------------------------------------------------ *)
 
 (* Finish (or discard) a sealed retirement batch the dead client left
-   behind. Entries are processed strictly in slot order and each entry's
-   rootref was freed ([in_use] cleared) only once fully retired, so the
-   still-[in_use] tail is exactly the unfinished work. Because the
+   behind. Entries are processed strictly in slot order, and a sealed
+   slot always names the rootref it was sealed with: a retired entry's
+   rootref is freed only after the batch's cleared count is durable, so
+   no slot can name a rootref the client re-allocated. Because the
    redo-free [Refc.detach_batched] clears the rootref's pointer right
    after its commit CAS, an [in_use] entry resolves against live state:
 
-   - pointer already null: the detach (and any teardown) committed, only
-     the rootref free is missing;
+   - pointer already null: the entry is retired (or its detach committed
+     and the rest of its teardown is the leak scan's); only the rootref
+     free is missing;
    - object count zero with the pointer intact: the client's own
      race-to-zero CAS landed but the unlink didn't — its era was consumed
      iff the header still carries (cid, now);
@@ -280,8 +282,9 @@ let release_one_rootref (ctx : Ctx.t) ~cid rr report =
      redo the idempotent unlink and consume the era;
    - otherwise the decrement never landed: run the full eager ladder.
 
-   Runs AFTER [resume_txn] (a child detach inside the batch may itself be
-   in flight, and its resolution fixes the current era) and BEFORE
+   Runs AFTER [resume_txn] (a child detach inside the batch, or a
+   transaction the client ran between two paced entries, may itself be in
+   flight, and its resolution fixes the current era) and BEFORE
    endpoint recovery or the rootref scan — both issue new era-consuming
    transactions for [cid], which would advance the era past the
    unfinished entry's and turn its committed decrement into a replayed
@@ -296,35 +299,39 @@ let recover_journal (ctx : Ctx.t) ~cid report =
             let e_now = Era.self_of ctx ~cid in
             let obj = Rootref.obj ctx rr in
             if obj = 0 then Rootref.set_state ctx rr ~in_use:false ~cnt:0
-            else if Refc.ref_cnt ctx obj = 0 then begin
-              (* Only reachable when the final decrement landed but the
-                 unlink store was lost: children are already torn down and
-                 the segment leak-marked, so [on_zero] is an idempotent
-                 re-mark and the §5.3 scan reclaims the block. *)
-              let u =
-                Obj_header.unpack (Ctx.load ctx (Obj_header.header_of_obj obj))
-              in
-              Ctx.store ctx (Rootref.pptr_slot rr) 0;
-              Rootref.set_state ctx rr ~in_use:false ~cnt:0;
-              on_zero ctx obj;
-              if u.Obj_header.lcid = Some cid && u.Obj_header.lera = e_now then
+            else begin
+              if Refc.ref_cnt ctx obj = 0 then begin
+                (* Only reachable when the final decrement landed but the
+                   unlink store was lost: children are already torn down
+                   and the segment leak-marked, so [on_zero] is an
+                   idempotent re-mark and the §5.3 scan reclaims the
+                   block. *)
+                let u =
+                  Obj_header.unpack
+                    (Ctx.load ctx (Obj_header.header_of_obj obj))
+                in
+                Ctx.store ctx (Rootref.pptr_slot rr) 0;
+                Rootref.set_state ctx rr ~in_use:false ~cnt:0;
+                on_zero ctx obj;
+                if u.Obj_header.lcid = Some cid && u.Obj_header.lera = e_now
+                then Era.advance_for ctx ~cid
+              end
+              else if Refc.committed ctx ~cid ~obj ~era:e_now then begin
+                let slot = Rootref.pptr_slot rr in
+                Ctx.store ctx slot 0;
+                Ctx.flush ctx slot;
+                Rootref.set_state ctx rr ~in_use:false ~cnt:0;
                 Era.advance_for ctx ~cid
+              end
+              else release_one_rootref ctx ~cid rr report;
+              let n = wl_process ctx ~as_cid:cid in
+              report :=
+                {
+                  !report with
+                  worklist_processed = !report.worklist_processed + n;
+                  journal_replayed = !report.journal_replayed + 1;
+                }
             end
-            else if Refc.committed ctx ~cid ~obj ~era:e_now then begin
-              let slot = Rootref.pptr_slot rr in
-              Ctx.store ctx slot 0;
-              Ctx.flush ctx slot;
-              Rootref.set_state ctx rr ~in_use:false ~cnt:0;
-              Era.advance_for ctx ~cid
-            end
-            else release_one_rootref ctx ~cid rr report;
-            let n = wl_process ctx ~as_cid:cid in
-            report :=
-              {
-                !report with
-                worklist_processed = !report.worklist_processed + n;
-                journal_replayed = !report.journal_replayed + 1;
-              }
           end)
         slots;
       Epoch.clear_journal ctx ~cid

@@ -37,7 +37,9 @@ type report = {
   segments_orphaned : int;
   segments_released : int;
   leak_marked : int;
-  journal_replayed : int;  (** unfinished retirement-journal entries *)
+  journal_replayed : int;
+      (** unfinished retirement-journal entries: those whose rootref
+          still named an object *)
   parked_journaled : int;
       (** records left in orphaned limbo rows, awaiting a successor's
           adoption or the leak-scan drain *)

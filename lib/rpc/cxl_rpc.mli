@@ -132,8 +132,8 @@ val allow_peer_segments : server -> unit
 
 val close_client : client -> unit
 (** Close the queue endpoint, lift the sub-heap exclusion, and return every
-    provably empty sub-heap segment to the arena (flushing this context's
-    retirement batch first so pending drops land). Idempotent. *)
+    provably empty sub-heap segment to the arena (retiring this context's
+    sealed and parked drops first so they land). Idempotent. *)
 
 val close_server : server -> unit
 (** Close the queue endpoint and, if the claiming client is dead, revoke

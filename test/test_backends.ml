@@ -89,19 +89,18 @@ let test_transfer_crash_recover () =
   Alcotest.(check bool) "clean after crash+recover" true (Validate.is_clean v)
 
 (* Points the drill's workload (malloc, set_emb, change_emb, clear_emb,
-   drop, and a huge object spanning two segments) never passes. The list
-   is exact — the drill checks that none of them fires and that every
-   other point does — so it can only shrink, as points move to workloads
-   that reach them. *)
+   drop, and a huge object spanning two segments) never passes, in either
+   of its two configurations: eager release, and epoch retirement with a
+   batch of 2, whose drops seal, retire and finish journal batches. The
+   list is exact — the drill checks that none of them fires and that every
+   other point fires in at least one configuration — so it can only
+   shrink, as points move to workloads that reach them. *)
 let not_reached_by_drill =
   Fault.
     [
       Send_after_attach;
       Recv_after_advance;
       Recovery_mid_phases;
-      Retire_after_seal;
-      Retire_mid_batch;
-      Retire_after_batch;
       Lead_after_acquire;
       Lead_after_depose;
       Evac_after_copy;
@@ -114,43 +113,50 @@ let not_reached_by_drill =
 
 let test_fault_drill_all_points () =
   let seg_words = (Layout.make striped_cfg).Layout.segment_words in
+  let drill cfg point =
+    let arena = Shm.create ~cfg () in
+    let a = Shm.join arena () in
+    a.Ctx.fault <- Fault.at point ~nth:1;
+    let crashed =
+      try
+        let p = Shm.cxl_malloc a ~size_bytes:16 ~emb_cnt:1 () in
+        let c = Shm.cxl_malloc a ~size_bytes:16 () in
+        let d = Shm.cxl_malloc a ~size_bytes:16 () in
+        Cxl_ref.set_emb p 0 c;
+        Cxl_ref.change_emb p 0 d;
+        Cxl_ref.clear_emb p 0;
+        Cxl_ref.drop c;
+        Cxl_ref.drop d;
+        Cxl_ref.drop p;
+        let owned () = List.length (Segment.owned_by a ~cid:a.Ctx.cid) in
+        let before = owned () in
+        let huge = Shm.cxl_malloc_words a ~data_words:(3 * seg_words / 2) () in
+        if owned () - before < 2 then
+          Alcotest.fail "the drill's huge object spans one segment";
+        Cxl_ref.drop huge;
+        false
+      with Fault.Crashed _ -> true
+    in
+    let svc = Shm.service_ctx arena in
+    Client.declare_failed svc ~cid:a.Ctx.cid;
+    ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
+    ignore (Reclaim.scan_all svc ~is_client_alive:(fun _ -> false));
+    let v = Shm.validate arena in
+    Alcotest.(check bool)
+      (Printf.sprintf "clean after crash at %s (epoch batch %d)"
+         (Fault.point_name point) cfg.Config.epoch_batch)
+      true (Validate.is_clean v);
+    crashed
+  in
+  let batched_cfg = { striped_cfg with Config.epoch_batch = 2 } in
   List.iter
     (fun point ->
-      let arena = Shm.create ~cfg:striped_cfg () in
-      let a = Shm.join arena () in
-      a.Ctx.fault <- Fault.at point ~nth:1;
-      let crashed =
-        try
-          let p = Shm.cxl_malloc a ~size_bytes:16 ~emb_cnt:1 () in
-          let c = Shm.cxl_malloc a ~size_bytes:16 () in
-          let d = Shm.cxl_malloc a ~size_bytes:16 () in
-          Cxl_ref.set_emb p 0 c;
-          Cxl_ref.change_emb p 0 d;
-          Cxl_ref.clear_emb p 0;
-          Cxl_ref.drop c;
-          Cxl_ref.drop d;
-          Cxl_ref.drop p;
-          let owned () = List.length (Segment.owned_by a ~cid:a.Ctx.cid) in
-          let before = owned () in
-          let huge = Shm.cxl_malloc_words a ~data_words:(3 * seg_words / 2) () in
-          if owned () - before < 2 then
-            Alcotest.fail "the drill's huge object spans one segment";
-          Cxl_ref.drop huge;
-          false
-        with Fault.Crashed _ -> true
-      in
+      let eager = drill striped_cfg point in
+      let batched = drill batched_cfg point in
       Alcotest.(check bool)
         (Printf.sprintf "drill crash at %s fired" (Fault.point_name point))
         (not (List.mem point not_reached_by_drill))
-        crashed;
-      let svc = Shm.service_ctx arena in
-      Client.declare_failed svc ~cid:a.Ctx.cid;
-      ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
-      ignore (Reclaim.scan_all svc ~is_client_alive:(fun _ -> false));
-      let v = Shm.validate arena in
-      Alcotest.(check bool)
-        (Printf.sprintf "clean after crash at %s" (Fault.point_name point))
-        true (Validate.is_clean v))
+        (eager || batched))
     Fault.all_points
 
 (* The same scripted single-client workload must leave bit-identical pool

@@ -92,6 +92,34 @@ let test_exhaustive_covers_clean_models () =
   Alcotest.(check bool) "crash schedules included" true
     (r.Explore.crashes_injected > 0)
 
+(* The epoch-retire model must keep reaching every window of paced
+   retirement: a batch sealed in one round is retired one entry per drop
+   in the next, so a crash lands at each [Retire_*] point between the
+   model's transactions. Every reached branch point gets a crash schedule,
+   so recording the crash points the runs yield at is enough. *)
+let test_epoch_retire_reaches_retire_windows () =
+  let m = Scenarios.epoch_retire () in
+  let seen = Hashtbl.create 8 in
+  let branch p =
+    (match p with
+    | Sched.Crash_point pt -> Hashtbl.replace seen pt ()
+    | Sched.Label _ | Sched.Access _ -> ());
+    m.Explore.branch p
+  in
+  let r =
+    Explore.exhaustive ~preemptions:0 ~crash:true ~max_steps:20_000
+      { m with Explore.branch }
+  in
+  (match r.Explore.failure with
+  | None -> ()
+  | Some f -> Alcotest.failf "epoch-retire failed: %s" f.Explore.reason);
+  List.iter
+    (fun pt ->
+      Alcotest.(check bool)
+        (Cxlshm.Fault.point_name pt ^ " reached")
+        true (Hashtbl.mem seen pt))
+    Cxlshm.Fault.[ Retire_after_seal; Retire_mid_batch; Retire_after_batch ]
+
 (* ---- mutation self-check ---- *)
 
 (* PR-3 regression, reintroduced: try_pop publishing the new head with no
@@ -382,6 +410,8 @@ let suite =
     Alcotest.test_case "crash injection recovers" `Quick test_crash_is_recorded;
     Alcotest.test_case "exhaustive covers clean models" `Quick
       test_exhaustive_covers_clean_models;
+    Alcotest.test_case "epoch-retire reaches every retire window" `Quick
+      test_epoch_retire_reaches_retire_windows;
     Alcotest.test_case "finds the unfenced-pop mutation" `Quick
       test_finds_spsc_pop_mutation;
     Alcotest.test_case "finds the unfenced-advance mutation" `Quick
