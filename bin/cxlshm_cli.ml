@@ -982,11 +982,12 @@ let set_mutation = function
   | "rpc-skip-validate" -> Cxlshm_rpc.Cxl_rpc.mutation_skip_validate := true
   | "rpc-unfenced-status" ->
       Cxlshm_rpc.Cxl_rpc.mutation_unfenced_status := true
+  | "rpc-early-advance" -> Cxlshm_rpc.Cxl_rpc.mutation_early_advance := true
   | m ->
       Printf.eprintf
         "unknown mutation %s (have: none, spsc-pop, transfer-head, \
          kv-quiesce, kv-crash-reap, kv-swap-skip-redo, bcast-volatile-park, \
-         rpc-skip-validate, rpc-unfenced-status)\n"
+         rpc-skip-validate, rpc-unfenced-status, rpc-early-advance)\n"
         m;
       exit 2
 
@@ -1135,8 +1136,8 @@ let explore_cmd =
                  $(b,spsc-pop), $(b,transfer-head), $(b,kv-quiesce), \
                  $(b,kv-crash-reap), $(b,kv-swap-skip-redo), \
                  $(b,bcast-volatile-park), \
-                 $(b,rpc-skip-validate) or \
-                 $(b,rpc-unfenced-status) (self-check).")
+                 $(b,rpc-skip-validate), $(b,rpc-unfenced-status) or \
+                 $(b,rpc-early-advance) (self-check).")
       $ Arg.(
           value
           & opt (some string) None

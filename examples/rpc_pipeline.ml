@@ -18,6 +18,10 @@ let service_body arena ~gateway_cid ~announce =
   let ctx = Shm.join arena () in
   announce ctx.Ctx.cid;
   let server = Cxl_rpc.accept ctx ~client_cid:gateway_cid ~capacity:8 in
+  (* The request text and the tokeniser's output are gateway objects
+     outside this channel's sub-heap: accept blocks the gateway itself
+     owns (RPCool's attached shared heap). *)
+  Cxl_rpc.allow_peer_segments server;
   let handled = ref 0 in
   let handler ~func ~args ~output =
     match (func, args) with

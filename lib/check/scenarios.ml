@@ -915,8 +915,8 @@ let rpc_isolate () : Explore.model =
     let s = Shm.join arena () in
     let m = Shm.join arena () in
     (* endpoint + sub-heap setup is environment, not the explored race *)
-    let server = Rpc.accept s ~client_cid:c.Ctx.cid ~capacity:2 in
-    let client = Rpc.connect c ~server_cid:s.Ctx.cid ~capacity:2 in
+    let server = Rpc.accept s ~client_cid:c.Ctx.cid ~capacity:1 in
+    let client = Rpc.connect c ~server_cid:s.Ctx.cid ~capacity:1 in
     let c_alive = ref true and s_alive = ref true in
     let c_done = ref false and c_clean = ref false in
     let c_recovered = ref false in
@@ -938,6 +938,14 @@ let rpc_isolate () : Explore.model =
             None
           end
     in
+    let rec wait_room () =
+      if not !s_alive then false
+      else if Rpc.can_call client then true
+      else begin
+        Sched.yield "rpc-full";
+        wait_room ()
+      end
+    in
     let client_fn () =
       Fun.protect
         ~finally:(fun () ->
@@ -951,27 +959,50 @@ let rpc_isolate () : Explore.model =
       Cxl_ref.write_word arg 0 7;
       let p = Rpc.call_async client ~func:3 ~args:[ arg ] ~output_bytes:8 in
       Sched.yield "rpc-sent";
-      (match await p with
-      | Some out ->
-          good := Some (Cxl_ref.read_word out 0);
-          Cxl_ref.drop out
-      | None -> ());
-      (* call 2: a smuggled out-of-channel pointer — the server's walk must
-         reject it without running the handler *)
-      if !s_alive then begin
-        let smug = Shm.cxl_malloc c ~size_bytes:8 () in
-        leftovers := smug :: !leftovers;
-        Cxl_ref.write_word smug 0 0xBEEF;
-        let p2 =
-          Rpc.call_async client ~func:1 ~args:[ smug ] ~output_bytes:8
-        in
-        match await p2 with
+      let collect () =
+        match await p with
         | Some out ->
-            bad := Some `Accepted;
+            good := Some (Cxl_ref.read_word out 0);
             Cxl_ref.drop out
         | None -> ()
-        | exception Rpc.Call_rejected _ -> bad := Some `Rejected
-      end;
+      in
+      (* Call 2 is pipelined into call 1's slot (the ring holds one loan)
+         as soon as the head passes call 1, before call 1 is collected, so
+         the lend reclaims call 1's message and must keep its completion
+         (catches a head advanced before the completion word). A
+         completion seen before the ring has room is collected first. *)
+      let rec first () =
+        if not !s_alive then `Gone
+        else if Rpc.can_call client then `Room
+        else if Rpc.is_done p then `Done
+        else begin
+          Sched.yield "rpc-full";
+          first ()
+        end
+      in
+      let first = first () in
+      if first = `Done then collect ();
+      (* call 2: a smuggled out-of-channel pointer — the server's walk must
+         reject it without running the handler *)
+      let p2 =
+        if first = `Room || wait_room () then begin
+          let smug = Shm.cxl_malloc c ~size_bytes:8 () in
+          leftovers := smug :: !leftovers;
+          Cxl_ref.write_word smug 0 0xBEEF;
+          Some (Rpc.call_async client ~func:1 ~args:[ smug ] ~output_bytes:8)
+        end
+        else None
+      in
+      if first <> `Done then collect ();
+      (match p2 with
+      | Some p2 -> (
+          match await p2 with
+          | Some out ->
+              bad := Some `Accepted;
+              Cxl_ref.drop out
+          | None -> ()
+          | exception Rpc.Call_rejected _ -> bad := Some `Rejected)
+      | None -> ());
       c_clean := true
     in
     let handler ~func ~args ~output =

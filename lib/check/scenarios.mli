@@ -104,16 +104,20 @@ val bcast_recover : unit -> Explore.model
 
 val rpc_isolate : unit -> Explore.model
 (** An RPC client makes one well-formed in-channel call and one carrying a
-    smuggled out-of-channel pointer, a server serves both, and a monitor
-    recovers any client crash {e interleaved with} the serving — then
-    reuses (with a pin-placed 0xDEAD decoy) any sub-heap segment channel
-    revocation returned to the arena. Oracle: the good call's output is
-    exactly the handler's write, the smuggled call is rejected without
-    running the handler, the handler never reads the decoy, and the pool is
-    fsck-clean after recovery. The [Cxl_rpc.mutation_skip_validate] and
-    [Cxl_rpc.mutation_unfenced_status] flags re-introduce the historical
-    missing validation walk / unfenced completion publish, which this model
-    must catch. Model name ["rpc-isolate"]. *)
+    smuggled out-of-channel pointer, through a ring that holds one loan:
+    the second call is lent as soon as the ring has room, before the
+    first is collected, so its lend reclaims the first call's message. A
+    server serves both, and a monitor recovers any client crash
+    {e interleaved with} the serving — then reuses (with a pin-placed
+    0xDEAD decoy) any sub-heap segment channel revocation returned to the
+    arena. Oracle: the good call's output is exactly the handler's write,
+    the smuggled call is rejected without running the handler, the handler
+    never reads the decoy, and the pool is fsck-clean after recovery. The
+    [Cxl_rpc.mutation_skip_validate], [Cxl_rpc.mutation_unfenced_status]
+    and [Cxl_rpc.mutation_early_advance] flags re-introduce a missing
+    validation walk, an unfenced completion publish and a slot handed back
+    before its completion, which this model must catch. Model name
+    ["rpc-isolate"]. *)
 
 val all : unit -> Explore.model list
 

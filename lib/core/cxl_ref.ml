@@ -24,6 +24,13 @@ let drop t =
   t.live <- false;
   Reclaim.release_rootref t.ctx t.rr
 
+let into_rootref t =
+  check t;
+  if Rootref.local_cnt t.ctx t.rr > 1 then
+    invalid_arg "Cxl_ref.into_rootref: the RootRef is shared";
+  t.live <- false;
+  t.rr
+
 (* One rootref read and one meta read name the block, its embedded-slot
    count and its true length. Every accessor below checks bounds against
    and addresses through the same resolution, so the block checked is the

@@ -29,6 +29,12 @@ val drop : t -> unit
 
 val is_live : t -> bool
 
+val into_rootref : t -> Cxlshm_shmem.Pptr.t
+(** Consume an unshared handle: the caller takes over its RootRef, local
+    count 1, and the handle is dead ({!Transfer.lend} moves the count into
+    a ring slot). Raises [Invalid_argument] if a clone shares the RootRef
+    (local count above 1). *)
+
 (** {1 Data access}
 
     [get_addr]-style direct access (§3.1 step 5/6): offsets are in words

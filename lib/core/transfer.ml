@@ -230,6 +230,40 @@ let send_batch t payloads =
 
 let send t payload = snd (send_batch t [ payload ])
 
+(* Lend (the RPC request path): the sender keeps owning what it sends. One
+   count-neutral swap moves the caller's only reference into the tail slot
+   and the slot's leftover — a message the receiver already consumed, or
+   null — back into the caller's RootRef, which the caller then releases.
+   So the slot keeps the message alive while the receiver serves it in
+   place, and the sender frees it when it next lends into the slot. A
+   crash after the swap leaves the new message owned by the queue (not yet
+   published) and the leftover by the caller's RootRef, which recovery
+   reaps with the caller. *)
+let lend t r =
+  assert (t.endpoint = Sender);
+  let qobj = Cxl_ref.obj t.qref in
+  Trace.with_span t.ctx Histogram.Transfer_send ~addr:qobj @@ fun () ->
+  let qw = qword t.ctx qobj ~cap:t.capacity in
+  if Ctx.load t.ctx (qw w_flags) land flag_receiver_closed <> 0 then Closed
+  else begin
+    let tail = Ctx.load t.ctx (qw w_tail) in
+    if tail - Ctx.load t.ctx (qw w_head) >= t.capacity then Full
+    else begin
+      let obj = Cxl_ref.obj r in
+      let rr = Cxl_ref.into_rootref r in
+      let slot = Obj_header.emb_slot qobj (tail mod t.capacity) in
+      let leftover = Ctx.load t.ctx slot in
+      Refc.swap t.ctx ~ref_addr:slot ~rr ~from_obj:leftover ~to_obj:obj;
+      Ctx.crash_point t.ctx Fault.Send_after_attach;
+      if leftover <> 0 then Reclaim.release_rootref t.ctx rr
+      else Alloc.free_rootref t.ctx rr;
+      Ctx.fence t.ctx;
+      Ctx.store t.ctx (qw w_tail) (tail + 1);
+      Ctx.flush_deferred t.ctx (qw w_tail);
+      Sent
+    end
+  end
+
 (* Final teardown of a directory slot once both endpoints are closed: the
    [as_cid] identity performs the resumable detach of the directory's
    counted reference. Idempotent: a re-run sees qptr = 0 and just frees the
@@ -338,6 +372,40 @@ let receive_batch t ~max =
       Received_batch (List.rev !out)
     end
   end
+
+(* The receiving half of a loan: the head slot's word, read in place. It
+   is the sender's to keep counted, so the receiver takes no reference. *)
+let peek t =
+  assert (t.endpoint = Receiver);
+  let qobj = Cxl_ref.obj t.qref in
+  Trace.with_span t.ctx Histogram.Transfer_recv ~addr:qobj @@ fun () ->
+  let qw = qword t.ctx qobj ~cap:t.capacity in
+  let head = Ctx.load t.ctx (qw w_head) in
+  if head = Ctx.load t.ctx (qw w_tail) then None
+  else Some (Ctx.load t.ctx (Obj_header.emb_slot qobj (head mod t.capacity)))
+
+(* Null a head slot whose word vetting refused: a plain store, since a
+   forged word carries no count, and queue teardown must not drop one
+   through it. *)
+let clear_head t =
+  assert (t.endpoint = Receiver);
+  let qobj = Cxl_ref.obj t.qref in
+  let head = Ctx.load t.ctx (qword t.ctx qobj ~cap:t.capacity w_head) in
+  Ctx.store t.ctx (Obj_header.emb_slot qobj (head mod t.capacity)) 0
+
+(* Return the head slot to the sender. The fence orders everything the
+   receiver wrote into the lent message (its completion word) before the
+   head store that lets the sender reclaim it. The head's write-back is
+   deferred: a crash that loses it only makes the slot look unconsumed,
+   and the receiver holds no count that a replay could double. *)
+let advance t =
+  assert (t.endpoint = Receiver);
+  let qw = qword t.ctx (Cxl_ref.obj t.qref) ~cap:t.capacity in
+  let head = Ctx.load t.ctx (qw w_head) in
+  Ctx.fence t.ctx;
+  Ctx.store t.ctx (qw w_head) (head + 1);
+  Ctx.flush_deferred t.ctx (qw w_head);
+  Ctx.crash_point t.ctx Fault.Recv_after_advance
 
 let receive t =
   match receive_batch t ~max:1 with

@@ -15,6 +15,15 @@
       object itself and die with it, so a crash on either side leaks
       nothing.
 
+    A queue can instead carry {e loans} ({!lend}, {!peek}, {!advance}: the
+    RPC request path). The sender moves its only reference into the tail
+    slot and keeps owning the message: the receiver reads the slot in
+    place, takes no count and hands the slot back by advancing the head.
+    The sender frees the consumed message when it next lends into that
+    slot, and queue teardown frees whatever the ring still holds. One queue
+    carries either transfers or loans, never both: a transfer's attach
+    would overwrite a loan's leftover.
+
     Queues are registered in the arena's queue directory; a slot records
     sender, receiver and a {e counted} reference to the queue object. *)
 
@@ -61,6 +70,43 @@ val send_batch : t -> Cxl_ref.t list -> int * send_result
     commit point, so the batch transfers ownership atomically as a dense
     prefix. Returns how many were sent and why it stopped: [Sent] = all,
     [Full] = ring ran out of room, [Closed] = receiver gone (none sent). *)
+
+val lend : t -> Cxl_ref.t -> send_result
+(** Lend the handle's object to the receiver. On [Sent] the handle is
+    consumed: one count-neutral {!Refc.swap} moves its reference into the
+    tail slot and the slot's leftover (the message the receiver consumed
+    [capacity] loans ago, or null) into the handle's RootRef, which is
+    then released, or freed at once when null; then one fence and one tail
+    store publish the loan. No header CAS. [Full] and [Closed] leave the
+    handle untouched. Raises [Invalid_argument], lending nothing, if the
+    handle is shared ({!Cxl_ref.into_rootref}).
+
+    Crash windows: the swap is a redo-logged transaction, resumed or
+    discarded by recovery; after it ([Send_after_attach]) the new object is
+    owned by the queue but unpublished, and the leftover by the sender's
+    RootRef, reaped with the sender. A receiver never sees a slot past the
+    tail, so a half-done lend is invisible to it. *)
+
+val peek : t -> Cxlshm_shmem.Pptr.t option
+(** Receiver side of a loan: the head slot's word, read in place with no
+    relink and no count taken; [None] when the ring is empty. The word is
+    whatever the sender stored, so the receiver must vet it before
+    dereferencing. The object stays alive until {!advance}: only the
+    sender reclaims the slot, and only once the head has passed it. *)
+
+val clear_head : t -> unit
+(** Null the head slot with a plain store, no count change: for a word the
+    receiver's vetting refused as naming no block the sender may lend
+    (the RPC server: no block of the channel), so that queue teardown
+    never drops a count through a forged reference. *)
+
+val advance : t -> unit
+(** Return the head slot to the sender: one fence, so everything the
+    receiver wrote into the lent object (its completion word) is ordered
+    before it, then one head store, whose write-back is deferred. The
+    receiver holds nothing, so a receiver crash on either side of the
+    store ([Recv_after_advance]) leaves no count behind: the object stays
+    the queue's, freed at the sender's next lend or at teardown. *)
 
 type recv_result = Received of Cxl_ref.t | Empty | Drained
 

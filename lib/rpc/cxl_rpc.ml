@@ -6,10 +6,15 @@ exception Call_rejected of string
 (* Test-only mutation switches (docs/TESTING.md "Mutation self-check"). *)
 let mutation_skip_validate = ref false
 let mutation_unfenced_status = ref false
+let mutation_early_advance = ref false
 
 let status_pending = 0
 let status_done = 1
 let status_rejected = 2
+
+(* Client-side only, never stored in shared memory: the ring slot came back
+   while the call's completion word was still pending. *)
+let status_lost = 3
 
 type client = {
   ctx : Ctx.t;
@@ -17,6 +22,20 @@ type client = {
   req : Transfer.t; (* client → server *)
   chan_segs : int list; (* the channel's private sub-heap, client-owned *)
   mutable cclosed : bool;
+  ring : pending option array;
+      (* the call lent into each ring slot, by position: its message lives
+         until the next lend into that slot *)
+  mutable lent : int;  (* loans so far: the queue's tail *)
+}
+
+and pending = {
+  pc : client;
+  mv : Message.view;  (* over the lent message, which the ring slot keeps alive *)
+  output : Cxl_ref.t;
+  mutable settled : int;
+      (* status_pending until the message is about to be reclaimed; then the
+         completion word as last read *)
+  mutable finished : bool;
 }
 
 type server = {
@@ -87,7 +106,15 @@ let connect ?(sub_heap_segments = 1) ctx ~server_cid ~capacity =
         chan_segs;
       raise e
   in
-  { ctx; server_cid; req; chan_segs; cclosed = false }
+  {
+    ctx;
+    server_cid;
+    req;
+    chan_segs;
+    cclosed = false;
+    ring = Array.make capacity None;
+    lent = 0;
+  }
 
 let channel_segments c = c.chan_segs
 
@@ -130,27 +157,46 @@ let alloc_arg c ~size_bytes ?(emb_cnt = 0) () =
   Ctx.with_pin c.ctx c.chan_segs (fun () ->
       Shm.cxl_malloc c.ctx ~size_bytes ~emb_cnt ())
 
-type pending = {
-  pc : client;
-  msg : Cxl_ref.t;
-  mv : Message.view;  (* over [msg], which keeps the block alive *)
-  output : Cxl_ref.t;
-  mutable finished : bool;
-}
+(* The completion word, or its last reading once the message is gone. *)
+let status p =
+  if p.settled <> status_pending then p.settled else Message.status p.mv
 
-(* Bounded send: a full ring under a live server is back-pressure, but a
+let unsettled p = (not p.finished) && p.settled = status_pending
+
+(* Keep an unfinished call's completion word before its message is
+   reclaimed: by the next lend into its slot, or by queue teardown. The
+   server hands a slot back only after raising the word, so a word still
+   pending here means the server broke the protocol. *)
+let settle p =
+  p.settled <-
+    (match Message.status p.mv with
+    | s when s = status_pending -> status_lost
+    | s -> s)
+
+(* Bounded lend: a full ring under a live server is back-pressure, but a
    full ring whose server is dead used to spin forever. Every retry
    re-reads the server's membership and lease words, so the wait is bounded
    by failure detection, not by luck. *)
-let send_bounded c msg output =
+let send_bounded c p msg =
   let fail reason =
     Cxl_ref.drop msg;
-    Cxl_ref.drop output;
+    Cxl_ref.drop p.output;
     raise (Peer_failed reason)
   in
+  let cap = Array.length c.ring in
+  let pos = c.lent mod cap in
   let rec go attempt =
-    match Transfer.send c.req msg with
-    | Transfer.Sent -> ()
+    (* An unfinished call in this slot loses its message to the lend: read
+       its completion word first, once the ring has room (the head passed
+       it, so the server is done with it). *)
+    (match c.ring.(pos) with
+    | Some old when unsettled old && Transfer.pending c.req < cap ->
+        settle old
+    | Some _ | None -> ());
+    match Transfer.lend c.req msg with
+    | Transfer.Sent ->
+        c.ring.(pos) <- Some p;
+        c.lent <- c.lent + 1
     | Transfer.Closed -> fail "Cxl_rpc.call: server closed the channel"
     | Transfer.Full ->
         if not (peer_alive c.ctx ~cid:c.server_cid) then
@@ -180,19 +226,31 @@ let call_async c ~func ~args ~output_bytes =
             Cxl_ref.drop output;
             raise e)
   in
-  (* We keep our reference to the message: its status word is the
-     completion channel the client polls, through a view made while the
-     message's lines are still cached. *)
-  let mv = Message.view_of_ref msg in
-  send_bounded c msg output;
-  { pc = c; msg; mv; output; finished = false }
+  (* The lend moves our only reference into the ring slot, which keeps the
+     message alive until our next lend into that slot. The completion word
+     is polled through a view made while the message's lines are still
+     cached. *)
+  let p =
+    {
+      pc = c;
+      mv = Message.view_of_ref msg;
+      output;
+      settled = status_pending;
+      finished = false;
+    }
+  in
+  send_bounded c p msg;
+  p
+
+let can_call c =
+  check_open c;
+  Transfer.pending c.req < Array.length c.ring
 
 let check_unfinished p =
   if p.finished then invalid_arg "Cxl_rpc.finish: pending already finished"
 
 let is_done p =
-  let s = Message.status p.mv in
-  if s = status_pending then false
+  if status p = status_pending then false
   else begin
     (* Acquire side of the completion handshake: order the status read
        before the caller's in-place output reads, pairing with the server's
@@ -202,20 +260,29 @@ let is_done p =
     true
   end
 
-let finish_now p =
+(* The message is the channel's, so finishing drops only the output when
+   the call failed; the caller keeps its own argument handles. *)
+let abandon p exn =
   p.finished <- true;
-  let st = Message.status p.mv in
-  (* Dropping the message releases its embedded references to the
-     arguments and the output; the caller keeps its own handles. *)
-  Cxl_ref.drop p.msg;
-  if st = status_rejected then begin
-    Cxl_ref.drop p.output;
-    raise
+  Cxl_ref.drop p.output;
+  raise exn
+
+let finish_now p =
+  let st = status p in
+  if st = status_rejected then
+    abandon p
       (Call_rejected
          "Cxl_rpc: server rejected the call (out-of-channel or wild pointer, \
           or malformed message)")
-  end;
-  p.output
+  else if st = status_lost then
+    abandon p
+      (Peer_failed
+         "Cxl_rpc: the call's message was reclaimed before its completion \
+          (slot returned early, or channel closed)")
+  else begin
+    p.finished <- true;
+    p.output
+  end
 
 let try_finish p =
   check_unfinished p;
@@ -224,15 +291,8 @@ let try_finish p =
 let discard p =
   if not p.finished then begin
     p.finished <- true;
-    Cxl_ref.drop p.msg;
     Cxl_ref.drop p.output
   end
-
-let abandon p reason =
-  p.finished <- true;
-  Cxl_ref.drop p.msg;
-  Cxl_ref.drop p.output;
-  raise (Peer_failed reason)
 
 let finish p =
   check_unfinished p;
@@ -245,7 +305,7 @@ let finish p =
       (* One last look: the server may have raised the completion word
          right before dying or closing. *)
       if is_done p then finish_now p
-      else abandon p "Cxl_rpc.finish: server failed mid-call"
+      else abandon p (Peer_failed "Cxl_rpc.finish: server failed mid-call")
     else begin
       relax_ladder c.ctx attempt;
       go (attempt + 1)
@@ -279,8 +339,11 @@ let peer_owned (s : server) addr =
   | seg -> Segment.owner s.sctx seg = Some s.client_cid
 
 type verdict =
-  | Valid of Message.view list * Message.view  (** arguments, output *)
-  | Invalid of int list  (** the wild slots to neutralise *)
+  | Valid of Message.view * Message.view list * Message.view
+      (** message, arguments, output *)
+  | Invalid of Message.view * int list
+      (** the message, and the wild slots to neutralise *)
+  | Not_a_message  (** the slot names no block of the channel *)
 
 (* The RPCool receive-side walk: every reference the message closure can
    reach must be the base of a live block inside the channel's sub-heap,
@@ -345,7 +408,7 @@ let validate_message (s : server) msg_obj =
           w)
   in
   match vet msg_obj with
-  | `Wild | `Foreign -> (Message.view ctx msg_obj, Invalid [])
+  | `Wild | `Foreign -> Not_a_message
   | `Ok cap ->
       let slots = node msg_obj cap 0 in
       let v = view msg_obj in
@@ -358,26 +421,41 @@ let validate_message (s : server) msg_obj =
         && Array.for_all (fun w -> w <> 0) slots
       then
         let n = Message.nargs v in
-        (v, Valid (List.init n (fun i -> view slots.(i)), view slots.(n)))
-      else (v, Invalid !wild)
+        Valid (v, List.init n (fun i -> view slots.(i)), view slots.(n))
+      else Invalid (v, !wild)
 
+(* Serve the head loan in place. The ring slot keeps the message alive,
+   so the server takes no reference, allocates no RootRef and releases
+   nothing: advancing the head after the completion word is raised hands
+   the slot back, and the client frees the message at its next lend. *)
 let serve_one s ~handler =
-  match Transfer.receive (server_req s) with
-  | Transfer.Received msg ->
-      let v, verdict = validate_message s (Cxl_ref.obj msg) in
-      (match verdict with
-      | Invalid wild ->
+  let q = server_req s in
+  match Transfer.peek q with
+  | None -> false
+  | Some msg_obj ->
+      (* Mutation self-check switch: hand the slot back before the call is
+         served, so the client can reclaim the message under the
+         handler. *)
+      if !mutation_early_advance then Transfer.advance q;
+      (match validate_message s msg_obj with
+      | Not_a_message ->
+          s.rejected <- s.rejected + 1;
+          (* Cleared with a plain store, no count change: were the word a
+             forged reference to another client's object, the queue's
+             teardown would drop a count nobody holds. No completion is
+             raised into a block outside the channel. *)
+          Transfer.clear_head q
+      | Invalid (v, wild) ->
           s.rejected <- s.rejected + 1;
           (* Neutralise wild slots with raw stores — they name no block, so
-             no count is owed — or the drop's teardown walk would chase
-             them. *)
+             no count is owed — or a teardown walk would chase them. *)
           List.iter (fun slot -> Ctx.store s.sctx slot 0) wild;
           Ctx.fence s.sctx;
           (* Error completion: raise the client's poll word to the rejected
              state. Nothing in the closure was dereferenced. A block without
              the message layout has no status word to raise. *)
           if Message.well_formed v then Message.set_status v status_rejected
-      | Valid (args, output) ->
+      | Valid (v, args, output) ->
           (* Mutation self-check switch: the historical unfenced completion
              publish. The simulator's memory is sequentially consistent, so
              the mutation applies the reordering the missing release/acquire
@@ -391,9 +469,8 @@ let serve_one s ~handler =
           Ctx.crash_point s.sctx Fault.Rpc_before_status;
           if not !mutation_unfenced_status then
             Message.set_status v status_done);
-      Cxl_ref.drop msg;
+      if not !mutation_early_advance then Transfer.advance q;
       true
-  | Transfer.Empty | Transfer.Drained -> false
 
 let serve_until s ~handler ~stop =
   while not (Atomic.get stop) do
@@ -424,6 +501,10 @@ let release_sub_heap (ctx : Ctx.t) segs =
 let close_client c =
   if not c.cclosed then begin
     c.cclosed <- true;
+    (* The queue's teardown may free the lent messages. *)
+    Array.iter
+      (Option.iter (fun p -> if unsettled p then settle p))
+      c.ring;
     Transfer.close c.req;
     List.iter (fun seg -> Ctx.unexclude_segment c.ctx seg) c.chan_segs;
     release_sub_heap c.ctx c.chan_segs

@@ -1,11 +1,18 @@
 (** CXL-RPC: pass-by-reference RPC with pointer isolation (§6.3 + RPCool).
 
     A call allocates one rpc_msg carrying embedded references to the inputs
-    and the output object, then moves a {e single reference} through the
-    §5.2 transfer queue. The server reads arguments and writes the result
-    in place — zero copies, no serialisation, no I/O stack — then raises
-    the message's completion word; the client polls that word directly
-    through its own retained reference (no response message).
+    and the output object, then {e lends} it through the §5.2 transfer
+    queue ({!Cxlshm.Transfer.lend}): the client's only reference moves into
+    a ring slot. The server reads arguments and writes the result in place
+    — zero copies, no serialisation, no I/O stack — then raises the
+    message's completion word and hands the slot back; the client polls
+    that word directly (no response message).
+
+    {b Who frees a message.} The channel owner, always. The ring slot holds
+    the message's one count; the server takes none, allocates no RootRef
+    and releases nothing per call. The client frees the message when it
+    next lends into the same slot, and queue teardown frees whatever the
+    ring still holds.
 
     {b Pointer isolation.} Each channel owns a private sub-heap: segments
     the client claims at {!connect} and publishes in the queue directory's
@@ -64,8 +71,8 @@ val alloc_arg :
     grows) and for huge sizes (a segment run cannot live in-channel). *)
 
 type pending
-(** An in-flight call: the client's retained message reference plus the
-    output handle. *)
+(** An in-flight call: a view of the lent message (the ring slot keeps it
+    alive) plus the output handle. *)
 
 val call_async :
   client -> func:int -> args:Cxlshm.Cxl_ref.t list -> output_bytes:int -> pending
@@ -73,7 +80,15 @@ val call_async :
     channel sub-heap; [args] must have been allocated with {!alloc_arg}.
     The send is bounded: on a full ring it backs off and re-checks the
     server's lease, raising {!Peer_failed} if the server is gone. The
-    caller keeps ownership of the argument handles. *)
+    caller keeps ownership of the argument handles. The lend reclaims the
+    message of the call made [capacity] calls earlier; if that call is
+    unfinished, its completion word is read first, so it can still be
+    finished. *)
+
+val can_call : client -> bool
+(** Does the ring have room, so that {!call_async} would lend without
+    waiting? Two shared loads; for callers that poll instead of
+    blocking. *)
 
 val is_done : pending -> bool
 (** Poll the completion word — one shared load, plus an acquire fence once
@@ -81,22 +96,25 @@ val is_done : pending -> bool
     after it (pairing with the server's pre-status release fence). *)
 
 val finish : pending -> Cxlshm.Cxl_ref.t
-(** Wait until done, release the message, return the caller-owned output.
+(** Wait until done and return the caller-owned output; the message stays
+    in its ring slot for the client's next lend to free.
     Bounded: polls with backoff, re-checking the server's lease and the
     queue's closed flag; raises {!Peer_failed} if the server dies mid-call
     (after one final completion re-check to close the race with a server
     that finished just before dying), {!Call_rejected} if validation
     refused the call, [Invalid_argument] on a second finish of the same
-    pending. *)
+    pending. Also {!Peer_failed} if the call's slot came back with the
+    completion word still pending (a server breaking the protocol), or
+    the channel closed before completion. *)
 
 val try_finish : pending -> Cxlshm.Cxl_ref.t option
 (** [Some output] if complete (may raise {!Call_rejected}); [None] if still
     pending. Raises [Invalid_argument] if already finished. *)
 
 val discard : pending -> unit
-(** Drop the client-held message and output handles without waiting for
-    completion — harness cleanup for a call abandoned because the server
-    died. Idempotent; a no-op after {!finish}. *)
+(** Drop the output handle without waiting for completion — harness
+    cleanup for a call abandoned because the server died. The message
+    stays the channel's. Idempotent; a no-op after {!finish}. *)
 
 val call :
   client -> func:int -> args:Cxlshm.Cxl_ref.t list -> output_bytes:int ->
@@ -106,10 +124,14 @@ val call :
 type handler = func:int -> args:Message.view list -> output:Message.view -> unit
 
 val serve_one : server -> handler:handler -> bool
-(** Handle one pending request; [false] when the ring is empty. Validates
-    the message closure first (see module doc); rejected calls never reach
-    [handler] — they are counted in {!rejected_calls} and completed with an
-    error status. The handler's views are built from the walk's own reads:
+(** Handle one pending request in place; [false] when the ring is empty.
+    Validates the message closure first (see module doc); rejected calls
+    never reach [handler] — they are counted in {!rejected_calls} and
+    completed with an error status (none when the slot names no channel
+    block: the slot is cleared instead). Then the head advances, handing
+    the slot back to the client. The server takes no reference to
+    anything it receives, so it can never release a count it does not
+    hold. The handler's views are built from the walk's own reads:
     the argument count is the validated meta's, and each view carries the
     meta word the walk read. Raises {!Peer_failed} while waiting for a
     connect from a client that died first. *)
@@ -131,7 +153,9 @@ val allow_peer_segments : server -> unit
     is the receiver's to extend). *)
 
 val close_client : client -> unit
-(** Close the queue endpoint, lift the sub-heap exclusion, and return every
+(** Close the queue endpoint (reading the completion word of every
+    unfinished call first, since the queue's teardown may free the lent
+    messages), lift the sub-heap exclusion, and return every
     provably empty sub-heap segment to the arena (retiring this context's
     sealed and parked drops first so they land). Idempotent. *)
 
@@ -159,3 +183,9 @@ val mutation_unfenced_status : bool ref
     the historical missing release/acquire pair permitted — the
     [rpc-unfenced-status] explorer mutation; the client must then observe
     stale output bytes under a raised completion word. *)
+
+val mutation_early_advance : bool ref
+(** Hand the ring slot back before the call is served, instead of after
+    its completion word is raised — the [rpc-early-advance] explorer
+    mutation; a client that lends into the returned slot then reclaims a
+    message whose completion is still pending. *)

@@ -4,6 +4,7 @@
 
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
+module Rpc = Cxlshm_rpc
 module Latency = Cxlshm_shmem.Latency
 
 let striped_backend ?(tiers = [||]) devices =
@@ -89,17 +90,21 @@ let test_transfer_crash_recover () =
   Alcotest.(check bool) "clean after crash+recover" true (Validate.is_clean v)
 
 (* Points the drill's workload (malloc, set_emb, change_emb, clear_emb,
-   drop, and a huge object spanning two segments) never passes, in either
-   of its two configurations: eager release, and epoch retirement with a
-   batch of 2, whose drops seal, retire and finish journal batches. The
-   list is exact — the drill checks that none of them fires and that every
-   other point fires in at least one configuration — so it can only
-   shrink, as points move to workloads that reach them. *)
+   drop, a huge object spanning two segments, and one RPC round trip each
+   way with a peer) never passes, in either of its two configurations:
+   eager release, and epoch retirement with a batch of 2, whose drops
+   seal, retire and finish journal batches. The list is exact — the drill
+   checks that none of them fires and that every other point fires in at
+   least one configuration — so it can only shrink, as points move to
+   workloads that reach them. Why each stays:
+   - recovery-mid-phases, lead-after-acquire, lead-after-depose: the
+     drilled client never runs recovery or holds the monitor lease;
+   - evac-*: it never evacuates a device;
+   - park-after-append: it never parks a version in limbo (a KV writer);
+   - adopt-after-claim: it never adopts a dead client's segment. *)
 let not_reached_by_drill =
   Fault.
     [
-      Send_after_attach;
-      Recv_after_advance;
       Recovery_mid_phases;
       Lead_after_acquire;
       Lead_after_depose;
@@ -108,7 +113,6 @@ let not_reached_by_drill =
       Evac_before_release;
       Park_after_append;
       Adopt_after_claim;
-      Rpc_before_status;
     ]
 
 let test_fault_drill_all_points () =
@@ -116,7 +120,18 @@ let test_fault_drill_all_points () =
   let drill cfg point =
     let arena = Shm.create ~cfg () in
     let a = Shm.join arena () in
+    (* The RPC peer: never armed. Its side of both channels is recorded as
+       the workload opens it, so it can close that side after [a]'s
+       recovery wherever [a] died. *)
+    let b = Shm.join arena () in
+    let b_server = ref None and b_client = ref None in
+    let b_arg = ref None and b_pending = ref None in
     a.Ctx.fault <- Fault.at point ~nth:1;
+    let handler ~func ~args:_ ~output = Rpc.Message.write_word output 0 func in
+    let serve srv =
+      if not (Rpc.Cxl_rpc.serve_one srv ~handler) then
+        Alcotest.fail "the drill's call was not in the ring"
+    in
     let crashed =
       try
         let p = Shm.cxl_malloc a ~size_bytes:16 ~emb_cnt:1 () in
@@ -134,12 +149,41 @@ let test_fault_drill_all_points () =
         if owned () - before < 2 then
           Alcotest.fail "the drill's huge object spans one segment";
         Cxl_ref.drop huge;
+        (* a calls b: a lends the message, b serves it in place *)
+        let sb = Rpc.Cxl_rpc.accept b ~client_cid:a.Ctx.cid ~capacity:1 in
+        b_server := Some sb;
+        let ca = Rpc.Cxl_rpc.connect a ~server_cid:b.Ctx.cid ~capacity:1 in
+        let arg = Rpc.Cxl_rpc.alloc_arg ca ~size_bytes:8 () in
+        let p = Rpc.Cxl_rpc.call_async ca ~func:1 ~args:[ arg ] ~output_bytes:8 in
+        serve sb;
+        Cxl_ref.drop (Rpc.Cxl_rpc.finish p);
+        Cxl_ref.drop arg;
+        Rpc.Cxl_rpc.close_client ca;
+        (* b calls a: a serves, raises the completion and advances *)
+        let sa = Rpc.Cxl_rpc.accept a ~client_cid:b.Ctx.cid ~capacity:1 in
+        let cb = Rpc.Cxl_rpc.connect b ~server_cid:a.Ctx.cid ~capacity:1 in
+        b_client := Some cb;
+        let barg = Rpc.Cxl_rpc.alloc_arg cb ~size_bytes:8 () in
+        b_arg := Some barg;
+        b_pending :=
+          Some (Rpc.Cxl_rpc.call_async cb ~func:2 ~args:[ barg ] ~output_bytes:8);
+        serve sa;
+        Option.iter
+          (fun bp -> Cxl_ref.drop (Rpc.Cxl_rpc.finish bp))
+          !b_pending;
+        b_pending := None;
+        Rpc.Cxl_rpc.close_server sa;
         false
       with Fault.Crashed _ -> true
     in
     let svc = Shm.service_ctx arena in
     Client.declare_failed svc ~cid:a.Ctx.cid;
     ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
+    Option.iter Rpc.Cxl_rpc.discard !b_pending;
+    Option.iter Cxl_ref.drop !b_arg;
+    Option.iter Rpc.Cxl_rpc.close_client !b_client;
+    Option.iter Rpc.Cxl_rpc.close_server !b_server;
+    Shm.leave b;
     ignore (Reclaim.scan_all svc ~is_client_alive:(fun _ -> false));
     let v = Shm.validate arena in
     Alcotest.(check bool)

@@ -323,6 +323,30 @@ let test_finds_rpc_unfenced_status_mutation () =
       | Explore.Pass | Explore.Diverged ->
           Alcotest.fail "replay did not reproduce the failure")
 
+(* The loan's slot return, moved ahead of the call: the server advances
+   the head before serving, so the client's pipelined second call reclaims
+   the first call's message while its completion word is still pending,
+   and the first call's finish reports the lost completion. No preemption
+   is needed: the client lends as soon as the ring has room. *)
+let test_finds_rpc_early_advance_mutation () =
+  with_flag Cxlshm_rpc.Cxl_rpc.mutation_early_advance @@ fun () ->
+  let m = Scenarios.rpc_isolate () in
+  let r = Explore.exhaustive ~preemptions:0 ~crash:true ~max_steps:60_000 m in
+  match r.Explore.failure with
+  | None -> Alcotest.fail "early-advance mutation survived exhaustive search"
+  | Some f ->
+      Alcotest.(check bool)
+        ("failure is the reclaimed completion: " ^ f.Explore.reason)
+        true
+        (string_contains f.Explore.reason "reclaimed before its completion");
+      let rr = Explore.replay m ~max_steps:60_000 f.Explore.schedule in
+      (match rr.Explore.outcome with
+      | Explore.Fail reason ->
+          Alcotest.(check string) "replay reproduces the same reason"
+            f.Explore.reason reason
+      | Explore.Pass | Explore.Diverged ->
+          Alcotest.fail "replay did not reproduce the failure")
+
 (* The crash-then-recover model must also hold up under the seeded-random
    sweep (deeper interleavings than the bounded-exhaustive frontier). *)
 let test_kv_recover_random_sweep () =
@@ -430,6 +454,8 @@ let suite =
       test_finds_rpc_skip_validate_mutation;
     Alcotest.test_case "finds the rpc unfenced-status mutation" `Quick
       test_finds_rpc_unfenced_status_mutation;
+    Alcotest.test_case "finds the rpc early-advance mutation" `Quick
+      test_finds_rpc_early_advance_mutation;
     Alcotest.test_case "crash-then-recover random sweep" `Quick
       test_kv_recover_random_sweep;
     Alcotest.test_case "unmutated models pass the same searches" `Quick

@@ -436,6 +436,211 @@ let test_forged_meta_rejected () =
   Cxl_rpc.close_client client;
   check_clean arena ~live:0
 
+(* The request queue's ring slot [i] (one channel in the arena). *)
+let ring_slot arena i ~capacity =
+  let mem = Shm.mem arena and lay = Shm.layout arena in
+  match Transfer.directory_refs ~read:(Mem.unsafe_peek mem) lay with
+  | [ q ] -> Obj_header.emb_slot q (i mod capacity)
+  | qs -> Alcotest.failf "expected one queue, found %d" (List.length qs)
+
+let test_forged_ring_slot () =
+  (* The client overwrites its published ring slot with a live block that
+     a third client owns. The server must reject the call, and it must not
+     drop a count it never held: the victim keeps its one count, so its
+     owner's drop is the one that frees it. *)
+  let arena = Shm.create ~cfg:mid_cfg () in
+  let c = Shm.join arena () in
+  let s = Shm.join arena () in
+  let third = Shm.join arena () in
+  let victim = Shm.cxl_malloc third ~size_bytes:8 () in
+  Cxl_ref.write_word victim 0 42;
+  let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:8 in
+  let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:8 in
+  let arg = Cxl_rpc.alloc_arg client ~size_bytes:8 () in
+  let p = Cxl_rpc.call_async client ~func:1 ~args:[ arg ] ~output_bytes:8 in
+  let mem = Shm.mem arena in
+  let slot = ring_slot arena 0 ~capacity:8 in
+  let msg = Mem.unsafe_peek mem slot in
+  Mem.unsafe_poke mem slot (Cxl_ref.obj victim);
+  let served =
+    Cxl_rpc.serve_one server ~handler:(fun ~func:_ ~args:_ ~output:_ ->
+        Alcotest.fail "handler must not run on a forged slot")
+  in
+  Alcotest.(check bool) "request consumed" true served;
+  Alcotest.(check int) "rejection counted" 1 (Cxl_rpc.rejected_calls server);
+  Reclaim.flush_retired s;
+  Alcotest.(check int) "victim keeps its one count" 1
+    (Refc.ref_cnt third (Cxl_ref.obj victim));
+  Alcotest.(check int) "victim untouched" 42 (Cxl_ref.read_word victim 0);
+  (* The lent message is still the client's: put it back so the queue's
+     teardown frees it. The forged slot named no message, so the call
+     never completes. *)
+  Mem.unsafe_poke mem slot msg;
+  Cxl_rpc.discard p;
+  Cxl_ref.drop arg;
+  Cxl_ref.drop victim;
+  Cxl_rpc.close_server server;
+  Cxl_rpc.close_client client;
+  check_clean arena ~live:0
+
+(* In-use RootRefs in the segments [ctx] owns. *)
+let rootrefs_in_use arena (ctx : Ctx.t) =
+  let mem = Shm.mem arena and lay = Shm.layout arena in
+  let n = ref 0 in
+  List.iter
+    (fun seg ->
+      Heap.iter_rootrefs ~read:(Mem.unsafe_peek mem) lay seg (fun rr ->
+          if Rootref.peek_in_use mem rr then incr n))
+    (Segment.owned_by ctx ~cid:ctx.Ctx.cid);
+  !n
+
+let test_served_message_one_holder () =
+  (* A lent message is held by its ring slot alone: the client keeps only
+     a view, and the server serves it in place with no reference and no
+     RootRef of its own. *)
+  let arena = Shm.create ~cfg:mid_cfg () in
+  let c = Shm.join arena () in
+  let s = Shm.join arena () in
+  let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:4 in
+  let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:4 in
+  let arg = Cxl_rpc.alloc_arg client ~size_bytes:8 () in
+  (* The first serve opens the server's endpoint, whose queue reference is
+     a RootRef: count after it. *)
+  Alcotest.(check bool) "empty ring" false
+    (Cxl_rpc.serve_one server ~handler:(fun ~func:_ ~args:_ ~output:_ -> ()));
+  let base = rootrefs_in_use arena s in
+  for i = 0 to 99 do
+    let p = Cxl_rpc.call_async client ~func:i ~args:[ arg ] ~output_bytes:8 in
+    let msg = Mem.unsafe_peek (Shm.mem arena) (ring_slot arena i ~capacity:4) in
+    let served =
+      Cxl_rpc.serve_one server ~handler:(fun ~func ~args:_ ~output ->
+          Alcotest.(check int)
+            (Printf.sprintf "call %d: one holder" i)
+            1 (Refc.ref_cnt s msg);
+          Alcotest.(check int)
+            (Printf.sprintf "call %d: server RootRefs" i)
+            base (rootrefs_in_use arena s);
+          Message.write_word output 0 func)
+    in
+    Alcotest.(check bool) "served" true served;
+    let out = Cxl_rpc.finish p in
+    Alcotest.(check int) "output" i (Cxl_ref.read_word out 0);
+    Cxl_ref.drop out
+  done;
+  Alcotest.(check int) "server RootRefs after the calls" base
+    (rootrefs_in_use arena s);
+  Cxl_ref.drop arg;
+  Cxl_rpc.close_server server;
+  Cxl_rpc.close_client client;
+  check_clean arena ~live:0
+
+(* Kill the client at every crash-point hit of a [call_async] whose lend
+   reclaims the previous call's message, then the server at every hit of
+   a [serve_one], eagerly and under epoch retirement. After recovery and
+   the survivor's close, every message, argument and output is reclaimed:
+   each was owned by the ring, by the dead client's RootRefs or by the
+   survivor, never by two and never by none. *)
+let test_loan_crash_windows () =
+  let crossed = Hashtbl.create 8 in
+  let handler ~func ~args:_ ~output = Message.write_word output 0 func in
+  let setup cfg =
+    let arena = Shm.create ~cfg () in
+    let c = Shm.join arena () in
+    let s = Shm.join arena () in
+    let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:1 in
+    let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:1 in
+    let arg = Cxl_rpc.alloc_arg client ~size_bytes:8 () in
+    (* a first call, served and collected: its message is the leftover *)
+    let p = Cxl_rpc.call_async client ~func:1 ~args:[ arg ] ~output_bytes:8 in
+    Alcotest.(check bool) "served" true (Cxl_rpc.serve_one server ~handler);
+    Cxl_ref.drop (Cxl_rpc.finish p);
+    (arena, c, s, server, client, arg)
+  in
+  let call client arg =
+    Cxl_rpc.call_async client ~func:2 ~args:[ arg ] ~output_bytes:8
+  in
+  let sweep cfg ~victim =
+    let hits =
+      let _, c, s, server, client, arg = setup cfg in
+      let plan = Fault.nth_point ~n:max_int in
+      (match victim with
+      | `Client ->
+          c.Ctx.fault <- plan;
+          ignore (call client arg)
+      | `Server ->
+          ignore (call client arg);
+          s.Ctx.fault <- plan;
+          ignore (Cxl_rpc.serve_one server ~handler));
+      Fault.hits plan
+    in
+    Alcotest.(check bool) "the sweep crosses crash points" true (hits > 0);
+    for n = 1 to hits do
+      let arena, c, s, server, client, arg = setup cfg in
+      let label =
+        Printf.sprintf "%s crash %d (epoch batch %d)"
+          (match victim with `Client -> "client" | `Server -> "server")
+          n cfg.Config.epoch_batch
+      in
+      let svc = Shm.service_ctx arena in
+      let crashed f =
+        match f () with
+        | _ -> Alcotest.failf "%s: expected a crash" label
+        | exception Fault.Crashed point -> Hashtbl.replace crossed point ()
+      in
+      (match victim with
+      | `Client ->
+          c.Ctx.fault <- Fault.nth_point ~n;
+          crashed (fun () -> ignore (call client arg));
+          Client.declare_failed svc ~cid:c.Ctx.cid;
+          ignore (Shm.recover arena ~failed_cid:c.Ctx.cid);
+          (* the server serves whatever was published, then revokes *)
+          ignore (Cxl_rpc.serve_one server ~handler);
+          Cxl_rpc.close_server server;
+          (* the server's queue reference may be parked for retirement *)
+          Reclaim.flush_retired s
+      | `Server ->
+          let p = call client arg in
+          s.Ctx.fault <- Fault.nth_point ~n;
+          crashed (fun () -> ignore (Cxl_rpc.serve_one server ~handler));
+          Client.declare_failed svc ~cid:s.Ctx.cid;
+          ignore (Shm.recover arena ~failed_cid:s.Ctx.cid);
+          (match Cxl_rpc.finish p with
+          | out ->
+              Alcotest.(check int) (label ^ ": output") 2 (Cxl_ref.read_word out 0);
+              Cxl_ref.drop out
+          | exception Cxl_rpc.Peer_failed _ -> ());
+          Cxl_ref.drop arg;
+          Cxl_rpc.close_client client);
+      ignore (Shm.scan_leaking arena);
+      let v = Shm.validate arena in
+      Alcotest.(check bool)
+        (label ^ ": clean: " ^ String.concat ";" v.Validate.errors)
+        true (Validate.is_clean v);
+      Alcotest.(check int) (label ^ ": no stranded objects") 0
+        v.Validate.live_objects
+    done
+  in
+  List.iter
+    (fun cfg ->
+      sweep cfg ~victim:`Client;
+      sweep cfg ~victim:`Server)
+    [ mid_cfg; { mid_cfg with Config.epoch_batch = 2 } ];
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        ("crossed " ^ Fault.point_name p)
+        true
+        (Hashtbl.mem crossed (Fault.point_name p)))
+    Fault.
+      [
+        Txn_after_redo;
+        Swap_after_link;
+        Swap_after_store;
+        Send_after_attach;
+        Rpc_before_status;
+        Recv_after_advance;
+      ]
+
 (* ---- accessor traffic, counted on the deterministic backend ---- *)
 
 let counting_cfg =
@@ -549,6 +754,12 @@ let suite =
     Alcotest.test_case "client dies mid-call" `Quick test_client_dies_mid_call;
     Alcotest.test_case "forged nargs rejected" `Quick test_forged_nargs_rejected;
     Alcotest.test_case "forged meta rejected" `Quick test_forged_meta_rejected;
+    Alcotest.test_case
+      "forged ring slot cannot make the server release a third party's object"
+      `Quick test_forged_ring_slot;
+    Alcotest.test_case "a served message has exactly one counted holder"
+      `Quick test_served_message_one_holder;
+    Alcotest.test_case "loan crash windows" `Quick test_loan_crash_windows;
     Alcotest.test_case "cxl_ref word traffic" `Quick test_cxl_ref_word_traffic;
     Alcotest.test_case "message view traffic" `Quick test_message_view_traffic;
     Alcotest.test_case "handler streams sequentially" `Quick

@@ -377,6 +377,47 @@ let test_recover_endpoints_races_live_receiver () =
       true (Validate.is_clean v)
   done
 
+(* A loan moves the lender's only reference into the ring; the receiver
+   reads it in place and takes no count; the lender's next lend into the
+   slot frees the consumed message; teardown frees the rest. A shared
+   handle is refused before anything moves. *)
+let test_lend_roundtrip () =
+  let arena, a, b = setup () in
+  let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:1 in
+  let qb = Option.get (Transfer.open_from b ~sender:a.Ctx.cid) in
+  Alcotest.(check bool) "empty" true (Transfer.peek qb = None);
+  let r1 = mk a 1 in
+  let o1 = Cxl_ref.obj r1 in
+  let r1' = Cxl_ref.clone r1 in
+  (match Transfer.lend q r1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "lending a shared handle must raise");
+  Alcotest.(check int) "nothing lent" 0 (Transfer.pending q);
+  Cxl_ref.drop r1';
+  Alcotest.(check bool) "lent" true (Transfer.lend q r1 = Transfer.Sent);
+  Alcotest.(check bool) "handle consumed" false (Cxl_ref.is_live r1);
+  let r9 = mk a 9 in
+  Alcotest.(check bool) "ring full" true (Transfer.lend q r9 = Transfer.Full);
+  Alcotest.(check bool) "a refused handle stays live" true (Cxl_ref.is_live r9);
+  Cxl_ref.drop r9;
+  Alcotest.(check (option int)) "peek names the object" (Some o1)
+    (Transfer.peek qb);
+  Alcotest.(check int) "one count, the slot's" 1 (Refc.ref_cnt b o1);
+  Transfer.advance qb;
+  Alcotest.(check int) "still the slot's after advance" 1 (Refc.ref_cnt b o1);
+  let r2 = mk a 2 in
+  let o2 = Cxl_ref.obj r2 in
+  Alcotest.(check bool) "second lend" true (Transfer.lend q r2 = Transfer.Sent);
+  Alcotest.(check int) "leftover freed by the lend" 0 (Refc.ref_cnt a o1);
+  Alcotest.(check (option int)) "peek the second" (Some o2) (Transfer.peek qb);
+  Transfer.close qb;
+  Transfer.close q;
+  ignore (Shm.scan_leaking arena);
+  let v = Shm.validate arena in
+  Alcotest.(check bool) "clean" true (Validate.is_clean v);
+  Alcotest.(check int) "teardown freed the unserved loan" 0
+    v.Validate.live_objects
+
 let suite =
   [
     Alcotest.test_case "fifo order" `Quick test_fifo_order;
@@ -389,6 +430,7 @@ let suite =
     Alcotest.test_case "multiple queues" `Quick test_multiple_queues_between_pairs;
     Alcotest.test_case "directory exhaustion" `Quick test_directory_exhaustion;
     Alcotest.test_case "ring wraparound" `Quick test_wraparound;
+    Alcotest.test_case "lend, peek, advance" `Quick test_lend_roundtrip;
     Alcotest.test_case "batch roundtrip" `Quick test_batch_roundtrip;
     Alcotest.test_case "batch partial then resume" `Quick
       test_batch_partial_then_resume;
