@@ -975,6 +975,7 @@ let set_mutation = function
   | "none" -> ()
   | "spsc-pop" -> Cxlshm_spsc.Spsc_queue.mutation_unfenced_pop := true
   | "transfer-head" -> Cxlshm.Transfer.mutation_unfenced_advance := true
+  | "refc-zero-shared" -> Cxlshm.Refc.mutation_zero_shared := true
   | "kv-quiesce" -> Cxlshm.Limbo.mutation_unconditional_quiesce := true
   | "kv-crash-reap" -> Cxlshm.Limbo.mutation_crash_reap := true
   | "kv-swap-skip-redo" -> Cxlshm.Recovery.mutation_skip_swap_redo := true
@@ -986,7 +987,8 @@ let set_mutation = function
   | m ->
       Printf.eprintf
         "unknown mutation %s (have: none, spsc-pop, transfer-head, \
-         kv-quiesce, kv-crash-reap, kv-swap-skip-redo, bcast-volatile-park, \
+         refc-zero-shared, kv-quiesce, kv-crash-reap, kv-swap-skip-redo, \
+         bcast-volatile-park, \
          rpc-skip-validate, rpc-unfenced-status, rpc-early-advance)\n"
         m;
       exit 2
@@ -1133,7 +1135,8 @@ let explore_cmd =
           & info [ "mutate" ]
               ~doc:
                 "Re-introduce a historical ordering bug before exploring: \
-                 $(b,spsc-pop), $(b,transfer-head), $(b,kv-quiesce), \
+                 $(b,spsc-pop), $(b,transfer-head), $(b,refc-zero-shared), \
+                 $(b,kv-quiesce), \
                  $(b,kv-crash-reap), $(b,kv-swap-skip-redo), \
                  $(b,bcast-volatile-park), \
                  $(b,rpc-skip-validate), $(b,rpc-unfenced-status) or \

@@ -242,12 +242,25 @@ let refc ?(rounds = 2) () : Explore.model =
     let arena = Shm.create ~cfg:arena_cfg () in
     let a = Shm.join arena () in
     let b = Shm.join arena () in
+    (* Set-up: one shared parent with one embedded child, held by both
+       clients. Each drops it after its churn, so the two releases race
+       from count 2: whichever CAS loses retries on 1 and must decline,
+       then tear the child down as the last holder. *)
+    let shared_a = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+    let shared_child = Shm.cxl_malloc a ~size_bytes:8 () in
+    Cxl_ref.set_emb shared_a 0 shared_child;
+    Cxl_ref.drop shared_child;
+    let shared_b =
+      let rr = Alloc.alloc_rootref b in
+      Refc.attach b ~ref_addr:(Rootref.pptr_slot rr) ~refed:(Cxl_ref.obj shared_a);
+      Cxl_ref.of_rootref b rr
+    in
     (* Each client churns its own two-object graph: allocate a parent with
        an embedded slot, link a child (era attach), unlink it (era detach +
        reclaim), release both. Both clients hammer the shared allocator
        (segment/page claims) and advance eras concurrently; a crash lands in
        any labeled window of alloc / txn / release / reclaim. *)
-    let client ctx () =
+    let client ctx shared () =
       for _ = 1 to rounds do
         let parent = Shm.cxl_malloc ctx ~size_bytes:8 ~emb_cnt:1 () in
         let child = Shm.cxl_malloc ctx ~size_bytes:8 () in
@@ -256,12 +269,13 @@ let refc ?(rounds = 2) () : Explore.model =
         Cxl_ref.drop child;
         Cxl_ref.clear_emb parent 0;
         Cxl_ref.drop parent
-      done
+      done;
+      Cxl_ref.drop shared
     in
     let check ~crashed =
       arena_check arena ~cids:[| a.Ctx.cid; b.Ctx.cid |] ~crashed
     in
-    { Explore.clients = [| client a; client b |]; check }
+    { Explore.clients = [| client a shared_a; client b shared_b |]; check }
   in
   { Explore.name = "refc"; make; branch = arena_branch }
 

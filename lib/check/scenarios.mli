@@ -21,8 +21,13 @@ val transfer :
 
 val refc : ?rounds:int -> unit -> Explore.model
 (** Two clients churning parent/child object graphs: era refcount
-    transactions plus shared-allocator contention. Branches at labeled
-    crash points and poll yields. *)
+    transactions plus shared-allocator contention. Then both drop one
+    shared parent holding one embedded child, so the two releases race
+    from count 2 and the loser's retry on count 1 must decline and tear
+    the child down as the last holder. Branches at labeled crash points
+    and poll yields. The [Refc.mutation_zero_shared] flag lets the losing
+    decrement zero the parent with its child still linked, which this
+    model must catch ([refc-zero-shared]). *)
 
 val huge : ?rounds:int -> unit -> Explore.model
 (** Two clients allocating and freeing two-segment huge objects on a small

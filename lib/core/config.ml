@@ -4,7 +4,6 @@ type t = {
   pages_per_segment : int;
   page_words : int;
   queue_slots : int;
-  worklist_words : int;
   tier : Cxlshm_shmem.Latency.tier;
   backend : Cxlshm_shmem.Mem.backend_spec;
   trace : bool;
@@ -33,7 +32,6 @@ let default =
     pages_per_segment = 16;
     page_words = 1024;
     queue_slots = 64;
-    worklist_words = 1024;
     tier = Cxlshm_shmem.Latency.Cxl;
     backend = Cxlshm_shmem.Mem.Flat;
     trace = false;
@@ -52,7 +50,6 @@ let small =
     pages_per_segment = 4;
     page_words = 128;
     queue_slots = 16;
-    worklist_words = 128;
     tier = Cxlshm_shmem.Latency.Cxl;
     backend = Cxlshm_shmem.Mem.Flat;
     trace = false;
@@ -80,7 +77,6 @@ let validate t =
   if t.page_words land (t.page_words - 1) <> 0 then
     fail "page_words must be a power of two";
   if t.queue_slots < 1 then fail "queue_slots must be positive";
-  if t.worklist_words < 16 then fail "worklist_words must be >= 16";
   if t.trace_slots < 16 || t.trace_slots > 1 lsl 20 then
     fail "trace_slots must be in [16, 2^20]";
   if t.epoch_batch < 0 || t.epoch_batch > 64 then

@@ -12,7 +12,6 @@ type t = {
   pages_per_segment : int;
   page_words : int;  (** words per page area *)
   queue_slots : int;  (** transfer-queue directory capacity (§5.2) *)
-  worklist_words : int;  (** persistent recovery worklist capacity *)
   tier : Cxlshm_shmem.Latency.tier;
   backend : Cxlshm_shmem.Mem.backend_spec;
       (** Memory backend for the pool (see {!Cxlshm_shmem.Mem.backend_spec}):

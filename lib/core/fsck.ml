@@ -273,11 +273,7 @@ let repair (ctx : Ctx.t) =
   done;
 
   (* ---- pass 2: crash-recovery sweep of every recorded client ---- *)
-  let force_unlock () =
-    poke (Layout.recovery_lock lay) 0;
-    poke (Layout.recovery_failed lay) 0;
-    poke (Layout.recovery_phase lay) 0
-  in
+  let force_unlock () = poke (Layout.recovery_lock lay) 0 in
   (try ignore (Recovery.resume_interrupted ctx)
    with _ ->
      a.swerr <- a.swerr + 1;

@@ -26,7 +26,9 @@ let redo_words = 8
 let client_misc_words = 5
 let queue_slot_words = 8
 let page_meta_words = 8
-let recovery_hdr_words = 16
+(* The recovery lock, padded so that later regions keep their addresses
+   (see the mli). *)
+let recovery_area_words = 1040
 let root_slots = 64
 let root_slot_words = 2
 
@@ -75,9 +77,7 @@ let make cfg =
     align8 (queuedir_base + (queue_slot_words * cfg.Config.queue_slots))
   in
   let recovery_base = align8 (roots_base + (root_slots * root_slot_words)) in
-  let limbo_base =
-    align8 (recovery_base + recovery_hdr_words + cfg.Config.worklist_words)
-  in
+  let limbo_base = align8 (recovery_base + recovery_area_words) in
   let trace_base =
     align8
       (limbo_base + align8 (limbo_rows_of cfg)
@@ -212,15 +212,6 @@ let root_slot t i =
   t.roots_base + (i * root_slot_words)
 
 let recovery_lock t = t.recovery_base
-let recovery_failed t = t.recovery_base + 1
-let recovery_phase t = t.recovery_base + 2
-let recovery_wl_top t = t.recovery_base + 3
-let recovery_wl_capacity t = t.cfg.Config.worklist_words
-
-let recovery_wl_slot t i =
-  if i < 0 || i >= recovery_wl_capacity t then
-    invalid_arg "Layout.recovery_wl_slot: out of range";
-  t.recovery_base + recovery_hdr_words + i
 
 (* Limbo pool: the owner words of every row, then the rows' entries. *)
 let limbo_rows t = limbo_rows_of t.cfg

@@ -10,7 +10,7 @@
     SegmentAllocationVec   one meta record per segment
     ClientLocalVec         one ClientLocalState per client
     queue directory        well-known transfer-queue registry (§5.2)
-    recovery area          persistent DFS worklist + resume cursor
+    recovery area          recovery lock (padded, see below)
     limbo pool             era-gated deferred frees, in owned rows ({!Limbo})
     trace rings            per-client event rings (observability layer)
     segments               segment header (page metas) + page areas
@@ -204,14 +204,22 @@ val root_slots : int
 val root_slot : t -> int -> Cxlshm_shmem.Pptr.t
 (** Directory slot [i]: {v +0 state/name-hash, +1 counted obj pointer v}. *)
 
-(** {1 Recovery area} *)
+(** {1 Recovery area}
+
+    One word, the recovery lock, padded to a fixed {!recovery_area_words}:
+    the size the retired persistent teardown worklist had on
+    {!Config.default}. The pad keeps the limbo pool, the trace rings and
+    every segment at their old addresses, because segment bases feed the
+    direct-mapped cache filter ({!Cxlshm_shmem.Stats}) and a moved base
+    would shift gated numbers by aliasing alone. The re-baseline onto a
+    set-associative filter (ROADMAP item 1) drops the pad. *)
+
+val recovery_area_words : int
 
 val recovery_lock : t -> Cxlshm_shmem.Pptr.t
-val recovery_failed : t -> Cxlshm_shmem.Pptr.t
-val recovery_phase : t -> Cxlshm_shmem.Pptr.t
-val recovery_wl_top : t -> Cxlshm_shmem.Pptr.t
-val recovery_wl_slot : t -> int -> Cxlshm_shmem.Pptr.t
-val recovery_wl_capacity : t -> int
+(** [0] when free, else [cid + 1] of the client being recovered: a
+    recovery service that dies mid-way leaves it set, and the next one
+    finishes that recovery first ({!Recovery.resume_interrupted}). *)
 
 (** {1 Limbo pool}
 

@@ -61,16 +61,10 @@ let lookup (ctx : Ctx.t) ~name =
         Some (Cxl_ref.of_rootref ctx rr)
       end
 
-let release_slot (ctx : Ctx.t) ~as_cid i =
+let release_slot (ctx : Ctx.t) ~as_cid ~reclaim i =
   let obj = Ctx.load ctx (slot_ptr ctx i) in
-  if obj <> 0 then begin
-    let n = Refc.detach_as ctx ~as_cid ~ref_addr:(slot_ptr ctx i) ~refed:obj in
-    if n = 0 then begin
-      Reclaim.mark_leaking_of ctx obj;
-      Reclaim.teardown_children ctx ~as_cid ~obj;
-      Alloc.free_obj_block ctx obj
-    end
-  end;
+  if obj <> 0 then
+    Reclaim.release_as ctx ~as_cid ~reclaim ~ref_addr:(slot_ptr ctx i) ~obj;
   Ctx.store ctx (slot_state ctx i) 0
 
 let unpublish (ctx : Ctx.t) ~name =
@@ -82,7 +76,8 @@ let unpublish (ctx : Ctx.t) ~name =
         Ctx.cas ctx (slot_state ctx i) ~expected:w
           ~desired:(pack ~phase:3 ~owner:ctx.Ctx.cid ~hash:(hash_of w))
       then begin
-        release_slot ctx ~as_cid:ctx.Ctx.cid i;
+        release_slot ctx ~as_cid:ctx.Ctx.cid
+          ~reclaim:(Alloc.free_obj_block ctx) i;
         true
       end
       else false
@@ -96,7 +91,7 @@ let names_hashes (ctx : Ctx.t) =
   in
   go 0 []
 
-let recover_endpoints (ctx : Ctx.t) ~failed_cid =
+let recover_endpoints (ctx : Ctx.t) ~failed_cid ~reclaim =
   for i = 0 to Layout.root_slots - 1 do
     let w = Ctx.load ctx (slot_state ctx i) in
     if owner_of w = failed_cid then
@@ -106,7 +101,7 @@ let recover_endpoints (ctx : Ctx.t) ~failed_cid =
              both reduce to dropping the slot's reference, if any, and
              freeing the slot — restart-safe because the detach resumes
              through the standard redo path and a re-run sees ptr = 0. *)
-          release_slot ctx ~as_cid:failed_cid i
+          release_slot ctx ~as_cid:failed_cid ~reclaim i
       | _ -> ()
   done
 

@@ -32,9 +32,11 @@ val unpublish : Ctx.t -> name:string -> bool
 val names_hashes : Ctx.t -> int list
 (** Hashes of currently published names (introspection). *)
 
-val recover_endpoints : Ctx.t -> failed_cid:int -> unit
+val recover_endpoints :
+  Ctx.t -> failed_cid:int -> reclaim:(Cxlshm_shmem.Pptr.t -> unit) -> unit
 (** Roll back / complete half-done publish/unpublish operations of a dead
-    client. Completed entries are left alone — that is the point. *)
+    client, releasing through {!Reclaim.release_as}. Completed entries are
+    left alone — that is the point. *)
 
 val directory_refs : read:(int -> int) -> Layout.t -> Cxlshm_shmem.Pptr.t list
 (** Root-set helper ({!Heap.iter_roots}): object pointers currently held by

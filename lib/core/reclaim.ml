@@ -5,53 +5,51 @@ let mark_leaking_of (ctx : Ctx.t) obj =
 let emb_count (ctx : Ctx.t) obj =
   Obj_header.meta_emb_cnt (Ctx.load ctx (Obj_header.meta_of_obj obj))
 
-let rec teardown_children (ctx : Ctx.t) ~as_cid ~obj =
+let rec teardown_children (ctx : Ctx.t) ~as_cid ~reclaim ~obj =
   let n = emb_count ctx obj in
   let detach = Refc.detach_as ctx ~as_cid in
   for i = 0 to n - 1 do
     let slot = Obj_header.emb_slot obj i in
     let child = Ctx.load ctx slot in
-    if child <> 0 then release_held ctx ~as_cid ~detach ~ref_addr:slot ~obj:child
+    if child <> 0 then
+      release_held ctx ~as_cid ~reclaim ~detach ~ref_addr:slot ~obj:child
   done
 
-(* Release a reference we know is held (count >= 1). When we hold the sole
-   reference, children are detached first so that a crash mid-teardown
-   leaves the object alive and fully recoverable from its remaining
-   reference. Once the final detach lands the count is zero and nothing
-   reaches the block any more, so the segment is leak-marked first: a crash
-   anywhere between the decrement and the free then leaves the block in a
-   POTENTIAL_LEAKING segment for the §5.3 scan instead of leaking it in an
-   Active segment no recovery path revisits (the redo log cannot cover the
-   tail of this window — freeing zeroes the header, which breaks the
-   Condition 1 commit check). The rare race-to-zero path below does the
-   same. [detach] performs the top-level decrement only; children always
-   go through the redo-logged {!Refc.detach_as}. *)
-and release_held (ctx : Ctx.t) ~as_cid ~detach ~ref_addr ~obj =
-  if Refc.ref_cnt ctx obj = 1 then begin
-    teardown_children ctx ~as_cid ~obj;
+(* Release a reference we know is held (count >= 1), as client [as_cid].
+   Only the last holder tears down: while another holder remains the
+   release just decrements, and {!Refc.detach_as} [~shared:true] declines
+   the decrement from 1, so a release that loses the race to the last
+   reference lands in the branch below too. There the children are
+   detached first, so a crash mid-teardown leaves the object alive and
+   fully recoverable from its remaining reference. Once the final detach
+   lands the count is zero and nothing reaches the block any more, so the
+   segment is leak-marked first: a crash anywhere between the decrement
+   and [reclaim] then leaves the block in a POTENTIAL_LEAKING segment for
+   the §5.3 scan instead of leaking it in an Active segment no recovery
+   path revisits (the redo log cannot cover the tail of this window —
+   freeing zeroes the header, which breaks the Condition 1 commit check).
+   [detach] performs the top-level decrement only; children always go
+   through the redo-logged {!Refc.detach_as}. *)
+and release_held (ctx : Ctx.t) ~as_cid ~reclaim ~detach ~ref_addr ~obj =
+  if Refc.ref_cnt ctx obj = 1 || detach ~shared:true ~ref_addr ~refed:obj < 0
+  then begin
+    teardown_children ctx ~as_cid ~reclaim ~obj;
     mark_leaking_of ctx obj;
-    let n = detach ~ref_addr ~refed:obj in
+    let n = detach ~shared:false ~ref_addr ~refed:obj in
     Ctx.crash_point ctx Fault.Release_before_reclaim;
-    if n = 0 then Alloc.free_obj_block ctx obj
+    if n = 0 then reclaim obj
     else
       (* Unreachable under the attach-requires-a-reference invariant. *)
       raise (Refc.Refcount_violation "release: count rose from 1")
   end
-  else begin
-    let n = detach ~ref_addr ~refed:obj in
-    if n = 0 then begin
-      (* Concurrent holders raced us to zero: cover the crash window by
-         leak-marking before the non-idempotent teardown + reclaim. *)
-      mark_leaking_of ctx obj;
-      Ctx.crash_point ctx Fault.Release_before_reclaim;
-      teardown_children ctx ~as_cid ~obj;
-      Alloc.free_obj_block ctx obj
-    end
-  end
+
+let release_as (ctx : Ctx.t) ~as_cid ~reclaim ~ref_addr ~obj =
+  release_held ctx ~as_cid ~reclaim ~detach:(Refc.detach_as ctx ~as_cid)
+    ~ref_addr ~obj
 
 let release_obj (ctx : Ctx.t) ~ref_addr ~obj =
-  release_held ctx ~as_cid:ctx.cid ~detach:(Refc.detach_as ctx ~as_cid:ctx.cid)
-    ~ref_addr ~obj
+  release_as ctx ~as_cid:ctx.cid ~reclaim:(Alloc.free_obj_block ctx) ~ref_addr
+    ~obj
 
 (* Retire one journaled rootref: [release_held] with the top-level detach
    swapped for the redo-free {!Refc.detach_batched} — the sealed journal
@@ -62,8 +60,8 @@ let release_obj (ctx : Ctx.t) ~ref_addr ~obj =
 let retire_one (ctx : Ctx.t) rr =
   let obj = Rootref.obj ctx rr in
   if obj <> 0 then
-    release_held ctx ~as_cid:ctx.cid ~detach:(Refc.detach_batched ctx)
-      ~ref_addr:(Rootref.pptr_slot rr) ~obj
+    release_held ctx ~as_cid:ctx.cid ~reclaim:(Alloc.free_obj_block ctx)
+      ~detach:(Refc.detach_batched ctx) ~ref_addr:(Rootref.pptr_slot rr) ~obj
 
 let flush_retired (ctx : Ctx.t) =
   Epoch.flush_retired ctx ~retire_one:(retire_one ctx)

@@ -5,18 +5,17 @@
     be redone by recovery. The paths here are ordered so that every crash
     window is covered either by transaction resume or by the
     POTENTIAL_LEAKING segment marking plus the asynchronous segment-local
-    full scan:
-
-    - when the releasing client holds the {e only} reference (the common
-      case), embedded children are detached {e before} the final detach, so
-      a crash mid-teardown leaves the parent alive and recoverable;
-    - when a concurrent release races the count to zero, the segment is
-      marked POTENTIAL_LEAKING before teardown, so nothing is lost if the
-      client dies mid-way. *)
+    full scan. Only the last holder tears down (the last-holder rule,
+    {!Refc}): it detaches the embedded children {e before} the final
+    detach, so a crash mid-teardown leaves the parent alive and
+    recoverable, and no path has to remember a half-torn-down block. It
+    marks the segment POTENTIAL_LEAKING before that final detach, so a
+    crash before the free leaves the block to the scan. *)
 
 val release_obj : Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> obj:Cxlshm_shmem.Pptr.t -> unit
-(** Detach [ref_addr] from [obj]; if the count reaches zero, tear down
-    embedded references recursively and reclaim the block. *)
+(** Detach [ref_addr] from [obj]; if that was the last reference, first
+    tear down its embedded references recursively, then reclaim the
+    block. *)
 
 val release_rootref : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
 (** Drop one local count from a RootRef; at zero, unlink it from its object
@@ -40,9 +39,14 @@ val flush_retired : Ctx.t -> unit
     boundaries and before detach/unregister. No-op (bar draining deferred
     write-backs) when nothing is parked. *)
 
-val teardown_children : Ctx.t -> as_cid:int -> obj:Cxlshm_shmem.Pptr.t -> unit
-(** Detach every non-null embedded reference of [obj] (recursively releasing
-    children that reach zero). Exposed for the recovery service. *)
+val release_as :
+  Ctx.t -> as_cid:int -> reclaim:(Cxlshm_shmem.Pptr.t -> unit) ->
+  ref_addr:Cxlshm_shmem.Pptr.t -> obj:Cxlshm_shmem.Pptr.t -> unit
+(** The one release path, under [as_cid]'s identity; [reclaim] gets each
+    block it takes to zero, children included. {!release_obj} frees them
+    ({!Alloc.free_obj_block}). The recovery service only counts them: a
+    free cannot be redone, so they stay count-zero in their leak-marked
+    segments for the §5.3 scan. *)
 
 val mark_leaking_of : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
 (** Mark the segment containing [obj] POTENTIAL_LEAKING (idempotent). *)

@@ -17,14 +17,23 @@
       freed era-blind; a successor adopts the rows ({!Limbo.adopt}) or the
       leak scan drains them once every announced era has passed
       ({!Limbo.drain});
-    + close [i]'s transfer-queue endpoints (§5.2);
+    + close [i]'s transfer-queue endpoints (§5.2) and its half-done
+      named-root publishes;
     + scan [i]'s RootRef pages — the content in and only in those pages —
       releasing every reference the dead client possessed, with the §5.1
       free-pointer guard against blocks whose allocation never completed;
-    + drain the persistent worklist: objects whose count hit zero get their
-      embedded references detached (depth-first) and their segments marked
-      POTENTIAL_LEAKING — reclamation itself is never redone (§5.3);
     + orphan or release [i]'s segments and free the client slot.
+
+    Every release above goes through {!Reclaim.release_as} under [i]'s
+    identity, and the last-holder rule ({!Refc}) makes teardown need no
+    memory of its own: a block's count reaches zero only after its
+    embedded slots are null. So a teardown [i] left half done is still
+    reachable from the reference [i] held — its RootRef, journal entry or
+    directory slot — and recovery's release of that reference finishes it,
+    depth-first on the recovery service's own stack. Recovery never
+    frees: each block it takes to zero stays count-zero in its
+    POTENTIAL_LEAKING segment for the segment phase and the §5.3 scan,
+    because reclamation is never redone.
 
     A {!Layout.recovery_lock} serialises recoveries; a fresh recovery first
     finishes any interrupted one it finds under the lock. *)
@@ -34,6 +43,9 @@ type report = {
   rootrefs_released : int;
   incomplete_allocs : int;  (** §5.1 free-pointer-guard skips *)
   worklist_processed : int;
+      (** objects recovery took to zero, children included; the name is
+          that of the teardown worklist this counted before, kept for the
+          serving benchmark, which reads it *)
   segments_orphaned : int;
   segments_released : int;
   leak_marked : int;

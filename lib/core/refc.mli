@@ -17,7 +17,15 @@
     between).
 
     The [_as] variants run a transaction under another client's identity:
-    the recovery service finishing a dead client's instruction stream. *)
+    the recovery service finishing a dead client's instruction stream.
+
+    {b Last-holder rule.} A block's count reaches zero only after its
+    embedded slots are null. A release that may share the object detaches
+    with [~shared:true], which declines a decrement from 1 before the redo
+    record and the CAS, writing nothing: the releaser then holds the only
+    reference, and {!Reclaim} tears the children down before the final
+    [~shared:false] detach. Of two releases racing from 2, the loser's CAS
+    retries on 1 and declines. *)
 
 exception Refcount_violation of string
 (** Raised when a transaction would drop a count below zero or attach to a
@@ -35,17 +43,18 @@ val try_attach :
     ({!Hazard.enter}) so the header it reads cannot be a recycled block. *)
 
 val detach : Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
-(** Decrement and unlink; returns the object's new reference count (the
-    caller reclaims at zero — see {!Reclaim}). *)
+(** Decrement and unlink; returns the new count. It is {!detach_as}
+    [~shared:false]: releases go through {!Reclaim}, which nulls the
+    embedded slots first. *)
 
 val detach_batched :
-  Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
+  Ctx.t -> shared:bool -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
 (** Redo-free detach used under a sealed retirement-journal entry
     ({!Epoch}): same observe + CAS commit, but no per-attempt redo record,
     no crash points, and the unlink + era advance happen inside. Recovery
     decides the commit with Conditions 1 & 2 against the journal's era.
     Only sound while the entry's rootref is still [in_use] in the sealed
-    journal. *)
+    journal. [~shared] and the result are those of {!detach_as}. *)
 
 val swap :
   Ctx.t ->
@@ -75,7 +84,15 @@ val attach_as :
   Ctx.t -> as_cid:int -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> unit
 
 val detach_as :
-  Ctx.t -> as_cid:int -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
+  Ctx.t -> as_cid:int -> shared:bool -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
+(** {!detach} under [as_cid]'s identity. With [~shared:true] a decrement
+    from 1 is declined and [-1] returned, [ref_addr] still linked (the
+    last-holder rule above); with [~shared:false] the caller has already
+    nulled the object's embedded slots, and the count may reach zero. *)
+
+val mutation_zero_shared : bool ref
+(** Test-only: [~shared:true] no longer declines, so a racing release can
+    zero an object whose children are still linked ([refc-zero-shared]). *)
 
 val committed : Ctx.t -> cid:int -> obj:Cxlshm_shmem.Pptr.t -> era:int -> bool
 (** Conditions 1-then-2 for "did client [cid]'s ModifyRefCnt at [era] on

@@ -264,35 +264,31 @@ let lend t r =
     end
   end
 
-(* Final teardown of a directory slot once both endpoints are closed: the
-   [as_cid] identity performs the resumable detach of the directory's
-   counted reference. Idempotent: a re-run sees qptr = 0 and just frees the
-   slot. *)
-let cleanup_slot (ctx : Ctx.t) ~as_cid q =
+(* Final teardown of a directory slot once both endpoints are closed, or
+   the undo of a half-built registration: the [as_cid] identity performs
+   the resumable release of the directory's counted reference
+   ({!Reclaim.release_as}). Idempotent: a re-run sees qptr = 0 and just
+   frees the slot. *)
+let cleanup_slot (ctx : Ctx.t) ~as_cid ~reclaim q =
   let lay = ctx.Ctx.lay in
   let qptr = Ctx.load ctx (slot_qptr lay q) in
-  if qptr <> 0 then begin
-    let n = Refc.detach_as ctx ~as_cid ~ref_addr:(slot_qptr lay q) ~refed:qptr in
-    if n = 0 then begin
-      Reclaim.mark_leaking_of ctx qptr;
-      Reclaim.teardown_children ctx ~as_cid ~obj:qptr;
-      Alloc.free_obj_block ctx qptr
-    end
-  end;
+  if qptr <> 0 then
+    Reclaim.release_as ctx ~as_cid ~reclaim ~ref_addr:(slot_qptr lay q)
+      ~obj:qptr;
   clear_channel_segs ctx q;
   Ctx.store ctx (slot_sender lay q) 0;
   Ctx.store ctx (slot_receiver lay q) 0;
   Ctx.fence ctx;
   Ctx.store ctx (slot_state lay q) phase_free
 
-let try_cleanup (ctx : Ctx.t) ~as_cid q =
+let try_cleanup (ctx : Ctx.t) ~as_cid ~reclaim q =
   let lay = ctx.Ctx.lay in
   let st = Ctx.load ctx (slot_state lay q) in
   if
     phase_of st = phase_active
     && Ctx.cas ctx (slot_state lay q) ~expected:st
          ~desired:(pack_state ~phase:phase_cleaning ~owner:as_cid)
-  then cleanup_slot ctx ~as_cid q
+  then cleanup_slot ctx ~as_cid ~reclaim q
 
 let set_flag t bit =
   let qobj = Cxl_ref.obj t.qref in
@@ -312,7 +308,9 @@ let close t =
   if
     flags land flag_sender_closed <> 0
     && flags land flag_receiver_closed <> 0
-  then try_cleanup t.ctx ~as_cid:t.ctx.Ctx.cid t.dir_idx;
+  then
+    try_cleanup t.ctx ~as_cid:t.ctx.Ctx.cid
+      ~reclaim:(Alloc.free_obj_block t.ctx) t.dir_idx;
   Cxl_ref.drop t.qref
 
 type recv_result = Received of Cxl_ref.t | Empty | Drained
@@ -431,25 +429,20 @@ let set_flag_raw (ctx : Ctx.t) addr bit =
   in
   loop ()
 
-let recover_endpoints (ctx : Ctx.t) ~failed_cid =
+let recover_endpoints (ctx : Ctx.t) ~failed_cid ~reclaim =
   let lay = ctx.Ctx.lay in
   let nslots = lay.Layout.cfg.Config.queue_slots in
   for q = 0 to nslots - 1 do
     let st = Ctx.load ctx (slot_state lay q) in
     let phase = phase_of st in
-    if phase = phase_claiming && owner_of st = failed_cid then begin
-      (* Half-built registration: undo it. *)
-      let qptr = Ctx.load ctx (slot_qptr lay q) in
-      if qptr <> 0 then
-        ignore
-          (Refc.detach_as ctx ~as_cid:failed_cid
-             ~ref_addr:(slot_qptr lay q) ~refed:qptr);
-      clear_channel_segs ctx q;
-      Ctx.store ctx (slot_state lay q) phase_free
-    end
-    else if phase = phase_cleaning && owner_of st = failed_cid then
-      (* The dead client crashed mid-cleanup: finish it. *)
-      cleanup_slot ctx ~as_cid:failed_cid q
+    if
+      (phase = phase_claiming || phase = phase_cleaning)
+      && owner_of st = failed_cid
+    then
+      (* A half-built registration (undo it) or a cleanup the dead client
+         crashed in (finish it): both release the directory's reference
+         and free the slot. *)
+      cleanup_slot ctx ~as_cid:failed_cid ~reclaim q
     else if phase = phase_active then begin
       let sender = Ctx.load ctx (slot_sender lay q) - 1 in
       let receiver = Ctx.load ctx (slot_receiver lay q) - 1 in
@@ -464,7 +457,7 @@ let recover_endpoints (ctx : Ctx.t) ~failed_cid =
           if
             flags land flag_sender_closed <> 0
             && flags land flag_receiver_closed <> 0
-          then try_cleanup ctx ~as_cid:failed_cid q
+          then try_cleanup ctx ~as_cid:failed_cid ~reclaim q
         end
       end
     end

@@ -151,10 +151,12 @@ val seg_held_by_live_peer : Ctx.t -> seg:int -> dead_cid:int -> bool
 
 (** {1 Recovery hooks} *)
 
-val recover_endpoints : Ctx.t -> failed_cid:int -> unit
+val recover_endpoints :
+  Ctx.t -> failed_cid:int -> reclaim:(Cxlshm_shmem.Pptr.t -> unit) -> unit
 (** Close every directory registration of a dead client: abort half-claimed
     slots, mark its endpoints closed, and finish both-ends-dead cleanups —
-    all with resumable era transactions under the dead client's identity. *)
+    all with resumable releases under the dead client's identity
+    ({!Reclaim.release_as}). *)
 
 val directory_refs : read:(int -> int) -> Layout.t -> Cxlshm_shmem.Pptr.t list
 (** Root-set helper ({!Heap.iter_roots}): the queue-object pointers

@@ -103,7 +103,11 @@ let start ~arena ~master ~executors:n =
           if c = 0 then (Domain.cpu_relax (); wait ()) else c - 1
         in
         let cid = wait () in
-        Cxl_rpc.connect master ~server_cid:cid ~capacity:64)
+        (* [run_maps] issues a whole phase before it collects any output,
+           so each channel takes the largest sub-heap a directory slot can
+           register: the outputs of one phase live there at once. *)
+        Cxl_rpc.connect master ~server_cid:cid ~capacity:64
+          ~sub_heap_segments:Layout.queue_max_channel_segs)
   in
   { arena; master; clients; stops; domains }
 

@@ -16,7 +16,10 @@ type session
 
 val start : arena:Cxlshm.Shm.arena -> master:Cxlshm.Ctx.t -> executors:int -> session
 (** Spawn executor clients (one domain each) serving the built-in job
-    handlers. *)
+    handlers. Each channel gets the largest sub-heap a directory slot can
+    register ({!Cxlshm.Layout.queue_max_channel_segs} segments): a map
+    phase issues every task before collecting any output, so all of a
+    channel's outputs for one phase must fit there at once. *)
 
 val stop : session -> unit
 val executors : session -> int

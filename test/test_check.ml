@@ -216,6 +216,25 @@ let test_finds_crash_reap_mutation () =
       | Explore.Pass | Explore.Diverged ->
           Alcotest.fail "replay did not reproduce the failure")
 
+(* The race-to-zero the last-holder rule forbids: two releases race a
+   shared parent from count 2, and the loser's retry on 1 zeroes it
+   without tearing down its embedded child. The single-preemption
+   exhaustive search must catch the orphaned child. *)
+let test_finds_refc_zero_shared_mutation () =
+  with_flag Cxlshm.Refc.mutation_zero_shared @@ fun () ->
+  let m = Scenarios.refc ~rounds:1 () in
+  let r = Explore.exhaustive ~preemptions:1 ~crash:true ~max_steps:40_000 m in
+  match r.Explore.failure with
+  | None -> Alcotest.fail "zero-shared mutation survived exhaustive search"
+  | Some f -> (
+      let rr = Explore.replay m ~max_steps:40_000 f.Explore.schedule in
+      match rr.Explore.outcome with
+      | Explore.Fail reason ->
+          Alcotest.(check string) "replay reproduces the same reason"
+            f.Explore.reason reason
+      | Explore.Pass | Explore.Diverged ->
+          Alcotest.fail "replay did not reproduce the failure")
+
 (* Swap redo ignored by recovery: a writer killed between the two stores
    of put_cow's count-neutral swap leaves the predecessor slot on the old
    record while the parked rootref names it as well; the exhaustive
@@ -440,6 +459,8 @@ let suite =
       test_finds_spsc_pop_mutation;
     Alcotest.test_case "finds the unfenced-advance mutation" `Quick
       test_finds_transfer_head_mutation;
+    Alcotest.test_case "finds the refc zero-shared mutation" `Quick
+      test_finds_refc_zero_shared_mutation;
     Alcotest.test_case "finds the era-blind quiesce mutation" `Quick
       test_finds_kv_quiesce_mutation;
     Alcotest.test_case "finds the era-blind crash reap" `Quick

@@ -10,7 +10,6 @@ let gen_cfg =
     let* pages_per_segment = 1 -- 16 in
     let* pw_exp = 4 -- 10 in
     let* queue_slots = 1 -- 32 in
-    let* worklist_words = 16 -- 256 in
     let* trace_slots = 16 -- 64 in
     let* epoch_batch = 0 -- 32 in
     let* num_domains = 0 -- 8 in
@@ -23,7 +22,6 @@ let gen_cfg =
         pages_per_segment;
         page_words = 1 lsl pw_exp;
         queue_slots;
-        worklist_words;
         tier = Cxlshm_shmem.Latency.Cxl;
         backend = Cxlshm_shmem.Mem.Flat;
         trace = false;
@@ -52,7 +50,7 @@ let prop_regions_ordered =
          >= l.Layout.queuedir_base
             + (Layout.queue_slot_words * cfg.Config.queue_slots)
       && l.Layout.limbo_base
-         >= l.Layout.recovery_base + 16 + cfg.Config.worklist_words
+         >= l.Layout.recovery_base + Layout.recovery_area_words
       && Layout.limbo_rows l * Layout.limbo_row_entries
          >= cfg.Config.max_clients * cfg.Config.park_slots
       && Layout.limbo_owner l (Layout.limbo_rows l - 1)

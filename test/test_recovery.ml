@@ -492,6 +492,27 @@ let test_slot_reuse_after_recovery () =
   ignore (Shm.scan_leaking arena);
   check_clean arena "slot reuse"
 
+(* A dead client holds the head of a chain deeper than any fixed-size
+   teardown stack: each node is held only by its predecessor's embedded
+   slot. Recovery must take every node to zero, so after the §5.3 scan
+   nothing is alive and no count is left without a holder. *)
+let test_deep_chain () =
+  let arena, a, _b = setup () in
+  let head = ref (Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 ()) in
+  for _ = 2 to 200 do
+    let node = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+    Cxl_ref.set_emb node 0 !head;
+    Cxl_ref.drop !head;
+    head := node
+  done;
+  Client.declare_failed (Shm.service_ctx arena) ~cid:a.Ctx.cid;
+  ignore (Shm.recover arena ~failed_cid:a.Ctx.cid);
+  ignore (Shm.scan_leaking arena);
+  ignore (Shm.scan_leaking arena);
+  let v = Shm.validate arena in
+  Alcotest.(check int) "nothing alive" 0 v.Validate.live_objects;
+  check_clean arena "deep chain"
+
 let suite =
   [
     Alcotest.test_case "reap simple" `Quick test_reap_simple;
@@ -507,4 +528,5 @@ let suite =
     Alcotest.test_case "crash at mid-phases, resume" `Quick test_crash_at_mid_phases_then_resume;
     Alcotest.test_case "segments released" `Quick test_segments_released_after_recovery;
     Alcotest.test_case "slot reuse after recovery" `Quick test_slot_reuse_after_recovery;
+    Alcotest.test_case "deep chain" `Quick test_deep_chain;
   ]
