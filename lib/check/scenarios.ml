@@ -281,6 +281,26 @@ let refc ?(rounds = 2) () : Explore.model =
 
 (* ---- huge: multi-segment object lifecycle under crashes ---- *)
 
+let plant_rootref_decoy r ~target =
+  let ctx = Cxl_ref.ctx r in
+  let lay = ctx.Ctx.lay in
+  let seg = Layout.segment_of_addr lay (Cxl_ref.obj r) + 1 in
+  let gid = Layout.page_gid lay ~seg ~page:0 in
+  let rr = Layout.page_area lay ~gid in
+  if rr + Config.rootref_words > Cxl_ref.data_addr r + Cxl_ref.data_words r
+  then invalid_arg "Scenarios.plant_rootref_decoy: payload too short";
+  List.iter
+    (fun (addr, v) -> Ctx.store ctx addr v)
+    [
+      (Layout.page_kind lay ~gid, Config.kind_rootref lay.Layout.cfg);
+      (Layout.page_block_words lay ~gid, Config.rootref_words);
+      (Layout.page_capacity lay ~gid, 1);
+      (Layout.page_free lay ~gid, 0);
+      (Layout.page_used lay ~gid, 1);
+      (Rootref.pptr_slot rr, target);
+    ];
+  Rootref.set_state ctx rr ~in_use:true ~cnt:1
+
 let huge ?(rounds = 1) () : Explore.model =
   let make () =
     let arena = Shm.create ~cfg:arena_cfg () in
@@ -290,19 +310,26 @@ let huge ?(rounds = 1) () : Explore.model =
        overflows the head segment's capacity), so every free walks the
        tail-first release protocol through its [Free_huge_mid_release] /
        [Free_huge_after_reset] crash windows while the peer races claims
-       on the same small segment pool. *)
+       on the same small segment pool. Its payload ends in a RootRef-page
+       decoy naming a small object a third, unexplored client holds for the
+       whole run: a recovery that read the continuation as page metadata
+       would drop that count. *)
     let span_words = (Shm.layout arena).Layout.segment_words in
+    let holder = Shm.join arena () in
+    let target = Cxl_ref.obj (Shm.cxl_malloc holder ~size_bytes:8 ()) in
     let client ctx () =
       for i = 1 to rounds do
         let r = Shm.cxl_malloc_words ctx ~data_words:span_words () in
         Cxl_ref.write_word r 0 i;
-        Cxl_ref.write_word r (span_words - 1) (i * 7);
+        plant_rootref_decoy r ~target;
         if Cxl_ref.read_word r 0 <> i then fail "huge: head word corrupted";
         Cxl_ref.drop r
       done
     in
     let check ~crashed =
-      arena_check arena ~cids:[| a.Ctx.cid; b.Ctx.cid |] ~crashed
+      arena_check arena ~cids:[| a.Ctx.cid; b.Ctx.cid |] ~crashed;
+      let n = Refc.ref_cnt holder target in
+      if n <> 1 then fail "huge: the decoy's target holds count %d, want 1" n
     in
     { Explore.clients = [| client a; client b |]; check }
   in

@@ -32,7 +32,15 @@ val refc : ?rounds:int -> unit -> Explore.model
 val huge : ?rounds:int -> unit -> Explore.model
 (** Two clients allocating and freeing two-segment huge objects on a small
     segment pool: exercises the contiguous-run claim and the tail-first
-    [free_huge] release through its crash windows. *)
+    [free_huge] release through its crash windows. Each payload carries a
+    {!plant_rootref_decoy} naming a small object a third, unexplored
+    client holds for the whole run, and the oracle requires it to keep count 1. *)
+
+val plant_rootref_decoy : Cxlshm.Cxl_ref.t -> target:Cxlshm_shmem.Pptr.t -> unit
+(** Write into a two-segment huge object's payload, at its continuation's
+    page-0 metadata offsets, a RootRef page holding one in-use RootRef
+    that names [target]: payload that looks like page metadata to any
+    reader that does not classify the segment first. *)
 
 val epoch_retire : ?rounds:int -> unit -> Explore.model
 (** The [refc] workload with [Config.epoch_batch = 2]: zero-count rootrefs

@@ -276,14 +276,10 @@ let free_rootref (ctx : Ctx.t) rr =
 (* Huge objects: contiguous segment runs with retry-and-rollback       *)
 (* ------------------------------------------------------------------ *)
 
-let segs_needed (ctx : Ctx.t) total_words =
-  let lay = ctx.lay in
-  let head_capacity = lay.Layout.segment_words - lay.Layout.seg_hdr_words in
-  if total_words <= head_capacity then 1
-  else
-    1
-    + ((total_words - head_capacity + lay.Layout.segment_words - 1)
-       / lay.Layout.segment_words)
+(* The shortest run whose {!Heap.huge_capacity} holds [data_words]. *)
+let segs_needed lay ~data_words =
+  let over = data_words - Heap.huge_capacity lay ~span:1 in
+  1 + max 0 ((over + lay.Layout.segment_words - 1) / lay.Layout.segment_words)
 
 let claim_huge_run (ctx : Ctx.t) n =
   let num = (Ctx.cfg ctx).Config.num_segments in
@@ -351,7 +347,7 @@ let claim_huge_run (ctx : Ctx.t) n =
 
 let alloc_huge (ctx : Ctx.t) ~data_words ~emb_cnt =
   let total = Config.header_words + data_words in
-  let n = segs_needed ctx total in
+  let n = segs_needed ctx.Ctx.lay ~data_words in
   match claim_huge_run ctx n with
   | None -> raise Out_of_shared_memory
   | Some head ->
@@ -378,7 +374,7 @@ let alloc_huge (ctx : Ctx.t) ~data_words ~emb_cnt =
            slot; readers go through [data_words]. *)
         Ctx.store ctx (Layout.page_aux2 lay ~gid) (if p = 0 then data_words else 0)
       done;
-      let obj = Layout.segment_base lay head + lay.Layout.seg_hdr_words in
+      let obj = Heap.huge_obj lay head in
       Ctx.store ctx (Obj_header.meta_of_obj obj)
         (Obj_header.pack_meta ~kind ~emb_cnt
            ~data_words:(min data_words Obj_header.max_meta_data_words));
@@ -387,18 +383,13 @@ let alloc_huge (ctx : Ctx.t) ~data_words ~emb_cnt =
       done;
       obj
 
+let seg_class (ctx : Ctx.t) seg state =
+  Heap.of_state ctx.lay (Segment.state_to_int state) ~page0_kind:(fun () ->
+      Page.kind ctx ~gid:(Layout.page_gid ctx.lay ~seg ~page:0))
+
 let is_huge (ctx : Ctx.t) obj =
   let seg = Layout.segment_of_addr ctx.lay obj in
-  match Segment.state ctx seg with
-  | Segment.Huge_head | Segment.Huge_cont -> true
-  | Segment.Free | Segment.Active | Segment.Orphaned | Segment.Leaking ->
-      (* A leaking huge head keeps its page kind. *)
-      let gid = Layout.page_gid ctx.lay ~seg ~page:0 in
-      Page.kind ctx ~gid = Config.kind_huge (Ctx.cfg ctx)
-
-let huge_span (ctx : Ctx.t) ~head_seg =
-  let gid = Layout.page_gid ctx.Ctx.lay ~seg:head_seg ~page:0 in
-  Ctx.load ctx (Layout.page_aux ctx.Ctx.lay ~gid)
+  not (Heap.is_plain (seg_class ctx seg (Segment.state ctx seg)))
 
 let data_words (ctx : Ctx.t) obj ~meta =
   let dw = Obj_header.meta_data_words meta in
@@ -412,16 +403,28 @@ let data_words (ctx : Ctx.t) obj ~meta =
   end
   else dw
 
+(* A continuation's page metadata is payload: reset it as pages, whatever
+   kind it spells (a quarantine mark included), before the segment leaves
+   its run, so a Free segment's pages always read reset. *)
+let release_cont (ctx : Ctx.t) seg =
+  for p = 0 to (Ctx.cfg ctx).Config.pages_per_segment - 1 do
+    let gid = Layout.page_gid ctx.Ctx.lay ~seg ~page:p in
+    Ctx.store_pm ctx ~gid ~slot:0 (Layout.page_kind ctx.lay ~gid)
+      Config.kind_unused;
+    Page.reset ctx ~gid
+  done;
+  Segment.release ctx seg
+
 let free_huge (ctx : Ctx.t) obj =
   let head = Layout.segment_of_addr ctx.Ctx.lay obj in
-  let n = huge_span ctx ~head_seg:head in
+  let n = Heap.huge_span ~read:(Ctx.load ctx) ctx.Ctx.lay head in
   (* Tail-first: continuation segments go back to the arena while the head
      metadata (page kind + span) still sizes the run, so a crash anywhere
      in this loop leaves a run that Recovery/Fsck can finish releasing. The
      head — the only segment the rest of the run is discoverable from — is
      wiped and released last. *)
   for k = n - 1 downto 1 do
-    Segment.release ctx (head + k);
+    release_cont ctx (head + k);
     Ctx.crash_point ctx Fault.Free_huge_mid_release
   done;
   let pps = (Ctx.cfg ctx).Config.pages_per_segment in
@@ -554,8 +557,6 @@ let alloc_obj (ctx : Ctx.t) ~data_words ~emb_cnt =
         (Obj_header.pack { Obj_header.lcid = None; lera = 0; ref_cnt = 1 });
       Ctx.crash_point ctx Fault.Alloc_after_header;
       (rr, obj)
-
-let obj_page (ctx : Ctx.t) obj = snd (Page.block_of_addr ctx obj)
 
 let free_obj_block (ctx : Ctx.t) obj =
   if is_huge ctx obj then free_huge ctx obj

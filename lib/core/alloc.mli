@@ -41,13 +41,19 @@ val free_obj_block : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
     push it to the page free list (owner) or the segment's cross-client
     stack. Huge objects release their segment run instead. *)
 
+val release_cont : Ctx.t -> int -> unit
+(** Release a huge run's continuation segment, first resetting its pages:
+    their metadata words were payload. *)
+
 val collect_deferred : Ctx.t -> unit
 (** Drain the cross-client free stacks of this client's segments back into
     their pages (slow-path housekeeping). *)
 
+val seg_class : Ctx.t -> int -> Segment.state -> Heap.seg_class
+(** {!Heap.of_state} on a segment state the caller already read, with page
+    0's kind read through the page-metadata mirror. *)
+
 val is_huge : Ctx.t -> Cxlshm_shmem.Pptr.t -> bool
-val huge_span : Ctx.t -> head_seg:int -> int
-(** Number of segments occupied by the huge object headed at [head_seg]. *)
 
 val data_words : Ctx.t -> Cxlshm_shmem.Pptr.t -> meta:int -> int
 (** True payload word count of an object whose meta word the caller already
@@ -55,9 +61,6 @@ val data_words : Ctx.t -> Cxlshm_shmem.Pptr.t -> meta:int -> int
     {!Obj_header.max_meta_data_words} on a huge object: then the head page's
     [page_aux2] slot holds the true count (falling back to the field for
     pre-[page_aux2] images). *)
-
-val obj_page : Ctx.t -> Cxlshm_shmem.Pptr.t -> int
-(** Global page id of the page containing an object. *)
 
 val segment_device : Ctx.t -> int -> int
 (** Pool device serving a segment (the device of its base word) — the

@@ -3,12 +3,6 @@ module Stats = Cxlshm_shmem.Stats
 
 type status = Slot_free | Alive | Failed | Suspected
 
-let status_name = function
-  | Slot_free -> "free"
-  | Alive -> "alive"
-  | Failed -> "failed"
-  | Suspected -> "suspected"
-
 let status_of_int = function
   | 0 -> Slot_free
   | 1 -> Alive

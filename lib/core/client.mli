@@ -16,8 +16,6 @@ type status =
           the owner's next {!heartbeat} cancels it, a further TTL of
           silence condemns it to [Failed]. *)
 
-val status_name : status -> string
-
 val register : mem:Cxlshm_shmem.Mem.t -> lay:Layout.t -> ?cid:int -> unit -> Ctx.t
 (** Claim a client slot ([?cid] forces a specific one) and initialise the
     era row, redo log and page tables. Raises [Failure] when no slot is

@@ -123,15 +123,6 @@ let validate t =
   in
   check_backend t.backend
 
-let num_devices t =
-  let rec devs = function
-    | Cxlshm_shmem.Mem.Striped { devices; _ } -> devices
-    | Cxlshm_shmem.Mem.Flat | Cxlshm_shmem.Mem.Counting_fast -> 1
-    | Cxlshm_shmem.Mem.Faulty { base; _ } -> devs base
-    | Cxlshm_shmem.Mem.Sched base -> devs base
-  in
-  devs t.backend
-
 let num_classes t =
   let rec count n sz =
     if sz > t.page_words then n else count (n + 1) (sz * 2)

@@ -86,9 +86,6 @@ val small : t
 val validate : t -> unit
 (** Raises [Invalid_argument] on nonsensical geometry. *)
 
-val num_devices : t -> int
-(** Devices in the configured pool (1 for [Flat]/[Counting_fast]). *)
-
 (** {1 Size classes}
 
     Block sizes double from [min_block_words] up to the page size; class 0 is

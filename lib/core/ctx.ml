@@ -140,7 +140,6 @@ let cfg t = t.lay.Layout.cfg
    care where its allocations were steered. *)
 
 let pin_active t = t.alloc_pin <> []
-let pinned_segments t = t.alloc_pin
 
 let with_pin t segs f =
   let saved = t.alloc_pin in
@@ -265,8 +264,6 @@ let drain_dirty t =
   end
 
 (* {1 Cache tier} *)
-
-let cache_enabled t = t.cache.enabled
 
 let cache_drop t =
   let c = t.cache in

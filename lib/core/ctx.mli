@@ -100,7 +100,6 @@ val cfg : t -> Config.t
     client's private objects never land inside a channel it owns. *)
 
 val pin_active : t -> bool
-val pinned_segments : t -> int list
 
 val with_pin : t -> int list -> (unit -> 'a) -> 'a
 (** Run [f] with allocation pinned to [segs]; always restores the previous
@@ -182,8 +181,6 @@ val drain_dirty : t -> unit
     owns) or immutable facts (segment→device) may be mirrored; every
     mirror write happens alongside the write-through store; the whole
     tier drops to empty on attach/recovery and refills lazily. *)
-
-val cache_enabled : t -> bool
 
 val cache_drop : t -> unit
 (** Forget everything — the post-attach/post-recovery state. *)

@@ -1,12 +1,8 @@
 type report = { roots : int; marked : int; collected : int }
 
-let pp_report ppf r =
-  Format.fprintf ppf "roots=%d marked=%d collected=%d" r.roots r.marked
-    r.collected
-
 let collect (ctx : Ctx.t) =
   let read = Ctx.load ctx and lay = ctx.Ctx.lay in
-  let m = Heap.mark ~read lay ~wild:(fun _ _ -> ()) in
+  let m = Root_set.mark ~read lay ~wild:(fun _ _ -> ()) in
   (* Sweep: a positive count outside the marked set can never reach zero —
      cycle garbage. Zero its embedded slots without detaching (its peers
      are dying with it) and reclaim the block. *)
@@ -14,7 +10,7 @@ let collect (ctx : Ctx.t) =
   Heap.iter_objects ~read lay (fun b ->
       if
         Obj_header.ref_cnt_of (read (Obj_header.header_of_obj b)) > 0
-        && not (Hashtbl.mem m.Heap.holders b)
+        && not (Hashtbl.mem m.Root_set.holders b)
       then doomed := b :: !doomed);
   List.iter
     (fun b ->
@@ -25,7 +21,7 @@ let collect (ctx : Ctx.t) =
     !doomed;
   List.iter (fun b -> Alloc.free_obj_block ctx b) !doomed;
   {
-    roots = m.Heap.roots;
-    marked = Hashtbl.length m.Heap.holders;
+    roots = m.Root_set.roots;
+    marked = Hashtbl.length m.Root_set.holders;
     collected = List.length !doomed;
   }

@@ -7,7 +7,7 @@
     {e stop-the-world} mark-and-sweep over the shared pool that reclaims
     reference-counted garbage cycles.
 
-    The mark is {!Heap.mark}, the same one {!Fsck.repair} uses: from the
+    The mark is {!Root_set.mark}, the same one {!Fsck.repair} uses: from the
     durable roots — in-use RootRefs, queue-directory entries (ring contents
     are embedded references of the queue object and get traced), and named
     persistent roots — through embedded references, skipping any word that
@@ -24,8 +24,6 @@ type report = {
   marked : int;  (** live blocks reached from the roots *)
   collected : int;  (** unreachable count>0 blocks reclaimed (cycle garbage) *)
 }
-
-val pp_report : Format.formatter -> report -> unit
 
 val collect : Ctx.t -> report
 (** Run a full collection. The caller must guarantee quiescence. *)

@@ -65,12 +65,9 @@ let seg_on_degraded (ctx : Ctx.t) seg =
 (* A huge run lives on a degraded device if ANY of its segments does: the
    payload spills through the continuation segments. *)
 let huge_run_degraded (ctx : Ctx.t) ~head_seg =
-  let n = Alloc.huge_span ctx ~head_seg in
+  let n = Heap.huge_span ~read:(Ctx.load ctx) ctx.Ctx.lay head_seg in
   let rec go k = k < n && (seg_on_degraded ctx (head_seg + k) || go (k + 1)) in
   go 0
-
-let classify (ctx : Ctx.t) seg =
-  Heap.classify ~read:(Ctx.load ctx) ctx.Ctx.lay seg
 
 let live_obj (ctx : Ctx.t) obj =
   Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj obj)) > 0
@@ -84,13 +81,13 @@ let holders_of (ctx : Ctx.t) ~obj =
   let note holder p =
     if p = obj then
       match holder with
-      | Heap.Rootref rr -> acc := Rootref.pptr_slot rr :: !acc
-      | Heap.Embedded (o, i) -> acc := Obj_header.emb_slot o i :: !acc
-      | Heap.Queue_directory | Heap.Named_root -> ()
+      | Root_set.Rootref rr -> acc := Rootref.pptr_slot rr :: !acc
+      | Root_set.Embedded (o, i) -> acc := Obj_header.emb_slot o i :: !acc
+      | Root_set.Queue_directory | Root_set.Named_root -> ()
   in
-  Heap.iter_roots ~read lay note;
+  Root_set.iter_roots ~read lay note;
   Heap.iter_objects ~read lay (fun o ->
-      if live_obj ctx o then Heap.iter_embedded ~read o note);
+      if live_obj ctx o then Root_set.iter_embedded ~read o note);
   !acc
 
 (* Re-point one holder from [obj] to [nobj]: a transient RootRef takes a
@@ -197,7 +194,7 @@ let evacuate_obj_locked (ctx : Ctx.t) ~obj =
       Alloc.free_rootref ctx guard;
       Dead
   | () ->
-      if List.mem obj (Heap.directory_refs ~read:(Ctx.load ctx) ctx.Ctx.lay)
+      if List.mem obj (Root_set.directory_refs ~read:(Ctx.load ctx) ctx.Ctx.lay)
       then begin
         (* Directory words are owned by their subsystems (queue slots carry
            in-flight transfer protocol state); leave those objects where
@@ -313,16 +310,16 @@ let evacuate_obj (ctx : Ctx.t) ~obj =
 let live_blocks_on (ctx : Ctx.t) seg =
   let read = Ctx.load ctx and lay = ctx.Ctx.lay in
   let n = ref 0 in
-  (match classify ctx seg with
+  (match Heap.classify ~read lay seg with
   | Heap.Huge_head -> if live_obj ctx (Heap.huge_obj lay seg) then incr n
   | Heap.Huge_cont ->
       (* Alive iff its head is: find the head by walking back. *)
       let rec head s =
-        if classify ctx s = Heap.Huge_head then s else head (s - 1)
+        if Heap.classify ~read lay s = Heap.Huge_head then s else head (s - 1)
       in
       let h = head seg in
       if
-        Alloc.huge_span ctx ~head_seg:h > seg - h
+        Heap.huge_span ~read lay h > seg - h
         && live_obj ctx (Heap.huge_obj lay h)
       then incr n
   | Heap.Free | Heap.Class_pages ->
@@ -365,7 +362,7 @@ let drain_data (ctx : Ctx.t) r ~owned_only =
   in
   for seg = 0 to cfg.Config.num_segments - 1 do
     if (not owned_only) || mine seg then
-      match classify ctx seg with
+      match Heap.classify ~read:(Ctx.load ctx) ctx.Ctx.lay seg with
       | Heap.Huge_head ->
           if huge_run_degraded ctx ~head_seg:seg then
             move (Heap.huge_obj ctx.Ctx.lay seg)
@@ -493,7 +490,10 @@ let relocate_own (ctx : Ctx.t) =
        block. Callers patch their CXLRef handles from [remapped]. *)
     List.iter
       (fun seg ->
-        if seg_on_degraded ctx seg && Heap.is_plain (classify ctx seg) then
+        if
+          seg_on_degraded ctx seg
+          && Heap.is_plain (Heap.classify ~read:(Ctx.load ctx) ctx.Ctx.lay seg)
+        then
           Heap.iter_rootrefs ~read:(Ctx.load ctx) ctx.Ctx.lay seg (fun rr1 ->
               if Rootref.in_use ctx rr1 then begin
                 let rr2 = Alloc.alloc_rootref ctx in

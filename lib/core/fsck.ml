@@ -17,7 +17,7 @@
      2. a crash-recovery sweep of every recorded client, exactly as
         [Shm.load] does — half-done transactions resolve here
      3. mark from the durable roots (RootRefs, queue directory, named
-        roots) with [Heap.mark]: wild references are cleared at their
+        roots) with [Root_set.mark]: wild references are cleared at their
         holder, unreachable ref_cnt > 0 objects are freed, and every
         reachable object's count is rewritten to its actual number of
         holders
@@ -347,17 +347,17 @@ let repair (ctx : Ctx.t) =
   a.wild <- a.wild + Transfer.clear_wild_directory_refs mem lay ~valid;
   a.wild <- a.wild + Named_roots.clear_wild_directory_refs mem lay ~valid;
   let expected =
-    (Heap.mark ~read:peek lay ~wild:(fun holder _ ->
+    (Root_set.mark ~read:peek lay ~wild:(fun holder _ ->
          match holder with
-         | Heap.Rootref rr ->
+         | Root_set.Rootref rr ->
              poke rr 0;
              poke (rr + 1) 0;
              a.wild <- a.wild + 1
-         | Heap.Embedded (obj, i) ->
+         | Root_set.Embedded (obj, i) ->
              poke (Obj_header.emb_slot obj i) 0;
              a.wild <- a.wild + 1
-         | Heap.Queue_directory | Heap.Named_root -> (* cleared above *) ()))
-      .Heap.holders
+         | Root_set.Queue_directory | Root_set.Named_root -> (* cleared above *) ()))
+      .Root_set.holders
   in
   (* Sweep: unreachable counted objects are freed, reachable ones get their
      count rewritten to the number of holders actually found. lcid/lera are
@@ -373,14 +373,17 @@ let repair (ctx : Ctx.t) =
       if Obj_header.ref_cnt_of hdr <> exp then a.counts <- a.counts + 1
     end
   in
-  let release_huge_run head =
-    let n = run_span head in
-    Heap.iter_pages ~read:peek lay head (fun gid _ ->
+  (* Pages reset first: a continuation's page metadata is payload. *)
+  let release_run_segment s =
+    Heap.iter_pages ~read:peek lay s (fun gid _ ->
         poke (Layout.page_kind lay ~gid) Config.kind_unused;
         zero_page_meta gid);
-    for k = n - 1 downto 0 do
-      poke (Layout.seg_state lay (head + k)) 0;
-      poke (Layout.seg_occupied lay (head + k)) 0
+    poke (Layout.seg_state lay s) 0;
+    poke (Layout.seg_occupied lay s) 0
+  in
+  let release_huge_run head =
+    for k = run_span head - 1 downto 0 do
+      release_run_segment (head + k)
     done
   in
   Heap.iter_segments ~read:peek lay (fun s -> function
@@ -410,8 +413,7 @@ let repair (ctx : Ctx.t) =
   for s = 0 to ns - 1 do
     if classify s = Heap.Huge_cont && (s = 0 || Heap.is_plain (classify (s - 1)))
     then begin
-      poke (Layout.seg_state lay s) 0;
-      poke (Layout.seg_occupied lay s) 0;
+      release_run_segment s;
       a.segf <- a.segf + 1
     end
   done;

@@ -1,9 +1,9 @@
 (* The arena's walk-level format (Fig 3), in one place: a segment holds
    either pages of one kind each (fixed-size class blocks, or RootRefs) or
    one huge run — a head segment plus continuation segments whose headers
-   are part of the payload. Every whole-arena walker enumerates through
-   here, reading through a caller-supplied [read]: raw peeks for the
-   offline tools, attributed loads for online callers. *)
+   are part of the payload. Every segment-kind decision is made here,
+   reading through a caller-supplied [read]: raw peeks for the offline
+   tools, attributed loads for online callers. *)
 
 type seg_class = Free | Class_pages | Huge_head | Huge_cont
 
@@ -17,16 +17,16 @@ let st_cont = Segment.state_to_int Segment.Huge_cont
    before the state returns to [Free] — the kind is published after the
    head state and retracted before it. So a huge page-0 kind means a run
    nobody has released, whatever the state word says. *)
-let classify ~read lay seg =
-  let st = read (Layout.seg_state lay seg) in
+let of_state lay st ~page0_kind =
   if st = st_head then Huge_head
   else if st = st_cont then Huge_cont
-  else if
-    read (Layout.page_kind lay ~gid:(Layout.page_gid lay ~seg ~page:0))
-    = Config.kind_huge lay.Layout.cfg
-  then Huge_head
+  else if page0_kind () = Config.kind_huge lay.Layout.cfg then Huge_head
   else if st = st_free then Free
   else Class_pages
+
+let classify ~read lay seg =
+  of_state lay (read (Layout.seg_state lay seg)) ~page0_kind:(fun () ->
+      read (Layout.page_kind lay ~gid:(Layout.page_gid lay ~seg ~page:0)))
 
 let is_plain = function
   | Free | Class_pages -> true
@@ -134,64 +134,3 @@ let iter_objects ~read lay f =
     | Huge_head -> f (huge_obj lay seg)
     | Huge_cont -> ()
     | Free | Class_pages -> iter_class_blocks ~read lay seg f)
-
-(* ------------------------------------------------------------------ *)
-(* Roots and the mark                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type holder =
-  | Rootref of int
-  | Queue_directory
-  | Named_root
-  | Embedded of int * int
-
-let holder_name = function
-  | Rootref rr -> Printf.sprintf "rootref@%d" rr
-  | Queue_directory -> "queue-directory"
-  | Named_root -> "named-root"
-  | Embedded (obj, i) -> Printf.sprintf "emb@%d[%d]" obj i
-
-let directory_refs ~read lay =
-  Transfer.directory_refs ~read lay @ Named_roots.directory_refs ~read lay
-
-let iter_roots ~read lay f =
-  iter_segments ~read lay (fun seg -> function
-    | Huge_head | Huge_cont -> ()
-    | Free | Class_pages ->
-        iter_rootrefs ~read lay seg (fun rr ->
-            if Rootref.in_use_of_word (read rr) then begin
-              let obj = read (Rootref.pptr_slot rr) in
-              if obj <> 0 then f (Rootref rr) obj
-            end));
-  List.iter (f Queue_directory) (Transfer.directory_refs ~read lay);
-  List.iter (f Named_root) (Named_roots.directory_refs ~read lay)
-
-let iter_embedded ~read obj f =
-  let emb = Obj_header.meta_emb_cnt (read (Obj_header.meta_of_obj obj)) in
-  for i = 0 to emb - 1 do
-    let w = read (Obj_header.emb_slot obj i) in
-    if w <> 0 then f (Embedded (obj, i)) w
-  done
-
-type marks = { roots : int; holders : (int, int) Hashtbl.t }
-
-let mark ~read lay ~wild =
-  let holders = Hashtbl.create 256 in
-  let work = Queue.create () in
-  let add holder p =
-    if not (block_base_ok ~read lay p) then wild holder p
-    else
-      match Hashtbl.find_opt holders p with
-      | Some n -> Hashtbl.replace holders p (n + 1)
-      | None ->
-          Hashtbl.replace holders p 1;
-          Queue.push p work
-  in
-  let roots = ref 0 in
-  iter_roots ~read lay (fun h p ->
-      incr roots;
-      add h p);
-  while not (Queue.is_empty work) do
-    iter_embedded ~read (Queue.pop work) add
-  done;
-  { roots = !roots; holders }

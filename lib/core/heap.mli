@@ -1,19 +1,23 @@
-(** The arena's walk-level format (Fig 3): how segments, pages, blocks
-    and huge runs are laid out, and what counts as a reference holder.
+(** The arena's format (Fig 3): how segments, pages, blocks and huge
+    runs are laid out, and which words are metadata.
 
     A segment holds either pages of one kind each — fixed-size blocks of
     one size class, or RootRefs — or one huge run: a head segment whose
     first word after the header is the object, followed by continuation
     segments whose headers are part of the payload. That fixed shape is
-    what makes the §5.3 segment-local scan and the §6.2.2 oracle possible
-    without a heap walk.
+    what makes the §5.3 segment-local scan, the §3.2 RootRef scan and the
+    §6.2.2 oracle possible without a heap walk — provided every reader
+    tells the two shapes apart the same way. So every segment-kind
+    decision goes through {!classify} or {!of_state}: {!Alloc} (is a
+    freed block huge?), {!Reclaim} (the §5.3 scan), {!Recovery} (whose
+    pages are RootRef pages?) and every whole-arena walker ({!Validate},
+    {!Fsck}, {!Cycle_gc}, {!Evacuate}, {!Root_set}).
 
-    Every whole-arena walker ({!Validate}, {!Fsck}, {!Cycle_gc},
-    {!Evacuate}, and {!Recovery}'s RootRef scan) enumerates through this
-    module, so they agree on what a valid object is. Every function reads
-    through [read]: the offline tools pass [Mem.unsafe_peek], online
-    callers [Ctx.load]. Only metadata is read before a word is known to
-    be a block base, so the functions are safe on hostile words. *)
+    The module sits below {!Alloc}; the root set, which needs the
+    directories, is {!Root_set}. Every function reads through [read]: the
+    offline tools pass [Mem.unsafe_peek], online callers [Ctx.load]. Only
+    metadata is read before a word is known to be a block base, so the
+    functions are safe on hostile words. *)
 
 type seg_class =
   | Free  (** unowned; its pages are reset *)
@@ -28,11 +32,20 @@ val classify : read:(int -> int) -> Layout.t -> int -> seg_class
     returns to [Free], while leak-marking, orphaning and adoption rewrite
     the state alone. *)
 
+val of_state : Layout.t -> int -> page0_kind:(unit -> int) -> seg_class
+(** {!classify} from a state word the caller already read; [page0_kind]
+    is called only when the state leaves the class open. Lets a hot path
+    keep its own loads (the allocator reads page 0's kind through its
+    page-metadata mirror). *)
+
 val is_plain : seg_class -> bool
 (** {!Free} or {!Class_pages}: the page-level iterators apply. *)
 
 val huge_obj : Layout.t -> int -> Cxlshm_shmem.Pptr.t
 (** The object of a huge run headed at this segment. *)
+
+val huge_span : read:(int -> int) -> Layout.t -> int -> int
+(** Segments in the huge run headed at this segment (at least 1). *)
 
 val huge_capacity : Layout.t -> span:int -> int
 (** Data words a huge run of [span] segments can hold. *)
@@ -81,36 +94,3 @@ val iter_segments : read:(int -> int) -> Layout.t -> (int -> seg_class -> unit) 
 val iter_objects : read:(int -> int) -> Layout.t -> (Cxlshm_shmem.Pptr.t -> unit) -> unit
 (** Every object block of the arena, live or not: class blocks and huge
     heads. *)
-
-(** {1 Roots and the mark} *)
-
-type holder =
-  | Rootref of Cxlshm_shmem.Pptr.t  (** an in-use RootRef block *)
-  | Queue_directory
-  | Named_root
-  | Embedded of Cxlshm_shmem.Pptr.t * int  (** object, slot index *)
-
-val holder_name : holder -> string
-
-val directory_refs : read:(int -> int) -> Layout.t -> Cxlshm_shmem.Pptr.t list
-(** Objects held by the queue directory and the named-root directory. *)
-
-val iter_roots : read:(int -> int) -> Layout.t -> (holder -> Cxlshm_shmem.Pptr.t -> unit) -> unit
-(** The durable roots: every in-use RootRef's target, then the directory
-    entries. *)
-
-val iter_embedded :
-  read:(int -> int) -> Cxlshm_shmem.Pptr.t -> (holder -> Cxlshm_shmem.Pptr.t -> unit) -> unit
-(** Every non-null embedded reference of an object. *)
-
-type marks = {
-  roots : int;  (** root references seen, duplicates included *)
-  holders : (int, int) Hashtbl.t;
-      (** every object reachable from the roots, with its holder count *)
-}
-
-val mark :
-  read:(int -> int) -> Layout.t -> wild:(holder -> Cxlshm_shmem.Pptr.t -> unit) -> marks
-(** Mark from the roots through embedded references. A reference that is
-    not a block base ({!block_base_ok}) is passed to [wild] and neither
-    counted nor followed. *)

@@ -39,7 +39,7 @@ val recover_endpoints :
     left alone — that is the point. *)
 
 val directory_refs : read:(int -> int) -> Layout.t -> Cxlshm_shmem.Pptr.t list
-(** Root-set helper ({!Heap.iter_roots}): object pointers currently held by
+(** Root-set helper ({!Root_set.iter_roots}): object pointers currently held by
     the directory, read through [read]. *)
 
 val clear_wild_directory_refs :

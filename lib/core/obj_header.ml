@@ -6,8 +6,6 @@ let f_lcid = Word.field ~shift:52 ~bits:10
 let f_lera = Word.field ~shift:18 ~bits:34
 let f_cnt = Word.field ~shift:0 ~bits:18
 
-let max_era = Word.max_value f_lera
-let max_ref_cnt = Word.max_value f_cnt
 let max_clients_representable = Word.max_value f_lcid - 1
 
 type t = { lcid : int option; lera : int; ref_cnt : int }

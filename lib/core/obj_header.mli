@@ -19,8 +19,6 @@ val zero : t
 val pack : t -> int
 val unpack : int -> t
 
-val max_era : int
-val max_ref_cnt : int
 val max_clients_representable : int
 
 val make : lcid:int -> lera:int -> ref_cnt:int -> int

@@ -71,17 +71,6 @@ let reset (ctx : Ctx.t) ~gid =
     Ctx.store ctx (Layout.page_aux2 ctx.lay ~gid) 0
   end
 
-let pop_free (ctx : Ctx.t) ~gid ~rootref =
-  let head = free_head ctx ~gid in
-  if head = 0 then None
-  else begin
-    let off = next_slot_offset ~kind_rootref:rootref in
-    let next = Ctx.load ctx (head + off) in
-    set_free_head ctx ~gid next;
-    incr_used ctx ~gid;
-    Some head
-  end
-
 let push_free (ctx : Ctx.t) ~gid ~rootref block =
   let off = next_slot_offset ~kind_rootref:rootref in
   let head = free_head ctx ~gid in

@@ -33,11 +33,6 @@ val set_used : Ctx.t -> gid:int -> int -> unit
 val incr_used : Ctx.t -> gid:int -> unit
 val decr_used : Ctx.t -> gid:int -> unit
 
-val pop_free : Ctx.t -> gid:int -> rootref:bool -> Cxlshm_shmem.Pptr.t option
-(** Owner-side pop of the free-list head (reads the head's next pointer and
-    advances [free]). Used for plain block allocation where no RootRef
-    linking interleaves; [Alloc] re-implements the interleaved §5.1 order
-    itself. *)
 
 val push_free : Ctx.t -> gid:int -> rootref:bool -> Cxlshm_shmem.Pptr.t -> bool
 (** Owner-side push of a freed block. True when the page was full, i.e.

@@ -137,40 +137,40 @@ let recycle_plain_segment (ctx : Ctx.t) seg =
   Segment.release ctx seg
 
 let scan_segment (ctx : Ctx.t) seg =
-  let cfg = Ctx.cfg ctx in
-  let gid0 = Layout.page_gid ctx.lay ~seg ~page:0 in
-  if Page.kind ctx ~gid:gid0 = Config.kind_huge cfg then begin
-    (* Huge object: a single computable header decides the whole span. *)
-    let obj = Layout.segment_base ctx.lay seg + ctx.lay.Layout.seg_hdr_words in
-    if Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj obj)) = 0
-    then begin
-      let n = Alloc.huge_span ctx ~head_seg:seg in
-      (* Finish (or perform) the tail-first release order of
-         [Alloc.free_huge]: if the owner died mid-free, some continuation
-         segments are already back in the arena — and may have been
-         re-claimed by a live peer — so only segments still [Huge_cont]
-         under the run's owner belong to it. Tails first; the head page
-         metadata (the only thing that sizes the run) is wiped last, so a
-         crash here leaves a rerunnable state. *)
-      let owner0 = Segment.owner ctx seg in
-      for k = n - 1 downto 1 do
-        let s = seg + k in
-        if
-          s < cfg.Config.num_segments
-          && Segment.state ctx s = Segment.Huge_cont
-          && Segment.owner ctx s = owner0
-        then Segment.release ctx s
-      done;
-      recycle_plain_segment ctx seg;
-      true
-    end
-    else false
-  end
-  else if segment_all_zero ctx seg then begin
-    recycle_plain_segment ctx seg;
-    true
-  end
-  else false
+  match Alloc.seg_class ctx seg (Segment.state ctx seg) with
+  | Heap.Huge_head ->
+      (* Huge object: a single computable header decides the whole span. *)
+      let obj = Heap.huge_obj ctx.lay seg in
+      if Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj obj)) = 0
+      then begin
+        let n = Heap.huge_span ~read:(Ctx.load ctx) ctx.lay seg in
+        (* Finish (or perform) the tail-first release order of
+           [Alloc.free_huge]: if the owner died mid-free, some continuation
+           segments are already back in the arena — and may have been
+           re-claimed by a live peer — so only segments still [Huge_cont]
+           under the run's owner belong to it. Tails first; the head page
+           metadata (the only thing that sizes the run) is wiped last, so a
+           crash here leaves a rerunnable state. *)
+        let owner0 = Segment.owner ctx seg in
+        for k = n - 1 downto 1 do
+          let s = seg + k in
+          if
+            s < (Ctx.cfg ctx).Config.num_segments
+            && Segment.state ctx s = Segment.Huge_cont
+            && Segment.owner ctx s = owner0
+          then Alloc.release_cont ctx s
+        done;
+        recycle_plain_segment ctx seg;
+        true
+      end
+      else false
+  | Heap.Huge_cont -> false
+  | Heap.Free | Heap.Class_pages ->
+      if segment_all_zero ctx seg then begin
+        recycle_plain_segment ctx seg;
+        true
+      end
+      else false
 
 let scan_all (ctx : Ctx.t) ~is_client_alive =
   Trace.with_span ctx Cxlshm_shmem.Histogram.Recovery_scan @@ fun () ->

@@ -69,8 +69,11 @@ val recycle_plain_segment : Ctx.t -> int -> unit
 val scan_segment : Ctx.t -> int -> bool
 (** §5.3 asynchronous segment-local full scan: if every block of the
     segment has reference count zero (computed positions — pages are carved
-    into fixed-size blocks), recycle the whole segment. Returns [true] when
-    the segment was recycled. Only meaningful for [Leaking] or [Orphaned]
+    into fixed-size blocks), recycle the whole segment; a huge head's one
+    header decides its whole run. The segment is classified through
+    {!Alloc.seg_class}; a continuation is never scanned on its own.
+    Returns [true] when the
+    segment was recycled. Only meaningful for [Leaking] or [Orphaned]
     segments without a live owner. *)
 
 val scan_all : Ctx.t -> is_client_alive:(int -> bool) -> int

@@ -202,32 +202,45 @@ let recover_journal (ctx : Ctx.t) ~cid report =
         slots;
       Epoch.clear_journal ctx ~cid
 
-let scan_rootref_pages (ctx : Ctx.t) ~cid report =
+(* [seg]'s class while [cid] still owns it, read where a phase acts on
+   it. Recovery does not block peers: between the walk of [cid]'s
+   segments and a phase, a live peer may free a huge run of [cid]'s, or a
+   §5.3 scan recycle a leak-marked segment, and another client claim it. *)
+let class_if_owned (ctx : Ctx.t) ~cid seg =
+  if Segment.owner ctx seg = Some cid then
+    Some (Heap.classify ~read:(Ctx.load ctx) ctx.Ctx.lay seg)
+  else None
+
+let scan_rootref_pages (ctx : Ctx.t) ~cid segs report =
   let holds = Limbo.holders ctx in
   List.iter
     (fun seg ->
-      Heap.iter_rootref_pages ~read:(Ctx.load ctx) ctx.Ctx.lay seg (fun gid ->
-          (* An in_use block at the head of the free chain is a RootRef
-             allocation that died before advancing the free pointer. *)
-          let head = Page.free_head ctx ~gid in
-          if head <> 0 && Rootref.in_use ctx head then
-            Rootref.set_state ctx head ~in_use:false ~cnt:0;
-          List.iter
-            (fun rr ->
-              if Rootref.in_use ctx rr && not (Hashtbl.mem holds rr) then
-                release_one_rootref ctx ~cid rr report)
-            (Page.blocks ctx ~gid)))
-    (Segment.owned_by ctx ~cid)
+      (* Only class-page segments have RootRef pages: a huge run's page
+         metadata, and a continuation's whole header, may be payload
+         spelling anything. *)
+      if class_if_owned ctx ~cid seg = Some Heap.Class_pages then
+        Heap.iter_rootref_pages ~read:(Ctx.load ctx) ctx.Ctx.lay seg (fun gid ->
+            (* An in_use block at the head of the free chain is a RootRef
+               allocation that died before advancing the free pointer. *)
+            let head = Page.free_head ctx ~gid in
+            if head <> 0 && Rootref.in_use ctx head then
+              Rootref.set_state ctx head ~in_use:false ~cnt:0;
+            List.iter
+              (fun rr ->
+                if Rootref.in_use ctx rr && not (Hashtbl.mem holds rr) then
+                  release_one_rootref ctx ~cid rr report)
+              (Page.blocks ctx ~gid)))
+    segs
 
 (* ------------------------------------------------------------------ *)
 (* Phase 5: segments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let handle_segments (ctx : Ctx.t) ~cid report =
+let handle_segments (ctx : Ctx.t) ~cid segs report =
   List.iter
     (fun seg ->
-      match Heap.classify ~read:(Ctx.load ctx) ctx.Ctx.lay seg with
-      | Heap.Huge_head ->
+      match class_if_owned ctx ~cid seg with
+      | Some Heap.Huge_head ->
           (* Leak-marked too when the owner died inside [free_huge] (the
              release path leak-marks before freeing): the tail-first run
              release finishes here — the plain-segment path below would
@@ -243,10 +256,10 @@ let handle_segments (ctx : Ctx.t) ~cid report =
             report :=
               { !report with segments_orphaned = !report.segments_orphaned + 1 }
           end
-      | Heap.Huge_cont ->
+      | Some Heap.Huge_cont ->
           (* Handled alongside its head; ownership follows the head. *)
           ()
-      | Heap.Class_pages ->
+      | Some Heap.Class_pages ->
           if
             Reclaim.segment_all_zero ctx seg
             && not (Transfer.seg_held_by_live_peer ctx ~seg ~dead_cid:cid)
@@ -262,8 +275,8 @@ let handle_segments (ctx : Ctx.t) ~cid report =
             report :=
               { !report with segments_orphaned = !report.segments_orphaned + 1 }
           end
-      | Heap.Free -> ())
-    (Segment.owned_by ctx ~cid)
+      | Some Heap.Free | None -> ())
+    segs
 
 (* ------------------------------------------------------------------ *)
 (* Orchestration                                                       *)
@@ -282,12 +295,15 @@ let run_phases (ctx : Ctx.t) ~cid =
   Transfer.recover_endpoints ctx ~failed_cid:cid ~reclaim:(count_zeroed report);
   Named_roots.recover_endpoints ctx ~failed_cid:cid
     ~reclaim:(count_zeroed report);
-  scan_rootref_pages ctx ~cid report;
+  (* One walk of the segment table serves both phases below; each
+     re-checks ownership and class where it acts. *)
+  let owned = Segment.owned_by ctx ~cid in
+  scan_rootref_pages ctx ~cid owned report;
   (* The recovery service itself may die mid-recovery; every phase above is
      idempotent and the recovery lock still names [cid], so the next service
      instance resumes via [resume_interrupted]. *)
   Ctx.crash_point ctx Fault.Recovery_mid_phases;
-  handle_segments ctx ~cid report;
+  handle_segments ctx ~cid owned report;
   Redo_log.clear_for ctx ~cid;
   Client.mark_recovered ctx ~cid;
   !report

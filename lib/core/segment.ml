@@ -2,14 +2,6 @@ module Word = Cxlshm_shmem.Word
 
 type state = Free | Active | Orphaned | Leaking | Huge_head | Huge_cont
 
-let state_name = function
-  | Free -> "free"
-  | Active -> "active"
-  | Orphaned -> "orphaned"
-  | Leaking -> "potential-leaking"
-  | Huge_head -> "huge-head"
-  | Huge_cont -> "huge-cont"
-
 let state_to_int = function
   | Free -> 0
   | Active -> 1
@@ -86,11 +78,6 @@ let orphan (ctx : Ctx.t) ~cid s =
   | Some _ | None -> ()
 
 let mark_leaking (ctx : Ctx.t) s = set_state ctx s Leaking
-
-let find_free (ctx : Ctx.t) =
-  let n = (Ctx.cfg ctx).Config.num_segments in
-  let rec go s = if s >= n then None else if owner ctx s = None then Some s else go (s + 1) in
-  go 0
 
 let owned_by (ctx : Ctx.t) ~cid =
   (* A client's own set comes from the cache mirror once populated (its

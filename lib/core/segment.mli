@@ -14,8 +14,6 @@ type state =
   | Huge_head
   | Huge_cont
 
-val state_name : state -> string
-
 val state_to_int : state -> int
 (** The segment state word's encoding. *)
 
@@ -43,12 +41,9 @@ val orphan : Ctx.t -> cid:int -> int -> unit
     client that rejoins the same slot. *)
 
 val mark_leaking : Ctx.t -> int -> unit
-(** Idempotent POTENTIAL_LEAKING marking. Keeps [Huge_head] segments
-    distinguishable by setting them to [Leaking] as well (the scan uses page
-    kinds to tell them apart). *)
-
-val find_free : Ctx.t -> int option
-(** Index of some currently free segment (no claim performed). *)
+(** Idempotent POTENTIAL_LEAKING marking. Sets [Huge_head] segments to
+    [Leaking] as well: {!Heap.classify} still tells them apart by page 0's
+    kind. *)
 
 val owned_by : Ctx.t -> cid:int -> int list
 (** All segments currently occupied by [cid], ascending. Off the cache

@@ -159,7 +159,7 @@ val recover_endpoints :
     ({!Reclaim.release_as}). *)
 
 val directory_refs : read:(int -> int) -> Layout.t -> Cxlshm_shmem.Pptr.t list
-(** Root-set helper ({!Heap.iter_roots}): the queue-object pointers
+(** Root-set helper ({!Root_set.iter_roots}): the queue-object pointers
     currently held (counted) by directory slots, read through [read]. *)
 
 val clear_wild_directory_refs :

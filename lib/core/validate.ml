@@ -66,7 +66,7 @@ let run mem lay =
   let expected : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let holders : (int, string list) Hashtbl.t = Hashtbl.create 256 in
   let add_ref holder obj =
-    let from = Heap.holder_name holder in
+    let from = Root_set.holder_name holder in
     if not (Heap.block_base_ok ~read:peek lay obj) then begin
       acc.wild <- acc.wild + 1;
       err acc "wild pointer @%d held by %s" obj from
@@ -78,9 +78,9 @@ let run mem lay =
         (from :: (try Hashtbl.find holders obj with Not_found -> []))
     end
   in
-  Heap.iter_roots ~read:peek lay add_ref;
+  Root_set.iter_roots ~read:peek lay add_ref;
   Heap.iter_objects ~read:peek lay (fun obj ->
-      if live_obj obj then Heap.iter_embedded ~read:peek obj add_ref);
+      if live_obj obj then Root_set.iter_embedded ~read:peek obj add_ref);
 
   (* ---- free structures ---- *)
   let free_set : (int, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -209,6 +209,12 @@ let run mem lay =
         (String.concat ", " (try Hashtbl.find holders obj with Not_found -> []))
     end
   in
+  (* A count-zero block a pending scan covers, unless something still
+     names it: then its count was taken from a live holder. *)
+  let pending obj what =
+    if Hashtbl.mem expected obj then check_count obj 0 what
+    else acc.pending <- acc.pending + 1
+  in
   Heap.iter_segments ~read:peek lay (fun seg -> function
     | Heap.Huge_cont -> ()
     | Heap.Huge_head ->
@@ -224,7 +230,7 @@ let run mem lay =
               (Obj_header.meta_data_words (peek (Obj_header.meta_of_obj obj)))
           end
         end
-        else if scan_pending seg then acc.pending <- acc.pending + 1
+        else if scan_pending seg then pending obj "huge object"
         else begin
           acc.leak <- acc.leak + 1;
           err acc "huge object @%d: count 0, not pending any scan" obj
@@ -250,7 +256,7 @@ let run mem lay =
                       check_count b (Obj_header.ref_cnt_of (peek b)) "object"
                     end
                   else if in_free then acc.free <- acc.free + 1
-                  else if scan_pending seg then acc.pending <- acc.pending + 1
+                  else if scan_pending seg then pending b "object"
                   else begin
                     acc.leak <- acc.leak + 1;
                     err acc "block @%d: count 0, off-list, segment %d not pending"

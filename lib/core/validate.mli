@@ -11,18 +11,20 @@
       ({!Heap.block_base_ok});
     - {b double frees}: a block present twice in free structures, or both
       free and live;
-    - {b count mismatches}: header count ≠ number of holders, a huge
-      object's true-length word out of line with its meta
+    - {b count mismatches}: header count ≠ number of holders (a
+      count-zero block awaiting a scan included: nothing may still name
+      it), a huge object's true-length word out of line with its meta
       ({!Heap.huge_length_ok}), or a limbo row out of line;
     - {b leaks}: a count-zero block that is in no free structure and whose
       segment is not awaiting the POTENTIAL_LEAKING / orphan scan;
     - {b pending}: count-zero off-list blocks that {e are} covered by a
-      pending scan (allowed by design, §5.3).
+      pending scan and that no holder names (allowed by design, §5.3).
 
-    It enumerates the arena through {!Heap} — the segment classifier, the
-    block iterators and the root set that {!Fsck}, {!Cycle_gc} and
-    {!Evacuate} walk too — so a reference is wild here exactly when those
-    would refuse it (a huge continuation's first word included).
+    It enumerates the arena through {!Heap} and {!Root_set} — the segment
+    classifier, the block iterators and the root set that {!Fsck},
+    {!Cycle_gc} and {!Evacuate} walk too — so a reference is wild here
+    exactly when those would refuse it (a huge continuation's first word
+    included).
 
     Run only on a quiesced arena (no in-flight operations). Use it before
     {!Fsck.repair} to decide whether repair is needed. *)

@@ -76,6 +76,12 @@ let handler ~func ~args ~output =
 
 let task_handler : Cxl_rpc.handler = handler
 
+(* A served call's message stays in its ring slot, holding the call's
+   output, until the slot is lent again: a short ring leaves most of a
+   channel's sub-heap to outputs [run_maps] can free by merging them. The
+   sub-heap must hold [ring + 1] calls' messages and outputs. *)
+let ring = 8
+
 let start ~arena ~master ~executors:n =
   if n < 1 then invalid_arg "Cxl_mapreduce.start";
   let stops = Atomic.make false in
@@ -86,7 +92,7 @@ let start ~arena ~master ~executors:n =
             let ctx = Shm.join arena () in
             Atomic.set ready.(i) (ctx.Ctx.cid + 1);
             let server =
-              Cxl_rpc.accept ctx ~client_cid:master.Ctx.cid ~capacity:64
+              Cxl_rpc.accept ctx ~client_cid:master.Ctx.cid ~capacity:ring
             in
             (* Chunks and the centroid table are master-allocated shared
                objects passed by reference across every executor's channel
@@ -103,10 +109,9 @@ let start ~arena ~master ~executors:n =
           if c = 0 then (Domain.cpu_relax (); wait ()) else c - 1
         in
         let cid = wait () in
-        (* [run_maps] issues a whole phase before it collects any output,
-           so each channel takes the largest sub-heap a directory slot can
-           register: the outputs of one phase live there at once. *)
-        Cxl_rpc.connect master ~server_cid:cid ~capacity:64
+        (* The largest sub-heap a directory slot can register: the more
+           outputs fit, the fewer calls [run_maps] must finish early. *)
+        Cxl_rpc.connect master ~server_cid:cid ~capacity:ring
           ~sub_heap_segments:Layout.queue_max_channel_segs)
   in
   { arena; master; clients; stops; domains }
@@ -116,28 +121,42 @@ let stop s =
   List.iter Domain.join s.domains;
   Array.iter Cxl_rpc.close_client s.clients
 
-(* Dispatch one map task per chunk, round-robin, then merge. *)
+(* Dispatch one map task per chunk, round-robin, merging outputs as they
+   are collected. A channel's sub-heap bounds its calls in flight: when a
+   call does not fit, the channel's oldest call is finished and merged and
+   its output freed, and the call is retried. *)
 let run_maps s ~func ~chunk_args ~output_words ~combine =
-  let pendings =
-    List.mapi
-      (fun i args ->
-        let client = s.clients.(i mod Array.length s.clients) in
-        Cxl_rpc.call_async client ~func ~args ~output_bytes:(output_words * 7))
-      chunk_args
-  in
   let merged = Hashtbl.create 1024 in
-  List.iter
-    (fun p ->
-      let out = Cxl_rpc.finish p in
-      List.iter
-        (fun (k, v) ->
-          Hashtbl.replace merged k
-            (match Hashtbl.find_opt merged k with
-            | Some v0 -> combine v0 v
-            | None -> v))
-        (read_pairs (Message.view_of_ref out));
-      Cxl_ref.drop out)
-    pendings;
+  let merge p =
+    let out = Cxl_rpc.finish p in
+    List.iter
+      (fun (k, v) ->
+        Hashtbl.replace merged k
+          (match Hashtbl.find_opt merged k with
+          | Some v0 -> combine v0 v
+          | None -> v))
+      (read_pairs (Message.view_of_ref out));
+    Cxl_ref.drop out
+  in
+  let in_flight = Array.map (fun _ -> Queue.create ()) s.clients in
+  List.iteri
+    (fun i args ->
+      let c = i mod Array.length s.clients in
+      let client = s.clients.(c) and q = in_flight.(c) in
+      let rec call () =
+        match
+          Cxl_rpc.call_async client ~func ~args ~output_bytes:(output_words * 7)
+        with
+        | p -> Queue.push p q
+        | exception Alloc.Out_of_shared_memory when not (Queue.is_empty q) ->
+            merge (Queue.pop q);
+            (* Under epoch batching the drop only parked the output. *)
+            Reclaim.flush_retired s.master;
+            call ()
+      in
+      call ())
+    chunk_args;
+  Array.iter (Queue.iter merge) in_flight;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged [])
 
 let wordcount s ~chunks ~vocab =

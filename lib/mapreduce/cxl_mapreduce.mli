@@ -17,9 +17,14 @@ type session
 val start : arena:Cxlshm.Shm.arena -> master:Cxlshm.Ctx.t -> executors:int -> session
 (** Spawn executor clients (one domain each) serving the built-in job
     handlers. Each channel gets the largest sub-heap a directory slot can
-    register ({!Cxlshm.Layout.queue_max_channel_segs} segments): a map
-    phase issues every task before collecting any output, so all of a
-    channel's outputs for one phase must fit there at once. *)
+    register ({!Cxlshm.Layout.queue_max_channel_segs} segments). A map
+    phase issues its tasks round-robin; when a channel's sub-heap cannot
+    hold the next call, the channel's oldest call is finished and merged
+    first. A finished call's output stays pinned by its message until the
+    channel's 8-slot ring lends that slot again, so a phase of any length
+    runs provided the sub-heap holds nine calls' messages and outputs (the
+    example's geometry, 3 segments of 8 pages with one-page outputs, holds
+    about 22); otherwise [Out_of_shared_memory] escapes. *)
 
 val stop : session -> unit
 val executors : session -> int

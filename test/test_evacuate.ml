@@ -126,7 +126,7 @@ let test_huge_move () =
   Alcotest.(check int) "last word" 22 (Cxl_ref.read_word h (words - 1));
   (* no segment of the replacement run touches the degraded device *)
   let head_seg = seg_of arena obj1 in
-  for k = 0 to Alloc.huge_span a ~head_seg - 1 do
+  for k = 0 to Heap.huge_span ~read:(Ctx.load a) (Shm.layout arena) head_seg - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "run segment %d healthy" (head_seg + k))
       true

@@ -97,7 +97,7 @@ let prop_gc_never_touches_reachable =
       Alloc.collect_deferred a;
       ok_counts && ok_data && Validate.is_clean (Shm.validate arena))
 
-(* Cycle_gc and Fsck sweep over the same mark (Heap.mark). Random graphs —
+(* Cycle_gc and Fsck sweep over the same mark (Root_set.mark). Random graphs —
    chains, 2-4 cycles, cross links, a queued message, a named root and one
    huge object — lose a random subset of their handles; after a collection
    the arena validates, everything reachable from a kept handle reads back,

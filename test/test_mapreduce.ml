@@ -72,6 +72,28 @@ let test_cxl_wordcount () =
   Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
     (Validate.is_clean v)
 
+(* A phase longer than a channel's sub-heap holds: the example's geometry
+   with a 60,000-word corpus gives 112 chunks over 3 executors, whose
+   outputs do not all fit in flight at once. *)
+let test_cxl_wordcount_long_phase () =
+  let cfg =
+    { Config.default with
+      Config.max_clients = 8; num_segments = 256; pages_per_segment = 8 }
+  in
+  let arena = Shm.create ~cfg () in
+  let master = Shm.join arena () in
+  let corpus = Textgen.generate ~words:60_000 ~vocab:500 ~seed:7 in
+  let raw = List.map Bytes.of_string (Textgen.chunks corpus ~chunk_bytes:2048) in
+  Alcotest.(check int) "chunks" 112 (List.length raw);
+  let session = Mr.start ~arena ~master ~executors:3 in
+  let chunks = List.map (Mr.store_chunk master) raw in
+  let got = Mr.wordcount session ~chunks ~vocab:500 in
+  Mr.stop session;
+  Alcotest.(check (list (pair int int))) "cxl-mapreduce = oracle"
+    (sequential_wordcount raw) got;
+  List.iter Cxl_ref.drop chunks;
+  Shm.leave master
+
 let test_kmeans_points_roundtrip () =
   let points = Array.init 20 (fun i -> Array.init 4 (fun d -> (i * 10) + d)) in
   let decoded = Mr_job.decode_points (Mr_job.encode_points points) ~dims:4 in
@@ -134,6 +156,8 @@ let suite =
     Alcotest.test_case "textgen" `Quick test_textgen;
     Alcotest.test_case "phoenix wordcount" `Quick test_phoenix_wordcount;
     Alcotest.test_case "cxl wordcount" `Quick test_cxl_wordcount;
+    Alcotest.test_case "cxl wordcount, long phase" `Quick
+      test_cxl_wordcount_long_phase;
     Alcotest.test_case "kmeans points roundtrip" `Quick test_kmeans_points_roundtrip;
     Alcotest.test_case "cxl kmeans converges" `Quick test_cxl_kmeans_converges;
     Alcotest.test_case "phoenix kmeans = oracle" `Quick test_phoenix_kmeans_matches;

@@ -513,6 +513,70 @@ let test_deep_chain () =
   Alcotest.(check int) "nothing alive" 0 v.Validate.live_objects;
   check_clean arena "deep chain"
 
+(* A's huge run, shared with B, carries a RootRef page in its payload at
+   the continuation's page-metadata offsets, naming an object B holds
+   alone. Recovering A must read that continuation as payload: the
+   words stay as written and B's object keeps its count. *)
+let test_huge_payload_not_metadata () =
+  let arena, a, b = setup () in
+  let mine = Shm.cxl_malloc b ~size_bytes:8 () in
+  let words = (Shm.layout arena).Layout.segment_words in
+  let ra = Shm.cxl_malloc_words a ~data_words:words () in
+  Cxlshm_check.Scenarios.plant_rootref_decoy ra ~target:(Cxl_ref.obj mine);
+  let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:4 in
+  Alcotest.(check bool) "sent" true (Transfer.send q ra = Transfer.Sent);
+  let qb = Option.get (Transfer.open_from b ~sender:a.Ctx.cid) in
+  let rb =
+    match Transfer.receive qb with
+    | Transfer.Received r -> r
+    | _ -> Alcotest.fail "receive"
+  in
+  let payload () = List.init words (Cxl_ref.read_word rb) in
+  let before = payload () in
+  Client.declare_failed (Shm.service_ctx arena) ~cid:a.Ctx.cid;
+  ignore (Shm.recover arena ~failed_cid:a.Ctx.cid);
+  Alcotest.(check (list int)) "payload unchanged" before (payload ());
+  Alcotest.(check int) "B's object keeps its count" 1
+    (Refc.ref_cnt b (Cxl_ref.obj mine));
+  check_clean arena "huge payload"
+
+(* Recovery does not block peers. Between its RootRef phase and its
+   segment phase, B drops the last count of A's shared huge object, which
+   frees A's run, and C claims the run's head segment (as the allocator
+   does before it carves a page). The segment phase must leave C's
+   segment alone, not take it for A's count-zero huge head. *)
+let test_segment_claimed_mid_recovery () =
+  let arena, a, b = setup () in
+  let c = Shm.join arena () in
+  let lay = Shm.layout arena in
+  let ra = Shm.cxl_malloc_words a ~data_words:lay.Layout.segment_words () in
+  let run = Layout.segment_of_addr lay (Cxl_ref.obj ra) in
+  let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:4 in
+  Alcotest.(check bool) "sent" true (Transfer.send q ra = Transfer.Sent);
+  let qb = Option.get (Transfer.open_from b ~sender:a.Ctx.cid) in
+  let rb =
+    match Transfer.receive qb with
+    | Transfer.Received r -> r
+    | _ -> Alcotest.fail "receive"
+  in
+  Client.declare_failed (Shm.service_ctx arena) ~cid:a.Ctx.cid;
+  let claimed = ref false in
+  Fault.on_point :=
+    Some
+      (fun p ->
+        if p = Fault.Recovery_mid_phases && not !claimed then begin
+          Cxl_ref.drop rb;
+          claimed := Segment.claim c run
+        end);
+  Fun.protect
+    ~finally:(fun () -> Fault.on_point := None)
+    (fun () -> ignore (Shm.recover arena ~failed_cid:a.Ctx.cid));
+  Alcotest.(check bool) "C claimed the freed head" true !claimed;
+  Alcotest.(check (option int)) "C still owns it" (Some c.Ctx.cid)
+    (Segment.owner c run);
+  Alcotest.(check bool) "still active" true
+    (Segment.state c run = Segment.Active)
+
 let suite =
   [
     Alcotest.test_case "reap simple" `Quick test_reap_simple;
@@ -529,4 +593,8 @@ let suite =
     Alcotest.test_case "segments released" `Quick test_segments_released_after_recovery;
     Alcotest.test_case "slot reuse after recovery" `Quick test_slot_reuse_after_recovery;
     Alcotest.test_case "deep chain" `Quick test_deep_chain;
+    Alcotest.test_case "huge payload is not page metadata" `Quick
+      test_huge_payload_not_metadata;
+    Alcotest.test_case "segment claimed mid-recovery" `Quick
+      test_segment_claimed_mid_recovery;
   ]
