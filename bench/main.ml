@@ -1785,16 +1785,15 @@ let bench_fastpath () =
   let rounds = quick 20_000 4_000 in
   let batch = 16 in
   let msgs = rounds / batch * batch in
-  (* [Config.default] now enables epoch batching and sharded class heads;
-     the legacy columns pin both off so the cache-tier numbers stay
-     comparable with the committed baseline, and the epoch columns measure
-     the full fast path (cache + batched retirement + sharding). *)
+  (* [Config.default] enables epoch batching; the legacy columns pin it off
+     so the cache-tier numbers stay comparable with the committed baseline,
+     and the epoch columns measure the full fast path (cache + batched
+     retirement). *)
   let fp_cfg ?(epoch = false) cache =
     let base =
       { (cxl_shm_cfg 2) with Config.backend = Mem.Counting_fast; cache }
     in
-    if epoch then base
-    else { base with Config.epoch_batch = 0; num_domains = 0 }
+    if epoch then base else { base with Config.epoch_batch = 0 }
   in
   let bd_words (b : Bc.breakdown) = b.loads + b.stores + b.cass + b.faas in
   let bd_sub (a : Bc.breakdown) (b : Bc.breakdown) : Bc.breakdown =

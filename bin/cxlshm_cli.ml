@@ -953,7 +953,6 @@ let explore_model_of_name ~capacity ~values ~rounds name =
   | "refc" -> Check_scenarios.refc ?rounds ()
   | "huge" -> Check_scenarios.huge ?rounds ()
   | "epoch-retire" -> Check_scenarios.epoch_retire ?rounds ()
-  | "sharded-alloc" -> Check_scenarios.sharded_alloc ?values ()
   | "lease" -> Check_scenarios.lease ?passes:rounds ()
   | "dual-monitor" -> Check_scenarios.dual_monitor ?passes:rounds ()
   | "evacuate" -> Check_scenarios.evacuate ?rounds ()
@@ -965,8 +964,7 @@ let explore_model_of_name ~capacity ~values ~rounds name =
   | n ->
       Printf.eprintf
         "unknown model %s (have: spsc, transfer, transfer-batch, refc, huge, \
-         epoch-retire, sharded-alloc, lease, dual-monitor, evacuate, \
-         kv-serve, kv-serve-park, kv-serve-recover, bcast-recover, \
+         epoch-retire, lease, dual-monitor, evacuate, kv-serve, kv-serve-park, kv-serve-recover, bcast-recover, \
          rpc-isolate)\n"
         n;
       exit 2
@@ -1082,8 +1080,8 @@ let explore_cmd =
        ~doc:
          "Model-check the concurrent protocols: run the built-in models \
           (spsc, transfer, transfer-batch, refc, huge, epoch-retire, \
-          sharded-alloc, lease, dual-monitor, evacuate, kv-serve, \
-          kv-serve-park, kv-serve-recover, bcast-recover, rpc-isolate) \
+          lease, dual-monitor, evacuate, kv-serve, kv-serve-park, \
+          kv-serve-recover, bcast-recover, rpc-isolate) \
           under a \
           controlled cooperative \
           scheduler \
@@ -1096,7 +1094,7 @@ let explore_cmd =
       $ Arg.(
           value
           & opt string
-              "spsc,transfer,transfer-batch,refc,huge,epoch-retire,sharded-alloc,lease,dual-monitor,evacuate,kv-serve,kv-serve-park,kv-serve-recover,bcast-recover,rpc-isolate"
+              "spsc,transfer,transfer-batch,refc,huge,epoch-retire,lease,dual-monitor,evacuate,kv-serve,kv-serve-park,kv-serve-recover,bcast-recover,rpc-isolate"
           & info [ "model" ] ~doc:"Comma-separated models to explore.")
       $ Arg.(
           value & opt string "random"

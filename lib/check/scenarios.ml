@@ -369,88 +369,6 @@ let epoch_retire ?(rounds = 2) () : Explore.model =
   in
   { Explore.name = "epoch-retire"; make; branch = arena_branch }
 
-(* ---- sharded-alloc: domain free stacks under cross-client frees ---- *)
-
-let sharded_alloc ?(values = 2) () : Explore.model =
-  let make () =
-    (* Three clients, two domains (cids 1,2,3 -> domains 1,0,1): [a] sends
-       its blocks to [b], whose drop is a non-owner free that parks them on
-       domain 0's shard stack; [b]'s own fresh allocations pop the local
-       domain, while [c] (domain 1, empty) must CAS-steal from domain 0.
-       Crashes land between push, pop, and the header write that unpins the
-       stolen block — the stamp must keep the donor segment unrecycled
-       throughout. *)
-    let cfg = { arena_cfg with Config.num_domains = 2 } in
-    let arena = Shm.create ~cfg () in
-    let a = Shm.join arena () in
-    let b = Shm.join arena () in
-    let c = Shm.join arena () in
-    let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:1 in
-    let qb = Option.get (Transfer.open_from b ~sender:a.Ctx.cid) in
-    let received = ref [] in
-    let a_alive = ref true and b_alive = ref true in
-    let sender () =
-      Fun.protect ~finally:(fun () -> a_alive := false) @@ fun () ->
-      try
-        for v = 1 to values do
-          let r = Shm.cxl_malloc a ~size_bytes:8 () in
-          Cxl_ref.write_word r 0 v;
-          let rec go () =
-            match Transfer.send q r with
-            | Transfer.Sent -> ()
-            | Transfer.Full ->
-                if !b_alive then begin
-                  Sched.yield "send-full";
-                  go ()
-                end
-                else raise Exit
-            | Transfer.Closed -> raise Exit
-          in
-          let sent = (try go (); true with Exit -> Cxl_ref.drop r; false) in
-          if not sent then raise Exit;
-          Cxl_ref.drop r
-        done
-      with Exit -> ()
-    in
-    let receiver () =
-      Fun.protect ~finally:(fun () -> b_alive := false) @@ fun () ->
-      try
-        let got = ref 0 in
-        while !got < values do
-          match Transfer.receive qb with
-          | Transfer.Received r ->
-              incr got;
-              received := Cxl_ref.read_word r 0 :: !received;
-              (* Non-owner free: parks the block on domain 0's stack. *)
-              Cxl_ref.drop r;
-              (* Local-domain pop: may reclaim the block just parked. *)
-              let own = Shm.cxl_malloc b ~size_bytes:8 () in
-              Cxl_ref.write_word own 0 (- !got);
-              Cxl_ref.drop own
-          | Transfer.Empty ->
-              if !a_alive then Sched.yield "recv-empty" else raise Exit
-          | Transfer.Drained -> raise Exit
-        done
-      with Exit -> ()
-    in
-    let stealer () =
-      for i = 1 to values do
-        Sched.yield "steal-wait";
-        let r = Shm.cxl_malloc c ~size_bytes:8 () in
-        Cxl_ref.write_word r 0 (100 + i);
-        Cxl_ref.drop r
-      done
-    in
-    let check ~crashed =
-      check_prefix ~what:"sharded-alloc" ~complete:(crashed = [])
-        ~total:values
-        (List.rev !received);
-      arena_check arena ~cids:[| a.Ctx.cid; b.Ctx.cid; c.Ctx.cid |] ~crashed
-    in
-    { Explore.clients = [| sender; receiver; stealer |]; check }
-  in
-  { Explore.name = "sharded-alloc"; make; branch = arena_branch }
-
 (* ---- control-plane models: leases, replicated monitors, evacuation ---- *)
 
 (* Drive a fresh monitor replica until every client slot outside [keep] has
@@ -740,13 +658,7 @@ let kv_serve ?(park_release = false) () : Explore.model =
 let kv_serve_recover () : Explore.model =
   let module Kv = Cxlshm_kv.Cxl_kv in
   let make () =
-    (* One shard domain: a non-owner free of the dead writer's record block
-       (exactly what the era-blind reap mutation performs) parks it on the
-       shared domain stack, and the recoverer's next same-class allocation
-       pops that very block — so the decoy below provably lands in the
-       freed record if, and only if, recovery freed it under the reader. *)
-    let cfg = { arena_cfg with Config.num_domains = 1 } in
-    let arena = Shm.create ~cfg () in
+    let arena = Shm.create ~cfg:arena_cfg () in
     let w = Shm.join arena () in
     let r = Shm.join arena () in
     let s = Shm.join arena () in
@@ -770,11 +682,12 @@ let kv_serve_recover () : Explore.model =
     let reader () = observed := Some (Kv.get hr ~key:1) in
     (* The successor plays the monitor: once the writer is done (or dead)
        it recovers the crash, takes over the partition, adopts the rows
-       recovery orphaned — original retire stamps intact — and then
-       allocates from the record's size class. Recovery and adoption run
-       interleaved with the reader's paused walk; under the [kv-crash-reap]
-       mutation the era-blind reap frees the parked record, this decoy
-       reuses its block, and the pinned reader observes 0xDEAD. *)
+       recovery orphaned — original retire stamps intact — then allocates
+       two decoys from the record's size class and poisons every
+       count-zero block with room for a record. Recovery and adoption run interleaved with the
+       reader's paused walk; under the [kv-crash-reap] mutation the
+       era-blind reap frees the parked record, the poison pass overwrites
+       its key and value, and the pinned reader observes 0xDEAD. *)
     let decoys = ref [] in
     let recoverer () =
       while not !w_done do
@@ -783,26 +696,42 @@ let kv_serve_recover () : Explore.model =
       if not !w_clean then begin
         let svc = Shm.service_ctx arena in
         Client.declare_failed svc ~cid:w.Ctx.cid;
-        (* Recovery runs under the successor's own identity: a monitor is
-           never the owner of the dead writer's segment, so the mutated
-           era-blind free must take the cross-client shard path — the one
-           the decoy allocation below pops from. *)
         ignore (Recovery.recover s ~failed_cid:w.Ctx.cid);
         w_recovered := true
       end;
       ignore (Kv.takeover_partition hs 0);
       ignore (Kv.adopt_recovered hs);
-      (* Two decoys, dropped only in the check (a drop would overwrite the
-         poison with allocator metadata before the paused reader resumes):
-         an era-blind reap can cascade — the parked record's teardown frees
-         its chain tail too — and only the *second* pop reaches the block
-         the reader is standing on. *)
+      (* Two decoys, dropped only in the check (a drop would free them
+         before the paused reader resumes): their allocation windows stay
+         in the search. *)
       for _ = 1 to 2 do
         let d = Shm.cxl_malloc_words s ~data_words:3 ~emb_cnt:1 () in
         decoys := d :: !decoys;
         Cxl_ref.write_word d 1 1;
         Cxl_ref.write_word d 2 0xDEAD
-      done
+      done;
+      (* A freed record sits on its segment's cross-client free list, which
+         only the owner's allocations drain, so no decoy can be steered
+         onto it. Poison every count-zero block with room for a record
+         instead (key 1, value 0xDEAD in data words 1-2; word 0 is the
+         free-list link), as [bcast-recover] poisons a freed entry. *)
+      let read = Ctx.load s in
+      Heap.iter_segments ~read s.Ctx.lay (fun seg kind ->
+          if kind = Heap.Class_pages then
+            Heap.iter_pages ~read s.Ctx.lay seg (fun gid k ->
+                match Config.class_of_kind arena_cfg k with
+                | Some c
+                  when Config.class_block_words arena_cfg c
+                       >= Config.header_words + 3 ->
+                    List.iter
+                      (fun b ->
+                        if Obj_header.ref_cnt_of (read b) = 0 then begin
+                          let data = Obj_header.data_of_obj b in
+                          Ctx.store s (data + 1) 1;
+                          Ctx.store s (data + 2) 0xDEAD
+                        end)
+                      (Heap.page_blocks ~read s.Ctx.lay gid)
+                | Some _ | None -> ()))
     in
     let check ~crashed =
       Kv.walk_hook := (fun () -> ());
@@ -1133,7 +1062,7 @@ let rpc_isolate () : Explore.model =
 
 let all () =
   [ spsc (); transfer (); transfer ~batched:true (); refc (); huge ();
-    epoch_retire (); sharded_alloc (); lease (); dual_monitor ();
+    epoch_retire (); lease (); dual_monitor ();
     evacuate (); kv_serve (); kv_serve ~park_release:true ();
     kv_serve_recover (); bcast_recover ();
     rpc_isolate () ]

@@ -50,12 +50,6 @@ val epoch_retire : ?rounds:int -> unit -> Explore.model
     branches at the three [Retire_*] crash points. Model name
     ["epoch-retire"]. *)
 
-val sharded_alloc : ?values:int -> unit -> Explore.model
-(** Three clients over [Config.num_domains = 2]: cross-client frees park
-    blocks on domain shard stacks; same-domain pops and cross-domain
-    CAS-steals race crashes while parked stamps pin the donor segments.
-    Model name ["sharded-alloc"]. *)
-
 val lease : ?passes:int -> unit -> Explore.model
 (** One client churning a small graph while a monitor's detection passes
     race its heartbeat renewals: suspicion and self-heal are reachable
@@ -96,9 +90,9 @@ val kv_serve_recover : unit -> Explore.model
     reader is pinned mid-bucket-walk, and a third client — playing the
     monitor — recovers any writer crash {e interleaved with} the reader's
     steps, takes over the partition, adopts the orphaned limbo rows
-    ([Cxl_kv.adopt_recovered]) and allocates from the record's size class
-    (over one shard domain, so an era-blind free is provably reused).
-    Oracle: the pinned reader never observes the 0xDEAD decoy. The
+    ([Cxl_kv.adopt_recovered]), allocates two decoys from the record's
+    size class and poisons every count-zero block of that size (key 1,
+    value 0xDEAD). Oracle: the pinned reader never observes 0xDEAD. The
     [Limbo.mutation_crash_reap] flag re-introduces the historical
     era-blind reap of the dead writer's parked records, which the
     bounded-exhaustive crash search must catch. *)

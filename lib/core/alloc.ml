@@ -241,6 +241,8 @@ let ensure_page (ctx : Ctx.t) ~idx ~kind ~block_words ~fuel =
 (* ------------------------------------------------------------------ *)
 
 let alloc_rootref (ctx : Ctx.t) =
+  if ctx.Ctx.service then
+    invalid_arg "Alloc.alloc_rootref: the service context cannot allocate";
   Trace.with_span ctx Histogram.Rootref @@ fun () ->
   let cfg = Ctx.cfg ctx in
   let kind = Config.kind_rootref cfg in
@@ -447,47 +449,6 @@ let rr_flush_elided (ctx : Ctx.t) = Ctx.epoch_enabled ctx
 
 let link_and_carve (ctx : Ctx.t) rr ~idx ~kind ~block_words ~data_words ~emb_cnt =
   let cfg = Ctx.cfg ctx in
-  (* Sharded fast path: when the current page can't serve the class, steal
-     a parked block from the domain stacks before paying the page scan. *)
-  let from_shard =
-    (* Under a channel pin the domain stacks are off-limits: a stolen block
-       could live in any segment, and the message must stay in-channel. *)
-    if Shard.enabled ctx && not (Ctx.pin_active ctx) then
-      let ready =
-        match current_page ctx idx with
-        | Some gid -> Page.kind ctx ~gid = kind && Page.free_head ctx ~gid <> 0
-        | None -> false
-      in
-      if ready then None
-      else
-        match Config.class_of_kind cfg kind with
-        | Some cls -> Shard.pop ctx ~cls
-        | None -> None
-    else None
-  in
-  match from_shard with
-  | Some blk ->
-      (* The block came off a domain stack, not a page chain: no free
-         pointer to advance, no used count to bump (the non-owner free
-         that parked it never decremented [used]). The stamp stays set
-         until the header makes the block live, so it pins its segment
-         against recycling at every instant (see Shard). *)
-      Ctx.store ctx (Rootref.pptr_slot rr) blk;
-      if not (rr_flush_elided ctx) then Ctx.flush ctx rr;
-      Ctx.crash_point ctx Fault.Alloc_after_link;
-      if not (Ctx.epoch_enabled ctx) then Ctx.fence ctx;
-      Ctx.store ctx
-        (Obj_header.header_of_obj blk)
-        (Obj_header.pack { Obj_header.lcid = None; lera = 0; ref_cnt = 1 });
-      Ctx.store ctx (Obj_header.meta_of_obj blk)
-        (Obj_header.pack_meta ~kind ~emb_cnt ~data_words);
-      for i = 0 to emb_cnt - 1 do
-        Ctx.store ctx (Obj_header.emb_slot blk i) 0
-      done;
-      Shard.clear_stamp ctx blk;
-      Ctx.crash_point ctx Fault.Alloc_after_header;
-      blk
-  | None ->
   let gid =
     ensure_page ctx ~idx ~kind ~block_words ~fuel:(cfg.Config.num_segments + 1)
   in
@@ -584,14 +545,4 @@ let free_obj_block (ctx : Ctx.t) obj =
       ()
     else if Segment.owner ctx seg = Some ctx.cid then
       push_owned ctx ~gid ~rootref:false blk
-    else
-      (* Non-owner free: park class blocks on the domain shard for any
-         allocator to steal; other kinds keep the per-segment stack the
-         owner drains. Channel sub-heap blocks (excluded segments) also
-         keep the per-segment stack — parking them on a global shard would
-         let a third client carve private objects out of the channel. *)
-      match Config.class_of_kind (Ctx.cfg ctx) (Page.kind ctx ~gid) with
-      | Some cls when Shard.enabled ctx && not (Ctx.segment_excluded ctx seg)
-        ->
-          Shard.push ctx ~cls blk
-      | Some _ | None -> Segment.push_client_free ctx ~seg ~rootref:false blk
+    else Segment.push_client_free ctx ~seg ~rootref:false blk

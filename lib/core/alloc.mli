@@ -31,7 +31,9 @@ val alloc_obj :
 
 val alloc_rootref : Ctx.t -> Cxlshm_shmem.Pptr.t
 (** A fresh unlinked RootRef (in_use, local count 1, null pptr) — used by
-    the receive path (§5.2), which links it with an era transaction. *)
+    the receive path (§5.2), which links it with an era transaction. Every
+    allocation starts here, so this is where the arena's service context
+    ({!Ctx.service}) is refused with [Invalid_argument]. *)
 
 val free_rootref : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
 (** Return a RootRef block to its page (owner or cross-client). *)

@@ -13,9 +13,6 @@ type t = {
       (* K > 0 seals K rootref retirements per client behind one fence
          and retires them one per later release (two journal flushes per
          batch); 0 keeps the eager per-release path. *)
-  num_domains : int;
-      (* > 0 shards the hot size-class free heads across that many domains;
-         0 keeps the single per-owner free structure. *)
   lease_ttl : int;
       (* Client lease lifetime in lease-clock ticks: a heartbeat extends the
          client's lease to now + lease_ttl; a lease observed expired makes
@@ -38,7 +35,6 @@ let default =
     trace_slots = 256;
     cache = true;
     epoch_batch = 16;
-    num_domains = 4;
     lease_ttl = 4;
     park_slots = 256;
   }
@@ -55,10 +51,9 @@ let small =
     trace = false;
     trace_slots = 128;
     cache = true;
-    (* unit tests and explorer models rely on the eager, unsharded paths
+    (* unit tests and explorer models rely on the eager retirement path
        being schedule-identical to earlier releases *)
     epoch_batch = 0;
-    num_domains = 0;
     lease_ttl = 4;
     park_slots = 16;
   }
@@ -81,10 +76,6 @@ let validate t =
     fail "trace_slots must be in [16, 2^20]";
   if t.epoch_batch < 0 || t.epoch_batch > 64 then
     fail "epoch_batch must be in [0, 64]";
-  (* More domains than clients just leaves some stacks empty — allowed, so
-     [default]'s domain count survives small [max_clients] overrides. *)
-  if t.num_domains < 0 || t.num_domains > 1024 then
-    fail "num_domains must be in [0, 1024]";
   (* The leader word packs {monitor id, deadline tick}; the deadline field
      is 48 bits wide, so cap the TTL well below that. *)
   if t.lease_ttl < 1 || t.lease_ttl > 1 lsl 20 then

@@ -46,14 +46,6 @@ type t = {
           eager per-release path — unit tests and explorer models rely on
           it being schedule-identical to earlier releases. Must be in
           [0, 64] (journal capacity). *)
-  num_domains : int;
-      (** > 0 shards the hot size-class free heads into that many
-          per-domain Treiber stacks ([Layout.domain_class_head]): non-owner
-          frees push to the freeing client's shard and allocation pops the
-          local shard first, CAS-stealing from sibling domains before
-          falling back to the owner page scan. 0 keeps the single
-          per-segment cross-client stack only. May exceed [max_clients]
-          (surplus stacks stay empty); capped at 1024. *)
   lease_ttl : int;
       (** Client lease lifetime in ticks of the shared logical lease clock
           ([Layout.hdr_lease_clock], advanced by every monitor pass).

@@ -68,6 +68,7 @@ type t = {
   mutable degraded_hint : int;
   mutable alloc_pin : int list;
   mutable alloc_exclude : int list;
+  mutable service : bool;
 }
 
 (* Mirrored page-meta slots: kind, block_words, capacity, free, used.
@@ -129,6 +130,7 @@ let make ?cache ?epoch ~mem ~lay ~cid () =
     degraded_hint = Mem.ctl_peek mem (Layout.hdr_dev_degraded lay);
     alloc_pin = [];
     alloc_exclude = [];
+    service = false;
   }
 
 let cfg t = t.lay.Layout.cfg
@@ -152,8 +154,6 @@ let exclude_segment t s =
 
 let unexclude_segment t s =
   t.alloc_exclude <- List.filter (fun x -> x <> s) t.alloc_exclude
-
-let segment_excluded t s = List.mem s t.alloc_exclude
 
 let seg_allowed t s =
   match t.alloc_pin with

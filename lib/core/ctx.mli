@@ -73,6 +73,11 @@ type t = {
   mutable alloc_exclude : int list;
       (** owned segments ordinary allocation must stay out of (a channel's
           private sub-heap) *)
+  mutable service : bool;
+      (** the arena's service context ({!Shm.service_ctx}, set only by
+          [Shm]): it acts as cid 0, which {!Client.register} also hands to
+          the first client that joins, so {!Alloc.alloc_rootref} refuses
+          to allocate through it *)
 }
 
 val make :
@@ -107,7 +112,6 @@ val with_pin : t -> int list -> (unit -> 'a) -> 'a
 
 val exclude_segment : t -> int -> unit
 val unexclude_segment : t -> int -> unit
-val segment_excluded : t -> int -> bool
 
 val seg_allowed : t -> int -> bool
 (** May the allocator place an object in segment [s] right now? Pin list

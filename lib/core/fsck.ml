@@ -425,18 +425,6 @@ let repair (ctx : Ctx.t) =
       a.stacks <- a.stacks + 1
     end
   done;
-  (* Domain shard stacks are rebuilt the same way as the cross-client
-     stacks: drop them wholesale — every dead block re-enters its page
-     chain below, and the stamps that made parked entries stealable are
-     cleared there too, so nothing keeps pinning segments. *)
-  for d = 0 to cfg.Config.num_domains - 1 do
-    for c = 0 to Config.num_classes cfg - 1 do
-      if peek (Layout.domain_class_head lay d c) <> 0 then begin
-        poke (Layout.domain_class_head lay d c) 0;
-        a.stacks <- a.stacks + 1
-      end
-    done
-  done;
   Heap.iter_segments ~read:peek lay (fun s -> function
     | Heap.Huge_head | Heap.Huge_cont -> ()
     | Heap.Free | Heap.Class_pages ->
@@ -457,12 +445,7 @@ let repair (ctx : Ctx.t) =
                 (fun b ->
                   if not (live b) then begin
                     poke b 0;
-                    if not is_rr then begin
-                      poke (b + 1) 0;
-                      (* A stale shard stamp on a dead block would pin the
-                         segment against the §5.3 scan forever. *)
-                      poke (Shard.stamp_slot b) 0
-                    end;
+                    if not is_rr then poke (b + 1) 0;
                     poke (b + off) !head;
                     head := b;
                     incr nfree

@@ -6,7 +6,6 @@ type t = {
   segvec_base : int;
   clientvec_base : int;
   client_state_words : int;
-  domvec_base : int;
   queuedir_base : int;
   roots_base : int;
   recovery_base : int;
@@ -65,13 +64,14 @@ let make cfg =
       + (num_classes + 1) + 1
       + (2 + cfg.Config.epoch_batch))
   in
-  let domvec_base =
-    align8 (clientvec_base + (client_state_words * cfg.Config.max_clients))
-  in
-  (* per-domain sharded class heads: one ABA-tagged Treiber stack head per
-     (domain, object size class) *)
+  (* An unused reserve of 4 words per size class where the retired
+     per-domain free-stack heads were: like the recovery pad, it keeps the
+     queue directory and every later region at their old addresses on
+     [Config.default] (see the mli). *)
   let queuedir_base =
-    align8 (domvec_base + (cfg.Config.num_domains * num_classes))
+    align8
+      (align8 (clientvec_base + (client_state_words * cfg.Config.max_clients))
+      + (4 * num_classes))
   in
   let roots_base =
     align8 (queuedir_base + (queue_slot_words * cfg.Config.queue_slots))
@@ -103,7 +103,6 @@ let make cfg =
     segvec_base;
     clientvec_base;
     client_state_words;
-    domvec_base;
     queuedir_base;
     roots_base;
     recovery_base;
@@ -182,13 +181,6 @@ let retire_slot t i k =
   if k < 0 || k >= t.cfg.Config.epoch_batch then
     invalid_arg (Printf.sprintf "Layout.retire_slot: slot %d out of range" k);
   client_cur_segment t i + 3 + k
-
-let domain_class_head t d c =
-  if d < 0 || d >= t.cfg.Config.num_domains then
-    invalid_arg (Printf.sprintf "Layout.domain_class_head: domain %d" d);
-  if c < 0 || c >= t.num_classes then
-    invalid_arg (Printf.sprintf "Layout.domain_class_head: class %d" c);
-  t.domvec_base + (d * t.num_classes) + c
 
 let queue_slot t q =
   if q < 0 || q >= t.cfg.Config.queue_slots then

@@ -9,6 +9,7 @@
     arena header      geometry + magic
     SegmentAllocationVec   one meta record per segment
     ClientLocalVec         one ClientLocalState per client
+    reserve                unused words, kept like the recovery pad
     queue directory        well-known transfer-queue registry (§5.2)
     recovery area          recovery lock (padded, see below)
     limbo pool             era-gated deferred frees, in owned rows ({!Limbo})
@@ -25,7 +26,6 @@ type t = private {
   segvec_base : int;
   clientvec_base : int;
   client_state_words : int;
-  domvec_base : int;
   queuedir_base : int;
   roots_base : int;
   recovery_base : int;
@@ -177,11 +177,6 @@ val retire_count : t -> int -> Cxlshm_shmem.Pptr.t
 val retire_era : t -> int -> Cxlshm_shmem.Pptr.t
 val retire_slot : t -> int -> int -> Cxlshm_shmem.Pptr.t
 
-val domain_class_head : t -> int -> int -> Cxlshm_shmem.Pptr.t
-(** [domain_class_head lay d c] — head word of domain [d]'s sharded free
-    stack for size class [c] (packed {tag, pptr} Treiber stack, same shape
-    as {!seg_client_free}). Only present when [Config.num_domains > 0]. *)
-
 (** {1 Queue directory} *)
 
 val queue_slot_words : int
@@ -212,7 +207,12 @@ val root_slot : t -> int -> Cxlshm_shmem.Pptr.t
     every segment at their old addresses, because segment bases feed the
     direct-mapped cache filter ({!Cxlshm_shmem.Stats}) and a moved base
     would shift gated numbers by aliasing alone. The re-baseline onto a
-    set-associative filter (ROADMAP item 1) drops the pad. *)
+    set-associative filter (ROADMAP item 1) drops the pad.
+
+    The unused reserve before the queue directory does the same job: it is
+    the size the retired per-domain free-stack heads had on
+    {!Config.default} ([align8 (4 * num_classes)] words), and goes with the
+    pad. *)
 
 val recovery_area_words : int
 

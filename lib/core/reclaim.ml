@@ -100,13 +100,10 @@ let page_all_zero (ctx : Ctx.t) ~gid =
     List.for_all (fun rr -> not (Rootref.in_use ctx rr)) (Page.blocks ctx ~gid)
   else
     (* Block positions are computable because pages hold fixed-size blocks
-       (§5.3) — no heap walk needed. A dead block parked on a domain shard
-       stack pins the segment ({!Shard.pins}): recycling would reformat
-       the page under a stealable stack entry. *)
+       (§5.3) — no heap walk needed. *)
     List.for_all
       (fun b ->
-        Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj b)) = 0
-        && not (Shard.pins ctx b))
+        Obj_header.ref_cnt_of (Ctx.load ctx (Obj_header.header_of_obj b)) = 0)
       (Page.blocks ctx ~gid)
 
 let segment_all_zero (ctx : Ctx.t) seg =

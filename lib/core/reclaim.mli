@@ -52,10 +52,10 @@ val mark_leaking_of : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
 (** Mark the segment containing [obj] POTENTIAL_LEAKING (idempotent). *)
 
 val segment_all_zero : Ctx.t -> int -> bool
-(** No live block, no in-use RootRef and no shard-parked stamp anywhere in
-    the segment (block positions are computable, §5.3): it can be reset
-    and released. Stops at the first page that fails. Used by
-    {!scan_segment}, recovery and the RPC channel-revocation path. *)
+(** No live block and no in-use RootRef anywhere in the segment (block
+    positions are computable, §5.3): it can be reset and released. Stops
+    at the first page that fails. Used by {!scan_segment}, recovery and the
+    RPC channel-revocation path. *)
 
 val segment_unused : Ctx.t -> int -> bool
 (** Every page is unused or has [used = 0]: every carved block is back on

@@ -111,12 +111,9 @@ let release_one_rootref (ctx : Ctx.t) ~cid rr report =
   else if Refc.ref_cnt ctx obj = 0 then begin
     (* Allocation died between advancing the free pointer and initialising
        the header: the block is off-list with count zero; the leak scan
-       reclaims its segment. A shard-stolen block that died before its
-       header write still carries its stamp — drop it, or it would pin the
-       segment against that very scan forever. *)
+       reclaims its segment. *)
     Ctx.store ctx (Rootref.pptr_slot rr) 0;
     Rootref.set_state ctx rr ~in_use:false ~cnt:0;
-    if Shard.pins ctx obj then Shard.clear_stamp ctx obj;
     Reclaim.mark_leaking_of ctx obj;
     report :=
       {

@@ -21,12 +21,18 @@ let mem_of cfg lay =
   Mem.create ~tier:cfg.Config.tier ~backend:(backend_of cfg lay)
     ~words:lay.Layout.total_words ()
 
+(* The service context acts for other clients (recovery, fsck, scans):
+   it must always read shared truth, never a client-local mirror, and it
+   must never allocate, since the first client to join also gets cid 0. *)
+let service_of mem lay =
+  let ctx = Ctx.make ~cache:false ~epoch:false ~mem ~lay ~cid:0 () in
+  ctx.Ctx.service <- true;
+  ctx
+
 let create ?(cfg = Config.default) () =
   let lay = Layout.make cfg in
   let mem = mem_of cfg lay in
-  (* The service context acts for other clients (recovery, fsck, scans):
-     it must always read shared truth, never a client-local mirror. *)
-  let service = Ctx.make ~cache:false ~epoch:false ~mem ~lay ~cid:0 () in
+  let service = service_of mem lay in
   (* Format the arena header; everything else starts zeroed. *)
   Mem.unsafe_poke mem (Layout.hdr_magic lay) Layout.magic;
   Mem.unsafe_poke mem (Layout.hdr_epoch lay) 1;
@@ -95,7 +101,7 @@ let load_raw ?cfg path =
   Mem.restore mem words;
   if Mem.unsafe_peek mem (Layout.hdr_magic lay) <> Layout.magic then
     invalid_arg "Shm.load: not a CXL-SHM pool image";
-  { mem; lay; service = Ctx.make ~cache:false ~epoch:false ~mem ~lay ~cid:0 () }
+  { mem; lay; service = service_of mem lay }
 
 let load ?cfg path =
   let t = load_raw ?cfg path in

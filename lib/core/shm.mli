@@ -81,4 +81,6 @@ val load_raw : ?cfg:Config.t -> string -> arena
     damage the image carries must still be observable. *)
 
 val service_ctx : arena -> Ctx.t
-(** A context for maintenance operations (stats attribution only). *)
+(** A context for maintenance operations (stats attribution only). It acts
+    as cid 0, which the first client to join also gets, so it cannot
+    allocate: {!Alloc.alloc_rootref} raises [Invalid_argument]. *)

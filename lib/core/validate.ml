@@ -123,39 +123,6 @@ let run mem lay =
         in
         walk (Word.get f_ptr (peek (Layout.seg_client_free lay seg))) 10_000);
 
-  (* ---- domain shard stacks ---- *)
-  (* Parked entries are free blocks too. On-stack implies stamped (the
-     stamp store precedes the head CAS and nothing unstamps a linked
-     entry), so a stamp or kind mismatch is a real inconsistency — and
-     the entry's next pointer can no longer be trusted, so stop there. *)
-  if cfg.Config.num_domains > 0 then begin
-    let f_ptr = Word.field ~shift:0 ~bits:46 in
-    for d = 0 to cfg.Config.num_domains - 1 do
-      for c = 0 to Config.num_classes cfg - 1 do
-        let rec walk p fuel =
-          if p <> 0 && fuel > 0 then
-            if peek (Shard.stamp_slot p) <> Shard.stamp_of p then begin
-              acc.dfree <- acc.dfree + 1;
-              err acc "shard stack d%d/c%d: entry @%d bad stamp" d c p
-            end
-            else if page_kind (Layout.page_gid_of_addr lay p)
-                    <> Config.kind_of_class c
-            then begin
-              acc.dfree <- acc.dfree + 1;
-              err acc "shard stack d%d/c%d: entry @%d wrong class" d c p
-            end
-            else begin
-              add_free p (Printf.sprintf "shard stack d%d/c%d" d c);
-              walk (peek (p + Config.header_words)) (fuel - 1)
-            end
-        in
-        walk
-          (Word.get f_ptr (peek (Layout.domain_class_head lay d c)))
-          10_000
-      done
-    done
-  end;
-
   (* ---- limbo rows ---- *)
   (* Entries are rootrefs, already counted as holders above. The rows: an
      owner word names a free row, a live client or the orphaned state; a

@@ -453,6 +453,31 @@ let test_cold_owned_by_streams () =
     "scattered" true
     (List.length direct >= 32 && List.length direct <= 96)
 
+(* The service context acts as cid 0, which the first client to join
+   also gets: an object it allocated would be recorded as that client's
+   and reaped when the client is recovered. It refuses to allocate, on a
+   fresh arena and on one re-attached raw from an image. *)
+let test_service_ctx_cannot_allocate () =
+  let refuses label arena =
+    (match Shm.cxl_malloc (Shm.service_ctx arena) ~size_bytes:16 () with
+    | _ -> Alcotest.fail (label ^ ": the service context allocated")
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check int) (label ^ ": nothing allocated") 0
+      (Shm.validate arena).Validate.live_objects
+  in
+  let arena = small_arena () in
+  let a = Shm.join arena () in
+  refuses "fresh" arena;
+  let r = Shm.cxl_malloc a ~size_bytes:16 () in
+  let path = Filename.temp_file "cxlshm_service" ".pool" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Shm.save arena path;
+  Cxl_ref.drop r;
+  let raw = Shm.load_raw path in
+  match Shm.cxl_malloc (Shm.service_ctx raw) ~size_bytes:16 () with
+  | _ -> Alcotest.fail "raw: the service context allocated"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "alloc basic" `Quick test_alloc_basic;
@@ -463,6 +488,8 @@ let suite =
     Alcotest.test_case "huge object" `Quick test_huge_object;
     Alcotest.test_case "out of memory" `Quick test_out_of_memory;
     Alcotest.test_case "cross-client free" `Quick test_cross_client_free;
+    Alcotest.test_case "service context cannot allocate" `Quick
+      test_service_ctx_cannot_allocate;
     Alcotest.test_case "embedded refs basic" `Quick test_emb_refs_basic;
     Alcotest.test_case "change emb (§5.4)" `Quick test_change_emb;
     Alcotest.test_case "word access guards" `Quick test_word_access_guards;

@@ -1,14 +1,11 @@
-(* Epoch-batched retirement and sharded class heads: parking semantics,
-   the fence-per-batch contract, every new crash window, and the
-   stamp-pinning that makes cross-domain stealing safe against the §5.3
-   segment recycler. *)
+(* Epoch-batched retirement: parking semantics, the fence-per-batch
+   contract and every new crash window. *)
 
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
 module Cxl_kv = Cxlshm_kv.Cxl_kv
 
 let epoch_cfg ?(batch = 2) () = { Config.small with Config.epoch_batch = batch }
-let shard_cfg () = { Config.small with Config.num_domains = 2 }
 
 let check_clean arena label =
   let v = Shm.validate arena in
@@ -354,70 +351,6 @@ let test_reused_rootref_limbo () =
     (Shm.validate arena).Validate.live_objects;
   check_clean arena "after close"
 
-(* The same window with the allocation crashing inside itself, under
-   sharded class heads: the allocation steals the block the retired entry
-   just parked on the domain stack. Recovery must resolve the dead
-   allocation through the rootref scan, which drops the steal's stamp;
-   the journal replay alone would leave it pinning the segment. *)
-let test_reused_rootref_alloc () =
-  let cfg = { (epoch_cfg ()) with Config.num_domains = 2 } in
-  List.iter
-    (fun (point, stamped) ->
-      let label = Fault.point_name point in
-      let arena = Shm.create ~cfg () in
-      let a = Shm.join arena () in
-      let b = Shm.join arena () in
-      let o = Shm.cxl_malloc b ~size_bytes:32 () in
-      let q = Transfer.connect b ~receiver:a.Ctx.cid ~capacity:2 in
-      Alcotest.(check bool) "sent" true (Transfer.send q o = Transfer.Sent);
-      Cxl_ref.drop o;
-      let qa = Option.get (Transfer.open_from a ~sender:b.Ctx.cid) in
-      let ra =
-        match Transfer.receive qa with
-        | Transfer.Received r -> r
-        | _ -> Alcotest.fail "receive"
-      in
-      let blk = Cxl_ref.obj ra in
-      Transfer.close q;
-      Transfer.close qa;
-      let x = Array.init 2 (fun _ -> Shm.cxl_malloc a ~size_bytes:128 ()) in
-      Reclaim.flush_retired a;
-      Reclaim.flush_retired b;
-      Cxl_ref.drop x.(0);
-      (* Seals [ra; x0]. *)
-      Cxl_ref.drop ra;
-      (* Retires ra's entry: A's non-owner free parks the block on its
-         domain stack. *)
-      Cxl_ref.drop x.(1);
-      let svc = Shm.service_ctx arena in
-      Alcotest.(check bool) ("block parked, " ^ label) true (Shard.pins svc blk);
-      a.Ctx.fault <- Fault.at point ~nth:1;
-      (match Shm.cxl_malloc a ~size_bytes:32 () with
-      | _ -> Alcotest.fail ("expected a crash at " ^ label)
-      | exception Fault.Crashed _ -> ());
-      a.Ctx.fault <- Fault.none;
-      Client.declare_failed svc ~cid:a.Ctx.cid;
-      ignore (Shm.recover arena ~failed_cid:a.Ctx.cid);
-      Alcotest.(check int) ("journal cleared, " ^ label) 0
-        (journal_len arena a.Ctx.cid);
-      ignore (Shm.scan_leaking arena);
-      Alcotest.(check bool) ("stamp after recovery, " ^ label) stamped
-        (Shard.pins svc blk);
-      Alcotest.(check int) ("nothing alive, " ^ label) 0
-        (Shm.validate arena).Validate.live_objects;
-      check_clean arena ("reused rootref at " ^ label);
-      Shm.leave b;
-      ignore (Shm.scan_leaking arena);
-      check_clean arena ("B left after " ^ label))
-    [
-      (* Nothing stolen yet: the block is still parked, stamp and all. *)
-      (Fault.Alloc_after_rootref, true);
-      (* Stolen and linked, header not written: the scan drops the stamp. *)
-      (Fault.Alloc_after_link, false);
-      (* Live: the scan releases it like any held object. *)
-      (Fault.Alloc_after_header, false);
-    ]
-
 (* Crash inside the count-neutral [Refc.swap] of an epoch-mode transfer
    receive; the Swap redo record must resume iff the relink landed. *)
 let test_move_crash_windows () =
@@ -461,83 +394,6 @@ let test_move_crash_windows () =
       (Fault.Swap_after_store, true);
     ]
 
-(* Non-owner frees park on the freeing client's domain stack and the next
-   same-class allocation pops the parked block back. *)
-let test_shard_park_and_pop () =
-  let arena = Shm.create ~cfg:(shard_cfg ()) () in
-  let a = Shm.join arena () in
-  let b = Shm.join arena () in
-  let ra = Shm.cxl_malloc a ~size_bytes:32 () in
-  let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:2 in
-  Alcotest.(check bool) "sent" true (Transfer.send q ra = Transfer.Sent);
-  Cxl_ref.drop ra;
-  let qb = Option.get (Transfer.open_from b ~sender:a.Ctx.cid) in
-  let rb =
-    match Transfer.receive qb with
-    | Transfer.Received r -> r
-    | _ -> Alcotest.fail "receive"
-  in
-  let obj = Cxl_ref.obj rb in
-  (* B's drop is a non-owner free: the block parks on B's domain stack
-     (stamped), and the arena must still validate — the stack walk counts
-     parked blocks as free. *)
-  Cxl_ref.drop rb;
-  check_clean arena "block parked on shard stack";
-  (* B's next same-class allocation pops the parked block. *)
-  let rb2 = Shm.cxl_malloc b ~size_bytes:32 () in
-  Alcotest.(check int) "shard pop returned the parked block" obj
-    (Cxl_ref.obj rb2);
-  Cxl_ref.drop rb2;
-  Transfer.close q;
-  Transfer.close qb;
-  check_clean arena "after shard round-trip"
-
-(* A parked stamp pins the donor segment: the §5.3 scan must not recycle
-   the page under a stealable stack entry, even once the owner is dead —
-   and fsck, which drops the stacks and stamps wholesale, unpins it. *)
-let test_shard_pin_blocks_recycle () =
-  let arena = Shm.create ~cfg:(shard_cfg ()) () in
-  let a = Shm.join arena () in
-  let b = Shm.join arena () in
-  let ra = Shm.cxl_malloc a ~size_bytes:32 () in
-  let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:2 in
-  Alcotest.(check bool) "sent" true (Transfer.send q ra = Transfer.Sent);
-  Cxl_ref.drop ra;
-  let qb = Option.get (Transfer.open_from b ~sender:a.Ctx.cid) in
-  let rb =
-    match Transfer.receive qb with
-    | Transfer.Received r -> r
-    | _ -> Alcotest.fail "receive"
-  in
-  let obj = Cxl_ref.obj rb in
-  let svc = Shm.service_ctx arena in
-  let seg = Layout.segment_of_addr (Shm.layout arena) obj in
-  Cxl_ref.drop rb;
-  Transfer.close qb;
-  (* Owner dies with the block parked in its segment. *)
-  Client.declare_failed svc ~cid:a.Ctx.cid;
-  ignore (Shm.recover arena ~failed_cid:a.Ctx.cid);
-  ignore (Shm.scan_leaking arena);
-  Alcotest.(check bool) "parked stamp pins the donor segment" true
-    (Segment.state svc seg <> Segment.Free);
-  check_clean arena "pinned segment";
-  (* A live peer can still steal the parked block out of the dead owner's
-     segment — exactly what the pin protects. *)
-  let rb2 = Shm.cxl_malloc b ~size_bytes:32 () in
-  Alcotest.(check int) "stole the parked block" obj (Cxl_ref.obj rb2);
-  Cxl_ref.drop rb2;
-  (* B re-parks it on drop; B leaving doesn't drain domain stacks, so the
-     segment stays pinned until fsck rebuilds the free structures. *)
-  Shm.leave b;
-  ignore (Shm.scan_leaking arena);
-  Alcotest.(check bool) "still pinned after re-park" true
-    (Segment.state svc seg <> Segment.Free);
-  let rep = Shm.fsck arena in
-  Alcotest.(check bool) "fsck clean" true (Fsck.clean rep);
-  ignore (Shm.scan_leaking arena);
-  Alcotest.(check bool) "fsck unpinned; segment recycled" true
-    (Segment.state svc seg = Segment.Free)
-
 let suite =
   [
     Alcotest.test_case "park, batch flush, leave drains" `Quick
@@ -552,10 +408,5 @@ let suite =
       `Quick test_paced_crash_interleaved;
     Alcotest.test_case "retired rootref not reused: limbo park" `Quick
       test_reused_rootref_limbo;
-    Alcotest.test_case "retired rootref not reused: sharded alloc" `Quick
-      test_reused_rootref_alloc;
     Alcotest.test_case "move crash windows" `Quick test_move_crash_windows;
-    Alcotest.test_case "shard park and pop" `Quick test_shard_park_and_pop;
-    Alcotest.test_case "parked stamp pins segment" `Quick
-      test_shard_pin_blocks_recycle;
   ]

@@ -12,9 +12,7 @@ let gen_cfg =
     let* queue_slots = 1 -- 32 in
     let* trace_slots = 16 -- 64 in
     let* epoch_batch = 0 -- 32 in
-    let* num_domains = 0 -- 8 in
     let* park_slots = 1 -- 64 in
-    let num_domains = min num_domains max_clients in
     return
       {
         Config.max_clients;
@@ -28,7 +26,6 @@ let gen_cfg =
         trace_slots;
         cache = true;
         epoch_batch;
-        num_domains;
         lease_ttl = 4;
         park_slots;
       })
@@ -148,6 +145,18 @@ let test_validate_rejects_bad_config () =
     (Invalid_argument "Config.validate: page_words must be a power of two")
     (fun () -> Config.validate { Config.default with Config.page_words = 1000 })
 
+(* [Config.default]'s region bases are pinned: segment bases feed the
+   direct-mapped cache filter, so a moved region shifts every modeled
+   number by aliasing alone. The reserve where the per-domain free-stack
+   heads were and the recovery-area pad keep these until the filter goes
+   set-associative (ROADMAP item 1). *)
+let test_default_bases_pinned () =
+  let l = Layout.make Config.default in
+  Alcotest.(check int) "queuedir_base" 1344 l.Layout.queuedir_base;
+  Alcotest.(check int) "limbo_base" 3024 l.Layout.limbo_base;
+  Alcotest.(check int) "trace_base" 11728 l.Layout.trace_base;
+  Alcotest.(check int) "segments_base" 32336 l.Layout.segments_base
+
 let suite =
   [
     Generators.to_alcotest prop_regions_ordered;
@@ -156,4 +165,6 @@ let suite =
     Generators.to_alcotest prop_era_cells_disjoint;
     Alcotest.test_case "size-class geometry" `Quick test_class_geometry;
     Alcotest.test_case "config validation" `Quick test_validate_rejects_bad_config;
+    Alcotest.test_case "default region bases pinned" `Quick
+      test_default_bases_pinned;
   ]
