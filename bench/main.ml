@@ -616,7 +616,8 @@ let bench_rpc () =
   let sizes = [ 64; 1_024; 8_192; 65_536 ] in
   let t =
     Table.create ~title:"RPC isolation: CXL-RPC vs RDMA per call (1 pair)"
-      ~columns:[ "Bytes"; "CXL ns/call"; "RDMA ns/call"; "Speedup" ]
+      ~columns:
+        [ "Bytes"; "CXL ns/call"; "CXL flushes/call"; "RDMA ns/call"; "Speedup" ]
   in
   let payload_rows =
     List.map
@@ -624,21 +625,23 @@ let bench_rpc () =
         let arena = Shm.create ~cfg:(rpc_payload_cfg 1 size) () in
         let st = cxl_rpc_pair arena ~calls ~payload_bytes:size in
         let cxl = Stats.modeled_ns model st /. float_of_int calls in
+        let flushes = float_of_int st.Stats.flushes /. float_of_int calls in
         let rdma = run_rdma ~calls ~payload_bytes:size /. float_of_int calls in
         Table.add_row t
           [
             Table.cell_i size;
             Table.cell_f cxl;
+            Table.cell_f flushes;
             Table.cell_f rdma;
             Table.cell_f (rdma /. cxl);
           ];
-        (size, cxl, rdma))
+        (size, cxl, flushes, rdma))
       sizes
   in
   Table.print t;
   let widens =
     let rec mono = function
-      | (_, c1, r1) :: ((_, c2, r2) :: _ as rest) ->
+      | (_, c1, _, r1) :: ((_, c2, _, r2) :: _ as rest) ->
           r1 /. c1 < r2 /. c2 && mono rest
       | _ -> true
     in
@@ -675,11 +678,11 @@ let bench_rpc () =
   Printf.fprintf oc
     "{\n  \"experiment\": \"rpc\",\n  \"calls\": %d,\n  \"payload\": [\n" calls;
   List.iteri
-    (fun i (size, cxl, rdma) ->
+    (fun i (size, cxl, flushes, rdma) ->
       Printf.fprintf oc
-        "    {\"bytes\": %d, \"cxl_ns_per_call\": %.2f, \"rdma_ns_per_call\": \
-         %.2f, \"speedup\": %.3f}%s\n"
-        size cxl rdma (rdma /. cxl)
+        "    {\"bytes\": %d, \"cxl_ns_per_call\": %.2f, \"flushes_per_call\": \
+         %.3f, \"rdma_ns_per_call\": %.2f, \"speedup\": %.3f}%s\n"
+        size cxl flushes rdma (rdma /. cxl)
         (if i = List.length payload_rows - 1 then "" else ","))
     payload_rows;
   Printf.fprintf oc "  ],\n  \"fanin\": [\n";

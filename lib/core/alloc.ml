@@ -445,8 +445,6 @@ let free_huge (ctx : Ctx.t) obj =
    guard, the in_use-at-free-head check) and the retirement batch boundary
    is the path's single ordering + durability point, argued in
    docs/ALGORITHM.md §9. *)
-let rr_flush_elided (ctx : Ctx.t) = Ctx.epoch_enabled ctx
-
 let link_and_carve (ctx : Ctx.t) rr ~idx ~kind ~block_words ~data_words ~emb_cnt =
   let cfg = Ctx.cfg ctx in
   let gid =
@@ -459,7 +457,7 @@ let link_and_carve (ctx : Ctx.t) rr ~idx ~kind ~block_words ~data_words ~emb_cnt
      pointer moves, else a crash leaks the block (§5.1). The CLWB of the
      RootRef line is the flush Fig 7 attributes 27-50% of the fast path to. *)
   Ctx.store ctx (Rootref.pptr_slot rr) blk;
-  if not (rr_flush_elided ctx) then Ctx.flush ctx rr;
+  Ctx.flush_unless_elided ctx rr;
   Ctx.crash_point ctx Fault.Alloc_after_link;
   if not (Ctx.epoch_enabled ctx) then Ctx.fence ctx;
   (* Step 3: advance the thread-exclusive free pointer. *)
@@ -510,7 +508,7 @@ let alloc_obj (ctx : Ctx.t) ~data_words ~emb_cnt =
         raise Out_of_shared_memory;
       let obj = alloc_huge ctx ~data_words ~emb_cnt in
       Ctx.store ctx (Rootref.pptr_slot rr) obj;
-      if not (rr_flush_elided ctx) then Ctx.flush ctx rr;
+      Ctx.flush_unless_elided ctx rr;
       Ctx.crash_point ctx Fault.Alloc_after_link;
       if not (Ctx.epoch_enabled ctx) then Ctx.fence ctx;
       Ctx.store ctx

@@ -223,6 +223,8 @@ let crash_point t point = Fault.maybe_crash t.fault point
 let epoch_enabled t = t.epoch.e_enabled
 let epoch_capacity t = t.lay.Layout.cfg.Config.epoch_batch
 
+let flush_unless_elided t p = if not t.epoch.e_enabled then flush t p
+
 (* Queue a write-back to ride the next retirement-batch boundary. Safe only
    for stores whose durability deadline is the era advance that could free
    the line's contents — exactly the fast-path rootref/index lines. The

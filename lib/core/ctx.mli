@@ -167,6 +167,12 @@ val crash_point : t -> Fault.point -> unit
 val epoch_enabled : t -> bool
 val epoch_capacity : t -> int
 
+val flush_unless_elided : t -> Cxlshm_shmem.Pptr.t -> unit
+(** Epoch mode's one flush-elision rule: {!flush} in an eager context,
+    nothing when epoch batching is on. Only for lines whose loss recovery
+    already tolerates (docs/ALGORITHM.md §9.3): the RootRef link and the
+    RPC completion word. *)
+
 val flush_deferred : t -> Cxlshm_shmem.Pptr.t -> unit
 (** Queue a write-back to ride the next retirement-batch boundary instead
     of paying a per-op flush (counted in [Stats.deferred_flushes]; the

@@ -484,10 +484,9 @@ let serve_until s ~handler ~stop =
 (* Return emptied sub-heap segments to the arena. Era-safe: batched
    retirements are flushed first so dead channel blocks actually reach
    count zero, and only provably empty segments (no live block, no in-use
-   RootRef, no shard stamp — {!Reclaim.segment_all_zero}) are reset. A
-   segment something still references (an undrained in-flight message, a
-   caller-retained output) simply stays claimed until those references
-   die. *)
+   RootRef — {!Reclaim.segment_all_zero}) are reset. A segment something
+   still references (an undrained in-flight message, a caller-retained
+   output) simply stays claimed until those references die. *)
 let release_sub_heap (ctx : Ctx.t) segs =
   Reclaim.flush_retired ctx;
   List.iter
@@ -514,9 +513,8 @@ let close_server s =
   match s.sreq with
   | Some q ->
       (* The queue teardown reaps any never-consumed in-flight messages
-         while the sub-heap is still excluded on this side, so freed channel
-         blocks park on their own segments' stacks, never on global
-         shards. *)
+         while the sub-heap is still excluded on this side; the freed
+         channel blocks go to their own segments' client-free lists. *)
       Transfer.close q;
       let segs = s.chan in
       List.iter (fun seg -> Ctx.unexclude_segment s.sctx seg) segs;

@@ -74,6 +74,9 @@ let func v = read_word v (emb_cnt v)
 let count_word v = read_word v (emb_cnt v + 1)
 let status v = read_word v (emb_cnt v + 2)
 
+(* Raised behind the caller's release fence. Epoch contexts elide the
+   write-back: a word lost with the server reads pending, and [finish]
+   then reports the dead server (docs/RPC.md §3). *)
 let set_status v s =
   write_word v (emb_cnt v + 2) s;
-  Mem.flush v.ctx.Ctx.mem ~st:v.ctx.Ctx.st (data v + emb_cnt v + 2)
+  Ctx.flush_unless_elided v.ctx (data v + emb_cnt v + 2)

@@ -66,4 +66,6 @@ val count_word : view -> int
 val status : view -> int
 val set_status : view -> int -> unit
 (** Completion flag (0 = pending); the client polls it directly — no
-    response message, no copy. *)
+    response message, no copy. Written back in an eager context only
+    ({!Cxlshm.Ctx.flush_unless_elided}): a lost completion word reads
+    pending, which the client reports as a failed server. *)

@@ -534,6 +534,114 @@ let test_served_message_one_holder () =
   Cxl_rpc.close_client client;
   check_clean arena ~live:0
 
+(* Write-backs on a fresh channel: the server's across one served call,
+   once a first call has opened its endpoint, and the client's across
+   raising one completion word by hand. *)
+let served_flushes cfg =
+  let arena = Shm.create ~cfg () in
+  let c = Shm.join arena () in
+  let s = Shm.join arena () in
+  let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:4 in
+  let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:4 in
+  let arg = Cxl_rpc.alloc_arg client ~size_bytes:8 () in
+  let handler ~func ~args:_ ~output = Message.write_word output 0 func in
+  let serve_call func =
+    let p = Cxl_rpc.call_async client ~func ~args:[ arg ] ~output_bytes:8 in
+    let before = s.Ctx.st.Stats.flushes in
+    Alcotest.(check bool) "served" true (Cxl_rpc.serve_one server ~handler);
+    let n = s.Ctx.st.Stats.flushes - before in
+    let out = Cxl_rpc.finish p in
+    Alcotest.(check int) "output" func (Cxl_ref.read_word out 0);
+    Cxl_ref.drop out;
+    n
+  in
+  ignore (serve_call 1);
+  let served = serve_call 2 in
+  let out = Shm.cxl_malloc c ~size_bytes:8 () in
+  let msg = Message.build c ~func:3 ~args:[] ~output:out in
+  let v = Message.view_of_ref msg in
+  let before = c.Ctx.st.Stats.flushes in
+  Message.set_status v 1;
+  let raised = c.Ctx.st.Stats.flushes - before in
+  Alcotest.(check int) "status raised" 1 (Message.status v);
+  Cxl_ref.drop msg;
+  Cxl_ref.drop out;
+  Cxl_ref.drop arg;
+  Cxl_rpc.close_server server;
+  (* the server's queue reference may be parked for retirement *)
+  Reclaim.flush_retired s;
+  Cxl_rpc.close_client client;
+  check_clean arena ~live:0;
+  (served, raised)
+
+(* Epoch mode elides the completion word's write-back with the RootRef
+   link's: serving a call costs the server none. An eager context writes
+   the word back exactly once, and serving also writes back the ring
+   head, which [Ctx.flush_deferred] flushes at once there. *)
+let test_serve_write_backs () =
+  let served, raised = served_flushes { mid_cfg with Config.epoch_batch = 16 } in
+  Alcotest.(check int) "epoch: served call" 0 served;
+  Alcotest.(check int) "epoch: completion word" 0 raised;
+  let served, raised = served_flushes mid_cfg in
+  Alcotest.(check int) "eager: completion word" 1 raised;
+  Alcotest.(check int) "eager: served call (completion word, ring head)" 2
+    served
+
+(* Epoch mode raises the completion word with no write-back, so a server
+   crash may lose the raised line. Stand in for that loss by storing the
+   pending state back after the serve, then kill the server and let its
+   lease lapse: the client's [finish] must see a dead server, as after a
+   crash at [Rpc_before_status], and the message must still be reclaimed,
+   by the next lend into its slot or by [close_client]. *)
+let test_lost_completion_word () =
+  let run ~reclaim =
+    let arena = Shm.create ~cfg:{ mid_cfg with Config.epoch_batch = 16 } () in
+    let c = Shm.join arena () in
+    let s = Shm.join arena () in
+    let server = Cxl_rpc.accept s ~client_cid:c.Ctx.cid ~capacity:1 in
+    let client = Cxl_rpc.connect c ~server_cid:s.Ctx.cid ~capacity:1 in
+    let arg = Cxl_rpc.alloc_arg client ~size_bytes:8 () in
+    let p = Cxl_rpc.call_async client ~func:7 ~args:[ arg ] ~output_bytes:8 in
+    let msg = Mem.unsafe_peek (Shm.mem arena) (ring_slot arena 0 ~capacity:1) in
+    Alcotest.(check bool) "served" true
+      (Cxl_rpc.serve_one server ~handler:(fun ~func ~args:_ ~output ->
+           Message.write_word output 0 func));
+    let v = Message.view s msg in
+    Alcotest.(check int) "completion raised" 1 (Message.status v);
+    Message.set_status v 0;
+    (* the server dies; its lease lapses with no monitor to condemn it *)
+    let svc = Shm.service_ctx arena in
+    for _ = 0 to Lease.ttl svc do
+      ignore (Lease.tick svc)
+    done;
+    Alcotest.(check bool) "lease lapsed" true (Lease.expired svc ~cid:s.Ctx.cid);
+    (match Cxl_rpc.finish p with
+    | exception Cxl_rpc.Peer_failed _ -> ()
+    | _ -> Alcotest.fail "a pending completion must fail the call");
+    (match reclaim with
+    | `Lend -> (
+        match Cxl_rpc.call_async client ~func:8 ~args:[ arg ] ~output_bytes:8 with
+        | p2 ->
+            (* the lend's release may be parked for retirement *)
+            Reclaim.flush_retired c;
+            Alcotest.(check int) "the lend reclaimed the message" 0
+              (Refc.ref_cnt c msg);
+            (match Cxl_rpc.finish p2 with
+            | exception Cxl_rpc.Peer_failed _ -> ()
+            | _ -> Alcotest.fail "no server serves the second call")
+        | exception Cxl_rpc.Peer_failed _ ->
+            Alcotest.fail "the ring had room for the lend")
+    | `Close -> ());
+    Client.declare_failed svc ~cid:s.Ctx.cid;
+    ignore (Shm.recover arena ~failed_cid:s.Ctx.cid);
+    Cxl_ref.drop arg;
+    Cxl_rpc.close_client client;
+    ignore (Shm.scan_leaking arena);
+    check_clean arena ~live:0
+  in
+  run ~reclaim:`Lend;
+  run ~reclaim:`Close
+
 (* Kill the client at every crash-point hit of a [call_async] whose lend
    reclaims the previous call's message, then the server at every hit of
    a [serve_one], eagerly and under epoch retirement. After recovery and
@@ -760,6 +868,9 @@ let suite =
     Alcotest.test_case "a served message has exactly one counted holder"
       `Quick test_served_message_one_holder;
     Alcotest.test_case "loan crash windows" `Quick test_loan_crash_windows;
+    Alcotest.test_case "served call write-backs" `Quick test_serve_write_backs;
+    Alcotest.test_case "a lost completion word fails the call cleanly" `Quick
+      test_lost_completion_word;
     Alcotest.test_case "cxl_ref word traffic" `Quick test_cxl_ref_word_traffic;
     Alcotest.test_case "message view traffic" `Quick test_message_view_traffic;
     Alcotest.test_case "handler streams sequentially" `Quick
