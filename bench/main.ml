@@ -2026,6 +2026,32 @@ let bench_fastpath () =
     let st = Stats.diff s.Ctx.st st0 in
     (bd_words d, st.Stats.rand_accesses, Stats.modeled_ns model st)
   in
+  (* handle: fill [handle_words] words of one object and read them back
+     through one warm handle, with the object's lines already cached, so
+     the row prices what each access pays to resolve the handle *)
+  let handle_words = 128 in
+  let measure_handle () =
+    let arena = Shm.create ~cfg:(fp_cfg ~epoch:true true) () in
+    let a = Shm.join arena () in
+    let mem = Shm.mem arena in
+    let r = Shm.cxl_malloc a ~size_bytes:(handle_words * 8) () in
+    let fill () =
+      for i = 0 to handle_words - 1 do
+        Cxl_ref.write_word r i i
+      done
+    in
+    fill ();
+    let b0 = Option.get (Mem.op_breakdown mem) in
+    let st0 = Stats.copy a.Ctx.st in
+    fill ();
+    for i = 0 to handle_words - 1 do
+      assert (Cxl_ref.read_word r i = i)
+    done;
+    let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
+    let ns = Stats.modeled_ns model (Stats.diff a.Ctx.st st0) in
+    let per x = x /. float_of_int (2 * handle_words) in
+    (per (float_of_int (bd_words d)), per ns)
+  in
   let aw_off, af_off, ans_off = measure_alloc ~cache:false () in
   let aw_on, af_on, ans_on = measure_alloc ~cache:true () in
   let aw_ep, af_ep, ans_ep = measure_alloc ~epoch:true ~cache:true () in
@@ -2044,6 +2070,7 @@ let bench_fastpath () =
   let limbo_ns, limbo_max_ns = measure_limbo () in
   let rj_words, rj_rand, rj_ns = measure_rejoin () in
   let retire_ns, retire_max_ns = measure_retire () in
+  let handle_acc, handle_ns = measure_handle () in
   let red a b = 100.0 *. (a -. b) /. a in
   let t =
     Table.create ~title:"Fast path: shared-word traffic (counting backend)"
@@ -2089,6 +2116,10 @@ let bench_fastpath () =
     "retire: %d drops of a parent holding one embedded child: %.2f modeled \
      ns/drop, largest single drop %.2f ns\n"
     rounds retire_ns retire_max_ns;
+  Printf.printf
+    "handle: %d words written and read back through one warm handle: \
+     %.3f accesses/word, %.2f modeled ns/word\n"
+    handle_words handle_acc handle_ns;
   let oc = open_out "BENCH_fastpath.json" in
   Printf.fprintf oc
     "{\n\
@@ -2125,7 +2156,9 @@ let bench_fastpath () =
     \  \"rejoin\": {\"segments\": %d, \"owned\": %d, \"words\": %d, \
      \"rand_words\": %d, \"modeled_ns\": %.2f},\n\
     \  \"retire\": {\"drops\": %d, \"ns_per_drop\": %.2f, \
-     \"max_drop_ns\": %.2f}\n\
+     \"max_drop_ns\": %.2f},\n\
+    \  \"handle\": {\"words\": %d, \"accesses_per_word\": %.3f, \
+     \"modeled_ns_per_word\": %.2f}\n\
      }\n"
     rounds batch aw_off af_off ans_off aw_on af_on ans_on aw_ep af_ep ans_ep
     frag_segments fw_on ff_on fns_on (red aw_off aw_on) tw_off tf_off tns_off
@@ -2133,7 +2166,7 @@ let bench_fastpath () =
     bns_ep (red tw_off tw_on)
     (red tw_off bw_on) limbo_updates limbo_keys limbo_quiesce_every limbo_ns
     limbo_max_ns rejoin_segments rejoin_owned rj_words rj_rand rj_ns rounds
-    retire_ns retire_max_ns;
+    retire_ns retire_max_ns handle_words handle_acc handle_ns;
   close_out oc;
   Printf.printf "wrote BENCH_fastpath.json\n"
 

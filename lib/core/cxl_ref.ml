@@ -1,6 +1,20 @@
-type t = { ctx : Ctx.t; rr : Cxlshm_shmem.Pptr.t; mutable live : bool }
+(* [m_obj], [m_emb] and [m_dw] memoise the handle's last resolution: the
+   object its RootRef named, that block's embedded-slot count and its true
+   length ([m_obj = 0]: not resolved yet). The first accessor fills them,
+   never [of_rootref], so a handle that is only parked or re-pointed costs
+   no meta load. *)
+type t = {
+  ctx : Ctx.t;
+  rr : Cxlshm_shmem.Pptr.t;
+  mutable live : bool;
+  mutable m_obj : Cxlshm_shmem.Pptr.t;
+  mutable m_emb : int;
+  mutable m_dw : int;
+}
 
-let of_rootref ctx rr = { ctx; rr; live = true }
+let of_rootref ctx rr =
+  { ctx; rr; live = true; m_obj = 0; m_emb = 0; m_dw = 0 }
+
 let ctx t = t.ctx
 let rootref t = t.rr
 let is_live t = t.live
@@ -17,7 +31,7 @@ let obj t =
 let clone t =
   check t;
   Rootref.set_local_cnt t.ctx t.rr (Rootref.local_cnt t.ctx t.rr + 1);
-  { ctx = t.ctx; rr = t.rr; live = true }
+  { t with live = true }
 
 let drop t =
   check t;
@@ -31,28 +45,37 @@ let into_rootref t =
   t.live <- false;
   t.rr
 
-(* One rootref read and one meta read name the block, its embedded-slot
-   count and its true length. Every accessor below checks bounds against
-   and addresses through the same resolution, so the block checked is the
-   block touched. *)
-type block = { o : Cxlshm_shmem.Pptr.t; emb : int; dw : int }
-
+(* Every accessor reads the RootRef word once and checks bounds against,
+   and addresses through, the object it names, so the block checked is the
+   block touched. The memo stands in for that block's meta, which never
+   changes while the RootRef holds the block live. *)
 let resolve t =
   let o = obj t in
-  let meta = Ctx.load t.ctx (Obj_header.meta_of_obj o) in
-  { o; emb = Obj_header.meta_emb_cnt meta; dw = Alloc.data_words t.ctx o ~meta }
+  if o <> t.m_obj then begin
+    let meta = Ctx.load t.ctx (Obj_header.meta_of_obj o) in
+    t.m_emb <- Obj_header.meta_emb_cnt meta;
+    t.m_dw <- Alloc.data_words t.ctx o ~meta;
+    t.m_obj <- o
+  end;
+  o
 
-let emb_cnt t = (resolve t).emb
-let data_words t = (resolve t).dw
+let emb_cnt t =
+  ignore (resolve t);
+  t.m_emb
+
+let data_words t =
+  ignore (resolve t);
+  t.m_dw
+
 let data_addr t = Obj_header.data_of_obj (obj t)
 
 let word_addr t i =
-  let b = resolve t in
-  if i < b.emb || i >= b.dw then
+  let o = resolve t in
+  if i < t.m_emb || i >= t.m_dw then
     invalid_arg
       (Printf.sprintf "Cxl_ref: word index %d outside plain data [%d, %d)" i
-         b.emb b.dw);
-  Obj_header.data_of_obj b.o + i
+         t.m_emb t.m_dw);
+  Obj_header.data_of_obj o + i
 
 let read_word t i = Ctx.load t.ctx (word_addr t i)
 let write_word t i v = Ctx.store t.ctx (word_addr t i) v
@@ -62,8 +85,8 @@ let cas_word t i ~expected ~desired =
 
 (* The byte payload's base address and its room in words. *)
 let byte_area t =
-  let b = resolve t in
-  (Obj_header.data_of_obj b.o + b.emb, b.dw - b.emb)
+  let o = resolve t in
+  (Obj_header.data_of_obj o + t.m_emb, t.m_dw - t.m_emb)
 
 let write_bytes t b =
   let base, room = byte_area t in
@@ -78,10 +101,10 @@ let read_bytes t ~len =
   Cxlshm_shmem.Mem.read_bytes t.ctx.Ctx.mem ~st:t.ctx.Ctx.st base ~len
 
 let emb_addr t i =
-  let b = resolve t in
-  if i < 0 || i >= b.emb then
+  let o = resolve t in
+  if i < 0 || i >= t.m_emb then
     invalid_arg (Printf.sprintf "Cxl_ref: embedded slot %d out of range" i);
-  Obj_header.emb_slot b.o i
+  Obj_header.emb_slot o i
 
 let get_emb t i = Ctx.load t.ctx (emb_addr t i)
 

@@ -42,11 +42,22 @@ val into_rootref : t -> Cxlshm_shmem.Pptr.t
     first [emb_cnt] data words — the word accessors refuse to touch them;
     use {!set_emb}/{!get_emb}/{!change_emb}.
 
-    Every accessor resolves the handle once — one RootRef read and one meta
-    read, plus the head page's true-length slot for a huge object whose
-    meta saturated — then checks bounds against, and addresses through,
-    that one resolution: {!read_word} costs exactly three shared
-    accesses. *)
+    Every accessor reads the handle's RootRef word once, then checks bounds
+    against, and addresses through, the object it names. The handle
+    remembers the block it last resolved: that object, its [emb_cnt] and its
+    true length (the head page's [page_aux2] slot for a huge object whose
+    meta saturated). While the RootRef still names that object, the memo
+    stands in for the meta read, so {!read_word} and {!write_word} cost
+    exactly two shared accesses: the RootRef word and the data word. The
+    first access, and the first after the RootRef was re-pointed, reads the
+    meta too (three).
+
+    The memo is sound because a live block's meta is immutable and the
+    handle's RootRef holds the block live while it points there. A
+    re-pointed RootRef names another object, which misses the memo;
+    evacuation re-points only to a same-shape copy anyway. {!of_rootref}
+    leaves the memo empty: a handle that is only parked or re-pointed
+    never pays the meta load. *)
 
 val data_addr : t -> Cxlshm_shmem.Pptr.t
 val data_words : t -> int

@@ -4,6 +4,7 @@
 
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
+module Stats = Cxlshm_shmem.Stats
 
 let cfg = Config.small
 let setup () =
@@ -140,6 +141,19 @@ let test_true_length_beyond_meta () =
   (match Cxl_ref.read_word r dw with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "one past the true length must raise");
+  (* The handle is warm: its memo must hold the [page_aux2] length, not the
+     saturated packed field, and serve it without reading either again. *)
+  let meta = Ctx.load a (Obj_header.meta_of_obj (Cxl_ref.obj r)) in
+  Alcotest.(check int) "packed field saturated" Obj_header.max_meta_data_words
+    (Obj_header.meta_data_words meta);
+  let before = Stats.total_accesses a.Ctx.st in
+  Alcotest.(check int) "warm: last word accepted" 77
+    (Cxl_ref.read_word r (dw - 1));
+  Alcotest.(check int) "warm: rootref + word" 2
+    (Stats.total_accesses a.Ctx.st - before);
+  (match Cxl_ref.read_word r dw with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "warm: one past the true length must raise");
   Cxl_ref.drop r;
   Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena))
 

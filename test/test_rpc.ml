@@ -766,21 +766,44 @@ let raises name f =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
 
+(* A handle remembers the block it resolved: its first access reads the
+   RootRef, the meta and the word; every later one only the RootRef and the
+   word, until the RootRef names another block. *)
 let test_cxl_ref_word_traffic () =
   let arena = Shm.create ~cfg:counting_cfg () in
   let c = Shm.join arena () in
   let r = Shm.cxl_malloc c ~size_bytes:32 ~emb_cnt:1 () in
-  let dw = Cxl_ref.data_words r in
-  Cxl_ref.write_word r 1 7;
+  let _, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
+  Alcotest.(check int) "first read: rootref + meta + word" 3 n;
+  let (), n = accesses c (fun () -> Cxl_ref.write_word r 1 7) in
+  Alcotest.(check int) "write: rootref + word" 2 n;
   let v, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
   Alcotest.(check int) "value" 7 v;
-  Alcotest.(check int) "rootref + meta + word" 3 n;
+  Alcotest.(check int) "read: rootref + word" 2 n;
+  let _, n = accesses c (fun () -> Cxl_ref.get_emb r 0) in
+  Alcotest.(check int) "get_emb: rootref + slot" 2 n;
+  let dw = Cxl_ref.data_words r in
   let (), n = accesses c (fun () -> Cxl_ref.write_word r (dw - 1) 8) in
-  Alcotest.(check int) "write: rootref + meta + word" 3 n;
+  Alcotest.(check int) "write at the end: rootref + word" 2 n;
   raises "embedded slot" (fun () -> Cxl_ref.read_word r 0);
   raises "data_words" (fun () -> Cxl_ref.read_word r dw);
   raises "write past the end" (fun () -> Cxl_ref.write_word r dw 0);
   raises "embedded slot past emb_cnt" (fun () -> Cxl_ref.get_emb r 1);
+  (* Evacuation re-points the warmed handle's RootRef at a copy: the next
+     access misses the memo, resolves the copy and reads its data. *)
+  let e = Shm.join arena () in
+  let nobj =
+    match Evacuate.evacuate_obj e ~obj:(Cxl_ref.obj r) with
+    | Evacuate.Moved nobj -> nobj
+    | _ -> Alcotest.fail "evacuation did not move the block"
+  in
+  Ctx.store c (Obj_header.data_of_obj nobj + 1) 9;
+  let v, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
+  Alcotest.(check int) "reads the copy" 9 v;
+  Alcotest.(check int) "after a move: rootref + meta + word" 3 n;
+  let v, n = accesses c (fun () -> Cxl_ref.read_word r (dw - 1)) in
+  Alcotest.(check int) "payload copied" 8 v;
+  Alcotest.(check int) "then rootref + word again" 2 n;
   Cxl_ref.drop r;
   check_clean arena ~live:0
 
