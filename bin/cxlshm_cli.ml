@@ -740,16 +740,13 @@ let monitor_demo replicas seconds interval kill_leader kill_writer seed =
   end
   else if kill_leader then begin
     (* Deterministic control-plane failover: hung client, leader killed
-       mid-recovery, follower takeover, full device drain. *)
+       mid-recovery, follower takeover. *)
     let f = Soak.monitor_kill ~seed () in
     Format.printf "monitor-kill failover: %a@." Soak.pp_failover f;
-    if
-      f.Soak.leader_crashed && f.Soak.follower_finished
-      && f.Soak.live_segments_left = 0 && f.Soak.fo_clean
+    if f.Soak.leader_crashed && f.Soak.follower_finished && f.Soak.fo_clean
     then begin
       Printf.printf
-        "follower deposed the dead leader, finished its recovery and \
-         drained the degraded device\n";
+        "follower deposed the dead leader and finished its recovery\n";
       0
     end
     else 1
@@ -809,8 +806,8 @@ let monitor_cmd =
           spawns $(b,--replicas) live replica loops that race to reap a \
           silent client. With $(b,--kill-leader), runs the deterministic \
           failover story instead: a hung client under load, the leader \
-          replica killed mid-recovery, the follower deposing it, finishing \
-          the recovery and draining a fully-degraded device. With \
+          replica killed mid-recovery, the follower deposing it and \
+          finishing the recovery. With \
           $(b,--kill-writer), runs the KV adoption drill: a writer killed \
           mid-quiesce, its limbo rows orphaned in place by recovery and \
           adopted era-gated by a successor.")
@@ -837,112 +834,14 @@ let monitor_cmd =
                  mid-quiesce, limbo rows orphaned, successor adopts).")
       $ Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Failover workload seed."))
 
-(* ---- evacuate: drain live data off a degraded device ---- *)
-
-let evacuate_demo objects devices degrade seed =
-  if degrade < 0 || degrade >= devices then begin
-    Printf.eprintf "--degrade must name one of the %d devices\n" devices;
-    2
-  end
-  else begin
-    let cfg =
-      {
-        Config.small with
-        Config.backend =
-          Cxlshm_shmem.Mem.Striped { devices; stripe_words = 0; tiers = [||] };
-      }
-    in
-    let arena = Shm.create ~cfg () in
-    let svc = Shm.service_ctx arena in
-    let a = Shm.join arena () in
-    let b = Shm.join arena () in
-    let rng = Random.State.make [| 0x65766163; seed |] in
-    let held = ref [] in
-    for i = 1 to objects do
-      let c = if i mod 2 = 0 then a else b in
-      let r =
-        Shm.cxl_malloc c
-          ~size_bytes:(8 + Random.State.int rng 48)
-          ~emb_cnt:(Random.State.int rng 2)
-          ()
-      in
-      Cxl_ref.write_word r (Cxl_ref.emb_cnt r) i;
-      (match !held with
-      | (p, _) :: _
-        when Cxl_ref.ctx p == c && Cxl_ref.emb_cnt p > 0
-             && Cxl_ref.get_emb p 0 = 0 ->
-          Cxl_ref.set_emb p 0 r
-      | _ -> ());
-      held := (r, i) :: !held
-    done;
-    let before = List.length (Evacuate.live_segments_on svc ~dev:degrade) in
-    Printf.printf "%d objects over %d devices; device %d holds %d live segment(s)\n"
-      objects devices degrade before;
-    Ctx.mark_degraded svc degrade;
-    (* owners move their own RootRef blocks, then the monitor-side sweep
-       takes the data *)
-    let patch c rep =
-      held :=
-        List.map
-          (fun (r, i) ->
-            if Cxl_ref.ctx r == c then
-              match
-                List.assoc_opt (Cxl_ref.rootref r) rep.Evacuate.remapped
-              with
-              | Some rr2 -> (Cxl_ref.of_rootref c rr2, i)
-              | None -> (r, i)
-            else (r, i))
-          !held
-    in
-    List.iter
-      (fun c ->
-        let rep = Evacuate.relocate_own c in
-        Format.printf "relocate cid %d: %a@." c.Ctx.cid Evacuate.pp_report rep;
-        patch c rep)
-      [ a; b ];
-    let rep = Shm.evacuate arena in
-    Format.printf "sweep: %a@." Evacuate.pp_report rep;
-    let left = Evacuate.live_segments_on svc ~dev:degrade in
-    Printf.printf "device %d live segments after drain: %d\n" degrade
-      (List.length left);
-    let intact =
-      List.for_all (fun (r, i) -> Cxl_ref.read_word r (Cxl_ref.emb_cnt r) = i) !held
-    in
-    Printf.printf "payloads %s\n" (if intact then "intact" else "CORRUPTED");
-    List.iter (fun (r, _) -> Cxl_ref.drop r) !held;
-    Shm.leave a;
-    Shm.leave b;
-    Ctx.clear_degraded svc;
-    ignore (Shm.scan_leaking arena);
-    let v = Shm.validate arena in
-    Printf.printf "validation %s\n" (if Validate.is_clean v then "clean" else "DIRTY");
-    if left = [] && intact && Validate.is_clean v then 0 else 1
-  end
-
-let evacuate_cmd =
-  Cmd.v
-    (Cmd.info "evacuate"
-       ~doc:
-         "Populate a striped demo arena, mark one device degraded, and \
-          drain every live block off it: owners relocate their RootRef \
-          blocks, the monitor-side sweep moves the data, and the run \
-          passes when zero live segments remain on the device and every \
-          payload survived the move.")
-    Term.(
-      const evacuate_demo
-      $ Arg.(
-          value & opt int 60
-          & info [ "objects" ] ~doc:"Objects to allocate before draining.")
-      $ devices_arg
-      $ Arg.(
-          value & opt int 0 & info [ "degrade" ] ~doc:"Device to degrade.")
-      $ Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed."))
-
 (* ---- explore: model-checking schedule exploration ---- *)
 
 module Check_explore = Cxlshm_check.Explore
 module Check_scenarios = Cxlshm_check.Scenarios
 module Check_schedule = Cxlshm_check.Schedule
+
+let model_names =
+  List.map (fun m -> m.Check_explore.name) (Check_scenarios.all ())
 
 let explore_model_of_name ~capacity ~values ~rounds name =
   match name with
@@ -955,18 +854,14 @@ let explore_model_of_name ~capacity ~values ~rounds name =
   | "epoch-retire" -> Check_scenarios.epoch_retire ?rounds ()
   | "lease" -> Check_scenarios.lease ?passes:rounds ()
   | "dual-monitor" -> Check_scenarios.dual_monitor ?passes:rounds ()
-  | "evacuate" -> Check_scenarios.evacuate ?rounds ()
   | "kv-serve" -> Check_scenarios.kv_serve ()
   | "kv-serve-park" -> Check_scenarios.kv_serve ~park_release:true ()
   | "kv-serve-recover" -> Check_scenarios.kv_serve_recover ()
   | "bcast-recover" -> Check_scenarios.bcast_recover ()
   | "rpc-isolate" -> Check_scenarios.rpc_isolate ()
   | n ->
-      Printf.eprintf
-        "unknown model %s (have: spsc, transfer, transfer-batch, refc, huge, \
-         epoch-retire, lease, dual-monitor, evacuate, kv-serve, kv-serve-park, kv-serve-recover, bcast-recover, \
-         rpc-isolate)\n"
-        n;
+      Printf.eprintf "unknown model %s (have: %s)\n" n
+        (String.concat ", " model_names);
       exit 2
 
 let set_mutation = function
@@ -1079,22 +974,17 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "Model-check the concurrent protocols: run the built-in models \
-          (spsc, transfer, transfer-batch, refc, huge, epoch-retire, \
-          lease, dual-monitor, evacuate, kv-serve, kv-serve-park, \
-          kv-serve-recover, bcast-recover, rpc-isolate) \
-          under a \
-          controlled cooperative \
-          scheduler \
-          with seeded-random, PCT, or bounded-preemption exhaustive \
-          exploration and optional crash injection at any yield point. \
+          (by default all of them; see $(b,--model)) under a controlled \
+          cooperative scheduler with seeded-random, PCT, or \
+          bounded-preemption exhaustive exploration and optional crash \
+          injection at any yield point. \
           Every failure prints a schedule string that $(b,--replay) \
           reproduces deterministically.")
     Term.(
       const explore
       $ Arg.(
           value
-          & opt string
-              "spsc,transfer,transfer-batch,refc,huge,epoch-retire,lease,dual-monitor,evacuate,kv-serve,kv-serve-park,kv-serve-recover,bcast-recover,rpc-isolate"
+          & opt string (String.concat "," model_names)
           & info [ "model" ] ~doc:"Comma-separated models to explore.")
       $ Arg.(
           value & opt string "random"
@@ -1163,7 +1053,6 @@ let () =
             fsck_cmd;
             soak_cmd;
             monitor_cmd;
-            evacuate_cmd;
             trace_cmd;
             top_cmd;
             rpc_cmd;

@@ -369,16 +369,16 @@ let epoch_retire ?(rounds = 2) () : Explore.model =
   in
   { Explore.name = "epoch-retire"; make; branch = arena_branch }
 
-(* ---- control-plane models: leases, replicated monitors, evacuation ---- *)
+(* ---- control-plane models: leases, replicated monitors ---- *)
 
 (* Drive a fresh monitor replica until every client slot outside [keep] has
    been reaped through the lease machinery (tick -> suspect -> condemn ->
    recover). This is the oracle's stand-in for "some replica survives the
-   run": whatever mess the explored schedule left behind — a hung client, a
-   leader dead mid-recovery, a crashed evacuator with its guard still
-   attached — must be fully absorbed within a bounded number of passes,
-   with no client ever declared failed by hand. Returns the settle replica
-   (its death dumps count toward the exactly-once oracle). *)
+   run": whatever mess the explored schedule left behind — a hung client or
+   a leader dead mid-recovery — must be fully absorbed within a bounded
+   number of passes, with no client ever declared failed by hand. Returns
+   the settle replica (its death dumps count toward the exactly-once
+   oracle). *)
 let lease_settle arena ~keep =
   let mon = Shm.monitor arena ~id:7 () in
   let svc = Shm.service_ctx arena in
@@ -519,76 +519,6 @@ let dual_monitor ?(passes = 3) () : Explore.model =
     { Explore.clients = [| worker; mon0; mon1 |]; check }
   in
   { Explore.name = "dual-monitor"; make; branch = arena_branch }
-
-(* ---- evacuate: live data drains off a degraded device ---- *)
-
-let evacuate ?(rounds = 2) () : Explore.model =
-  let make () =
-    let cfg =
-      { Config.small with
-        backend =
-          Mem.Sched (Mem.Striped { devices = 2; stripe_words = 0; tiers = [||] });
-        lease_ttl = 1 }
-    in
-    let arena = Shm.create ~cfg () in
-    let svc = Shm.service_ctx arena in
-    let lay = Shm.layout arena in
-    (* Environment: client [a] (home device 0) allocates a child that
-       client [b] (home device 1) links into its own parent; [a] then
-       leaves cleanly, stranding the still-referenced child in an orphaned
-       segment — and device 0 goes degraded. *)
-    let a = Shm.join arena () in
-    let b = Shm.join arena () in
-    let child = Shm.cxl_malloc a ~size_bytes:16 () in
-    Cxl_ref.write_word child 0 48879;
-    let parent = Shm.cxl_malloc b ~size_bytes:8 ~emb_cnt:1 () in
-    Cxl_ref.set_emb parent 0 child;
-    let child_obj = Cxl_ref.obj child in
-    Cxl_ref.drop child;
-    Shm.leave a;
-    let dev = Alloc.segment_device svc (Layout.segment_of_addr lay child_obj) in
-    let seg_of r = Layout.segment_of_addr lay r in
-    if
-      Alloc.segment_device svc (seg_of (Cxl_ref.obj parent)) = dev
-      || Alloc.segment_device svc (seg_of (Cxl_ref.rootref parent)) = dev
-    then fail "evacuate: holder landed on the to-be-degraded device";
-    Ctx.mark_degraded svc dev;
-    (* In-run: [b] keeps allocating (and heartbeating) while the evacuation
-       sweep runs — crashes land at the [Evac_*] windows (after copy, after
-       each re-point, before release) and anywhere in the sweep's
-       allocator/refcount traffic. *)
-    let b_traffic () =
-      for i = 1 to rounds do
-        Client.heartbeat b;
-        let r = Shm.cxl_malloc b ~size_bytes:8 () in
-        Cxl_ref.write_word r 0 i;
-        Cxl_ref.drop r;
-        Sched.yield "b-work"
-      done
-    in
-    let evacuator () = ignore (Shm.evacuate arena) in
-    let check ~crashed =
-      let b_alive = not (List.mem 0 crashed) in
-      ignore (lease_settle arena ~keep:(if b_alive then [ b ] else []));
-      (* Convergence: one clean sweep after recovery must finish whatever
-         the crashed one left half-moved. *)
-      ignore (Shm.evacuate arena);
-      (match Evacuate.live_segments_on svc ~dev with
-      | [] -> ()
-      | segs ->
-          fail "evacuate: %d live segments left on degraded device %d"
-            (List.length segs) dev);
-      if b_alive then begin
-        let c = Cxl_ref.get_emb parent 0 in
-        if c = 0 then fail "evacuate: parent lost its child reference";
-        if Mem.unsafe_peek (Shm.mem arena) (Obj_header.data_of_obj c) <> 48879
-        then fail "evacuate: child payload lost in the move"
-      end;
-      arena_audit arena ~cids:[| a.Ctx.cid; b.Ctx.cid |]
-    in
-    { Explore.clients = [| b_traffic; evacuator |]; check }
-  in
-  { Explore.name = "evacuate"; make; branch = arena_branch }
 
 (* ---- kv-serve: COW retirement racing a concurrent reader walk ---- *)
 
@@ -1063,7 +993,7 @@ let rpc_isolate () : Explore.model =
 let all () =
   [ spsc (); transfer (); transfer ~batched:true (); refc (); huge ();
     epoch_retire (); lease (); dual_monitor ();
-    evacuate (); kv_serve (); kv_serve ~park_release:true ();
+    kv_serve (); kv_serve ~park_release:true ();
     kv_serve_recover (); bcast_recover ();
     rpc_isolate () ]
 

@@ -63,13 +63,6 @@ val dual_monitor : ?passes:int -> unit -> Explore.model
     must resume. Oracle also requires exactly one death dump per failure
     incident across all replicas. Model name ["dual-monitor"]. *)
 
-val evacuate : ?rounds:int -> unit -> Explore.model
-(** A still-referenced object stranded on a degraded device of a 2-device
-    striped pool is drained by an evacuation sweep while its holder's owner
-    keeps allocating; crashes land at the [Evac_*] copy/re-point/release
-    windows. Oracle: after recovery plus one clean convergence sweep, the
-    degraded device holds zero live segments and the payload survived. *)
-
 val kv_serve : ?park_release:bool -> unit -> Explore.model
 (** A KV writer COW-updates a key, runs a reclamation pass, and reuses the
     record size class, while a reader walks the same bucket chain (every

@@ -279,24 +279,20 @@ type failover = {
   hung_cid : int;  (** the client that went silent under load *)
   leader_crashed : bool;  (** replica 0 died inside the recovery it led *)
   follower_finished : bool;  (** replica 1 freed the hung client's slot *)
-  fo_degraded : int;  (** the device drained after the takeover *)
-  live_segments_left : int;  (** live segments still on it at the end *)
   fo_clean : bool;  (** final post-fsck validation *)
 }
 
 let pp_failover ppf f =
   Format.fprintf ppf
-    "seed=%-6d steps=%-5d hung=cid%d leader-crashed=%b follower-finished=%b \
-     dev%d-live-left=%d %s"
+    "seed=%-6d steps=%-5d hung=cid%d leader-crashed=%b follower-finished=%b %s"
     f.fo_seed f.fo_steps f.hung_cid f.leader_crashed f.follower_finished
-    f.fo_degraded f.live_segments_left
     (if f.fo_clean then "clean" else "** DIRTY **")
 
 (* The control-plane soak: a linked workload, one client hangs (alive but
    silent), the leader monitor is killed inside the recovery it started,
-   and the follower must depose it, finish that recovery mid-flight, and
-   then drain a fully-degraded device to zero live segments. Deterministic
-   in [seed] — no domains, the monitors interleave synchronously. *)
+   and the follower must depose it and finish that recovery mid-flight.
+   Deterministic in [seed] — no domains, the monitors interleave
+   synchronously. *)
 let monitor_kill ?(steps = 300) ~seed () =
   let cfg =
     {
@@ -377,24 +373,6 @@ let monitor_kill ?(steps = 300) ~seed () =
     incr guard
   done;
   let follower_finished = finished () in
-  (* Drain device 0 completely: survivors relocate what only they may
-     touch (their RootRef blocks), the new leader sweeps the rest —
-     including the hung client's recovered-but-still-referenced data. *)
-  let dev = 0 in
-  Ctx.mark_degraded svc dev;
-  for i = 1 to n - 1 do
-    let c = clients.(i) in
-    let rep = Evacuate.relocate_own c in
-    held.(i) <-
-      List.map
-        (fun r ->
-          match List.assoc_opt (Cxl_ref.rootref r) rep.Evacuate.remapped with
-          | Some rr2 -> Cxl_ref.of_rootref c rr2
-          | None -> r)
-        held.(i)
-  done;
-  ignore (Monitor.evacuate_degraded mon1);
-  let live_segments_left = List.length (Evacuate.live_segments_on svc ~dev) in
   (* Wind down and judge the arena. *)
   Array.iteri
     (fun i c ->
@@ -404,7 +382,6 @@ let monitor_kill ?(steps = 300) ~seed () =
       end)
     clients;
   ignore (Reclaim.scan_all svc ~is_client_alive:(fun _ -> false));
-  Ctx.clear_degraded svc;
   let fsck = Fsck.repair svc in
   {
     fo_seed = seed;
@@ -412,8 +389,6 @@ let monitor_kill ?(steps = 300) ~seed () =
     hung_cid = hung.Ctx.cid;
     leader_crashed;
     follower_finished;
-    fo_degraded = dev;
-    live_segments_left;
     fo_clean = Fsck.clean fsck;
   }
 

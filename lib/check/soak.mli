@@ -84,8 +84,6 @@ type failover = {
   hung_cid : int;  (** the client that went silent under load *)
   leader_crashed : bool;  (** replica 0 died inside the recovery it led *)
   follower_finished : bool;  (** replica 1 freed the hung client's slot *)
-  fo_degraded : int;  (** the device drained after the takeover *)
-  live_segments_left : int;  (** live segments still on it at the end *)
   fo_clean : bool;  (** final post-fsck validation *)
 }
 
@@ -94,10 +92,8 @@ val monitor_kill : ?steps:int -> seed:int -> unit -> failover
     striped pool; one client hangs (alive, holding references, lease
     lapsing); the leader monitor replica is killed inside the recovery it
     started; the follower must depose it and finish that recovery
-    mid-flight; then device 0 is marked degraded and drained — survivors
-    relocate their own RootRef blocks, the new leader sweeps the rest. A
-    passing run has [follower_finished], [live_segments_left = 0] and
-    [fo_clean]. Deterministic in [seed]: the replicas interleave
+    mid-flight. A passing run has [leader_crashed], [follower_finished]
+    and [fo_clean]. Deterministic in [seed]: the replicas interleave
     synchronously, no domains. *)
 
 val pp_failover : Format.formatter -> failover -> unit

@@ -55,8 +55,6 @@ val seg_class : Ctx.t -> int -> Segment.state -> Heap.seg_class
 (** {!Heap.of_state} on a segment state the caller already read, with page
     0's kind read through the page-metadata mirror. *)
 
-val is_huge : Ctx.t -> Cxlshm_shmem.Pptr.t -> bool
-
 val data_words : Ctx.t -> Cxlshm_shmem.Pptr.t -> meta:int -> int
 (** True payload word count of an object whose meta word the caller already
     read as [meta]. That is the packed field, unless it saturated at

@@ -4,9 +4,9 @@ module Stats = Cxlshm_shmem.Stats
 (* Client-local volatile cache tier (DRAM mirror of shared words).
 
    Mirroring rule: a shared word may live here only while this context is
-   its *sole mutator* — the client's own class heads and segment cursor,
-   page metadata of segments this client currently owns — or while it is
-   immutable (segment→device mapping). Every mirror update is paired with
+   its *sole mutator* — the client's own class heads, page metadata of
+   segments this client currently owns — or while it is immutable
+   (segment→device mapping). Every mirror update is paired with
    the write-through store, so shared memory always holds the truth and a
    crash loses nothing. The cache starts empty (a fresh attach) and is
    filled lazily; [cache_drop] returns it to that state, which is how
@@ -18,7 +18,6 @@ module Int_set = Set.Make (Int)
 type cache = {
   enabled : bool;
   heads : int array;  (* class-head mirror, -1 = unknown *)
-  mutable cur_seg : int;  (* current-segment cursor mirror, -1 = unknown *)
   mutable owned_valid : bool;
   owned : bool array;  (* this client's segment-ownership set *)
   pm : int array;  (* page-meta mirror: [gid * pm_slots + slot] *)
@@ -105,7 +104,6 @@ let make ?cache ?epoch ~mem ~lay ~cid () =
       {
         enabled;
         heads = Array.make (lay.Layout.num_classes + 1) (-1);
-        cur_seg = -1;
         owned_valid = false;
         owned = Array.make nseg false;
         pm = Array.make (npages * pm_slots) 0;
@@ -193,8 +191,8 @@ let clear_degraded t =
 (* The hint is a volatile mirror of the bitmap consulted on the allocation
    fast path, where a per-op [ctl_peek] would charge every alloc a shared
    read for a word that is almost always zero. Staleness only delays
-   placement steering (evacuation mops up misplaced blocks); it is
-   refreshed at attach, on every heartbeat, and at evacuation entry. *)
+   placement steering: a block placed on a just-degraded device stays
+   where it landed. It is refreshed at attach and on every heartbeat. *)
 let refresh_degraded_hint t = t.degraded_hint <- degraded_bitmap t
 let any_degraded_hint t = t.degraded_hint <> 0
 
@@ -270,15 +268,14 @@ let drain_dirty t =
 let cache_drop t =
   let c = t.cache in
   Array.fill c.heads 0 (Array.length c.heads) (-1);
-  c.cur_seg <- -1;
   c.owned_valid <- false;
   Array.fill c.pmv 0 (Array.length c.pmv) false;
   Array.fill c.seg_dev 0 (Array.length c.seg_dev) (-1);
   c.psets_warm <- false
 
-(* Class heads and the segment cursor: written only by this client while it
-   is alive (recovery rewrites them only for dead clients, whose contexts
-   are gone), so they are always mirrorable. *)
+(* Class heads: written only by this client while it is alive (recovery
+   rewrites them only for dead clients, whose contexts are gone), so they
+   are always mirrorable. *)
 
 let load_class_head t k =
   let c = t.cache in
@@ -292,17 +289,7 @@ let store_class_head t k v =
   store t (Layout.class_head t.lay t.cid k) v;
   if t.cache.enabled then t.cache.heads.(k) <- v
 
-let load_cur_segment t =
-  let c = t.cache in
-  if c.enabled && c.cur_seg >= 0 then c.cur_seg
-  else
-    let v = load t (Layout.client_cur_segment t.lay t.cid) in
-    if c.enabled then c.cur_seg <- v;
-    v
-
-let store_cur_segment t v =
-  store t (Layout.client_cur_segment t.lay t.cid) v;
-  if t.cache.enabled then t.cache.cur_seg <- v
+let store_cur_segment t v = store t (Layout.client_cur_segment t.lay t.cid) v
 
 (* Segment-ownership set. Maintained by [Segment.claim]/[adopt]/[release];
    [orphan] leaves [seg_occupied] (and thus the set) unchanged. *)

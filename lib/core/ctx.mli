@@ -7,9 +7,9 @@
 
 type cache
 (** Client-local volatile cache tier: a DRAM-side mirror of shared words
-    whose sole mutator is this client (class heads, segment cursor, owned
-    segments' page metadata, the ownership set) or that are immutable
-    (segment→device mapping), plus the allocator's page sets derived from
+    whose sole mutator is this client (class heads, owned segments' page
+    metadata, the ownership set) or that are immutable (segment→device
+    mapping), plus the allocator's page sets derived from
     them. Write-through — shared memory always holds the truth — and
     reconstructible: dropped on attach/recovery and refilled lazily from
     shared state. *)
@@ -64,8 +64,7 @@ type t = {
   mutable degraded_hint : int;
       (** volatile mirror of the degraded-device bitmap, read on the
           allocation fast path instead of the shared word; refreshed at
-          attach, heartbeat, and evacuation entry
-          ({!refresh_degraded_hint}) *)
+          attach and heartbeat ({!refresh_degraded_hint}) *)
   mutable alloc_pin : int list;
       (** when non-empty, the allocator places objects only inside these
           segments and never claims new ones — the RPC channel sub-heap
@@ -132,9 +131,9 @@ val clear_degraded : t -> unit
 val refresh_degraded_hint : t -> unit
 (** Re-read the shared bitmap into [degraded_hint]. Placement steering is
     a hint — a stale mirror only means some allocations land on a device
-    that was just marked (evacuation relocates them later), so refreshes
-    ride existing slow points rather than charging every alloc a shared
-    read. *)
+    that was just marked, and those blocks stay where they landed — so
+    refreshes ride existing slow points rather than charging every alloc a
+    shared read. *)
 
 val any_degraded_hint : t -> bool
 (** [degraded_hint <> 0] — zero-cost "is any device degraded?" check for
@@ -187,10 +186,10 @@ val drain_dirty : t -> unit
 (** {1 Client-local cache tier}
 
     Strict mirroring rules: only words whose sole mutator is this client
-    (its class heads and segment cursor; page metadata of segments it
-    owns) or immutable facts (segment→device) may be mirrored; every
-    mirror write happens alongside the write-through store; the whole
-    tier drops to empty on attach/recovery and refills lazily. *)
+    (its class heads; page metadata of segments it owns) or immutable
+    facts (segment→device) may be mirrored; every mirror write happens
+    alongside the write-through store; the whole tier drops to empty on
+    attach/recovery and refills lazily. *)
 
 val cache_drop : t -> unit
 (** Forget everything — the post-attach/post-recovery state. *)
@@ -200,7 +199,6 @@ val load_class_head : t -> int -> int
     {!store_class_head}). *)
 
 val store_class_head : t -> int -> int -> unit
-val load_cur_segment : t -> int
 val store_cur_segment : t -> int -> unit
 
 val cache_owned_known : t -> bool

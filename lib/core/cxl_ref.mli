@@ -54,8 +54,8 @@ val into_rootref : t -> Cxlshm_shmem.Pptr.t
 
     The memo is sound because a live block's meta is immutable and the
     handle's RootRef holds the block live while it points there. A
-    re-pointed RootRef names another object, which misses the memo;
-    evacuation re-points only to a same-shape copy anyway. {!of_rootref}
+    re-pointed RootRef names another object, which misses the memo, and
+    nothing moves a block under its holders. {!of_rootref}
     leaves the memo empty: a handle that is only parked or re-pointed
     never pays the meta load. *)
 

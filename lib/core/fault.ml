@@ -24,9 +24,6 @@ type point =
   | Retire_after_batch
   | Lead_after_acquire
   | Lead_after_depose
-  | Evac_after_copy
-  | Evac_after_repoint
-  | Evac_before_release
   | Park_after_append
   | Adopt_after_claim
   | Rpc_before_status
@@ -55,9 +52,6 @@ let point_name = function
   | Retire_after_batch -> "retire-after-batch"
   | Lead_after_acquire -> "lead-after-acquire"
   | Lead_after_depose -> "lead-after-depose"
-  | Evac_after_copy -> "evac-after-copy"
-  | Evac_after_repoint -> "evac-after-repoint"
-  | Evac_before_release -> "evac-before-release"
   | Park_after_append -> "park-after-append"
   | Adopt_after_claim -> "adopt-after-claim"
   | Rpc_before_status -> "rpc-before-status"
@@ -87,9 +81,6 @@ let all_points =
     Retire_after_batch;
     Lead_after_acquire;
     Lead_after_depose;
-    Evac_after_copy;
-    Evac_after_repoint;
-    Evac_before_release;
     Park_after_append;
     Adopt_after_claim;
     Rpc_before_status;

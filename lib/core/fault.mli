@@ -49,15 +49,6 @@ type point =
   | Lead_after_depose            (** expired leader deposed and recovery
                                      resumed mid-flight, lease not yet
                                      renewed by the new leader *)
-  | Evac_after_copy              (** evacuation: destination block allocated
-                                     and payload copied, no holder
-                                     re-pointed yet *)
-  | Evac_after_repoint           (** evacuation: at least one holder
-                                     re-pointed to the destination, source
-                                     still guard-referenced *)
-  | Evac_before_release          (** evacuation: all holders re-pointed,
-                                     guard rootref not yet released (source
-                                     block still alive) *)
   | Park_after_append            (** limbo entry committed (stamp fenced,
                                      rr published), the object not yet
                                      unlinked and the volatile list not

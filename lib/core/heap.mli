@@ -11,7 +11,7 @@
     decision goes through {!classify} or {!of_state}: {!Alloc} (is a
     freed block huge?), {!Reclaim} (the §5.3 scan), {!Recovery} (whose
     pages are RootRef pages?) and every whole-arena walker ({!Validate},
-    {!Fsck}, {!Cycle_gc}, {!Evacuate}, {!Root_set}).
+    {!Fsck}, {!Cycle_gc}, {!Root_set}).
 
     The module sits below {!Alloc}; the root set, which needs the
     directories, is {!Root_set}. Every function reads through [read]: the
@@ -77,10 +77,6 @@ val iter_pages : read:(int -> int) -> Layout.t -> int -> (int -> int -> unit) ->
 (** [f gid kind] for every page of a segment. The page-level iterators
     trust the segment to be {!Free} or {!Class_pages}: a continuation's
     page metadata is payload. *)
-
-val iter_class_blocks :
-  read:(int -> int) -> Layout.t -> int -> (Cxlshm_shmem.Pptr.t -> unit) -> unit
-(** Every block base of the segment's class pages. *)
 
 val iter_rootref_pages : read:(int -> int) -> Layout.t -> int -> (int -> unit) -> unit
 (** Every RootRef page of the segment, by global page id. *)

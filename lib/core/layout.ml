@@ -120,10 +120,7 @@ let hdr_epoch t = t.arena_hdr + 1
 let hdr_dev_degraded t = t.arena_hdr + 2
 let hdr_lease_clock t = t.arena_hdr + 3
 let hdr_leader t = t.arena_hdr + 4
-let hdr_evac_claim t = t.arena_hdr + 5
-let hdr_evac_from t = t.arena_hdr + 6
-let hdr_evac_to t = t.arena_hdr + 7
-let hdr_evac_guard t = t.arena_hdr + 8
+(* +5 … +8 are unused; see [hdr_limbo_orphans] in layout.mli. *)
 let hdr_limbo_orphans t = t.arena_hdr + 9
 
 (* Leader word: {monitor id + 1, deadline tick} packed so election, renewal

@@ -68,33 +68,15 @@ val leader_pack : id:int -> deadline:int -> int
 val leader_unpack : int -> (int * int) option
 (** [(monitor id, deadline tick)], or [None] for the no-leader word 0. *)
 
-val hdr_evac_claim : t -> Cxlshm_shmem.Pptr.t
-(** Evacuation claim word (the evacuator's [cid + 1] and its lease grant
-    era, packed; 0 = free): serialises evacuation sweeps across the
-    monitor leader and clients relocating their own data. A claim whose
-    holder incarnation is gone (slot free, or its era superseded) is
-    broken by the next claimant after resuming the migration journal. *)
-
-val hdr_evac_from : t -> Cxlshm_shmem.Pptr.t
-val hdr_evac_to : t -> Cxlshm_shmem.Pptr.t
-(** Migration journal for the holder re-point phase of one object
-    evacuation: while [hdr_evac_from] is non-zero, holders of [from] are
-    being re-pointed to [to]. Written to-then-from, cleared from-then-to,
-    so a non-zero [from] always pairs with a valid [to] — a crashed
-    evacuator's successor re-points the {e remaining} holders at the same
-    copy instead of cloning a second one (object identity is preserved). *)
-
-val hdr_evac_guard : t -> Cxlshm_shmem.Pptr.t
-(** The pptr slot of the evacuator's guard rootref for the in-flight
-    migration: the one holder of [hdr_evac_from] a successor must {e not}
-    re-point (it belongs to the dead evacuator's slot and its recovery
-    releases it against the old block). *)
-
 val hdr_limbo_orphans : t -> Cxlshm_shmem.Pptr.t
 (** Upper bound on the number of orphaned limbo rows. Recovery adds one
     before it orphans a row, and an adopter subtracts one after its
     claim CAS. A crash in either window only overcounts, so a zero lets
-    adoption and the leak-scan drain skip the pool scan. *)
+    adoption and the leak-scan drain skip the pool scan.
+
+    It sits at header offset 9; offsets 5 … 8 are unused. Moving it, or
+    shrinking the 16-word header, would change which words share a line
+    under the direct-mapped cache filter (ROADMAP item 1). *)
 
 (** {1 SegmentAllocationVec}
 

@@ -117,11 +117,6 @@ let recover_suspects t =
       done;
       List.rev !out
 
-let evacuate_degraded t =
-  if is_leader t && Ctx.degraded_devices t.ctx <> [] then
-    Some (Evacuate.run ~mem:t.ctx.Ctx.mem ~lay:t.ctx.Ctx.lay)
-  else None
-
 let run_in_domain t ~interval =
   let stop = Atomic.make false in
   let d =
@@ -135,7 +130,6 @@ let run_in_domain t ~interval =
              ignore (check_once t);
              ignore (recover_suspects t);
              if is_leader t then begin
-               ignore (evacuate_degraded t);
                ignore (Limbo.drain t.ctx);
                ignore
                  (Reclaim.scan_all t.ctx ~is_client_alive:(fun cid ->

@@ -9,7 +9,7 @@
     way; its own next heartbeat cancels a [Suspected] verdict but cannot
     rescue it once condemned.
 
-    Recovery, evacuation and the leak scan are {e leader-only}: replicas
+    Recovery and the leak scan are {e leader-only}: replicas
     race one CAS on a lease-guarded leader word and the losers shadow-check.
     A leader that dies keeps the word, but its lease expires and the next
     replica deposes it, resuming any interrupted recovery mid-flight
@@ -39,18 +39,13 @@ val recover_suspects : t -> (int * Recovery.report) list
     leader), resume any interrupted recovery, then recover every client
     currently [Failed]. Followers return [[]] without touching the arena. *)
 
-val evacuate_degraded : t -> Evacuate.report option
-(** Leader-only: drain live data off degraded devices ({!Evacuate.run}).
-    [None] when follower or when no device is degraded. *)
-
 val run_in_domain : t -> interval:float -> unit Domain.t * bool Atomic.t
 (** Spawn the replica loop in its own domain; set the returned flag to stop
-    it. Each pass checks, contends/recovers, and — as leader — evacuates
-    degraded devices, drains unadopted limbo rows ({!Limbo.drain}) and
-    runs the POTENTIAL_LEAKING scan. An exception in
-    one iteration (a device fault, a half-recovered client) is counted and
-    remembered — see {!error_count}/{!last_error} — and the loop keeps
-    running; it never dies silently. *)
+    it. Each pass checks, contends/recovers, and — as leader — drains
+    unadopted limbo rows ({!Limbo.drain}) and runs the POTENTIAL_LEAKING
+    scan. An exception in one iteration (a device fault, a half-recovered
+    client) is counted and remembered — see {!error_count}/{!last_error} —
+    and the loop keeps running; it never dies silently. *)
 
 val stop_and_join : unit Domain.t * bool Atomic.t -> t -> exn option
 (** Stop the loop started by {!run_in_domain}, wait for the domain to

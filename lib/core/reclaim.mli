@@ -59,8 +59,7 @@ val segment_all_zero : Ctx.t -> int -> bool
 
 val segment_unused : Ctx.t -> int -> bool
 (** Every page is unused or has [used = 0]: every carved block is back on
-    a free list, so the owner can release the segment (a departing client,
-    an evacuator handing back a drained segment). *)
+    a free list, so a departing owner can release the segment. *)
 
 val recycle_plain_segment : Ctx.t -> int -> unit
 (** Reset every page of a non-huge segment, then release it. The caller

@@ -14,9 +14,6 @@ let holder_name = function
   | Named_root -> "named-root"
   | Embedded (obj, i) -> Printf.sprintf "emb@%d[%d]" obj i
 
-let directory_refs ~read lay =
-  Transfer.directory_refs ~read lay @ Named_roots.directory_refs ~read lay
-
 let iter_roots ~read lay f =
   Heap.iter_segments ~read lay (fun seg cls ->
       if Heap.is_plain cls then

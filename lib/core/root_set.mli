@@ -4,8 +4,8 @@
     queue directory ({!Transfer}) and the named-root directory
     ({!Named_roots}); embedded references lead on from there. This module
     sits above those two, and walks the arena through {!Heap}'s format.
-    Its users are the whole-heap tools: {!Validate}, {!Fsck}, {!Cycle_gc}
-    and {!Evacuate}. Like {!Heap}, every function reads through [read]. *)
+    Its users are the whole-heap tools: {!Validate}, {!Fsck} and
+    {!Cycle_gc}. Like {!Heap}, every function reads through [read]. *)
 
 type holder =
   | Rootref of Cxlshm_shmem.Pptr.t  (** an in-use RootRef block *)
@@ -14,9 +14,6 @@ type holder =
   | Embedded of Cxlshm_shmem.Pptr.t * int  (** object, slot index *)
 
 val holder_name : holder -> string
-
-val directory_refs : read:(int -> int) -> Layout.t -> Cxlshm_shmem.Pptr.t list
-(** Objects held by the queue directory and the named-root directory. *)
 
 val iter_roots : read:(int -> int) -> Layout.t -> (holder -> Cxlshm_shmem.Pptr.t -> unit) -> unit
 (** The durable roots: every in-use RootRef's target, then the directory

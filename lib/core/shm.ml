@@ -71,7 +71,6 @@ let scan_leaking t =
       Client.is_alive t.service ~cid)
 
 let monitor t ?id () = Monitor.create ~mem:t.mem ~lay:t.lay ?id ()
-let evacuate t = Evacuate.run ~mem:t.mem ~lay:t.lay
 
 let save t path =
   let oc = open_out_bin path in

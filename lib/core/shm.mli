@@ -57,10 +57,6 @@ val monitor : arena -> ?id:int -> unit -> Monitor.t
 (** A failure-monitor replica ([id] defaults to 0; give each replica of the
     same arena a distinct id — see {!Monitor.create}). *)
 
-val evacuate : arena -> Evacuate.report
-(** One monitor-side evacuation sweep ({!Evacuate.run}): drain live data
-    off every degraded device. No-op when nothing is degraded. *)
-
 (** {1 Introspection} *)
 
 val free_segments : arena -> int

@@ -21,10 +21,9 @@
       pending scan and that no holder names (allowed by design, §5.3).
 
     It enumerates the arena through {!Heap} and {!Root_set} — the segment
-    classifier, the block iterators and the root set that {!Fsck},
-    {!Cycle_gc} and {!Evacuate} walk too — so a reference is wild here
-    exactly when those would refuse it (a huge continuation's first word
-    included).
+    classifier, the block iterators and the root set that {!Fsck} and
+    {!Cycle_gc} walk too — so a reference is wild here exactly when those
+    would refuse it (a huge continuation's first word included).
 
     Run only on a quiesced arena (no in-flight operations). Use it before
     {!Fsck.repair} to decide whether repair is needed. *)

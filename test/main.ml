@@ -20,7 +20,6 @@ let () =
       ("validate", Test_validate.suite);
       ("layout", Test_layout.suite);
       ("monitor-client", Test_monitor_client.suite);
-      ("evacuate", Test_evacuate.suite);
       ("huge", Test_huge.suite);
       ("bench-util", Test_bench_util.suite);
       ("concurrent", Test_concurrent.suite);

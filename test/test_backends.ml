@@ -99,7 +99,6 @@ let test_transfer_crash_recover () =
    workloads that reach them. Why each stays:
    - recovery-mid-phases, lead-after-acquire, lead-after-depose: the
      drilled client never runs recovery or holds the monitor lease;
-   - evac-*: it never evacuates a device;
    - park-after-append: it never parks a version in limbo (a KV writer);
    - adopt-after-claim: it never adopts a dead client's segment. *)
 let not_reached_by_drill =
@@ -108,9 +107,6 @@ let not_reached_by_drill =
       Recovery_mid_phases;
       Lead_after_acquire;
       Lead_after_depose;
-      Evac_after_copy;
-      Evac_after_repoint;
-      Evac_before_release;
       Park_after_append;
       Adopt_after_claim;
     ]

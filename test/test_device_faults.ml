@@ -307,6 +307,76 @@ let test_degraded_steering () =
   Shm.leave a;
   Alcotest.(check bool) "clean" true (Validate.is_clean (Shm.validate arena))
 
+(* A degraded device takes no new placements, but what is already on it
+   stays there and keeps working for its holders; with nothing healthy
+   left, allocation spills onto degraded pages instead of failing. *)
+let test_degraded_data_stays () =
+  let cfg =
+    {
+      Config.small with
+      Config.backend = Mem.Striped { devices = 4; stripe_words = 0; tiers = [||] };
+    }
+  in
+  let arena = Shm.create ~cfg () in
+  let svc = Shm.service_ctx arena in
+  let a = Shm.join arena () in
+  let b = Shm.join arena () in
+  let dev_of obj =
+    Alloc.segment_device a (Layout.segment_of_addr (Shm.layout arena) obj)
+  in
+  let h = Shm.cxl_malloc a ~size_bytes:16 () in
+  Cxl_ref.write_word h 0 0xBEEF;
+  let q = Transfer.connect a ~receiver:b.Ctx.cid ~capacity:4 in
+  let obj = Cxl_ref.obj h and qobj = Cxl_ref.obj (Transfer.queue_ref q) in
+  Ctx.mark_degraded svc (dev_of obj);
+  Ctx.mark_degraded svc (dev_of qobj);
+  Alcotest.(check int) "block readable in place" 0xBEEF (Cxl_ref.read_word h 0);
+  Cxl_ref.write_word h 0 0xFACE;
+  Alcotest.(check int) "block writable in place" 0xFACE (Cxl_ref.read_word h 0);
+  let payload = Shm.cxl_malloc a ~size_bytes:8 () in
+  Cxl_ref.write_word payload 0 77;
+  Alcotest.(check bool) "send" true (Transfer.send q payload = Transfer.Sent);
+  (match Transfer.open_from b ~sender:a.Ctx.cid with
+  | None -> Alcotest.fail "receiver cannot open the queue"
+  | Some qb -> (
+      match Transfer.receive qb with
+      | Transfer.Received got ->
+          Alcotest.(check int) "payload through queue" 77
+            (Cxl_ref.read_word got 0);
+          Cxl_ref.drop got;
+          Transfer.close qb
+      | _ -> Alcotest.fail "receive failed"));
+  Alcotest.(check bool) "block did not move" true (Cxl_ref.obj h = obj);
+  Alcotest.(check bool) "queue did not move" true
+    (Cxl_ref.obj (Transfer.queue_ref q) = qobj);
+  for d = 0 to 3 do
+    Ctx.mark_degraded svc d
+  done;
+  (* A fresh client owns no segment: every allocation claims one. *)
+  let c = Shm.join arena () in
+  let spilled =
+    List.init 20 (fun i ->
+        let r = Shm.cxl_malloc c ~size_bytes:48 () in
+        Cxl_ref.write_word r 0 i;
+        r)
+  in
+  List.iteri
+    (fun i r ->
+      Alcotest.(check int) "spilled block holds its word" i
+        (Cxl_ref.read_word r 0))
+    spilled;
+  Alcotest.(check bool) "spilled onto a claimed segment" true
+    (Segment.owned_by c ~cid:c.Ctx.cid <> []);
+  List.iter Cxl_ref.drop spilled;
+  Cxl_ref.drop payload;
+  Cxl_ref.drop h;
+  Transfer.close q;
+  Shm.leave c;
+  Ctx.clear_degraded svc;
+  Alcotest.(check bool) "validate clean" true
+    (Validate.is_clean (Shm.validate arena));
+  Alcotest.(check bool) "fsck clean" true (Fsck.clean (Shm.fsck arena))
+
 let suite =
   [
     Alcotest.test_case "deterministic schedule" `Quick test_determinism;
@@ -324,4 +394,6 @@ let suite =
     Alcotest.test_case "ctx retries absorb poison" `Quick test_ctx_retries_absorb_poison;
     Alcotest.test_case "escalation marks degraded" `Quick test_escalation_marks_degraded;
     Alcotest.test_case "degraded steering" `Quick test_degraded_steering;
+    Alcotest.test_case "degraded data stays in place" `Quick
+      test_degraded_data_stays;
   ]

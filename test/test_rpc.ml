@@ -789,21 +789,22 @@ let test_cxl_ref_word_traffic () =
   raises "data_words" (fun () -> Cxl_ref.read_word r dw);
   raises "write past the end" (fun () -> Cxl_ref.write_word r dw 0);
   raises "embedded slot past emb_cnt" (fun () -> Cxl_ref.get_emb r 1);
-  (* Evacuation re-points the warmed handle's RootRef at a copy: the next
-     access misses the memo, resolves the copy and reads its data. *)
-  let e = Shm.join arena () in
-  let nobj =
-    match Evacuate.evacuate_obj e ~obj:(Cxl_ref.obj r) with
-    | Evacuate.Moved nobj -> nobj
-    | _ -> Alcotest.fail "evacuation did not move the block"
-  in
-  Ctx.store c (Obj_header.data_of_obj nobj + 1) 9;
+  (* One swap re-points the warmed handle's RootRef at a same-shape copy
+     that a second handle holds (and the second RootRef at the original):
+     the next access misses the memo, resolves the copy and reads its data. *)
+  let s = Shm.cxl_malloc c ~size_bytes:32 ~emb_cnt:1 () in
+  Cxl_ref.write_word s 1 9;
+  Cxl_ref.write_word s (dw - 1) (Cxl_ref.read_word r (dw - 1));
+  Refc.swap c
+    ~ref_addr:(Rootref.pptr_slot (Cxl_ref.rootref r))
+    ~rr:(Cxl_ref.rootref s) ~from_obj:(Cxl_ref.obj r) ~to_obj:(Cxl_ref.obj s);
   let v, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
   Alcotest.(check int) "reads the copy" 9 v;
   Alcotest.(check int) "after a move: rootref + meta + word" 3 n;
   let v, n = accesses c (fun () -> Cxl_ref.read_word r (dw - 1)) in
   Alcotest.(check int) "payload copied" 8 v;
   Alcotest.(check int) "then rootref + word again" 2 n;
+  Cxl_ref.drop s;
   Cxl_ref.drop r;
   check_clean arena ~live:0
 
