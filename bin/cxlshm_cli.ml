@@ -593,6 +593,44 @@ let fsck_cmd =
           & info [ "out" ]
               ~doc:"Write the repaired image here instead of in place."))
 
+(* ---- bench-gate ---- *)
+
+let bench_gate fresh baseline =
+  let module Record = Cxlshm_bench_util.Record in
+  match
+    Record.gate ?baseline:(Option.map Record.read baseline) (Record.read fresh)
+  with
+  | exception (Failure msg | Sys_error msg) ->
+      prerr_endline msg;
+      1
+  | [] ->
+      Printf.printf "%s: no record carries a budget or a bound\n" fresh;
+      1
+  | checks ->
+      List.iter (fun c -> print_endline c.Record.line) checks;
+      let failed = List.filter (fun c -> not c.Record.ok) checks in
+      Printf.printf "%s: %d checked, %d failed\n" fresh (List.length checks)
+        (List.length failed);
+      if failed = [] then 0 else 1
+
+let bench_gate_cmd =
+  Cmd.v
+    (Cmd.info "bench-gate"
+       ~doc:
+         "Gate a bench file: fail any record past its absolute bound, past \
+          its budget against the baseline file, or (with a baseline) \
+          missing from the fresh file.")
+    Term.(
+      const bench_gate
+      $ Arg.(
+          required
+          & pos 0 (some file) None
+          & info [] ~docv:"FRESH" ~doc:"Bench file from this run.")
+      $ Arg.(
+          value
+          & pos 1 (some file) None
+          & info [] ~docv:"BASELINE" ~doc:"Committed bench file to compare with."))
+
 (* ---- soak ---- *)
 
 let soak seed steps points schedules backends out =
@@ -1057,4 +1095,5 @@ let () =
             top_cmd;
             rpc_cmd;
             explore_cmd;
+            bench_gate_cmd;
           ]))
