@@ -24,7 +24,6 @@ let init_slot (ctx : Ctx.t) =
   for k = 0 to lay.Layout.num_classes do
     Ctx.store ctx (Layout.class_head lay cid k) 0
   done;
-  Ctx.store ctx (Layout.client_cur_segment lay cid) 0;
   Ctx.store ctx (Layout.retire_count lay cid) 0;
   Ctx.store ctx (Layout.retire_era lay cid) 0;
   (* A previous occupant that died mid-traversal leaves its hazard

@@ -56,7 +56,7 @@ let make cfg =
   let segvec_base = align8 (arena_hdr + arena_hdr_words) in
   let clientvec_base = align8 (segvec_base + (seg_meta_words * cfg.Config.num_segments)) in
   (* misc + era row + redo log + per-kind current-page table (classes +
-     rootref) + current-segment cursor + retirement journal (count, base
+     rootref) + one reserved word + retirement journal (count, base
      era, K rootref slots) *)
   let client_state_words =
     align8
@@ -166,18 +166,18 @@ let class_head t i k =
     invalid_arg (Printf.sprintf "Layout.class_head: bad kind index %d" k);
   redo_base t i + redo_words + k
 
-let client_cur_segment t i = class_head t i 0 + t.num_classes + 1
-
 (* Retirement journal: [count; base_era; slot_0 .. slot_{K-1}]. A non-zero
    count is the sealed-batch commit point — recovery replays exactly that
-   many slots under eras base_era .. base_era + count - 1. *)
-let retire_count t i = client_cur_segment t i + 1
-let retire_era t i = client_cur_segment t i + 2
+   many slots under eras base_era .. base_era + count - 1. It starts one
+   word past the class heads: that word is unused, and reserved so the
+   journal and every later region keep their addresses. *)
+let retire_count t i = class_head t i 0 + t.num_classes + 2
+let retire_era t i = retire_count t i + 1
 
 let retire_slot t i k =
   if k < 0 || k >= t.cfg.Config.epoch_batch then
     invalid_arg (Printf.sprintf "Layout.retire_slot: slot %d out of range" k);
-  client_cur_segment t i + 3 + k
+  retire_count t i + 2 + k
 
 let queue_slot t q =
   if q < 0 || q >= t.cfg.Config.queue_slots then

@@ -95,7 +95,8 @@ val seg_client_free : t -> int -> Cxlshm_shmem.Pptr.t
 
     Per client: misc words (registration flag, hazard era, lease deadline
     and grant era, death-dump claim), the client's row of the M×M era matrix, the redo-log record,
-    the per-size-class current-page table and the current-segment cursor. *)
+    the per-size-class current-page table, one reserved word and the
+    retirement journal. *)
 
 val client_state : t -> int -> Cxlshm_shmem.Pptr.t
 val client_flags : t -> int -> Cxlshm_shmem.Pptr.t
@@ -134,8 +135,6 @@ val redo_words : int
 val class_head : t -> int -> int -> Cxlshm_shmem.Pptr.t
 (** [class_head lay cid k] — current page (packed gid+1, 0 = none) used by
     client [cid] for page kind [k] (size classes and the RootRef class). *)
-
-val client_cur_segment : t -> int -> Cxlshm_shmem.Pptr.t
 
 (** {1 Retirement journal}
 
