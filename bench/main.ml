@@ -2053,7 +2053,9 @@ let bench_fastpath () =
   in
   (* handle: fill [handle_words] words of one object and read them back
      through one warm handle, with the object's lines already cached, so
-     the row prices what each access pays to resolve the handle *)
+     the row prices what each access pays to resolve the handle; then one
+     era transaction on an unrelated object, and the accesses the next
+     word read pays, so the row also prices a memo's invalidation *)
   let handle_words = 128 in
   let measure_handle () =
     let arena = Shm.create ~cfg:(fp_cfg ~epoch:true true) () in
@@ -2075,7 +2077,12 @@ let bench_fastpath () =
     let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
     let ns = Stats.modeled_ns model (Stats.diff a.Ctx.st st0) in
     let per x = x /. float_of_int (2 * handle_words) in
-    (per (float_of_int (bd_words d)), per ns)
+    let p = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+    Cxl_ref.set_emb p 0 (Shm.cxl_malloc a ~size_bytes:8 ());
+    let b1 = Option.get (Mem.op_breakdown mem) in
+    assert (Cxl_ref.read_word r 0 = 0);
+    let after_era = bd_words (bd_sub (Option.get (Mem.op_breakdown mem)) b1) in
+    (per (float_of_int (bd_words d)), per ns, after_era)
   in
   let aw_off, af_off, ans_off = measure_alloc ~cache:false () in
   let aw_on, af_on, ans_on = measure_alloc ~cache:true () in
@@ -2095,7 +2102,7 @@ let bench_fastpath () =
   let limbo_ns, limbo_max_ns = measure_limbo () in
   let rj_words, rj_rand, rj_ns = measure_rejoin () in
   let retire_ns, retire_max_ns = measure_retire () in
-  let handle_acc, handle_ns = measure_handle () in
+  let handle_acc, handle_ns, handle_after_era = measure_handle () in
   let red a b = 100.0 *. (a -. b) /. a in
   let t =
     Table.create ~title:"Fast path: shared-word traffic (counting backend)"
@@ -2143,8 +2150,9 @@ let bench_fastpath () =
     rounds retire_ns retire_max_ns;
   Printf.printf
     "handle: %d words written and read back through one warm handle: \
-     %.3f accesses/word, %.2f modeled ns/word\n"
-    handle_words handle_acc handle_ns;
+     %.3f accesses/word, %.2f modeled ns/word; %d accesses for the first \
+     word after an era transaction\n"
+    handle_words handle_acc handle_ns handle_after_era;
   let r = Record.make ~experiment:"fastpath" in
   let count name n = r name ~unit:"count" Equal ~decimals:0 (float_of_int n) in
   (* One row of the words / fences / modeled-ns table; [words_budget] and
@@ -2226,6 +2234,11 @@ let bench_fastpath () =
              ~budget_pct:0. handle_acc;
            r "handle.modeled_ns_per_word" ~unit:"ns/word" Lower ~decimals:2
              handle_ns;
+           (* An era transaction moves the counter every memo is stamped
+              with: the next access re-reads the RootRef word, and any
+              rise means it re-reads more. *)
+           r "handle.accesses_after_era" ~unit:"accesses" Lower ~decimals:0
+             ~budget_pct:0. (float_of_int handle_after_era);
          ];
        ]);
   Printf.printf "wrote BENCH_fastpath.json\n"

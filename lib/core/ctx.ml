@@ -68,6 +68,7 @@ type t = {
   mutable alloc_pin : int list;
   mutable alloc_exclude : int list;
   mutable service : bool;
+  mutable eras : int;
 }
 
 (* Mirrored page-meta slots: kind, block_words, capacity, free, used.
@@ -128,6 +129,7 @@ let make ?cache ?epoch ~mem ~lay ~cid () =
     alloc_pin = [];
     alloc_exclude = [];
     service = false;
+    eras = 0;
   }
 
 let cfg t = t.lay.Layout.cfg

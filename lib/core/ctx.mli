@@ -76,6 +76,9 @@ type t = {
           [Shm]): it acts as cid 0, which {!Client.register} also hands to
           the first client that joins, so {!Alloc.alloc_rootref} refuses
           to allocate through it *)
+  mutable eras : int;
+      (** era advances this context has made ({!Era.advance_for}); the
+          version of every {!Cxl_ref} memo *)
 }
 
 val make :

@@ -1,8 +1,8 @@
 (* [m_obj], [m_emb] and [m_dw] memoise the handle's last resolution: the
    object its RootRef named, that block's embedded-slot count and its true
-   length ([m_obj = 0]: not resolved yet). The first accessor fills them,
-   never [of_rootref], so a handle that is only parked or re-pointed costs
-   no meta load. *)
+   length ([m_obj = 0]: not resolved yet), valid while [Ctx.eras] still
+   equals [m_eras]. The first accessor fills them, never [of_rootref], so
+   a handle that is only parked or re-pointed costs no meta load. *)
 type t = {
   ctx : Ctx.t;
   rr : Cxlshm_shmem.Pptr.t;
@@ -10,10 +10,11 @@ type t = {
   mutable m_obj : Cxlshm_shmem.Pptr.t;
   mutable m_emb : int;
   mutable m_dw : int;
+  mutable m_eras : int;
 }
 
 let of_rootref ctx rr =
-  { ctx; rr; live = true; m_obj = 0; m_emb = 0; m_dw = 0 }
+  { ctx; rr; live = true; m_obj = 0; m_emb = 0; m_dw = 0; m_eras = 0 }
 
 let ctx t = t.ctx
 let rootref t = t.rr
@@ -45,19 +46,27 @@ let into_rootref t =
   t.live <- false;
   t.rr
 
-(* Every accessor reads the RootRef word once and checks bounds against,
+(* Test-only: see the mli. *)
+let mutation_stale_memo = ref false
+
+(* Every accessor resolves the handle once and checks bounds against,
    and addresses through, the object it names, so the block checked is the
-   block touched. The memo stands in for that block's meta, which never
-   changes while the RootRef holds the block live. *)
+   block touched. Until an era advance, a warm memo stands in for the
+   RootRef word, and for the meta until the RootRef names another block. *)
 let resolve t =
-  let o = obj t in
-  if o <> t.m_obj then begin
-    let meta = Ctx.load t.ctx (Obj_header.meta_of_obj o) in
-    t.m_emb <- Obj_header.meta_emb_cnt meta;
-    t.m_dw <- Alloc.data_words t.ctx o ~meta;
-    t.m_obj <- o
+  check t;
+  if t.m_obj = 0 || (t.m_eras <> t.ctx.Ctx.eras && not !mutation_stale_memo)
+  then begin
+    let o = obj t in
+    if o <> t.m_obj then begin
+      let meta = Ctx.load t.ctx (Obj_header.meta_of_obj o) in
+      t.m_emb <- Obj_header.meta_emb_cnt meta;
+      t.m_dw <- Alloc.data_words t.ctx o ~meta;
+      t.m_obj <- o
+    end;
+    t.m_eras <- t.ctx.Ctx.eras
   end;
-  o
+  t.m_obj
 
 let emb_cnt t =
   ignore (resolve t);
@@ -79,9 +88,6 @@ let word_addr t i =
 
 let read_word t i = Ctx.load t.ctx (word_addr t i)
 let write_word t i v = Ctx.store t.ctx (word_addr t i) v
-
-let cas_word t i ~expected ~desired =
-  Ctx.cas t.ctx (word_addr t i) ~expected ~desired
 
 (* The byte payload's base address and its room in words. *)
 let byte_area t =

@@ -42,29 +42,33 @@ val into_rootref : t -> Cxlshm_shmem.Pptr.t
     first [emb_cnt] data words — the word accessors refuse to touch them;
     use {!set_emb}/{!get_emb}/{!change_emb}.
 
-    Every accessor reads the handle's RootRef word once, then checks bounds
-    against, and addresses through, the object it names. The handle
-    remembers the block it last resolved: that object, its [emb_cnt] and its
-    true length (the head page's [page_aux2] slot for a huge object whose
-    meta saturated). While the RootRef still names that object, the memo
-    stands in for the meta read, so {!read_word} and {!write_word} cost
-    exactly two shared accesses: the RootRef word and the data word. The
-    first access, and the first after the RootRef was re-pointed, reads the
-    meta too (three).
+    Every accessor resolves the handle, then checks bounds against, and
+    addresses through, the object it names. The handle remembers the block
+    it last resolved: that object, its [emb_cnt] and its true length (the
+    head page's [page_aux2] slot for a huge object whose meta saturated),
+    stamped with the context's era-advance count ([Ctx.eras]). While the
+    handle is live and the count has not moved, the memo stands in for the
+    RootRef word and the meta, so a warm {!read_word}, {!write_word},
+    {!get_emb} or byte access costs one shared access, and a per-word loop
+    is one sequential run. After an era transaction of this context the
+    next access re-reads the RootRef word (two accesses); the first access,
+    and the first after the RootRef was re-pointed, reads the meta too.
 
-    The memo is sound because a live block's meta is immutable and the
-    handle's RootRef holds the block live while it points there. A
-    re-pointed RootRef names another object, which misses the memo, and
-    nothing moves a block under its holders. {!of_rootref}
-    leaves the memo empty: a handle that is only parked or re-pointed
-    never pays the meta load. *)
+    The memo is sound because, while a client lives, only its own context
+    writes its RootRef pointer words: at allocation, before any handle on
+    them exists, and inside its own era transactions, each of which ends in
+    an era advance ({!Refc.swap}, the one re-point of a linked RootRef,
+    included). Recovery writes only a dead client's RootRefs, and a
+    condemned client's handles are void. A live block's meta is immutable
+    while its RootRef holds it, and nothing moves a block under its
+    holders. {!of_rootref} leaves the memo empty, so a handle that is only
+    parked or re-pointed never pays the meta load. *)
 
 val data_addr : t -> Cxlshm_shmem.Pptr.t
 val data_words : t -> int
 val emb_cnt : t -> int
 val read_word : t -> int -> int
 val write_word : t -> int -> int -> unit
-val cas_word : t -> int -> expected:int -> desired:int -> bool
 val write_bytes : t -> bytes -> unit
 (** Store a byte payload immediately after the embedded-ref slots. *)
 
@@ -86,3 +90,8 @@ val change_emb : t -> int -> t -> unit
 (** §5.4 atomic re-pointing of slot [i] to the target handle's object:
     one {!Refc.swap} through a transient RootRef, whose release drops the
     old target's count. *)
+
+val mutation_stale_memo : bool ref
+(** Test-only: the memo ignores the era-advance counter, so a handle keeps
+    addressing the object it first resolved after its RootRef was
+    re-pointed (the stale-memo mutation). *)

@@ -8,13 +8,12 @@ let observe (ctx : Ctx.t) ~saw_cid ~saw_era =
   let c = cell ctx ctx.cid saw_cid in
   if Ctx.load ctx c < saw_era then Ctx.store ctx c saw_era
 
-let advance (ctx : Ctx.t) =
-  let c = cell ctx ctx.cid ctx.cid in
-  Ctx.store ctx c (Ctx.load ctx c + 1)
-
 let advance_for (ctx : Ctx.t) ~cid =
   let c = cell ctx cid cid in
-  Ctx.store ctx c (Ctx.load ctx c + 1)
+  Ctx.store ctx c (Ctx.load ctx c + 1);
+  ctx.eras <- ctx.eras + 1
+
+let advance (ctx : Ctx.t) = advance_for ctx ~cid:ctx.cid
 
 let observe_for (ctx : Ctx.t) ~cid ~saw_cid ~saw_era =
   let c = cell ctx cid saw_cid in

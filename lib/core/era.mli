@@ -22,7 +22,8 @@ val observe : Ctx.t -> saw_cid:int -> saw_era:int -> unit
     raises Era[cid][saw_cid] to [saw_era] if it is smaller. *)
 
 val advance : Ctx.t -> unit
-(** Era[cid][cid]++ — commit-epilogue of a transaction (line 12). *)
+(** Era[cid][cid]++ — commit-epilogue of a transaction (line 12). It and
+    {!advance_for} also bump the context's volatile [Ctx.eras]. *)
 
 val advance_for : Ctx.t -> cid:int -> unit
 (** Recovery helper: advance the era of a *dead* client whose instruction

@@ -767,8 +767,9 @@ let raises name f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
 
 (* A handle remembers the block it resolved: its first access reads the
-   RootRef, the meta and the word; every later one only the RootRef and the
-   word, until the RootRef names another block. *)
+   RootRef, the meta and the word; every later one only the word, until an
+   era transaction of its context moves the counter the memo is stamped
+   with, or the RootRef names another block. *)
 let test_cxl_ref_word_traffic () =
   let arena = Shm.create ~cfg:counting_cfg () in
   let c = Shm.join arena () in
@@ -776,15 +777,15 @@ let test_cxl_ref_word_traffic () =
   let _, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
   Alcotest.(check int) "first read: rootref + meta + word" 3 n;
   let (), n = accesses c (fun () -> Cxl_ref.write_word r 1 7) in
-  Alcotest.(check int) "write: rootref + word" 2 n;
+  Alcotest.(check int) "warm write: word" 1 n;
   let v, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
   Alcotest.(check int) "value" 7 v;
-  Alcotest.(check int) "read: rootref + word" 2 n;
+  Alcotest.(check int) "warm read: word" 1 n;
   let _, n = accesses c (fun () -> Cxl_ref.get_emb r 0) in
-  Alcotest.(check int) "get_emb: rootref + slot" 2 n;
+  Alcotest.(check int) "warm get_emb: slot" 1 n;
   let dw = Cxl_ref.data_words r in
   let (), n = accesses c (fun () -> Cxl_ref.write_word r (dw - 1) 8) in
-  Alcotest.(check int) "write at the end: rootref + word" 2 n;
+  Alcotest.(check int) "warm write at the end: word" 1 n;
   raises "embedded slot" (fun () -> Cxl_ref.read_word r 0);
   raises "data_words" (fun () -> Cxl_ref.read_word r dw);
   raises "write past the end" (fun () -> Cxl_ref.write_word r dw 0);
@@ -803,9 +804,89 @@ let test_cxl_ref_word_traffic () =
   Alcotest.(check int) "after a move: rootref + meta + word" 3 n;
   let v, n = accesses c (fun () -> Cxl_ref.read_word r (dw - 1)) in
   Alcotest.(check int) "payload copied" 8 v;
-  Alcotest.(check int) "then rootref + word again" 2 n;
+  Alcotest.(check int) "then one word again" 1 n;
   Cxl_ref.drop s;
   Cxl_ref.drop r;
+  check_clean arena ~live:0
+
+(* The re-point [Limbo.park ~unlink] makes in a COW replace: a handle
+   [fresh] names a record, a parent's embedded slot names [old], and one
+   swap on [fresh]'s RootRef trades the two, so the RootRef ends up naming
+   [old]. A clone made (and warmed) before the swap shares that RootRef;
+   returns what the clone reads afterwards, 11 from [old] or the stale 22
+   from the record it first resolved. *)
+let clone_read_after_repoint () =
+  let arena = Shm.create ~cfg:counting_cfg () in
+  let c = Shm.join arena () in
+  let parent = Shm.cxl_malloc c ~size_bytes:16 ~emb_cnt:1 () in
+  let old = Shm.cxl_malloc c ~size_bytes:16 () in
+  Cxl_ref.write_word old 1 11;
+  Cxl_ref.set_emb parent 0 old;
+  Cxl_ref.drop old;
+  let fresh = Shm.cxl_malloc c ~size_bytes:16 () in
+  Cxl_ref.write_word fresh 1 22;
+  let k = Cxl_ref.clone fresh in
+  Alcotest.(check int) "clone warm on the fresh record" 22
+    (Cxl_ref.read_word k 1);
+  let old_obj = Cxl_ref.get_emb parent 0 in
+  Refc.swap c
+    ~ref_addr:(Obj_header.emb_slot (Cxl_ref.obj parent) 0)
+    ~rr:(Cxl_ref.rootref fresh) ~from_obj:old_obj ~to_obj:(Cxl_ref.obj fresh);
+  let v = Cxl_ref.read_word k 1 in
+  Cxl_ref.drop k;
+  Cxl_ref.drop fresh;
+  Cxl_ref.drop parent;
+  check_clean arena ~live:0;
+  v
+
+let test_clone_reads_repointed_rootref () =
+  Alcotest.(check int) "clone reads the re-pointed object" 11
+    (clone_read_after_repoint ())
+
+(* The must-fail mutation: a memo that ignores the era-advance counter
+   keeps addressing the record the clone resolved first. *)
+let test_stale_memo_mutation () =
+  Cxl_ref.mutation_stale_memo := true;
+  Fun.protect ~finally:(fun () -> Cxl_ref.mutation_stale_memo := false)
+  @@ fun () ->
+  Alcotest.(check int) "stale-memo mutation reads the old record" 22
+    (clone_read_after_repoint ())
+
+(* An era transaction on an unrelated object invalidates every memo of the
+   context: the next access re-reads the RootRef (still naming the memoised
+   block, so no meta), and the one after costs the word alone. *)
+let test_era_transaction_reloads_rootref () =
+  let arena = Shm.create ~cfg:counting_cfg () in
+  let c = Shm.join arena () in
+  let r = Shm.cxl_malloc c ~size_bytes:32 () in
+  Cxl_ref.write_word r 1 5;
+  let p = Shm.cxl_malloc c ~size_bytes:16 ~emb_cnt:1 () in
+  let q = Shm.cxl_malloc c ~size_bytes:16 () in
+  Cxl_ref.set_emb p 0 q;
+  let v, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
+  Alcotest.(check int) "value" 5 v;
+  Alcotest.(check int) "after an era transaction: rootref + word" 2 n;
+  let _, n = accesses c (fun () -> Cxl_ref.read_word r 1) in
+  Alcotest.(check int) "then one word" 1 n;
+  List.iter Cxl_ref.drop [ q; p; r ];
+  check_clean arena ~live:0
+
+(* A warm memo never outlives its handle: a dropped handle raises while a
+   clone sharing its RootRef keeps its one-access reads. *)
+let test_dropped_handle_raises () =
+  let arena = Shm.create ~cfg:counting_cfg () in
+  let c = Shm.join arena () in
+  let r = Shm.cxl_malloc c ~size_bytes:32 () in
+  Cxl_ref.write_word r 1 3;
+  let k = Cxl_ref.clone r in
+  Cxl_ref.drop r;
+  raises "read after drop" (fun () -> Cxl_ref.read_word r 1);
+  raises "write after drop" (fun () -> Cxl_ref.write_word r 1 0);
+  let v, n = accesses c (fun () -> Cxl_ref.read_word k 1) in
+  Alcotest.(check int) "clone still reads" 3 v;
+  Alcotest.(check int) "clone warm: word" 1 n;
+  Cxl_ref.drop k;
+  raises "clone read after drop" (fun () -> Cxl_ref.read_word k 1);
   check_clean arena ~live:0
 
 let test_message_view_traffic () =
@@ -896,6 +977,14 @@ let suite =
     Alcotest.test_case "a lost completion word fails the call cleanly" `Quick
       test_lost_completion_word;
     Alcotest.test_case "cxl_ref word traffic" `Quick test_cxl_ref_word_traffic;
+    Alcotest.test_case "a clone reads a re-pointed RootRef" `Quick
+      test_clone_reads_repointed_rootref;
+    Alcotest.test_case "stale-memo mutation reads the old object" `Quick
+      test_stale_memo_mutation;
+    Alcotest.test_case "an era transaction reloads the RootRef once" `Quick
+      test_era_transaction_reloads_rootref;
+    Alcotest.test_case "a dropped handle raises" `Quick
+      test_dropped_handle_raises;
     Alcotest.test_case "message view traffic" `Quick test_message_view_traffic;
     Alcotest.test_case "handler streams sequentially" `Quick
       test_handler_streams_sequentially;
