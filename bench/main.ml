@@ -1983,6 +1983,44 @@ let bench_fastpath () =
     done;
     (!total /. float_of_int limbo_updates, !worst)
   in
+  (* kv_chain: one client preloads [chain_keys] keys into as many buckets,
+     not a power of two, so collision chains form, and the preload's
+     prepends leave the hottest keys last in their chains; then it runs
+     [chain_ops] zipf-0.99 operations, 95% get and 5% put_cow. The row
+     prices the gets alone, so it shows how far readers walk. *)
+  let chain_keys = 50_000 and chain_ops = 20_000 in
+  let measure_kv_chain () =
+    let cfg = { (fp_cfg ~epoch:true true) with Config.num_segments = 192 } in
+    let arena = Shm.create ~cfg () in
+    let a = Shm.join arena () in
+    let mem = Shm.mem arena in
+    let _, h =
+      Kv.Cxl_kv.create a ~buckets:chain_keys ~partitions:1 ~value_words:2
+    in
+    assert (Kv.Cxl_kv.claim_partition h 0);
+    for key = 0 to chain_keys - 1 do
+      Kv.Cxl_kv.put h ~key ~value:key
+    done;
+    let gen =
+      Kv.Ycsb.create ~keys:chain_keys ~write_ratio:0.05 ~theta:0.99 ~seed:1
+    in
+    let gets = ref 0 and words = ref 0 and ns = ref 0.0 in
+    for _ = 1 to chain_ops do
+      match Kv.Ycsb.next gen with
+      | Kv.Kv_intf.Read key ->
+          let b0 = Option.get (Mem.op_breakdown mem) in
+          let st0 = Stats.copy a.Ctx.st in
+          ignore (Kv.Cxl_kv.get h ~key);
+          let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
+          words := !words + bd_words d;
+          ns := !ns +. Stats.modeled_ns model (Stats.diff a.Ctx.st st0);
+          incr gets
+      | Kv.Kv_intf.Update (key, value) -> Kv.Cxl_kv.put_cow h ~key ~value
+      | _ -> assert false
+    done;
+    let per x = x /. float_of_int !gets in
+    (!gets, per (float_of_int !words), per !ns)
+  in
   (* retire: a single epoch-on client drops [rounds] parents that each
      hold the only reference to an embedded child (built beforehand), so
      every retirement is a detach, a child teardown and two frees; each
@@ -2103,6 +2141,7 @@ let bench_fastpath () =
   let rj_words, rj_rand, rj_ns = measure_rejoin () in
   let retire_ns, retire_max_ns = measure_retire () in
   let handle_acc, handle_ns, handle_after_era = measure_handle () in
+  let chain_gets, chain_words, chain_ns = measure_kv_chain () in
   let red a b = 100.0 *. (a -. b) /. a in
   let t =
     Table.create ~title:"Fast path: shared-word traffic (counting backend)"
@@ -2153,6 +2192,10 @@ let bench_fastpath () =
      %.3f accesses/word, %.2f modeled ns/word; %d accesses for the first \
      word after an era transaction\n"
     handle_words handle_acc handle_ns handle_after_era;
+  Printf.printf
+    "kv_chain: %d keys in as many buckets, %d zipf-0.99 ops (%d gets, the \
+     rest put_cow): %.3f words/get, %.2f modeled ns/get\n"
+    chain_keys chain_ops chain_gets chain_words chain_ns;
   let r = Record.make ~experiment:"fastpath" in
   let count name n = r name ~unit:"count" Equal ~decimals:0 (float_of_int n) in
   (* One row of the words / fences / modeled-ns table; [words_budget] and
@@ -2239,6 +2282,15 @@ let bench_fastpath () =
               rise means it re-reads more. *)
            r "handle.accesses_after_era" ~unit:"accesses" Lower ~decimals:0
              ~budget_pct:0. (float_of_int handle_after_era);
+           count "kv_chain.keys" chain_keys;
+           count "kv_chain.ops" chain_ops;
+           count "kv_chain.gets" chain_gets;
+           (* Words per get count the records a reader visits: any rise
+              means chains got longer in front of the hot keys. *)
+           r "kv_chain.get_words_per_call" ~unit:"words" Lower ~decimals:3
+             ~budget_pct:0. chain_words;
+           r "kv_chain.get_ns" ~unit:"ns" Lower ~decimals:2 ~budget_pct:5.
+             chain_ns;
          ];
        ]);
   Printf.printf "wrote BENCH_fastpath.json\n"

@@ -522,12 +522,46 @@ let dual_monitor ?(passes = 3) () : Explore.model =
 
 (* ---- kv-serve: COW retirement racing a concurrent reader walk ---- *)
 
+(* A freed record sits on its segment's cross-client free list, which only
+   the owner's allocations drain, so no decoy can be steered onto it.
+   Poison every count-zero block with room for a record instead ([key],
+   value 0xDEAD in data words 1-2; word 0 is the free-list link), as
+   [bcast-recover] poisons a freed entry. *)
+let poison_free_records (ctx : Ctx.t) ~key =
+  let read = Ctx.load ctx in
+  Heap.iter_segments ~read ctx.Ctx.lay (fun seg kind ->
+      if kind = Heap.Class_pages then
+        Heap.iter_pages ~read ctx.Ctx.lay seg (fun gid k ->
+            match Config.class_of_kind arena_cfg k with
+            | Some c
+              when Config.class_block_words arena_cfg c
+                   >= Config.header_words + 3 ->
+                List.iter
+                  (fun b ->
+                    if Obj_header.ref_cnt_of (read b) = 0 then begin
+                      let data = Obj_header.data_of_obj b in
+                      Ctx.store ctx (data + 1) key;
+                      Ctx.store ctx (data + 2) 0xDEAD
+                    end)
+                  (Heap.page_blocks ~read ctx.Ctx.lay gid)
+            | Some _ | None -> ()))
+
 (* With [~park_release:true] (model [kv-serve-park]) the set-up parks one
    record short of a limbo row, so the writer's one in-run [put_cow] is the
-   park that runs the bounded release, and no explicit quiesce follows. *)
-let kv_serve ?(park_release = false) () : Explore.model =
+   park that runs the bounded release, and no explicit quiesce follows.
+   With [~move:true] (model [kv-serve-move]) the writer updates key 0,
+   second in the chain 1 -> 0, so its [put_cow] moves the key to the head
+   and parks the displaced predecessor, key 1's record, which still links
+   key 0's old record; then every count-zero record is poisoned. *)
+let kv_serve ?(park_release = false) ?(move = false) () : Explore.model =
   let module Kv = Cxlshm_kv.Cxl_kv in
-  let name = if park_release then "kv-serve-park" else "kv-serve" in
+  let name =
+    if park_release then "kv-serve-park"
+    else if move then "kv-serve-move"
+    else "kv-serve"
+  in
+  let key = if move then 0 else 1 in
+  let old_v = 100 + key and new_v = 200 + key in
   let make () =
     let arena = Shm.create ~cfg:arena_cfg () in
     let w = Shm.join arena () in
@@ -537,12 +571,16 @@ let kv_serve ?(park_release = false) () : Explore.model =
     (* environment: two keys in the one bucket so the walk has depth *)
     Kv.put hw ~key:0 ~value:100;
     Kv.put hw ~key:1 ~value:101;
-    (* passed parks of key 0's tail record: the bounded release frees
-       these, and must still defer the in-run park the reader pins *)
-    if park_release then
-      for _ = 2 to Layout.limbo_row_entries do
+    (* passed parks: the bounded release frees these, and must still defer
+       the in-run park the reader pins. The first update moves key 0 to
+       the head and the last moves key 1 back, so the in-run update of key
+       1 replaces the head record as in [kv-serve]. *)
+    if park_release then begin
+      for _ = 3 to Layout.limbo_row_entries do
         Kv.put_cow hw ~key:0 ~value:100
       done;
+      Kv.put_cow hw ~key:1 ~value:101
+    end;
     let hr = Kv.open_store r store in
     (* every record visited during the run becomes a schedule point, so
        the reader can pause mid-chain across the writer's whole
@@ -550,9 +588,9 @@ let kv_serve ?(park_release = false) () : Explore.model =
     Kv.walk_hook := (fun () -> Sched.yield "kv-walk");
     let observed = ref None in
     let writer () =
-      (* COW-update key 1: the displaced record is parked behind a
+      (* COW-update the key: the displaced record is parked behind a
          counted ref, stamped with the retire epoch *)
-      Kv.put_cow hw ~key:1 ~value:201;
+      Kv.put_cow hw ~key ~value:new_v;
       (* reclamation pass: must defer the parked record while the
          reader's era announcement pins it *)
       if not park_release then Kv.quiesce hw;
@@ -560,17 +598,18 @@ let kv_serve ?(park_release = false) () : Explore.model =
          record under the reader, this reuses its block and plants a
          poisoned key/value exactly where the reader is standing *)
       let d = Shm.cxl_malloc_words w ~data_words:3 ~emb_cnt:1 () in
-      Cxl_ref.write_word d 1 1;
+      Cxl_ref.write_word d 1 key;
       Cxl_ref.write_word d 2 0xDEAD;
-      Cxl_ref.drop d
+      Cxl_ref.drop d;
+      if move then poison_free_records w ~key
     in
-    let reader () = observed := Some (Kv.get hr ~key:1) in
+    let reader () = observed := Some (Kv.get hr ~key) in
     let check ~crashed =
       Kv.walk_hook := (fun () -> ());
       (match !observed with
-      | Some (Some v) when v <> 101 && v <> 201 ->
+      | Some (Some v) when v <> old_v && v <> new_v ->
           fail "%s: reader observed 0x%x (read of a freed record)" name v
-      | Some None -> fail "%s: reader lost key 1 mid-walk" name
+      | Some None -> fail "%s: reader lost key %d mid-walk" name key
       | Some (Some _) | None -> ());
       if not (List.mem 0 crashed) then begin
         Kv.quiesce hw;
@@ -640,28 +679,7 @@ let kv_serve_recover () : Explore.model =
         Cxl_ref.write_word d 1 1;
         Cxl_ref.write_word d 2 0xDEAD
       done;
-      (* A freed record sits on its segment's cross-client free list, which
-         only the owner's allocations drain, so no decoy can be steered
-         onto it. Poison every count-zero block with room for a record
-         instead (key 1, value 0xDEAD in data words 1-2; word 0 is the
-         free-list link), as [bcast-recover] poisons a freed entry. *)
-      let read = Ctx.load s in
-      Heap.iter_segments ~read s.Ctx.lay (fun seg kind ->
-          if kind = Heap.Class_pages then
-            Heap.iter_pages ~read s.Ctx.lay seg (fun gid k ->
-                match Config.class_of_kind arena_cfg k with
-                | Some c
-                  when Config.class_block_words arena_cfg c
-                       >= Config.header_words + 3 ->
-                    List.iter
-                      (fun b ->
-                        if Obj_header.ref_cnt_of (read b) = 0 then begin
-                          let data = Obj_header.data_of_obj b in
-                          Ctx.store s (data + 1) 1;
-                          Ctx.store s (data + 2) 0xDEAD
-                        end)
-                      (Heap.page_blocks ~read s.Ctx.lay gid)
-                | Some _ | None -> ()))
+      poison_free_records s ~key:1
     in
     let check ~crashed =
       Kv.walk_hook := (fun () -> ());
@@ -993,7 +1011,7 @@ let rpc_isolate () : Explore.model =
 let all () =
   [ spsc (); transfer (); transfer ~batched:true (); refc (); huge ();
     epoch_retire (); lease (); dual_monitor ();
-    kv_serve (); kv_serve ~park_release:true ();
+    kv_serve (); kv_serve ~park_release:true (); kv_serve ~move:true ();
     kv_serve_recover (); bcast_recover ();
     rpc_isolate () ]
 

@@ -63,7 +63,7 @@ val dual_monitor : ?passes:int -> unit -> Explore.model
     must resume. Oracle also requires exactly one death dump per failure
     incident across all replicas. Model name ["dual-monitor"]. *)
 
-val kv_serve : ?park_release:bool -> unit -> Explore.model
+val kv_serve : ?park_release:bool -> ?move:bool -> unit -> Explore.model
 (** A KV writer COW-updates a key, runs a reclamation pass, and reuses the
     record size class, while a reader walks the same bucket chain (every
     record visit is a schedule point). Oracle: the reader observes the old
@@ -75,7 +75,15 @@ val kv_serve : ?park_release:bool -> unit -> Explore.model
     [~park_release:true] (model name ["kv-serve-park"]) makes the
     reclamation pass the bounded release inside the writer's [put_cow]:
     the set-up parks one record short of a limbo row, and the writer calls
-    no [quiesce] before reusing the size class. *)
+    no [quiesce] before reusing the size class.
+
+    [~move:true] (model name ["kv-serve-move"]) updates key 0, second in
+    its chain, so the writer's [put_cow] moves it to the head and parks
+    the displaced predecessor while the reader may be paused on it; after
+    the decoy the writer poisons every count-zero block of the record's
+    size (key 0, value 0xDEAD). The [Cxl_kv.mutation_release_moved] flag
+    releases the predecessor right after the swap instead of parking it,
+    which this model must catch. *)
 
 val kv_serve_recover : unit -> Explore.model
 (** Crash-then-recover variant of [kv_serve] (model name

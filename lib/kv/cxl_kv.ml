@@ -34,9 +34,15 @@ let hash key = (key * 0x2545F4914F6CDD1D) land max_int
 let bucket_of store key = hash key mod store.buckets
 let partition_of_key store key = key mod store.partitions
 
+(* One writer per chain: with [partitions] a power of two dividing
+   [buckets], [bucket mod partitions] is the low bits of the hash, which
+   Fibonacci hashing maps one to one from the key's low bits, so every key
+   of a chain has the same [key mod partitions]. *)
 let create ctx ~buckets ~partitions ~value_words =
-  if buckets < 1 || partitions < 1 || value_words < 1 then
-    invalid_arg "Cxl_kv.create";
+  if buckets < 1 || partitions < 1 || value_words < 1
+     || partitions land (partitions - 1) <> 0
+     || buckets mod partitions <> 0
+  then invalid_arg "Cxl_kv.create";
   let data_words = buckets + 2 + partitions in
   let r = Shm.cxl_malloc_words ctx ~data_words ~emb_cnt:buckets () in
   let store =
@@ -120,64 +126,102 @@ let write_value h r value =
     Ctx.store h.ctx (rec_val r i) (value + i)
   done
 
-let find_with_prev h key =
-  let slot0 = bucket_slot h.store (bucket_of h.store key) in
-  let rec walk prev_slot r =
+(* The one chain walk of the writer paths: for [key]'s record [r], the
+   slot that names it, and the predecessor [prev] that holds that slot
+   with the slot [pslot] that names [prev] ([prev = 0] when [r] is
+   first). *)
+type hit = { pslot : int; prev : int; slot : int; r : int }
+
+let find_slot h key =
+  let rec walk pslot prev slot r =
     if r = 0 then None
     else begin
       !walk_hook ();
-      if Ctx.load h.ctx (rec_key r) = key then Some (prev_slot, r)
-      else walk (rec_next r) (Ctx.load h.ctx (rec_next r))
+      if Ctx.load h.ctx (rec_key r) = key then Some { pslot; prev; slot; r }
+      else walk slot r (rec_next r) (Ctx.load h.ctx (rec_next r))
     end
   in
-  walk slot0 (Ctx.load h.ctx slot0)
+  let slot0 = bucket_slot h.store (bucket_of h.store key) in
+  walk 0 0 slot0 (Ctx.load h.ctx slot0)
 
-(* Insert a freshly allocated record for [key], either replacing [old]
-   in-chain or prepending at the bucket. Both publish with one swap on the
-   allocation's own RootRef. A replace is count-neutral: that RootRef
-   becomes the park reference, and the swap hands it the old record's
-   count while the predecessor slot takes the fresh record's. The limbo entry is right in every crash window — before the
-   swap its RootRef names the unpublished fresh record, after it the old
-   one. The old record keeps its next-link until it is finally reclaimed,
-   so a reader paused on it still reaches the chain tail. The caller has
-   reserved the limbo entry before touching the store. *)
-let insert_fresh h ~key ~value ~existing =
-  let rr, fresh =
-    Alloc.alloc_obj h.ctx ~data_words:(2 + h.store.value_words) ~emb_cnt:1
-  in
-  Ctx.store h.ctx (rec_key fresh) key;
-  write_value h fresh value;
-  match existing with
-  | Some (prev_slot, old) ->
-      Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink:(fun () ->
-          let next = Ctx.load h.ctx (rec_next old) in
-          if next <> 0 then
-            Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:next;
-          Refc.swap h.ctx ~ref_addr:prev_slot ~rr ~from_obj:old ~to_obj:fresh)
-  | None ->
-      (* A prepend swaps on the same RootRef: the still-private record
-         takes a count on the head first, the swap publishes it and hands
-         the RootRef the bucket's count on the head, and the release drops
-         that spare count. *)
-      let slot = bucket_slot h.store (bucket_of h.store key) in
-      let head = Ctx.load h.ctx slot in
-      if head <> 0 then
-        Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:head;
-      Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:head ~to_obj:fresh;
-      Reclaim.release_rootref h.ctx rr
+let alloc_record h =
+  Alloc.alloc_obj h.ctx ~data_words:(2 + h.store.value_words) ~emb_cnt:1
+
+let fresh_record h ~key ~value =
+  let rr, r = alloc_record h in
+  Ctx.store h.ctx (rec_key r) key;
+  write_value h r value;
+  (rr, r)
+
+(* A prepend publishes through one swap on the allocation's own RootRef:
+   the still-private record takes a count on the head first, the swap
+   hands the RootRef the bucket's count on the head, and the release
+   drops that spare count. *)
+let prepend h ~key ~value =
+  let rr, fresh = fresh_record h ~key ~value in
+  let slot = bucket_slot h.store (bucket_of h.store key) in
+  let head = Ctx.load h.ctx slot in
+  if head <> 0 then Refc.attach h.ctx ~ref_addr:(rec_next fresh) ~refed:head;
+  Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:head ~to_obj:fresh;
+  Reclaim.release_rootref h.ctx rr
 
 let put h ~key ~value =
   check_writer h key;
   Hazard.with_protection h.ctx (fun () ->
       match find h key with
       | Some r -> write_value h r value
-      | None -> insert_fresh h ~key ~value ~existing:None)
+      | None -> prepend h ~key ~value)
 
+let mutation_release_moved = ref false
+
+(* Every COW update publishes a fresh record with one swap on its
+   allocation RootRef, which is then parked holding what the swap
+   displaced; before the swap that RootRef names the unpublished record,
+   so the limbo entry is right in every crash window. A move (see the
+   interface) first builds the predecessor's copy, held by its own
+   RootRef until a swap from null hands its count to the fresh record's
+   next-link, as [Transfer.lend] does. Displaced records keep their
+   next-links until they are reclaimed. The caller has reserved the limbo
+   entry before touching the store. *)
 let put_cow h ~key ~value =
   check_writer h key;
   Limbo.reserve h.limbo 1;
   Hazard.with_protection h.ctx (fun () ->
-      insert_fresh h ~key ~value ~existing:(find_with_prev h key))
+      match find_slot h key with
+      | None -> prepend h ~key ~value
+      | Some { pslot; prev; slot; r = old } ->
+          let rr, fresh = fresh_record h ~key ~value in
+          let park unlink =
+            Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink
+          in
+          let link_successor r =
+            let next = Ctx.load h.ctx (rec_next old) in
+            if next <> 0 then
+              Refc.attach h.ctx ~ref_addr:(rec_next r) ~refed:next
+          in
+          if prev = 0 then
+            park (fun () ->
+                link_successor fresh;
+                Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:old ~to_obj:fresh)
+          else begin
+            let crr, copy = alloc_record h in
+            for i = 0 to h.store.value_words do
+              Ctx.store h.ctx (rec_key copy + i)
+                (Ctx.load h.ctx (rec_key prev + i))
+            done;
+            link_successor copy;
+            Refc.swap h.ctx ~ref_addr:(rec_next fresh) ~rr:crr ~from_obj:0
+              ~to_obj:copy;
+            Alloc.free_rootref h.ctx crr;
+            let publish () =
+              Refc.swap h.ctx ~ref_addr:pslot ~rr ~from_obj:prev ~to_obj:fresh
+            in
+            if !mutation_release_moved then begin
+              publish ();
+              Reclaim.release_rootref h.ctx rr
+            end
+            else park publish
+          end)
 
 let rmw h ~key ~delta =
   check_writer h key;
@@ -188,34 +232,25 @@ let rmw h ~key ~delta =
           write_value h r (old + delta);
           Some old
       | None ->
-          insert_fresh h ~key ~value:delta ~existing:None;
+          prepend h ~key ~value:delta;
           None)
 
 let delete h ~key =
   check_writer h key;
   Limbo.reserve h.limbo 1;
   Hazard.with_protection h.ctx (fun () ->
-      let slot0 = bucket_slot h.store (bucket_of h.store key) in
-      let rec walk prev_slot r =
-        if r = 0 then false
-        else begin
-          !walk_hook ();
-          if Ctx.load h.ctx (rec_key r) = key then begin
-            (* The park reference takes a count on the successor first;
-               the swap then trades it for the predecessor's count on [r]. *)
-            let next = Ctx.load h.ctx (rec_next r) in
-            let rr = Alloc.alloc_rootref h.ctx in
-            if next <> 0 then
-              Refc.attach h.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:next;
-            Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink:(fun () ->
-                Refc.swap h.ctx ~ref_addr:prev_slot ~rr ~from_obj:r
-                  ~to_obj:next);
-            true
-          end
-          else walk (rec_next r) (Ctx.load h.ctx (rec_next r))
-        end
-      in
-      walk slot0 (Ctx.load h.ctx slot0))
+      match find_slot h key with
+      | None -> false
+      | Some { slot; r; _ } ->
+          (* The park reference takes a count on the successor first; the
+             swap then trades it for the predecessor's count on [r]. *)
+          let next = Ctx.load h.ctx (rec_next r) in
+          let rr = Alloc.alloc_rootref h.ctx in
+          if next <> 0 then
+            Refc.attach h.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:next;
+          Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink:(fun () ->
+              Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:r ~to_obj:next);
+          true)
 
 (* ------------------------------------------------------------------ *)
 (* Shard handoff (planned leave): the departing writer's parked records

@@ -18,6 +18,11 @@
     still reaches the live chain tail. Concurrent readers may transiently
     miss entries deleted mid-walk — standard latch-free list semantics.
 
+    Chains self-organize by transposition: a {!put_cow} of a key that is
+    not first in its chain moves it one place toward the bucket head, in
+    the same single swap that publishes the update, so the keys a writer
+    updates most drift to where readers find them first.
+
     Parking goes through the arena's one limbo ({!Cxlshm.Limbo}), so a
     writer crash cannot turn the deferred list into an era-blind reap:
     recovery orphans the dead writer's limbo rows in place and a successor
@@ -40,7 +45,15 @@ val name : string
 val create :
   Cxlshm.Ctx.t -> buckets:int -> partitions:int -> value_words:int ->
   store * handle
-(** Allocate the index; the creator's handle holds a counted reference. *)
+(** Allocate the index; the creator's handle holds a counted reference.
+
+    {b One writer per chain.} Raises [Invalid_argument] unless [partitions]
+    is a power of two that divides [buckets]. Then [bucket mod partitions]
+    is the low bits of the key's hash, which Fibonacci hashing maps one to
+    one from the key's low bits, so every key of a chain has the same
+    [key mod partitions] and one writer owns the whole chain: a moving
+    {!put_cow} copies and re-links only its own partition's records, and
+    no two writers' swaps race on one chain. *)
 
 val open_store : Cxlshm.Ctx.t -> store -> handle
 (** Attach another client to the store. *)
@@ -83,9 +96,19 @@ val put_cow : handle -> key:int -> value:int -> unit
     announced reader era has passed it, then released by a later park
     ({!Cxlshm.Limbo.park}) or by {!quiesce}. Costs one allocation, one
     limbo park and one redo-logged swap per write, plus an attach when
-    the old record has a successor. A new key is prepended through the
+    the old record has a successor, plus one record copy when the key is
+    not first. A new key is prepended through the
     same swap: the fresh record first takes a count on the bucket head,
     and releasing the RootRef afterwards drops the head's spare count.
+
+    When the key's record has a predecessor, the update also moves the
+    key one place toward the head (transposition): a private copy of the
+    predecessor takes a count on the old record's successor, the fresh
+    record links the copy, and the one swap on the slot naming the
+    predecessor publishes fresh -> copy -> successor. The parked RootRef
+    then holds the predecessor, whose next still names the old record, so
+    a reader paused on either still reaches the rest of the chain and
+    sees each key once; reclaiming it frees both.
     Raises {!Cxlshm.Limbo.Exhausted}, with the
     store unchanged, when no limbo entry is left to park the replaced
     record in. *)
@@ -154,3 +177,9 @@ val walk_hook : (unit -> unit) ref
 (** {b Test-only.} Called once per record visited by any chain walk; the
     model checker points it at [Sched.yield] so traversals interleave with
     writer retirement. Must stay a no-op outside the explorer. *)
+
+val mutation_release_moved : bool ref
+(** {b Test-only.} A moving {!put_cow} releases its RootRef right after
+    the publishing swap instead of parking it, so the displaced
+    predecessor is freed under a reader paused on it
+    ([kv-move-unparked]). Must stay [false] outside the explorer. *)

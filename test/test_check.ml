@@ -159,12 +159,17 @@ let test_finds_transfer_head_mutation () =
       | Explore.Pass | Explore.Diverged ->
           Alcotest.fail "replay did not reproduce the failure")
 
+let string_contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 (* The historical era-blind quiesce, reintroduced: reclamation ignoring
    announced reader eras frees a record a paused traversal still stands on;
    the decoy allocation then plants a poisoned value where the reader
-   resumes. Bounded exhaustive search must observe the use-after-free,
-   both through an explicit quiesce and through the bounded release a
-   row-filling park runs. *)
+   resumes. Bounded exhaustive search must observe the use-after-free
+   through an explicit quiesce, through the bounded release a row-filling
+   park runs, and under a moving update. *)
 let test_finds_kv_quiesce_mutation () =
   with_flag Cxlshm.Limbo.mutation_unconditional_quiesce @@ fun () ->
   List.iter
@@ -184,12 +189,34 @@ let test_finds_kv_quiesce_mutation () =
                 f.Explore.reason reason
           | Explore.Pass | Explore.Diverged ->
               Alcotest.fail "replay did not reproduce the failure"))
-    [ Scenarios.kv_serve (); Scenarios.kv_serve ~park_release:true () ]
+    [
+      Scenarios.kv_serve ();
+      Scenarios.kv_serve ~park_release:true ();
+      Scenarios.kv_serve ~move:true ();
+    ]
 
-let string_contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
+(* A moving put_cow that releases its RootRef right after the publishing
+   swap instead of parking it frees the displaced predecessor, and the old
+   record it links, under a reader paused on either; the writer's poison
+   pass then plants 0xDEAD where the reader resumes. *)
+let test_finds_move_unparked_mutation () =
+  with_flag Cxlshm_kv.Cxl_kv.mutation_release_moved @@ fun () ->
+  let m = Scenarios.kv_serve ~move:true () in
+  let r = Explore.exhaustive ~preemptions:2 ~crash:true ~max_steps:40_000 m in
+  match r.Explore.failure with
+  | None -> Alcotest.fail "unparked-move mutation survived exhaustive search"
+  | Some f -> (
+      Alcotest.(check bool)
+        ("failure is the use-after-free: " ^ f.Explore.reason)
+        true
+        (string_contains f.Explore.reason "0xdead");
+      let rr = Explore.replay m ~max_steps:40_000 f.Explore.schedule in
+      match rr.Explore.outcome with
+      | Explore.Fail reason ->
+          Alcotest.(check string) "replay reproduces the same reason"
+            f.Explore.reason reason
+      | Explore.Pass | Explore.Diverged ->
+          Alcotest.fail "replay did not reproduce the failure")
 
 (* The era-blind crash reap, reintroduced: recovery of a dead writer frees
    its parked records through the live eager path instead of orphaning
@@ -414,6 +441,14 @@ let test_unmutated_models_pass () =
   | None -> ()
   | Some f ->
       Alcotest.failf "unmutated kv-serve-park failed: %s" f.Explore.reason);
+  let r8 =
+    Explore.exhaustive ~preemptions:2 ~crash:true ~max_steps:40_000
+      (Scenarios.kv_serve ~move:true ())
+  in
+  (match r8.Explore.failure with
+  | None -> ()
+  | Some f ->
+      Alcotest.failf "unmutated kv-serve-move failed: %s" f.Explore.reason);
   (* the exact search that catches the era-blind crash reap *)
   let r4 =
     Explore.exhaustive ~preemptions:1 ~crash:true ~max_steps:60_000
@@ -465,6 +500,8 @@ let suite =
       test_finds_kv_quiesce_mutation;
     Alcotest.test_case "finds the era-blind crash reap" `Quick
       test_finds_crash_reap_mutation;
+    Alcotest.test_case "finds the unparked-move mutation" `Quick
+      test_finds_move_unparked_mutation;
     Alcotest.test_case "finds the swap skip-redo mutation" `Quick
       test_finds_swap_skip_redo_mutation;
     Alcotest.test_case "finds the swap skip-redo mutation on bcast" `Quick

@@ -983,11 +983,14 @@ let test_adopt_in_other_slot () =
   Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
     (Validate.is_clean v)
 
-(* Kill the writer at every crash point a COW replace and a delete cross —
-   mid-chain and at the chain end — then recover it, let a successor adopt
-   its limbo rows and quiesce: the key reads its old or its new value and
-   nothing else, the other keys are untouched, the arena is clean, and
-   once the limbo drains and the store closes no block is left. *)
+(* Kill the writer at every crash point a COW update and a delete cross —
+   a replace at the head, a move from mid-chain and from the chain end,
+   deletes mid-chain and at the end — then recover it, let a successor
+   adopt its limbo rows and quiesce: the key reads its old or its new
+   value and nothing else, the other keys are untouched, the arena is
+   clean, the successor's index RootRef is the only one left (a move's
+   copy RootRef is freed), and once the store closes no block is left and
+   fsck finds nothing to repair. *)
 let test_swap_crash_windows () =
   let crossed = Hashtbl.create 8 in
   let setup () =
@@ -1039,17 +1042,25 @@ let test_swap_crash_windows () =
       Alcotest.(check bool)
         (label ("validate: " ^ String.concat "; " v.Validate.errors))
         true (Validate.is_clean v);
+      Alcotest.(check int) (label "only the index RootRef") 1
+        v.Validate.live_rootrefs;
       Cxl_kv.close hb;
       Shm.leave b;
       ignore (Shm.scan_leaking arena);
       Alcotest.(check int) (label "no block left") 0
-        (Shm.validate arena).Validate.live_objects
+        (Shm.validate arena).Validate.live_objects;
+      let f = Shm.fsck arena in
+      Alcotest.(check bool) (label "fsck clean") true (Fsck.clean f);
+      Alcotest.(check int) (label "fsck fixed no count") 0 f.Fsck.counts_fixed;
+      Alcotest.(check int) (label "fsck freed nothing") 0
+        f.Fsck.unreachable_freed
     done
   in
   let cow h key = Cxl_kv.put_cow h ~key ~value:(100 + key) in
   let del h key = ignore (Cxl_kv.delete h ~key) in
   List.iter run_op
     [
+      ("put_cow", 2, cow, fun k -> Some (100 + k));
       ("put_cow", 1, cow, fun k -> Some (100 + k));
       ("put_cow", 0, cow, fun k -> Some (100 + k));
       ("delete", 1, del, fun _ -> None);
@@ -1062,6 +1073,124 @@ let test_swap_crash_windows () =
         true
         (Hashtbl.mem crossed (Fault.point_name p)))
     Fault.[ Park_after_append; Txn_after_redo; Swap_after_link; Swap_after_store ]
+
+(* The records of every chain, head first, read straight from the index:
+   bucket [b] is the index's embedded slot [b], a record's next-link is
+   its embedded slot 0 and its key data word 1. *)
+let chains arena (store : Cxl_kv.store) =
+  let peek = Mem.unsafe_peek (Shm.mem arena) in
+  List.init store.Cxl_kv.buckets (fun b ->
+      let rec walk r =
+        if r = 0 then [] else r :: walk (peek (Obj_header.emb_slot r 0))
+      in
+      walk (peek (Obj_header.emb_slot store.Cxl_kv.index_obj b)))
+
+let record_key arena r =
+  Mem.unsafe_peek (Shm.mem arena) (Obj_header.data_of_obj r + 1)
+
+let test_geometry_checked () =
+  let arena = Shm.create ~cfg:kv_cfg () in
+  let a = Shm.join arena () in
+  List.iter
+    (fun (buckets, partitions) ->
+      match Cxl_kv.create a ~buckets ~partitions ~value_words:1 with
+      | _ ->
+          Alcotest.failf "%d buckets, %d partitions: expected Invalid_argument"
+            buckets partitions
+      | exception Invalid_argument _ -> ())
+    [ (12, 3); (6, 4); (10, 4); (64, 6); (1, 2) ]
+
+(* Every chain holds keys of one partition: with [partitions] a power of
+   two dividing [buckets] the bucket fixes [key mod partitions], so a
+   writer that moves a record only ever copies its own partition's. *)
+let prop_chain_one_partition =
+  QCheck.Test.make ~name:"every chain holds one partition" ~count:30
+    QCheck.(
+      triple (int_bound 3) (int_range 1 12)
+        (list_of_size Gen.(1 -- 80) (int_bound 10_000)))
+    (fun (log_p, m, keys) ->
+      let partitions = 1 lsl log_p in
+      let arena = Shm.create ~cfg:kv_cfg () in
+      let a = Shm.join arena () in
+      let store, h =
+        Cxl_kv.create a ~buckets:(partitions * m) ~partitions ~value_words:1
+      in
+      for p = 0 to partitions - 1 do
+        ignore (Cxl_kv.claim_partition h p)
+      done;
+      List.iter (fun key -> Cxl_kv.put h ~key ~value:key) keys;
+      List.iter (fun key -> Cxl_kv.put_cow h ~key ~value:(key + 1)) keys;
+      Cxl_kv.quiesce h;
+      List.for_all
+        (fun chain ->
+          match List.map (record_key arena) chain with
+          | [] -> true
+          | k :: rest ->
+              List.for_all
+                (fun k' ->
+                  Cxl_kv.partition_of_key store k'
+                  = Cxl_kv.partition_of_key store k)
+                rest)
+        (chains arena store))
+
+(* Transposition: a COW update of a key that is not first in its chain
+   moves it one place toward the head; the chain keeps its keys, and once
+   the displaced records are reclaimed every record holds count 1. *)
+let test_chain_self_organizes () =
+  let arena = Shm.create ~cfg:kv_cfg () in
+  let a = Shm.join arena () in
+  let store, h = Cxl_kv.create a ~buckets:1 ~partitions:1 ~value_words:2 in
+  Alcotest.(check bool) "claim" true (Cxl_kv.claim_partition h 0);
+  for k = 0 to 2 do
+    Cxl_kv.put h ~key:k ~value:(10 + k)
+  done;
+  let order () = List.map (List.map (record_key arena)) (chains arena store) in
+  Alcotest.(check (list (list int)))
+    "preload prepends" [ [ 2; 1; 0 ] ] (order ());
+  List.iter
+    (fun (key, want) ->
+      Cxl_kv.put_cow h ~key ~value:(100 + key);
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "after put_cow %d" key)
+        [ want ] (order ());
+      Alcotest.(check (list int)) "keys unchanged" [ 0; 1; 2 ] (Cxl_kv.keys h);
+      Alcotest.(check (option int)) "new value" (Some (100 + key))
+        (Cxl_kv.get h ~key);
+      Alcotest.(check (option (array int))) "every value word moves"
+        (Some [| 100 + key; 101 + key |])
+        (Cxl_kv.get_all_words h ~key))
+    [ (0, [ 2; 0; 1 ]); (0, [ 0; 2; 1 ]); (1, [ 0; 1; 2 ]); (0, [ 0; 1; 2 ]) ];
+  Alcotest.(check (option (array int))) "a copied record keeps its words"
+    (Some [| 12; 13 |]) (Cxl_kv.get_all_words h ~key:2);
+  Cxl_kv.quiesce h;
+  Alcotest.(check int) "limbo drained" 0 (Cxl_kv.deferred_count h);
+  let peek = Mem.unsafe_peek (Shm.mem arena) in
+  List.iter
+    (List.iter (fun r ->
+         Alcotest.(check int) "record count" 1
+           (Obj_header.ref_cnt_of (peek (Obj_header.header_of_obj r)))))
+    (chains arena store);
+  let v = Shm.validate arena in
+  Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
+    (Validate.is_clean v);
+  Alcotest.(check int) "index and three records" 4 v.Validate.live_objects;
+  Alcotest.(check int) "no copy RootRef left" 1 v.Validate.live_rootrefs;
+  Cxl_kv.close h
+
+(* The KV adoption drill behind [cxlshm monitor --kill-writer]: its COW
+   churn on four buckets moves keys, and the writer's reclamation pass
+   dies inside a two-record teardown. *)
+let test_kill_writer_drill () =
+  for seed = 1 to 7 do
+    let k = Cxlshm_kv.Kv_soak.writer_kill_adopt ~seed () in
+    let label what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check bool) (label "writer crashed") true
+      k.Cxlshm_kv.Kv_soak.ka_writer_crashed;
+    Alcotest.(check int) (label "adopted = orphaned") k.ka_orphaned
+      k.ka_adopted;
+    Alcotest.(check int) (label "pinned records freed") 0 k.ka_pinned_freed;
+    Alcotest.(check bool) (label "fsck clean") true k.ka_clean
+  done
 
 let suite =
   [
@@ -1102,4 +1231,10 @@ let suite =
       test_overflow_adopted;
     Alcotest.test_case "limbo pool exhaustion" `Quick test_pool_exhaustion;
     Alcotest.test_case "swap crash windows" `Quick test_swap_crash_windows;
+    Alcotest.test_case "create checks one writer per chain" `Quick
+      test_geometry_checked;
+    Generators.to_alcotest prop_chain_one_partition;
+    Alcotest.test_case "chains self-organize" `Quick test_chain_self_organizes;
+    Alcotest.test_case "kill-writer drill, seeds 1-7" `Quick
+      test_kill_writer_drill;
   ]
