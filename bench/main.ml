@@ -10,13 +10,13 @@
      dune exec bench/main.exe                 (all experiments, quick sizes)
      dune exec bench/main.exe -- --only fig6-threadtest
      dune exec bench/main.exe -- --full       (larger sweeps)
-     dune exec bench/main.exe -- --bechamel   (Bechamel micro-benchmarks)
      dune exec bench/main.exe -- --list                                    *)
 
 open Cxlshm
 module Locked_refc = Cxlshm_check.Locked_refc
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Latency = Cxlshm_shmem.Latency
 module Histogram = Cxlshm_shmem.Histogram
 module Spsc = Cxlshm_spsc.Spsc_queue
@@ -83,28 +83,28 @@ let bench_table1 () =
       let ops = quick 2_000_000 200_000 in
       let measure f =
         let st = Stats.create () in
-        f st;
+        f st (Lines.create ());
         float_of_int ops /. (Stats.modeled_ns model st /. 1000.0)
       in
       let rng = Random.State.make [| 5 |] in
       let seq =
-        measure (fun st ->
+        measure (fun st lines ->
             for i = 0 to ops - 1 do
-              ignore (Mem.load mem ~st (i land (region - 1)))
+              ignore (Mem.load mem ~st ~lines (i land (region - 1)))
             done)
       in
       let rand =
-        measure (fun st ->
+        measure (fun st lines ->
             for _ = 1 to ops do
-              ignore (Mem.load mem ~st (Random.State.int rng region))
+              ignore (Mem.load mem ~st ~lines (Random.State.int rng region))
             done)
       in
       let cas =
-        measure (fun st ->
+        measure (fun st lines ->
             for _ = 1 to ops do
               ignore
-                (Mem.cas mem ~st (Random.State.int rng region) ~expected:0
-                   ~desired:0)
+                (Mem.cas mem ~st ~lines (Random.State.int rng region)
+                   ~expected:0 ~desired:0)
             done)
       in
       Table.add_row t2
@@ -268,6 +268,7 @@ let bench_recovery () =
       let svc = Shm.service_ctx arena in
       Client.declare_failed svc ~cid:a.Ctx.cid;
       Stats.reset svc.Ctx.st;
+      Lines.reset svc.Ctx.lines;
       let r, wall_ns =
         Runner.time_wall (fun () -> Recovery.recover svc ~failed_cid:a.Ctx.cid)
       in
@@ -311,7 +312,7 @@ let bench_recovery () =
         live;
       Ral.set_root th live.(0);
       let gc_st = Stats.create () in
-      ignore (Ral.recover ral ~st:gc_st);
+      ignore (Ral.recover ral ~st:gc_st ~lines:(Lines.create ()));
       let gc_ns = Stats.modeled_ns (Latency.of_tier Latency.Remote_numa) gc_st in
       Table.add_row t2
         [
@@ -348,6 +349,7 @@ let bench_leak_scan () =
   Segment.mark_leaking svc seg;
   Client.declare_failed svc ~cid:a.Ctx.cid;
   Stats.reset svc.Ctx.st;
+  Lines.reset svc.Ctx.lines;
   let recycled, wall = Runner.time_wall (fun () -> Reclaim.scan_segment svc seg) in
   let modeled = Stats.modeled_ns (Latency.of_tier Latency.Cxl) svc.Ctx.st in
   let lay = Shm.layout arena in
@@ -459,14 +461,14 @@ let bench_fig8_clients () =
          one push/pop per message, as in the paper's inter-thread test. *)
       let spsc_kops =
         let mem = Mem.create ~tier:Latency.Cxl ~words:4096 () in
-        let st = Stats.create () in
-        let q = Spsc.create mem ~st ~base:8 ~capacity:64 in
+        let st = Stats.create () and lines = Lines.create () in
+        let q = Spsc.create mem ~st ~lines ~base:8 ~capacity:64 in
         let arena = Shm.create ~cfg:(rpc_cfg 1) () in
         let ctx = Shm.join arena () in
         for i = 1 to calls do
           let r = Shm.cxl_malloc ctx ~size_bytes:64 () in
-          Spsc.push q ~st i;
-          ignore (Spsc.pop q ~st);
+          Spsc.push q ~st ~lines i;
+          ignore (Spsc.pop q ~st ~lines);
           Cxl_ref.drop r
         done;
         Stats.add st ctx.Ctx.st;
@@ -972,6 +974,7 @@ let run_cxl_kv ?(cow = false) ~clients ~ops ~mix ~theta ~keys () =
     Kv.Cxl_kv.put h0 ~key ~value:key
   done;
   Stats.reset creator.Ctx.st;
+  Lines.reset creator.Ctx.lines;
   let stats = Array.init clients (fun _ -> Stats.create ()) in
   let model = Latency.of_tier Latency.Cxl in
   let body tid =
@@ -1021,6 +1024,7 @@ let run_tbb_kv ~clients ~ops ~mix ~theta ~keys =
     Kv.Tbb_kv.put handles.(0) ~key ~value:key
   done;
   Stats.reset (Kv.Tbb_kv.stats handles.(0));
+  Lines.reset (Kv.Tbb_kv.lines handles.(0));
   let model = Latency.of_tier (Kv.Tbb_kv.tier s) in
   let body tid =
     let h = handles.(tid) in
@@ -1171,6 +1175,7 @@ let bench_fig10d () =
             ())
       load;
     Stats.reset creator.Ctx.st;
+    Lines.reset creator.Ctx.lines;
     let stats = Array.init clients (fun _ -> Stats.create ()) in
     let model = Latency.of_tier Latency.Cxl in
     let body tid =
@@ -1223,6 +1228,7 @@ let bench_fig10d () =
             ())
       load;
     Stats.reset (Kv.Tbb_kv.stats handles.(0));
+    Lines.reset (Kv.Tbb_kv.lines handles.(0));
     let model = Latency.of_tier (Kv.Tbb_kv.tier s) in
     let body tid =
       let h = handles.(tid) in
@@ -1371,6 +1377,7 @@ let bench_ablation_locking () =
     let obj = Cxl_ref.obj child in
     let ta = Locked_refc.create a in
     Stats.reset a.Ctx.st;
+    Lines.reset a.Ctx.lines;
     (match scheme with
     | `Era ->
         for _ = 1 to ops do
@@ -1456,17 +1463,18 @@ let bench_repartition () =
       let h1 = Kv.Cxl_kv.open_store w1 store in
       (* the dead writer's partition moves with one CAS *)
       Stats.reset w1.Ctx.st;
+      Lines.reset w1.Ctx.lines;
       let ok = Kv.Cxl_kv.takeover_partition h1 0 in
       assert ok;
       let takeover_ns = Stats.modeled_ns model w1.Ctx.st in
       (* shared-nothing equivalent: stream the partition's records to the
          new owner (read + write every word) *)
-      let copy_st = Stats.create () in
+      let copy_st = Stats.create () and lines = Lines.create () in
       let mem = Shm.mem arena in
       let words = records / 2 * (2 + kv_value_words) in
       for i = 0 to words - 1 do
-        ignore (Mem.load mem ~st:copy_st (1 + (i mod 1024)));
-        Mem.store mem ~st:copy_st (1 + ((i + 512) mod 1024)) 0
+        ignore (Mem.load mem ~st:copy_st ~lines (1 + (i mod 1024)));
+        Mem.store mem ~st:copy_st ~lines (1 + ((i + 512) mod 1024)) 0
       done;
       let copy_ns = Stats.modeled_ns model copy_st in
       Table.add_row t
@@ -1506,15 +1514,18 @@ let bench_structures () =
         keys.(j) <- tmp
       done;
       Stats.reset a.Ctx.st;
+      Lines.reset a.Ctx.lines;
       Array.iter (fun k -> ignore (Sl.insert l ~key:k ~value:k)) keys;
       let ins_ns = Stats.modeled_ns model a.Ctx.st in
       Stats.reset a.Ctx.st;
+      Lines.reset a.Ctx.lines;
       let lookups = min n 2_000 in
       for i = 1 to lookups do
         ignore (Sl.find l ~key:(i * (n / lookups) mod n))
       done;
       let look_ns = Stats.modeled_ns model a.Ctx.st in
       Stats.reset a.Ctx.st;
+      Lines.reset a.Ctx.lines;
       let ranges = 200 in
       for i = 1 to ranges do
         ignore (Sl.range l ~lo:(i mod n) ~hi:((i mod n) + 100))
@@ -1558,65 +1569,6 @@ let bench_ycsb_presets () =
       Table.add_row t [ Kv.Ycsb.preset_name preset; Table.cell_f m ])
     [ Kv.Ycsb.A; Kv.Ycsb.B; Kv.Ycsb.C; Kv.Ycsb.D; Kv.Ycsb.F ];
   Table.print t
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (wall-clock, statistically sampled)       *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let arena = Shm.create ~cfg:(cxl_shm_cfg 1) () in
-  let ctx = Shm.join arena () in
-  let alloc_free =
-    Test.make ~name:"cxl_malloc+drop (64B)"
-      (Staged.stage (fun () ->
-           let r = Shm.cxl_malloc ctx ~size_bytes:64 () in
-           Cxl_ref.drop r))
-  in
-  let parent = Shm.cxl_malloc ctx ~size_bytes:8 ~emb_cnt:1 () in
-  let child = Shm.cxl_malloc ctx ~size_bytes:8 () in
-  let attach_detach =
-    Test.make ~name:"era attach+detach"
-      (Staged.stage (fun () ->
-           Cxl_ref.set_emb parent 0 child;
-           Cxl_ref.clear_emb parent 0))
-  in
-  let mem = Mem.create ~tier:Latency.Cxl ~words:1024 () in
-  let st = Stats.create () in
-  let q = Spsc.create mem ~st ~base:8 ~capacity:64 in
-  let spsc =
-    Test.make ~name:"spsc push+pop"
-      (Staged.stage (fun () ->
-           Spsc.push q ~st 1;
-           ignore (Spsc.pop q ~st)))
-  in
-  let mim = Mim.create ~words:300_000 ~threads:1 in
-  let mth = Mim.thread mim 0 in
-  let mimalloc =
-    Test.make ~name:"mimalloc-baseline alloc+free (64B)"
-      (Staged.stage (fun () ->
-           let b = Mim.alloc mth ~size_bytes:64 in
-           Mim.free mth b))
-  in
-  let tests =
-    Test.make_grouped ~name:"cxlshm" [ alloc_free; attach_detach; spsc; mimalloc ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "== Bechamel micro-benchmarks (wall ns/op) ==";
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-40s %10.1f ns\n" name est
-      | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-    results;
-  Cxl_ref.drop parent;
-  Cxl_ref.drop child
 
 (* ------------------------------------------------------------------ *)
 (* Backends: flat vs striped multi-device pools                        *)
@@ -2304,10 +2256,9 @@ let bench_fastpath () =
    BENCH_size.json, and the diff shows it. Reads lib/core from the working
    directory, so run it from the repository root. *)
 let bench_size () =
-  let dir = "lib/core" in
-  if not (Sys.file_exists dir) then
+  if not (Sys.file_exists "lib/core") then
     failwith "size: no lib/core here; run from the repository root";
-  let lines =
+  let lines dir =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f ->
            Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
@@ -2320,12 +2271,15 @@ let bench_size () =
            String.fold_left (fun n c -> if c = '\n' then n + 1 else n) acc s)
          0
   in
+  let core = lines "lib/core" and shmem = lines "lib/shmem" in
   let points = List.length Fault.all_points in
-  Printf.printf "lib/core: %d lines, %d crash points\n" lines points;
+  Printf.printf "lib/core: %d lines, %d crash points; lib/shmem: %d lines\n"
+    core points shmem;
   let r = Record.make ~experiment:"size" ~decimals:0 ~budget_pct:0. in
   Record.write "BENCH_size.json"
     [
-      r "core.lines" ~unit:"lines" Lower (float_of_int lines);
+      r "core.lines" ~unit:"lines" Lower (float_of_int core);
+      r "shmem.lines" ~unit:"lines" Lower (float_of_int shmem);
       r "core.crash_points" ~unit:"points" Lower (float_of_int points);
     ];
   print_endline "wrote BENCH_size.json"
@@ -2361,19 +2315,16 @@ let experiments =
 
 let () =
   let only = ref None in
-  let bechamel = ref false in
   let list_only = ref false in
   let args =
     [
       ("--only", Arg.String (fun s -> only := Some s), "ID  run one experiment");
       ("--full", Arg.Set full, " larger parameter sweeps");
-      ("--bechamel", Arg.Set bechamel, " run Bechamel micro-benchmarks");
       ("--list", Arg.Set list_only, " list experiment ids");
     ]
   in
   Arg.parse args (fun _ -> ()) "cxlshm benchmark harness";
   if !list_only then List.iter (fun (id, _) -> print_endline id) experiments
-  else if !bechamel then bechamel_suite ()
   else begin
     let todo =
       match !only with

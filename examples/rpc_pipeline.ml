@@ -80,6 +80,7 @@ let () =
       in
       Cxl_ref.write_word text 0 (String.length sentence);
       Cxlshm_shmem.Mem.write_bytes gateway.Ctx.mem ~st:gateway.Ctx.st
+        ~lines:gateway.Ctx.lines
         (Obj_header.data_of_obj (Cxl_ref.obj text) + 1)
         (Bytes.of_string sentence);
       (* stage 1: tokenise *)

@@ -1,5 +1,6 @@
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Latency = Cxlshm_shmem.Latency
 
 let name = "buddy (Lightning)"
@@ -17,12 +18,18 @@ type t = {
   heap_words : int;
   threads : int;
   serial : Stats.t;  (** everything happens under the global lock *)
+  serial_lines : Lines.t;
   lock : Mutex.t;  (** host-side mutex standing in for the spinlock *)
 }
 
-type thread = { a : t; st : Stats.t }
+type thread = { a : t; st : Stats.t; lines : Lines.t }
 
 let tier _ = Latency.Local_numa
+
+(* All metadata traffic happens under the global lock: it is counted in
+   [serial], and [serial_lines] is its one line state. *)
+let load a p = Mem.load a.mem ~st:a.serial ~lines:a.serial_lines p
+let store a p v = Mem.store a.mem ~st:a.serial ~lines:a.serial_lines p v
 
 let create ~words ~threads =
   (* Pick the largest power-of-two heap that fits with its metadata. *)
@@ -48,30 +55,30 @@ let create ~words ~threads =
       heap_words;
       threads;
       serial = Stats.create ();
+      serial_lines = Lines.create ();
       lock = Mutex.create ();
     }
   in
   (* One block of the maximal order. *)
-  let st = t.serial in
-  Mem.store mem ~st (heads_base + max_order) t.heap_base;
-  Mem.store mem ~st t.heap_base 0;
+  store t (heads_base + max_order) t.heap_base;
+  store t t.heap_base 0;
   t
 
 let thread a tid =
   if tid < 0 || tid >= a.threads then invalid_arg "Buddy.thread";
-  { a; st = Stats.create () }
+  { a; st = Stats.create (); lines = Lines.create () }
 
 let stats th = th.st
 let serial_stats a = a.serial
 
 let granule a b = (b - a.heap_base) lsr min_order
 
-let set_meta a ~st b ~order ~allocated =
-  Mem.store a.mem ~st (a.order_map_base + granule a b)
+let set_meta a b ~order ~allocated =
+  store a (a.order_map_base + granule a b)
     (((order + 1) lsl 1) lor (if allocated then 1 else 0))
 
-let get_meta a ~st b =
-  let v = Mem.load a.mem ~st (a.order_map_base + granule a b) in
+let get_meta a b =
+  let v = load a (a.order_map_base + granule a b) in
   ((v lsr 1) - 1, v land 1 = 1)
 
 let order_of_bytes size_bytes =
@@ -81,28 +88,28 @@ let order_of_bytes size_bytes =
 
 let head_addr a o = a.heads_base + o
 
-let pop_head a ~st o =
-  let h = Mem.load a.mem ~st (head_addr a o) in
+let pop_head a o =
+  let h = load a (head_addr a o) in
   if h = 0 then None
   else begin
-    Mem.store a.mem ~st (head_addr a o) (Mem.load a.mem ~st h);
+    store a (head_addr a o) (load a h);
     Some h
   end
 
-let push_head a ~st o b =
-  Mem.store a.mem ~st b (Mem.load a.mem ~st (head_addr a o));
-  Mem.store a.mem ~st (head_addr a o) b
+let push_head a o b =
+  store a b (load a (head_addr a o));
+  store a (head_addr a o) b
 
-let rec take a ~st o =
+let rec take a o =
   if o > a.max_order then raise Out_of_memory;
-  match pop_head a ~st o with
+  match pop_head a o with
   | Some b -> b
   | None ->
       (* split a larger block *)
-      let big = take a ~st (o + 1) in
+      let big = take a (o + 1) in
       let half = big + (1 lsl o) in
-      set_meta a ~st half ~order:o ~allocated:false;
-      push_head a ~st o half;
+      set_meta a half ~order:o ~allocated:false;
+      push_head a o half;
       big
 
 (* The entire operation holds the global lock — Lightning's design. The
@@ -112,12 +119,16 @@ let with_lock th f =
   let a = th.a in
   Mutex.lock a.lock;
   let rec spin () =
-    if not (Mem.cas a.mem ~st:a.serial 0 ~expected:0 ~desired:1) then spin ()
+    if
+      not
+        (Mem.cas a.mem ~st:a.serial ~lines:a.serial_lines 0 ~expected:0
+           ~desired:1)
+    then spin ()
   in
   spin ();
   Fun.protect
     ~finally:(fun () ->
-      Mem.store a.mem ~st:a.serial 0 0;
+      store a 0 0;
       Mutex.unlock a.lock)
     f
 
@@ -125,45 +136,45 @@ let alloc th ~size_bytes =
   with_lock th (fun () ->
       let a = th.a in
       let o = order_of_bytes size_bytes in
-      let b = take a ~st:a.serial o in
-      set_meta a ~st:a.serial b ~order:o ~allocated:true;
+      let b = take a o in
+      set_meta a b ~order:o ~allocated:true;
       b)
 
-let rec coalesce a ~st b o =
-  if o >= a.max_order then push_head a ~st o b
+let rec coalesce a b o =
+  if o >= a.max_order then push_head a o b
   else begin
     let buddy = a.heap_base + ((b - a.heap_base) lxor (1 lsl o)) in
-    let border, balloc = get_meta a ~st buddy in
+    let border, balloc = get_meta a buddy in
     if (not balloc) && border = o then begin
       (* unlink buddy from its free list (linear scan, as in simple
          implementations) *)
       let rec unlink prev cur =
         if cur = 0 then false
         else if cur = buddy then begin
-          let next = Mem.load a.mem ~st cur in
-          (if prev = 0 then Mem.store a.mem ~st (head_addr a o) next
-           else Mem.store a.mem ~st prev next);
+          let next = load a cur in
+          (if prev = 0 then store a (head_addr a o) next
+           else store a prev next);
           true
         end
-        else unlink cur (Mem.load a.mem ~st cur)
+        else unlink cur (load a cur)
       in
-      if unlink 0 (Mem.load a.mem ~st (head_addr a o)) then begin
+      if unlink 0 (load a (head_addr a o)) then begin
         let merged = min b buddy in
-        set_meta a ~st merged ~order:(o + 1) ~allocated:false;
-        coalesce a ~st merged (o + 1)
+        set_meta a merged ~order:(o + 1) ~allocated:false;
+        coalesce a merged (o + 1)
       end
-      else push_head a ~st o b
+      else push_head a o b
     end
-    else push_head a ~st o b
+    else push_head a o b
   end
 
 let free th b =
   with_lock th (fun () ->
       let a = th.a in
-      let o, allocated = get_meta a ~st:a.serial b in
+      let o, allocated = get_meta a b in
       if not allocated then invalid_arg "Buddy.free: double free";
-      set_meta a ~st:a.serial b ~order:o ~allocated:false;
-      coalesce a ~st:a.serial b o)
+      set_meta a b ~order:o ~allocated:false;
+      coalesce a b o)
 
-let write_word th b i v = Mem.store th.a.mem ~st:th.st (b + i) v
-let read_word th b i = Mem.load th.a.mem ~st:th.st (b + i)
+let write_word th b i v = Mem.store th.a.mem ~st:th.st ~lines:th.lines (b + i) v
+let read_word th b i = Mem.load th.a.mem ~st:th.st ~lines:th.lines (b + i)

@@ -1,5 +1,6 @@
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Latency = Cxlshm_shmem.Latency
 
 let name = "jemalloc"
@@ -20,7 +21,7 @@ type t = {
   threads : int;
 }
 
-type thread = { a : t; tid : int; st : Stats.t }
+type thread = { a : t; tid : int; st : Stats.t; lines : Lines.t }
 
 let tier _ = Latency.Local_numa
 
@@ -49,10 +50,17 @@ let create ~words ~threads =
 
 let thread a tid =
   if tid < 0 || tid >= a.threads then invalid_arg "Local_jemalloc.thread";
-  { a; tid; st = Stats.create () }
+  { a; tid; st = Stats.create (); lines = Lines.create () }
 
 let stats th = th.st
 let serial_stats _ = Stats.create ()
+
+(* This thread's word traffic: counted in [st], classified by [lines]. *)
+let load th p = Mem.load th.a.mem ~st:th.st ~lines:th.lines p
+let store th p x = Mem.store th.a.mem ~st:th.st ~lines:th.lines p x
+let cas th p ~expected ~desired =
+  Mem.cas th.a.mem ~st:th.st ~lines:th.lines p ~expected ~desired
+let fetch_add th p n = Mem.fetch_add th.a.mem ~st:th.st ~lines:th.lines p n
 
 let central_addr a c = a.central_base + c
 let tcache_addr a tid c = a.tcache_base + (((tid * a.nclasses) + c) * tcache_words)
@@ -60,21 +68,21 @@ let tcache_addr a tid c = a.tcache_base + (((tid * a.nclasses) + c) * tcache_wor
 (* Carve a fresh page directly into the central bin of class [c]. *)
 let refill_central th c =
   let a = th.a in
-  let p = Mem.fetch_add a.mem ~st:th.st 1 1 in
+  let p = fetch_add th 1 1 in
   if p >= a.num_pages then raise Out_of_memory;
-  Mem.store a.mem ~st:th.st (a.page_map_base + p) (c + 1);
+  store th (a.page_map_base + p) (c + 1);
   let bw = Size_class.block_words c in
   let cap = page_words / bw in
   let base = a.pages_base + (p * page_words) in
   (* chain the new blocks, then CAS the chain onto the bin *)
   for i = 0 to cap - 2 do
-    Mem.store a.mem ~st:th.st (base + (i * bw)) (base + ((i + 1) * bw))
+    store th (base + (i * bw)) (base + ((i + 1) * bw))
   done;
   let last = base + ((cap - 1) * bw) in
   let rec splice () =
-    let cur = Mem.load a.mem ~st:th.st (central_addr a c) in
-    Mem.store a.mem ~st:th.st last cur;
-    if not (Mem.cas a.mem ~st:th.st (central_addr a c) ~expected:cur ~desired:base)
+    let cur = load th (central_addr a c) in
+    store th last cur;
+    if not (cas th (central_addr a c) ~expected:cur ~desired:base)
     then splice ()
   in
   splice ()
@@ -87,23 +95,23 @@ let rec refill_tcache th c =
   let tc = tcache_addr a th.tid c in
   let overflow = tc + 1 in
   let rec swap_central () =
-    let cur = Mem.load a.mem ~st:th.st (central_addr a c) in
+    let cur = load th (central_addr a c) in
     if cur = 0 then false
-    else if Mem.cas a.mem ~st:th.st (central_addr a c) ~expected:cur ~desired:0
+    else if cas th (central_addr a c) ~expected:cur ~desired:0
     then begin
-      Mem.store a.mem ~st:th.st overflow cur;
+      store th overflow cur;
       true
     end
     else swap_central ()
   in
-  let count = ref (Mem.load a.mem ~st:th.st tc) in
+  let count = ref (load th tc) in
   let target = tcache_slots / 2 in
   let rec fill () =
     if !count < target then begin
-      let head = Mem.load a.mem ~st:th.st overflow in
+      let head = load th overflow in
       if head <> 0 then begin
-        Mem.store a.mem ~st:th.st overflow (Mem.load a.mem ~st:th.st head);
-        Mem.store a.mem ~st:th.st (tc + 2 + !count) head;
+        store th overflow (load th head);
+        store th (tc + 2 + !count) head;
         incr count;
         fill ()
       end
@@ -116,24 +124,24 @@ let rec refill_tcache th c =
     end
   in
   fill ();
-  Mem.store a.mem ~st:th.st tc !count;
+  store th tc !count;
   if !count = 0 then refill_tcache th c
 
 let alloc th ~size_bytes =
   let a = th.a in
   let c = Size_class.class_of_bytes ~page_words size_bytes in
   let tc = tcache_addr a th.tid c in
-  let count = Mem.load a.mem ~st:th.st tc in
+  let count = load th tc in
   if count = 0 then begin
     refill_tcache th c;
-    let count = Mem.load a.mem ~st:th.st tc in
-    let b = Mem.load a.mem ~st:th.st (tc + 1 + count) in
-    Mem.store a.mem ~st:th.st tc (count - 1);
+    let count = load th tc in
+    let b = load th (tc + 1 + count) in
+    store th tc (count - 1);
     b
   end
   else begin
-    let b = Mem.load a.mem ~st:th.st (tc + 1 + count) in
-    Mem.store a.mem ~st:th.st tc (count - 1);
+    let b = load th (tc + 1 + count) in
+    store th tc (count - 1);
     b
   end
 
@@ -141,19 +149,19 @@ let free th b =
   let a = th.a in
   (* Pages are homogeneous; the page map recovers the block's class. *)
   let p = (b - a.pages_base) / page_words in
-  let c = Mem.load a.mem ~st:th.st (a.page_map_base + p) - 1 in
+  let c = load th (a.page_map_base + p) - 1 in
   let tc = tcache_addr a th.tid c in
-  let count = Mem.load a.mem ~st:th.st tc in
+  let count = load th tc in
   if count >= tcache_slots - 1 then begin
     (* overflow to the thread-local chain — no synchronisation *)
     let overflow = tc + 1 in
-    Mem.store a.mem ~st:th.st b (Mem.load a.mem ~st:th.st overflow);
-    Mem.store a.mem ~st:th.st overflow b
+    store th b (load th overflow);
+    store th overflow b
   end
   else begin
-    Mem.store a.mem ~st:th.st (tc + 2 + count) b;
-    Mem.store a.mem ~st:th.st tc (count + 1)
+    store th (tc + 2 + count) b;
+    store th tc (count + 1)
   end
 
-let write_word th b i v = Mem.store th.a.mem ~st:th.st (b + i) v
-let read_word th b i = Mem.load th.a.mem ~st:th.st (b + i)
+let write_word th b i v = store th (b + i) v
+let read_word th b i = load th (b + i)

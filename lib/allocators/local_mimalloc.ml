@@ -1,5 +1,6 @@
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Latency = Cxlshm_shmem.Latency
 
 let name = "mimalloc"
@@ -21,6 +22,7 @@ type thread = {
   a : t;
   tid : int;
   st : Stats.t;
+  lines : Lines.t;
   pages : int list array;  (** per-class pages owned by this thread *)
 }
 
@@ -46,10 +48,21 @@ let create ~words ~threads =
 
 let thread a tid =
   if tid < 0 || tid >= a.threads then invalid_arg "Local_mimalloc.thread";
-  { a; tid; st = Stats.create (); pages = Array.make a.nclasses [] }
+  {
+    a;
+    tid;
+    st = Stats.create ();
+    lines = Lines.create ();
+    pages = Array.make a.nclasses [];
+  }
 
 let stats th = th.st
 let serial_stats _ = Stats.create ()
+
+(* This thread's word traffic: counted in [st], classified by [lines]. *)
+let load th p = Mem.load th.a.mem ~st:th.st ~lines:th.lines p
+let store th p x = Mem.store th.a.mem ~st:th.st ~lines:th.lines p x
+let fetch_add th p n = Mem.fetch_add th.a.mem ~st:th.st ~lines:th.lines p n
 
 let page_area a p = a.pages_base + (p * page_words)
 let free_head_addr a p = a.meta_base + p
@@ -66,17 +79,17 @@ let head_of w = w lsr 8
 
 let claim_page th ~cls =
   let a = th.a in
-  let p = Mem.fetch_add a.mem ~st:th.st 1 1 in
+  let p = fetch_add th 1 1 in
   if p >= a.num_pages then raise Out_of_memory;
   ignore cls;
   let bw = Size_class.block_words cls in
   let cap = page_words / bw in
   let base = page_area a p in
   for i = 0 to cap - 1 do
-    Mem.store a.mem ~st:th.st (base + (i * bw))
+    store th (base + (i * bw))
       (if i = cap - 1 then 0 else base + ((i + 1) * bw))
   done;
-  Mem.store a.mem ~st:th.st (free_head_addr a p) (pack ~cls ~head:base);
+  store th (free_head_addr a p) (pack ~cls ~head:base);
   p
 
 (* Walk this thread's page queue for the class; pages with room move to
@@ -85,12 +98,12 @@ let alloc th ~size_bytes =
   let a = th.a in
   let c = Size_class.class_of_bytes ~page_words size_bytes in
   let pop_from p =
-    let w = Mem.load a.mem ~st:th.st (free_head_addr a p) in
+    let w = load th (free_head_addr a p) in
     let head = head_of w in
     if head = 0 then None
     else begin
-      let next = Mem.load a.mem ~st:th.st head in
-      Mem.store a.mem ~st:th.st (free_head_addr a p)
+      let next = load th head in
+      store th (free_head_addr a p)
         (pack ~cls:(cls_of w) ~head:next);
       Some head
     end
@@ -112,9 +125,9 @@ let alloc th ~size_bytes =
 let free th b =
   let a = th.a in
   let p = (b - a.pages_base) / page_words in
-  let w = Mem.load a.mem ~st:th.st (free_head_addr a p) in
-  Mem.store a.mem ~st:th.st b (head_of w);
-  Mem.store a.mem ~st:th.st (free_head_addr a p) (pack ~cls:(cls_of w) ~head:b)
+  let w = load th (free_head_addr a p) in
+  store th b (head_of w);
+  store th (free_head_addr a p) (pack ~cls:(cls_of w) ~head:b)
 
-let write_word th b i v = Mem.store th.a.mem ~st:th.st (b + i) v
-let read_word th b i = Mem.load th.a.mem ~st:th.st (b + i)
+let write_word th b i v = store th (b + i) v
+let read_word th b i = load th (b + i)

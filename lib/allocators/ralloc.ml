@@ -1,5 +1,6 @@
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Latency = Cxlshm_shmem.Latency
 
 let name = "ralloc"
@@ -27,6 +28,7 @@ type thread = {
   a : t;
   tid : int;
   st : Stats.t;
+  lines : Lines.t;
   pages : int list array;  (** per-class page queue of this thread *)
 }
 
@@ -58,12 +60,23 @@ let create ~words ~threads =
 
 let thread a tid =
   if tid < 0 || tid >= a.threads then invalid_arg "Ralloc.thread";
-  { a; tid; st = Stats.create (); pages = Array.make a.nclasses [] }
+  {
+    a;
+    tid;
+    st = Stats.create ();
+    lines = Lines.create ();
+    pages = Array.make a.nclasses [];
+  }
 
 let stats th = th.st
 let serial_stats _ = Stats.create ()
 let instance_of_thread th = th.a
 let words_scanned a = a.scanned
+
+(* This thread's word traffic: counted in [st], classified by [lines]. *)
+let load th p = Mem.load th.a.mem ~st:th.st ~lines:th.lines p
+let store th p x = Mem.store th.a.mem ~st:th.st ~lines:th.lines p x
+let fetch_add th p n = Mem.fetch_add th.a.mem ~st:th.st ~lines:th.lines p n
 
 let free_head_addr a p = a.meta_base + p
 
@@ -73,34 +86,34 @@ let hdr_words = 1
 
 let claim_page th ~cls =
   let a = th.a in
-  let p = Mem.fetch_add a.mem ~st:th.st 1 1 in
+  let p = fetch_add th 1 1 in
   if p >= a.num_pages then raise Out_of_memory;
-  Mem.store a.mem ~st:th.st (a.page_map_base + p) (cls + 1);
+  store th (a.page_map_base + p) (cls + 1);
   let bw = Size_class.block_words cls + hdr_words in
   let cap = page_words / bw in
   let base = a.pages_base + (p * page_words) in
   for i = 0 to cap - 1 do
     let b = base + (i * bw) in
-    Mem.store a.mem ~st:th.st b 0;
-    Mem.store a.mem ~st:th.st (b + 1)
+    store th b 0;
+    store th (b + 1)
       (if i = cap - 1 then 0 else base + ((i + 1) * bw))
   done;
-  Mem.store a.mem ~st:th.st (free_head_addr a p) base;
+  store th (free_head_addr a p) base;
   p
 
 let alloc th ~size_bytes =
   let a = th.a in
   let c = Size_class.class_of_bytes ~page_words size_bytes in
   let use_page p =
-    let head = Mem.load a.mem ~st:th.st (free_head_addr a p) in
+    let head = load th (free_head_addr a p) in
     if head = 0 then None
     else begin
-      let next = Mem.load a.mem ~st:th.st (head + 1) in
-      Mem.store a.mem ~st:th.st (free_head_addr a p) next;
+      let next = load th (head + 1) in
+      store th (free_head_addr a p) next;
       (* Ralloc's design point: free lists are volatile (post-crash GC
          rebuilds them), only the allocated-header must persist before the
          block is handed out. *)
-      Mem.store a.mem ~st:th.st head 1;
+      store th head 1;
       Mem.flush a.mem ~st:th.st head;
       Mem.fence a.mem ~st:th.st;
       Some (head + hdr_words)
@@ -126,25 +139,25 @@ let free th b =
   let p = (blk - a.pages_base) / page_words in
   (* the header flip must persist (sweep correctness); the list push is
      volatile *)
-  Mem.store a.mem ~st:th.st blk 0;
+  store th blk 0;
   Mem.flush a.mem ~st:th.st blk;
-  let head = Mem.load a.mem ~st:th.st (free_head_addr a p) in
-  Mem.store a.mem ~st:th.st (blk + 1) head;
-  Mem.store a.mem ~st:th.st (free_head_addr a p) blk
+  let head = load th (free_head_addr a p) in
+  store th (blk + 1) head;
+  store th (free_head_addr a p) blk
 
-let write_word th b i v = Mem.store th.a.mem ~st:th.st (b + i) v
-let read_word th b i = Mem.load th.a.mem ~st:th.st (b + i)
+let write_word th b i v = store th (b + i) v
+let read_word th b i = load th (b + i)
 
 let set_root th b =
   let a = th.a in
-  let n = Mem.fetch_add a.mem ~st:th.st 2 1 in
+  let n = fetch_add th 2 1 in
   if n >= max_roots then invalid_arg "Ralloc.set_root: too many roots";
-  Mem.store a.mem ~st:th.st (a.roots_base + n) b
+  store th (a.roots_base + n) b
 
 (* Stop-the-world conservative mark & sweep over the whole carved heap —
    the §4.1 recovery model whose pause the paper contrasts with CXL-SHM. *)
-let recover a ~st =
-  let carved = Mem.load a.mem ~st 1 in
+let recover a ~st ~lines =
+  let carved = Mem.load a.mem ~st ~lines 1 in
   let carved = min carved a.num_pages in
   let block_of addr =
     if addr < a.pages_base then None
@@ -152,7 +165,7 @@ let recover a ~st =
       let p = (addr - a.pages_base) / page_words in
       if p >= carved then None
       else
-        let cls = Mem.load a.mem ~st (a.page_map_base + p) - 1 in
+        let cls = Mem.load a.mem ~st ~lines (a.page_map_base + p) - 1 in
         if cls < 0 then None
         else
           let bw = Size_class.block_words cls + hdr_words in
@@ -172,18 +185,18 @@ let recover a ~st =
           (* conservative scan of the payload *)
           for w = hdr_words to bw - 1 do
             incr scanned;
-            mark (Mem.load a.mem ~st (blk + w))
+            mark (Mem.load a.mem ~st ~lines (blk + w))
           done
         end
   in
-  let nroots = Mem.load a.mem ~st 2 in
+  let nroots = Mem.load a.mem ~st ~lines 2 in
   for r = 0 to min nroots max_roots - 1 do
-    mark (Mem.load a.mem ~st (a.roots_base + r))
+    mark (Mem.load a.mem ~st ~lines (a.roots_base + r))
   done;
   (* sweep: every allocated, unmarked block goes back to its free list *)
   let swept = ref 0 in
   for p = 0 to carved - 1 do
-    let cls = Mem.load a.mem ~st (a.page_map_base + p) - 1 in
+    let cls = Mem.load a.mem ~st ~lines (a.page_map_base + p) - 1 in
     if cls >= 0 then begin
       let bw = Size_class.block_words cls + hdr_words in
       let base = a.pages_base + (p * page_words) in
@@ -191,11 +204,12 @@ let recover a ~st =
       for i = 0 to cap - 1 do
         let blk = base + (i * bw) in
         incr scanned;
-        if Mem.load a.mem ~st blk = 1 && not (Hashtbl.mem marked blk) then begin
-          Mem.store a.mem ~st blk 0;
-          let head = Mem.load a.mem ~st (free_head_addr a p) in
-          Mem.store a.mem ~st (blk + 1) head;
-          Mem.store a.mem ~st (free_head_addr a p) blk;
+        if Mem.load a.mem ~st ~lines blk = 1 && not (Hashtbl.mem marked blk)
+        then begin
+          Mem.store a.mem ~st ~lines blk 0;
+          let head = Mem.load a.mem ~st ~lines (free_head_addr a p) in
+          Mem.store a.mem ~st ~lines (blk + 1) head;
+          Mem.store a.mem ~st ~lines (free_head_addr a p) blk;
           Mem.flush a.mem ~st (free_head_addr a p);
           incr swept
         end

@@ -15,7 +15,8 @@ val set_root : thread -> Cxlshm_shmem.Pptr.t -> unit
 
 val instance_of_thread : thread -> t
 
-val recover : t -> st:Cxlshm_shmem.Stats.t -> int * int
+val recover :
+  t -> st:Cxlshm_shmem.Stats.t -> lines:Cxlshm_shmem.Lines.t -> int * int
 (** Stop-the-world recovery: conservative mark from the registered roots
     over every word of every carved page, then sweep unreachable blocks
     back to free lists. Returns [(live, swept)]. The [st] counters expose

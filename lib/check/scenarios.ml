@@ -12,6 +12,7 @@
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Spsc = Cxlshm_spsc.Spsc_queue
 
 let fail fmt = Printf.ksprintf failwith fmt
@@ -34,16 +35,18 @@ let spsc ?(capacity = 2) ?(values = 3) () : Explore.model =
   let make () =
     let words = Spsc.words_needed ~capacity + 8 in
     let mem = Mem.create ~backend:(Mem.Sched Mem.Flat) ~words () in
-    let st_setup = Stats.create () in
-    let q = Spsc.create mem ~st:st_setup ~base:0 ~capacity in
+    let q =
+      Spsc.create mem ~st:(Stats.create ()) ~lines:(Lines.create ()) ~base:0
+        ~capacity
+    in
     let popped = ref [] in
     let producer_alive = ref true and consumer_alive = ref true in
     let producer () =
       Fun.protect ~finally:(fun () -> producer_alive := false) @@ fun () ->
-      let st = Stats.create () in
+      let st = Stats.create () and lines = Lines.create () in
       try
         for v = 1 to values do
-          while not (Spsc.try_push q ~st v) do
+          while not (Spsc.try_push q ~st ~lines v) do
             Sched.yield "push-full";
             if not !consumer_alive then raise Exit
           done
@@ -52,17 +55,17 @@ let spsc ?(capacity = 2) ?(values = 3) () : Explore.model =
     in
     let consumer () =
       Fun.protect ~finally:(fun () -> consumer_alive := false) @@ fun () ->
-      let st = Stats.create () in
+      let st = Stats.create () and lines = Lines.create () in
       let got = ref 0 in
       let looping = ref true in
       while !looping do
-        match Spsc.try_pop q ~st with
+        match Spsc.try_pop q ~st ~lines with
         | Some v ->
             popped := v :: !popped;
             incr got;
             if !got = values then looping := false
         | None ->
-            if (not !producer_alive) && Spsc.length q ~st = 0 then
+            if (not !producer_alive) && Spsc.length q ~st ~lines = 0 then
               looping := false
             else Sched.yield "pop-empty"
       done

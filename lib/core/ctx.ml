@@ -57,6 +57,7 @@ type t = {
   cid : int;
   home_dev : int;
   st : Stats.t;
+  lines : Cxlshm_shmem.Lines.t;
   mutable fault : Fault.plan;
   mutable retry : Retry.policy;
   rng : Random.State.t;
@@ -96,6 +97,7 @@ let make ?cache ?epoch ~mem ~lay ~cid () =
     cid;
     home_dev = cid mod Mem.num_devices mem;
     st = Stats.create ();
+    lines = Cxlshm_shmem.Lines.create ();
     fault = Fault.none;
     retry = Retry.default_policy;
     rng = Random.State.make [| 0x5eed; cid |];
@@ -206,13 +208,13 @@ let with_retries t f =
    after a transient fault is always safe — the commit marker is unused. *)
 let prim t f = with_retries t (fun _commit -> f ())
 
-let load t p = prim t (fun () -> Mem.load t.mem ~st:t.st p)
-let store t p v = prim t (fun () -> Mem.store t.mem ~st:t.st p v)
+let load t p = prim t (fun () -> Mem.load t.mem ~st:t.st ~lines:t.lines p)
+let store t p v = prim t (fun () -> Mem.store t.mem ~st:t.st ~lines:t.lines p v)
 
 let cas t p ~expected ~desired =
-  prim t (fun () -> Mem.cas t.mem ~st:t.st p ~expected ~desired)
+  prim t (fun () -> Mem.cas t.mem ~st:t.st ~lines:t.lines p ~expected ~desired)
 
-let fetch_add t p n = prim t (fun () -> Mem.fetch_add t.mem ~st:t.st p n)
+let fetch_add t p n = prim t (fun () -> Mem.fetch_add t.mem ~st:t.st ~lines:t.lines p n)
 let fence t = Mem.fence t.mem ~st:t.st
 let flush t p = prim t (fun () -> Mem.flush t.mem ~st:t.st p)
 let crash_point t point = Fault.maybe_crash t.fault point

@@ -47,6 +47,9 @@ type t = {
       (** The client's home device in the pool ([cid mod num_devices]) —
           segment claims prefer segments served by it before spilling. *)
   st : Cxlshm_shmem.Stats.t;
+  lines : Cxlshm_shmem.Lines.t;
+      (** the client's CPU-cache line state, which classifies each of its
+          word accesses into [st] *)
   mutable fault : Fault.plan;
   mutable retry : Retry.policy;
       (** retry/backoff budget for transient device faults; defaults to

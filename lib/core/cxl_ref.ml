@@ -95,16 +95,16 @@ let byte_area t =
   (Obj_header.data_of_obj o + t.m_emb, t.m_dw - t.m_emb)
 
 let write_bytes t b =
-  let base, room = byte_area t in
+  let base, room = byte_area t and c = t.ctx in
   if Cxlshm_shmem.Mem.bytes_words (Bytes.length b) > room then
     invalid_arg "Cxl_ref.write_bytes: payload too large";
-  Cxlshm_shmem.Mem.write_bytes t.ctx.Ctx.mem ~st:t.ctx.Ctx.st base b
+  Cxlshm_shmem.Mem.write_bytes c.Ctx.mem ~st:c.Ctx.st ~lines:c.Ctx.lines base b
 
 let read_bytes t ~len =
-  let base, room = byte_area t in
+  let base, room = byte_area t and c = t.ctx in
   if Cxlshm_shmem.Mem.bytes_words len > room then
     invalid_arg "Cxl_ref.read_bytes: length too large";
-  Cxlshm_shmem.Mem.read_bytes t.ctx.Ctx.mem ~st:t.ctx.Ctx.st base ~len
+  Cxlshm_shmem.Mem.read_bytes c.Ctx.mem ~st:c.Ctx.st ~lines:c.Ctx.lines base ~len
 
 let emb_addr t i =
   let o = resolve t in

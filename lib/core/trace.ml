@@ -55,17 +55,17 @@ let emit ctx ~op ~phase ~addr ~dur_ns =
 let with_span ctx op ?(addr = 0) f =
   if not ctx.Ctx.trace_on then f ()
   else begin
-    let model = Mem.cost_model ctx.Ctx.mem in
-    let before = Stats.probe ctx.Ctx.st in
+    let model = Mem.cost_model ctx.Ctx.mem and before = Stats.copy ctx.Ctx.st in
+    let span_ns () = Stats.modeled_ns model (Stats.diff ctx.Ctx.st before) in
     emit ctx ~op ~phase:Begin ~addr ~dur_ns:0.;
     match f () with
     | v ->
-        let dur_ns = Stats.probe_ns model ctx.Ctx.st ~since:before in
+        let dur_ns = span_ns () in
         Histogram.record ctx.Ctx.hists.(Histogram.op_index op) dur_ns;
         emit ctx ~op ~phase:End ~addr ~dur_ns;
         v
     | exception e ->
-        let dur_ns = Stats.probe_ns model ctx.Ctx.st ~since:before in
+        let dur_ns = span_ns () in
         emit ctx ~op ~phase:Err ~addr ~dur_ns;
         raise e
   end

@@ -1,5 +1,6 @@
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Latency = Cxlshm_shmem.Latency
 module Buddy = Cxlshm_allocators.Buddy
 
@@ -19,10 +20,11 @@ type store = {
   threads : int;
   log_base : int;
   serial : Stats.t;
+  serial_lines : Lines.t;
   lock : Mutex.t;
 }
 
-type handle = { s : store; bth : Buddy.thread; st : Stats.t }
+type handle = { s : store; bth : Buddy.thread; st : Stats.t; lines : Lines.t }
 
 let tier _ = Latency.Local_numa
 
@@ -36,16 +38,24 @@ let create ~buckets ~value_words ~words ~threads =
     threads;
     log_base = buckets;
     serial = Stats.create ();
+    serial_lines = Lines.create ();
     lock = Mutex.create ();
   }
 
-let handle s tid = { s; bth = Buddy.thread s.buddy tid; st = Stats.create () }
+let handle s tid =
+  let st = Stats.create () and lines = Lines.create () in
+  { s; bth = Buddy.thread s.buddy tid; st; lines }
 let stats h = h.st
 
 let serial_stats s =
   let acc = Stats.copy s.serial in
   Stats.add acc (Buddy.serial_stats s.buddy);
   acc
+
+(* Index and undo-log traffic under the store lock: counted in [serial]
+   against the one line state [serial_lines]. *)
+let serial_load s p = Mem.load s.idx ~st:s.serial ~lines:s.serial_lines p
+let serial_store s p v = Mem.store s.idx ~st:s.serial ~lines:s.serial_lines p v
 
 let hash key = (key * 0x2545F4914F6CDD1D) land max_int
 let bucket_addr b = b
@@ -63,7 +73,7 @@ let with_store_lock h f =
 let undo_log h ~op ~key =
   let base = h.s.log_base in
   for i = 0 to 9 do
-    Mem.store h.s.idx ~st:h.s.serial (base + i) (op + key + i);
+    serial_store h.s (base + i) (op + key + i);
     Mem.flush h.s.idx ~st:h.s.serial (base + i)
   done;
   Mem.fence h.s.idx ~st:h.s.serial
@@ -75,7 +85,7 @@ let get h ~key =
     else if Buddy.read_word h.bth r 1 = key then Some (Buddy.read_word h.bth r 2)
     else walk (Buddy.read_word h.bth r 0)
   in
-  walk (Mem.load h.s.idx ~st:h.st (bucket_addr b))
+  walk (Mem.load h.s.idx ~st:h.st ~lines:h.lines (bucket_addr b))
 
 (* Lightning is an object store: a put creates a new immutable object via
    the lock-based buddy allocator and retires the previous version — the
@@ -84,7 +94,7 @@ let put h ~key ~value =
   with_store_lock h (fun () ->
       undo_log h ~op:1 ~key;
       let b = bucket_addr (hash key mod h.s.buckets) in
-      let head = Mem.load h.s.idx ~st:h.s.serial b in
+      let head = serial_load h.s b in
       let fresh = Buddy.alloc h.bth ~size_bytes:((2 + h.s.value_words) * 8) in
       Buddy.write_word h.bth fresh 1 key;
       for i = 0 to h.s.value_words - 1 do
@@ -103,18 +113,18 @@ let put h ~key ~value =
       in
       let head' = unlink 0 head in
       Buddy.write_word h.bth fresh 0 head';
-      Mem.store h.s.idx ~st:h.s.serial b fresh)
+      serial_store h.s b fresh)
 
 let delete h ~key =
   with_store_lock h (fun () ->
       undo_log h ~op:2 ~key;
       let b = bucket_addr (hash key mod h.s.buckets) in
-      let head = Mem.load h.s.idx ~st:h.s.serial b in
+      let head = serial_load h.s b in
       let rec remove prev r =
         if r = 0 then false
         else if Buddy.read_word h.bth r 1 = key then begin
           let next = Buddy.read_word h.bth r 0 in
-          (if prev = 0 then Mem.store h.s.idx ~st:h.s.serial b next
+          (if prev = 0 then serial_store h.s b next
            else Buddy.write_word h.bth prev 0 next);
           Buddy.free h.bth r;
           true

@@ -1,5 +1,6 @@
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Latency = Cxlshm_shmem.Latency
 
 let name = "TBB-KV"
@@ -16,7 +17,7 @@ type store = {
   threads : int;
 }
 
-type handle = { s : store; st : Stats.t }
+type handle = { s : store; st : Stats.t; lines : Lines.t }
 
 let tier _ = Latency.Local_numa
 
@@ -37,9 +38,18 @@ let create ~buckets ~value_words ~capacity ~threads =
 
 let handle s tid =
   if tid < 0 || tid >= s.threads then invalid_arg "Tbb_kv.handle";
-  { s; st = Stats.create () }
+  { s; st = Stats.create (); lines = Lines.create () }
 
 let stats h = h.st
+let lines h = h.lines
+
+(* This handle's word traffic: counted in [st], classified by [lines]. *)
+let load h p = Mem.load h.s.mem ~st:h.st ~lines:h.lines p
+let store h p x = Mem.store h.s.mem ~st:h.st ~lines:h.lines p x
+let cas h p ~expected ~desired =
+  Mem.cas h.s.mem ~st:h.st ~lines:h.lines p ~expected ~desired
+let fetch_add h p n = Mem.fetch_add h.s.mem ~st:h.st ~lines:h.lines p n
+
 let hash key = (key * 0x2545F4914F6CDD1D) land max_int
 let bucket_addr _s b = 2 + b
 
@@ -51,12 +61,10 @@ let pack_bucket ~locked head = (head lsl 1) lor (if locked then lock_bit else 0)
 let lock_bucket h b =
   let a = bucket_addr h.s b in
   let rec spin () =
-    let w = Mem.load h.s.mem ~st:h.st a in
+    let w = load h a in
     if
       w land lock_bit <> 0
-      || not
-           (Mem.cas h.s.mem ~st:h.st a ~expected:w
-              ~desired:(w lor lock_bit))
+      || not (cas h a ~expected:w ~desired:(w lor lock_bit))
     then begin
       Domain.cpu_relax ();
       spin ()
@@ -65,31 +73,31 @@ let lock_bucket h b =
   spin ()
 
 let unlock_bucket h b head =
-  Mem.store h.s.mem ~st:h.st (bucket_addr h.s b) (pack_bucket ~locked:false head)
+  store h (bucket_addr h.s b) (pack_bucket ~locked:false head)
 
 let alloc_record h =
   (* try the free stack, then the bump pointer *)
   let rec pop () =
-    let top = Mem.load h.s.mem ~st:h.st 1 in
+    let top = load h 1 in
     if top = 0 then None
     else
-      let next = Mem.load h.s.mem ~st:h.st top in
-      if Mem.cas h.s.mem ~st:h.st 1 ~expected:top ~desired:next then Some top
+      let next = load h top in
+      if cas h 1 ~expected:top ~desired:next then Some top
       else pop ()
   in
   match pop () with
   | Some r -> r
   | None ->
-      let off = Mem.fetch_add h.s.mem ~st:h.st 0 h.s.rec_words in
+      let off = fetch_add h 0 h.s.rec_words in
       let r = h.s.heap_base + off in
       if r + h.s.rec_words > h.s.heap_end then raise Out_of_memory;
       r
 
 let free_record h r =
   let rec push () =
-    let top = Mem.load h.s.mem ~st:h.st 1 in
-    Mem.store h.s.mem ~st:h.st r top;
-    if not (Mem.cas h.s.mem ~st:h.st 1 ~expected:top ~desired:r) then push ()
+    let top = load h 1 in
+    store h r top;
+    if not (cas h 1 ~expected:top ~desired:r) then push ()
   in
   push ()
 
@@ -97,51 +105,51 @@ let get h ~key =
   let b = hash key mod h.s.buckets in
   let rec walk r =
     if r = 0 then None
-    else if Mem.load h.s.mem ~st:h.st (r + 1) = key then
-      Some (Mem.load h.s.mem ~st:h.st (r + 2))
-    else walk (Mem.load h.s.mem ~st:h.st r)
+    else if load h (r + 1) = key then
+      Some (load h (r + 2))
+    else walk (load h r)
   in
-  walk (head_of (Mem.load h.s.mem ~st:h.st (bucket_addr h.s b)))
+  walk (head_of (load h (bucket_addr h.s b)))
 
 let put h ~key ~value =
   let b = hash key mod h.s.buckets in
   lock_bucket h b;
-  let head = head_of (Mem.load h.s.mem ~st:h.st (bucket_addr h.s b)) in
+  let head = head_of (load h (bucket_addr h.s b)) in
   let rec find r =
     if r = 0 then None
-    else if Mem.load h.s.mem ~st:h.st (r + 1) = key then Some r
-    else find (Mem.load h.s.mem ~st:h.st r)
+    else if load h (r + 1) = key then Some r
+    else find (load h r)
   in
   (match find head with
   | Some r ->
       for i = 0 to h.s.value_words - 1 do
-        Mem.store h.s.mem ~st:h.st (r + 2 + i) (value + i)
+        store h (r + 2 + i) (value + i)
       done;
       unlock_bucket h b head
   | None ->
       let r = alloc_record h in
-      Mem.store h.s.mem ~st:h.st (r + 1) key;
+      store h (r + 1) key;
       for i = 0 to h.s.value_words - 1 do
-        Mem.store h.s.mem ~st:h.st (r + 2 + i) (value + i)
+        store h (r + 2 + i) (value + i)
       done;
-      Mem.store h.s.mem ~st:h.st r head;
+      store h r head;
       unlock_bucket h b r)
 
 let delete h ~key =
   let b = hash key mod h.s.buckets in
   lock_bucket h b;
-  let head = head_of (Mem.load h.s.mem ~st:h.st (bucket_addr h.s b)) in
+  let head = head_of (load h (bucket_addr h.s b)) in
   let rec remove prev r =
     if r = 0 then (head, false)
-    else if Mem.load h.s.mem ~st:h.st (r + 1) = key then begin
-      let next = Mem.load h.s.mem ~st:h.st r in
+    else if load h (r + 1) = key then begin
+      let next = load h r in
       (if prev = 0 then (* new head *) ()
-       else Mem.store h.s.mem ~st:h.st prev next);
+       else store h prev next);
       let new_head = if prev = 0 then next else head in
       free_record h r;
       (new_head, true)
     end
-    else remove r (Mem.load h.s.mem ~st:h.st r)
+    else remove r (load h r)
   in
   let new_head, found = remove 0 head in
   unlock_bucket h b new_head;

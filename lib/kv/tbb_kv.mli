@@ -14,6 +14,10 @@ val name : string
 val create : buckets:int -> value_words:int -> capacity:int -> threads:int -> store
 val handle : store -> int -> handle
 val stats : handle -> Cxlshm_shmem.Stats.t
+
+val lines : handle -> Cxlshm_shmem.Lines.t
+(** The handle's line state; reset it with its {!stats} to start cold. *)
+
 val tier : store -> Cxlshm_shmem.Latency.tier
 
 val get : handle -> key:int -> int option

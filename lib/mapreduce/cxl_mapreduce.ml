@@ -22,7 +22,7 @@ let store_chunk ctx b =
   let r = Shm.cxl_malloc_words ctx ~data_words () in
   Cxl_ref.write_word r 0 len;
   let base = Obj_header.data_of_obj (Cxl_ref.obj r) + 1 in
-  Mem.write_bytes ctx.Ctx.mem ~st:ctx.Ctx.st base b;
+  Mem.write_bytes ctx.Ctx.mem ~st:ctx.Ctx.st ~lines:ctx.Ctx.lines base b;
   r
 
 let chunk_bytes v =

@@ -26,25 +26,32 @@ let write_word v i x =
 
 let byte_base v = data v + emb_cnt v
 
-let read_bytes v ~len =
-  Mem.read_bytes v.ctx.Ctx.mem ~st:v.ctx.Ctx.st (byte_base v) ~len
+let read_at v p ~len =
+  let c = v.ctx in
+  Mem.read_bytes c.Ctx.mem ~st:c.Ctx.st ~lines:c.Ctx.lines p ~len
+
+let write_at v p b =
+  let c = v.ctx in
+  Mem.write_bytes c.Ctx.mem ~st:c.Ctx.st ~lines:c.Ctx.lines p b
+
+let read_bytes v ~len = read_at v (byte_base v) ~len
 
 let write_bytes v b =
   if Mem.bytes_words (Bytes.length b) > data_words v - emb_cnt v then
     invalid_arg "Message.write_bytes: payload too large";
-  Mem.write_bytes v.ctx.Ctx.mem ~st:v.ctx.Ctx.st (byte_base v) b
+  write_at v (byte_base v) b
 
 let read_bytes_at v ~word_off ~len =
   if word_off < emb_cnt v || Mem.bytes_words len > data_words v - word_off then
     invalid_arg "Message.read_bytes_at";
-  Mem.read_bytes v.ctx.Ctx.mem ~st:v.ctx.Ctx.st (data v + word_off) ~len
+  read_at v (data v + word_off) ~len
 
 let write_bytes_at v ~word_off b =
   if
     word_off < emb_cnt v
     || Mem.bytes_words (Bytes.length b) > data_words v - word_off
   then invalid_arg "Message.write_bytes_at";
-  Mem.write_bytes v.ctx.Ctx.mem ~st:v.ctx.Ctx.st (data v + word_off) b
+  write_at v (data v + word_off) b
 
 (* rpc_msg: emb slots [0..I-1] = args, [I] = output; plain words:
    +0 func id, +1 nargs, +2 completion status (relative to the end of the

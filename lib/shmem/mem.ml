@@ -93,7 +93,9 @@ let tier t = t.tier
 let cost_model t = t.model
 let in_bounds t p = p >= 0 && p < t.words
 
-let check t p =
+(* [check] and [count_access] run on every word access; they are inlined
+   so that the access costs no more calls than its line classification. *)
+let[@inline] check t p =
   if not (in_bounds t p) then raise (Wild_pointer { addr = p; words = t.words })
 
 (* Backend dispatch shorthands. *)
@@ -171,56 +173,50 @@ let charge t (st : Stats.t) p kind =
     end
   end
 
-(* Classify the access: CPU-cache hit (CXL memory is cacheable, so a
-   recently-touched line costs an L1/L2 access), sequential (same or next
-   line — the prefetcher hides stream crossings), or a random link round
-   trip — mirroring Table 1's seq/rand split. *)
-let count_access t (st : Stats.t) p =
-  let line = p / words_per_line in
-  let cached = Stats.note_line st line in
-  (if line = st.last_line || line = st.last_line + 1 then begin
-     (* streaming: same or next line — L1-resident or prefetched *)
-     st.seq_accesses <- st.seq_accesses + 1;
-     charge t st p `Seq
-   end
-   else if cached then st.cache_hits <- st.cache_hits + 1
-   else begin
-     st.rand_accesses <- st.rand_accesses + 1;
-     charge t st p `Rand
-   end);
-  st.last_line <- line
+(* Count the access as its line state classifies it: CPU-cache hit (CXL
+   memory is cacheable, so a recently-touched line costs an L1/L2 access),
+   sequential (same or next line — the prefetcher hides stream crossings),
+   or a random link round trip — mirroring Table 1's seq/rand split. *)
+let[@inline] count_access t (st : Stats.t) lines p =
+  match Lines.access lines (p / words_per_line) with
+  | Seq ->
+      st.seq_accesses <- st.seq_accesses + 1;
+      charge t st p `Seq
+  | Hit -> st.cache_hits <- st.cache_hits + 1
+  | Miss ->
+      st.rand_accesses <- st.rand_accesses + 1;
+      charge t st p `Rand
 
-let load t ~st:(st : Stats.t) p =
+let load t ~st ~lines p =
   check t p;
-  count_access t st p;
+  count_access t st lines p;
   b_load t p
 
-let store t ~st:(st : Stats.t) p v =
+let store t ~st ~lines p v =
   check t p;
-  count_access t st p;
+  count_access t st lines p;
   b_store t p v
 
-let count_cas t (st : Stats.t) p =
+let count_cas t (st : Stats.t) lines p =
   (* a CAS on a line this client already caches is a local atomic; a cold
      or stolen line pays the coherence round trip *)
-  if Stats.note_line st (p / words_per_line) then
+  if Lines.touch lines (p / words_per_line) then
     st.cas_hit_ops <- st.cas_hit_ops + 1
   else begin
     st.cas_ops <- st.cas_ops + 1;
     charge t st p `Cas
-  end;
-  st.last_line <- p / words_per_line
+  end
 
-let cas t ~st:(st : Stats.t) p ~expected ~desired =
+let cas t ~(st : Stats.t) ~lines p ~expected ~desired =
   check t p;
-  count_cas t st p;
+  count_cas t st lines p;
   let ok = b_cas t p ~expected ~desired in
   if not ok then st.cas_failures <- st.cas_failures + 1;
   ok
 
-let fetch_add t ~st:(st : Stats.t) p n =
+let fetch_add t ~st ~lines p n =
   check t p;
-  count_cas t st p;
+  count_cas t st lines p;
   b_fetch_add t p n
 
 (* Fence/flush only dispatch to the backend when the scheduler wrapper is
@@ -240,12 +236,12 @@ let flush t ~st:(st : Stats.t) p =
   charge t st p `Flush;
   match t.sched with Some s -> Backend_sched.flush s p | None -> ()
 
-let fill t ~st:(st : Stats.t) p ~len v =
+let fill t ~st ~lines p ~len v =
   if len < 0 then invalid_arg "Mem.fill: negative length";
   check t p;
   if len > 0 then check t (p + len - 1);
   for i = p to p + len - 1 do
-    count_access t st i;
+    count_access t st lines i;
     b_store t i v
   done
 
@@ -253,7 +249,7 @@ let bytes_words n = (n + 6) / 7
 
 (* 7 payload bytes per 63-bit word keeps every stored word non-negative,
    which the rest of the system assumes of packed header words too. *)
-let write_bytes t ~st:(st : Stats.t) p b =
+let write_bytes t ~st ~lines p b =
   let n = Bytes.length b in
   let nwords = bytes_words n in
   if nwords > 0 then begin
@@ -267,11 +263,11 @@ let write_bytes t ~st:(st : Stats.t) p b =
       let byte = if idx < n then Char.code (Bytes.unsafe_get b idx) else 0 in
       acc := (!acc lsl 8) lor byte
     done;
-    count_access t st (p + w);
+    count_access t st lines (p + w);
     b_store t (p + w) !acc
   done
 
-let read_bytes t ~st:(st : Stats.t) p ~len =
+let read_bytes t ~st ~lines p ~len =
   if len < 0 then invalid_arg "Mem.read_bytes: negative length";
   let nwords = bytes_words len in
   if nwords > 0 then begin
@@ -280,7 +276,7 @@ let read_bytes t ~st:(st : Stats.t) p ~len =
   end;
   let b = Bytes.create len in
   for w = 0 to nwords - 1 do
-    count_access t st (p + w);
+    count_access t st lines (p + w);
     let v = b_load t (p + w) in
     for k = 0 to 6 do
       let idx = (w * 7) + k in
@@ -290,7 +286,7 @@ let read_bytes t ~st:(st : Stats.t) p ~len =
   done;
   b
 
-let blit t ~st ~src ~dst ~len =
+let blit t ~st ~lines ~src ~dst ~len =
   if len < 0 then invalid_arg "Mem.blit: negative length";
   if len > 0 then begin
     check t src;
@@ -302,16 +298,16 @@ let blit t ~st ~src ~dst ~len =
      would read already-overwritten words, so copy backward. *)
   if src < dst && src + len > dst then
     for i = len - 1 downto 0 do
-      count_access t st (src + i);
+      count_access t st lines (src + i);
       let v = b_load t (src + i) in
-      count_access t st (dst + i);
+      count_access t st lines (dst + i);
       b_store t (dst + i) v
     done
   else
     for i = 0 to len - 1 do
-      count_access t st (src + i);
+      count_access t st lines (src + i);
       let v = b_load t (src + i) in
-      count_access t st (dst + i);
+      count_access t st lines (dst + i);
       b_store t (dst + i) v
     done
 

@@ -10,9 +10,11 @@
     backends, not a replayed trace.
 
     Every operation is attributed to a caller-supplied {!Stats.t} so modeled
-    time can be computed per client; on a multi-device pool, accesses that
-    land on a device of a different {!Latency.tier} than the pool's base
-    model are re-priced at their device's tier ({!Stats.t.xdev_ns}).
+    time can be computed per client, and every word access is classified by
+    the caller's {!Lines.t} (cache hit, sequential or random). On a
+    multi-device pool, accesses that land on a device of a different
+    {!Latency.tier} than the pool's base model are re-priced at their
+    device's tier ({!Stats.t.xdev_ns}).
     Out-of-bounds accesses raise {!Wild_pointer} on every backend: in the
     simulator a wild pointer is detected rather than silently corrupting,
     which the correctness tests rely on. *)
@@ -120,13 +122,14 @@ val words_per_line : int
 
 (** {1 Primitive operations} *)
 
-val load : t -> st:Stats.t -> Pptr.t -> int
-val store : t -> st:Stats.t -> Pptr.t -> int -> unit
+val load : t -> st:Stats.t -> lines:Lines.t -> Pptr.t -> int
+val store : t -> st:Stats.t -> lines:Lines.t -> Pptr.t -> int -> unit
 
-val cas : t -> st:Stats.t -> Pptr.t -> expected:int -> desired:int -> bool
+val cas :
+  t -> st:Stats.t -> lines:Lines.t -> Pptr.t -> expected:int -> desired:int -> bool
 (** Single-word compare-and-swap, the primitive the era algorithm builds on. *)
 
-val fetch_add : t -> st:Stats.t -> Pptr.t -> int -> int
+val fetch_add : t -> st:Stats.t -> lines:Lines.t -> Pptr.t -> int -> int
 (** Atomic fetch-and-add; returns the previous value. *)
 
 val fence : t -> st:Stats.t -> unit
@@ -141,18 +144,19 @@ val flush : t -> st:Stats.t -> Pptr.t -> unit
 
 (** {1 Bulk operations} *)
 
-val fill : t -> st:Stats.t -> Pptr.t -> len:int -> int -> unit
+val fill : t -> st:Stats.t -> lines:Lines.t -> Pptr.t -> len:int -> int -> unit
 
-val write_bytes : t -> st:Stats.t -> Pptr.t -> bytes -> unit
+val write_bytes : t -> st:Stats.t -> lines:Lines.t -> Pptr.t -> bytes -> unit
 (** Pack a byte string into consecutive words (7 payload bytes per word, so
     every stored word stays non-negative). Use [read_bytes] to recover it. *)
 
-val read_bytes : t -> st:Stats.t -> Pptr.t -> len:int -> bytes
+val read_bytes : t -> st:Stats.t -> lines:Lines.t -> Pptr.t -> len:int -> bytes
 
 val bytes_words : int -> int
 (** Words consumed by [write_bytes] for a payload of [n] bytes. *)
 
-val blit : t -> st:Stats.t -> src:Pptr.t -> dst:Pptr.t -> len:int -> unit
+val blit :
+  t -> st:Stats.t -> lines:Lines.t -> src:Pptr.t -> dst:Pptr.t -> len:int -> unit
 (** Word-wise copy inside the arena, with [memmove] semantics: overlapping
     ranges copy correctly in either direction. *)
 

@@ -18,11 +18,7 @@ type t = {
   mutable retries : int;
   mutable backoff_ns : float;
   mutable fault_escalations : int;
-  mutable last_line : int;
-  cache_tags : int array;
 }
-
-let cache_lines = 16_384 (* ~1 MB of 64-B lines, an L2-ish window *)
 
 let create () =
   {
@@ -41,15 +37,7 @@ let create () =
     retries = 0;
     backoff_ns = 0.0;
     fault_escalations = 0;
-    last_line = -1;
-    cache_tags = Array.make cache_lines (-1);
   }
-
-let note_line t line =
-  let slot = line land (cache_lines - 1) in
-  let hit = t.cache_tags.(slot) = line in
-  t.cache_tags.(slot) <- line;
-  hit
 
 let reset t =
   t.cache_hits <- 0;
@@ -66,30 +54,10 @@ let reset t =
   t.dev_faults <- 0;
   t.retries <- 0;
   t.backoff_ns <- 0.0;
-  t.fault_escalations <- 0;
-  t.last_line <- -1;
-  Array.fill t.cache_tags 0 cache_lines (-1)
+  t.fault_escalations <- 0
 
-let copy t =
-  {
-    cache_hits = t.cache_hits;
-    seq_accesses = t.seq_accesses;
-    rand_accesses = t.rand_accesses;
-    cas_ops = t.cas_ops;
-    cas_hit_ops = t.cas_hit_ops;
-    cas_failures = t.cas_failures;
-    fences = t.fences;
-    flushes = t.flushes;
-    deferred_flushes = t.deferred_flushes;
-    xdev_accesses = t.xdev_accesses;
-    xdev_ns = t.xdev_ns;
-    dev_faults = t.dev_faults;
-    retries = t.retries;
-    backoff_ns = t.backoff_ns;
-    fault_escalations = t.fault_escalations;
-    last_line = t.last_line;
-    cache_tags = Array.copy t.cache_tags;
-  }
+(* every field is a counter, so a shallow copy shares nothing mutable *)
+let copy t = { t with cache_hits = t.cache_hits }
 
 let add acc s =
   acc.cache_hits <- acc.cache_hits + s.cache_hits;
@@ -125,8 +93,6 @@ let diff after before =
     retries = after.retries - before.retries;
     backoff_ns = after.backoff_ns -. before.backoff_ns;
     fault_escalations = after.fault_escalations - before.fault_escalations;
-    last_line = after.last_line;
-    cache_tags = Array.copy after.cache_tags;
   }
 
 let total_accesses t =
@@ -152,44 +118,10 @@ let modeled_ns m t =
   let access, fence, flush, backoff = breakdown_ns m t in
   access +. fence +. flush +. backoff
 
-(* Scalar snapshot for spans: capturing the handful of counters modeled_ns
-   depends on costs a record allocation, not a 16K-entry cache-tag copy, so
-   the tracing layer can probe around every hot-path operation. *)
-type probe = {
-  p_cache_hits : int;
-  p_seq : int;
-  p_rand : int;
-  p_cas : int;
-  p_cas_hit : int;
-  p_fences : int;
-  p_flushes : int;
-  p_xdev_ns : float;
-  p_backoff_ns : float;
-}
+type probe = t
 
-let probe t =
-  {
-    p_cache_hits = t.cache_hits;
-    p_seq = t.seq_accesses;
-    p_rand = t.rand_accesses;
-    p_cas = t.cas_ops;
-    p_cas_hit = t.cas_hit_ops;
-    p_fences = t.fences;
-    p_flushes = t.flushes;
-    p_xdev_ns = t.xdev_ns;
-    p_backoff_ns = t.backoff_ns;
-  }
-
-let probe_ns (m : Latency.t) t ~since:p =
-  (float_of_int (t.cache_hits - p.p_cache_hits) *. m.hit_ns)
-  +. (float_of_int (t.seq_accesses - p.p_seq) *. m.seq_ns)
-  +. (float_of_int (t.rand_accesses - p.p_rand) *. m.rand_ns)
-  +. (float_of_int (t.cas_ops - p.p_cas) *. m.cas_ns)
-  +. (float_of_int (t.cas_hit_ops - p.p_cas_hit) *. m.cas_hit_ns)
-  +. (t.xdev_ns -. p.p_xdev_ns)
-  +. (float_of_int (t.fences - p.p_fences) *. m.fence_ns)
-  +. (float_of_int (t.flushes - p.p_flushes) *. m.flush_ns)
-  +. (t.backoff_ns -. p.p_backoff_ns)
+let probe = copy
+let probe_ns m t ~since = modeled_ns m (diff t since)
 
 let pp ppf t =
   Format.fprintf ppf

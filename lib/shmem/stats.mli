@@ -2,9 +2,11 @@
 
     Every operation on {!Mem} is attributed to a [Stats.t]; the counters are
     combined with a {!Latency} cost model to compute modeled execution time.
-    Counters distinguish sequential-ish accesses (within the same cache line
-    as the previous access by this client) from random accesses, mirroring
-    the seq/rand split of Table 1. *)
+    Counters distinguish cache hits, sequential accesses (the same or the
+    next line as the previous access by this client) and random accesses,
+    mirroring the seq/rand split of Table 1; the client's {!Lines} decides
+    which one an access is. A [Stats.t] holds plain counters only, so
+    {!copy}, {!add}, {!diff} and {!reset} are field arithmetic. *)
 
 type t = {
   mutable cache_hits : int;
@@ -42,10 +44,6 @@ type t = {
   mutable fault_escalations : int;
       (** faults that exhausted the retry budget (or were persistent) and
           were escalated — the device gets marked degraded *)
-  mutable last_line : int;  (** last cache line touched, for seq detection *)
-  cache_tags : int array;
-      (** direct-mapped recently-touched-line filter modelling the CPU
-          cache in front of the (cacheable) CXL link *)
 }
 
 val create : unit -> t
@@ -61,13 +59,6 @@ val diff : t -> t -> t
 val total_accesses : t -> int
 (** Loads + stores + CAS (cache hits included). *)
 
-val cache_lines : int
-(** Size of the per-client line filter. *)
-
-val note_line : t -> int -> bool
-(** Record a touch of cache line [line]; [true] if it was already cached.
-    Used by {!Mem}; exposed for tests. *)
-
 val modeled_ns : Latency.t -> t -> float
 (** Modeled execution time in nanoseconds under the given cost model,
     including the simulated retry backoff ({!t.backoff_ns}). *)
@@ -77,17 +68,17 @@ val breakdown_ns : Latency.t -> t -> float * float * float * float
     decomposition plus the simulated retry-backoff stall; their sum is
     {!modeled_ns}. *)
 
-(** {1 Span probes}
+(** {1 Probe aliases}
 
-    A [probe] snapshots just the scalar counters {!modeled_ns} depends on
-    (no cache-tag copy), so per-operation spans can price the traffic they
-    bracket without perturbing the run. *)
+    Kept for the serving benchmark ([benchmark/]), which still snapshots
+    through them; new code uses {!copy} and {!diff}. *)
 
-type probe
+type probe = t
 
 val probe : t -> probe
+(** {!copy}. *)
 
 val probe_ns : Latency.t -> t -> since:probe -> float
-(** Modeled nanoseconds accumulated in [t] since the probe was taken. *)
+(** [modeled_ns m (diff t since)]. *)
 
 val pp : Format.formatter -> t -> unit

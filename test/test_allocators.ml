@@ -59,7 +59,7 @@ let test_ralloc_recovery () =
   List.iter zero garbage;
   (* crash: nothing freed; recover *)
   let st = Stats.create () in
-  let live, swept = R.recover a ~st in
+  let live, swept = R.recover a ~st ~lines:(Cxlshm_shmem.Lines.create ()) in
   Alcotest.(check int) "two blocks reachable" 2 live;
   Alcotest.(check bool) "garbage swept" true (swept >= 200);
   (* The sweep visits every carved block (heap-proportional), unlike

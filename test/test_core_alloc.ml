@@ -442,6 +442,7 @@ let test_cold_owned_by_streams () =
     (fun (who, ctx) ->
       Ctx.cache_drop ctx;
       Stats.reset ctx.Ctx.st;
+      Cxlshm_shmem.Lines.reset ctx.Ctx.lines;
       let got = Segment.owned_by ctx ~cid:b.Ctx.cid in
       Alcotest.(check (list int)) (who ^ ": ascending owner filter") direct got;
       let rand = ctx.Ctx.st.Stats.rand_accesses in

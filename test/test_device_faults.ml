@@ -7,6 +7,7 @@ open Cxlshm
 module Mem = Cxlshm_shmem.Mem
 module Bf = Cxlshm_shmem.Backend_faulty
 module Stats = Cxlshm_shmem.Stats
+module Lines = Cxlshm_shmem.Lines
 module Latency = Cxlshm_shmem.Latency
 
 let spec ?(seed = 1) ?(rp = 0.) ?(tw = 0.) ?(sw = 0.) ?(offline = []) () =
@@ -28,13 +29,13 @@ let faulty_cfg ?(base = Mem.Flat) fault_spec =
 
 let test_determinism () =
   let trace m =
-    let st = Stats.create () in
+    let st = Stats.create () and lines = Lines.create () in
     let faults = ref [] in
     for i = 0 to 499 do
       let addr = 17 * i mod 512 in
       try
-        if i mod 2 = 0 then ignore (Mem.load m ~st addr)
-        else Mem.store m ~st addr i
+        if i mod 2 = 0 then ignore (Mem.load m ~st ~lines addr)
+        else Mem.store m ~st ~lines addr i
       with Mem.Device_error { addr; fault; transient; _ } ->
         faults := (i, addr, fault, transient) :: !faults
     done;
@@ -51,8 +52,8 @@ let test_determinism () =
 
 let test_read_poison () =
   let m = raw_mem (spec ~rp:1.0 ()) in
-  let st = Stats.create () in
-  (match Mem.load m ~st 5 with
+  let st = Stats.create () and lines = Lines.create () in
+  (match Mem.load m ~st ~lines 5 with
   | _ -> Alcotest.fail "poisoned load returned data"
   | exception Mem.Device_error { fault; transient; _ } ->
       Alcotest.(check bool) "class" true (fault = Mem.Read_poison);
@@ -63,11 +64,11 @@ let test_read_poison () =
 
 let test_torn_write () =
   let m = raw_mem (spec ~tw:1.0 ()) in
-  let st = Stats.create () in
+  let st = Stats.create () and lines = Lines.create () in
   Mem.set_fault_injection m false;
   Mem.unsafe_poke m 7 0xABCD00000005;
   Mem.set_fault_injection m true;
-  (match Mem.store m ~st 7 0x1111 with
+  (match Mem.store m ~st ~lines 7 0x1111 with
   | () -> Alcotest.fail "torn store reported success"
   | exception Mem.Device_error { fault; transient; _ } ->
       Alcotest.(check bool) "class" true (fault = Mem.Torn_write);
@@ -76,19 +77,19 @@ let test_torn_write () =
   (* low half of the new value, high half of the old: the tear IS in memory *)
   Alcotest.(check int) "torn word" 0xABCD00001111 (Mem.unsafe_peek m 7);
   (* a retry overwrites the tear *)
-  Mem.store m ~st 7 0x2222;
+  Mem.store m ~st ~lines 7 0x2222;
   Alcotest.(check int) "retry heals" 0x2222 (Mem.unsafe_peek m 7)
 
 let test_stuck_word () =
   let m = raw_mem (spec ~sw:1.0 ()) in
-  let st = Stats.create () in
-  (match Mem.store m ~st 9 55 with
+  let st = Stats.create () and lines = Lines.create () in
+  (match Mem.store m ~st ~lines 9 55 with
   | () -> Alcotest.fail "stuck store reported success"
   | exception Mem.Device_error { fault; transient; _ } ->
       Alcotest.(check bool) "class" true (fault = Mem.Stuck_word);
       Alcotest.(check bool) "persistent" false transient);
   (* the store was dropped and the address stays stuck *)
-  (match Mem.store m ~st 9 56 with
+  (match Mem.store m ~st ~lines 9 56 with
   | () -> Alcotest.fail "second store to stuck word succeeded"
   | exception Mem.Device_error { fault; _ } ->
       Alcotest.(check bool) "still stuck" true (fault = Mem.Stuck_word));
@@ -96,21 +97,21 @@ let test_stuck_word () =
      are gone, but stores land again *)
   Mem.set_fault_injection m false;
   Alcotest.(check int) "stores were dropped" 0 (Mem.unsafe_peek m 9);
-  Mem.store m ~st 9 57;
+  Mem.store m ~st ~lines 9 57;
   Alcotest.(check int) "post-service store lands" 57 (Mem.unsafe_peek m 9)
 
 let test_offline_window () =
   let m = raw_mem (spec ~offline:[ (0, 0, 3) ] ()) in
-  let st = Stats.create () in
+  let st = Stats.create () and lines = Lines.create () in
   for i = 1 to 3 do
-    match Mem.load m ~st 0 with
+    match Mem.load m ~st ~lines 0 with
     | _ -> Alcotest.failf "op %d inside the window succeeded" i
     | exception Mem.Device_error { fault; transient; _ } ->
         Alcotest.(check bool) "offline" true (fault = Mem.Offline);
         Alcotest.(check bool) "transient" true transient
   done;
   (* the window has passed: the device is back *)
-  Alcotest.(check int) "post-window load" 0 (Mem.load m ~st 0)
+  Alcotest.(check int) "post-window load" 0 (Mem.load m ~st ~lines 0)
 
 let test_disarmed_is_quiet () =
   let m =
@@ -120,10 +121,10 @@ let test_disarmed_is_quiet () =
   in
   (* a Faulty pool starts disarmed: setup traffic never faults *)
   Alcotest.(check bool) "starts disarmed" false (Mem.fault_injection_armed m);
-  let st = Stats.create () in
+  let st = Stats.create () and lines = Lines.create () in
   for i = 0 to 63 do
-    Mem.store m ~st i i;
-    Alcotest.(check int) "quiet round-trip" i (Mem.load m ~st i)
+    Mem.store m ~st ~lines i i;
+    Alcotest.(check int) "quiet round-trip" i (Mem.load m ~st ~lines i)
   done;
   Alcotest.(check bool) "nothing injected" true
     (List.for_all (fun (_, n) -> n = 0) (Mem.injected_faults m))

@@ -23,59 +23,59 @@ let test_word_bounds () =
 
 let test_mem_basic () =
   let m = Mem.create ~words:64 () in
-  let s = st () in
-  Mem.store m ~st:s 3 42;
-  Alcotest.(check int) "load back" 42 (Mem.load m ~st:s 3);
+  let s = st () and l = Lines.create () in
+  Mem.store m ~st:s ~lines:l 3 42;
+  Alcotest.(check int) "load back" 42 (Mem.load m ~st:s ~lines:l 3);
   Alcotest.(check bool) "cas ok" true
-    (Mem.cas m ~st:s 3 ~expected:42 ~desired:7);
+    (Mem.cas m ~st:s ~lines:l 3 ~expected:42 ~desired:7);
   Alcotest.(check bool) "cas stale" false
-    (Mem.cas m ~st:s 3 ~expected:42 ~desired:9);
-  Alcotest.(check int) "after cas" 7 (Mem.load m ~st:s 3)
+    (Mem.cas m ~st:s ~lines:l 3 ~expected:42 ~desired:9);
+  Alcotest.(check int) "after cas" 7 (Mem.load m ~st:s ~lines:l 3)
 
 let test_mem_bounds () =
   let m = Mem.create ~words:8 () in
-  let s = st () in
+  let s = st () and l = Lines.create () in
   (try
-     ignore (Mem.load m ~st:s 8);
+     ignore (Mem.load m ~st:s ~lines:l 8);
      Alcotest.fail "expected Wild_pointer"
    with Mem.Wild_pointer { addr; words } ->
      Alcotest.(check int) "addr" 8 addr;
      Alcotest.(check int) "words" 8 words);
   (try
-     ignore (Mem.store m ~st:s (-1) 0);
+     ignore (Mem.store m ~st:s ~lines:l (-1) 0);
      Alcotest.fail "expected Wild_pointer"
    with Mem.Wild_pointer _ -> ())
 
 let test_mem_bytes_roundtrip () =
   let m = Mem.create ~words:64 () in
-  let s = st () in
+  let s = st () and l = Lines.create () in
   let payload = Bytes.of_string "hello, CXL shared memory!" in
-  Mem.write_bytes m ~st:s 5 payload;
-  let back = Mem.read_bytes m ~st:s 5 ~len:(Bytes.length payload) in
+  Mem.write_bytes m ~st:s ~lines:l 5 payload;
+  let back = Mem.read_bytes m ~st:s ~lines:l 5 ~len:(Bytes.length payload) in
   Alcotest.(check string) "roundtrip" (Bytes.to_string payload)
     (Bytes.to_string back)
 
 let test_fetch_add () =
   let m = Mem.create ~words:8 () in
-  let s = st () in
-  Alcotest.(check int) "prev 0" 0 (Mem.fetch_add m ~st:s 0 5);
-  Alcotest.(check int) "prev 5" 5 (Mem.fetch_add m ~st:s 0 2);
-  Alcotest.(check int) "now 7" 7 (Mem.load m ~st:s 0)
+  let s = st () and l = Lines.create () in
+  Alcotest.(check int) "prev 0" 0 (Mem.fetch_add m ~st:s ~lines:l 0 5);
+  Alcotest.(check int) "prev 5" 5 (Mem.fetch_add m ~st:s ~lines:l 0 2);
+  Alcotest.(check int) "now 7" 7 (Mem.load m ~st:s ~lines:l 0)
 
 let test_stats_counting () =
   let m = Mem.create ~words:64 () in
-  let s = st () in
-  ignore (Mem.load m ~st:s 0);
+  let s = st () and l = Lines.create () in
+  ignore (Mem.load m ~st:s ~lines:l 0);
   (* line 0: prefetch-adjacent to the initial state -> seq *)
-  ignore (Mem.load m ~st:s 1);
+  ignore (Mem.load m ~st:s ~lines:l 1);
   (* same line -> seq (streaming) *)
-  ignore (Mem.load m ~st:s 32);
+  ignore (Mem.load m ~st:s ~lines:l 32);
   (* line 4: non-adjacent cold line -> rand *)
-  ignore (Mem.load m ~st:s 3);
+  ignore (Mem.load m ~st:s ~lines:l 3);
   (* back to line 0: non-adjacent but cached -> hit *)
-  ignore (Mem.cas m ~st:s 5 ~expected:0 ~desired:1);
+  ignore (Mem.cas m ~st:s ~lines:l 5 ~expected:0 ~desired:1);
   (* line 0 is cached, so this is a local (hit) CAS *)
-  ignore (Mem.cas m ~st:s 48 ~expected:0 ~desired:1);
+  ignore (Mem.cas m ~st:s ~lines:l 48 ~expected:0 ~desired:1);
   (* line 6 is cold: a coherence round trip *)
   Mem.fence m ~st:s;
   Mem.flush m ~st:s 0;
@@ -100,12 +100,12 @@ let test_blit_overlap () =
   List.iter
     (fun (name, backend) ->
       let m = Mem.create ~backend ~words:64 () in
-      let s = st () in
+      let s = st () and l = Lines.create () in
       for i = 0 to 7 do
-        Mem.store m ~st:s (10 + i) (100 + i)
+        Mem.store m ~st:s ~lines:l (10 + i) (100 + i)
       done;
       (* overlapping, src < dst: must copy backward *)
-      Mem.blit m ~st:s ~src:10 ~dst:14 ~len:8;
+      Mem.blit m ~st:s ~lines:l ~src:10 ~dst:14 ~len:8;
       for i = 0 to 7 do
         Alcotest.(check int)
           (Printf.sprintf "%s fwd-overlap word %d" name i)
@@ -115,9 +115,9 @@ let test_blit_overlap () =
       (* overlapping, src > dst: forward copy is correct *)
       let m2 = Mem.create ~backend ~words:64 () in
       for i = 0 to 7 do
-        Mem.store m2 ~st:s (20 + i) (200 + i)
+        Mem.store m2 ~st:s ~lines:l (20 + i) (200 + i)
       done;
-      Mem.blit m2 ~st:s ~src:20 ~dst:17 ~len:8;
+      Mem.blit m2 ~st:s ~lines:l ~src:20 ~dst:17 ~len:8;
       for i = 0 to 7 do
         Alcotest.(check int)
           (Printf.sprintf "%s bwd-overlap word %d" name i)
@@ -127,9 +127,9 @@ let test_blit_overlap () =
       (* disjoint ranges still work *)
       let m3 = Mem.create ~backend ~words:64 () in
       for i = 0 to 3 do
-        Mem.store m3 ~st:s i (300 + i)
+        Mem.store m3 ~st:s ~lines:l i (300 + i)
       done;
-      Mem.blit m3 ~st:s ~src:0 ~dst:40 ~len:4;
+      Mem.blit m3 ~st:s ~lines:l ~src:0 ~dst:40 ~len:4;
       for i = 0 to 3 do
         Alcotest.(check int)
           (Printf.sprintf "%s disjoint word %d" name i)
@@ -139,14 +139,35 @@ let test_blit_overlap () =
     backends
 
 let test_cache_filter () =
-  let s = st () in
-  Alcotest.(check bool) "first touch misses" false (Cxlshm_shmem.Stats.note_line s 7);
-  Alcotest.(check bool) "second touch hits" true (Cxlshm_shmem.Stats.note_line s 7);
+  let l = Lines.create () in
+  Alcotest.(check bool) "first touch misses" false (Lines.touch l 7);
+  Alcotest.(check bool) "second touch hits" true (Lines.touch l 7);
   (* conflict: same direct-mapped slot *)
   Alcotest.(check bool) "conflicting line evicts" false
-    (Cxlshm_shmem.Stats.note_line s (7 + Cxlshm_shmem.Stats.cache_lines));
-  Alcotest.(check bool) "original line evicted" false
-    (Cxlshm_shmem.Stats.note_line s 7)
+    (Lines.touch l (7 + Lines.capacity));
+  Alcotest.(check bool) "original line evicted" false (Lines.touch l 7)
+
+let kind =
+  Alcotest.of_pp (fun ppf k ->
+      Format.pp_print_string ppf
+        (match k with Lines.Hit -> "hit" | Seq -> "seq" | Miss -> "miss"))
+
+(* A reset context starts exactly like a fresh one: every line cold, and
+   stream detection restarted (the last line is -1 again, so line 0
+   streams). *)
+let test_lines_reset () =
+  let l = Lines.create () in
+  List.iter (fun line -> ignore (Lines.access l line)) [ 3; 4; 40; 41 ];
+  Alcotest.(check kind) "warm line hits" Lines.Hit (Lines.access l 3);
+  Lines.reset l;
+  let fresh = Lines.create () in
+  List.iter
+    (fun (what, line) ->
+      let want = Lines.access fresh line in
+      Alcotest.(check kind) what want (Lines.access l line))
+    [ ("stream restarts", 0); ("warm line went cold", 40);
+      ("next line streams", 41); ("cold again", 3) ];
+  Alcotest.(check bool) "touched lines cold" false (Lines.touch l 4)
 
 let test_latency_table1 () =
   (* The model must reproduce Table 1's ordering and magnitudes. *)
@@ -182,16 +203,16 @@ let populated_stats () =
            })
       ~words:256 ()
   in
-  let s = st () in
-  ignore (Mem.load m ~st:s 0) (* seq *);
-  ignore (Mem.load m ~st:s 1) (* seq *);
-  ignore (Mem.load m ~st:s 32) (* rand *);
-  ignore (Mem.load m ~st:s 3) (* hit *);
-  ignore (Mem.cas m ~st:s 5 ~expected:0 ~desired:1) (* cas hit *);
-  ignore (Mem.cas m ~st:s 48 ~expected:9 ~desired:1) (* cas cold + failure *);
+  let s = st () and l = Lines.create () in
+  ignore (Mem.load m ~st:s ~lines:l 0) (* seq *);
+  ignore (Mem.load m ~st:s ~lines:l 1) (* seq *);
+  ignore (Mem.load m ~st:s ~lines:l 32) (* rand *);
+  ignore (Mem.load m ~st:s ~lines:l 3) (* hit *);
+  ignore (Mem.cas m ~st:s ~lines:l 5 ~expected:0 ~desired:1) (* cas hit *);
+  ignore (Mem.cas m ~st:s ~lines:l 48 ~expected:9 ~desired:1) (* cas cold + failure *);
   Mem.fence m ~st:s;
   Mem.flush m ~st:s 0;
-  ignore (Mem.load m ~st:s 8) (* device 1: rand + xdev *);
+  ignore (Mem.load m ~st:s ~lines:l 8) (* device 1: rand + xdev *);
   (m, s)
 
 let check_all_counters_nonzero s =
@@ -243,34 +264,101 @@ let test_stats_add_diff_roundtrip () =
 let test_stats_copy_independent () =
   let _, s = populated_stats () in
   let c = Stats.copy s in
-  (* counters are independent *)
   s.Stats.cache_hits <- s.Stats.cache_hits + 1000;
   Alcotest.(check bool) "counter copy independent" true
-    (c.Stats.cache_hits <> s.Stats.cache_hits);
-  (* cache_tags is a deep copy: touching a fresh line in the original must
-     not make it appear cached in the copy *)
-  let line = 4242 in
-  Alcotest.(check bool) "line cold in original" false (Stats.note_line s line);
-  Alcotest.(check bool) "line still cold in copy" false (Stats.note_line c line);
-  (* ... and vice versa, with a line the copy has now cached *)
-  Alcotest.(check bool) "copy caches it" true (Stats.note_line c line);
-  let line2 = 777 in
-  Alcotest.(check bool) "cold in copy" false (Stats.note_line c line2);
-  Alcotest.(check bool) "still cold in original" false (Stats.note_line s line2)
+    (c.Stats.cache_hits <> s.Stats.cache_hits)
+
+(* Snapshots are counter arithmetic: taking them between accesses must not
+   move a single classification. The same access sequence runs twice, once
+   with copy/diff/probe/add after every access and once with none. *)
+let test_snapshots_leave_lines_alone () =
+  let far = Lines.capacity * Mem.words_per_line (* 0's direct-mapped slot *) in
+  let counts (s : Stats.t) =
+    [ s.cache_hits; s.seq_accesses; s.rand_accesses; s.cas_ops; s.cas_hit_ops ]
+  in
+  let replay between =
+    let m = Mem.create ~words:(far + 64) () in
+    let s = st () and l = Lines.create () in
+    let ops =
+      [
+        (fun () -> ignore (Mem.load m ~st:s ~lines:l 0));
+        (fun () -> Mem.store m ~st:s ~lines:l 9 1);
+        (fun () -> ignore (Mem.load m ~st:s ~lines:l 200));
+        (fun () -> ignore (Mem.load m ~st:s ~lines:l 3));
+        (fun () -> ignore (Mem.cas m ~st:s ~lines:l 5 ~expected:0 ~desired:1));
+        (fun () -> ignore (Mem.fetch_add m ~st:s ~lines:l 400 1));
+        (fun () -> ignore (Mem.load m ~st:s ~lines:l far));
+        (fun () -> ignore (Mem.load m ~st:s ~lines:l 0));
+        (fun () -> ignore (Mem.cas m ~st:s ~lines:l 400 ~expected:0 ~desired:2));
+        (fun () -> Mem.fill m ~st:s ~lines:l 64 ~len:20 7);
+        (fun () -> Mem.blit m ~st:s ~lines:l ~src:64 ~dst:1000 ~len:20);
+        (fun () -> ignore (Mem.load m ~st:s ~lines:l 200));
+      ]
+    in
+    let deltas =
+      List.map
+        (fun op ->
+          let before = counts s in
+          op ();
+          between m s;
+          List.map2 ( - ) (counts s) before)
+        ops
+    in
+    (deltas, Format.asprintf "%a" Stats.pp s)
+  in
+  let acc = st () in
+  let snapshot m s =
+    let c = Stats.copy s in
+    c.Stats.rand_accesses <- c.Stats.rand_accesses + 7;
+    ignore (Stats.diff s c);
+    ignore (Stats.probe_ns (Mem.cost_model m) s ~since:(Stats.probe s));
+    Stats.add acc s
+  in
+  let quiet, quiet_total = replay (fun _ _ -> ()) in
+  let snapped, snapped_total = replay snapshot in
+  Alcotest.(check (list (list int))) "same classification per access" quiet
+    snapped;
+  Alcotest.(check string) "same counters" quiet_total snapped_total;
+  (* probe_ns is modeled_ns over diff, bit for bit, with every term of the
+     sum non-zero: the left-to-right order of the Table 1 terms is kept *)
+  let m, s = populated_stats () in
+  s.Stats.backoff_ns <- 12.5;
+  let model = Mem.cost_model m in
+  let t = Stats.copy s in
+  Stats.add t s;
+  Stats.add t s;
+  let d = Stats.diff t s in
+  let f = float_of_int in
+  let by_hand =
+    (f d.Stats.cache_hits *. model.Latency.hit_ns)
+    +. (f d.Stats.seq_accesses *. model.Latency.seq_ns)
+    +. (f d.Stats.rand_accesses *. model.Latency.rand_ns)
+    +. (f d.Stats.cas_ops *. model.Latency.cas_ns)
+    +. (f d.Stats.cas_hit_ops *. model.Latency.cas_hit_ns)
+    +. d.Stats.xdev_ns
+    +. (f d.Stats.fences *. model.Latency.fence_ns)
+    +. (f d.Stats.flushes *. model.Latency.flush_ns)
+    +. d.Stats.backoff_ns
+  in
+  Alcotest.(check bool) "xdev priced" true (d.Stats.xdev_ns <> 0.0);
+  Alcotest.(check bool) "modeled_ns (diff) sums in Table 1 order" true
+    (Float.equal by_hand (Stats.modeled_ns model d));
+  Alcotest.(check bool) "probe_ns = modeled_ns (diff)" true
+    (Float.equal by_hand (Stats.probe_ns model t ~since:(Stats.probe s)))
 
 let test_striped_roundtrip () =
   (* Odd device count / stripe size / total so the last stripe is partial. *)
   let backend = Mem.Striped { devices = 3; stripe_words = 5; tiers = [||] } in
   let m = Mem.create ~backend ~words:64 () in
-  let s = st () in
+  let s = st () and l = Lines.create () in
   Alcotest.(check string) "name" "striped-3x5" (Mem.backend_name m);
   Alcotest.(check int) "devices" 3 (Mem.num_devices m);
   for p = 0 to 63 do
-    Mem.store m ~st:s p (1000 + p)
+    Mem.store m ~st:s ~lines:l p (1000 + p)
   done;
   for p = 0 to 63 do
     Alcotest.(check int) (Printf.sprintf "word %d" p) (1000 + p)
-      (Mem.load m ~st:s p)
+      (Mem.load m ~st:s ~lines:l p)
   done;
   (* every device serves some address, and the mapping is stripe-periodic *)
   let seen = Array.make 3 false in
@@ -290,7 +378,7 @@ let test_striped_roundtrip () =
   done;
   (* Wild_pointer carries the same payload as on the flat backend *)
   (try
-     ignore (Mem.load m ~st:s 64);
+     ignore (Mem.load m ~st:s ~lines:l 64);
      Alcotest.fail "expected Wild_pointer"
    with Mem.Wild_pointer { addr; words } ->
      Alcotest.(check int) "addr" 64 addr;
@@ -298,14 +386,14 @@ let test_striped_roundtrip () =
 
 let test_counting_backend () =
   let m = Mem.create ~backend:Mem.Counting_fast ~words:32 () in
-  let s = st () in
+  let s = st () and l = Lines.create () in
   Alcotest.(check (option int)) "fresh count" (Some 0) (Mem.op_count m);
-  Mem.store m ~st:s 4 9;
-  Alcotest.(check int) "load back" 9 (Mem.load m ~st:s 4);
-  Alcotest.(check bool) "cas ok" true (Mem.cas m ~st:s 4 ~expected:9 ~desired:2);
+  Mem.store m ~st:s ~lines:l 4 9;
+  Alcotest.(check int) "load back" 9 (Mem.load m ~st:s ~lines:l 4);
+  Alcotest.(check bool) "cas ok" true (Mem.cas m ~st:s ~lines:l 4 ~expected:9 ~desired:2);
   Alcotest.(check bool) "cas stale" false
-    (Mem.cas m ~st:s 4 ~expected:9 ~desired:3);
-  Alcotest.(check int) "fetch_add prev" 2 (Mem.fetch_add m ~st:s 4 5);
+    (Mem.cas m ~st:s ~lines:l 4 ~expected:9 ~desired:3);
+  Alcotest.(check int) "fetch_add prev" 2 (Mem.fetch_add m ~st:s ~lines:l 4 5);
   Alcotest.(check (option int)) "exactly 5 raw ops" (Some 5) (Mem.op_count m);
   Alcotest.(check (option int)) "flat has no op count" None
     (Mem.op_count (Mem.create ~words:8 ()))
@@ -326,16 +414,16 @@ let test_xdev_latency () =
       ~words:4096 ()
   in
   let run base =
-    let s = st () in
+    let s = st () and l = Lines.create () in
     let p = ref base in
     while !p < 4096 do
-      ignore (Mem.load m ~st:s !p);
+      ignore (Mem.load m ~st:s ~lines:l !p);
       p := !p + 16 (* stride two lines: every access random, same device *)
     done;
     s
   in
-  (* start past line 0: an access to line 0 right after reset would count
-     as sequential (last_line starts at -1) *)
+  (* start past line 0: a fresh context's first access to line 0 would
+     count as sequential (its stream starts at line -1; see "lines reset") *)
   let home = run 32 and far = run 40 in
   Alcotest.(check int) "same rand volume" home.Stats.rand_accesses
     far.Stats.rand_accesses;
@@ -358,10 +446,10 @@ let prop_bytes_roundtrip =
     QCheck.(string_of_size Gen.(0 -- 100))
     (fun payload ->
       let m = Mem.create ~words:64 () in
-      let s = st () in
+      let s = st () and l = Lines.create () in
       let b = Bytes.of_string payload in
-      Mem.write_bytes m ~st:s 2 b;
-      Bytes.to_string (Mem.read_bytes m ~st:s 2 ~len:(Bytes.length b))
+      Mem.write_bytes m ~st:s ~lines:l 2 b;
+      Bytes.to_string (Mem.read_bytes m ~st:s ~lines:l 2 ~len:(Bytes.length b))
       = payload)
 
 (* Property: packing fields never bleeds between them. *)
@@ -384,11 +472,11 @@ let prop_cas_atomic_across_domains =
     (fun n ->
       let m = Mem.create ~words:8 () in
       let bump () =
-        let s = st () in
+        let s = st () and l = Lines.create () in
         for _ = 1 to n do
           let rec loop () =
-            let v = Mem.load m ~st:s 0 in
-            if not (Mem.cas m ~st:s 0 ~expected:v ~desired:(v + 1)) then loop ()
+            let v = Mem.load m ~st:s ~lines:l 0 in
+            if not (Mem.cas m ~st:s ~lines:l 0 ~expected:v ~desired:(v + 1)) then loop ()
           in
           loop ()
         done
@@ -396,7 +484,7 @@ let prop_cas_atomic_across_domains =
       let d1 = Domain.spawn bump and d2 = Domain.spawn bump in
       Domain.join d1;
       Domain.join d2;
-      Mem.load m ~st:(st ()) 0 = 2 * n)
+      Mem.load m ~st:(st ()) ~lines:(Lines.create ()) 0 = 2 * n)
 
 (* Property: blit behaves like memmove for any in-bounds src/dst/len,
    overlapping or not, on every backend. The model is a plain array copy
@@ -413,16 +501,16 @@ let prop_blit_memmove =
            ]))
     (fun ((words, src, dst, len), backend) ->
       let m = Mem.create ~backend ~words () in
-      let s = st () in
+      let s = st () and l = Lines.create () in
       for i = 0 to words - 1 do
-        Mem.store m ~st:s i (1000 + i)
+        Mem.store m ~st:s ~lines:l i (1000 + i)
       done;
       let model = Array.init words (fun i -> 1000 + i) in
       Array.blit model src model dst len;
-      Mem.blit m ~st:s ~src ~dst ~len;
+      Mem.blit m ~st:s ~lines:l ~src ~dst ~len;
       let ok = ref true in
       for i = 0 to words - 1 do
-        if Mem.load m ~st:s i <> model.(i) then ok := false
+        if Mem.load m ~st:s ~lines:l i <> model.(i) then ok := false
       done;
       !ok)
 
@@ -442,11 +530,11 @@ let test_sched_cas_bump () =
         (fun () ->
           let m = Mem.create ~backend:(Mem.Sched Mem.Flat) ~words:8 () in
           let bump () =
-            let s = st () in
+            let s = st () and l = Lines.create () in
             for _ = 1 to n do
               let rec loop () =
-                let v = Mem.load m ~st:s 0 in
-                if not (Mem.cas m ~st:s 0 ~expected:v ~desired:(v + 1)) then
+                let v = Mem.load m ~st:s ~lines:l 0 in
+                if not (Mem.cas m ~st:s ~lines:l 0 ~expected:v ~desired:(v + 1)) then
                   loop ()
               in
               loop ()
@@ -486,6 +574,9 @@ let suite =
       test_stats_add_diff_roundtrip;
     Alcotest.test_case "stats copy independent" `Quick
       test_stats_copy_independent;
+    Alcotest.test_case "snapshots leave line state alone" `Quick
+      test_snapshots_leave_lines_alone;
+    Alcotest.test_case "lines reset" `Quick test_lines_reset;
     Alcotest.test_case "striped backend roundtrip" `Quick test_striped_roundtrip;
     Alcotest.test_case "counting backend" `Quick test_counting_backend;
     Alcotest.test_case "cross-device latency" `Quick test_xdev_latency;
