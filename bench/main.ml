@@ -1757,10 +1757,9 @@ let bench_backends () =
 (* Exact shared-word traffic of the two fast paths (alloc/free and
    reference transfer), measured on the counting backend with the cache
    tier off vs on, and single-message vs batched transfer. Words/op are
-   raw backend word operations — deterministic, so the committed
+   the measured contexts' Stats accesses — deterministic, so the committed
    BENCH_fastpath.json doubles as a regression baseline for CI. *)
 let bench_fastpath () =
-  let module Bc = Cxlshm_shmem.Backend_counting in
   let model = Latency.of_tier Latency.Cxl in
   let rounds = quick 20_000 4_000 in
   let batch = 16 in
@@ -1775,34 +1774,22 @@ let bench_fastpath () =
     in
     if epoch then base else { base with Config.epoch_batch = 0 }
   in
-  let bd_words (b : Bc.breakdown) = b.loads + b.stores + b.cass + b.faas in
-  let bd_sub (a : Bc.breakdown) (b : Bc.breakdown) : Bc.breakdown =
-    {
-      loads = a.loads - b.loads;
-      stores = a.stores - b.stores;
-      cass = a.cass - b.cass;
-      faas = a.faas - b.faas;
-      fences = a.fences - b.fences;
-      flushes = a.flushes - b.flushes;
-    }
-  in
   (* alloc/free fast path: steady-state 64 B alloc + drop *)
   let measure_alloc ?epoch ~cache () =
     let arena = Shm.create ~cfg:(fp_cfg ?epoch cache) () in
     let a = Shm.join arena () in
-    let mem = Shm.mem arena in
     for _ = 1 to 64 do
       Cxl_ref.drop (Shm.cxl_malloc a ~size_bytes:64 ())
     done;
-    let b0 = Option.get (Mem.op_breakdown mem) in
     let st0 = Stats.copy a.Ctx.st in
     for _ = 1 to rounds do
       Cxl_ref.drop (Shm.cxl_malloc a ~size_bytes:64 ())
     done;
-    let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
-    let ns = Stats.modeled_ns model (Stats.diff a.Ctx.st st0) in
+    let d = Stats.diff a.Ctx.st st0 in
     let per c = float_of_int c /. float_of_int rounds in
-    (per (bd_words d), per d.Bc.fences, ns /. float_of_int rounds)
+    ( per (Stats.total_accesses d),
+      per d.Stats.fences,
+      Stats.modeled_ns model d /. float_of_int rounds )
   in
   (* alloc slow path on a fragmented heap: the client owns [frag_segments]
      segments of 64 B blocks, all full but one freed block on one of the
@@ -1813,7 +1800,6 @@ let bench_fastpath () =
   let measure_fragmented () =
     let arena = Shm.create ~cfg:(fp_cfg true) () in
     let a = Shm.join arena () in
-    let mem = Shm.mem arena in
     let page r = Layout.page_gid_of_addr (Shm.layout arena) (Cxl_ref.obj r) in
     let live = ref [] in
     let rec fill () =
@@ -1847,15 +1833,15 @@ let bench_fastpath () =
     for _ = 1 to 64 do
       round ~check:true
     done;
-    let b0 = Option.get (Mem.op_breakdown mem) in
     let st0 = Stats.copy a.Ctx.st in
     for _ = 1 to rounds do
       round ~check:false
     done;
-    let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
-    let ns = Stats.modeled_ns model (Stats.diff a.Ctx.st st0) in
+    let d = Stats.diff a.Ctx.st st0 in
     let per c = float_of_int c /. float_of_int rounds in
-    (per (bd_words d), per d.Bc.fences, ns /. float_of_int rounds)
+    ( per (Stats.total_accesses d),
+      per d.Stats.fences,
+      Stats.modeled_ns model d /. float_of_int rounds )
   in
   (* transfer fast path: sender publishes, receiver consumes, in lockstep *)
   let measure_transfer ?epoch ~cache ~batched () =
@@ -1877,8 +1863,6 @@ let bench_fastpath () =
       (match Transfer.send tx p0 with Transfer.Sent -> () | _ -> assert false);
       drain_one ()
     done;
-    let mem = Shm.mem arena in
-    let b0 = Option.get (Mem.op_breakdown mem) in
     let st0s = Stats.copy s.Ctx.st and st0r = Stats.copy r.Ctx.st in
     if batched then
       for _ = 1 to msgs / batch do
@@ -1897,12 +1881,12 @@ let bench_fastpath () =
         | _ -> assert false);
         drain_one ()
       done;
-    let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
-    let acc = Stats.diff s.Ctx.st st0s in
-    Stats.add acc (Stats.diff r.Ctx.st st0r);
-    let ns = Stats.modeled_ns model acc in
+    let d = Stats.diff s.Ctx.st st0s in
+    Stats.add d (Stats.diff r.Ctx.st st0r);
     let per c = float_of_int c /. float_of_int msgs in
-    (per (bd_words d), per d.Bc.fences, ns /. float_of_int msgs)
+    ( per (Stats.total_accesses d),
+      per d.Stats.fences,
+      Stats.modeled_ns model d /. float_of_int msgs )
   in
   (* limbo: a single writer COW-updates [limbo_keys] keys round-robin and
      quiesces every [limbo_quiesce_every] updates; each call's modeled ns
@@ -1945,7 +1929,6 @@ let bench_fastpath () =
     let cfg = { (fp_cfg ~epoch:true true) with Config.num_segments = 192 } in
     let arena = Shm.create ~cfg () in
     let a = Shm.join arena () in
-    let mem = Shm.mem arena in
     let _, h =
       Kv.Cxl_kv.create a ~buckets:chain_keys ~partitions:1 ~value_words:2
     in
@@ -1960,12 +1943,11 @@ let bench_fastpath () =
     for _ = 1 to chain_ops do
       match Kv.Ycsb.next gen with
       | Kv.Kv_intf.Read key ->
-          let b0 = Option.get (Mem.op_breakdown mem) in
           let st0 = Stats.copy a.Ctx.st in
           ignore (Kv.Cxl_kv.get h ~key);
-          let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
-          words := !words + bd_words d;
-          ns := !ns +. Stats.modeled_ns model (Stats.diff a.Ctx.st st0);
+          let d = Stats.diff a.Ctx.st st0 in
+          words := !words + Stats.total_accesses d;
+          ns := !ns +. Stats.modeled_ns model d;
           incr gets
       | Kv.Kv_intf.Update (key, value) -> Kv.Cxl_kv.put_cow h ~key ~value
       | _ -> assert false
@@ -2033,13 +2015,10 @@ let bench_fastpath () =
     Client.declare_failed svc ~cid:b.Ctx.cid;
     ignore (Shm.recover arena ~failed_cid:b.Ctx.cid);
     let s = Shm.join arena ~cid:b.Ctx.cid () in
-    let mem = Shm.mem arena in
-    let b0 = Option.get (Mem.op_breakdown mem) in
     let st0 = Stats.copy s.Ctx.st in
     ignore (Alloc.alloc_rootref s);
-    let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
     let st = Stats.diff s.Ctx.st st0 in
-    (bd_words d, st.Stats.rand_accesses, Stats.modeled_ns model st)
+    (Stats.total_accesses st, st.Stats.rand_accesses, Stats.modeled_ns model st)
   in
   (* handle: fill [handle_words] words of one object and read them back
      through one warm handle, with the object's lines already cached, so
@@ -2050,7 +2029,6 @@ let bench_fastpath () =
   let measure_handle () =
     let arena = Shm.create ~cfg:(fp_cfg ~epoch:true true) () in
     let a = Shm.join arena () in
-    let mem = Shm.mem arena in
     let r = Shm.cxl_malloc a ~size_bytes:(handle_words * 8) () in
     let fill () =
       for i = 0 to handle_words - 1 do
@@ -2058,21 +2036,21 @@ let bench_fastpath () =
       done
     in
     fill ();
-    let b0 = Option.get (Mem.op_breakdown mem) in
     let st0 = Stats.copy a.Ctx.st in
     fill ();
     for i = 0 to handle_words - 1 do
       assert (Cxl_ref.read_word r i = i)
     done;
-    let d = bd_sub (Option.get (Mem.op_breakdown mem)) b0 in
-    let ns = Stats.modeled_ns model (Stats.diff a.Ctx.st st0) in
+    let d = Stats.diff a.Ctx.st st0 in
     let per x = x /. float_of_int (2 * handle_words) in
     let p = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
     Cxl_ref.set_emb p 0 (Shm.cxl_malloc a ~size_bytes:8 ());
-    let b1 = Option.get (Mem.op_breakdown mem) in
+    let st1 = Stats.copy a.Ctx.st in
     assert (Cxl_ref.read_word r 0 = 0);
-    let after_era = bd_words (bd_sub (Option.get (Mem.op_breakdown mem)) b1) in
-    (per (float_of_int (bd_words d)), per ns, after_era)
+    let after_era = Stats.total_accesses (Stats.diff a.Ctx.st st1) in
+    ( per (float_of_int (Stats.total_accesses d)),
+      per (Stats.modeled_ns model d),
+      after_era )
   in
   let aw_off, af_off, ans_off = measure_alloc ~cache:false () in
   let aw_on, af_on, ans_on = measure_alloc ~cache:true () in
@@ -2251,36 +2229,52 @@ let bench_fastpath () =
 (* Size ledger                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The line count of lib/core and its number of crash points, both gated
-   at zero growth: the core grows only in a change that regenerates
+(* The line count of lib/core and lib/shmem, the number of [val]s their
+   interfaces export, and the core's number of crash points, all gated at
+   zero growth: the core grows only in a change that regenerates
    BENCH_size.json, and the diff shows it. Reads lib/core from the working
    directory, so run it from the repository root. *)
 let bench_size () =
   if not (Sys.file_exists "lib/core") then
     failwith "size: no lib/core here; run from the repository root";
-  let lines dir =
+  (* Sum [count] over the text of each file of [dir] with one of [suffixes]. *)
+  let sum dir suffixes count =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f ->
-           Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
+           List.exists (Filename.check_suffix f) suffixes)
     |> List.fold_left
          (fun acc f ->
-           let s =
-             In_channel.with_open_bin (Filename.concat dir f)
-               In_channel.input_all
-           in
-           String.fold_left (fun n c -> if c = '\n' then n + 1 else n) acc s)
+           acc
+           + count
+               (In_channel.with_open_bin (Filename.concat dir f)
+                  In_channel.input_all))
          0
   in
+  let lines dir =
+    sum dir [ ".ml"; ".mli" ]
+      (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0)
+  in
+  let exports dir =
+    sum dir [ ".mli" ] (fun s ->
+        String.split_on_char '\n' s
+        |> List.filter (fun l -> String.starts_with ~prefix:"val " (String.trim l))
+        |> List.length)
+  in
   let core = lines "lib/core" and shmem = lines "lib/shmem" in
+  let core_x = exports "lib/core" and shmem_x = exports "lib/shmem" in
   let points = List.length Fault.all_points in
-  Printf.printf "lib/core: %d lines, %d crash points; lib/shmem: %d lines\n"
-    core points shmem;
+  Printf.printf
+    "lib/core: %d lines, %d exports, %d crash points; lib/shmem: %d lines, \
+     %d exports\n"
+    core core_x points shmem shmem_x;
   let r = Record.make ~experiment:"size" ~decimals:0 ~budget_pct:0. in
   Record.write "BENCH_size.json"
     [
       r "core.lines" ~unit:"lines" Lower (float_of_int core);
       r "shmem.lines" ~unit:"lines" Lower (float_of_int shmem);
       r "core.crash_points" ~unit:"points" Lower (float_of_int points);
+      r "core.exports" ~unit:"vals" Lower (float_of_int core_x);
+      r "shmem.exports" ~unit:"vals" Lower (float_of_int shmem_x);
     ];
   print_endline "wrote BENCH_size.json"
 

@@ -63,11 +63,12 @@ let status (ctx : Ctx.t) ~cid =
 
 (* A Suspected client is still alive for every safety purpose (hazards,
    reachability, leak scans): suspicion is a liveness hint that the owner
-   can cancel; only Failed fences it out. *)
-let is_alive ctx ~cid =
-  match status ctx ~cid with
-  | Alive | Suspected -> true
-  | Slot_free | Failed -> false
+   can cancel; only Failed fences it out. Total, so a damaged flags word
+   reads as not alive. *)
+let alive_flags f = f = status_to_int Alive || f = status_to_int Suspected
+
+let is_alive (ctx : Ctx.t) ~cid =
+  alive_flags (Ctx.load ctx (Layout.client_flags ctx.lay cid))
 
 let heartbeat (ctx : Ctx.t) =
   Ctx.refresh_degraded_hint ctx;

@@ -34,6 +34,10 @@ val is_alive : Ctx.t -> cid:int -> bool
     liveness hint, so hazards, reachability and leak scans must keep
     treating the client as live until it is condemned. *)
 
+val alive_flags : int -> bool
+(** {!is_alive} of a flags word the caller read itself. Total: a value that
+    encodes no status reads as not alive. *)
+
 val heartbeat : Ctx.t -> unit
 (** Renew the caller's lease ({!Lease.renew}) and cancel a pending [Suspected]
     ({!Lease.self_heal}). A client already condemned to [Failed] is

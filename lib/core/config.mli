@@ -88,7 +88,6 @@ val header_words : int
 (** Words of CXLObj header preceding the data area (packed refcount word +
     meta word). *)
 
-val min_block_words : int
 val rootref_words : int  (** RootRef block size: in_use/count word + pptr. *)
 
 val num_classes : t -> int

@@ -53,7 +53,8 @@ type t = {
   mutable fault : Fault.plan;
   mutable retry : Retry.policy;
       (** retry/backoff budget for transient device faults; defaults to
-          {!Retry.default_policy}, set {!Retry.no_retry} to fail fast *)
+          {!Retry.default_policy}; a policy with [max_attempts = 1] fails
+          fast *)
   rng : Random.State.t;  (** client-local randomness (segment probing) *)
   mutable trace_on : bool;
       (** observability switch, seeded from [Config.trace]; when off every
@@ -144,13 +145,6 @@ val any_degraded_hint : t -> bool
 (** [degraded_hint <> 0] — zero-cost "is any device degraded?" check for
     the allocation fast path. *)
 
-val with_retries : t -> ((unit -> unit) -> 'a) -> 'a
-(** Run a section under this context's retry policy (see
-    {!Retry.with_retries}); escalations mark the faulting device degraded
-    in the shared bitmap. The section receives the commit marker and must
-    call it once its effects are visible to other clients — retries never
-    cross a commit point. *)
-
 (** {1 Shared-memory shorthands} (attributed to this client's stats)
 
     Each primitive is a single word operation with no interior commit
@@ -221,10 +215,6 @@ val cache_note_claim : t -> int -> unit
 val cache_note_release : t -> int -> unit
 (** This client just released the segment (drops its page mirrors and its
     page-set entries). *)
-
-val cache_owns : t -> int -> bool
-(** The mirror knows this client owns the segment (false when the set is
-    unpopulated — callers then fall back to shared reads). *)
 
 val load_pm : t -> gid:int -> slot:int -> Cxlshm_shmem.Pptr.t -> int
 (** Cached read of page-meta slot [slot] (0 = kind … 4 = used) of page

@@ -28,7 +28,8 @@ type point =
   | Recv_after_advance           (** head advanced and flushed, result not
                                      yet returned to the caller *)
   | Slowpath_after_page_claim    (** page kind set, free chain incomplete *)
-  | Slowpath_after_segment_claim (** segment CAS won, cursor not updated *)
+  | Slowpath_after_segment_claim (** segment CAS won, none of its pages
+                                     claimed yet *)
   | Free_huge_mid_release        (** huge free: some tail segments released,
                                      head metadata still intact *)
   | Free_huge_after_reset        (** huge free: head pages wiped, head

@@ -107,11 +107,10 @@ let repair (ctx : Ctx.t) =
 
   (* ---- pass 0: segment metadata sanity ---- *)
   for s = 0 to ns - 1 do
-    let st = peek (Layout.seg_state lay s) in
-    if st < 0 || st > 5 then begin
+    if Segment.state_of_word (peek (Layout.seg_state lay s)) = None then begin
       (* unknown state: pessimistically POTENTIAL_LEAKING so the scan of
          pass 5 walks the segment's blocks *)
-      poke (Layout.seg_state lay s) 3;
+      poke (Layout.seg_state lay s) (Segment.state_to_int Segment.Leaking);
       a.segf <- a.segf + 1
     end;
     let occ = peek (Layout.seg_occupied lay s) in
@@ -251,14 +250,7 @@ let repair (ctx : Ctx.t) =
     for k = 0 to window - 1 do
       let n = cur - 1 - k in
       let slot = Layout.trace_slot lay cid (n mod slots) in
-      let tag = peek slot in
-      if
-        tag < 0
-        || tag >= Cxlshm_shmem.Histogram.num_ops * 4
-        || tag land 3 > 2
-        || peek (slot + 3) < 0
-        || peek (slot + 4) < 0
-      then bad := true
+      if not (Trace.slot_ok ~read:peek slot) then bad := true
     done;
     if !bad then begin
       poke (Layout.trace_cursor lay cid) 0;

@@ -21,11 +21,11 @@ let min_announced (ctx : Ctx.t) =
   for cid = 0 to m - 1 do
     (* announcements from non-alive slots are stale by definition: a dead
        reader must not stall reclamation (§3.2's non-blocking guarantee).
-       A Suspected (3) reader is still alive — its suspicion may be a
+       A Suspected reader is still alive — its suspicion may be a
        false positive it cancels on the next heartbeat — so its hazard
        still pins blocks; only a condemned (Failed) reader is fenced. *)
-    let f = Ctx.load ctx (Layout.client_flags ctx.Ctx.lay cid) in
-    if f = 1 || f = 3 then begin
+    if Client.alive_flags (Ctx.load ctx (Layout.client_flags ctx.Ctx.lay cid))
+    then begin
       let a = Ctx.load ctx (slot ctx cid) in
       if a <> 0 && a < !best then best := a
     end

@@ -272,11 +272,3 @@ let page_gid_of_addr t addr =
     invalid_arg "Layout.page_gid_of_addr: address inside a segment header";
   let page = off / t.cfg.Config.page_words in
   page_gid t ~seg ~page
-
-let block_addr t ~gid ~block_words i =
-  let base = page_area t ~gid in
-  let addr = base + (i * block_words) in
-  if i < 0 || addr + block_words > base + t.cfg.Config.page_words then
-    invalid_arg "Layout.block_addr: block index out of page";
-  addr
-

@@ -98,7 +98,6 @@ val seg_client_free : t -> int -> Cxlshm_shmem.Pptr.t
     the per-size-class current-page table, one reserved word and the
     retirement journal. *)
 
-val client_state : t -> int -> Cxlshm_shmem.Pptr.t
 val client_flags : t -> int -> Cxlshm_shmem.Pptr.t
 
 val client_hazard : t -> int -> Cxlshm_shmem.Pptr.t
@@ -130,7 +129,6 @@ val era_cell : t -> int -> int -> Cxlshm_shmem.Pptr.t
     during client [i]'s recovery (Fig 4a). *)
 
 val redo_base : t -> int -> Cxlshm_shmem.Pptr.t
-val redo_words : int
 
 val class_head : t -> int -> int -> Cxlshm_shmem.Pptr.t
 (** [class_head lay cid k] — current page (packed gid+1, 0 = none) used by
@@ -206,8 +204,8 @@ val recovery_lock : t -> Cxlshm_shmem.Pptr.t
 
     Arena-wide region of {!limbo_rows} rows ({!Limbo}). Each row has an
     owner word — all owner words sit together at the start of the region,
-    so a pool scan reads them sequentially — and {!limbo_row_words} words
-    of {!limbo_row_entries} entries [{stamp, rr}]: a rootref parking a
+    so a pool scan reads them sequentially — and the two words of each of
+    its {!limbo_row_entries} entries [{stamp, rr}]: a rootref parking a
     displaced object and the retire epoch that gates its release. The
     owner word is [0] (free), [cid + 1] (owned; only the owner writes the
     row's entries) or {!limbo_orphaned} (the owner died; a successor
@@ -217,7 +215,6 @@ val recovery_lock : t -> Cxlshm_shmem.Pptr.t
     pool holds at least [max_clients * Config.park_slots] entries. *)
 
 val limbo_row_entries : int
-val limbo_row_words : int
 val limbo_orphaned : int
 val limbo_rows : t -> int
 val limbo_owner : t -> int -> Cxlshm_shmem.Pptr.t
@@ -238,9 +235,6 @@ val limbo_rr : t -> int -> int -> Cxlshm_shmem.Pptr.t
 val trace_hdr_words : int
 val trace_slot_words : int
 
-val trace_ring : t -> int -> Cxlshm_shmem.Pptr.t
-(** Base of client [i]'s ring (= its cursor word). *)
-
 val trace_cursor : t -> int -> Cxlshm_shmem.Pptr.t
 val trace_slot : t -> int -> int -> Cxlshm_shmem.Pptr.t
 (** [trace_slot lay cid k] — first word of slot [k] of client [cid]. *)
@@ -253,15 +247,12 @@ val segment_of_addr : t -> Cxlshm_shmem.Pptr.t -> int
 (** Segment index containing an address inside the segments area. Raises
     [Invalid_argument] for addresses outside it. *)
 
-val page_meta_words : int
-
 (** Page metas: kind, block_words, capacity, free-list head, used count. *)
 
 val page_gid : t -> seg:int -> page:int -> int
 (** Global page id = seg * pages_per_segment + page. *)
 
 val page_of_gid : t -> int -> int * int
-val page_meta : t -> gid:int -> Cxlshm_shmem.Pptr.t
 val page_kind : t -> gid:int -> Cxlshm_shmem.Pptr.t
 val page_block_words : t -> gid:int -> Cxlshm_shmem.Pptr.t
 val page_capacity : t -> gid:int -> Cxlshm_shmem.Pptr.t
@@ -280,5 +271,3 @@ val page_gid_of_addr : t -> Cxlshm_shmem.Pptr.t -> int
 (** Global page id of the page area containing [addr]. Raises
     [Invalid_argument] if [addr] lies in a segment header or outside the
     segments area. *)
-
-val block_addr : t -> gid:int -> block_words:int -> int -> Cxlshm_shmem.Pptr.t

@@ -25,7 +25,6 @@ let id t = t.id
 let death_dumps t = t.death_dumps
 let error_count t = Atomic.get t.errors
 let last_error t = Atomic.get t.last_error
-let degraded_devices t = Ctx.degraded_devices t.ctx
 
 let is_leader t =
   match t.leadership with

@@ -44,8 +44,8 @@ val run_in_domain : t -> interval:float -> unit Domain.t * bool Atomic.t
     it. Each pass checks, contends/recovers, and — as leader — drains
     unadopted limbo rows ({!Limbo.drain}) and runs the POTENTIAL_LEAKING
     scan. An exception in one iteration (a device fault, a half-recovered
-    client) is counted and remembered — see {!error_count}/{!last_error} —
-    and the loop keeps running; it never dies silently. *)
+    client) is counted ({!error_count}) and remembered for {!stop_and_join}
+    to return, and the loop keeps running; it never dies silently. *)
 
 val stop_and_join : unit Domain.t * bool Atomic.t -> t -> exn option
 (** Stop the loop started by {!run_in_domain}, wait for the domain to
@@ -71,9 +71,3 @@ val abdicate : t -> unit
 
 val error_count : t -> int
 (** Loop iterations that raised since the monitor was created. *)
-
-val last_error : t -> exn option
-
-val degraded_devices : t -> int list
-(** Devices currently marked degraded in the shared bitmap (escalated
-    device faults steer allocation away from them). *)

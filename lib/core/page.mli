@@ -20,8 +20,6 @@ val reset : Ctx.t -> gid:int -> unit
 (** Return the page to [kind_unused] (recovery / segment recycling). *)
 
 val kind : Ctx.t -> gid:int -> int
-val block_words : Ctx.t -> gid:int -> int
-val capacity : Ctx.t -> gid:int -> int
 val free_head : Ctx.t -> gid:int -> Cxlshm_shmem.Pptr.t
 
 val set_free_head : Ctx.t -> gid:int -> Cxlshm_shmem.Pptr.t -> unit
@@ -29,9 +27,7 @@ val set_free_head : Ctx.t -> gid:int -> Cxlshm_shmem.Pptr.t -> unit
     RootRef linking per §5.1); write-through via the cache tier. *)
 
 val used : Ctx.t -> gid:int -> int
-val set_used : Ctx.t -> gid:int -> int -> unit
 val incr_used : Ctx.t -> gid:int -> unit
-val decr_used : Ctx.t -> gid:int -> unit
 
 
 val push_free : Ctx.t -> gid:int -> rootref:bool -> Cxlshm_shmem.Pptr.t -> bool

@@ -26,15 +26,9 @@ val release_rootref : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
     retirement ({!Epoch.step}): one sealed entry retired, or the seal of
     a full buffer. *)
 
-val retire_one : Ctx.t -> Cxlshm_shmem.Pptr.t -> unit
-(** Retire one journaled rootref: the redo-free top-level detach, which
-    nulls the rootref's pointer (the per-entry completion marker), and the
-    object's release. The rootref itself stays allocated: {!Epoch} frees
-    it once the batch's journal is cleared. *)
-
 val flush_retired : Ctx.t -> unit
-(** Retire every parked and sealed rootref now ({!Epoch.flush_retired}
-    with {!retire_one}): the sealed batch's remainder first, then the
+(** Retire every parked and sealed rootref now ({!Epoch.flush_retired}):
+    the sealed batch's remainder first, then the
     buffer, sealed behind one fence and two journal flushes. Call at era
     boundaries and before detach/unregister. No-op (bar draining deferred
     write-backs) when nothing is parked. *)

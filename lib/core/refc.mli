@@ -80,9 +80,6 @@ val swap :
     [ref_addr] is replayed if it still holds [from_obj]; otherwise the
     swap never happened. *)
 
-val attach_as :
-  Ctx.t -> as_cid:int -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> unit
-
 val detach_as :
   Ctx.t -> as_cid:int -> shared:bool -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
 (** {!detach} under [as_cid]'s identity. With [~shared:true] a decrement

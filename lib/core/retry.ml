@@ -28,8 +28,6 @@ type policy = {
 let default_policy =
   { max_attempts = 5; base_backoff_ns = 250.; max_backoff_ns = 64_000. }
 
-let no_retry = { max_attempts = 1; base_backoff_ns = 0.; max_backoff_ns = 0. }
-
 let backoff_ns policy attempt =
   Float.min policy.max_backoff_ns
     (policy.base_backoff_ns *. (2. ** float_of_int (attempt - 1)))

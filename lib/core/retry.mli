@@ -17,9 +17,6 @@ type policy = {
 val default_policy : policy
 (** 5 attempts, 250 ns initial backoff doubling up to 64 µs. *)
 
-val no_retry : policy
-(** Single attempt: every fault escalates immediately. *)
-
 val backoff_ns : policy -> int -> float
 (** Simulated backoff before retry number [attempt] (1-based). *)
 

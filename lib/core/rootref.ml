@@ -1,7 +1,6 @@
 module Word = Cxlshm_shmem.Word
 module Mem = Cxlshm_shmem.Mem
 
-let words = Config.rootref_words
 let f_in_use = Word.field ~shift:48 ~bits:1
 let f_cnt = Word.field ~shift:0 ~bits:32
 

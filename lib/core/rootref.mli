@@ -12,8 +12,6 @@
     - word 1 — process-independent pointer to the CXLObj, or the free-list
       next pointer while the block is free. *)
 
-val words : int
-
 val in_use : Ctx.t -> Cxlshm_shmem.Pptr.t -> bool
 
 val in_use_of_word : int -> bool

@@ -10,14 +10,19 @@ let state_to_int = function
   | Huge_head -> 4
   | Huge_cont -> 5
 
-let state_of_int = function
-  | 0 -> Free
-  | 1 -> Active
-  | 2 -> Orphaned
-  | 3 -> Leaking
-  | 4 -> Huge_head
-  | 5 -> Huge_cont
-  | n -> invalid_arg (Printf.sprintf "Segment.state_of_int: %d" n)
+let state_of_word = function
+  | 0 -> Some Free
+  | 1 -> Some Active
+  | 2 -> Some Orphaned
+  | 3 -> Some Leaking
+  | 4 -> Some Huge_head
+  | 5 -> Some Huge_cont
+  | _ -> None
+
+let state_of_int n =
+  match state_of_word n with
+  | Some s -> s
+  | None -> invalid_arg (Printf.sprintf "Segment.state_of_int: %d" n)
 
 let owner (ctx : Ctx.t) s =
   let v = Ctx.load ctx (Layout.seg_occupied ctx.lay s) in

@@ -17,6 +17,10 @@ type state =
 val state_to_int : state -> int
 (** The segment state word's encoding. *)
 
+val state_of_word : int -> state option
+(** Decode a state word the caller read itself; [None] for a value that
+    encodes no state. *)
+
 val owner : Ctx.t -> int -> int option
 (** Occupying client id of segment [s], if any. *)
 

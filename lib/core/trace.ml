@@ -30,6 +30,11 @@ let decode_tag tag =
     if p > 2 then None
     else Some (Histogram.op_of_index (tag lsr 2), phase_of_index p)
 
+(* Reads the tag first and the duration and clock words only if it
+   decodes, so a validity check costs exactly the loads it needs. *)
+let slot_ok ~read slot =
+  decode_tag (read slot) <> None && read (slot + 3) >= 0 && read (slot + 4) >= 0
+
 let set ctx on = ctx.Ctx.trace_on <- on
 
 let emit ctx ~op ~phase ~addr ~dur_ns =

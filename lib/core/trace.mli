@@ -16,8 +16,6 @@
 
 type phase = Begin | End | Err
 
-val phase_name : phase -> string
-
 val set : Ctx.t -> bool -> unit
 (** Toggle tracing for this client at runtime. *)
 
@@ -56,5 +54,10 @@ val dump :
 (** Events still in client [cid]'s ring, oldest first; [?last] keeps only
     the most recent [k]. Reads with control-plane loads, so it works on
     dead clients and damaged images. *)
+
+val slot_ok : read:(Cxlshm_shmem.Pptr.t -> int) -> Cxlshm_shmem.Pptr.t -> bool
+(** Whether a published ring slot is well formed: its tag decodes to an op
+    and phase, and its duration and clock words are non-negative. {!Fsck}
+    zeroes a ring holding any slot that is not. *)
 
 val pp_event : Format.formatter -> event -> unit

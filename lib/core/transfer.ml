@@ -11,8 +11,6 @@ type t = {
   capacity : int;
 }
 
-let capacity t = t.capacity
-let endpoint t = t.endpoint
 let queue_ref t = t.qref
 let dir_index t = t.dir_idx
 
@@ -37,7 +35,6 @@ let qword (_ctx : Ctx.t) qobj ~cap i =
 let qload t i = Ctx.load t.ctx (qword t.ctx (Cxl_ref.obj t.qref) ~cap:t.capacity i)
 let qstore t i v = Ctx.store t.ctx (qword t.ctx (Cxl_ref.obj t.qref) ~cap:t.capacity i) v
 
-let peer t = if t.endpoint = Sender then qload t w_receiver - 1 else qload t w_sender - 1
 let pending t = qload t w_tail - qload t w_head
 
 let peer_closed t =

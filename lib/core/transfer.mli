@@ -30,13 +30,9 @@
 type endpoint = Sender | Receiver
 type t
 
-val capacity : t -> int
-
 val pending : t -> int
 (** Messages published but not yet consumed. *)
 
-val endpoint : t -> endpoint
-val peer : t -> int
 val queue_ref : t -> Cxl_ref.t
 
 val dir_index : t -> int
@@ -139,7 +135,6 @@ val close : t -> unit
 
 val set_channel_segs : Ctx.t -> int -> int list -> unit
 val channel_segs : Ctx.t -> int -> int list
-val clear_channel_segs : Ctx.t -> int -> unit
 
 val seg_held_by_live_peer : Ctx.t -> seg:int -> dead_cid:int -> bool
 (** True when [seg] is registered as a channel sub-heap on an in-use

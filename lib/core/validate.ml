@@ -52,12 +52,9 @@ let run mem lay =
     let v = peek (Layout.seg_occupied lay s) in
     if v = 0 then None else Some (v - 1)
   in
-  (* 1 = Alive, 3 = Suspected: a suspected client may still be rescued by
-     its own heartbeat, so its segments are not scan-pending. *)
-  let client_alive c =
-    let f = peek (Layout.client_flags lay c) in
-    f = 1 || f = 3
-  in
+  (* A suspected client may still be rescued by its own heartbeat, so its
+     segments are not scan-pending. *)
+  let client_alive c = Client.alive_flags (peek (Layout.client_flags lay c)) in
   let live_obj b = Obj_header.ref_cnt_of (peek b) > 0 in
 
   (* ---- collect reference holders ---- *)

@@ -1,85 +1,24 @@
-(* Non-atomic single-domain backend: a plain int array plus an exact count
-   of raw word operations. No Atomic boxes means no per-word indirection and
-   no memory-model traffic, so deterministic unit tests and single-threaded
-   benches run fast; the op counter gives tests an exact, repeatable measure
-   of how many words an algorithm touched.
-
-   Besides the aggregate [ops] (whose semantics are frozen — fault-schedule
-   seeds and unit tests depend on it), the backend keeps a per-kind
-   breakdown, plus fence/flush counts fed by the [Mem] wrapper (fences never
-   reach a backend), so benches can report exactly which shared-word traffic
-   a fast path generates.
+(* Non-atomic single-domain backend: a plain int array. No Atomic boxes
+   means no per-word indirection and no memory-model traffic, so
+   deterministic unit tests and single-threaded benches run fast. Like every
+   backend it is a bare transport: the [Mem] wrapper meters its traffic in
+   [Stats].
 
    NOT safe across domains — concurrent suites must use Backend_flat or
    Backend_striped. *)
 
-type breakdown = {
-  loads : int;
-  stores : int;
-  cass : int;
-  faas : int;
-  fences : int;
-  flushes : int;
-}
+type t = { cells : int array; tier : Latency.tier }
 
-type t = {
-  cells : int array;
-  tier : Latency.tier;
-  mutable ops : int;
-  mutable loads : int;
-  mutable stores : int;
-  mutable cass : int;
-  mutable faas : int;
-  mutable fences : int;
-  mutable flushes : int;
-}
-
-let create ?(tier = Latency.Cxl) ~words () =
-  {
-    cells = Array.make words 0;
-    tier;
-    ops = 0;
-    loads = 0;
-    stores = 0;
-    cass = 0;
-    faas = 0;
-    fences = 0;
-    flushes = 0;
-  }
-
-let ops t = t.ops
-
-let breakdown t =
-  {
-    loads = t.loads;
-    stores = t.stores;
-    cass = t.cass;
-    faas = t.faas;
-    fences = t.fences;
-    flushes = t.flushes;
-  }
-
-let note_fence t = t.fences <- t.fences + 1
-let note_flush t = t.flushes <- t.flushes + 1
+let create ?(tier = Latency.Cxl) ~words () = { cells = Array.make words 0; tier }
 let name _ = "counting-fast"
 let words t = Array.length t.cells
 let num_devices _ = 1
 let device_of _ _ = 0
 let device_tier t _ = t.tier
-
-let load t p =
-  t.ops <- t.ops + 1;
-  t.loads <- t.loads + 1;
-  t.cells.(p)
-
-let store t p v =
-  t.ops <- t.ops + 1;
-  t.stores <- t.stores + 1;
-  t.cells.(p) <- v
+let load t p = t.cells.(p)
+let store t p v = t.cells.(p) <- v
 
 let cas t p ~expected ~desired =
-  t.ops <- t.ops + 1;
-  t.cass <- t.cass + 1;
   if t.cells.(p) = expected then begin
     t.cells.(p) <- desired;
     true
@@ -87,26 +26,9 @@ let cas t p ~expected ~desired =
   else false
 
 let fetch_add t p n =
-  t.ops <- t.ops + 1;
-  t.faas <- t.faas + 1;
   let v = t.cells.(p) in
   t.cells.(p) <- v + n;
   v
-
-let fence _ = ()
-let flush _ _ = ()
-
-let fill t ~pos ~len v =
-  t.ops <- t.ops + len;
-  t.stores <- t.stores + len;
-  Array.fill t.cells pos len v
-
-let blit t ~src ~dst ~len =
-  t.ops <- t.ops + (2 * len);
-  t.loads <- t.loads + len;
-  t.stores <- t.stores + len;
-  (* Array.blit already has memmove semantics for overlapping ranges. *)
-  Array.blit t.cells src t.cells dst len
 
 let snapshot t = Array.copy t.cells
 let restore t ws = Array.blit ws 0 t.cells 0 (Array.length ws)

@@ -55,8 +55,6 @@ type spec = {
   offline : (int * int * int) list;
 }
 
-let quiet = { seed = 0; read_poison = 0.; torn_write = 0.; stuck_word = 0.; offline = [] }
-
 type t = {
   base : Mem_intf.packed;
   spec : spec;
@@ -92,10 +90,7 @@ let arm t on =
   if not on then Hashtbl.reset t.stuck
 
 let is_armed t = t.armed
-let op_count t = t.ops
 let injected t = List.map (fun c -> (c, t.injected.(class_index c))) all_fault_classes
-let injected_total t = Array.fold_left ( + ) 0 t.injected
-let stuck_addrs t = Hashtbl.fold (fun a () acc -> a :: acc) t.stuck []
 
 (* ---- delegation shorthands ---- *)
 
@@ -180,33 +175,6 @@ let fetch_add t p n =
   end;
   let (Mem_intf.Packed ((module B), b)) = t.base in
   B.fetch_add b p n
-
-let fence t = let (Mem_intf.Packed ((module B), b)) = t.base in B.fence b
-
-let flush t p =
-  tick t;
-  if t.armed then check_offline t p;
-  let (Mem_intf.Packed ((module B), b)) = t.base in
-  B.flush b p
-
-let fill t ~pos ~len v =
-  for i = pos to pos + len - 1 do
-    store t i v
-  done
-
-let blit t ~src ~dst ~len =
-  (* A torn blit stops mid-copy: the prefix has moved, the suffix has not.
-     Drawn once per bulk copy, before any word moves. *)
-  let teared =
-    if t.armed && len > 1 && t.spec.torn_write > 0. && draw t < t.spec.torn_write
-    then len / 2
-    else len
-  in
-  let copy i = b_store t (dst + i) (b_load t (src + i)) in
-  (if src < dst && src + len > dst then
-     for i = teared - 1 downto 0 do copy (len - teared + i) done
-   else for i = 0 to teared - 1 do copy i done);
-  if teared < len then fire t Torn_write ~addr:dst ~transient:true
 
 (* Control-plane access: fabric-manager metadata (e.g. the degraded-device
    bitmap) travels out of band, not over the faulted media path — these

@@ -18,24 +18,5 @@ let cas t p ~expected ~desired =
   Atomic.compare_and_set t.cells.(p) expected desired
 
 let fetch_add t p n = Atomic.fetch_and_add t.cells.(p) n
-let fence _ = ()
-let flush _ _ = ()
-
-let fill t ~pos ~len v =
-  for i = pos to pos + len - 1 do
-    Atomic.set t.cells.(i) v
-  done
-
-(* memmove: copy backward when the destination overlaps past the source. *)
-let blit t ~src ~dst ~len =
-  if src < dst && src + len > dst then
-    for i = len - 1 downto 0 do
-      Atomic.set t.cells.(dst + i) (Atomic.get t.cells.(src + i))
-    done
-  else
-    for i = 0 to len - 1 do
-      Atomic.set t.cells.(dst + i) (Atomic.get t.cells.(src + i))
-    done
-
 let snapshot t = Array.map Atomic.get t.cells
 let restore t ws = Array.iteri (fun i v -> Atomic.set t.cells.(i) v) ws

@@ -13,8 +13,9 @@
    A single global hook is intentional: the model checker is single-domain
    by design (fibers are coroutines, never real threads), and threading the
    hook through every [Mem.t] consumer would touch the whole system for a
-   test-only concern. Bulk operations (fill/blit/snapshot/restore) are not
-   hooked — they are setup/teardown and durable-image paths, not the
+   test-only concern. [Mem]'s bulk and byte operations reach the pool
+   word by word, so each of their words is a scheduling point too;
+   snapshot/restore are not hooked — they are durable-image paths, not the
    concurrent protocols under test. *)
 
 type access =
@@ -70,23 +71,10 @@ let fetch_add t p n =
   let (Mem_intf.Packed ((module B), b)) = t.base in
   B.fetch_add b p n
 
-let fence t =
-  note Fence;
-  let (Mem_intf.Packed ((module B), b)) = t.base in
-  B.fence b
-
-let flush t p =
-  note (Flush p);
-  let (Mem_intf.Packed ((module B), b)) = t.base in
-  B.flush b p
-
-let fill t ~pos ~len v =
-  let (Mem_intf.Packed ((module B), b)) = t.base in
-  B.fill b ~pos ~len v
-
-let blit t ~src ~dst ~len =
-  let (Mem_intf.Packed ((module B), b)) = t.base in
-  B.blit b ~src ~dst ~len
+(* Not transport operations: [Mem] calls these two hooks directly, so the
+   explorer can schedule around fences and flushes. *)
+let fence _ = note Fence
+let flush _ p = note (Flush p)
 
 let snapshot t =
   let (Mem_intf.Packed ((module B), b)) = t.base in

@@ -70,23 +70,6 @@ let load t p = Atomic.get (cell t p)
 let store t p v = Atomic.set (cell t p) v
 let cas t p ~expected ~desired = Atomic.compare_and_set (cell t p) expected desired
 let fetch_add t p n = Atomic.fetch_and_add (cell t p) n
-let fence _ = ()
-let flush _ _ = ()
-
-let fill t ~pos ~len v =
-  for i = pos to pos + len - 1 do
-    store t i v
-  done
-
-let blit t ~src ~dst ~len =
-  if src < dst && src + len > dst then
-    for i = len - 1 downto 0 do
-      store t (dst + i) (load t (src + i))
-    done
-  else
-    for i = 0 to len - 1 do
-      store t (dst + i) (load t (src + i))
-    done
 
 (* Images are in global address order, so they interchange with every other
    backend's snapshot/restore. *)

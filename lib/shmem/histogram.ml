@@ -87,12 +87,6 @@ let create () =
     buckets = Array.make num_buckets 0;
   }
 
-let reset t =
-  t.count <- 0;
-  t.sum_ns <- 0.;
-  t.min_ns <- infinity;
-  t.max_ns <- 0.;
-  Array.fill t.buckets 0 num_buckets 0
 
 let bucket_of_ns ns =
   if ns < 1. then 0
@@ -157,10 +151,3 @@ let p99 t = percentile t 0.99
 
 (* One histogram per op class, indexed by [op_index]. *)
 let create_set () = Array.init num_ops (fun _ -> create ())
-
-let merge_set ~into set =
-  Array.iteri (fun i h -> merge ~into:into.(i) h) set
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.1fns p50=%.1f p95=%.1f p99=%.1f max=%.1f"
-    t.count (mean_ns t) (p50 t) (p95 t) (p99 t) t.max_ns

@@ -31,7 +31,6 @@ type t
 
 val num_buckets : int
 val create : unit -> t
-val reset : t -> unit
 
 val record : t -> float -> unit
 (** Record one duration in nanoseconds (negative values clamp to 0). *)
@@ -60,5 +59,3 @@ val bucket_of_ns : float -> int
 val create_set : unit -> t array
 (** One histogram per op class, indexed by {!op_index}. *)
 
-val merge_set : into:t array -> t array -> unit
-val pp : Format.formatter -> t -> unit

@@ -5,7 +5,6 @@ let tier_name = function
   | Remote_numa -> "remote NUMA"
   | Cxl -> "CXL"
 
-let pp_tier ppf t = Format.pp_print_string ppf (tier_name t)
 let all_tiers = [ Local_numa; Remote_numa; Cxl ]
 
 type t = {

@@ -14,7 +14,6 @@ type tier =
   | Remote_numa  (** DRAM one QPI/UPI hop away. *)
   | Cxl          (** CXL-attached memory across a PCIe 5.0 link. *)
 
-val pp_tier : Format.formatter -> tier -> unit
 val tier_name : tier -> string
 val all_tiers : tier list
 

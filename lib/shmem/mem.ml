@@ -9,7 +9,6 @@ type fault_class = Backend_faulty.fault_class =
 exception Device_error = Backend_faulty.Device_error
 
 let fault_class_name = Backend_faulty.fault_class_name
-let all_fault_classes = Backend_faulty.all_fault_classes
 
 type backend_spec =
   | Flat
@@ -21,13 +20,11 @@ type backend_spec =
 type t = {
   b : Mem_intf.packed;
   words : int;
-  tier : Latency.tier;
   model : Latency.t;
   dev_tiers : Latency.tier array;
   dev_models : Latency.t array;
   off_tier : bool array; (* device tier <> base tier *)
   multi : bool; (* any off-tier device: per-access device pricing needed *)
-  counting : Backend_counting.t option;
   faulty : Backend_faulty.t option;
   sched : Backend_sched.t option;
 }
@@ -44,7 +41,6 @@ let create ?(tier = Latency.Cxl) ?(backend = Flat) ~words () =
         ( pack (module Backend_flat) (Backend_flat.create ~tier ~words ()),
           [| tier |],
           None,
-          None,
           None )
     | Striped { devices; stripe_words; tiers } ->
         let tiers =
@@ -56,40 +52,37 @@ let create ?(tier = Latency.Cxl) ?(backend = Flat) ~words () =
         ( pack (module Backend_striped) s,
           Array.init devices (Backend_striped.device_tier s),
           None,
-          None,
           None )
     | Counting_fast ->
-        let c = Backend_counting.create ~tier ~words () in
-        (pack (module Backend_counting) c, [| tier |], Some c, None, None)
+        ( pack (module Backend_counting) (Backend_counting.create ~tier ~words ()),
+          [| tier |],
+          None,
+          None )
     | Faulty { base; fault_spec } ->
-        let bp, dev_tiers, counting, _, sched = build base in
+        let bp, dev_tiers, _, sched = build base in
         (* start disarmed: pool formatting and client registration happen on
            healthy devices; the driver arms the campaign once set up *)
         let f = Backend_faulty.create ~armed:false ~base:bp ~spec:fault_spec () in
-        (pack (module Backend_faulty) f, dev_tiers, counting, Some f, sched)
+        (pack (module Backend_faulty) f, dev_tiers, Some f, sched)
     | Sched base ->
-        let bp, dev_tiers, counting, faulty, _ = build base in
+        let bp, dev_tiers, faulty, _ = build base in
         let s = Backend_sched.create ~base:bp () in
-        (pack (module Backend_sched) s, dev_tiers, counting, faulty, Some s)
+        (pack (module Backend_sched) s, dev_tiers, faulty, Some s)
   in
-  let b, dev_tiers, counting, faulty, sched = build backend in
+  let b, dev_tiers, faulty, sched = build backend in
   let off_tier = Array.map (fun dt -> dt <> tier) dev_tiers in
   {
     b;
     words;
-    tier;
     model = Latency.of_tier tier;
     dev_tiers;
     dev_models = Array.map Latency.of_tier dev_tiers;
     off_tier;
     multi = Array.exists Fun.id off_tier;
-    counting;
     faulty;
     sched;
   }
 
-let words t = t.words
-let tier t = t.tier
 let cost_model t = t.model
 let in_bounds t p = p >= 0 && p < t.words
 
@@ -135,10 +128,6 @@ let device_tier t d =
   if d < 0 || d >= Array.length t.dev_tiers then
     invalid_arg "Mem.device_tier: device out of range";
   t.dev_tiers.(d)
-
-let op_count t = Option.map Backend_counting.ops t.counting
-let op_breakdown t = Option.map Backend_counting.breakdown t.counting
-let fault_injector t = t.faulty
 
 let set_fault_injection t on =
   match t.faulty with
@@ -219,20 +208,17 @@ let fetch_add t ~st ~lines p n =
   count_cas t st lines p;
   b_fetch_add t p n
 
-(* Fence/flush only dispatch to the backend when the scheduler wrapper is
-   present: the simulation backends treat them as no-ops, and skipping the
-   dispatch keeps the faulty backend's op counter (and thus every existing
-   fault-schedule seed) exactly as it was. The sched wrapper needs to see
-   them because fences are ordering points the explorer schedules around. *)
+(* Fence/flush are not backend operations: OCaml atomics are already
+   sequentially consistent, so the wrapper only meters them. The scheduler
+   wrapper alone hears of them, because they are ordering points the
+   explorer schedules around. *)
 let fence t ~st:(st : Stats.t) =
   st.fences <- st.fences + 1;
-  (match t.counting with Some c -> Backend_counting.note_fence c | None -> ());
   match t.sched with Some s -> Backend_sched.fence s | None -> ()
 
 let flush t ~st:(st : Stats.t) p =
   check t p;
   st.flushes <- st.flushes + 1;
-  (match t.counting with Some c -> Backend_counting.note_flush c | None -> ());
   charge t st p `Flush;
   match t.sched with Some s -> Backend_sched.flush s p | None -> ()
 

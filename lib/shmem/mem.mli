@@ -44,7 +44,6 @@ exception
   }
 
 val fault_class_name : fault_class -> string
-val all_fault_classes : fault_class list
 
 type t
 
@@ -58,8 +57,8 @@ type backend_spec =
           device its own latency tier ([[||]] = every device at the pool's
           base tier). Atomic across domains, like [Flat]. *)
   | Counting_fast
-      (** Non-atomic plain-array backend with an exact op counter
-          ({!op_count}) — deterministic and fast, single-domain only. *)
+      (** Non-atomic plain-array backend: deterministic and fast,
+          single-domain only; metered by {!Stats} like every backend. *)
   | Faulty of { base : backend_spec; fault_spec : Backend_faulty.spec }
       (** Any of the above wrapped in seed-scheduled device-fault injection
           (see {!Backend_faulty}). *)
@@ -86,18 +85,6 @@ val device_of : t -> Pptr.t -> int
 val device_tier : t -> int -> Latency.tier
 (** Latency tier of one device. *)
 
-val op_count : t -> int option
-(** Exact number of raw word operations executed so far — [Counting_fast]
-    backend only ([None] otherwise). *)
-
-val op_breakdown : t -> Backend_counting.breakdown option
-(** Per-kind counts behind {!op_count} — loads/stores/CAS/fetch-add words
-    plus fences and flushes (counted by this wrapper; they never reach a
-    backend). [Counting_fast] backend only. *)
-
-val fault_injector : t -> Backend_faulty.t option
-(** The fault-injection wrapper, when the backend spec was [Faulty]. *)
-
 val set_fault_injection : t -> bool -> unit
 (** Arm or disarm fault injection. A [Faulty] pool starts {e disarmed} so
     formatting and client registration happen on healthy devices — arm it
@@ -109,11 +96,6 @@ val fault_injection_armed : t -> bool
 
 val injected_faults : t -> (fault_class * int) list
 (** Per-class injected-fault counts ([[]] on non-faulty backends). *)
-
-val words : t -> int
-val tier : t -> Latency.tier
-(** The pool's base tier: the cost model accesses are priced at unless their
-    device's tier differs. *)
 
 val cost_model : t -> Latency.t
 
@@ -181,5 +163,3 @@ val snapshot : t -> int array
 
 val restore : t -> int array -> unit
 (** Overwrite the arena with a {!snapshot} of identical size. *)
-
-val in_bounds : t -> Pptr.t -> bool

@@ -3,9 +3,9 @@
     The paper's target topology (Fig 1) is a *pool* of CXL devices behind a
     switch, not one flat device. A backend owns the actual word storage of
     the simulated pool and decides how global word addresses map onto
-    devices; the {!Mem} wrapper layers bounds checking, byte packing and
-    {!Stats} attribution on top, so a backend only implements raw word
-    transport plus the address→device map.
+    devices; the {!Mem} wrapper layers bounds checking, bulk and byte
+    operations, fences, flushes and {!Stats} attribution on top, so a
+    backend only implements raw word transport plus the address→device map.
 
     Backend contract:
 
@@ -14,16 +14,10 @@
     - [load]/[store]/[cas]/[fetch_add] must be atomic across OCaml domains,
       unless the backend documents itself single-domain
       (see {!Backend_counting});
-    - [blit] must behave like [memmove]: overlapping ranges copy correctly
-      in either direction;
     - [snapshot]/[restore] use *global* (pool) address order regardless of
       how the backend scatters words across devices, so pool images are
       portable between backends — recovery and {!Mem.Wild_pointer}
-      semantics are identical on every backend;
-    - [fence]/[flush] order/write back stores on a real (mmap) backend; the
-      in-memory simulation backends treat them as no-ops because OCaml
-      atomics are already sequentially consistent — {!Mem} still counts
-      them for the cost model. *)
+      semantics are identical on every backend. *)
 
 module type S = sig
   type t
@@ -49,14 +43,6 @@ module type S = sig
   val store : t -> int -> int -> unit
   val cas : t -> int -> expected:int -> desired:int -> bool
   val fetch_add : t -> int -> int -> int
-  val fence : t -> unit
-  val flush : t -> int -> unit
-
-  (** {2 Bulk operations} *)
-
-  val fill : t -> pos:int -> len:int -> int -> unit
-  val blit : t -> src:int -> dst:int -> len:int -> unit
-  (** [memmove] semantics: overlapping ranges must copy correctly. *)
 
   (** {2 Durable image} *)
 

@@ -7,9 +7,4 @@ let of_word_offset off =
   if off < 0 then invalid_arg "Pptr.of_word_offset: negative offset";
   off
 
-let to_word_offset p = p
 let add p n = p + n
-
-let pp ppf p =
-  if is_null p then Format.pp_print_string ppf "<null>"
-  else Format.fprintf ppf "@%d" p

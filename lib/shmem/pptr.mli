@@ -10,9 +10,6 @@ type t = int
 val null : t
 val is_null : t -> bool
 val of_word_offset : int -> t
-val to_word_offset : t -> int
 
 val add : t -> int -> t
 (** Pointer arithmetic in words. *)
-
-val pp : Format.formatter -> t -> unit

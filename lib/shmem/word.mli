@@ -20,8 +20,5 @@ val set : field -> int -> int -> int
 (** [set f w v] returns [w] with field [f] replaced by [v]. Raises
     [Invalid_argument] if [v] does not fit in the field. *)
 
-val fits : field -> int -> bool
-(** [fits f v] is true when [v] can be stored in field [f]. *)
-
 val max_value : field -> int
 (** Largest value representable by the field. *)

@@ -4,7 +4,7 @@
     uncounted 63-bit words (typically process-independent pointers whose
     lifetime is managed elsewhere). Used as the communication channel of the
     inter-thread baseline in Fig 8 ("pure SPSC reference exchange") and by
-    the RPC layer for completion notifications.
+    the model checker's [spsc] scenario.
 
     Lamport's classic algorithm: the producer owns [tail], the consumer owns
     [head]; both are plain word slots in the shared arena, so two domains on

@@ -59,7 +59,7 @@ let test_runner_serial_adds () =
   Alcotest.(check (float 1.0)) "parallel + serial"
     (60.0 *. model.Latency.rand_ns) r.Runner.modeled_ns
 
-let test_workload_op_counts () =
+let test_workload_counts () =
   (* the ops the accounting claims must equal the alloc+free calls made *)
   let allocs = ref 0 and frees = ref 0 in
   Workloads.threadtest
@@ -182,7 +182,7 @@ let suite =
     Alcotest.test_case "cell formatting" `Quick test_cell_formatting;
     Alcotest.test_case "runner modeled max" `Quick test_runner_modeled_max;
     Alcotest.test_case "runner serial adds" `Quick test_runner_serial_adds;
-    Alcotest.test_case "workload op counts" `Quick test_workload_op_counts;
+    Alcotest.test_case "workload op counts" `Quick test_workload_counts;
     Alcotest.test_case "record round trip" `Quick test_record_round_trip;
     Alcotest.test_case "gate: pct > 5.0" `Quick test_pct_above_budget;
     Alcotest.test_case "gate: fan-in pct > 5.0" `Quick test_kops_drop_past_budget;

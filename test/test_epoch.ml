@@ -3,6 +3,7 @@
 
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
+module Stats = Cxlshm_shmem.Stats
 module Cxl_kv = Cxlshm_kv.Cxl_kv
 
 let epoch_cfg ?(batch = 2) () = { Config.small with Config.epoch_batch = batch }
@@ -87,15 +88,12 @@ let test_fence_per_batch () =
   for _ = 1 to 2 * batch do
     Cxl_ref.drop (Shm.cxl_malloc a ~size_bytes:32 ())
   done;
-  let mem = Shm.mem arena in
-  let b0 = Option.get (Mem.op_breakdown mem) in
+  let f0 = a.Ctx.st.Stats.fences in
   let rounds = 4 * batch in
   for _ = 1 to rounds do
     Cxl_ref.drop (Shm.cxl_malloc a ~size_bytes:32 ())
   done;
-  let b1 = Option.get (Mem.op_breakdown mem) in
-  let fences = b1.Cxlshm_shmem.Backend_counting.fences
-               - b0.Cxlshm_shmem.Backend_counting.fences in
+  let fences = a.Ctx.st.Stats.fences - f0 in
   Alcotest.(check int) "one fence per retirement batch" (rounds / batch)
     fences
 

@@ -387,16 +387,49 @@ let test_striped_roundtrip () =
 let test_counting_backend () =
   let m = Mem.create ~backend:Mem.Counting_fast ~words:32 () in
   let s = st () and l = Lines.create () in
-  Alcotest.(check (option int)) "fresh count" (Some 0) (Mem.op_count m);
+  Alcotest.(check int) "fresh count" 0 (Stats.total_accesses s);
   Mem.store m ~st:s ~lines:l 4 9;
   Alcotest.(check int) "load back" 9 (Mem.load m ~st:s ~lines:l 4);
   Alcotest.(check bool) "cas ok" true (Mem.cas m ~st:s ~lines:l 4 ~expected:9 ~desired:2);
   Alcotest.(check bool) "cas stale" false
     (Mem.cas m ~st:s ~lines:l 4 ~expected:9 ~desired:3);
   Alcotest.(check int) "fetch_add prev" 2 (Mem.fetch_add m ~st:s ~lines:l 4 5);
-  Alcotest.(check (option int)) "exactly 5 raw ops" (Some 5) (Mem.op_count m);
-  Alcotest.(check (option int)) "flat has no op count" None
-    (Mem.op_count (Mem.create ~words:8 ()))
+  Alcotest.(check int) "exactly 5 accesses" 5 (Stats.total_accesses s)
+
+(* Backends keep no meter of their own, so every word the wrapper moves
+   must reach Stats: bulk and byte operations count one access per word
+   they touch, fences and flushes one each, on every backend. *)
+let test_bulk_ops_metered () =
+  let n = 10 and len = 20 in
+  List.iter
+    (fun (label, backend) ->
+      let m = Mem.create ~backend ~words:256 () in
+      let s = st () and l = Lines.create () in
+      let check what want f =
+        let before = Stats.copy s in
+        f ();
+        Alcotest.(check int) (label ^ ": " ^ what) want
+          (Stats.total_accesses (Stats.diff s before))
+      in
+      check "fill" n (fun () -> Mem.fill m ~st:s ~lines:l 8 ~len:n 7);
+      check "blit" (2 * n) (fun () ->
+          Mem.blit m ~st:s ~lines:l ~src:8 ~dst:100 ~len:n);
+      check "write_bytes" (Mem.bytes_words len) (fun () ->
+          Mem.write_bytes m ~st:s ~lines:l 150 (Bytes.make len 'x'));
+      check "read_bytes" (Mem.bytes_words len) (fun () ->
+          ignore (Mem.read_bytes m ~st:s ~lines:l 150 ~len));
+      let f0 = s.Stats.fences and fl0 = s.Stats.flushes in
+      Mem.fence m ~st:s;
+      Mem.flush m ~st:s 8;
+      Alcotest.(check int) (label ^ ": fence") (f0 + 1) s.Stats.fences;
+      Alcotest.(check int) (label ^ ": flush") (fl0 + 1) s.Stats.flushes)
+    [
+      ("flat", Mem.Flat);
+      ( "striped",
+        Mem.Striped { devices = 4; stripe_words = 16; tiers = [||] } );
+      ("counting", Mem.Counting_fast);
+      ("sched", Mem.Sched Mem.Flat);
+    ]
 
 let test_xdev_latency () =
   (* 2 devices, stripe 8 words: even stripes (addresses 0-7, 16-23, ...) on
@@ -579,6 +612,8 @@ let suite =
     Alcotest.test_case "lines reset" `Quick test_lines_reset;
     Alcotest.test_case "striped backend roundtrip" `Quick test_striped_roundtrip;
     Alcotest.test_case "counting backend" `Quick test_counting_backend;
+    Alcotest.test_case "bulk ops metered on every backend" `Quick
+      test_bulk_ops_metered;
     Alcotest.test_case "cross-device latency" `Quick test_xdev_latency;
     Alcotest.test_case "latency table1" `Quick test_latency_table1;
     Alcotest.test_case "modeled time monotone" `Quick test_modeled_time_monotone;

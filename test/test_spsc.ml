@@ -88,16 +88,14 @@ let test_batch_fifo_partial () =
   Alcotest.(check (list int)) "max 0" [] (Spsc.try_pop_n q ~st ~lines ~max:0)
 
 (* The point of the batch entry points: one fence and one index store
-   publish the whole batch. The counting backend sees the raw protocol
+   publish the whole batch. The queue's own Stats see the raw protocol
    (no Refc noise), so the fence count per batch must be exactly 1 on
    each side, however many values move. *)
 let test_batch_single_fence () =
   let mem = Mem.create ~backend:Mem.Counting_fast ~words:64 () in
   let st = Stats.create () and lines = Lines.create () in
   let q = Spsc.create mem ~st ~lines ~base:8 ~capacity:8 in
-  let fences () =
-    (Option.get (Mem.op_breakdown mem)).Backend_counting.fences
-  in
+  let fences () = st.Stats.fences in
   let before = fences () in
   Alcotest.(check int) "pushed six" 6
     (Spsc.try_push_n q ~st ~lines [ 1; 2; 3; 4; 5; 6 ]);
