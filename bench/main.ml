@@ -1891,7 +1891,8 @@ let bench_fastpath () =
   (* limbo: a single writer COW-updates [limbo_keys] keys round-robin and
      quiesces every [limbo_quiesce_every] updates; each call's modeled ns
      is priced on its own, so the worst call shows whether one reclamation
-     pass frees a backlog at once *)
+     pass frees a backlog at once. CAS and fetch-add per update counts the
+     atomics, hits included, over the whole loop. *)
   let limbo_updates = 4_096 and limbo_keys = 1_024 in
   let limbo_quiesce_every = 256 in
   let measure_limbo () =
@@ -1912,12 +1913,17 @@ let bench_fastpath () =
       total := !total +. ns;
       worst := Float.max !worst ns
     in
+    let loop0 = Stats.copy w.Ctx.st in
     for i = 1 to limbo_updates do
       call (fun () -> Kv.Cxl_kv.put_cow h ~key:(i mod limbo_keys) ~value:i);
       if i mod limbo_quiesce_every = 0 then
         call (fun () -> Kv.Cxl_kv.quiesce h)
     done;
-    (!total /. float_of_int limbo_updates, !worst)
+    let d = Stats.diff w.Ctx.st loop0 in
+    let per c = c /. float_of_int limbo_updates in
+    ( per !total,
+      !worst,
+      per (float_of_int (d.Stats.cas_ops + d.Stats.cas_hit_ops)) )
   in
   (* kv_chain: one client preloads [chain_keys] keys into as many buckets,
      not a power of two, so collision chains form, and the preload's
@@ -2067,7 +2073,7 @@ let bench_fastpath () =
   let bw_ep, bf_ep, bns_ep =
     measure_transfer ~epoch:true ~cache:true ~batched:true ()
   in
-  let limbo_ns, limbo_max_ns = measure_limbo () in
+  let limbo_ns, limbo_max_ns, limbo_cas = measure_limbo () in
   let rj_words, rj_rand, rj_ns = measure_rejoin () in
   let retire_ns, retire_max_ns = measure_retire () in
   let handle_acc, handle_ns, handle_after_era = measure_handle () in
@@ -2107,8 +2113,10 @@ let bench_fastpath () =
     af_on af_ep tf_on tf_ep;
   Printf.printf
     "limbo: %d COW updates on %d keys, quiesce every %d: %.2f modeled \
-     ns/update (quiesces included), largest single call %.2f ns\n"
-    limbo_updates limbo_keys limbo_quiesce_every limbo_ns limbo_max_ns;
+     ns/update (quiesces included), largest single call %.2f ns, %.3f \
+     CAS+fetch-add/update\n"
+    limbo_updates limbo_keys limbo_quiesce_every limbo_ns limbo_max_ns
+    limbo_cas;
   Printf.printf
     "rejoin: a successor to a crashed client owning %d of %d segments \
      allocates its first RootRef in %d words (%d random), %.2f modeled ns\n"
@@ -2180,6 +2188,10 @@ let bench_fastpath () =
              limbo_ns;
            r "limbo.max_call_ns" ~unit:"ns" Lower ~decimals:2 ~bound:4000.
              limbo_max_ns;
+           (* Parks stamp with a load and a release with no reader pinning
+              advances nothing, so no update fetch-adds the epoch word. *)
+           r "limbo.cas_per_update" ~unit:"ops/update" Lower ~decimals:3
+             ~budget_pct:0. limbo_cas;
            count "rejoin.segments" rejoin_segments;
            count "rejoin.owned" rejoin_owned;
            r "rejoin.words" ~unit:"words" Lower ~decimals:0

@@ -582,7 +582,12 @@ let kv_serve ?(park_release = false) ?(move = false) () : Explore.model =
       for _ = 3 to Layout.limbo_row_entries do
         Kv.put_cow hw ~key:0 ~value:100
       done;
-      Kv.put_cow hw ~key:1 ~value:101
+      Kv.put_cow hw ~key:1 ~value:101;
+      (* Parks stamp with the current epoch, so without an advance the
+         reader would announce the set-up stamps and pin them all. One
+         advance, as a release that kept a pinned entry makes, puts them
+         behind every announcement of the run. *)
+      Hazard.advance w
     end;
     let hr = Kv.open_store r store in
     (* every record visited during the run becomes a schedule point, so
@@ -590,10 +595,12 @@ let kv_serve ?(park_release = false) ?(move = false) () : Explore.model =
        retire/quiesce/reuse sequence *)
     Kv.walk_hook := (fun () -> Sched.yield "kv-walk");
     let observed = ref None in
+    let kept = ref None in
     let writer () =
       (* COW-update the key: the displaced record is parked behind a
          counted ref, stamped with the retire epoch *)
       Kv.put_cow hw ~key ~value:new_v;
+      kept := Some (Kv.deferred_count hw);
       (* reclamation pass: must defer the parked record while the
          reader's era announcement pins it *)
       if not park_release then Kv.quiesce hw;
@@ -614,6 +621,12 @@ let kv_serve ?(park_release = false) ?(move = false) () : Explore.model =
           fail "%s: reader observed 0x%x (read of a freed record)" name v
       | Some None -> fail "%s: reader lost key %d mid-walk" name key
       | Some (Some _) | None -> ());
+      (* every announcement of the run is past the set-up stamps, so the
+         row-filling release may keep only the in-run park *)
+      (match !kept with
+      | Some n when park_release && n > 1 ->
+          fail "%s: the row-filling release kept %d parks" name n
+      | Some _ | None -> ());
       if not (List.mem 0 crashed) then begin
         Kv.quiesce hw;
         Kv.close hw

@@ -74,8 +74,10 @@ val kv_serve : ?park_release:bool -> ?move:bool -> unit -> Explore.model
 
     [~park_release:true] (model name ["kv-serve-park"]) makes the
     reclamation pass the bounded release inside the writer's [put_cow]:
-    the set-up parks one record short of a limbo row, and the writer calls
-    no [quiesce] before reusing the size class.
+    the set-up parks one record short of a limbo row and advances the
+    epoch past their stamps, and the writer calls no [quiesce] before
+    reusing the size class. The check fails if that release keeps more
+    than the in-run park.
 
     [~move:true] (model name ["kv-serve-move"]) updates key 0, second in
     its chain, so the writer's [put_cow] moves it to the head and parks

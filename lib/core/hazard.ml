@@ -13,7 +13,8 @@ let with_protection ctx f =
   enter ctx;
   Fun.protect ~finally:(fun () -> exit ctx) f
 
-let retire_epoch (ctx : Ctx.t) = Ctx.fetch_add ctx (epoch_addr ctx) 1 + 1
+let retire_epoch (ctx : Ctx.t) = Ctx.load ctx (epoch_addr ctx)
+let advance (ctx : Ctx.t) = ignore (Ctx.fetch_add ctx (epoch_addr ctx) 1)
 
 let min_announced (ctx : Ctx.t) =
   let m = (Ctx.cfg ctx).Config.max_clients in

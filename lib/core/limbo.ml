@@ -16,6 +16,7 @@ type t = {
 let mutation_unconditional_quiesce = ref false
 let mutation_crash_reap = ref false
 let mutation_volatile_park = ref false
+let mutation_no_advance = ref false
 
 let create ctx =
   { ctx; rows = []; free = []; parked = Queue.create (); parks = 0 }
@@ -50,7 +51,7 @@ let add_row t r =
         match Ctx.load t.ctx (stamp_word t.ctx r k) with
         | s when s = pending ->
             (* The owner died between commit and stamp; any unlink it made
-               happened before this fresh stamp. *)
+               happened before this load. *)
             let s = Hazard.retire_epoch t.ctx in
             Ctx.store t.ctx (stamp_word t.ctx r k) s;
             s
@@ -96,6 +97,13 @@ let release_spare_rows t =
     t.free <- List.filter (fun (row, _) -> not (List.memq row gone)) t.free
   end
 
+(* Stamps are loads, so a reader that announces after an unlink may
+   announce the stamp itself and pin the entry. When an announcement pins
+   what a scan keeps, one advance makes every later announcement pass
+   it. *)
+let advance_if_pinned ctx pinned =
+  if pinned && not !mutation_no_advance then Hazard.advance ctx
+
 (* §5.4: release up to [max] of the oldest entries every announced reader
    era has passed; the entries kept stay in order. *)
 let release_passed t ~max =
@@ -114,6 +122,7 @@ let release_passed t ~max =
     end
     else Queue.push e kept
   done;
+  advance_if_pinned t.ctx (not (Queue.is_empty kept));
   (* the kept entries, then the ones the bound left unvisited *)
   Queue.transfer t.parked kept;
   Queue.transfer kept t.parked
@@ -155,8 +164,8 @@ let park t pref ~unlink =
       end;
       Ctx.crash_point t.ctx Fault.Park_after_append;
       unlink ();
-      (* Stamped after the unlink: a reader announced later cannot reach
-         the object, whichever writer advanced the epoch meanwhile. *)
+      (* Stamped after the unlink: every reader that can still reach the
+         object announced this epoch or an older one. *)
       let stamp = Hazard.retire_epoch t.ctx in
       if persist then Ctx.store t.ctx (stamp_word t.ctx row.idx k) stamp;
       Queue.push (stamp, row, k, pref) t.parked;
@@ -279,17 +288,21 @@ let peek_entries mem lay ~owner =
           (entries ~read:peek lay r))
     (List.init (Layout.limbo_rows lay) Fun.id)
 
-(* A pending stamp counts as drainable: the drain's adoption re-stamps it. *)
+(* A pending stamp counts as drainable: the drain's adoption re-stamps it.
+   When every orphaned entry is pinned, the probe advances the epoch; a
+   drain that adopts leaves that to its own quiesce. *)
 let drain (probe : Ctx.t) =
   let drainable () =
     let safe = Hazard.min_announced probe in
-    let found = ref false in
+    let found = ref false and pinned = ref false in
     orphaned_rows probe (fun r ->
         List.iter
           (fun (k, _) ->
             let stamp = Ctx.load probe (stamp_word probe r k) in
-            if stamp < safe || stamp = pending then found := true)
+            if stamp < safe || stamp = pending then found := true
+            else pinned := true)
           (live_entries probe r));
+    advance_if_pinned probe (!pinned && not !found);
     !found
   in
   if Ctx.load probe (orphans probe) <= 0 || not (drainable ()) then 0

@@ -39,7 +39,8 @@ val reserve : t -> int -> unit
 val park : t -> Cxl_ref.t -> unlink:(unit -> unit) -> unit
 (** Park a counted reference on the object [unlink] makes unreachable: a
     pending stamp is written and fenced, the rr word commits the entry,
-    [unlink] runs, then the entry is stamped ({!Hazard.retire_epoch}).
+    [unlink] runs, then the entry is stamped with the current epoch
+    ({!Hazard.retire_epoch}, a load, not an advance).
     The reference is held across the unlink, so the object never drops to
     count zero under a reader. A crash before the stamp leaves a pending
     entry that pins until its adopter re-stamps it. Pass [~unlink:ignore]
@@ -48,7 +49,10 @@ val park : t -> Cxl_ref.t -> unlink:(unit -> unit) -> unit
     Every {!Layout.limbo_row_entries}-th park of the handle then reads
     {!Hazard.min_announced} once and releases up to
     [2 * Layout.limbo_row_entries] of the oldest entries all announced
-    eras have passed, exactly as {!quiesce} would. *)
+    eras have passed, exactly as {!quiesce} would. Every release that
+    keeps an entry an announcement pins advances the epoch once
+    ({!Hazard.advance}), so a reader that announces later does not pin
+    it. *)
 
 val quiesce : t -> unit
 (** Release every parked reference whose stamp all announced eras have
@@ -88,8 +92,9 @@ val holders : Ctx.t -> (Cxlshm_shmem.Pptr.t, unit) Hashtbl.t
 val drain : Ctx.t -> int
 (** The leak scan's step: when an orphaned entry is past every announced
     era, a short-lived client joins, adopts the orphaned rows, releases
-    what no era pins, orphans the rest again and leaves. The context only
-    reads. Returns the records released. *)
+    what no era pins, orphans the rest again and leaves. When an
+    announcement pins every orphaned entry, the context advances the
+    epoch once and otherwise only reads. Returns the records released. *)
 
 val peek_entries :
   Cxlshm_shmem.Mem.t -> Layout.t -> owner:int -> (Cxlshm_shmem.Pptr.t * int) list
@@ -109,3 +114,7 @@ val mutation_crash_reap : bool ref
 val mutation_volatile_park : bool ref
 (** {!park} keeps entries volatile-only, as [Broadcast_log]'s historical
     parked list did ([bcast-volatile-park]). *)
+
+val mutation_no_advance : bool ref
+(** Releases and {!drain} never advance the epoch, so a reader that
+    re-announces around every park pins every entry (test-only). *)

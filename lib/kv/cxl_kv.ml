@@ -165,12 +165,15 @@ let prepend h ~key ~value =
   Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:head ~to_obj:fresh;
   Reclaim.release_rootref h.ctx rr
 
+(* The writer paths run unannounced. One writer owns each chain, and its
+   limbo frees only records it unlinked in earlier operations, which no
+   walk it starts later can reach; an announcement would only pin its own
+   newest stamps. *)
 let put h ~key ~value =
   check_writer h key;
-  Hazard.with_protection h.ctx (fun () ->
-      match find h key with
-      | Some r -> write_value h r value
-      | None -> prepend h ~key ~value)
+  match find h key with
+  | Some r -> write_value h r value
+  | None -> prepend h ~key ~value
 
 let mutation_release_moved = ref false
 
@@ -186,80 +189,76 @@ let mutation_release_moved = ref false
 let put_cow h ~key ~value =
   check_writer h key;
   Limbo.reserve h.limbo 1;
-  Hazard.with_protection h.ctx (fun () ->
-      match find_slot h key with
-      | None -> prepend h ~key ~value
-      | Some { pslot; prev; slot; r = old } ->
-          let rr, fresh = fresh_record h ~key ~value in
-          let park unlink =
-            Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink
-          in
-          let link_successor r =
-            let next = Ctx.load h.ctx (rec_next old) in
-            if next <> 0 then
-              Refc.attach h.ctx ~ref_addr:(rec_next r) ~refed:next
-          in
-          if prev = 0 then
-            park (fun () ->
-                link_successor fresh;
-                Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:old ~to_obj:fresh)
-          else begin
-            let crr, copy = alloc_record h in
-            for i = 0 to h.store.value_words do
-              Ctx.store h.ctx (rec_key copy + i)
-                (Ctx.load h.ctx (rec_key prev + i))
-            done;
-            link_successor copy;
-            Refc.swap h.ctx ~ref_addr:(rec_next fresh) ~rr:crr ~from_obj:0
-              ~to_obj:copy;
-            Alloc.free_rootref h.ctx crr;
-            let publish () =
-              Refc.swap h.ctx ~ref_addr:pslot ~rr ~from_obj:prev ~to_obj:fresh
-            in
-            if !mutation_release_moved then begin
-              publish ();
-              Reclaim.release_rootref h.ctx rr
-            end
-            else park publish
-          end)
+  match find_slot h key with
+  | None -> prepend h ~key ~value
+  | Some { pslot; prev; slot; r = old } ->
+      let rr, fresh = fresh_record h ~key ~value in
+      let park unlink =
+        Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink
+      in
+      let link_successor r =
+        let next = Ctx.load h.ctx (rec_next old) in
+        if next <> 0 then Refc.attach h.ctx ~ref_addr:(rec_next r) ~refed:next
+      in
+      if prev = 0 then
+        park (fun () ->
+            link_successor fresh;
+            Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:old ~to_obj:fresh)
+      else begin
+        let crr, copy = alloc_record h in
+        for i = 0 to h.store.value_words do
+          Ctx.store h.ctx (rec_key copy + i) (Ctx.load h.ctx (rec_key prev + i))
+        done;
+        link_successor copy;
+        Refc.swap h.ctx ~ref_addr:(rec_next fresh) ~rr:crr ~from_obj:0
+          ~to_obj:copy;
+        Alloc.free_rootref h.ctx crr;
+        let publish () =
+          Refc.swap h.ctx ~ref_addr:pslot ~rr ~from_obj:prev ~to_obj:fresh
+        in
+        if !mutation_release_moved then begin
+          publish ();
+          Reclaim.release_rootref h.ctx rr
+        end
+        else park publish
+      end
 
 let rmw h ~key ~delta =
   check_writer h key;
-  Hazard.with_protection h.ctx (fun () ->
-      match find h key with
-      | Some r ->
-          let old = Ctx.load h.ctx (rec_val r 0) in
-          write_value h r (old + delta);
-          Some old
-      | None ->
-          prepend h ~key ~value:delta;
-          None)
+  match find h key with
+  | Some r ->
+      let old = Ctx.load h.ctx (rec_val r 0) in
+      write_value h r (old + delta);
+      Some old
+  | None ->
+      prepend h ~key ~value:delta;
+      None
 
 let delete h ~key =
   check_writer h key;
   Limbo.reserve h.limbo 1;
-  Hazard.with_protection h.ctx (fun () ->
-      match find_slot h key with
-      | None -> false
-      | Some { slot; r; _ } ->
-          (* The park reference takes a count on the successor first; the
-             swap then trades it for the predecessor's count on [r]. *)
-          let next = Ctx.load h.ctx (rec_next r) in
-          let rr = Alloc.alloc_rootref h.ctx in
-          if next <> 0 then
-            Refc.attach h.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:next;
-          Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink:(fun () ->
-              Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:r ~to_obj:next);
-          true)
+  match find_slot h key with
+  | None -> false
+  | Some { slot; r; _ } ->
+      (* The park reference takes a count on the successor first; the
+         swap then trades it for the predecessor's count on [r]. *)
+      let next = Ctx.load h.ctx (rec_next r) in
+      let rr = Alloc.alloc_rootref h.ctx in
+      if next <> 0 then
+        Refc.attach h.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:next;
+      Limbo.park h.limbo (Cxl_ref.of_rootref h.ctx rr) ~unlink:(fun () ->
+          Refc.swap h.ctx ~ref_addr:slot ~rr ~from_obj:r ~to_obj:next);
+      true
 
 (* ------------------------------------------------------------------ *)
 (* Shard handoff (planned leave): the departing writer's parked records
    ride the §5.2 batched transfer queue to a successor, which re-parks
    them under its own identity. Reader protection survives the handoff:
    the queue slot holds a counted reference for the flight, and the
-   adopter re-stamps with a fresh (larger) retire epoch, so no reader
-   protected against the original retirement can be exposed. A partial
-   send keeps the retained suffix parked here with its original stamps. *)
+   adopter re-stamps with the current retire epoch, never an older one,
+   so no reader protected against the original retirement can be
+   exposed. A partial send keeps the retained suffix parked here with its
+   original stamps. *)
 
 let handoff_deferred h q =
   Limbo.hand_off h.limbo (fun prefs -> fst (Transfer.send_batch q prefs))

@@ -9,10 +9,13 @@
     repartitioning without data movement, because the data never moves.
 
     Record reclamation after delete/COW is deferred under the hazard-era
-    scheme (§5.4, {!Cxlshm.Hazard}): every traversal announces an era,
+    scheme (§5.4, {!Cxlshm.Hazard}): every reader walk announces an era,
     every displaced record is parked behind a counted reference with a
     retire-epoch stamp, and only records whose stamp every announced
-    reader has moved past are recycled — a bounded batch by every
+    reader has moved past are recycled. The writer paths ({!put},
+    {!put_cow}, {!rmw}, {!delete}) run unannounced: one writer owns each
+    chain, and its releases free only records it unlinked in earlier
+    operations, which its later walks cannot reach — a bounded batch by every
     row-filling park, the rest by {!quiesce}. A displaced record keeps
     its next-link until it is actually reclaimed, so a reader paused on it
     still reaches the live chain tail. Concurrent readers may transiently
@@ -148,7 +151,7 @@ val handoff_deferred : handle -> Cxlshm.Transfer.t -> int
 val adopt_deferred : handle -> Cxlshm.Transfer.t -> max:int -> int
 (** Successor side of {!handoff_deferred}: consume up to [max] parked
     records from the queue and re-park them under this handle with a fresh
-    retire stamp (conservatively later than the original, so reader
+    retire stamp (the current epoch, never below the original, so reader
     protection survives the handoff). Returns how many were adopted. *)
 
 val adopt_recovered : handle -> int

@@ -70,11 +70,14 @@ let writer_kill_adopt ?(steps = 200) ~seed () =
      (era-pinned): the quiesce below starts freeing batch A and dies at
      the first free, leaving its limbo rows holding the rest. The
      successor's era holds batch A until that quiesce, so the bounded
-     release of a row-filling park cannot free it first. *)
+     release of a row-filling park cannot free it first. A quiesce between
+     the batches keeps batch A and so advances the epoch: the reader
+     announces past batch A's stamps. *)
   Hazard.enter s;
   for k = 0 to (keys / 2) - 1 do
     Cxl_kv.put_cow hw ~key:k ~value:(3000 + k)
   done;
+  Cxl_kv.quiesce hw;
   Hazard.enter r;
   for k = keys / 2 to keys - 1 do
     Cxl_kv.put_cow hw ~key:k ~value:(4000 + k)

@@ -36,8 +36,10 @@ let close t =
   Limbo.close t.limbo;
   Cxl_ref.drop t.head
 
-(* Find the rightmost node with key < [key]; returns (pred, succ). The
-   caller holds hazard protection. *)
+(* Find the rightmost node with key < [key]; returns (pred, succ). A
+   reader's caller holds hazard protection; the writer's walks run
+   unannounced, because its limbo frees only nodes it unlinked in earlier
+   operations, which no later walk can reach. *)
 let locate t ~key =
   let rec go pred =
     let succ = Ctx.load t.ctx (node_next pred) in
@@ -74,51 +76,48 @@ let splice t ~pred ~succ ~key ~value =
   Reclaim.release_rootref t.ctx rr
 
 let insert t ~key ~value =
-  Hazard.with_protection t.ctx (fun () ->
-      let pred, succ = locate t ~key in
-      if succ <> 0 && node_key t.ctx succ = key then false
-      else begin
-        splice t ~pred ~succ ~key ~value;
-        true
-      end)
+  let pred, succ = locate t ~key in
+  if succ <> 0 && node_key t.ctx succ = key then false
+  else begin
+    splice t ~pred ~succ ~key ~value;
+    true
+  end
 
 let replace t ~key ~value =
   Limbo.reserve t.limbo 1;
-  Hazard.with_protection t.ctx (fun () ->
-      let pred, succ = locate t ~key in
-      if succ <> 0 && node_key t.ctx succ = key then begin
-        (* Out-of-place replace, so readers never see a torn value: the
-           new node's allocation RootRef is parked and the swap hands it
-           the old node's count. The old node keeps its next link until it
-           is released, so a reader paused on it still reaches the tail. *)
-        let rr, node = alloc_node t ~key ~value in
-        let after = Ctx.load t.ctx (node_next succ) in
-        if after <> 0 then
-          Refc.attach t.ctx ~ref_addr:(node_next node) ~refed:after;
-        Limbo.park t.limbo (Cxl_ref.of_rootref t.ctx rr) ~unlink:(fun () ->
-            Refc.swap t.ctx ~ref_addr:(node_next pred) ~rr ~from_obj:succ
-              ~to_obj:node)
-      end
-      else splice t ~pred ~succ ~key ~value)
+  let pred, succ = locate t ~key in
+  if succ <> 0 && node_key t.ctx succ = key then begin
+    (* Out-of-place replace, so readers never see a torn value: the
+       new node's allocation RootRef is parked and the swap hands it
+       the old node's count. The old node keeps its next link until it
+       is released, so a reader paused on it still reaches the tail. *)
+    let rr, node = alloc_node t ~key ~value in
+    let after = Ctx.load t.ctx (node_next succ) in
+    if after <> 0 then
+      Refc.attach t.ctx ~ref_addr:(node_next node) ~refed:after;
+    Limbo.park t.limbo (Cxl_ref.of_rootref t.ctx rr) ~unlink:(fun () ->
+        Refc.swap t.ctx ~ref_addr:(node_next pred) ~rr ~from_obj:succ
+          ~to_obj:node)
+  end
+  else splice t ~pred ~succ ~key ~value
 
 let delete t ~key =
   Limbo.reserve t.limbo 1;
-  Hazard.with_protection t.ctx (fun () ->
-      let pred, succ = locate t ~key in
-      if succ = 0 || node_key t.ctx succ <> key then false
-      else begin
-        (* The park RootRef takes a count on the successor first (none at
-           the tail); the swap then trades it for [pred]'s count on the
-           node. *)
-        let after = Ctx.load t.ctx (node_next succ) in
-        let rr = Alloc.alloc_rootref t.ctx in
-        if after <> 0 then
-          Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:after;
-        Limbo.park t.limbo (Cxl_ref.of_rootref t.ctx rr) ~unlink:(fun () ->
-            Refc.swap t.ctx ~ref_addr:(node_next pred) ~rr ~from_obj:succ
-              ~to_obj:after);
-        true
-      end)
+  let pred, succ = locate t ~key in
+  if succ = 0 || node_key t.ctx succ <> key then false
+  else begin
+    (* The park RootRef takes a count on the successor first (none at
+       the tail); the swap then trades it for [pred]'s count on the
+       node. *)
+    let after = Ctx.load t.ctx (node_next succ) in
+    let rr = Alloc.alloc_rootref t.ctx in
+    if after <> 0 then
+      Refc.attach t.ctx ~ref_addr:(Rootref.pptr_slot rr) ~refed:after;
+    Limbo.park t.limbo (Cxl_ref.of_rootref t.ctx rr) ~unlink:(fun () ->
+        Refc.swap t.ctx ~ref_addr:(node_next pred) ~rr ~from_obj:succ
+          ~to_obj:after);
+    true
+  end
 
 let find t ~key =
   Hazard.with_protection t.ctx (fun () ->

@@ -8,10 +8,12 @@
     consistent list. Single writer, any number of readers; ordered
     iteration and range queries come for free.
 
-    Like CXL-KV, every walk holds hazard protection, and a node the writer
-    unlinks is parked in the {!Cxlshm.Limbo} until every announced reader
-    era has passed it, so a reader paused on it never steps on recycled
-    memory. *)
+    Like CXL-KV, every reader walk holds hazard protection, and a node the
+    writer unlinks is parked in the {!Cxlshm.Limbo} until every announced
+    reader era has passed it, so a reader paused on it never steps on
+    recycled memory. The writer's own walks ({!insert}, {!replace},
+    {!delete}) run unannounced: its releases free only nodes it unlinked
+    in earlier operations, which a later walk cannot reach. *)
 
 type t
 

@@ -489,6 +489,9 @@ let limbo_snapshot arena ~owner =
 
 let registry_snapshot arena cid = limbo_snapshot arena ~owner:(cid + 1)
 
+let record_key arena r =
+  Mem.unsafe_peek (Shm.mem arena) (Obj_header.data_of_obj r + 1)
+
 let orphaned arena =
   List.length (limbo_snapshot arena ~owner:Layout.limbo_orphaned)
 
@@ -857,16 +860,25 @@ let test_partial_handoff_era_pinned () =
   let after = registry_snapshot arena a.Ctx.cid in
   Alcotest.(check int) "registry matches the suffix" (10 - sent)
     (List.length after);
-  (* oldest first: the records sent are older than every one retained *)
-  let sent_stamps =
-    List.filter_map
-      (fun (obj, stamp) -> if List.mem_assoc obj after then None else Some stamp)
-      before
+  (* oldest first: key k's old record was the k-th parked, so the records
+     sent are keys [0, sent) and the ones retained the rest *)
+  let keys_of l =
+    List.sort compare (List.map (fun (obj, _) -> record_key arena obj) l)
   in
-  Alcotest.(check bool) "the oldest records were sent" true
-    (List.for_all
-       (fun (_, stamp) -> List.for_all (fun s -> s < stamp) sent_stamps)
-       after);
+  let sent_recs =
+    List.filter (fun (obj, _) -> not (List.mem_assoc obj after)) before
+  in
+  Alcotest.(check (list int)) "the oldest records were sent"
+    (List.init sent Fun.id) (keys_of sent_recs);
+  Alcotest.(check (list int)) "the youngest records were retained"
+    (List.init (10 - sent) (fun i -> sent + i)) (keys_of after);
+  let by_park_order =
+    List.map snd
+      (List.sort compare
+         (List.map (fun (obj, stamp) -> (record_key arena obj, stamp)) before))
+  in
+  Alcotest.(check bool) "stamps never fall in park order" true
+    (by_park_order = List.sort compare by_park_order);
   List.iter
     (fun (obj, stamp) ->
       match List.assoc_opt obj before with
@@ -934,7 +946,9 @@ let test_load_gen_schedule () =
    frees a RootRef whose neighbour is still live: the stack link must not
    land on that neighbour's in_use word. A second reader pins every record
    until the successor has adopted them, so the writer's own parks release
-   none of them first. *)
+   none of them first. A quiesce between the two batches keeps the older
+   one, which advances the epoch, so the second reader announces past
+   it. *)
 let test_adopt_in_other_slot () =
   let arena, a, store, h = fresh () in
   let rctx = Shm.join arena () in
@@ -945,7 +959,12 @@ let test_adopt_in_other_slot () =
   done;
   Hazard.enter early;
   for k = 0 to 11 do
-    if k = 6 then Hazard.enter rctx;
+    if k = 6 then begin
+      Cxl_kv.quiesce h;
+      Alcotest.(check int) "the older batch is pinned" 6
+        (Cxl_kv.deferred_count h);
+      Hazard.enter rctx
+    end;
     Cxl_kv.put_cow h ~key:k ~value:(100 + k)
   done;
   let svc = Shm.service_ctx arena in
@@ -961,9 +980,12 @@ let test_adopt_in_other_slot () =
   Hazard.exit early;
   Shm.leave early;
   Cxl_kv.quiesce hb;
-  let pinned = Cxl_kv.deferred_count hb in
-  Alcotest.(check bool) "the era pins only the younger records" true
-    (pinned > 0 && pinned < 12);
+  Alcotest.(check (list int)) "the era pins exactly the younger records"
+    [ 6; 7; 8; 9; 10; 11 ]
+    (List.sort compare
+       (List.map
+          (fun (obj, _) -> record_key arena obj)
+          (registry_snapshot arena b.Ctx.cid)));
   let v = Shm.validate arena in
   Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
     (Validate.is_clean v);
@@ -1085,9 +1107,6 @@ let chains arena (store : Cxl_kv.store) =
       in
       walk (peek (Obj_header.emb_slot store.Cxl_kv.index_obj b)))
 
-let record_key arena r =
-  Mem.unsafe_peek (Shm.mem arena) (Obj_header.data_of_obj r + 1)
-
 let test_geometry_checked () =
   let arena = Shm.create ~cfg:kv_cfg () in
   let a = Shm.join arena () in
@@ -1188,6 +1207,7 @@ let test_kill_writer_drill () =
       k.Cxlshm_kv.Kv_soak.ka_writer_crashed;
     Alcotest.(check int) (label "adopted = orphaned") k.ka_orphaned
       k.ka_adopted;
+    Alcotest.(check int) (label "the younger batch is pinned") 6 k.ka_pinned;
     Alcotest.(check int) (label "pinned records freed") 0 k.ka_pinned_freed;
     Alcotest.(check bool) (label "fsck clean") true k.ka_clean
   done

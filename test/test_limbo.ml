@@ -1,7 +1,9 @@
 (* Incremental limbo reclamation: every row's worth of parks releases a
    bounded share of the passed entries, so a writer that never quiesces
    keeps a short limbo, no single call frees a backlog, and an announced
-   reader era still pins everything stamped at or after it. *)
+   reader era still pins everything stamped at or after it. Stamps are
+   loads of the epoch, which moves only when a release keeps a pinned
+   entry. *)
 
 open Cxlshm
 module Cxl_kv = Cxlshm_kv.Cxl_kv
@@ -40,10 +42,18 @@ let check_clean arena =
   Alcotest.(check bool) ("clean: " ^ String.concat ";" v.Validate.errors) true
     (Validate.is_clean v)
 
-let stamps arena (ctx : Ctx.t) =
-  List.map snd
-    (Limbo.peek_entries (Shm.mem arena) (Shm.layout arena)
-       ~owner:(ctx.Ctx.cid + 1))
+(* [(obj, stamp)] of every entry in rows whose owner word is [owner]. *)
+let parked_by arena ~owner =
+  let peek = Cxlshm_shmem.Mem.unsafe_peek (Shm.mem arena) in
+  List.map
+    (fun (rr, stamp) -> (peek (Rootref.pptr_slot rr), stamp))
+    (Limbo.peek_entries (Shm.mem arena) (Shm.layout arena) ~owner)
+
+let parked arena (ctx : Ctx.t) = parked_by arena ~owner:(ctx.Ctx.cid + 1)
+
+let with_no_advance f =
+  Limbo.mutation_no_advance := true;
+  Fun.protect ~finally:(fun () -> Limbo.mutation_no_advance := false) f
 
 (* No reader, no quiesce: the parks alone keep the limbo within two rows. *)
 let test_bounded_without_quiesce () =
@@ -96,28 +106,33 @@ let test_release_per_call_bounded () =
   Cxl_kv.close h;
   check_clean arena
 
-(* A reader inside [Hazard.enter] pins every entry stamped at or after its
-   era through 1,000 COWs; once it exits the backlog drains at no more than
-   two rows per releasing park. *)
+(* A reader inside [Hazard.enter] pins every entry parked since the last
+   release before it announced through 1,000 COWs; once it exits the
+   backlog drains at no more than two rows per releasing park. *)
 let test_pinned_era_then_drain () =
   let keys = 1024 in
   let arena, a, _store, h = fresh ~keys in
-  for k = 0 to 49 do
+  let early = 50 in
+  for k = 0 to early - 1 do
     Cxl_kv.put_cow h ~key:k ~value:(100 + k)
   done;
+  let before = List.map fst (parked arena a) in
+  Alcotest.(check int) "the releases left only the parks since the last"
+    (early mod Layout.limbo_row_entries)
+    (List.length before);
   let rctx = Shm.join arena () in
   Hazard.enter rctx;
   let era = Hazard.announced rctx ~cid:rctx.Ctx.cid in
   for k = 0 to 999 do
     Cxl_kv.put_cow h ~key:k ~value:(1000 + k)
   done;
-  let parked = stamps arena a in
+  let now = parked arena a in
   Alcotest.(check int) "every COW under the pin is still parked" 1000
-    (List.length (List.filter (fun s -> s > era) parked));
-  Alcotest.(check bool) "so is the entry stamped at the era itself" true
-    (List.mem era parked);
-  Alcotest.(check bool) "every entry before the era was released" true
-    (List.for_all (fun s -> s >= era) parked);
+    (List.length (List.filter (fun (obj, _) -> not (List.mem obj before)) now));
+  Alcotest.(check bool) "so is every entry parked before the era" true
+    (List.for_all (fun obj -> List.mem_assoc obj now) before);
+  Alcotest.(check bool) "no entry is stamped before the era" true
+    (List.for_all (fun (_, s) -> s >= era) now);
   Hazard.exit rctx;
   let backlog = Cxl_kv.deferred_count h in
   let k = ref 0 and most = ref 0 in
@@ -139,6 +154,104 @@ let test_pinned_era_then_drain () =
   Shm.leave rctx;
   Cxl_kv.close h;
   check_clean arena
+
+(* With no reader announced, a writer's release frees its own parks, the
+   newest included; its walks run unannounced, and it never advances the
+   epoch. *)
+let test_own_parks_freed_unannounced () =
+  let arena, a, _store, h = fresh ~keys:64 in
+  let e0 = Hazard.retire_epoch a in
+  let announced = ref 0 in
+  Cxl_kv.walk_hook :=
+    (fun () -> announced := max !announced (Hazard.announced a ~cid:a.Ctx.cid));
+  Fun.protect ~finally:(fun () -> Cxl_kv.walk_hook := fun () -> ())
+  @@ fun () ->
+  let row = Layout.limbo_row_entries in
+  for k = 0 to row - 2 do
+    Cxl_kv.put_cow h ~key:k ~value:(100 + k)
+  done;
+  Alcotest.(check int) "parked until the row fills" (row - 1)
+    (Cxl_kv.deferred_count h);
+  Cxl_kv.put_cow h ~key:(row - 1) ~value:(100 + row);
+  Alcotest.(check int) "the row-filling park frees every park, its own too" 0
+    (Cxl_kv.deferred_count h);
+  Cxl_kv.put_cow h ~key:0 ~value:7;
+  Cxl_kv.quiesce h;
+  Alcotest.(check int) "quiesce frees the newest park" 0
+    (Cxl_kv.deferred_count h);
+  Alcotest.(check int) "writer walks unannounced" 0 !announced;
+  Alcotest.(check int) "no release advanced the epoch" e0
+    (Hazard.retire_epoch a);
+  Cxl_kv.close h;
+  check_clean arena
+
+(* A reader that exits and re-enters around every COW announces the
+   newest epoch each time, so each release's advance lets the next release
+   free what the last one kept: the limbo stays within two rows. Without
+   the advance the reader would pin every stamp. *)
+let test_reannouncing_reader_bounded () =
+  let peak () =
+    let keys = 1024 in
+    let arena, _a, _store, h = fresh ~keys in
+    let rctx = Shm.join arena () in
+    let peak = ref 0 in
+    Hazard.enter rctx;
+    for i = 1 to 1000 do
+      Cxl_kv.put_cow h ~key:(i mod keys) ~value:i;
+      peak := max !peak (Cxl_kv.deferred_count h);
+      Hazard.exit rctx;
+      Hazard.enter rctx
+    done;
+    Hazard.exit rctx;
+    Shm.leave rctx;
+    Cxl_kv.close h;
+    check_clean arena;
+    !peak
+  in
+  let p = peak () in
+  Alcotest.(check bool) (Printf.sprintf "peak parked %d <= %d" p bound) true
+    (p <= bound);
+  let p = with_no_advance peak in
+  Alcotest.(check bool)
+    (Printf.sprintf "mutation_no_advance: peak parked %d > %d" p bound)
+    true (p > bound)
+
+(* A dead writer's orphaned rows pinned by a reader that re-announces
+   between leak scans: the scan that finds every entry pinned advances the
+   epoch, so the next one drains them. *)
+let test_drain_advances_past_reader () =
+  let run () =
+    let arena, a, store, h = fresh ~keys:16 in
+    let rctx = Shm.join arena () in
+    let hr = Cxl_kv.open_store rctx store in
+    Hazard.enter rctx;
+    for k = 0 to 2 do
+      Cxl_kv.put_cow h ~key:k ~value:(100 + k)
+    done;
+    let svc = Shm.service_ctx arena in
+    Client.declare_failed svc ~cid:a.Ctx.cid;
+    ignore (Recovery.recover svc ~failed_cid:a.Ctx.cid);
+    let orphaned () =
+      List.length (parked_by arena ~owner:Layout.limbo_orphaned)
+    in
+    Alcotest.(check int) "orphaned" 3 (orphaned ());
+    for _ = 1 to 2 do
+      Hazard.exit rctx;
+      Hazard.enter rctx;
+      ignore (Shm.scan_leaking arena)
+    done;
+    let left = orphaned () in
+    Hazard.exit rctx;
+    ignore (Shm.scan_leaking arena);
+    Alcotest.(check int) "drained once unpinned" 0 (orphaned ());
+    Cxl_kv.close hr;
+    Shm.leave rctx;
+    check_clean arena;
+    left
+  in
+  Alcotest.(check int) "drained under the re-announcing reader" 0 (run ());
+  Alcotest.(check int) "mutation_no_advance: still pinned" 3
+    (with_no_advance run)
 
 (* Rows a successor takes over with [adopt_recovered] join its limbo and
    drain through its own later parks, with no quiesce call. *)
@@ -195,4 +308,10 @@ let suite =
       test_pinned_era_then_drain;
     Alcotest.test_case "adopted rows drain by parks" `Quick
       test_adopted_rows_drain_by_parks;
+    Alcotest.test_case "own parks freed unannounced" `Quick
+      test_own_parks_freed_unannounced;
+    Alcotest.test_case "re-announcing reader bounded" `Quick
+      test_reannouncing_reader_bounded;
+    Alcotest.test_case "drain advances past a reader" `Quick
+      test_drain_advances_past_reader;
   ]
