@@ -1489,87 +1489,6 @@ let bench_repartition () =
     "   (paper: takeover is quick because no copy-based repartitioning is\n\
     \    needed in the shared-everything architecture — only metadata moves)"
 
-(* Ordered index (lib/structures): point ops + range scans over the
-   sorted list vs the hash index — the "dynamic data structures with link
-   pointers" capability §2.2.2 motivates. *)
-let bench_structures () =
-  let t =
-    Table.create ~title:"Extension: ordered index (sorted list) on CXL-SHM"
-      ~columns:[ "Records"; "insert Kops"; "lookup Kops"; "range-100 Kops" ]
-  in
-  let module Sl = Cxlshm_structures.Sorted_list in
-  let model = Latency.of_tier Latency.Cxl in
-  List.iter
-    (fun n ->
-      let arena = Shm.create ~cfg:(cxl_shm_cfg 1) () in
-      let a = Shm.join arena () in
-      let l = Sl.create a ~value_words:1 in
-      let keys = Array.init n (fun i -> i) in
-      (* shuffled insertion order *)
-      let rng = Random.State.make [| 7 |] in
-      for i = n - 1 downto 1 do
-        let j = Random.State.int rng (i + 1) in
-        let tmp = keys.(i) in
-        keys.(i) <- keys.(j);
-        keys.(j) <- tmp
-      done;
-      Stats.reset a.Ctx.st;
-      Lines.reset a.Ctx.lines;
-      Array.iter (fun k -> ignore (Sl.insert l ~key:k ~value:k)) keys;
-      let ins_ns = Stats.modeled_ns model a.Ctx.st in
-      Stats.reset a.Ctx.st;
-      Lines.reset a.Ctx.lines;
-      let lookups = min n 2_000 in
-      for i = 1 to lookups do
-        ignore (Sl.find l ~key:(i * (n / lookups) mod n))
-      done;
-      let look_ns = Stats.modeled_ns model a.Ctx.st in
-      Stats.reset a.Ctx.st;
-      Lines.reset a.Ctx.lines;
-      let ranges = 200 in
-      for i = 1 to ranges do
-        ignore (Sl.range l ~lo:(i mod n) ~hi:((i mod n) + 100))
-      done;
-      let range_ns = Stats.modeled_ns model a.Ctx.st in
-      Table.add_row t
-        [
-          Table.cell_i n;
-          Table.cell_f (float_of_int n /. (ins_ns /. 1e6));
-          Table.cell_f (float_of_int lookups /. (look_ns /. 1e6));
-          Table.cell_f (float_of_int ranges /. (range_ns /. 1e6));
-        ];
-      Sl.close l)
-    (if !full then [ 500; 2_000; 8_000 ] else [ 500; 2_000 ]);
-  Table.print t;
-  print_endline
-    "   (O(n) list ops — a demonstrator for link-pointer structures, not a\n\
-    \    tuned index; range scans amortise the traversal)"
-
-(* YCSB standard presets on CXL-KV. *)
-let bench_ycsb_presets () =
-  let t =
-    Table.create ~title:"Extension: YCSB core workloads on CXL-KV (8 clients)"
-      ~columns:[ "Workload"; "MOPS" ]
-  in
-  let clients = min 8 (max 2 (max_threads ())) in
-  List.iter
-    (fun preset ->
-      (* presets fold into the mix/theta driver *)
-      let mix, theta =
-        match preset with
-        | Kv.Ycsb.A -> (0.5, 0.99)
-        | Kv.Ycsb.B -> (0.05, 0.99)
-        | Kv.Ycsb.C -> (0.0, 0.99)
-        | Kv.Ycsb.D -> (0.05, 0.9)
-        | Kv.Ycsb.F -> (0.5, 0.99)
-      in
-      let m =
-        run_cxl_kv ~clients ~ops:(quick 60_000 10_000) ~mix ~theta ~keys:32_768 ()
-      in
-      Table.add_row t [ Kv.Ycsb.preset_name preset; Table.cell_f m ])
-    [ Kv.Ycsb.A; Kv.Ycsb.B; Kv.Ycsb.C; Kv.Ycsb.D; Kv.Ycsb.F ];
-  Table.print t
-
 (* ------------------------------------------------------------------ *)
 (* Backends: flat vs striped multi-device pools                        *)
 (* ------------------------------------------------------------------ *)
@@ -2312,8 +2231,6 @@ let experiments =
     ("fault", bench_fault);
     ("ablation-locking", bench_ablation_locking);
     ("repartition", bench_repartition);
-    ("structures", bench_structures);
-    ("ycsb-presets", bench_ycsb_presets);
     ("backends", bench_backends);
     ("fastpath", bench_fastpath);
     ("size", bench_size);

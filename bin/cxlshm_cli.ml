@@ -896,7 +896,6 @@ let explore_model_of_name ~capacity ~values ~rounds name =
   | "kv-serve-park" -> Check_scenarios.kv_serve ~park_release:true ()
   | "kv-serve-move" -> Check_scenarios.kv_serve ~move:true ()
   | "kv-serve-recover" -> Check_scenarios.kv_serve_recover ()
-  | "bcast-recover" -> Check_scenarios.bcast_recover ()
   | "rpc-isolate" -> Check_scenarios.rpc_isolate ()
   | n ->
       Printf.eprintf "unknown model %s (have: %s)\n" n
@@ -912,7 +911,7 @@ let set_mutation = function
   | "kv-crash-reap" -> Cxlshm.Limbo.mutation_crash_reap := true
   | "kv-swap-skip-redo" -> Cxlshm.Recovery.mutation_skip_swap_redo := true
   | "kv-move-unparked" -> Cxlshm_kv.Cxl_kv.mutation_release_moved := true
-  | "bcast-volatile-park" -> Cxlshm.Limbo.mutation_volatile_park := true
+  | "volatile-park" -> Cxlshm.Limbo.mutation_volatile_park := true
   | "rpc-skip-validate" -> Cxlshm_rpc.Cxl_rpc.mutation_skip_validate := true
   | "rpc-unfenced-status" ->
       Cxlshm_rpc.Cxl_rpc.mutation_unfenced_status := true
@@ -921,7 +920,7 @@ let set_mutation = function
       Printf.eprintf
         "unknown mutation %s (have: none, spsc-pop, transfer-head, \
          refc-zero-shared, kv-quiesce, kv-crash-reap, kv-swap-skip-redo, \
-         kv-move-unparked, bcast-volatile-park, \
+         kv-move-unparked, volatile-park, \
          rpc-skip-validate, rpc-unfenced-status, rpc-early-advance)\n"
         m;
       exit 2
@@ -1066,7 +1065,7 @@ let explore_cmd =
                  $(b,spsc-pop), $(b,transfer-head), $(b,refc-zero-shared), \
                  $(b,kv-quiesce), \
                  $(b,kv-crash-reap), $(b,kv-swap-skip-redo), \
-                 $(b,kv-move-unparked), $(b,bcast-volatile-park), \
+                 $(b,kv-move-unparked), $(b,volatile-park), \
                  $(b,rpc-skip-validate), $(b,rpc-unfenced-status) or \
                  $(b,rpc-early-advance) (self-check).")
       $ Arg.(

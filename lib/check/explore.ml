@@ -214,12 +214,14 @@ type report = {
   diverged : int;
   crashes_injected : int;
   failure : failure option;  (** first failure; exploration stops on it *)
+  truncated : bool;  (** stopped at the schedule cap with prefixes left *)
 }
 
 let pp_report ppf r =
   Format.fprintf ppf "model=%s mode=%s schedules=%d passed=%d diverged=%d crashes=%d"
     r.model r.mode r.schedules r.passed r.diverged r.crashes_injected;
   match r.failure with
+  | None when r.truncated -> Format.fprintf ppf " truncated=true result=TRUNCATED"
   | None -> Format.fprintf ppf " result=PASS"
   | Some f ->
       Format.fprintf ppf " result=FAIL@,  reason: %s@,  replay: %s" f.reason
@@ -280,6 +282,7 @@ let random ?(switch_prob = 0.25) ?(crash_horizon = 256) ~seed ~schedules ~crash
     diverged = !diverged;
     crashes_injected = !crashes;
     failure = !failure;
+    truncated = false;
   }
 
 (* ---- PCT-style priority exploration ---- *)
@@ -351,6 +354,7 @@ let pct ?(depth = 3) ?(crash_horizon = 256) ~seed ~schedules ~crash ~max_steps
     diverged = !diverged;
     crashes_injected = !crashes;
     failure = !failure;
+    truncated = false;
   }
 
 (* ---- bounded-preemption exhaustive search ---- *)
@@ -429,6 +433,7 @@ let exhaustive ?(max_schedules = 1_000_000) ~preemptions ~crash ~max_steps
     diverged = !diverged;
     crashes_injected = !crashes;
     failure = !failure;
+    truncated = !failure = None && not (Stack.is_empty stack);
   }
 
 (* ---- exact replay ---- *)

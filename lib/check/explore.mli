@@ -58,9 +58,15 @@ type report = {
   diverged : int;
   crashes_injected : int;
   failure : failure option;  (** first failure; exploration stops on it *)
+  truncated : bool;
+      (** [exhaustive] stopped at [max_schedules] with schedules still to
+          visit and no failure found; always [false] for sampling modes *)
 }
 
 val pp_report : Format.formatter -> report -> unit
+(** One summary line; a failure adds its reason and replay string. It ends
+    [result=PASS] only for a completed search or sample with no failure:
+    a truncated search ends [truncated=true result=TRUNCATED]. *)
 
 val random :
   ?switch_prob:float ->
@@ -96,7 +102,9 @@ val exhaustive :
   report
 (** CHESS-style iterative deviation: depth-first over decision prefixes,
     visiting every schedule with at most [preemptions] preemptive switches
-    and at most one crash, each exactly once. *)
+    and at most one crash, each exactly once. Stops after [max_schedules]
+    (default 1,000,000) runs, and then reports [truncated] if schedules
+    were left unvisited. *)
 
 val replay : model -> max_steps:int -> Schedule.t -> run
 (** Re-execute a recorded schedule (then the default policy past its end).

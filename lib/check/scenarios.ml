@@ -528,8 +528,7 @@ let dual_monitor ?(passes = 3) () : Explore.model =
 (* A freed record sits on its segment's cross-client free list, which only
    the owner's allocations drain, so no decoy can be steered onto it.
    Poison every count-zero block with room for a record instead ([key],
-   value 0xDEAD in data words 1-2; word 0 is the free-list link), as
-   [bcast-recover] poisons a freed entry. *)
+   value 0xDEAD in data words 1-2; word 0 is the free-list link). *)
 let poison_free_records (ctx : Ctx.t) ~key =
   let read = Ctx.load ctx in
   Heap.iter_segments ~read ctx.Ctx.lay (fun seg kind ->
@@ -640,7 +639,7 @@ let kv_serve ?(park_release = false) ?(move = false) () : Explore.model =
 
 (* ---- kv-serve-recover: writer crash, adoption racing the pinned walk ---- *)
 
-let kv_serve_recover () : Explore.model =
+let kv_serve_recover ?drained () : Explore.model =
   let module Kv = Cxlshm_kv.Cxl_kv in
   let make () =
     let arena = Shm.create ~cfg:arena_cfg () in
@@ -666,13 +665,17 @@ let kv_serve_recover () : Explore.model =
     in
     let reader () = observed := Some (Kv.get hr ~key:1) in
     (* The successor plays the monitor: once the writer is done (or dead)
-       it recovers the crash, takes over the partition, adopts the rows
-       recovery orphaned — original retire stamps intact — then allocates
-       two decoys from the record's size class and poisons every
-       count-zero block with room for a record. Recovery and adoption run interleaved with the
-       reader's paused walk; under the [kv-crash-reap] mutation the
-       era-blind reap frees the parked record, the poison pass overwrites
-       its key and value, and the pinned reader observes 0xDEAD. *)
+       it recovers the crash and runs the leak scan, whose limbo drain
+       adopts the orphaned rows into a short-lived client and releases
+       what no announced era pins. Then it takes over the partition, adopts
+       the rows the drain left orphaned — original retire stamps intact —
+       allocates two decoys from the record's size class and poisons every
+       count-zero block with room for a record. Recovery, drain and
+       adoption run interleaved with the reader's paused walk; under the
+       [kv-crash-reap] mutation the era-blind reap frees the parked
+       record, under [volatile-park] the rootref scan does, the poison
+       pass overwrites its key and value, and the pinned reader observes
+       0xDEAD. *)
     let decoys = ref [] in
     let recoverer () =
       while not !w_done do
@@ -684,6 +687,12 @@ let kv_serve_recover () : Explore.model =
         ignore (Recovery.recover s ~failed_cid:w.Ctx.cid);
         w_recovered := true
       end;
+      (* the leak-scan step of the monitor's lease pass *)
+      let svc = Shm.service_ctx arena in
+      if Limbo.drain svc > 0 then Option.iter incr drained;
+      ignore
+        (Reclaim.scan_all svc ~is_client_alive:(fun cid ->
+             Client.is_alive svc ~cid));
       ignore (Kv.takeover_partition hs 0);
       ignore (Kv.adopt_recovered hs);
       (* Two decoys, dropped only in the check (a drop would free them
@@ -712,111 +721,9 @@ let kv_serve_recover () : Explore.model =
       end;
       if not (List.mem 1 crashed) then Kv.close hr;
       if not (List.mem 2 crashed) then Kv.close hs;
-      (* The in-run recovery already condemned and recovered the writer;
-         the oracle must not declare it failed a second time. *)
-      let crashed =
-        if !w_recovered then List.filter (fun i -> i <> 0) crashed
-        else crashed
-      in
-      arena_check arena ~cids:[| w.Ctx.cid; r.Ctx.cid; s.Ctx.cid |] ~crashed
-    in
-    { Explore.clients = [| writer; reader; recoverer |]; check }
-  in
-  { Explore.name = "kv-serve-recover"; make; branch = arena_branch }
-
-(* ---- bcast-recover: log-writer crash, subscriber paused before attach ---- *)
-
-let bcast_recover () : Explore.model =
-  let module Log = Cxlshm_structures.Broadcast_log in
-  let make () =
-    let arena = Shm.create ~cfg:arena_cfg () in
-    let w = Shm.join arena () in
-    let r = Shm.join arena () in
-    let s = Shm.join arena () in
-    let cids = [| r.Ctx.cid; w.Ctx.cid; s.Ctx.cid |] in
-    (* A one-slot log whose entry 0 is the subscriber's target: the next
-       publish overwrites it. Entry 0 sits alone in a segment of its own,
-       so freeing it era-blind empties that segment for reuse. *)
-    let log = Log.create w ~capacity:1 in
-    let publish ?(pin = []) v =
-      let e =
-        Ctx.with_pin w pin (fun () -> Shm.cxl_malloc_words w ~data_words:2 ())
-      in
-      Cxl_ref.write_word e 0 v;
-      ignore (Log.publish log e);
-      Cxl_ref.drop e
-    in
-    let seg0 =
-      List.find
-        (fun seg -> Segment.state w seg = Segment.Free && Segment.claim w seg)
-        (List.init arena_cfg.Config.num_segments Fun.id)
-    in
-    publish ~pin:[ seg0 ] 100;
-    Ctx.exclude_segment w seg0;
-    let cur = Log.subscribe r (Log.log_ref log) in
-    Log.attach_hook := (fun () -> Sched.yield "bcast-attach");
-    let observed = ref None in
-    let w_done = ref false and w_clean = ref false in
-    let w_recovered = ref false in
-    (* Two overwrites: the first parks entry 0 (pinned while the subscriber
-       is paused on it), the second parks entry 1 and its quiesce may
-       release entry 0. *)
-    let writer () =
-      Fun.protect ~finally:(fun () -> w_done := true) @@ fun () ->
-      publish 101;
-      publish 102;
-      w_clean := true
-    in
-    let reader () =
-      let rec go n =
-        if n > 0 then
-          match Log.poll cur with
-          | `Entry (_, e) ->
-              observed := Some (Cxl_ref.read_word e 0);
-              Cxl_ref.drop e
-          | `Lagged _ -> go (n - 1)
-          | `Empty -> ()
-      in
-      go 2
-    in
-    (* The monitor recovers a writer crash and runs the leak scan (with its
-       limbo drain) interleaved with the paused subscriber, then reuses
-       entry 0's segment if it came back to the arena, planting 0xDEAD
-       decoys exactly where entry 0 was: an entry freed era-blind is
-       reused, and the subscriber's [try_attach] lands on poison. *)
-    let decoys = ref [] in
-    let recoverer () =
-      while not !w_done do
-        Sched.yield "rec-wait"
-      done;
-      if not !w_clean then begin
-        let svc = Shm.service_ctx arena in
-        Client.declare_failed svc ~cid:w.Ctx.cid;
-        ignore (Recovery.recover s ~failed_cid:w.Ctx.cid);
-        w_recovered := true
-      end;
-      ignore (Shm.scan_leaking arena);
-      if Segment.state s seg0 = Segment.Free && Segment.claim s seg0 then
-        for _ = 1 to 2 do
-          let d =
-            Ctx.with_pin s [ seg0 ] (fun () ->
-                Shm.cxl_malloc_words s ~data_words:2 ())
-          in
-          decoys := d :: !decoys;
-          Cxl_ref.write_word d 0 0xDEAD
-        done
-    in
-    let check ~crashed =
-      Log.attach_hook := (fun () -> ());
-      (match !observed with
-      | Some v when v <> 100 && v <> 101 && v <> 102 ->
-          fail "bcast-recover: subscriber read 0x%x (attached a freed entry)" v
-      | Some _ | None -> ());
-      if not (List.mem 2 crashed) then List.iter Cxl_ref.drop !decoys;
-      if not (List.mem 0 crashed) then Log.close_cursor cur;
-      if not (List.mem 1 crashed) then Log.close_writer log;
-      (* A crash inside the leak scan's drain kills its short-lived client;
-         recover it as the monitor's lease pass would. *)
+      (* A crash inside the drain kills its short-lived client; recover it
+         as the monitor's lease pass would. *)
+      let cids = [| w.Ctx.cid; r.Ctx.cid; s.Ctx.cid |] in
       let svc = Shm.service_ctx arena in
       for cid = 0 to arena_cfg.Config.max_clients - 1 do
         if (not (Array.mem cid cids)) && Client.status svc ~cid = Client.Alive
@@ -825,18 +732,17 @@ let bcast_recover () : Explore.model =
           ignore (Shm.recover arena ~failed_cid:cid)
         end
       done;
+      (* The in-run recovery already condemned and recovered the writer;
+         the oracle must not declare it failed a second time. *)
       let crashed =
-        if !w_recovered then List.filter (fun i -> i <> 1) crashed
+        if !w_recovered then List.filter (fun i -> i <> 0) crashed
         else crashed
       in
       arena_check arena ~cids ~crashed
     in
-    (* The subscriber runs first: one preemption at its attach point lets
-       the writer overwrite (and crash on) the entry it is about to
-       attach. *)
-    { Explore.clients = [| reader; writer; recoverer |]; check }
+    { Explore.clients = [| writer; reader; recoverer |]; check }
   in
-  { Explore.name = "bcast-recover"; make; branch = arena_branch }
+  { Explore.name = "kv-serve-recover"; make; branch = arena_branch }
 
 (* ---- rpc-isolate: pointer isolation + channel revocation under crash ---- *)
 
@@ -1028,7 +934,7 @@ let all () =
   [ spsc (); transfer (); transfer ~batched:true (); refc (); huge ();
     epoch_retire (); lease (); dual_monitor ();
     kv_serve (); kv_serve ~park_release:true (); kv_serve ~move:true ();
-    kv_serve_recover (); bcast_recover ();
+    kv_serve_recover ();
     rpc_isolate () ]
 
 let find name =

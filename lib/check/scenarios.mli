@@ -87,30 +87,24 @@ val kv_serve : ?park_release:bool -> ?move:bool -> unit -> Explore.model
     releases the predecessor right after the swap instead of parking it,
     which this model must catch. *)
 
-val kv_serve_recover : unit -> Explore.model
+val kv_serve_recover : ?drained:int ref -> unit -> Explore.model
 (** Crash-then-recover variant of [kv_serve] (model name
     ["kv-serve-recover"]): the writer COW-updates and quiesces while a
     reader is pinned mid-bucket-walk, and a third client — playing the
     monitor — recovers any writer crash {e interleaved with} the reader's
-    steps, takes over the partition, adopts the orphaned limbo rows
-    ([Cxl_kv.adopt_recovered]), allocates two decoys from the record's
-    size class and poisons every count-zero block of that size (key 1,
-    value 0xDEAD). Oracle: the pinned reader never observes 0xDEAD. The
-    [Limbo.mutation_crash_reap] flag re-introduces the historical
-    era-blind reap of the dead writer's parked records, which the
-    bounded-exhaustive crash search must catch. *)
-
-val bcast_recover : unit -> Explore.model
-(** A {!Cxlshm_structures.Broadcast_log} writer overwrites a one-slot log
-    twice while a subscriber is paused between its slot read and its
-    [try_attach] on the first entry, and a third client — playing the
-    monitor — recovers any writer crash and runs the leak scan (with its
-    limbo drain) interleaved with the subscriber, then plants 0xDEAD
-    decoys of the entries' size class in the dead writer's adopted
-    segments. Oracle: the subscriber never reads a decoy, and the pool is
-    fsck-clean after recovery. The [Limbo.mutation_volatile_park] flag
-    parks volatile-only, as the log's historical parked list did, which
-    this model must catch. Model name ["bcast-recover"]. *)
+    steps, runs the leak scan (whose {!Cxlshm.Limbo.drain} adopts the
+    orphaned limbo rows into a short-lived client and releases what no
+    announced era pins), takes over the partition, adopts the rows left
+    orphaned ([Cxl_kv.adopt_recovered]), allocates two decoys from the
+    record's size class and poisons every count-zero block of that size
+    (key 1, value 0xDEAD). Oracle: the pinned reader never observes
+    0xDEAD, and the pool is fsck-clean after recovery, the drain's client
+    included. The [Limbo.mutation_crash_reap] flag re-introduces the
+    historical era-blind reap of the dead writer's parked records, and
+    [Limbo.mutation_volatile_park] parks volatile-only so the rootref
+    scan frees them; the bounded-exhaustive crash search must catch both.
+    [drained], when given, is bumped once per run whose drain released
+    records. *)
 
 val rpc_isolate : unit -> Explore.model
 (** An RPC client makes one well-formed in-channel call and one carrying a

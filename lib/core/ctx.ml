@@ -199,22 +199,36 @@ let clear_degraded t =
 let refresh_degraded_hint t = t.degraded_hint <- degraded_bitmap t
 let any_degraded_hint t = t.degraded_hint <> 0
 
-let on_escalate t ~dev = mark_degraded t dev
+(* A fault-free access calls [Mem] directly; only a [Device_error]
+   enters the retry ladder. *)
+let after_fault t ~dev ~transient e f =
+  Retry.after_fault ~policy:t.retry ~st:t.st ~dev ~transient e f
+    ~on_escalate:(fun ~dev -> mark_degraded t dev)
 
-let with_retries t f =
-  Retry.with_retries ~policy:t.retry ~st:t.st ~on_escalate:(on_escalate t) f
+let load t p =
+  try Mem.load t.mem ~st:t.st ~lines:t.lines p
+  with Mem.Device_error { dev; transient; _ } as e ->
+    after_fault t ~dev ~transient e @@ fun () ->
+    Mem.load t.mem ~st:t.st ~lines:t.lines p
 
-(* A single word primitive has no interior commit point, so re-issuing it
-   after a transient fault is always safe — the commit marker is unused. *)
-let prim t f = with_retries t (fun _commit -> f ())
-
-let load t p = prim t (fun () -> Mem.load t.mem ~st:t.st ~lines:t.lines p)
-let store t p v = prim t (fun () -> Mem.store t.mem ~st:t.st ~lines:t.lines p v)
+let store t p v =
+  try Mem.store t.mem ~st:t.st ~lines:t.lines p v
+  with Mem.Device_error { dev; transient; _ } as e ->
+    after_fault t ~dev ~transient e @@ fun () ->
+    Mem.store t.mem ~st:t.st ~lines:t.lines p v
 
 let cas t p ~expected ~desired =
-  prim t (fun () -> Mem.cas t.mem ~st:t.st ~lines:t.lines p ~expected ~desired)
+  try Mem.cas t.mem ~st:t.st ~lines:t.lines p ~expected ~desired
+  with Mem.Device_error { dev; transient; _ } as e ->
+    after_fault t ~dev ~transient e @@ fun () ->
+    Mem.cas t.mem ~st:t.st ~lines:t.lines p ~expected ~desired
 
-let fetch_add t p n = prim t (fun () -> Mem.fetch_add t.mem ~st:t.st ~lines:t.lines p n)
+let fetch_add t p n =
+  try Mem.fetch_add t.mem ~st:t.st ~lines:t.lines p n
+  with Mem.Device_error { dev; transient; _ } as e ->
+    after_fault t ~dev ~transient e @@ fun () ->
+    Mem.fetch_add t.mem ~st:t.st ~lines:t.lines p n
+
 let fence t = Mem.fence t.mem ~st:t.st
 
 (* [Mem.flush] reaches no backend, so it never faults. *)

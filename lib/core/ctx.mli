@@ -148,10 +148,11 @@ val any_degraded_hint : t -> bool
 (** {1 Shared-memory shorthands} (attributed to this client's stats)
 
     Each of [load], [store], [cas] and [fetch_add] is a single word
-    operation with no interior commit point, so it is re-issued under the
-    context's retry policy when the device faults transiently; persistent
-    faults and exhausted budgets escalate as
-    {!Cxlshm_shmem.Mem.Device_error}. [fence] and [flush] reach no
+    operation with no interior commit point. It calls {!Cxlshm_shmem.Mem}
+    directly and enters {!Retry.after_fault} only from its fault handler,
+    so it is retried under the context's retry policy when the device
+    faults transiently; persistent faults and exhausted budgets escalate
+    as {!Cxlshm_shmem.Mem.Device_error}. [fence] and [flush] reach no
     backend and never fault. *)
 
 val load : t -> Cxlshm_shmem.Pptr.t -> int

@@ -112,8 +112,8 @@ val mutation_crash_reap : bool ref
     ([kv-crash-reap]). *)
 
 val mutation_volatile_park : bool ref
-(** {!park} keeps entries volatile-only, as [Broadcast_log]'s historical
-    parked list did ([bcast-volatile-park]). *)
+(** {!park} keeps entries volatile-only, so a dead writer's parked records
+    go to the rootref scan instead of an orphaned row ([volatile-park]). *)
 
 val mutation_no_advance : bool ref
 (** Releases and {!drain} never advance the epoch, so a reader that

@@ -8,14 +8,11 @@ let ref_cnt (ctx : Ctx.t) obj =
 (* Test-only: see the mli. *)
 let mutation_zero_shared = ref false
 
-(* With [~decline], a transaction that must not land declines before it
-   writes anything: an attach to a dead (count-zero) object, or a
-   decrement from 1 by a release that may not hold the only reference —
-   the count then reaches zero only through the last holder, after it has
-   nulled the object's embedded slots. *)
-let declines ~decline ~delta cnt =
-  decline
-  && if delta > 0 then cnt = 0 else cnt = 1 && not !mutation_zero_shared
+(* With [~decline], a decrement from 1 by a release that may not hold the
+   only reference declines before it writes anything: the count then
+   reaches zero only through the last holder, after it has nulled the
+   object's embedded slots. *)
+let declines ~decline cnt = decline && cnt = 1 && not !mutation_zero_shared
 
 (* The ModifyRefCnt CAS loop of Fig 4 (c) lines 2-10, run under identity
    [as_cid]. Observes the header's (lcid, lera) into the era matrix and,
@@ -28,7 +25,7 @@ let modify_refcnt (ctx : Ctx.t) ~as_cid ~op ~redo ~decline ~ref_addr ~refed
     let saved = Ctx.load ctx hdr in
     let u = Obj_header.unpack saved in
     let cnt = u.Obj_header.ref_cnt in
-    if declines ~decline ~delta cnt then -1
+    if declines ~decline cnt then -1
     else begin
       (match u.Obj_header.lcid with
       | Some c when c <> as_cid ->
@@ -123,15 +120,6 @@ let swap (ctx : Ctx.t) ~ref_addr ~rr ~from_obj ~to_obj =
   Ctx.store ctx ref_addr to_obj;
   Ctx.crash_point ctx Fault.Swap_after_store;
   Era.advance ctx
-
-(* Hazard readers racing a writer's retirement: decline (false) instead of
-   raising when the object is already dead; never resurrect it. *)
-let try_attach (ctx : Ctx.t) ~ref_addr ~refed =
-  let as_cid = ctx.cid in
-  modify_refcnt ctx ~as_cid ~op:Redo_log.Attach ~redo:true ~decline:true
-    ~ref_addr ~refed ~delta:1
-  >= 0
-  && (modify_ref ctx ~as_cid ~ref_addr refed; true)
 
 let detach (ctx : Ctx.t) ~ref_addr ~refed =
   detach_as ctx ~as_cid:ctx.cid ~shared:false ~ref_addr ~refed

@@ -35,13 +35,6 @@ exception Refcount_violation of string
 val attach : Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> unit
 (** Fig 4 (c): increment [refed]'s count and link [ref_addr] to it. *)
 
-val try_attach :
-  Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> bool
-(** Like {!attach} but returns [false] instead of raising when [refed]'s
-    count is already zero — for readers racing a writer's retirement (the
-    object is never resurrected). The caller must hold hazard protection
-    ({!Hazard.enter}) so the header it reads cannot be a recycled block. *)
-
 val detach : Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
 (** Decrement and unlink; returns the new count. It is {!detach_as}
     [~shared:false]: releases go through {!Reclaim}, which nulls the

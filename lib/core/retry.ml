@@ -8,13 +8,10 @@
    backoff, and escalate everything else so the monitor can mark the
    device degraded and steer allocation away from it.
 
-   The one rule that keeps retries safe in a system built on CAS commit
-   points: {e never retry across a commit}. A section hands its commit
-   marker to the fault when its effects become visible to other clients
-   (e.g. the ModifyRefCnt CAS landed); from then on a re-run would apply
-   the effects twice, so a later fault in the same section escalates
-   instead of retrying. Single-word primitives have no interior commit
-   point and are always safe to re-issue. *)
+   Only single-word primitives enter it, from their [Device_error]
+   handler, and each is safe to run again: the injector faults either
+   before the base operation executes ([cas]/[fetch_add]) or in a way a
+   repeated store overwrites ([store]). *)
 
 module Mem = Cxlshm_shmem.Mem
 module Stats = Cxlshm_shmem.Stats
@@ -32,22 +29,21 @@ let backoff_ns policy attempt =
   Float.min policy.max_backoff_ns
     (policy.base_backoff_ns *. (2. ** float_of_int (attempt - 1)))
 
-let with_retries ?(policy = default_policy) ~(st : Stats.t) ~on_escalate f =
-  let committed = ref false in
-  let commit () = committed := true in
-  let rec go attempt =
-    try f commit
-    with Mem.Device_error { dev; transient; _ } as e ->
-      st.Stats.dev_faults <- st.Stats.dev_faults + 1;
-      if transient && (not !committed) && attempt < policy.max_attempts then begin
-        st.Stats.retries <- st.Stats.retries + 1;
-        st.Stats.backoff_ns <- st.Stats.backoff_ns +. backoff_ns policy attempt;
-        go (attempt + 1)
-      end
-      else begin
-        st.Stats.fault_escalations <- st.Stats.fault_escalations + 1;
-        on_escalate ~dev;
-        raise e
-      end
+let after_fault ?(policy = default_policy) ~(st : Stats.t) ~on_escalate ~dev
+    ~transient e f =
+  let rec fault attempt ~dev ~transient e =
+    st.Stats.dev_faults <- st.Stats.dev_faults + 1;
+    if transient && attempt < policy.max_attempts then begin
+      st.Stats.retries <- st.Stats.retries + 1;
+      st.Stats.backoff_ns <- st.Stats.backoff_ns +. backoff_ns policy attempt;
+      try f ()
+      with Mem.Device_error { dev; transient; _ } as e ->
+        fault (attempt + 1) ~dev ~transient e
+    end
+    else begin
+      st.Stats.fault_escalations <- st.Stats.fault_escalations + 1;
+      on_escalate ~dev;
+      raise e
+    end
   in
-  go 1
+  fault 1 ~dev ~transient e

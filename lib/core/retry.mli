@@ -20,18 +20,18 @@ val default_policy : policy
 val backoff_ns : policy -> int -> float
 (** Simulated backoff before retry number [attempt] (1-based). *)
 
-val with_retries :
+val after_fault :
   ?policy:policy ->
   st:Cxlshm_shmem.Stats.t ->
   on_escalate:(dev:int -> unit) ->
-  ((unit -> unit) -> 'a) ->
+  dev:int ->
+  transient:bool ->
+  exn ->
+  (unit -> 'a) ->
   'a
-(** [with_retries ~st ~on_escalate f] runs [f commit], re-running it on a
-    transient {!Cxlshm_shmem.Mem.Device_error} until the policy's attempt
-    budget is spent. [f] must call [commit ()] once its effects are visible
-    to other clients (a commit point has landed): from then on the section
-    is {e never} re-run — a later fault escalates instead, because a re-run
-    would double-apply the committed effects. Persistent faults escalate on
-    first sight. Escalation calls [on_escalate ~dev] with the faulting
-    device and re-raises the fault. Faults, retries, simulated backoff time
-    and escalations are accumulated in [st]. *)
+(** [after_fault ~st ~on_escalate ~dev ~transient e f] is a word primitive's
+    {!Cxlshm_shmem.Mem.Device_error} handler: the first attempt of [f]
+    raised [e] on device [dev]. A transient fault re-runs [f] until it
+    succeeds or the attempt budget is spent; then, or at once for a
+    persistent fault, it calls [on_escalate ~dev] and re-raises. Faults,
+    retries, simulated backoff and escalations accumulate in [st]. *)

@@ -27,7 +27,6 @@ let () =
       ("fault-kv", Test_fault_kv.suite);
       ("units", Test_units.suite);
       ("gc-persist", Test_gc_persist.suite);
-      ("structures", Test_structures.suite);
       ("trace", Test_trace.suite);
       ("check", Test_check.suite);
       ("epoch", Test_epoch.suite);

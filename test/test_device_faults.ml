@@ -1,7 +1,7 @@
 (* Device-level fault injection and the retry/backoff escalation path:
    backend determinism, the four fault classes, arm/disarm servicing
-   semantics, Ctx-level retries, commit-point escalation, and degraded-
-   device allocation steering. *)
+   semantics, Ctx-level retries, escalation, and degraded-device
+   allocation steering. *)
 
 open Cxlshm
 module Mem = Cxlshm_shmem.Mem
@@ -140,13 +140,19 @@ let dev_err ~transient =
       transient;
     }
 
+(* A word primitive's shape: one attempt of [f], and the retry ladder
+   entered only from its fault handler, as [Ctx.load] does. *)
+let retried ?policy ~st ~on_escalate f =
+  try f ()
+  with Mem.Device_error { dev; transient; _ } as e ->
+    Retry.after_fault ?policy ~st ~on_escalate ~dev ~transient e f
+
 let test_retry_transient_heals () =
   let st = Stats.create () in
   let escalated = ref None in
   let calls = ref 0 in
   let v =
-    Retry.with_retries ~st ~on_escalate:(fun ~dev -> escalated := Some dev)
-      (fun _commit ->
+    retried ~st ~on_escalate:(fun ~dev -> escalated := Some dev) (fun () ->
         incr calls;
         if !calls < 3 then raise (dev_err ~transient:true) else 7)
   in
@@ -164,9 +170,9 @@ let test_retry_exhaustion_escalates () =
   let calls = ref 0 in
   let policy = { Retry.default_policy with Retry.max_attempts = 3 } in
   (match
-     Retry.with_retries ~policy ~st
+     retried ~policy ~st
        ~on_escalate:(fun ~dev -> escalated := Some dev)
-       (fun _commit ->
+       (fun () ->
          incr calls;
          raise (dev_err ~transient:true))
    with
@@ -180,8 +186,7 @@ let test_retry_persistent_escalates_immediately () =
   let st = Stats.create () in
   let calls = ref 0 in
   (match
-     Retry.with_retries ~st ~on_escalate:(fun ~dev:_ -> ())
-       (fun _commit ->
+     retried ~st ~on_escalate:(fun ~dev:_ -> ()) (fun () ->
          incr calls;
          raise (dev_err ~transient:false))
    with
@@ -191,33 +196,16 @@ let test_retry_persistent_escalates_immediately () =
   Alcotest.(check int) "no retry" 1 !calls;
   Alcotest.(check int) "no retries counted" 0 st.Stats.retries
 
-let test_retry_never_crosses_commit () =
-  let st = Stats.create () in
-  let calls = ref 0 in
-  (match
-     Retry.with_retries ~st ~on_escalate:(fun ~dev:_ -> ())
-       (fun commit ->
-         incr calls;
-         commit ();
-         (* transient, but the transaction committed: re-running would
-            apply it twice, so this must escalate instead *)
-         raise (dev_err ~transient:true))
-   with
-  | _ -> Alcotest.fail "post-commit fault must re-raise"
-  | exception Mem.Device_error _ -> ());
-  Alcotest.(check int) "not re-run" 1 !calls;
-  Alcotest.(check int) "escalated" 1 st.Stats.fault_escalations
-
-(* Regression: with_retries used to spin through its exponential backoff
-   without charging the stall to the modeled clock, so a fault-ridden run
-   reported the same modeled time as a clean one. backoff_ns must now be a
-   first-class component of the Fig 7 breakdown and of modeled_ns. *)
+(* Regression: the retry ladder used to spin through its exponential
+   backoff without charging the stall to the modeled clock, so a
+   fault-ridden run reported the same modeled time as a clean one.
+   backoff_ns must now be a first-class component of the Fig 7 breakdown
+   and of modeled_ns. *)
 let test_backoff_charged_to_modeled_clock () =
   let st = Stats.create () in
   let calls = ref 0 in
   ignore
-    (Retry.with_retries ~st ~on_escalate:(fun ~dev:_ -> ())
-       (fun _commit ->
+    (retried ~st ~on_escalate:(fun ~dev:_ -> ()) (fun () ->
          incr calls;
          if !calls < 4 then raise (dev_err ~transient:true) else 0));
   let model = Latency.of_tier Latency.Cxl in
@@ -389,7 +377,6 @@ let suite =
     Alcotest.test_case "retry: transient heals" `Quick test_retry_transient_heals;
     Alcotest.test_case "retry: exhaustion escalates" `Quick test_retry_exhaustion_escalates;
     Alcotest.test_case "retry: persistent escalates" `Quick test_retry_persistent_escalates_immediately;
-    Alcotest.test_case "retry: never crosses commit" `Quick test_retry_never_crosses_commit;
     Alcotest.test_case "backoff charged to modeled clock" `Quick
       test_backoff_charged_to_modeled_clock;
     Alcotest.test_case "ctx retries absorb poison" `Quick test_ctx_retries_absorb_poison;

@@ -3,8 +3,6 @@
 
 open Cxlshm
 module Cxl_kv = Cxlshm_kv.Cxl_kv
-module Sl = Cxlshm_structures.Sorted_list
-module Bl = Cxlshm_structures.Broadcast_log
 
 let setup () =
   let arena = Shm.create ~cfg:Config.small () in
@@ -109,12 +107,12 @@ type repoint_case = {
 }
 
 (* Kill the client at every crash-point hit of each re-point — a linked
-   [change_emb], a KV prepend into a non-empty bucket, a sorted-list
-   replace or delete mid-list and at the tail, a broadcast publish over a
-   full ring — then run monitor recovery and adopt or drain the dead
-   client's limbo: the slot holds the old or the new target, and Validate
-   and Fsck are clean. A survivor holds the structure; once it lets go
-   no block is left. *)
+   [change_emb], a KV prepend into a non-empty bucket, and on the 3-key
+   chain 2 -> 1 -> 0 of one bucket a [put_cow] or [delete] of the middle
+   and of the tail key — then run monitor recovery and adopt or drain the
+   dead client's limbo: the slot holds the old or the new target, and
+   Validate and Fsck are clean. A survivor holds the structure; once it
+   lets go no block is left. *)
 let test_repoint_crash_windows () =
   let crossed = Hashtbl.create 8 in
   let one_of label got olds news =
@@ -143,7 +141,11 @@ let test_repoint_crash_windows () =
       release = (fun () -> Cxl_ref.drop pb);
     }
   in
-  let kv_prepend () =
+  (* [op] on the chain 2 -> 1 -> 0 (values 10 + key) turns [key]'s value
+     into [expect]; the survivor then takes the partition over and adopts
+     the dead writer's limbo rows, or leaves them to the leak scan's
+     drain. *)
+  let kv_chain ?(adopt = true) op key expect () =
     let arena = Shm.create ~cfg:Config.small () in
     let a = Shm.join arena () in
     let store, h = Cxl_kv.create a ~buckets:1 ~partitions:1 ~value_words:1 in
@@ -156,73 +158,33 @@ let test_repoint_crash_windows () =
     {
       arena;
       victim = a;
-      op = (fun () -> Cxl_kv.put h ~key:3 ~value:13);
+      op = (fun () -> op h key);
       after =
         (fun label ->
-          Alcotest.(check bool) (label ^ " takeover") true
-            (Cxl_kv.takeover_partition hb 0);
-          ignore (Cxl_kv.adopt_recovered hb);
-          Cxl_kv.quiesce hb;
-          one_of label (Cxl_kv.get hb ~key:3) None (Some 13);
-          for k = 0 to 2 do
-            Alcotest.(check (option int)) (label ^ " other key") (Some (10 + k))
-              (Cxl_kv.get hb ~key:k)
-          done);
+          if adopt then begin
+            Alcotest.(check bool) (label ^ " takeover") true
+              (Cxl_kv.takeover_partition hb 0);
+            ignore (Cxl_kv.adopt_recovered hb);
+            Cxl_kv.quiesce hb
+          end
+          else ignore (Shm.scan_leaking arena);
+          let old = if key < 3 then Some (10 + key) else None in
+          one_of label (Cxl_kv.get hb ~key) old expect;
+          List.iter
+            (fun k ->
+              if k <> key then
+                Alcotest.(check (option int)) (label ^ " other key")
+                  (Some (10 + k)) (Cxl_kv.get hb ~key:k))
+            [ 0; 1; 2 ]);
       release =
         (fun () ->
           Cxl_kv.close hb;
           Shm.leave b);
     }
   in
-  let sorted_list op key expect () =
-    let arena, a, b = setup () in
-    let l = Sl.create a ~value_words:1 in
-    List.iter (fun k -> ignore (Sl.insert l ~key:k ~value:k)) [ 1; 2; 3 ];
-    let lb = Sl.attach b (hold b (Sl.handle_ref l)) in
-    {
-      arena;
-      victim = a;
-      op = (fun () -> op l key);
-      after =
-        (fun label ->
-          ignore (Shm.scan_leaking arena);
-          one_of label (Sl.find lb ~key) (Some key) expect;
-          List.iter
-            (fun k ->
-              if k <> key then
-                Alcotest.(check (option int)) (label ^ " other key") (Some k)
-                  (Sl.find lb ~key:k))
-            [ 1; 2; 3 ]);
-      release = (fun () -> Sl.close lb);
-    }
-  in
-  let replace l key = Sl.replace l ~key ~value:(100 + key) in
-  let delete l key = ignore (Sl.delete l ~key) in
-  let broadcast () =
-    let arena, a, b = setup () in
-    let w = Bl.create a ~capacity:2 in
-    let payload v =
-      let r = Shm.cxl_malloc a ~size_bytes:8 () in
-      Cxl_ref.write_word r 0 v;
-      r
-    in
-    let p1 = payload 1 and p2 = payload 2 and p3 = payload 3 in
-    ignore (Bl.publish w p1);
-    ignore (Bl.publish w p2);
-    let c = Bl.subscribe b (Bl.log_ref w) in
-    let slot0 = Obj_header.emb_slot (Cxl_ref.obj (Bl.log_ref w)) 0 in
-    let p1_obj = Cxl_ref.obj p1 and p3_obj = Cxl_ref.obj p3 in
-    {
-      arena;
-      victim = a;
-      op = (fun () -> ignore (Bl.publish w p3));
-      after =
-        (fun label ->
-          ignore (Shm.scan_leaking arena);
-          one_of label (Ctx.load b slot0) p1_obj p3_obj);
-      release = (fun () -> Bl.close_cursor c);
-    }
-  in
+  let prepend h key = Cxl_kv.put h ~key ~value:(10 + key) in
+  let put_cow h key = Cxl_kv.put_cow h ~key ~value:(100 + key) in
+  let delete h key = ignore (Cxl_kv.delete h ~key) in
   let sweep (name, make) =
     let hits =
       let c = make () in
@@ -254,12 +216,11 @@ let test_repoint_crash_windows () =
   List.iter sweep
     [
       ("change_emb", change_emb);
-      ("kv prepend", kv_prepend);
-      ("sorted_list replace mid", sorted_list replace 2 (Some 102));
-      ("sorted_list replace tail", sorted_list replace 3 (Some 103));
-      ("sorted_list delete mid", sorted_list delete 2 None);
-      ("sorted_list delete tail", sorted_list delete 3 None);
-      ("broadcast publish", broadcast);
+      ("kv prepend", kv_chain prepend 3 (Some 13));
+      ("kv put_cow mid", kv_chain put_cow 1 (Some 101));
+      ("kv put_cow tail", kv_chain put_cow 0 (Some 100));
+      ("kv delete mid", kv_chain ~adopt:false delete 1 None);
+      ("kv delete tail", kv_chain ~adopt:false delete 0 None);
     ];
   List.iter
     (fun p ->
