@@ -907,6 +907,7 @@ let set_mutation = function
   | "spsc-pop" -> Cxlshm_spsc.Spsc_queue.mutation_unfenced_pop := true
   | "transfer-head" -> Cxlshm.Transfer.mutation_unfenced_advance := true
   | "refc-zero-shared" -> Cxlshm.Refc.mutation_zero_shared := true
+  | "refc-store-shared" -> Cxlshm.Refc.mutation_store_shared := true
   | "kv-quiesce" -> Cxlshm.Limbo.mutation_unconditional_quiesce := true
   | "kv-crash-reap" -> Cxlshm.Limbo.mutation_crash_reap := true
   | "kv-swap-skip-redo" -> Cxlshm.Recovery.mutation_skip_swap_redo := true
@@ -919,7 +920,8 @@ let set_mutation = function
   | m ->
       Printf.eprintf
         "unknown mutation %s (have: none, spsc-pop, transfer-head, \
-         refc-zero-shared, kv-quiesce, kv-crash-reap, kv-swap-skip-redo, \
+         refc-zero-shared, refc-store-shared, kv-quiesce, kv-crash-reap, \
+         kv-swap-skip-redo, \
          kv-move-unparked, volatile-park, \
          rpc-skip-validate, rpc-unfenced-status, rpc-early-advance)\n"
         m;
@@ -1063,7 +1065,7 @@ let explore_cmd =
               ~doc:
                 "Re-introduce a historical ordering bug before exploring: \
                  $(b,spsc-pop), $(b,transfer-head), $(b,refc-zero-shared), \
-                 $(b,kv-quiesce), \
+                 $(b,refc-store-shared), $(b,kv-quiesce), \
                  $(b,kv-crash-reap), $(b,kv-swap-skip-redo), \
                  $(b,kv-move-unparked), $(b,volatile-park), \
                  $(b,rpc-skip-validate), $(b,rpc-unfenced-status) or \

@@ -73,8 +73,8 @@ let is_alive (ctx : Ctx.t) ~cid =
 let heartbeat (ctx : Ctx.t) =
   Ctx.refresh_degraded_hint ctx;
   Lease.renew ctx ~cid:ctx.cid;
-  (* Cancel a false-positive suspicion. If the CAS fails because the slot
-     is already Failed the client is fenced — the renewed deadline is
+  (* Cancel a false-positive suspicion. If it fails because the slot is
+     already Failed the client is fenced — the renewed deadline is
      harmless (recovery ends in Slot_free and clears it) and the caller
      discovers the condemnation via [status]/its next operation. *)
   ignore (Lease.self_heal ctx ~cid:ctx.cid)

@@ -48,10 +48,13 @@ let try_condemn (ctx : Ctx.t) ~cid =
        (Layout.client_flags ctx.Ctx.lay cid)
        ~expected:st_suspected ~desired:st_failed
 
+(* The caller renewed its deadline first, so a suspicion that lands after
+   the load is healed by the next heartbeat, inside the TTL condemnation
+   waits: only a word that reads Suspected pays the CAS. *)
 let self_heal (ctx : Ctx.t) ~cid =
-  Ctx.cas ctx
-    (Layout.client_flags ctx.Ctx.lay cid)
-    ~expected:st_suspected ~desired:st_alive
+  let flags = Layout.client_flags ctx.Ctx.lay cid in
+  Ctx.load ctx flags = st_suspected
+  && Ctx.cas ctx flags ~expected:st_suspected ~desired:st_alive
 
 (* Monitor leader lease, packed in one word so election, renewal and
    deposition are each a single CAS on [Layout.hdr_leader]. *)

@@ -71,7 +71,9 @@ val try_condemn : Ctx.t -> cid:int -> bool
 val self_heal : Ctx.t -> cid:int -> bool
 (** CAS [Suspected → Alive] — a live client cancelling a false positive.
     False when the slot was not suspected (already condemned or never
-    suspected). *)
+    suspected). It CASes only when its load reads Suspected; call it after
+    {!renew}, so a suspicion that lands after the load is healed by the
+    next heartbeat. *)
 
 (** {1 Monitor leader lease} *)
 

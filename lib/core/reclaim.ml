@@ -39,7 +39,8 @@ and release_held (ctx : Ctx.t) ~as_cid ~reclaim ~detach ~ref_addr ~obj =
     Ctx.crash_point ctx Fault.Release_before_reclaim;
     if n = 0 then reclaim obj
     else
-      (* Unreachable under the attach-requires-a-reference invariant. *)
+      (* Unreachable under the attach-requires-a-reference invariant:
+         only the last holder reads count 1, and it stores 0. *)
       raise (Refc.Refcount_violation "release: count rose from 1")
   end
 

@@ -7,6 +7,7 @@ let ref_cnt (ctx : Ctx.t) obj =
 
 (* Test-only: see the mli. *)
 let mutation_zero_shared = ref false
+let mutation_store_shared = ref false
 
 (* With [~decline], a decrement from 1 by a release that may not hold the
    only reference declines before it writes anything: the count then
@@ -16,8 +17,14 @@ let declines ~decline cnt = decline && cnt = 1 && not !mutation_zero_shared
 
 (* The ModifyRefCnt CAS loop of Fig 4 (c) lines 2-10, run under identity
    [as_cid]. Observes the header's (lcid, lera) into the era matrix and,
-   with [~redo], records the redo entry before each CAS attempt. Returns
-   the new count, or -1 when it declines. *)
+   with [~redo], records the redo entry before each header write. Returns
+   the new count, or -1 when it declines.
+
+   A decrement that reads count 1 comes from the only holder (attach needs
+   a counted reference; of two decrements racing from 2 only the loser
+   reads 1), so nothing can change the word between the load and the
+   write: it installs the [(as_cid, era, 0)] word the CAS would with one
+   plain store (docs/ALGORITHM.md §3.1). *)
 let modify_refcnt (ctx : Ctx.t) ~as_cid ~op ~redo ~decline ~ref_addr ~refed
     ~delta =
   let hdr = Obj_header.header_of_obj refed in
@@ -42,14 +49,18 @@ let modify_refcnt (ctx : Ctx.t) ~as_cid ~op ~redo ~decline ~ref_addr ~refed
         Ctx.crash_point ctx Fault.Txn_after_redo
       end;
       let newh = Obj_header.make ~lcid:as_cid ~lera:cur_era ~ref_cnt:(cnt + delta) in
-      if Ctx.cas ctx hdr ~expected:saved ~desired:newh then cnt + delta
+      if delta < 0 && (cnt = 1 || !mutation_store_shared) then begin
+        Ctx.store ctx hdr newh;
+        cnt + delta
+      end
+      else if Ctx.cas ctx hdr ~expected:saved ~desired:newh then cnt + delta
       else loop ()
     end
   in
   loop ()
 
-(* The redo-logged transaction's tail once its CAS committed: link or
-   unlink [ref_addr] (idempotent), then consume the era. *)
+(* The redo-logged transaction's tail once its header write committed:
+   link or unlink [ref_addr] (idempotent), then consume the era. *)
 let modify_ref (ctx : Ctx.t) ~as_cid ~ref_addr v =
   Ctx.crash_point ctx Fault.Txn_after_cas;
   Ctx.store ctx ref_addr v;
@@ -78,7 +89,7 @@ let attach (ctx : Ctx.t) ~ref_addr ~refed = attach_as ctx ~as_cid:ctx.cid ~ref_a
 
 (* Redo-free detach for epoch-batched retirement: the sealed journal entry
    stands in for the per-attempt redo record, so the CAS loop only
-   observes and commits. Recovery decides whether the CAS landed with
+   observes and commits. Recovery decides whether the decrement landed with
    Conditions 1 & 2 against the dead client's current era — sound because
    every competing mutator observes the header tag before its own CAS, so
    a landed decrement is either still tagged (cid, era) or was seen by

@@ -3,8 +3,8 @@
     A refcount maintenance operation is a distributed transaction over two
     separate locations: the object header (ModifyRefCnt — atomic, {e not}
     idempotent) and the reference word (ModifyRef — idempotent under the
-    single-writer rule). The successful header CAS is the commit point; the
-    CAS word carries [lcid] and [lera] so that, combined with the era
+    single-writer rule). The header write is the commit point; the header
+    word carries [lcid] and [lera] so that, combined with the era
     matrix, a recovery service can decide whether a dead client's commit
     happened:
 
@@ -25,7 +25,9 @@
     record and the CAS, writing nothing: the releaser then holds the only
     reference, and {!Reclaim} tears the children down before the final
     [~shared:false] detach. Of two releases racing from 2, the loser's CAS
-    retries on 1 and declines. *)
+    retries on 1 and declines. Every count change is a CAS except that
+    final decrement: only the last holder reads count 1, so it writes the
+    [(lcid, lera, 0)] word with one plain store (docs/ALGORITHM.md §3.1). *)
 
 exception Refcount_violation of string
 (** Raised when a transaction would drop a count below zero or attach to a
@@ -43,7 +45,7 @@ val detach : Ctx.t -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t 
 val detach_batched :
   Ctx.t -> shared:bool -> ref_addr:Cxlshm_shmem.Pptr.t -> refed:Cxlshm_shmem.Pptr.t -> int
 (** Redo-free detach used under a sealed retirement-journal entry
-    ({!Epoch}): same observe + CAS commit, but no per-attempt redo record,
+    ({!Epoch}): same observe + commit, but no per-attempt redo record,
     no crash points, and the unlink + era advance happen inside. Recovery
     decides the commit with Conditions 1 & 2 against the journal's era.
     Only sound while the entry's rootref is still [in_use] in the sealed
@@ -83,6 +85,11 @@ val detach_as :
 val mutation_zero_shared : bool ref
 (** Test-only: [~shared:true] no longer declines, so a racing release can
     zero an object whose children are still linked ([refc-zero-shared]). *)
+
+val mutation_store_shared : bool ref
+(** Test-only: a decrement from {e any} count stores its header word
+    instead of using the CAS, so two releases racing from 2 both write 1
+    and one count is lost ([refc-store-shared]). *)
 
 val committed : Ctx.t -> cid:int -> obj:Cxlshm_shmem.Pptr.t -> era:int -> bool
 (** Conditions 1-then-2 for "did client [cid]'s ModifyRefCnt at [era] on

@@ -266,16 +266,14 @@ let test_finds_crash_reap_mutation () =
       | Explore.Pass | Explore.Diverged ->
           Alcotest.fail "replay did not reproduce the failure")
 
-(* The race-to-zero the last-holder rule forbids: two releases race a
-   shared parent from count 2, and the loser's retry on 1 zeroes it
-   without tearing down its embedded child. The single-preemption
-   exhaustive search must catch the orphaned child. *)
-let test_finds_refc_zero_shared_mutation () =
-  with_flag Cxlshm.Refc.mutation_zero_shared @@ fun () ->
+(* Exhaustive single-preemption search of the [refc] model with [flag]
+   set must fail, and its schedule must replay to the same reason. *)
+let finds_refc_mutation ~name flag () =
+  with_flag flag @@ fun () ->
   let m = Scenarios.refc ~rounds:1 () in
   let r = Explore.exhaustive ~preemptions:1 ~crash:true ~max_steps:40_000 m in
   match r.Explore.failure with
-  | None -> Alcotest.fail "zero-shared mutation survived exhaustive search"
+  | None -> Alcotest.failf "%s mutation survived exhaustive search" name
   | Some f -> (
       let rr = Explore.replay m ~max_steps:40_000 f.Explore.schedule in
       match rr.Explore.outcome with
@@ -284,6 +282,20 @@ let test_finds_refc_zero_shared_mutation () =
             f.Explore.reason reason
       | Explore.Pass | Explore.Diverged ->
           Alcotest.fail "replay did not reproduce the failure")
+
+(* The race-to-zero the last-holder rule forbids: two releases race a
+   shared parent from count 2, and the loser's retry on 1 zeroes it
+   without tearing down its embedded child. The orphaned child must be
+   caught. *)
+let test_finds_refc_zero_shared_mutation =
+  finds_refc_mutation ~name:"zero-shared" Cxlshm.Refc.mutation_zero_shared
+
+(* The lost update a store in place of the header CAS causes: both
+   releases of the shared parent load count 2 and store 1, so the parent
+   keeps a count no holder owns. Only the last holder's decrement, which
+   reads 1, may store. *)
+let test_finds_refc_store_shared_mutation =
+  finds_refc_mutation ~name:"store-shared" Cxlshm.Refc.mutation_store_shared
 
 (* Swap redo ignored by recovery: a writer killed between the two stores
    of put_cow's count-neutral swap leaves the predecessor slot on the old
@@ -499,6 +511,8 @@ let suite =
       test_finds_transfer_head_mutation;
     Alcotest.test_case "finds the refc zero-shared mutation" `Quick
       test_finds_refc_zero_shared_mutation;
+    Alcotest.test_case "finds the refc store-shared mutation" `Quick
+      test_finds_refc_store_shared_mutation;
     Alcotest.test_case "finds the era-blind quiesce mutation" `Quick
       test_finds_kv_quiesce_mutation;
     Alcotest.test_case "finds the era-blind crash reap" `Quick

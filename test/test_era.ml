@@ -121,6 +121,60 @@ let test_refcount_violations_detected () =
    with Refc.Refcount_violation _ -> ());
   Cxl_ref.drop r
 
+(* Header CASes [f] issues, hit or cold. *)
+let header_cas (ctx : Ctx.t) f =
+  let before = Cxlshm_shmem.Stats.copy ctx.Ctx.st in
+  let x = f () in
+  let d = Cxlshm_shmem.Stats.diff ctx.Ctx.st before in
+  (x, d.Cxlshm_shmem.Stats.cas_ops + d.Cxlshm_shmem.Stats.cas_hit_ops)
+
+(* The last holder's decrement reads count 1, so it writes the header with
+   one store: no CAS, and the word it leaves is the (cid, era, 0) tag the
+   CAS would have installed, which Condition 1 accepts. *)
+let test_last_holder_detach_stores () =
+  let _, a, _ = setup () in
+  let r = Shm.cxl_malloc a ~size_bytes:8 () in
+  let obj = Cxl_ref.obj r in
+  let slot = Rootref.pptr_slot (Cxl_ref.rootref r) in
+  let era = Era.self a in
+  let n, cas = header_cas a (fun () -> Refc.detach a ~ref_addr:slot ~refed:obj) in
+  Alcotest.(check int) "count reaches 0" 0 n;
+  Alcotest.(check int) "no header CAS" 0 cas;
+  Alcotest.(check int) "slot unlinked" 0 (Ctx.load a slot);
+  let u = Obj_header.unpack (Ctx.load a (Obj_header.header_of_obj obj)) in
+  Alcotest.(check (option int)) "lcid" (Some a.Ctx.cid) u.Obj_header.lcid;
+  Alcotest.(check int) "lera" era u.Obj_header.lera;
+  Alcotest.(check int) "ref_cnt" 0 u.Obj_header.ref_cnt;
+  Alcotest.(check bool) "condition 1 accepts it" true
+    (Refc.committed a ~cid:a.Ctx.cid ~obj ~era);
+  (* A second detach of the same object, freed or not, is a double free:
+     the load-time check still raises. *)
+  Alcotest.check_raises "detach at count 0"
+    (Refc.Refcount_violation
+       (Printf.sprintf "detach of object @%d with ref_cnt 0 (double free?)" obj))
+    (fun () -> ignore (Refc.detach a ~ref_addr:slot ~refed:obj));
+  Alloc.free_obj_block a obj;
+  (match Refc.detach a ~ref_addr:slot ~refed:obj with
+  | _ -> Alcotest.fail "detach of a freed object must raise"
+  | exception Refc.Refcount_violation _ -> ());
+  Alloc.free_rootref a (Cxl_ref.rootref r)
+
+(* A decrement from 2 may race another holder's, so it keeps the CAS. *)
+let test_detach_from_two_cases () =
+  let _, a, b = setup () in
+  let r = Shm.cxl_malloc a ~size_bytes:8 () in
+  let obj = Cxl_ref.obj r in
+  let rr = Alloc.alloc_rootref b in
+  Refc.attach b ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj;
+  let n, cas =
+    header_cas b (fun () ->
+        Refc.detach b ~ref_addr:(Rootref.pptr_slot rr) ~refed:obj)
+  in
+  Alcotest.(check int) "count 2 -> 1" 1 n;
+  Alcotest.(check int) "one header CAS" 1 cas;
+  Alloc.free_rootref b rr;
+  Cxl_ref.drop r
+
 (* Property: after any interleaved sequence of attach/detach pairs from two
    clients on a shared object, the count equals 1 + (live extra refs), and
    eras are strictly monotone. *)
@@ -166,5 +220,8 @@ let suite =
     Alcotest.test_case "condition 2" `Quick test_committed_condition2;
     Alcotest.test_case "uncommitted not proven" `Quick test_uncommitted_not_proven;
     Alcotest.test_case "violations detected" `Quick test_refcount_violations_detected;
+    Alcotest.test_case "last holder's detach stores" `Quick
+      test_last_holder_detach_stores;
+    Alcotest.test_case "detach from 2 CASes" `Quick test_detach_from_two_cases;
     Generators.to_alcotest prop_refcount_balanced;
   ]

@@ -146,6 +146,40 @@ let test_release_rootref_double_raise () =
     (Refc.Refcount_violation "release_rootref: local count already 0")
     (fun () -> Reclaim.release_rootref a rr)
 
+(* A crash around the last holder's detach (its header write is a store,
+   not a CAS) recovers as before: before the write the redo record is not
+   committed and recovery releases the child through the parent; after it
+   Condition 1 proves the commit, recovery replays the unlink, and the
+   leak-marked block goes to the scan. Either way nothing is left. *)
+let test_last_holder_detach_crashes () =
+  List.iter
+    (fun (point, resumed, cnt) ->
+      let label = Fault.point_name point in
+      let arena, a, _ = setup () in
+      let parent = Shm.cxl_malloc a ~size_bytes:8 ~emb_cnt:1 () in
+      let child = Shm.cxl_malloc a ~size_bytes:8 () in
+      let child_obj = Cxl_ref.obj child in
+      Cxl_ref.set_emb parent 0 child;
+      Cxl_ref.drop child;
+      a.Ctx.fault <- Fault.at point ~nth:1;
+      (match Cxl_ref.clear_emb parent 0 with
+      | () -> Alcotest.failf "%s: expected a crash" label
+      | exception Fault.Crashed _ -> ());
+      a.Ctx.fault <- Fault.none;
+      Alcotest.(check int) (label ^ ": child count") cnt
+        (Refc.ref_cnt a child_obj);
+      Client.declare_failed (Shm.service_ctx arena) ~cid:a.Ctx.cid;
+      let r = Shm.recover arena ~failed_cid:a.Ctx.cid in
+      Alcotest.(check bool) (label ^ ": txn resumed") resumed
+        r.Recovery.resumed_txn;
+      ignore (Shm.scan_leaking arena);
+      let v = Shm.validate arena in
+      Alcotest.(check int) (label ^ ": nothing alive") 0 v.Validate.live_objects;
+      Alcotest.(check bool)
+        (label ^ ": " ^ String.concat "; " v.Validate.errors)
+        true (Validate.is_clean v))
+    [ (Fault.Txn_after_redo, false, 1); (Fault.Txn_after_cas, true, 0) ]
+
 (* Property: interleaved alloc/free across two clients with shared blocks
    always validates clean after quiesce + scan. *)
 let prop_reclaim_clean =
@@ -198,6 +232,8 @@ let suite =
     Alcotest.test_case "scan_all respects live owner" `Quick test_scan_all_respects_live_owner;
     Alcotest.test_case "leaked block via scan" `Quick test_leaked_block_recovered_via_scan;
     Alcotest.test_case "orphan adoption" `Quick test_orphan_adoption;
+    Alcotest.test_case "last-holder detach crash windows" `Quick
+      test_last_holder_detach_crashes;
     Alcotest.test_case "recovery keeps a leak mark" `Quick
       test_recovery_keeps_leak_mark;
     Alcotest.test_case "deferred free returns blocks" `Quick test_deferred_free_returns_blocks;
