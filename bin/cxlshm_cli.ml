@@ -875,62 +875,25 @@ let monitor_cmd =
 (* ---- explore: model-checking schedule exploration ---- *)
 
 module Check_explore = Cxlshm_check.Explore
+module Check_mutation = Cxlshm_check.Mutation
 module Check_scenarios = Cxlshm_check.Scenarios
 module Check_schedule = Cxlshm_check.Schedule
 
-let model_names =
-  List.map (fun m -> m.Check_explore.name) (Check_scenarios.all ())
+(* A table lookup whose [Invalid_argument] lists the table: print it and
+   exit 2. *)
+let lookup find name =
+  try find name
+  with Invalid_argument msg ->
+    prerr_endline msg;
+    exit 2
 
-let explore_model_of_name ~capacity ~values ~rounds name =
-  match name with
-  | "spsc" -> Check_scenarios.spsc ?capacity ?values ()
-  | "transfer" -> Check_scenarios.transfer ?capacity ?values ()
-  | "transfer-batch" ->
-      Check_scenarios.transfer ?capacity ?values ~batched:true ()
-  | "refc" -> Check_scenarios.refc ?rounds ()
-  | "huge" -> Check_scenarios.huge ?rounds ()
-  | "epoch-retire" -> Check_scenarios.epoch_retire ?rounds ()
-  | "lease" -> Check_scenarios.lease ?passes:rounds ()
-  | "dual-monitor" -> Check_scenarios.dual_monitor ?passes:rounds ()
-  | "kv-serve" -> Check_scenarios.kv_serve ()
-  | "kv-serve-park" -> Check_scenarios.kv_serve ~park_release:true ()
-  | "kv-serve-move" -> Check_scenarios.kv_serve ~move:true ()
-  | "kv-serve-recover" -> Check_scenarios.kv_serve_recover ()
-  | "rpc-isolate" -> Check_scenarios.rpc_isolate ()
-  | n ->
-      Printf.eprintf "unknown model %s (have: %s)\n" n
-        (String.concat ", " model_names);
-      exit 2
-
-let set_mutation = function
-  | "none" -> ()
-  | "spsc-pop" -> Cxlshm_spsc.Spsc_queue.mutation_unfenced_pop := true
-  | "transfer-head" -> Cxlshm.Transfer.mutation_unfenced_advance := true
-  | "refc-zero-shared" -> Cxlshm.Refc.mutation_zero_shared := true
-  | "refc-store-shared" -> Cxlshm.Refc.mutation_store_shared := true
-  | "kv-quiesce" -> Cxlshm.Limbo.mutation_unconditional_quiesce := true
-  | "kv-crash-reap" -> Cxlshm.Limbo.mutation_crash_reap := true
-  | "kv-swap-skip-redo" -> Cxlshm.Recovery.mutation_skip_swap_redo := true
-  | "kv-move-unparked" -> Cxlshm_kv.Cxl_kv.mutation_release_moved := true
-  | "volatile-park" -> Cxlshm.Limbo.mutation_volatile_park := true
-  | "rpc-skip-validate" -> Cxlshm_rpc.Cxl_rpc.mutation_skip_validate := true
-  | "rpc-unfenced-status" ->
-      Cxlshm_rpc.Cxl_rpc.mutation_unfenced_status := true
-  | "rpc-early-advance" -> Cxlshm_rpc.Cxl_rpc.mutation_early_advance := true
-  | m ->
-      Printf.eprintf
-        "unknown mutation %s (have: none, spsc-pop, transfer-head, \
-         refc-zero-shared, refc-store-shared, kv-quiesce, kv-crash-reap, \
-         kv-swap-skip-redo, \
-         kv-move-unparked, volatile-park, \
-         rpc-skip-validate, rpc-unfenced-status, rpc-early-advance)\n"
-        m;
-      exit 2
+let explore_model ~capacity ~values ~rounds =
+  lookup (Check_scenarios.find ?capacity ?values ?rounds)
 
 let explore models mode seed schedules preemptions no_crash max_steps capacity
     values rounds mutate replay log =
   let crash = not no_crash in
-  set_mutation mutate;
+  if mutate <> "none" then (lookup Check_mutation.find mutate).flag := true;
   let log_oc =
     Option.map
       (fun f -> open_out_gen [ Open_append; Open_creat ] 0o644 f)
@@ -949,7 +912,7 @@ let explore models mode seed schedules preemptions no_crash max_steps capacity
     | Some sched_str ->
         let s = Check_schedule.of_string sched_str in
         let m =
-          explore_model_of_name ~capacity ~values ~rounds s.Check_schedule.model
+          explore_model ~capacity ~values ~rounds s.Check_schedule.model
         in
         let r = Check_explore.replay m ~max_steps s in
         let replayed =
@@ -975,7 +938,7 @@ let explore models mode seed schedules preemptions no_crash max_steps capacity
         let failures = ref [] in
         List.iter
           (fun name ->
-            let m = explore_model_of_name ~capacity ~values ~rounds name in
+            let m = explore_model ~capacity ~values ~rounds name in
             let report =
               match mode with
               | "random" ->
@@ -1025,7 +988,7 @@ let explore_cmd =
       const explore
       $ Arg.(
           value
-          & opt string (String.concat "," model_names)
+          & opt string (String.concat "," Check_scenarios.names)
           & info [ "model" ] ~doc:"Comma-separated models to explore.")
       $ Arg.(
           value & opt string "random"
@@ -1063,13 +1026,11 @@ let explore_cmd =
           value & opt string "none"
           & info [ "mutate" ]
               ~doc:
-                "Re-introduce a historical ordering bug before exploring: \
-                 $(b,spsc-pop), $(b,transfer-head), $(b,refc-zero-shared), \
-                 $(b,refc-store-shared), $(b,kv-quiesce), \
-                 $(b,kv-crash-reap), $(b,kv-swap-skip-redo), \
-                 $(b,kv-move-unparked), $(b,volatile-park), \
-                 $(b,rpc-skip-validate), $(b,rpc-unfenced-status) or \
-                 $(b,rpc-early-advance) (self-check).")
+                ("Re-introduce a historical ordering bug before exploring \
+                  (self-check; the table is lib/check/mutation.ml): "
+                ^ String.concat ", "
+                    (List.map (Printf.sprintf "$(b,%s)") Check_mutation.names)
+                ^ "."))
       $ Arg.(
           value
           & opt (some string) None

@@ -930,18 +930,32 @@ let rpc_isolate () : Explore.model =
 
 (* ---- registry ---- *)
 
-let all () =
-  [ spsc (); transfer (); transfer ~batched:true (); refc (); huge ();
-    epoch_retire (); lease (); dual_monitor ();
-    kv_serve (); kv_serve ~park_release:true (); kv_serve ~move:true ();
-    kv_serve_recover ();
-    rpc_isolate () ]
+(* Each model's builder from the optional (capacity, values, rounds). *)
+let builders =
+  [
+    ("spsc", fun (capacity, values, _) -> spsc ?capacity ?values ());
+    ("transfer", fun (capacity, values, _) -> transfer ?capacity ?values ());
+    ( "transfer-batch",
+      fun (capacity, values, _) -> transfer ?capacity ?values ~batched:true ()
+    );
+    ("refc", fun (_, _, rounds) -> refc ?rounds ());
+    ("huge", fun (_, _, rounds) -> huge ?rounds ());
+    ("epoch-retire", fun (_, _, rounds) -> epoch_retire ?rounds ());
+    ("lease", fun (_, _, passes) -> lease ?passes ());
+    ("dual-monitor", fun (_, _, passes) -> dual_monitor ?passes ());
+    ("kv-serve", fun _ -> kv_serve ());
+    ("kv-serve-park", fun _ -> kv_serve ~park_release:true ());
+    ("kv-serve-move", fun _ -> kv_serve ~move:true ());
+    ("kv-serve-recover", fun _ -> kv_serve_recover ());
+    ("rpc-isolate", fun _ -> rpc_isolate ());
+  ]
 
-let find name =
-  match List.find_opt (fun m -> m.Explore.name = name) (all ()) with
-  | Some m -> m
+let names = List.map fst builders
+
+let find ?capacity ?values ?rounds name =
+  match List.assoc_opt name builders with
+  | Some build -> build (capacity, values, rounds)
   | None ->
       invalid_arg
         (Printf.sprintf "unknown model %s (have: %s)" name
-           (String.concat ", "
-              (List.map (fun m -> m.Explore.name) (all ()))))
+           (String.concat ", " names))

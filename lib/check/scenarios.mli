@@ -1,6 +1,7 @@
 (** The built-in models: small concurrent protocols whose interleavings
     (and crash points) the explorer enumerates, each paired with the
-    oracle that must hold afterwards.
+    oracle that must hold afterwards. {!Mutation.rows} names the
+    historical bugs each model must catch.
 
     The arena models ([transfer], [refc]) recover every crashed client the
     way the monitor would, then require a leak-free, count-consistent,
@@ -25,9 +26,7 @@ val refc : ?rounds:int -> unit -> Explore.model
     shared parent holding one embedded child, so the two releases race
     from count 2 and the loser's retry on count 1 must decline and tear
     the child down as the last holder. Branches at labeled crash points
-    and poll yields. The [Refc.mutation_zero_shared] flag lets the losing
-    decrement zero the parent with its child still linked, which this
-    model must catch ([refc-zero-shared]). *)
+    and poll yields. *)
 
 val huge : ?rounds:int -> unit -> Explore.model
 (** Two clients allocating and freeing two-segment huge objects on a small
@@ -69,8 +68,7 @@ val kv_serve : ?park_release:bool -> ?move:bool -> unit -> Explore.model
     record visit is a schedule point). Oracle: the reader observes the old
     or the new value — never a freed record's bytes — and the pool is
     fsck-clean after recovering any crash, including a writer death inside
-    [put_cow]. The [Limbo.mutation_unconditional_quiesce] flag
-    re-introduces era-blind reclamation, which this model must catch.
+    [put_cow].
 
     [~park_release:true] (model name ["kv-serve-park"]) makes the
     reclamation pass the bounded release inside the writer's [put_cow]:
@@ -83,9 +81,7 @@ val kv_serve : ?park_release:bool -> ?move:bool -> unit -> Explore.model
     its chain, so the writer's [put_cow] moves it to the head and parks
     the displaced predecessor while the reader may be paused on it; after
     the decoy the writer poisons every count-zero block of the record's
-    size (key 0, value 0xDEAD). The [Cxl_kv.mutation_release_moved] flag
-    releases the predecessor right after the swap instead of parking it,
-    which this model must catch. *)
+    size (key 0, value 0xDEAD). *)
 
 val kv_serve_recover : ?drained:int ref -> unit -> Explore.model
 (** Crash-then-recover variant of [kv_serve] (model name
@@ -99,11 +95,7 @@ val kv_serve_recover : ?drained:int ref -> unit -> Explore.model
     record's size class and poisons every count-zero block of that size
     (key 1, value 0xDEAD). Oracle: the pinned reader never observes
     0xDEAD, and the pool is fsck-clean after recovery, the drain's client
-    included. The [Limbo.mutation_crash_reap] flag re-introduces the
-    historical era-blind reap of the dead writer's parked records, and
-    [Limbo.mutation_volatile_park] parks volatile-only so the rootref
-    scan frees them; the bounded-exhaustive crash search must catch both.
-    [drained], when given, is bumped once per run whose drain released
+    included. [drained], when given, is bumped once per run whose drain released
     records. *)
 
 val rpc_isolate : unit -> Explore.model
@@ -116,14 +108,16 @@ val rpc_isolate : unit -> Explore.model
     0xDEAD decoy) any sub-heap segment channel revocation returned to the
     arena. Oracle: the good call's output is exactly the handler's write,
     the smuggled call is rejected without running the handler, the handler
-    never reads the decoy, and the pool is fsck-clean after recovery. The
-    [Cxl_rpc.mutation_skip_validate], [Cxl_rpc.mutation_unfenced_status]
-    and [Cxl_rpc.mutation_early_advance] flags re-introduce a missing
-    validation walk, an unfenced completion publish and a slot handed back
-    before its completion, which this model must catch. Model name
-    ["rpc-isolate"]. *)
+    never reads the decoy, and the pool is fsck-clean after recovery.
+    Model name ["rpc-isolate"]. *)
 
-val all : unit -> Explore.model list
+val names : string list
+(** Every model's name; [cxlshm explore] runs them in this order. *)
 
-val find : string -> Explore.model
-(** Raises [Invalid_argument] for an unknown model name. *)
+val find :
+  ?capacity:int -> ?values:int -> ?rounds:int -> string -> Explore.model
+(** The model of that name, built with the given sizes: [capacity] and
+    [values] size [spsc] and [transfer]/[transfer-batch], [rounds] sizes
+    [refc], [huge] and [epoch-retire] and is the pass count of [lease]
+    and [dual-monitor]; other models ignore them. Raises
+    [Invalid_argument] listing {!names} for an unknown name. *)

@@ -129,11 +129,11 @@ val close : t -> unit
 
     The four spare words of a queue's directory slot record the segments an
     RPC channel claimed as its private sub-heap (count word + up to
-    {!Layout.queue_max_channel_segs} segment ids). Advisory shared state:
-    the peer's validation walk and the revocation path read it; cleanup and
-    the claim-undo recovery path clear it with the slot. *)
+    {!Layout.queue_max_channel_segs} segment ids), which {!connect} writes
+    from its [channel_segs]. Advisory shared state: the peer's validation
+    walk and the revocation path read it; cleanup and the claim-undo
+    recovery path clear it with the slot. *)
 
-val set_channel_segs : Ctx.t -> int -> int list -> unit
 val channel_segs : Ctx.t -> int -> int list
 
 val seg_held_by_live_peer : Ctx.t -> seg:int -> dead_cid:int -> bool

@@ -7,6 +7,7 @@
 
 open Cxlshm
 module Cxl_kv = Cxlshm_kv.Cxl_kv
+module Mutation = Cxlshm_check.Mutation
 
 let bound = 2 * Layout.limbo_row_entries
 
@@ -50,10 +51,6 @@ let parked_by arena ~owner =
     (Limbo.peek_entries (Shm.mem arena) (Shm.layout arena) ~owner)
 
 let parked arena (ctx : Ctx.t) = parked_by arena ~owner:(ctx.Ctx.cid + 1)
-
-let with_no_advance f =
-  Limbo.mutation_no_advance := true;
-  Fun.protect ~finally:(fun () -> Limbo.mutation_no_advance := false) f
 
 (* No reader, no quiesce: the parks alone keep the limbo within two rows. *)
 let test_bounded_without_quiesce () =
@@ -211,7 +208,7 @@ let test_reannouncing_reader_bounded () =
   let p = peak () in
   Alcotest.(check bool) (Printf.sprintf "peak parked %d <= %d" p bound) true
     (p <= bound);
-  let p = with_no_advance peak in
+  let p = Mutation.with_flag Limbo.mutation_no_advance peak in
   Alcotest.(check bool)
     (Printf.sprintf "mutation_no_advance: peak parked %d > %d" p bound)
     true (p > bound)
@@ -251,7 +248,7 @@ let test_drain_advances_past_reader () =
   in
   Alcotest.(check int) "drained under the re-announcing reader" 0 (run ());
   Alcotest.(check int) "mutation_no_advance: still pinned" 3
-    (with_no_advance run)
+    (Mutation.with_flag Limbo.mutation_no_advance run)
 
 (* Rows a successor takes over with [adopt_recovered] join its limbo and
    drain through its own later parks, with no quiesce call. *)

@@ -846,9 +846,7 @@ let test_clone_reads_repointed_rootref () =
 (* The must-fail mutation: a memo that ignores the era-advance counter
    keeps addressing the record the clone resolved first. *)
 let test_stale_memo_mutation () =
-  Cxl_ref.mutation_stale_memo := true;
-  Fun.protect ~finally:(fun () -> Cxl_ref.mutation_stale_memo := false)
-  @@ fun () ->
+  Cxlshm_check.Mutation.with_flag Cxl_ref.mutation_stale_memo @@ fun () ->
   Alcotest.(check int) "stale-memo mutation reads the old record" 22
     (clone_read_after_repoint ())
 
